@@ -17,7 +17,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import ceil, floor, gcd, inf
+from operator import and_, or_
 from typing import Optional, Sequence
 
 from .geometry import (
@@ -28,9 +30,10 @@ from .geometry import (
     Type1Body,
     Type2Body,
     Type3Body,
-    contains,
+    clip_halfplane,
     corner_rays,
     point,
+    polygon_area,
 )
 
 
@@ -242,189 +245,157 @@ def _lp_enumerate(kept, k):
 # ---------------------------------------------------------------------------
 # regions
 
+# A band ``(normal, lo, hi)`` is the closed set ``lo <= normal . f <= hi``;
+# ``None`` leaves that side open.
+Band = tuple[tuple[int, int], Optional[Fraction], Optional[Fraction]]
 
-def _region(body, index: int) -> RegionId:
-    return RegionId(body.tag, index)
+_X1, _X2, _S = (1, 0), (0, 1), (1, 1)
 
 
-_T1_REGIONS = [
-    [point(1, 0), point(1, 1), point(0, 1)],
-    [point(0, 0), point(1, 0), point(0, 1)],
-    [point(0, 1), point(1, 1), point(0, 2)],
-    [point(1, 0), point(2, 0), point(1, 1)],
+@dataclass(frozen=True)
+class Region:
+    """One region of a body's decomposition and its closed-form ``t_bar``.
+
+    The region is the union of ``pieces``, each an intersection of closed
+    bands.  On it ``t_bar = (num[0] + num[1] u) / (den[0] + den[1] u)`` with
+    ``u = normal . f``.  ``split`` is the normal of the single split used on
+    the region; it is None for type 1, whose strength needs all three facet
+    splits.
+    """
+
+    pieces: tuple[tuple[Band, ...], ...]
+    split: Optional[tuple[int, int]]
+    normal: tuple[int, int]
+    num: tuple[Fraction, Fraction]
+    den: tuple[Fraction, Fraction]
+
+    def t_bar(self, f: Rational2) -> Fraction:
+        u = _dot(self.normal, f)
+        return (self.num[0] + self.num[1] * u) / (self.den[0] + self.den[1] * u)
+
+
+def _dot(normal: tuple[int, int], f: Rational2) -> Fraction:
+    return normal[0] * f.x1 + normal[1] * f.x2
+
+
+def _holds(pieces, dot, num=lambda c: c):
+    """Whether a point lies in the union of band intersections, given
+    ``dot(normal) = normal . f`` and ``num``, which turns a band constant into
+    the point's number type.  Elementwise when ``dot`` returns arrays."""
+
+    def band(n, lo, hi):
+        return (lo is None or num(lo) <= dot(n)) & (hi is None or dot(n) <= num(hi))
+
+    return reduce(or_, (reduce(and_, (band(*b) for b in piece)) for piece in pieces))
+
+
+def _low(normal, const, *pieces) -> Region:
+    """``t_bar = (u - const) / u``, split along ``normal``."""
+    return Region(pieces, normal, normal, (-const, 1), (0, 1))
+
+
+def _high(normal, const, *pieces) -> Region:
+    """``t_bar = (const - u) / (1 - u)``, split along ``normal``."""
+    return Region(pieces, normal, normal, (const, -1), (1, -1))
+
+
+def _pair(normal, low, high, sides=((),)) -> list[Region]:
+    """A ``_low`` and a ``_high`` region along ``normal`` on ``0 <= u <= 1``,
+    split at the u where the two formulas agree.  Each has one piece per
+    tuple of extra bands in ``sides``."""
+    t = -low / (high - low - 1)
+    return [
+        _low(normal, low, *(((normal, 0, t), *side) for side in sides)),
+        _high(normal, high, *(((normal, t, 1), *side) for side in sides)),
+    ]
+
+
+def _t1_region(normal, num, den, *bands) -> Region:
+    return Region((bands,), None, normal, num, den)
+
+
+_TYPE1_SPEC = [
+    _t1_region(_S, (2, 0), (1, 0), (_S, 1, None), (_X1, None, 1), (_X2, None, 1)),
+    _t1_region(_S, (3, -1), (2, -1), (_S, None, 1)),
+    _t1_region(_X2, (1, 1), (0, 1), (_X2, 1, None)),
+    _t1_region(_X1, (1, 1), (0, 1), (_X1, 1, None)),
 ]
 
 
-def region_polygons(body: LatticeFreeBody) -> list[list[Rational2]]:
-    """Closed region decomposition as CCW polygons, indexed from region 1."""
+def region_spec(body: LatticeFreeBody) -> list[Region]:
+    """The body's regions in index order, region 1 first.  Matching the closed
+    regions in this order sends a boundary point to its smallest-index region."""
+    below, above = ((_X2, None, 0),), ((_X2, 1, None),)
     if isinstance(body, Type1Body):
-        return [poly[:] for poly in _T1_REGIONS]
+        return _TYPE1_SPEC
     if isinstance(body, Type2Body):
-        a1, a2 = body.a1, body.a2
-        left, right = body.left, body.right
-        return [
-            [point(0, 0), point(a1, 0), point(a1, 1), point(0, 1)],
-            [point(a1, 0), point(1, 0), point(1, 1), point(a1, 1)],
-            [left, point(0, 0), point(0, 1)],
-            [point(1, 0), right, point(1, 1)],
-            [point(0, 1), point(a1, 1), Rational2(a1, a2)],
-            [point(a1, 1), point(1, 1), Rational2(a1, a2)],
-        ]
+        left, right = body.left.x1, body.right.x1
+        inner = _pair(_X1, left, right, [((_X2, 0, 1),)])
+        if body.a2 <= 2:  # the horizontal split is best on the whole unit square
+            inner = [_high(_X2, body.a2, *region.pieces) for region in inner]
+        sides = [_high(_X2, body.a2, ((_X1, None, 0),)), _high(_X2, body.a2, ((_X1, 1, None),))]
+        return inner + sides + _pair(_X1, left, right, [above])
     if isinstance(body, QuadBody):
-        a, b, c, d = body.vertices()
-        w = body.a2 - body.b2
-        h = -body.b2 / (w - 1)
-        th = body.theta
-        top = [point(0, 1), point(1, 1), a]
-        bottom = [point(0, 0), b, point(1, 0)]
-        return [
-            _clip_band(body.polygon(), point(0, 1), Fraction(0), h),
-            _clip_band(body.polygon(), point(0, 1), h, Fraction(1)),
-            _join(_clip_band(bottom, point(1, 0), Fraction(0), th), _clip_band(top, point(1, 0), Fraction(0), th)),
-            _join(_clip_band(bottom, point(1, 0), th, Fraction(1)), _clip_band(top, point(1, 0), th, Fraction(1))),
-        ]
+        return _pair(_X2, body.b2, body.a2) + _pair(_X1, body.c1, body.d1, [below, above])
     if isinstance(body, Type3Body):
-        poly = body.polygon()
-        w = body.c2 - body.b2
-        h2 = -body.b2 / (w - 1)
-        h1 = -body.c1 / (body.a1 - body.c1 - 1)
-        hd = -(body.b1 + body.b2) / (body.a1 + body.a2 - 1 - (body.b1 + body.b2))
-        below = _clip_band(poly, point(0, 1), None, Fraction(0))  # near b
-        above = _clip_band(poly, point(0, 1), Fraction(1), None)  # near c
-        return [
-            _clip_band(poly, point(0, 1), Fraction(0), h2),
-            _clip_band(poly, point(0, 1), h2, Fraction(1)),
-            _clip_band(below, point(1, 0), Fraction(0), h1),
-            _clip_band(below, point(1, 0), h1, Fraction(1)),
-            _clip_band(above, point(1, 1), Fraction(0), hd),
-            _clip_band(above, point(1, 1), hd, Fraction(1)),
-        ]
+        return (
+            _pair(_X2, body.b2, body.c2)
+            + _pair(_X1, body.c1, body.a1, [below])
+            + _pair(_S, body.b1 + body.b2, body.a1 + body.a2, [above])
+        )
     raise ValueError(f"no region decomposition for {body!r}")
 
 
-def _clip_band(poly, normal, lo, hi):
-    from .geometry import clip_halfplane
-
-    out = list(poly)
-    if hi is not None:
-        out = clip_halfplane(out, normal, hi)
-    if lo is not None and out:
-        out = clip_halfplane(out, -normal, -lo)
+def region_polygons(body: LatticeFreeBody) -> list:
+    """Closed region decomposition as CCW polygons, indexed from region 1: the
+    body clipped by each region's bands.  A region of two pieces is given as
+    ``("pair", p1, p2)``."""
+    out = []
+    for region in region_spec(body):
+        polys = []
+        for piece in region.pieces:
+            poly = body.polygon()
+            for n, lo, hi in piece:
+                normal = point(*n)
+                if hi is not None:
+                    poly = clip_halfplane(poly, normal, hi)
+                if lo is not None and poly:
+                    poly = clip_halfplane(poly, -normal, -lo)
+            polys.append(poly)
+        out.append(polys[0] if len(polys) == 1 else ("pair", *polys))
     return out
 
 
-def _join(p1, p2):
-    # regions 3/4 of a quadrilateral are a disjoint pair of pieces; membership
-    # and area tests treat the pair as one region
-    return ("pair", p1, p2)
-
-
-def _region_contains(poly, f: Rational2) -> bool:
-    if isinstance(poly, tuple) and poly and poly[0] == "pair":
-        return any(len(p) >= 3 and contains(p, f) for p in poly[1:])
-    return len(poly) >= 3 and contains(poly, f)
-
-
 def region_area(poly) -> Fraction:
-    from .geometry import polygon_area
-
     if isinstance(poly, tuple) and poly and poly[0] == "pair":
         return sum((polygon_area(p) for p in poly[1:]), Fraction(0))
     return polygon_area(poly)
 
 
 def region_of(body: LatticeFreeBody, f: Rational2) -> RegionId:
-    """The region of the body's decomposition containing ``f``; boundary points
-    go to the smallest-index adjacent region."""
+    """The first region of ``region_spec(body)`` whose bands hold at ``f``, so
+    boundary points go to the smallest-index adjacent region."""
     if isinstance(body, SplitBody):
         raise ValueError("splits have no region decomposition")
     if not body.contains_interior(f):
         raise ValueError(f"root vertex {f} is not strictly interior to {body!r}")
-    for i, poly in enumerate(region_polygons(body), start=1):
-        if _region_contains(poly, f):
-            return _region(body, i)
+    for i, region in enumerate(region_spec(body), start=1):
+        if _holds(region.pieces, lambda n: _dot(n, f)):
+            return RegionId(body.tag, i)
     raise AssertionError(f"no region contains interior point {f}")  # pragma: no cover
 
 
 def chosen_split(body: LatticeFreeBody, region: RegionId) -> tuple[int, int]:
     """Normal of the single split used in the given region."""
-    i = region.index
-    if isinstance(body, Type2Body):
-        if i in (3, 4):
-            return (0, 1)
-        if i in (5, 6):
-            return (1, 0)
-        if i in (1, 2):
-            return (0, 1) if body.a2 <= 2 else (1, 0)
-    elif isinstance(body, QuadBody):
-        if i in (1, 2):
-            return (0, 1)
-        if i in (3, 4):
-            return (1, 0)
-    elif isinstance(body, Type3Body):
-        if i in (1, 2):
-            return (0, 1)
-        if i in (3, 4):
-            return (1, 0)
-        if i in (5, 6):
-            return (1, 1)
-    raise ValueError(f"no split choice for {body!r}, region {region}")
+    spec = region_spec(body)
+    split = spec[region.index - 1].split if 1 <= region.index <= len(spec) else None
+    if split is None:
+        raise ValueError(f"no split choice for {body!r}, region {region}")
+    return split
 
 
 # ---------------------------------------------------------------------------
 # strength
-
-
-def _t1_exact_strength(f: Rational2, region: RegionId) -> Fraction:
-    f1, f2 = f.x1, f.x2
-    if region.index == 1:
-        return Fraction(2)
-    if region.index == 2:
-        return (3 - f1 - f2) / (2 - f1 - f2)
-    if region.index == 3:
-        return (f2 + 1) / f2
-    return (f1 + 1) / f1
-
-
-def _table_t_bar(body, f: Rational2, region: RegionId) -> Fraction:
-    f1, f2 = f.x1, f.x2
-    i = region.index
-    if isinstance(body, Type2Body):
-        a1, a2 = body.a1, body.a2
-        vertical = (a2 - f2) / (1 - f2)
-        left = (f1 + a1 / (a2 - 1)) / f1
-        right = ((a2 - a1) / (a2 - 1) - f1) / (1 - f1)
-        if i in (3, 4):
-            return vertical
-        if i == 5:
-            return left
-        if i == 6:
-            return right
-        if a2 <= 2:
-            return vertical
-        return left if i == 1 else right
-    if isinstance(body, QuadBody):
-        if i == 1:
-            return (f2 - body.b2) / f2
-        if i == 2:
-            return (body.a2 - f2) / (1 - f2)
-        if i == 3:
-            return (f1 - body.c1) / f1
-        return (body.d1 - f1) / (1 - f1)
-    if isinstance(body, Type3Body):
-        s = f1 + f2
-        if i == 1:
-            return (f2 - body.b2) / f2
-        if i == 2:
-            return (body.c2 - f2) / (1 - f2)
-        if i == 3:
-            return (f1 - body.c1) / f1
-        if i == 4:
-            return (body.a1 - f1) / (1 - f1)
-        if i == 5:
-            return (s - (body.b1 + body.b2)) / s
-        return (body.a1 + body.a2 - s) / (1 - s)
-    raise ValueError(f"no strength table for {body!r}")
 
 
 def strength_single_split(body: LatticeFreeBody, f: Rational2) -> StrengthReport:
@@ -437,16 +408,15 @@ def strength_single_split(body: LatticeFreeBody, f: Rational2) -> StrengthReport
     """
     region = region_of(body, f)
     rays = corner_rays(body, f)
-    if isinstance(body, Type1Body):
-        t_table = _t1_exact_strength(f, region)
+    entry = region_spec(body)[region.index - 1]
+    normal = entry.split
+    if normal is None:
         t_lp = strength_split_closure_approx(body, f, 1)
-        normal = None
     else:
-        normal = chosen_split(body, region)
         cut = split_coefficients(normal, f, rays)
         value, _ = covering_lp_min([cut.coefficients], len(rays))
         t_lp = 1 / value
-        t_table = _table_t_bar(body, f, region)
+    t_table = entry.t_bar(f)
     if t_table != t_lp:
         raise AssertionError(
             f"strength table value {t_table} disagrees with the covering-LP value {t_lp} "

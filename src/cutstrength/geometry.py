@@ -257,12 +257,6 @@ class UnimodularMap:
     def apply_linear(self, p: Rational2) -> Rational2:
         return Rational2(self.m11 * p.x1 + self.m12 * p.x2, self.m21 * p.x1 + self.m22 * p.x2)
 
-    def inverse(self) -> "UnimodularMap":
-        d = self.det
-        i11, i12 = self.m22 * d, -self.m12 * d
-        i21, i22 = -self.m21 * d, self.m11 * d
-        return UnimodularMap(i11, i12, i21, i22, -(i11 * self.t1 + i12 * self.t2), -(i21 * self.t1 + i22 * self.t2))
-
     @staticmethod
     def identity() -> "UnimodularMap":
         return UnimodularMap(1, 0, 0, 1, 0, 0)
@@ -380,9 +374,7 @@ class Type3Body(LatticeFreeBody):
 
     Parameters (a1, a2, b1) fix vertex ``a = (a1, a2)`` and the first
     coordinate of ``b``; ``b2`` and ``c`` follow.  The minimum-width direction
-    is required to be (0,1), i.e. ``c2 - b2`` attains the lattice width.  The
-    secondary ordering ``a1 - c1 <= a1 + a2 - (b1 + b2)`` is recorded in
-    ``secondary_order_ok`` but deliberately not enforced.
+    is required to be (0,1), i.e. ``c2 - b2`` attains the lattice width.
     """
 
     tag = "type3"
@@ -411,7 +403,6 @@ class Type3Body(LatticeFreeBody):
             )
         self.a1, self.a2, self.b1 = a1, a2, b1
         self.b2, self.c1, self.c2 = b2, c1, c2
-        self.secondary_order_ok = a1 - c1 <= a1 + a2 - (b1 + b2)
 
     def vertices(self):
         return (
@@ -461,9 +452,6 @@ class QuadBody(LatticeFreeBody):
             )
         self.a1, self.a2, self.b1, self.b2 = a1, a2, b1, b2
         self.c1, self.c2, self.d1, self.d2 = c1, c2, d1, d2
-        self.theta = (a1 * b1 * (a2 - 1) * (1 - b1) - b1 * a1 * (1 - a1) * b2) / (
-            b1 * (a2 - 1) * (1 - b1) - a1 * (1 - a1) * b2
-        )
 
     def vertices(self):
         return (

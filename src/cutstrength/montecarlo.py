@@ -18,15 +18,8 @@ from math import sqrt
 
 import numpy as np
 
-from .geometry import (
-    LatticeFreeBody,
-    QuadBody,
-    SplitBody,
-    Type1Body,
-    Type2Body,
-    Type3Body,
-    _frac,
-)
+from .cuts import _holds, region_spec
+from .geometry import LatticeFreeBody, SplitBody, _frac
 
 _CHUNK = 1 << 16  # fixed so chunk boundaries never depend on thread count
 
@@ -81,72 +74,37 @@ def _sample_points(body_tri, seed: int, start: int, count: int) -> np.ndarray:
     return origin + r1[:, None] * edge1[tri] + r2[:, None] * edge2[tri]
 
 
-def _t_bar_type1(pts: np.ndarray, body: Type1Body) -> np.ndarray:
-    f1, f2 = pts[:, 0], pts[:, 1]
-    s = f1 + f2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(s >= 1.0, 2.0, (3.0 - s) / (2.0 - s))
-        out = np.where(f2 >= 1.0, (f2 + 1.0) / f2, out)
-        out = np.where(f1 >= 1.0, (f1 + 1.0) / f1, out)
-    return out
+def _t_bar_evaluator(body: LatticeFreeBody):
+    """Vectorized float ``t_bar`` derived from ``region_spec(body)``.
 
+    Each point takes the formula of the first region whose closed bands hold
+    there, as in ``region_of``; every constant is ``float()`` of the exact one.
+    A point that float round-off puts in no region gets NaN.
+    """
+    spec = region_spec(body)
+    normals = {n for region in spec for piece in region.pieces for n, _, _ in piece}
+    # coefficients by region index; the extra last entry is for a point in no region
+    table = [[*r.normal, *r.num, *r.den] for r in spec] + [[0, 0, np.nan, 0, 1, 0]]
+    n1, n2, p0, p1, q0, q1 = (np.array(column, dtype=float) for column in zip(*table))
 
-def _t_bar_type2(pts: np.ndarray, body: Type2Body) -> np.ndarray:
-    a1, a2 = float(body.a1), float(body.a2)
-    base_l = a1 / (a2 - 1.0)
-    base_r = (a2 - a1) / (a2 - 1.0)
-    f1, f2 = pts[:, 0], pts[:, 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vert = (a2 - f2) / (1.0 - f2)
-        left = (f1 + base_l) / f1
-        right = (base_r - f1) / (1.0 - f1)
-    lr = np.where(f1 <= a1, left, right)
-    inner = lr if float(body.a2) > 2 else vert
-    inner = np.where((f1 < 0.0) | (f1 > 1.0), vert, inner)
-    return np.where(f2 >= 1.0, lr, inner)
+    def evaluate(pts: np.ndarray) -> np.ndarray:
+        x1, x2 = pts[:, 0], pts[:, 1]
+        proj = {n: n[0] * x1 + n[1] * x2 for n in normals}
+        # index of the first region whose bands hold, len(spec) where none
+        # does: later regions are written first, so earlier ones win.  uint8
+        # arithmetic, since masked writes cost several times more on random
+        # masks; the wraparound of (i - first) cancels in first + (i - first).
+        first = np.full(len(pts), len(spec), dtype=np.uint8)
+        for i in reversed(range(len(spec))):
+            first += (np.uint8(i) - first) * _holds(spec[i].pieces, proj.__getitem__, float)
+        first = first.astype(np.intp)
+        # the normals' and slopes' entries are 0 and +-1, so u and the affine
+        # parts round exactly as the closed forms written out would
+        u = n1[first] * x1 + n2[first] * x2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (p0[first] + p1[first] * u) / (q0[first] + q1[first] * u)
 
-
-def _t_bar_quad(pts: np.ndarray, body: QuadBody) -> np.ndarray:
-    b2, a2 = float(body.b2), float(body.a2)
-    c1, d1 = float(body.c1), float(body.d1)
-    h = float(-body.b2 / (body.a2 - body.b2 - 1))
-    th = float(body.theta)
-    f1, f2 = pts[:, 0], pts[:, 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        low = (f2 - b2) / f2
-        high = (a2 - f2) / (1.0 - f2)
-        left = (f1 - c1) / f1
-        right = (d1 - f1) / (1.0 - f1)
-    out = np.where(f2 <= h, low, high)
-    outer = np.where(f1 <= th, left, right)
-    return np.where((f2 < 0.0) | (f2 > 1.0), outer, out)
-
-
-def _t_bar_type3(pts: np.ndarray, body: Type3Body) -> np.ndarray:
-    a1, a2 = float(body.a1), float(body.a2)
-    b1, b2 = float(body.b1), float(body.b2)
-    c1, c2 = float(body.c1), float(body.c2)
-    h2 = float(-body.b2 / (body.c2 - body.b2 - 1))
-    h1 = float(-body.c1 / (body.a1 - body.c1 - 1))
-    hd = float(
-        -(body.b1 + body.b2) / (body.a1 + body.a2 - 1 - (body.b1 + body.b2))
-    )
-    f1, f2 = pts[:, 0], pts[:, 1]
-    s = f1 + f2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(f2 <= h2, (f2 - b2) / f2, (c2 - f2) / (1.0 - f2))
-        below = np.where(f1 <= h1, (f1 - c1) / f1, (a1 - f1) / (1.0 - f1))
-        above = np.where(s <= hd, (s - (b1 + b2)) / s, (a1 + a2 - s) / (1.0 - s))
-    out = np.where(f2 < 0.0, below, out)
-    return np.where(f2 > 1.0, above, out)
-
-
-_EVALUATORS = {
-    Type1Body: _t_bar_type1,
-    Type2Body: _t_bar_type2,
-    QuadBody: _t_bar_quad,
-    Type3Body: _t_bar_type3,
-}
+    return evaluate
 
 
 def monte_carlo_lower(
@@ -158,14 +116,16 @@ def monte_carlo_lower(
         raise ValueError("splits have no bounded area to sample")
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"need 0 <= seed < 2**128, got seed={seed}")
     z = float(_frac(z))
-    evaluate = _EVALUATORS[type(body)]
+    evaluate = _t_bar_evaluator(body)
     tri = _fan_triangles(body)
 
     def run(start: int) -> int:
         count = min(_CHUNK, samples - start)
         pts = _sample_points(tri, seed, start, count)
-        return int(np.count_nonzero(evaluate(pts, body) <= z))
+        return int(np.count_nonzero(evaluate(pts) <= z))
 
     starts = range(0, samples, _CHUNK)
     threads = thread_count()

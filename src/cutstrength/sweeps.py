@@ -82,7 +82,7 @@ def sweep_grid(
                     for b2 in _steps(lo2, hi2, step):
                         try:
                             body = QuadBody(a1, a2, b1, b2)
-                        except (ValueError, ZeroDivisionError):
+                        except ValueError:
                             continue
                         w = lattice_width(body)
                         rows.append(
@@ -99,7 +99,7 @@ def sweep_grid(
                         continue
                     try:
                         body = Type3Body(a1, a2, b1)
-                    except (ValueError, ZeroDivisionError):
+                    except ValueError:
                         continue
                     w = lattice_width(body)
                     rows.append(

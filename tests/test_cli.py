@@ -185,6 +185,11 @@ class TestExitCodes:
         code, _, _ = invoke(capsys, "bound", "--body", T2_DESC, "--z", "1.5")
         assert code == VALIDATION_ERROR
 
+    def test_validation_error_seed_out_of_range(self, capsys):
+        code, _, err = invoke(capsys, "montecarlo", "--body", T2_DESC, "--z", "7/4", "--seed", "-1")
+        assert code == VALIDATION_ERROR
+        assert "seed" in err
+
 
 class TestDeterminism:
     def test_byte_identical_output(self, capsys):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from math import inf
+from math import ceil, floor, inf
 
 import pytest
 
@@ -26,7 +26,9 @@ from cutstrength import (
     strength_single_split,
     strength_split_closure_approx,
 )
+from cutstrength.cli import run
 from cutstrength.cuts import _lp_enumerate, _lp_screened
+from cutstrength.geometry import contains
 
 from conftest import random_interior_point
 
@@ -182,6 +184,27 @@ class TestRegions:
             total = sum(region_area(poly) for poly in region_polygons(body))
             assert total == area(body)
 
+    def test_first_containing_polygon(self):
+        # region_of tests the bands; region_polygons clips the body by them.
+        # The grids hit region boundaries, where the smallest index wins.
+        def inside(poly, f):
+            if isinstance(poly, tuple):
+                return any(inside(p, f) for p in poly[1:])
+            return len(poly) >= 3 and contains(poly, f)
+
+        for body in grid_bodies():
+            polys = region_polygons(body)
+            box = body.polygon()
+            for q in (4, 6, 8, 10, 12):
+                lo1, hi1 = floor(min(v.x1 for v in box) * q), ceil(max(v.x1 for v in box) * q)
+                lo2, hi2 = floor(min(v.x2 for v in box) * q), ceil(max(v.x2 for v in box) * q)
+                for i in range(lo1, hi1 + 1):
+                    for j in range(lo2, hi2 + 1):
+                        f = point(F(i, q), F(j, q))
+                        if body.contains_interior(f):
+                            first = next(k for k, poly in enumerate(polys, 1) if inside(poly, f))
+                            assert region_of(body, f).index == first, (body, f)
+
     def test_every_interior_point_lands_in_its_region(self):
         rng = random.Random(13)
         for body in grid_bodies():
@@ -227,6 +250,21 @@ class TestSingleSplitStrength:
         rep = strength_single_split(t2_body, point(F(1, 4), F(1, 2)))
         assert rep.region == RegionId("type2", 1)
         assert rep.t_bar == F(2)
+
+    def test_type2_region_uses_only_its_own_formula(self):
+        # the neighbouring regions' formulas divide by zero at these points
+        rep = strength_single_split(Type2Body(F(1, 2), F(5, 2)), point(F(1, 4), 1))
+        assert (rep.region, rep.chosen_split_normal, rep.t_bar) == (RegionId("type2", 1), (1, 0), F(7, 3))
+        rep = strength_single_split(Type2Body(F(1, 2), F(3, 2)), point(0, F(1, 2)))
+        assert (rep.region, rep.chosen_split_normal, rep.t_bar) == (RegionId("type2", 1), (0, 1), F(2))
+        code = run(["strength", "--body", '{"type":"type2","a":["1/2","5/2"]}', "--f", '["1/4","1"]'])
+        assert code == 0
+
+    def test_tie_on_chosen_split_line_rejected(self):
+        # f lies on the boundary of region 1's split (1, 0): the region tie
+        # on lattice lines is still open
+        with pytest.raises(ValueError):
+            strength_single_split(Type2Body(F(1, 3), F(5, 2)), point(0, F(1, 2)))
 
     def test_type1_reports_no_single_split(self, t1_body):
         rep = strength_single_split(t1_body, point(F(3, 5), F(3, 5)))

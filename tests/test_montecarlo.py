@@ -1,8 +1,9 @@
 import os
 import random
 from fractions import Fraction as F
-from math import sqrt
+from math import ceil, floor, sqrt
 
+import numpy as np
 import pytest
 
 from cutstrength import (
@@ -12,16 +13,20 @@ from cutstrength import (
     Type2Body,
     Type3Body,
     point,
+    region_of,
     strength_single_split,
 )
+from cutstrength.cuts import region_spec
 from cutstrength.montecarlo import (
     _CHUNK,
-    _EVALUATORS,
     _fan_triangles,
     _sample_points,
+    _t_bar_evaluator,
     monte_carlo_lower,
     thread_count,
 )
+
+from conftest import random_interior_point
 
 
 @pytest.fixture
@@ -103,26 +108,99 @@ class TestEstimates:
 
 
 class TestEvaluators:
+    BODIES = [
+        Type1Body(),
+        Type2Body(F(1, 2), F(3, 2)),
+        Type2Body(F(2, 5), F(5, 2)),
+        Type2Body(F(1, 5), F(2)),  # w = 2
+        QuadBody(F(2, 5), F(3, 2), F(3, 5), F(-3, 10)),
+        QuadBody(F(1, 3), F(3, 2), F(1, 3), F(-1, 4)),  # a1 = b1
+        Type3Body(F(3), F(3, 10), F(1, 10)),
+    ]
+
+    @staticmethod
+    def assert_matches_exact(body, points):
+        evaluate = _t_bar_evaluator(body)
+        approx = evaluate(np.array([[float(f.x1), float(f.x2)] for f in points]))
+        for f, value in zip(points, approx):
+            exact = strength_single_split(body, f).t_bar
+            assert abs(value - float(exact)) < 1e-9, (body, f)
+
     def test_vectorized_strength_matches_exact(self):
-        bodies = [
-            Type1Body(),
-            Type2Body(F(1, 2), F(3, 2)),
-            Type2Body(F(2, 5), F(5, 2)),
-            QuadBody(F(2, 5), F(3, 2), F(3, 5), F(-3, 10)),
-            Type3Body(F(3), F(3, 10), F(1, 10)),
-        ]
         rng = random.Random(41)
-        from conftest import random_interior_point
+        for body in self.BODIES:
+            self.assert_matches_exact(body, [random_interior_point(body, rng) for _ in range(25)])
 
-        for body in bodies:
-            evaluate = _EVALUATORS[type(body)]
-            import numpy as np
+    def test_interior_thresholds(self):
+        # region boundaries that are not lattice lines; t_bar is continuous
+        # there, so float round-off may pick either neighbouring region.
+        # Crossings with lattice lines are left out: ties there are rejected.
+        def on_line(body, through, direction):
+            pts = [through + direction * F(k, 61) for k in range(-183, 184)]
+            return [
+                f for f in pts
+                if body.contains_interior(f) and all(v.denominator > 1 for v in (f.x1, f.x2, f.x1 + f.x2))
+            ]
 
-            for _ in range(25):
-                f = random_interior_point(body, rng)
-                exact = strength_single_split(body, f).t_bar
-                approx = evaluate(np.array([[float(f.x1), float(f.x2)]]), body)[0]
-                assert abs(approx - float(exact)) < 1e-9
+        def outside_unit_strip(pts):
+            return sum(not 0 < f.x2 < 1 for f in pts)
+
+        for body in self.BODIES[1:4]:
+            pts = on_line(body, point(body.a1, 0), point(0, 1))
+            assert outside_unit_strip(pts) > 0
+            self.assert_matches_exact(body, pts)
+        for body in self.BODIES[4:6]:
+            h = -body.b2 / (body.a2 - body.b2 - 1)
+            theta = -body.c1 / (body.d1 - body.c1 - 1)
+            pts = on_line(body, point(theta, 0), point(0, 1))
+            assert outside_unit_strip(pts) > 0
+            self.assert_matches_exact(body, pts + on_line(body, point(0, h), point(1, 0)))
+        body = self.BODIES[6]
+        h2 = -body.b2 / (body.c2 - body.b2 - 1)
+        h1 = -body.c1 / (body.a1 - body.c1 - 1)
+        below = [f for f in on_line(body, point(h1, 0), point(0, 1)) if f.x2 < 0]
+        assert below
+        # region 5 of this body is empty: no point of s = hd lies above x2 = 1
+        self.assert_matches_exact(body, below + on_line(body, point(0, h2), point(1, 0)))
+
+    def test_first_match_on_region_boundaries(self):
+        # dyadic grid points are exact in float and hit region boundaries,
+        # lattice lines included, where the neighbouring formulas differ:
+        # the evaluator must pick the same region as region_of
+        for body in self.BODIES:
+            spec = region_spec(body)
+            box = body.polygon()
+            pts = [
+                point(F(i, 16), F(j, 16))
+                for i in range(floor(min(v.x1 for v in box) * 16), ceil(max(v.x1 for v in box) * 16) + 1)
+                for j in range(floor(min(v.x2 for v in box) * 16), ceil(max(v.x2 for v in box) * 16) + 1)
+            ]
+            pts = [f for f in pts if body.contains_interior(f)]
+            values = _t_bar_evaluator(body)(np.array([[float(f.x1), float(f.x2)] for f in pts]))
+            for f, value in zip(pts, values):
+                try:
+                    exact = spec[region_of(body, f).index - 1].t_bar(f)
+                except ZeroDivisionError:
+                    assert not np.isfinite(value), (body, f)
+                else:
+                    assert abs(value - float(exact)) < 1e-9, (body, f)
+
+
+class TestGolden:
+    # estimates recorded before the region tables became one spec per
+    # family; the float path must stay bit-identical
+    @pytest.mark.parametrize(
+        "body, z, estimate",
+        [
+            (Type1Body(), F(2), 1.0),
+            (Type1Body(), F(7, 4), 0.33458709716796875),
+            (Type2Body(F(1, 2), F(3, 2)), F(2), 0.5543136596679688),
+            (QuadBody(F(2, 5), F(3, 2), F(3, 5), F(-3, 10)), F(2), 0.2009429931640625),
+            (Type3Body(F(3), F(3, 10), F(1, 10)), F(2), 0.730926513671875),
+        ],
+    )
+    def test_fixture_estimates(self, body, z, estimate):
+        assert monte_carlo_lower(body, z, 2**17, seed=0).estimate == estimate
 
 
 class TestValidation:
@@ -133,3 +211,9 @@ class TestValidation:
     def test_samples_positive(self, t2_body):
         with pytest.raises(ValueError):
             monte_carlo_lower(t2_body, F(2), 0)
+
+    def test_seed_range(self, t2_body):
+        for seed in (-1, 2**128):
+            with pytest.raises(ValueError, match="seed"):
+                monte_carlo_lower(t2_body, F(2), 100, seed=seed)
+        monte_carlo_lower(t2_body, F(2), 100, seed=2**128 - 1)
