@@ -18,15 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
-from .geometry import QuadBody, Rational2, Type2Body, Type3Body, _frac, area
+from .geometry import QuadBody, Rational2, Type1Body, Type2Body, Type3Body, _frac, area, lattice_width
 
 Rat = Union[int, str, Fraction]
-
-
-@dataclass(frozen=True)
-class Piece:
-    label: str
-    evaluate: Callable[[Fraction], Fraction]
 
 
 @dataclass(frozen=True)
@@ -39,7 +33,7 @@ class PiecewiseBound:
     """
 
     breakpoints: tuple[Fraction, ...]
-    pieces: tuple[Piece, ...]
+    pieces: tuple[Callable[[Fraction], Fraction], ...]
 
     def __post_init__(self):
         assert len(self.pieces) == len(self.breakpoints) + 1
@@ -52,7 +46,7 @@ class PiecewiseBound:
         z = _frac(z)
         if z <= 1:
             raise ValueError(f"threshold must satisfy z > 1, got {z}")
-        return self.pieces[self.piece_index(z)].evaluate(z)
+        return self.pieces[self.piece_index(z)](z)
 
 
 def _const(value: Rat) -> Callable[[Fraction], Fraction]:
@@ -72,7 +66,7 @@ def t1_bound() -> PiecewiseBound:
 
     return PiecewiseBound(
         breakpoints=(Fraction(3, 2), Fraction(2)),
-        pieces=(Piece("zero", _const(0)), Piece("ramp", middle), Piece("one", _const(1))),
+        pieces=(_const(0), middle, _const(1)),
     )
 
 
@@ -105,15 +99,11 @@ def t2_bound(w: Rat) -> PiecewiseBound:
         # the two breakpoints coincide; the middle interval is empty
         return PiecewiseBound(
             breakpoints=(w,),
-            pieces=(Piece("zero", _const(0)), Piece("g1+g2", lambda z: g1(z) + g2(z))),
+            pieces=(_const(0), lambda z: g1(z) + g2(z)),
         )
     return PiecewiseBound(
         breakpoints=(w, w / (w - 1)),
-        pieces=(
-            Piece("zero", _const(0)),
-            Piece("g1", g1),
-            Piece("g1+g2", lambda z: g1(z) + g2(z)),
-        ),
+        pieces=(_const(0), g1, lambda z: g1(z) + g2(z)),
     )
 
 
@@ -169,8 +159,6 @@ def special_values(w: Rat) -> tuple[Fraction, Fraction]:
 class _RegionPieces:
     """One region's contribution: ``fns[i]`` on ``[breaks[i-1], breaks[i])``."""
 
-    name: str
-    labels: tuple[str, ...]
     breaks: tuple[Fraction, ...]
     fns: tuple[Callable[[Fraction], Fraction], ...]
 
@@ -183,13 +171,12 @@ def _combine(regions: Sequence[_RegionPieces], total_area: Fraction) -> Piecewis
     pieces = []
     probes = [Fraction(1)] + cuts  # any z in [cut, next) selects that interval
     for probe in probes:
-        idx = [r.index_at(probe) for r in regions]
-        label = ",".join(f"{r.name}:{r.labels[i]}" for r, i in zip(regions, idx))
+        idx = tuple(r.index_at(probe) for r in regions)
 
-        def evaluate(z: Fraction, idx=tuple(idx)) -> Fraction:
+        def evaluate(z: Fraction, idx=idx) -> Fraction:
             return sum(r.fns[i](z) for r, i in zip(regions, idx)) / total_area
 
-        pieces.append(Piece(label, evaluate))
+        pieces.append(evaluate)
     return PiecewiseBound(breakpoints=tuple(cuts), pieces=tuple(pieces))
 
 
@@ -271,10 +258,10 @@ def quad_bound(body: QuadBody) -> PiecewiseBound:
         )
 
     regions = [
-        _RegionPieces("R1", ("zero", "mid", "tail"), (w, (c2 - b2) / c2), (_ZERO, r1_mid, r1_tail)),
-        _RegionPieces("R2", ("zero", "mid", "tail"), (w, (a2 - d2) / (1 - d2)), (_ZERO, r2_mid, r2_tail)),
-        _RegionPieces("R3", ("zero", "mid", "tail"), (d1 - c1, (a1 - c1) / a1), (_ZERO, r3_mid, r3_tail)),
-        _RegionPieces("R4", ("zero", "mid", "tail"), (d1 - c1, (d1 - b1) / (1 - b1)), (_ZERO, r4_mid, r4_tail)),
+        _RegionPieces((w, (c2 - b2) / c2), (_ZERO, r1_mid, r1_tail)),
+        _RegionPieces((w, (a2 - d2) / (1 - d2)), (_ZERO, r2_mid, r2_tail)),
+        _RegionPieces((d1 - c1, (a1 - c1) / a1), (_ZERO, r3_mid, r3_tail)),
+        _RegionPieces((d1 - c1, (d1 - b1) / (1 - b1)), (_ZERO, r4_mid, r4_tail)),
     ]
     return _combine(regions, area(body))
 
@@ -350,16 +337,9 @@ def t3_bound(body: Type3Body) -> PiecewiseBound:
         return t13 - t14 + t16 + t17
 
     regions = [
-        _RegionPieces("R1R2", ("zero", "mid", "tail"), (w, (a2 - b2) / a2), (_ZERO, r12_mid, r12_tail)),
+        _RegionPieces((w, (a2 - b2) / a2), (_ZERO, r12_mid, r12_tail)),
+        _RegionPieces((a1 - c1, (b1 - c1) / b1), (_ZERO, r34_lo, r34_hi)),
         _RegionPieces(
-            "R3R4",
-            ("zero", "mid", "tail"),
-            (a1 - c1, (b1 - c1) / b1),
-            (_ZERO, r34_lo, r34_hi),
-        ),
-        _RegionPieces(
-            "R6",
-            ("zero", "mid", "tail"),
             (
                 (a1 + a2 - s_low) / (1 - s_low),
                 (a1 + a2 - (c1 + c2)) / (1 - (c1 + c2)),
@@ -376,26 +356,14 @@ def t3_lower(body: Type3Body, z: Rat) -> Fraction:
 
 def bound_for(body, z: Rat) -> Fraction:
     """Family dispatch: the closed-form bound for any non-split body."""
-    from .geometry import Type1Body
-
-    if isinstance(body, Type1Body):
-        return p_t1(z)
-    if isinstance(body, Type2Body):
-        return p_t2_lower(z, min(body.a2, body.a2 / (body.a2 - 1)))
-    if isinstance(body, QuadBody):
-        return quad_lower(body, z)
-    if isinstance(body, Type3Body):
-        return t3_lower(body, z)
-    raise ValueError(f"no probability bound for {body!r}")
+    return piecewise_bound_for(body)(z)
 
 
 def piecewise_bound_for(body) -> PiecewiseBound:
-    from .geometry import Type1Body
-
     if isinstance(body, Type1Body):
         return t1_bound()
     if isinstance(body, Type2Body):
-        return t2_bound(min(body.a2, body.a2 / (body.a2 - 1)))
+        return t2_bound(lattice_width(body))
     if isinstance(body, QuadBody):
         return quad_bound(body)
     if isinstance(body, Type3Body):

@@ -14,7 +14,6 @@ For every non-split body the region table gives ``t_bar`` in closed form;
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -99,30 +98,12 @@ def split_coefficients(normal: Sequence[int], f: Rational2, rays: Sequence[Ratio
 # covering LP
 
 
-def _solve_square(a: list[list[Fraction]], b: list[Fraction]) -> Optional[list[Fraction]]:
-    """Gaussian elimination over Fractions; None when singular."""
-    m = len(a)
-    mat = [row[:] + [b[i]] for i, row in enumerate(a)]
-    for col in range(m):
-        piv = next((r for r in range(col, m) if mat[r][col] != 0), None)
-        if piv is None:
-            return None
-        mat[col], mat[piv] = mat[piv], mat[col]
-        pv = mat[col][col]
-        mat[col] = [v / pv for v in mat[col]]
-        for r in range(m):
-            if r != col and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [v - factor * w for v, w in zip(mat[r], mat[col])]
-    return [mat[i][m] for i in range(m)]
-
-
 def covering_lp_min(rows: Sequence[Sequence[Fraction]], k: int):
     """Minimize ``sum(s)`` subject to ``row . s >= 1`` for every row, ``s >= 0``.
 
-    Solved exactly by enumerating basic feasible solutions over row/variable
-    subsets of size <= k.  Returns ``(value, argmin)``; ``(inf, None)`` when
-    some row is identically zero (uncoverable).
+    Solved exactly as its dual by :func:`_max_packing`.  Returns
+    ``(value, argmin)``; ``(inf, None)`` when some row is identically zero
+    (uncoverable).
     """
     if k > 4:
         raise ValueError("only up to 4 variables are supported")
@@ -146,100 +127,39 @@ def covering_lp_min(rows: Sequence[Sequence[Fraction]], k: int):
             continue
         kept = [o for o in kept if not all(row[j] <= o[j] for j in range(k))]
         kept.append(row)
-
-    fast = _lp_screened(kept, k)
-    if fast is not None:
-        return fast
-    return _lp_enumerate(kept, k)
+    return _max_packing(kept, k)
 
 
-def _basis_solution(kept, rsub, vsub, k):
-    """Exact basic solution for a row/variable basis, or None."""
-    m = len(rsub)
-    a = [[kept[i][j] for j in vsub] for i in rsub]
-    sol = _solve_square(a, [Fraction(1)] * m)
-    if sol is None or any(v < 0 for v in sol):
-        return None
-    s = [Fraction(0)] * k
-    for j, v in zip(vsub, sol):
-        s[j] = v
-    if any(sum(c * x for c, x in zip(row, s)) < 1 for row in kept):
-        return None
-    return sum(s), tuple(s)
+def _max_packing(rows: list[tuple[Fraction, ...]], k: int):
+    """The dual ``max sum(y)`` s.t. ``sum_i y_i rows[i] <= 1``, ``y >= 0``, by
+    the simplex method on Fractions.
 
-
-def _certify_optimal(kept, rsub, vsub) -> bool:
-    """Exact duality certificate: the dual basic solution for the same basis
-    must be feasible (y >= 0, column sums <= 1)."""
-    m = len(rsub)
-    at = [[kept[i][j] for i in rsub] for j in vsub]
-    y = _solve_square(at, [Fraction(1)] * m)
-    if y is None or any(v < 0 for v in y):
-        return False
-    for j in range(len(kept[0])):
-        if sum(yv * kept[i][j] for yv, i in zip(y, rsub)) > 1:
-            return False
-    return True
-
-
-def _lp_screened(kept, k):
-    """Float enumeration of candidate bases, then exact solve + exact
-    optimality certificate.  Returns None when certification fails."""
-    import numpy as np
-
-    nrows = len(kept)
-    mat = np.array([[float(c) for c in row] for row in kept])
-    candidates = []
-    best_f = None
-    for m in range(1, min(k, nrows) + 1):
-        for vsub in itertools.combinations(range(k), m):
-            rsubs = list(itertools.combinations(range(nrows), m))
-            a = mat[np.array(rsubs)[:, :, None], np.array(vsub)[None, None, :]]
-            with np.errstate(all="ignore"):
-                ok = np.abs(np.linalg.det(a)) > 1e-12
-                sols = np.full((len(rsubs), m), np.nan)
-                if ok.any():
-                    rhs = np.ones((int(ok.sum()), m, 1))
-                    sols[ok] = np.linalg.solve(a[ok], rhs)[:, :, 0]
-            full = np.zeros((len(rsubs), k))
-            full[:, list(vsub)] = sols
-            feas = (
-                ok
-                & (sols >= -1e-9).all(axis=1)
-                & ((mat @ full.T).T >= 1 - 1e-9).all(axis=1)
-            )
-            for idx in np.nonzero(feas)[0]:
-                total = float(sols[idx].sum())
-                candidates.append((total, rsubs[idx], vsub))
-                if best_f is None or total < best_f:
-                    best_f = total
-    if best_f is None:
-        return None
-    best = None
-    best_basis = None
-    for total, rsub, vsub in candidates:
-        if total > best_f + 1e-6 * (1 + abs(best_f)):
-            continue
-        exact = _basis_solution(kept, rsub, vsub, k)
-        if exact is not None and (best is None or exact[0] < best[0]):
-            best, best_basis = exact, (rsub, vsub)
-    if best is not None and _certify_optimal(kept, *best_basis):
-        return best
-    return None
-
-
-def _lp_enumerate(kept, k):
-    best: Optional[Fraction] = None
-    best_s: Optional[tuple[Fraction, ...]] = None
-    nrows = len(kept)
-    for m in range(1, min(k, nrows) + 1):
-        for rsub in itertools.combinations(range(nrows), m):
-            for vsub in itertools.combinations(range(k), m):
-                exact = _basis_solution(kept, rsub, vsub, k)
-                if exact is not None and (best is None or exact[0] < best):
-                    best, best_s = exact
-    assert best is not None  # every kept row has a positive entry
-    return best, best_s
+    The all-slack basis is feasible because the right-hand side is 1, and
+    Bland's rule (lowest improving column, ties in the ratio test to the lowest
+    basic column) keeps degenerate pivots from cycling.  Every row has a
+    positive entry, so the covering LP is feasible, this dual is bounded and
+    the ratio test always finds a pivot.  At the optimum the objective entries
+    of the slack columns are the covering LP's argmin.
+    """
+    m = len(rows)
+    # constraint j: sum_i rows[i][j] y_i + slack_j = 1; columns y, slacks, rhs
+    tab = [
+        [row[j] for row in rows] + [Fraction(i == j) for i in range(k)] + [Fraction(1)]
+        for j in range(k)
+    ]
+    obj = [Fraction(-1)] * m + [Fraction(0)] * (k + 1)
+    basis = [m + j for j in range(k)]
+    while True:
+        col = next((c for c, v in enumerate(obj[:-1]) if v < 0), None)
+        if col is None:
+            return obj[-1], tuple(obj[m:-1])
+        _, _, r = min((t[-1] / t[col], basis[i], i) for i, t in enumerate(tab) if t[col] > 0)
+        pivot = tab[r] = [v / tab[r][col] for v in tab[r]]
+        for t in (*tab, obj):
+            factor = t[col]
+            if factor and t is not pivot:
+                t[:] = [a - factor * b if b else a for a, b in zip(t, pivot)]
+        basis[r] = col
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +209,15 @@ def _holds(pieces, dot, num=lambda c: c):
     return reduce(or_, (reduce(and_, (band(*b) for b in piece)) for piece in pieces))
 
 
+def _matches(region, dot, strict, num=lambda c: c):
+    """Whether a point lies in ``region`` and strictly inside its chosen split,
+    with ``dot`` and ``num`` as in :func:`_holds` and ``strict(normal)`` telling
+    whether ``normal . f`` is off the integers.  A point on a lattice line of
+    the region's split is left to a later region whose split contains it."""
+    held = _holds(region.pieces, dot, num)
+    return held if region.split is None else held & strict(region.split)
+
+
 def _low(normal, const, *pieces) -> Region:
     """``t_bar = (u - const) / u``, split along ``normal``."""
     return Region(pieces, normal, normal, (-const, 1), (0, 1))
@@ -324,7 +253,8 @@ _TYPE1_SPEC = [
 
 def region_spec(body: LatticeFreeBody) -> list[Region]:
     """The body's regions in index order, region 1 first.  Matching the closed
-    regions in this order sends a boundary point to its smallest-index region."""
+    regions in this order sends a boundary point to its smallest-index region
+    (see :func:`_matches` for points on a lattice line)."""
     below, above = ((_X2, None, 0),), ((_X2, 1, None),)
     if isinstance(body, Type1Body):
         return _TYPE1_SPEC
@@ -373,16 +303,20 @@ def region_area(poly) -> Fraction:
 
 
 def region_of(body: LatticeFreeBody, f: Rational2) -> RegionId:
-    """The first region of ``region_spec(body)`` whose bands hold at ``f``, so
-    boundary points go to the smallest-index adjacent region."""
+    """The first region of ``region_spec(body)`` that :func:`_matches` ``f``:
+    boundary points go to the smallest-index adjacent region whose split
+    contains ``f`` strictly."""
     if isinstance(body, SplitBody):
         raise ValueError("splits have no region decomposition")
     if not body.contains_interior(f):
         raise ValueError(f"root vertex {f} is not strictly interior to {body!r}")
+    def dot(n):
+        return _dot(n, f)
+
     for i, region in enumerate(region_spec(body), start=1):
-        if _holds(region.pieces, lambda n: _dot(n, f)):
+        if _matches(region, dot, lambda n: dot(n).denominator != 1):
             return RegionId(body.tag, i)
-    raise AssertionError(f"no region contains interior point {f}")  # pragma: no cover
+    raise ValueError(f"no region of {body!r} has a split containing f = {f} strictly")
 
 
 def chosen_split(body: LatticeFreeBody, region: RegionId) -> tuple[int, int]:

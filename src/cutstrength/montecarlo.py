@@ -18,7 +18,7 @@ from math import sqrt
 
 import numpy as np
 
-from .cuts import _holds, region_spec
+from .cuts import _matches, region_spec
 from .geometry import LatticeFreeBody, SplitBody, _frac
 
 _CHUNK = 1 << 16  # fixed so chunk boundaries never depend on thread count
@@ -35,10 +35,9 @@ class McEstimate:
 def thread_count() -> int:
     env = os.environ.get("CUTSTRENGTH_THREADS")
     if env is not None:
-        n = int(env)
-        if n < 1:
-            raise ValueError(f"CUTSTRENGTH_THREADS must be >= 1, got {env}")
-        return n
+        if not env.strip().isdecimal() or int(env) < 1:
+            raise ValueError(f"CUTSTRENGTH_THREADS must be an integer >= 1, got {env!r}")
+        return int(env)
     return min(os.cpu_count() or 1, 4)
 
 
@@ -77,12 +76,13 @@ def _sample_points(body_tri, seed: int, start: int, count: int) -> np.ndarray:
 def _t_bar_evaluator(body: LatticeFreeBody):
     """Vectorized float ``t_bar`` derived from ``region_spec(body)``.
 
-    Each point takes the formula of the first region whose closed bands hold
-    there, as in ``region_of``; every constant is ``float()`` of the exact one.
+    Each point takes the formula of the first region that ``_matches`` it, as
+    in ``region_of``; every constant is ``float()`` of the exact one.
     A point that float round-off puts in no region gets NaN.
     """
     spec = region_spec(body)
     normals = {n for region in spec for piece in region.pieces for n, _, _ in piece}
+    splits = {region.split for region in spec if region.split is not None}
     # coefficients by region index; the extra last entry is for a point in no region
     table = [[*r.normal, *r.num, *r.den] for r in spec] + [[0, 0, np.nan, 0, 1, 0]]
     n1, n2, p0, p1, q0, q1 = (np.array(column, dtype=float) for column in zip(*table))
@@ -90,13 +90,15 @@ def _t_bar_evaluator(body: LatticeFreeBody):
     def evaluate(pts: np.ndarray) -> np.ndarray:
         x1, x2 = pts[:, 0], pts[:, 1]
         proj = {n: n[0] * x1 + n[1] * x2 for n in normals}
-        # index of the first region whose bands hold, len(spec) where none
+        strict = {n: np.floor(proj[n]) != proj[n] for n in splits}
+        # index of the first region that matches, len(spec) where none
         # does: later regions are written first, so earlier ones win.  uint8
         # arithmetic, since masked writes cost several times more on random
         # masks; the wraparound of (i - first) cancels in first + (i - first).
         first = np.full(len(pts), len(spec), dtype=np.uint8)
         for i in reversed(range(len(spec))):
-            first += (np.uint8(i) - first) * _holds(spec[i].pieces, proj.__getitem__, float)
+            matched = _matches(spec[i], proj.__getitem__, strict.__getitem__, float)
+            first += (np.uint8(i) - first) * matched
         first = first.astype(np.intp)
         # the normals' and slopes' entries are 0 and +-1, so u and the affine
         # parts round exactly as the closed forms written out would

@@ -1,6 +1,7 @@
 """Shared fixtures and independent oracles for the test suite."""
 
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -36,6 +37,45 @@ def clip_area(poly, normal, offset):
         return F(0)
     clipped = clip_halfplane(poly, normal, offset)
     return polygon_area(clipped) if len(clipped) >= 3 else F(0)
+
+
+def _solve_square(a, b):
+    """Gaussian elimination over Fractions; None when singular."""
+    m = len(a)
+    mat = [row[:] + [b[i]] for i, row in enumerate(a)]
+    for col in range(m):
+        piv = next((r for r in range(col, m) if mat[r][col] != 0), None)
+        if piv is None:
+            return None
+        mat[col], mat[piv] = mat[piv], mat[col]
+        pv = mat[col][col]
+        mat[col] = [v / pv for v in mat[col]]
+        for r in range(m):
+            if r != col and mat[r][col] != 0:
+                factor = mat[r][col]
+                mat[r] = [v - factor * w for v, w in zip(mat[r], mat[col])]
+    return [mat[i][m] for i in range(m)]
+
+
+def covering_lp_oracle(rows, k):
+    """Minimum of ``sum(s)`` s.t. ``row . s >= 1``, ``s >= 0``, by brute force
+    over every basic solution of every row/variable basis of size <= k.
+    Every row needs a positive entry."""
+    rows = [tuple(F(c) for c in row) for row in rows]
+    best = None
+    for m in range(1, min(k, len(rows)) + 1):
+        for rsub in combinations(range(len(rows)), m):
+            for vsub in combinations(range(k), m):
+                sol = _solve_square([[rows[i][j] for j in vsub] for i in rsub], [F(1)] * m)
+                if sol is None or any(v < 0 for v in sol):
+                    continue
+                s = [F(0)] * k
+                for j, v in zip(vsub, sol):
+                    s[j] = v
+                if all(sum(c * x for c, x in zip(row, s)) >= 1 for row in rows):
+                    if best is None or sum(s) < best:
+                        best = sum(s)
+    return best
 
 
 def indicator_area(poly, spec, z):

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 from math import ceil, floor, inf
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutstrength import (
     QuadBody,
@@ -27,10 +29,9 @@ from cutstrength import (
     strength_split_closure_approx,
 )
 from cutstrength.cli import run
-from cutstrength.cuts import _lp_enumerate, _lp_screened
 from cutstrength.geometry import contains
 
-from conftest import random_interior_point
+from conftest import covering_lp_oracle, random_interior_point
 
 
 def grid_bodies():
@@ -146,7 +147,7 @@ class TestCoveringLp:
             for row in rows:
                 assert sum(c * s for c, s in zip(row, arg)) >= 1
 
-    def test_screened_matches_enumeration(self):
+    def test_matches_enumeration_oracle(self):
         rng = random.Random(9)
         for _ in range(100):
             k = rng.randint(1, 4)
@@ -154,11 +155,27 @@ class TestCoveringLp:
                 tuple(F(rng.randint(1, 9), rng.randint(1, 5)) for _ in range(k))
                 for _ in range(rng.randint(1, 8))
             }
-            kept = sorted(rows)
-            fast = _lp_screened(kept, k)
-            exact = _lp_enumerate(kept, k)
-            if fast is not None:
-                assert fast[0] == exact[0]
+            value, _ = covering_lp_min(sorted(rows), k)
+            assert value == covering_lp_oracle(sorted(rows), k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_property_against_oracle(self, data):
+        # zero entries, repeated and dominated rows, and small denominators
+        # give degenerate ties in the simplex ratio test
+        k = data.draw(st.integers(1, 4))
+        entry = st.fractions(min_value=0, max_value=4, max_denominator=3)
+        rows = data.draw(st.lists(st.tuples(*[entry] * k), min_size=1, max_size=6))
+        rows += data.draw(st.lists(st.sampled_from(rows), max_size=2))
+        dominated = data.draw(st.lists(st.sampled_from(rows), max_size=2))
+        rows += [tuple(c + 1 for c in row) for row in dominated]
+        value, arg = covering_lp_min(rows, k)
+        if any(all(c == 0 for c in row) for row in rows):
+            assert (value, arg) == (inf, None)
+            return
+        assert value == covering_lp_oracle(rows, k)
+        assert value == sum(arg) and all(s >= 0 for s in arg)
+        assert all(sum(c * s for c, s in zip(row, arg)) >= 1 for row in rows)
 
 
 class TestRegions:
@@ -186,11 +203,18 @@ class TestRegions:
 
     def test_first_containing_polygon(self):
         # region_of tests the bands; region_polygons clips the body by them.
-        # The grids hit region boundaries, where the smallest index wins.
+        # The grids hit region boundaries, where the smallest index whose
+        # split contains f strictly wins.
         def inside(poly, f):
             if isinstance(poly, tuple):
                 return any(inside(p, f) for p in poly[1:])
             return len(poly) >= 3 and contains(poly, f)
+
+        def strictly_in_split(body, k, f):
+            if isinstance(body, Type1Body):
+                return True
+            n1, n2 = chosen_split(body, RegionId(body.tag, k))
+            return (n1 * f.x1 + n2 * f.x2).denominator != 1
 
         for body in grid_bodies():
             polys = region_polygons(body)
@@ -202,7 +226,11 @@ class TestRegions:
                     for j in range(lo2, hi2 + 1):
                         f = point(F(i, q), F(j, q))
                         if body.contains_interior(f):
-                            first = next(k for k, poly in enumerate(polys, 1) if inside(poly, f))
+                            first = next(
+                                k
+                                for k, poly in enumerate(polys, 1)
+                                if inside(poly, f) and strictly_in_split(body, k, f)
+                            )
                             assert region_of(body, f).index == first, (body, f)
 
     def test_every_interior_point_lands_in_its_region(self):
@@ -260,11 +288,21 @@ class TestSingleSplitStrength:
         code = run(["strength", "--body", '{"type":"type2","a":["1/2","5/2"]}', "--f", '["1/4","1"]'])
         assert code == 0
 
-    def test_tie_on_chosen_split_line_rejected(self):
-        # f lies on the boundary of region 1's split (1, 0): the region tie
-        # on lattice lines is still open
-        with pytest.raises(ValueError):
-            strength_single_split(Type2Body(F(1, 3), F(5, 2)), point(0, F(1, 2)))
+    def test_tie_on_chosen_split_line(self):
+        # f lies on a lattice line of a smaller-index region's split, so it
+        # goes to the adjacent region whose split contains it strictly
+        cases = [
+            (Type2Body(F(1, 3), F(5, 2)), point(0, F(1, 2)), 3, (0, 1), F(4)),
+            (Type2Body(F(1, 2), F(3, 2)), point(F(1, 4), 1), 5, (1, 0), F(5)),
+            (QuadBody(F(2, 5), F(3, 2), F(3, 5), F(-3, 10)), point(F(1, 2), 1), 4, (1, 0), F(43, 19)),
+            (Type3Body(F(3), F(3, 10), F(1, 10)), point(F(1, 2), 0), 4, (1, 0), F(5)),
+        ]
+        for body, f, index, normal, t_bar in cases:
+            rep = strength_single_split(body, f)  # internal exact cross-check
+            assert (rep.region.index, rep.chosen_split_normal, rep.t_bar) == (index, normal, t_bar)
+            rays = corner_rays(body, f)
+            value, _ = covering_lp_min([split_coefficients(normal, f, rays).coefficients], len(rays))
+            assert 1 / value == t_bar
 
     def test_type1_reports_no_single_split(self, t1_body):
         rep = strength_single_split(t1_body, point(F(3, 5), F(3, 5)))

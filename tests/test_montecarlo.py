@@ -46,9 +46,10 @@ class TestThreadCount:
         assert thread_count() == 7
 
     def test_invalid_env(self, threads_env):
-        threads_env(0)
-        with pytest.raises(ValueError):
-            thread_count()
+        for value in (0, -2, "abc", "2.5", ""):
+            threads_env(value)
+            with pytest.raises(ValueError, match="CUTSTRENGTH_THREADS"):
+                thread_count()
 
     def test_default_positive(self, threads_env):
         threads_env(None)
