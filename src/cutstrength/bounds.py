@@ -2,9 +2,10 @@
 a body's cut over a single split stays below a threshold ``z``.
 
 All evaluators are exact: rational in, rational out.  Every family bound is
-represented as a :class:`PiecewiseBound` (ordered breakpoints plus one
-closed-form evaluator per interval, selected right-continuously), so that
-breakpoint continuity can be tested piece against piece.
+represented as a :class:`PiecewiseBound` (one term per region: ordered
+breaks plus one closed-form evaluator per interval, selected
+right-continuously), so that breakpoint continuity can be tested piece
+against piece.
 
 For the type 1 triangle the value is an exact probability, not merely a
 bound; it has a genuine jump at ``z = 2`` because the strength equals 2 on a
@@ -16,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 from .geometry import QuadBody, Rational2, Type1Body, Type2Body, Type3Body, _frac, area, lattice_width
 
@@ -25,33 +26,34 @@ Rat = Union[int, str, Fraction]
 
 @dataclass(frozen=True)
 class PiecewiseBound:
-    """Piecewise closed form in ``z`` on (1, oo).
+    """Piecewise closed form in ``z`` on (1, oo), divided by ``scale``.
 
-    ``pieces[i]`` applies on ``[breakpoints[i-1], breakpoints[i])`` (first and
-    last interval open-ended); selection is right-continuous, which is the
-    natural convention for a distribution-style bound.
+    Each term ``(breaks, fns)`` applies ``fns[i]`` on
+    ``[breaks[i-1], breaks[i])`` (first and last interval open-ended); the
+    value is the sum over the terms.  Selection is right-continuous, which is
+    the natural convention for a distribution-style bound.
     """
 
-    breakpoints: tuple[Fraction, ...]
-    pieces: tuple[Callable[[Fraction], Fraction], ...]
+    terms: tuple[tuple[tuple[Fraction, ...], tuple[Callable[[Fraction], Fraction], ...]], ...]
+    scale: Fraction = Fraction(1)
 
-    def __post_init__(self):
-        assert len(self.pieces) == len(self.breakpoints) + 1
-        assert all(b1 < b2 for b1, b2 in zip(self.breakpoints, self.breakpoints[1:]))
-
-    def piece_index(self, z: Fraction) -> int:
-        return bisect_right(list(self.breakpoints), z)
+    @property
+    def breakpoints(self) -> tuple[Fraction, ...]:
+        return tuple(sorted({b for breaks, _ in self.terms for b in breaks}))
 
     def __call__(self, z: Rat) -> Fraction:
         z = _frac(z)
         if z <= 1:
             raise ValueError(f"threshold must satisfy z > 1, got {z}")
-        return self.pieces[self.piece_index(z)](z)
+        return sum(fns[bisect_right(breaks, z)](z) for breaks, fns in self.terms) / self.scale
 
 
 def _const(value: Rat) -> Callable[[Fraction], Fraction]:
     v = _frac(value)
     return lambda z: v
+
+
+_ZERO = _const(0)
 
 
 # ---------------------------------------------------------------------------
@@ -64,10 +66,7 @@ def t1_bound() -> PiecewiseBound:
     def middle(z: Fraction) -> Fraction:
         return Fraction(3, 4) * ((2 * z - 3) / (z - 1)) ** 2
 
-    return PiecewiseBound(
-        breakpoints=(Fraction(3, 2), Fraction(2)),
-        pieces=(_const(0), middle, _const(1)),
-    )
+    return PiecewiseBound((((Fraction(3, 2), Fraction(2)), (_ZERO, middle, _const(1))),))
 
 
 def p_t1(z: Rat) -> Fraction:
@@ -95,16 +94,8 @@ def t2_bound(w: Rat) -> PiecewiseBound:
     def g2(z: Fraction) -> Fraction:
         return ((w - 1) ** 2 * (z - 1) ** 2 - 1) / (w**2 * (z - 1) ** 2)
 
-    if w == 2:
-        # the two breakpoints coincide; the middle interval is empty
-        return PiecewiseBound(
-            breakpoints=(w,),
-            pieces=(_const(0), lambda z: g1(z) + g2(z)),
-        )
-    return PiecewiseBound(
-        breakpoints=(w, w / (w - 1)),
-        pieces=(_const(0), g1, lambda z: g1(z) + g2(z)),
-    )
+    # at w = 2 the breaks coincide and bisect_right skips the empty middle
+    return PiecewiseBound((((w, w / (w - 1)), (_ZERO, g1, lambda z: g1(z) + g2(z))),))
 
 
 def p_t2_lower(z: Rat, w: Rat) -> Fraction:
@@ -149,38 +140,6 @@ def special_values(w: Rat) -> tuple[Fraction, Fraction]:
     upper_z2 = 4 * (w - 1) ** 2 / w**2
     lower_z32 = (3 - 2 * w) * (4 * w - 3) / w**2 if w < Fraction(3, 2) else Fraction(0)
     return upper_z2, lower_z32
-
-
-# ---------------------------------------------------------------------------
-# per-region piecewise plumbing
-
-
-@dataclass(frozen=True)
-class _RegionPieces:
-    """One region's contribution: ``fns[i]`` on ``[breaks[i-1], breaks[i])``."""
-
-    breaks: tuple[Fraction, ...]
-    fns: tuple[Callable[[Fraction], Fraction], ...]
-
-    def index_at(self, z: Fraction) -> int:
-        return bisect_right(list(self.breaks), z)
-
-
-def _combine(regions: Sequence[_RegionPieces], total_area: Fraction) -> PiecewiseBound:
-    cuts = sorted({b for r in regions for b in r.breaks})
-    pieces = []
-    probes = [Fraction(1)] + cuts  # any z in [cut, next) selects that interval
-    for probe in probes:
-        idx = tuple(r.index_at(probe) for r in regions)
-
-        def evaluate(z: Fraction, idx=idx) -> Fraction:
-            return sum(r.fns[i](z) for r, i in zip(regions, idx)) / total_area
-
-        pieces.append(evaluate)
-    return PiecewiseBound(breakpoints=tuple(cuts), pieces=tuple(pieces))
-
-
-_ZERO = _const(0)
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +216,13 @@ def quad_bound(body: QuadBody) -> PiecewiseBound:
             + ((a2 - 1) * (2 - b1) - b2 * (1 - a1)) / (1 - a1)
         )
 
-    regions = [
-        _RegionPieces((w, (c2 - b2) / c2), (_ZERO, r1_mid, r1_tail)),
-        _RegionPieces((w, (a2 - d2) / (1 - d2)), (_ZERO, r2_mid, r2_tail)),
-        _RegionPieces((d1 - c1, (a1 - c1) / a1), (_ZERO, r3_mid, r3_tail)),
-        _RegionPieces((d1 - c1, (d1 - b1) / (1 - b1)), (_ZERO, r4_mid, r4_tail)),
-    ]
-    return _combine(regions, area(body))
+    terms = (
+        ((w, (c2 - b2) / c2), (_ZERO, r1_mid, r1_tail)),
+        ((w, (a2 - d2) / (1 - d2)), (_ZERO, r2_mid, r2_tail)),
+        ((d1 - c1, (a1 - c1) / a1), (_ZERO, r3_mid, r3_tail)),
+        ((d1 - c1, (d1 - b1) / (1 - b1)), (_ZERO, r4_mid, r4_tail)),
+    )
+    return PiecewiseBound(terms, area(body))
 
 
 def quad_lower(body: QuadBody, z: Rat) -> Fraction:
@@ -336,18 +295,15 @@ def t3_bound(body: Type3Body) -> PiecewiseBound:
         t17 = (1 - a2) / (z - 1) * (1 - (c1 + c2) - (a1 + a2 - 1) / (z - 1))
         return t13 - t14 + t16 + t17
 
-    regions = [
-        _RegionPieces((w, (a2 - b2) / a2), (_ZERO, r12_mid, r12_tail)),
-        _RegionPieces((a1 - c1, (b1 - c1) / b1), (_ZERO, r34_lo, r34_hi)),
-        _RegionPieces(
-            (
-                (a1 + a2 - s_low) / (1 - s_low),
-                (a1 + a2 - (c1 + c2)) / (1 - (c1 + c2)),
-            ),
+    terms = (
+        ((w, (a2 - b2) / a2), (_ZERO, r12_mid, r12_tail)),
+        ((a1 - c1, (b1 - c1) / b1), (_ZERO, r34_lo, r34_hi)),
+        (
+            ((a1 + a2 - s_low) / (1 - s_low), (a1 + a2 - (c1 + c2)) / (1 - (c1 + c2))),
             (_ZERO, r6_mid, r6_tail),
         ),
-    ]
-    return _combine(regions, area(body))
+    )
+    return PiecewiseBound(terms, area(body))
 
 
 def t3_lower(body: Type3Body, z: Rat) -> Fraction:

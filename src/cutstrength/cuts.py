@@ -261,7 +261,7 @@ def region_spec(body: LatticeFreeBody) -> list[Region]:
     if isinstance(body, Type2Body):
         left, right = body.left.x1, body.right.x1
         inner = _pair(_X1, left, right, [((_X2, 0, 1),)])
-        if body.a2 <= 2:  # the horizontal split is best on the whole unit square
+        if body.a2 <= 2:  # the paper's bounds use the horizontal split on the whole unit square
             inner = [_high(_X2, body.a2, *region.pieces) for region in inner]
         sides = [_high(_X2, body.a2, ((_X1, None, 0),)), _high(_X2, body.a2, ((_X1, 1, None),))]
         return inner + sides + _pair(_X1, left, right, [above])
@@ -333,8 +333,10 @@ def chosen_split(body: LatticeFreeBody, region: RegionId) -> tuple[int, int]:
 
 
 def strength_single_split(body: LatticeFreeBody, f: Rational2) -> StrengthReport:
-    """Single-split strength ``t_bar`` at ``f``: region-table closed form,
-    cross-checked exactly against the one-row covering-LP reciprocal.
+    """Single-split strength ``t_bar`` at ``f`` for the split of ``f``'s
+    region: region-table closed form, cross-checked exactly against the
+    one-row covering-LP reciprocal.  Each region uses the split of the
+    paper's bounds, which is not always the best single split at ``f``.
 
     For the type 1 triangle the full split closure is generated by the three
     facet normals, so the exact closure strength is reported instead and no

@@ -23,7 +23,6 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from math import ceil, floor, gcd
 from typing import Iterable, Sequence, Union
 
@@ -253,9 +252,6 @@ class UnimodularMap:
             self.m11 * p.x1 + self.m12 * p.x2 + self.t1,
             self.m21 * p.x1 + self.m22 * p.x2 + self.t2,
         )
-
-    def apply_linear(self, p: Rational2) -> Rational2:
-        return Rational2(self.m11 * p.x1 + self.m12 * p.x2, self.m21 * p.x1 + self.m22 * p.x2)
 
     @staticmethod
     def identity() -> "UnimodularMap":
@@ -613,73 +609,35 @@ def classify(obj: Union[SplitBody, Sequence[Rational2]]) -> BodyClass:
 # canonicalization
 
 
-@lru_cache(maxsize=None)
-def _unimodular_matrices(radius: int) -> tuple[tuple[int, int, int, int], ...]:
-    """All integer 2x2 matrices with |det| = 1 and entries in [-radius, radius],
-    sorted so that small-entry matrices (identity first) come first."""
-    found = []
-    rng = range(-radius, radius + 1)
-    for m11, m12, m21, m22 in itertools.product(rng, repeat=4):
-        if abs(m11 * m22 - m12 * m21) == 1:
-            found.append((m11, m12, m21, m22))
-    found.sort(key=lambda m: (max(abs(e) for e in m), sum(abs(e) for e in m), m != (1, 0, 0, 1)))
-    found.remove((1, 0, 0, 1))
-    return ((1, 0, 0, 1),) + tuple(found)
-
-
-def _match_canonical(vertex_set: frozenset[Rational2]):
-    """Return the canonical body with exactly this vertex set, if any."""
-    pts = list(vertex_set)
-    if len(pts) == 3:
-        if vertex_set == frozenset({point(0, 0), point(2, 0), point(0, 2)}):
-            return Type1Body()
-        # type 2: apex strictly inside the unit x-range, base on the x1-axis
-        for apex in pts:
-            if 0 < apex.x1 < 1 and apex.x2 > 1:
-                rest = [p for p in pts if p is not apex]
-                if all(p.x2 == 0 for p in rest):
-                    try:
-                        body = Type2Body(apex.x1, apex.x2)
-                    except ValueError:
-                        return None
-                    if frozenset(body.vertices()) == vertex_set:
-                        return body
-        # type 3: a right of x1=1, b below the x1-axis, c left of x2-axis
-        a = next((p for p in pts if p.x1 > 1 and 0 < p.x2 < 1), None)
-        b = next((p for p in pts if 0 < p.x1 < 1 and p.x2 < 0), None)
-        c = next((p for p in pts if p.x1 < 0 and p.x2 > 1), None)
-        if a and b and c:
-            try:
-                body = Type3Body(a.x1, a.x2, b.x1)
-            except ValueError:
-                return None
-            if frozenset(body.vertices()) == vertex_set:
-                return body
+def _match_canonical(cls: BodyClass, vertices: frozenset[Rational2]):
+    """Return the canonical body of family ``cls`` with exactly these vertices, if any."""
+    top = max(vertices, key=lambda p: p.x2)
+    try:
+        if cls is BodyClass.TYPE1_TRIANGLE:
+            body = Type1Body()
+        elif cls is BodyClass.TYPE2_TRIANGLE:
+            body = Type2Body(top.x1, top.x2)
+        elif cls is BodyClass.TYPE3_TRIANGLE:
+            a = max(vertices, key=lambda p: p.x1)
+            body = Type3Body(a.x1, a.x2, min(vertices, key=lambda p: p.x2).x1)
+        else:
+            bottom = min(vertices, key=lambda p: p.x2)
+            body = QuadBody(top.x1, top.x2, bottom.x1, bottom.x2)
+    except ValueError:
         return None
-    if len(pts) == 4:
-        a = next((p for p in pts if p.x2 > 1), None)
-        b = next((p for p in pts if p.x2 < 0), None)
-        c = next((p for p in pts if p.x1 < 0), None)
-        d = next((p for p in pts if p.x1 > 1), None)
-        if a and b and c and d and len({id(a), id(b), id(c), id(d)}) == 4:
-            try:
-                body = QuadBody(a.x1, a.x2, b.x1, b.x2)
-            except ValueError:
-                return None
-            if frozenset(body.vertices()) == vertex_set:
-                return body
-    return None
+    return body if frozenset(body.vertices()) == vertices else None
 
 
-def canonicalize(
-    obj: Union[SplitBody, Sequence[Rational2]], radius: int = 10
-) -> tuple[LatticeFreeBody, UnimodularMap]:
+def canonicalize(obj: Union[SplitBody, Sequence[Rational2]]) -> tuple[LatticeFreeBody, UnimodularMap]:
     """Find a lattice-preserving map carrying the input onto a canonical body.
 
-    The search runs over integer matrices with entries in [-radius, radius]
-    and translations that send some boundary lattice point to a small target.
-    Applying the returned map to the input reproduces the canonical body's
-    vertices exactly.
+    Every canonical bounded body has (0,0), (1,0) and (0,1) on its boundary,
+    so a map onto one sends some boundary lattice points q0, q1, q2 of the
+    input there, and these fix it: the matrix ``M`` inverts
+    ``[q1 - q0 | q2 - q0]`` and the translation is ``-M q0``.  Of the maps
+    that match, the one with the least ``(max |m|, sum |m|, m != I, m)`` is
+    returned, so a canonical input gets the identity.  Applying the returned
+    map to the input reproduces the canonical body's vertices exactly.
     """
     if isinstance(obj, SplitBody):
         n1, n2 = obj.normal
@@ -697,24 +655,27 @@ def canonicalize(
     if cls is BodyClass.NOT_MAXIMAL_LATTICE_FREE:
         raise ValueError("input polygon is not maximal lattice-free")
     pts = _ccw(list(obj))
-    boundary = lattice_points_on_boundary(pts)
-    targets = [point(0, 0), point(1, 0), point(0, 1), point(1, 1)]
-    for entries in _unimodular_matrices(radius):
-        lin = UnimodularMap(*entries)
-        moved = [lin.apply_linear(p) for p in pts]
-        moved_boundary = [lin.apply_linear(q) for q in boundary]
-        seen = set()
-        for q in moved_boundary:
-            for target in targets:
-                t = (int(target.x1 - q.x1), int(target.x2 - q.x2))
-                if t in seen:
-                    continue
-                seen.add(t)
-                shifted = frozenset(p + point(*t) for p in moved)
-                body = _match_canonical(shifted)
-                if body is not None:
-                    return body, UnimodularMap(*entries, t[0], t[1])
-    raise ValueError(f"canonicalization search exhausted at matrix radius {radius}")
+    boundary = [(int(q.x1), int(q.x2)) for q in lattice_points_on_boundary(pts)]
+    candidates = []
+    for (x0, y0), (x1, y1) in itertools.permutations(boundary, 2):
+        u1, u2 = x1 - x0, y1 - y0
+        # q1 - q0 goes to (1,0), so it is primitive; pruning here keeps the
+        # many collinear base points of flat type-2 bodies from going cubic
+        if gcd(u1, u2) != 1:
+            continue
+        for x2, y2 in boundary:
+            v1, v2 = x2 - x0, y2 - y0
+            d = u1 * v2 - u2 * v1
+            if abs(d) == 1:
+                m = (d * v2, -d * v1, -d * u2, d * u1)
+                key = (max(map(abs, m)), sum(map(abs, m)), m != (1, 0, 0, 1), m)
+                candidates.append((key, (x0, y0)))
+    for (*_, m), (x0, y0) in sorted(candidates):
+        umap = UnimodularMap(*m, -(m[0] * x0 + m[1] * y0), -(m[2] * x0 + m[3] * y0))
+        body = _match_canonical(cls, frozenset(umap.apply(p) for p in pts))
+        if body is not None:
+            return body, umap
+    raise ValueError("no lattice-preserving map carries the input onto a canonical body")
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:

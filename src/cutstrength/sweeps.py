@@ -16,7 +16,8 @@ from .bounds import p_t2_lower, quad_lower, t3_lower
 from .geometry import QuadBody, Type2Body, Type3Body, _frac, lattice_width
 from .montecarlo import McEstimate, monte_carlo_lower
 
-FAMILIES = ("t2", "quad", "t3")
+PARAMS = {"t2": ("w",), "quad": ("a1", "a2", "b1", "b2"), "t3": ("a1", "a2", "b1")}
+FAMILIES = tuple(PARAMS)
 
 DEFAULT_STEP = Fraction(1, 50)
 
@@ -59,6 +60,11 @@ def sweep_grid(
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
+    for key in ranges or ():
+        if key not in PARAMS[family]:
+            raise ValueError(
+                f"unknown range parameter {key!r} for family {family}, expected one of {PARAMS[family]}"
+            )
     z = _frac(z)
     step = _frac(step)
     if step <= 0:
@@ -117,5 +123,5 @@ def _t2_body(w: Fraction) -> Type2Body:
 
 
 def _row(params, w, z, bound, body, mc_samples, seed) -> GridRow:
-    mc = monte_carlo_lower(body, z, mc_samples, seed) if mc_samples else None
+    mc = monte_carlo_lower(body, z, mc_samples, seed) if mc_samples is not None else None
     return GridRow(tuple(params), w, z, bound, mc)

@@ -191,6 +191,23 @@ class TestExitCodes:
         assert "seed" in err
 
 
+    @pytest.mark.parametrize(
+        "family, item", [("t2", "foo=0:1"), ("t3", "w=1:2"), ("t2", "a1=0:1")]
+    )
+    def test_validation_error_unknown_range(self, capsys, family, item):
+        code, out, err = invoke(capsys, "sweep", "--family", family, "--z", "2", "--range", item)
+        assert code == VALIDATION_ERROR
+        assert out == ""
+        assert repr(item.split("=")[0]) in err
+
+    @pytest.mark.parametrize("argv", [("sweep", "--family", "t2", "--z", "2", "--mc-samples", "0"),
+                                      ("montecarlo", "--body", T2_DESC, "--z", "2", "--samples", "0")])
+    def test_validation_error_zero_samples(self, capsys, argv):
+        code, _, err = invoke(capsys, *argv)
+        assert code == VALIDATION_ERROR
+        assert "samples" in err
+
+
 class TestDeterminism:
     def test_byte_identical_output(self, capsys):
         argv = ("montecarlo", "--body", T2_DESC, "--z", "7/4", "--samples", "50000", "--seed", "9")

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cutstrength import (
@@ -269,12 +269,23 @@ class TestCornerRays:
             corner_rays(SplitBody((0, 1), 0), point(F(1, 2), F(1, 2)))
 
 
+_ELEMENTARY = {"upper": lambda k: (1, k, 0, 1), "lower": lambda k: (1, 0, k, 1), "swap": lambda k: (0, 1, 1, 0)}
+
+
+def _matrix_product(factors) -> tuple[int, int, int, int]:
+    a, b, c, d = 1, 0, 0, 1
+    for kind, k in factors:
+        p, q, r, s = _ELEMENTARY[kind](k)
+        a, b, c, d = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
+    return a, b, c, d
+
+
 class TestCanonicalize:
-    def test_identity_on_canonical(self, t2_body):
-        body, umap = canonicalize(t2_body.polygon())
-        assert isinstance(body, Type2Body)
-        assert (body.a1, body.a2) == (t2_body.a1, t2_body.a2)
-        assert umap == UnimodularMap.identity()
+    def test_identity_on_canonical(self):
+        for source in grid_bodies():
+            body, umap = canonicalize(source.polygon())
+            assert body == source
+            assert umap == UnimodularMap.identity()
 
     def test_translation_only(self, t2_body):
         moved = [v + point(3, -2) for v in t2_body.polygon()]
@@ -306,6 +317,31 @@ class TestCanonicalize:
             assert {umap.apply(v).as_tuple() for v in moved} == {
                 v.as_tuple() for v in body.polygon()
             }
+
+    def test_large_entry_map(self, t3_body):
+        # the map has a matrix entry of 13
+        moved = [UnimodularMap(13, -12, -1, 1, 5, 4).apply(v) for v in t3_body.polygon()]
+        body, umap = canonicalize(moved)
+        assert body == Type3Body(3, F(3, 10), F(1, 10))
+        assert {umap.apply(v) for v in moved} == set(body.vertices())
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(range(13)),
+        st.lists(st.tuples(st.sampled_from(["upper", "lower", "swap"]), st.integers(-4, 4)), max_size=4),
+        st.integers(-10, 10),
+        st.integers(-10, 10),
+    )
+    def test_property_random_maps(self, index, factors, t1, t2):
+        source = grid_bodies()[index]
+        matrix = _matrix_product(factors)
+        assume(max(map(abs, matrix)) <= 20)
+        m = UnimodularMap(*matrix, t1, t2)
+        moved = [m.apply(v) for v in source.polygon()]
+        body, umap = canonicalize(moved)
+        assert classify(body.polygon()) is classify(source.polygon())
+        assert {umap.apply(v) for v in moved} == set(body.vertices())
+        assert area(body) == area(source)
 
     def test_map_invariants(self):
         with pytest.raises(ValueError):

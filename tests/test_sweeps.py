@@ -82,6 +82,17 @@ class TestSweepValidation:
         with pytest.raises(ValueError):
             sweep_grid("t2", F(2), ranges={"w": (F(3), F(4))})
 
+    @pytest.mark.parametrize(
+        "family, key", [("t2", "foo"), ("t3", "w"), ("t2", "a1"), ("quad", "w"), ("t3", "b2")]
+    )
+    def test_unknown_range_parameter(self, family, key):
+        with pytest.raises(ValueError, match=f"'{key}'.*{family}"):
+            sweep_grid(family, F(2), ranges={key: (F(1, 2), F(1, 2))})
+
+    def test_zero_mc_samples_rejected(self):
+        with pytest.raises(ValueError, match="samples"):
+            sweep_grid("t2", F(2), step=F(1, 4), mc_samples=0)
+
     def test_mc_attachment(self):
         rows = sweep_grid(
             "t2", F(2), step=F(1, 4), ranges={"w": (F(5, 4), F(7, 4))}, mc_samples=20_000, seed=1
