@@ -17,11 +17,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable
 
-from .geometry import QuadBody, Rational2, Type1Body, Type2Body, Type3Body, _frac, area, lattice_width
-
-Rat = Union[int, str, Fraction]
+from .geometry import QuadBody, Rat, Rational2, Type1Body, Type2Body, Type3Body, _frac, area, lattice_width
 
 
 @dataclass(frozen=True)

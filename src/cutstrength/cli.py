@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .bounds import bound_for, special_values
 from .descriptors import format_rational, parse_body, parse_pair, parse_rational
@@ -257,7 +256,7 @@ def run(argv=None) -> int:
         return exc.code if exc.code is not None else USAGE_ERROR
     try:
         text = _RUNNERS[args.command](args)
-    except (ValueError, ZeroDivisionError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return VALIDATION_ERROR
     _emit(text, getattr(args, "output", None))

@@ -33,6 +33,7 @@ from .geometry import (
     corner_rays,
     point,
     polygon_area,
+    primitive_directions,
 )
 
 
@@ -276,10 +277,9 @@ def region_spec(body: LatticeFreeBody) -> list[Region]:
     raise ValueError(f"no region decomposition for {body!r}")
 
 
-def region_polygons(body: LatticeFreeBody) -> list:
-    """Closed region decomposition as CCW polygons, indexed from region 1: the
-    body clipped by each region's bands.  A region of two pieces is given as
-    ``("pair", p1, p2)``."""
+def region_polygons(body: LatticeFreeBody) -> list[tuple[list[Rational2], ...]]:
+    """Closed region decomposition, indexed from region 1: each region is a
+    tuple of CCW piece polygons, the body clipped by each piece's bands."""
     out = []
     for region in region_spec(body):
         polys = []
@@ -292,14 +292,12 @@ def region_polygons(body: LatticeFreeBody) -> list:
                 if lo is not None and poly:
                     poly = clip_halfplane(poly, -normal, -lo)
             polys.append(poly)
-        out.append(polys[0] if len(polys) == 1 else ("pair", *polys))
+        out.append(tuple(polys))
     return out
 
 
-def region_area(poly) -> Fraction:
-    if isinstance(poly, tuple) and poly and poly[0] == "pair":
-        return sum((polygon_area(p) for p in poly[1:]), Fraction(0))
-    return polygon_area(poly)
+def region_area(pieces: Sequence[Sequence[Rational2]]) -> Fraction:
+    return sum((polygon_area(p) for p in pieces), Fraction(0))
 
 
 def region_of(body: LatticeFreeBody, f: Rational2) -> RegionId:
@@ -364,18 +362,7 @@ def strength_single_split(body: LatticeFreeBody, f: Rational2) -> StrengthReport
 def admissible_normals(f: Rational2, n: int) -> list[tuple[int, int]]:
     """Primitive normals with max-norm <= n whose split contains ``f`` strictly,
     deduplicated over +-."""
-    out = []
-    for n1 in range(0, n + 1):
-        for n2 in range(-n, n + 1):
-            if n1 == 0 and n2 <= 0:
-                continue
-            if gcd(n1, abs(n2)) != 1:
-                continue
-            nf = n1 * f.x1 + n2 * f.x2
-            if nf.denominator == 1:
-                continue
-            out.append((n1, n2))
-    return out
+    return [(n1, n2) for n1, n2 in primitive_directions(n) if (n1 * f.x1 + n2 * f.x2).denominator != 1]
 
 
 def strength_split_closure_approx(body: LatticeFreeBody, f: Rational2, n: int) -> Fraction:

@@ -10,7 +10,6 @@ import json
 from fractions import Fraction
 
 from .geometry import (
-    LatticeFreeBody,
     QuadBody,
     Rational2,
     SplitBody,

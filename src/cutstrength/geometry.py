@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import ceil, floor, gcd
-from typing import Iterable, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 Rat = Union[int, Fraction, str]
 
@@ -176,52 +176,32 @@ def polygon_area(pts: Sequence[Rational2]) -> Fraction:
     return abs(shoelace_area(pts))
 
 
-def _bbox(pts: Sequence[Rational2]) -> tuple[int, int, int, int]:
-    xs = [p.x1 for p in pts]
-    ys = [p.x2 for p in pts]
-    return (floor(min(xs)), ceil(max(xs)), floor(min(ys)), ceil(max(ys)))
-
-
-def lattice_points_inside(pts: Sequence[Rational2]) -> list[Rational2]:
-    """Integer points strictly interior to a convex CCW polygon (bbox scan)."""
-    x0, x1, y0, y1 = _bbox(pts)
+def _edge_points(a: Rational2, b: Rational2) -> list[tuple[int, int]]:
+    """Integer points of the closed segment ab: the one x on each integer row,
+    or every integer column of a horizontal edge."""
+    if a.x2 == b.x2:
+        if a.x2.denominator != 1:
+            return []
+        return [(x, int(a.x2)) for x in range(ceil(min(a.x1, b.x1)), floor(max(a.x1, b.x1)) + 1)]
+    slope = (b.x1 - a.x1) / (b.x2 - a.x2)
     found = []
-    for ix in range(x0, x1 + 1):
-        for iy in range(y0, y1 + 1):
-            q = point(ix, iy)
-            if contains(pts, q, strict=True):
-                found.append(q)
+    for y in range(ceil(min(a.x2, b.x2)), floor(max(a.x2, b.x2)) + 1):
+        x = a.x1 + (y - a.x2) * slope
+        if x.denominator == 1:
+            found.append((int(x), y))
     return found
 
 
-def lattice_points_on_boundary(pts: Sequence[Rational2]) -> list[Rational2]:
-    x0, x1, y0, y1 = _bbox(pts)
-    found = []
-    for ix in range(x0, x1 + 1):
-        for iy in range(y0, y1 + 1):
-            q = point(ix, iy)
-            if contains(pts, q) and not contains(pts, q, strict=True):
-                found.append(q)
-    return found
-
-
-def lattice_points_on_open_segment(a: Rational2, b: Rational2) -> list[Rational2]:
-    """Integer points strictly between the endpoints of segment ab."""
-    x0 = floor(min(a.x1, b.x1))
-    x1 = ceil(max(a.x1, b.x1))
-    y0 = floor(min(a.x2, b.x2))
-    y1 = ceil(max(a.x2, b.x2))
-    d = b - a
-    found = []
-    for ix in range(x0, x1 + 1):
-        for iy in range(y0, y1 + 1):
-            q = point(ix, iy)
-            if d.cross(q - a) != 0:
-                continue
-            t = (q - a).dot(d) / d.dot(d)
-            if 0 < t < 1:
-                found.append(q)
-    return found
+def _row_meets_interior(pts: list[Rational2], y: int) -> bool:
+    """Whether the integer row ``y``, strictly between the lowest and highest
+    vertex of a convex polygon, holds an integer point of its interior.  Such
+    a row crosses the boundary at its two ends and no edge lies on it."""
+    xs = [
+        a.x1 + (y - a.x2) * (b.x1 - a.x1) / (b.x2 - a.x2)
+        for a, b in zip(pts, pts[1:] + pts[:1])
+        if min(a.x2, b.x2) <= y <= max(a.x2, b.x2)
+    ]
+    return floor(min(xs)) + 1 < max(xs)
 
 
 # ---------------------------------------------------------------------------
@@ -507,23 +487,22 @@ def directional_width(pts: Sequence[Rational2], u: Rational2) -> Fraction:
     return max(vals) - min(vals)
 
 
+def primitive_directions(radius: int) -> Iterator[tuple[int, int]]:
+    """Primitive integer directions with max-norm <= radius, one of each
+    pair +-u: ``u1 >= 0``, and ``u2 > 0`` when ``u1 = 0``."""
+    for u1 in range(0, radius + 1):
+        for u2 in range(-radius, radius + 1):
+            if (u1 > 0 or u2 > 0) and gcd(u1, u2) == 1:
+                yield u1, u2
+
+
 def lattice_width_enumerated(body: LatticeFreeBody, radius: int = 10) -> Fraction:
     """Brute-force width: minimum over primitive directions with max-norm <= radius."""
     if isinstance(body, SplitBody):
         # the only directions of finite width are multiples of the normal
         return Fraction(1)
     pts = body.polygon()
-    best = None
-    for u1 in range(0, radius + 1):
-        for u2 in range(-radius, radius + 1):
-            if u1 == 0 and u2 <= 0:
-                continue  # dedupe +-u and skip zero
-            if gcd(u1, abs(u2)) != 1:
-                continue
-            wd = directional_width(pts, point(u1, u2))
-            if best is None or wd < best:
-                best = wd
-    return best
+    return min((directional_width(pts, point(*u)) for u in primitive_directions(radius)), default=None)
 
 
 def gauge(body: LatticeFreeBody, f: Rational2, r: Rational2) -> Fraction:
@@ -558,10 +537,7 @@ def corner_rays(body: LatticeFreeBody, f: Rational2) -> tuple[Rational2, ...]:
 # classification
 
 
-def _classify_triangle(pts: list[Rational2]) -> BodyClass:
-    edge_counts = []
-    for i in range(3):
-        edge_counts.append(len(lattice_points_on_open_segment(pts[i], pts[(i + 1) % 3])))
+def _classify_triangle(pts: list[Rational2], edge_counts: list[int]) -> BodyClass:
     if any(c == 0 for c in edge_counts):
         return BodyClass.NOT_MAXIMAL_LATTICE_FREE
     integral = [p.is_integral() for p in pts]
@@ -584,7 +560,12 @@ def _classify_triangle(pts: list[Rational2]) -> BodyClass:
 
 
 def classify(obj: Union[SplitBody, Sequence[Rational2]]) -> BodyClass:
-    """Classify a band or a convex polygon given by its vertex cycle."""
+    """Classify a band or a convex polygon given by its vertex cycle.
+
+    Lattice points are found row by row: an integer row strictly between the
+    lowest and highest vertex must hold no integer strictly inside, and each
+    edge's lattice points come from walking its integer rows.
+    """
     if isinstance(obj, SplitBody):
         return BodyClass.SPLIT
     pts = list(obj)
@@ -592,15 +573,16 @@ def classify(obj: Union[SplitBody, Sequence[Rational2]]) -> BodyClass:
         raise ValueError("degenerate input: need a polygon with positive area")
     if not is_strictly_convex(pts):
         raise ValueError("input vertex cycle is not strictly convex")
-    pts = _ccw(pts)
-    if lattice_points_inside(pts):
+    if len(pts) > 4:  # a maximal lattice-free polygon has at most four edges
         return BodyClass.NOT_MAXIMAL_LATTICE_FREE
+    ys = [p.x2 for p in pts]
+    if any(_row_meets_interior(pts, y) for y in range(floor(min(ys)) + 1, ceil(max(ys)))):
+        return BodyClass.NOT_MAXIMAL_LATTICE_FREE
+    edges = zip(pts, pts[1:] + pts[:1])
+    edge_counts = [len(_edge_points(a, b)) - a.is_integral() - b.is_integral() for a, b in edges]
     if len(pts) == 3:
-        return _classify_triangle(pts)
-    if len(pts) == 4:
-        for i in range(4):
-            if len(lattice_points_on_open_segment(pts[i], pts[(i + 1) % 4])) != 1:
-                return BodyClass.NOT_MAXIMAL_LATTICE_FREE
+        return _classify_triangle(pts, edge_counts)
+    if all(c == 1 for c in edge_counts):
         return BodyClass.QUADRILATERAL
     return BodyClass.NOT_MAXIMAL_LATTICE_FREE
 
@@ -654,8 +636,8 @@ def canonicalize(obj: Union[SplitBody, Sequence[Rational2]]) -> tuple[LatticeFre
     cls = classify(obj)
     if cls is BodyClass.NOT_MAXIMAL_LATTICE_FREE:
         raise ValueError("input polygon is not maximal lattice-free")
-    pts = _ccw(list(obj))
-    boundary = [(int(q.x1), int(q.x2)) for q in lattice_points_on_boundary(pts)]
+    pts = list(obj)
+    boundary = {q for a, b in zip(pts, pts[1:] + pts[:1]) for q in _edge_points(a, b)}
     candidates = []
     for (x0, y0), (x1, y1) in itertools.permutations(boundary, 2):
         u1, u2 = x1 - x0, y1 - y0

@@ -2,11 +2,12 @@
 
 from fractions import Fraction as F
 from itertools import combinations
+from math import ceil, floor
 
 import pytest
 
 from cutstrength import QuadBody, Type1Body, Type2Body, Type3Body, point
-from cutstrength.geometry import clip_halfplane, polygon_area
+from cutstrength.geometry import clip_halfplane, contains, polygon_area
 
 
 @pytest.fixture
@@ -29,14 +30,23 @@ def t3_body():
     return Type3Body(F(3), F(3, 10), F(1, 10))
 
 
-def clip_area(poly, normal, offset):
-    """Exact area of a polygon (or a 'pair' of polygons) cut by a half-plane."""
-    if isinstance(poly, tuple) and poly and poly[0] == "pair":
-        return sum(clip_area(p, normal, offset) for p in poly[1:])
-    if len(poly) < 3:
-        return F(0)
-    clipped = clip_halfplane(poly, normal, offset)
-    return polygon_area(clipped) if len(clipped) >= 3 else F(0)
+def clip_area(pieces, normal, offset):
+    """Exact area of a region (a tuple of piece polygons) cut by a half-plane."""
+    return sum((polygon_area(clip_halfplane(p, normal, offset)) for p in pieces if len(p) >= 3), F(0))
+
+
+def lattice_points_oracle(pts):
+    """``(boundary, interior)`` integer points of a convex CCW polygon, as
+    sets of pairs, by testing every integer point of its bounding box."""
+    xs, ys = [p.x1 for p in pts], [p.x2 for p in pts]
+    boundary, interior = set(), set()
+    for x in range(floor(min(xs)), ceil(max(xs)) + 1):
+        for y in range(floor(min(ys)), ceil(max(ys)) + 1):
+            if contains(pts, point(x, y), strict=True):
+                interior.add((x, y))
+            elif contains(pts, point(x, y)):
+                boundary.add((x, y))
+    return boundary, interior
 
 
 def _solve_square(a, b):
@@ -78,8 +88,8 @@ def covering_lp_oracle(rows, k):
     return best
 
 
-def indicator_area(poly, spec, z):
-    """Exact area of {f in poly : strength formula <= z}.
+def indicator_area(region, spec, z):
+    """Exact area of {f in region : strength formula <= z}.
 
     ``spec`` = (kind, normal, const) describes the per-region strength as a
     ratio of linear functions of f: kind 'low' means (n.f - const)/(n.f),
@@ -88,8 +98,8 @@ def indicator_area(poly, spec, z):
     """
     kind, normal, const = spec
     if kind == "low":
-        return clip_area(poly, -normal, const / (z - 1))
-    return clip_area(poly, normal, (z - const) / (z - 1))
+        return clip_area(region, -normal, const / (z - 1))
+    return clip_area(region, normal, (z - const) / (z - 1))
 
 
 def strength_specs(body):

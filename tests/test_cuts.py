@@ -205,10 +205,8 @@ class TestRegions:
         # region_of tests the bands; region_polygons clips the body by them.
         # The grids hit region boundaries, where the smallest index whose
         # split contains f strictly wins.
-        def inside(poly, f):
-            if isinstance(poly, tuple):
-                return any(inside(p, f) for p in poly[1:])
-            return len(poly) >= 3 and contains(poly, f)
+        def inside(pieces, f):
+            return any(len(p) >= 3 and contains(p, f) for p in pieces)
 
         def strictly_in_split(body, k, f):
             if isinstance(body, Type1Body):

@@ -1,14 +1,14 @@
 import random
 from fractions import Fraction as F
+from math import ceil, floor
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cutstrength import (
     BodyClass,
     QuadBody,
-    Rational2,
     SplitBody,
     Type1Body,
     Type2Body,
@@ -23,9 +23,9 @@ from cutstrength import (
     lattice_width_enumerated,
     point,
 )
-from cutstrength.geometry import polygon_area, shoelace_area
+from cutstrength.geometry import _ccw, _edge_points, _row_meets_interior, is_strictly_convex, polygon_area
 
-from conftest import random_interior_point
+from conftest import lattice_points_oracle, random_interior_point
 
 
 def grid_bodies():
@@ -153,6 +153,18 @@ class TestClassify:
     def test_not_maximal_interior_point(self):
         verts = [point(-1, -1), point(3, -1), point(-1, 3)]
         assert classify(verts) is BodyClass.NOT_MAXIMAL_LATTICE_FREE
+        # the edges alone would make this type 2; its one interior lattice
+        # point (1,1) lies on its only row between the lowest and highest vertex
+        verts = [point(F(-3, 2), 0), point(F(7, 2), 0), point(1, F(5, 3))]
+        assert classify(verts) is BodyClass.NOT_MAXIMAL_LATTICE_FREE
+
+    def test_five_vertices_not_maximal(self):
+        pentagon = [point(0, 3), point(-3, 1), point(-2, -2), point(2, -2), point(3, 1)]
+        assert classify(pentagon) is BodyClass.NOT_MAXIMAL_LATTICE_FREE
+        # the star passes the turn-sign test; its edge from (-3,1) to (3,1)
+        # lies on a row between its lowest and highest vertex
+        star = pentagon[::2] + pentagon[1::2]
+        assert classify(star) is BodyClass.NOT_MAXIMAL_LATTICE_FREE
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
@@ -162,6 +174,32 @@ class TestClassify:
         verts = [point(0, 0), point(2, 0), point(1, F(1, 4)), point(0, 2)]
         with pytest.raises(ValueError):
             classify(verts)
+
+
+_COORD = st.integers(1, 6).flatmap(lambda q: st.integers(-3 * q, 3 * q).map(lambda p: F(p, q)))
+
+
+class TestLatticePoints:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_COORD, _COORD), min_size=3, max_size=4))
+    @example([(0, 0), (2, 0), (0, 2)])
+    @example([(F(-1, 2), 0), (F(5, 2), 0), (2, F(3, 2)), (0, F(3, 2))])
+    @example([(F(1, 3), F(-1, 2)), (F(7, 3), F(1, 6)), (F(7, 3), F(5, 2)), (F(1, 3), 2)])
+    def test_walk_matches_bbox_oracle(self, coords):
+        # the helpers get the cycle as drawn, in either orientation
+        pts = [point(*c) for c in coords]
+        assume(is_strictly_convex(pts))
+        boundary, interior = lattice_points_oracle(_ccw(pts))
+        edges = list(zip(pts, pts[1:] + pts[:1]))
+        assert {q for a, b in edges for q in _edge_points(a, b)} == boundary
+        for a, b in edges:
+            on_edge = {q for q in boundary if (b - a).cross(point(*q) - a) == 0}
+            assert sorted(_edge_points(a, b)) == sorted(on_edge)
+            open_count = len(_edge_points(a, b)) - a.is_integral() - b.is_integral()
+            assert open_count == len(on_edge - {a.as_tuple(), b.as_tuple()})
+        ys = [p.x2 for p in pts]
+        rows = range(floor(min(ys)) + 1, ceil(max(ys)))
+        assert {y for y in rows if _row_meets_interior(pts, y)} == {y for _, y in interior}
 
 
 class TestLatticeWidth:
@@ -324,6 +362,18 @@ class TestCanonicalize:
         body, umap = canonicalize(moved)
         assert body == Type3Body(3, F(3, 10), F(1, 10))
         assert {umap.apply(v) for v in moved} == set(body.vertices())
+
+    def test_steep_shear(self, t1_body, quad_body, t3_body):
+        # each moved body's bounding box spans hundreds of integer rows and columns
+        m = UnimodularMap(99, -100, 98, -99, 7, -3)
+        cases = [(t1_body, BodyClass.TYPE1_TRIANGLE), (quad_body, BodyClass.QUADRILATERAL),
+                 (t3_body, BodyClass.TYPE3_TRIANGLE)]
+        for source, cls in cases:
+            moved = [m.apply(v) for v in source.polygon()]
+            assert classify(moved) is cls
+            body, umap = canonicalize(moved)
+            assert body == source
+            assert {umap.apply(v) for v in moved} == set(body.vertices())
 
     @settings(max_examples=40, deadline=None)
     @given(

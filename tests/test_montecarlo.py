@@ -1,4 +1,3 @@
-import os
 import random
 from fractions import Fraction as F
 from math import ceil, floor, sqrt
