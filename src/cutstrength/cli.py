@@ -256,7 +256,7 @@ def run(argv=None) -> int:
         return exc.code if exc.code is not None else USAGE_ERROR
     try:
         text = _RUNNERS[args.command](args)
-    except (ValueError, ZeroDivisionError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return VALIDATION_ERROR
     _emit(text, getattr(args, "output", None))

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import ceil, floor, gcd, inf
-from operator import and_, or_
+from math import gcd, inf, lcm
+from operator import and_, le, or_
 from typing import Optional, Sequence
 
 from .geometry import (
@@ -31,6 +31,7 @@ from .geometry import (
     Type3Body,
     clip_halfplane,
     corner_rays,
+    over_common_denominator,
     point,
     polygon_area,
     primitive_directions,
@@ -74,25 +75,44 @@ def _primitive(normal: Sequence[int]) -> tuple[int, int]:
     return n1, n2
 
 
+def _scaled(f: Rational2, rays: Sequence[Rational2]):
+    """The common denominator ``D`` of ``f`` and the rays, with ``D f`` and
+    each ``D r`` as integer pairs."""
+    d, ints = over_common_denominator((f.x1, f.x2, *(c for r in rays for c in (r.x1, r.x2))))
+    return d, (ints[0], ints[1]), list(zip(ints[2::2], ints[3::2]))
+
+
+def _admissible(radius: int, d: int, big_f: tuple[int, int]):
+    """``(n1, n2, rem)`` for each primitive normal of max-norm <= radius whose
+    split contains ``f = big_f / d`` strictly, ``rem = (n . big_f) mod d``."""
+    for n1, n2 in primitive_directions(radius):
+        rem = (n1 * big_f[0] + n2 * big_f[1]) % d
+        if rem:
+            yield n1, n2, rem
+
+
+def _split_row(n1: int, n2: int, rem: int, d: int, big_rays) -> tuple[int, list[int]]:
+    """The split's coefficients as integers over one scale, ``(scale, ints)``:
+    ray ``r`` gets ``(n . R) rem`` if ``n . R > 0``, else ``-(n . R) (d - rem)``,
+    over ``rem (d - rem)``, where ``R = d r``."""
+    row = []
+    for r1, r2 in big_rays:
+        nr = n1 * r1 + n2 * r2
+        row.append(nr * rem if nr > 0 else -nr * (d - rem))
+    return rem * (d - rem), row
+
+
 def split_coefficients(normal: Sequence[int], f: Rational2, rays: Sequence[Rational2]) -> SplitCut:
     """Coefficients of the split ``{floor(n.f) <= n.x <= ceil(n.f)}`` at each ray."""
     n1, n2 = _primitive(normal)
-    nf = n1 * f.x1 + n2 * f.x2
-    if nf.denominator == 1:
-        raise ValueError(f"normal . f = {nf} is integral: f is not interior to the split")
-    lo, hi = Fraction(floor(nf)), Fraction(ceil(nf))
-    coeffs = []
-    for r in rays:
-        if r.is_zero():
-            raise ValueError("rays must be nonzero")
-        nr = n1 * r.x1 + n2 * r.x2
-        if nr > 0:
-            coeffs.append(nr / (hi - nf))
-        elif nr == 0:
-            coeffs.append(Fraction(0))
-        else:
-            coeffs.append(nr / (lo - nf))
-    return SplitCut((n1, n2), floor(nf), tuple(coeffs))
+    d, big_f, big_rays = _scaled(f, rays)
+    offset, rem = divmod(n1 * big_f[0] + n2 * big_f[1], d)
+    if rem == 0:
+        raise ValueError(f"normal . f = {offset} is integral: f is not interior to the split")
+    if any(r.is_zero() for r in rays):
+        raise ValueError("rays must be nonzero")
+    scale, row = _split_row(n1, n2, rem, d, big_rays)
+    return SplitCut((n1, n2), offset, tuple(Fraction(c, scale) for c in row))
 
 
 # ---------------------------------------------------------------------------
@@ -102,9 +122,9 @@ def split_coefficients(normal: Sequence[int], f: Rational2, rays: Sequence[Ratio
 def covering_lp_min(rows: Sequence[Sequence[Fraction]], k: int):
     """Minimize ``sum(s)`` subject to ``row . s >= 1`` for every row, ``s >= 0``.
 
-    Solved exactly as its dual by :func:`_max_packing`.  Returns
-    ``(value, argmin)``; ``(inf, None)`` when some row is identically zero
-    (uncoverable).
+    Each row is scaled to integers by the lcm of its denominators and solved
+    by :func:`_min_cover`.  Returns ``(value, argmin)``; ``(inf, None)`` when
+    some row is identically zero (uncoverable).
     """
     if k > 4:
         raise ValueError("only up to 4 variables are supported")
@@ -116,24 +136,48 @@ def covering_lp_min(rows: Sequence[Sequence[Fraction]], k: int):
             raise ValueError(f"row length {len(row)} != k = {k}")
         if any(c < 0 for c in row):
             raise ValueError("covering data must be nonnegative")
-    if any(all(c == 0 for c in row) for row in mat):
+    return _min_cover([over_common_denominator(row) for row in mat], k)
+
+
+def _min_cover(rows, k: int):
+    """:func:`covering_lp_min` on integer rows: ``(scale, ints)`` stands for
+    the row ``ints / scale`` with ``scale > 0``.
+
+    Over the common scale of all rows, equal rows become equal integer
+    tuples and the order of the tuples is that of the rational rows.
+    Dominance pruning: a row with componentwise-larger coefficients is
+    implied by the smaller row (s >= 0), so only minimal rows matter; in
+    increasing order every dominating row comes before the rows it dominates.
+    """
+    if any(not any(ints) for _, ints in rows):
         return inf, None
+    common = lcm(*(scale for scale, _ in rows))
+    by_value = {tuple(c * (common // scale) for c in ints): (scale, ints) for scale, ints in rows}
+    kept: list[tuple[int, ...]] = []
+    for row in sorted(by_value):
+        if not any(all(map(le, o, row)) for o in kept):
+            kept.append(row)
+    cols, weights = [], []
+    for row in kept:
+        scale, ints = by_value[row]
+        g = gcd(scale, *ints)
+        cols.append([c // g for c in ints])
+        weights.append(scale // g)
+    return _max_packing(cols, weights, k)
 
-    # dominance pruning: a row with componentwise-larger coefficients is
-    # implied by the smaller row (s >= 0), so only minimal rows matter
-    mat = sorted(set(mat))
-    kept: list[tuple[Fraction, ...]] = []
-    for row in mat:
-        if any(all(o[j] <= row[j] for j in range(k)) for o in kept):
-            continue
-        kept = [o for o in kept if not all(row[j] <= o[j] for j in range(k))]
-        kept.append(row)
-    return _max_packing(kept, k)
 
+def _max_packing(cols: list[list[int]], weights: list[int], k: int):
+    """The dual ``max sum_i y_i`` s.t. ``sum_i y_i cols[i] / weights[i] <= 1``,
+    ``y >= 0``, by the simplex method on integers.
 
-def _max_packing(rows: list[tuple[Fraction, ...]], k: int):
-    """The dual ``max sum(y)`` s.t. ``sum_i y_i rows[i] <= 1``, ``y >= 0``, by
-    the simplex method on Fractions.
+    Substituting ``y_i = weights[i] x_i`` leaves the integer constraint
+    matrix ``cols`` and the objective ``sum_i weights[i] x_i``; a positive
+    rescaling of a column changes neither the sign of its reduced cost nor
+    the order of its ratios, so the pivots are those of the unscaled LP.
+    The tableau is fraction-free (Edmonds, Bareiss): it holds integers ``T``
+    standing for ``T / d``, where ``d`` is the last pivot (1 at the start),
+    and a pivot on ``p`` maps every other row ``t`` to
+    ``(p t - t[col] pivot) // d``, a division that is always exact.
 
     The all-slack basis is feasible because the right-hand side is 1, and
     Bland's rule (lowest improving column, ties in the ratio test to the lowest
@@ -142,25 +186,30 @@ def _max_packing(rows: list[tuple[Fraction, ...]], k: int):
     the ratio test always finds a pivot.  At the optimum the objective entries
     of the slack columns are the covering LP's argmin.
     """
-    m = len(rows)
-    # constraint j: sum_i rows[i][j] y_i + slack_j = 1; columns y, slacks, rhs
-    tab = [
-        [row[j] for row in rows] + [Fraction(i == j) for i in range(k)] + [Fraction(1)]
-        for j in range(k)
-    ]
-    obj = [Fraction(-1)] * m + [Fraction(0)] * (k + 1)
+    m = len(cols)
+    # constraint j: sum_i cols[i][j] x_i + slack_j = 1; columns x, slacks, rhs
+    tab = [[c[j] for c in cols] + [int(i == j) for i in range(k)] + [1] for j in range(k)]
+    obj = [-w for w in weights] + [0] * (k + 1)
     basis = [m + j for j in range(k)]
+    d = 1
     while True:
         col = next((c for c, v in enumerate(obj[:-1]) if v < 0), None)
         if col is None:
-            return obj[-1], tuple(obj[m:-1])
-        _, _, r = min((t[-1] / t[col], basis[i], i) for i, t in enumerate(tab) if t[col] > 0)
-        pivot = tab[r] = [v / tab[r][col] for v in tab[r]]
+            return Fraction(obj[-1], d), tuple(Fraction(v, d) for v in obj[m:-1])
+        # least ratio t[-1] / t[col] over t[col] > 0, compared by
+        # cross-multiplying; ties go to the lowest basic column
+        r = None
+        for i, t in enumerate(tab):
+            if t[col] > 0 and (r is None or (t[-1] * tab[r][col], basis[i]) < (tab[r][-1] * t[col], basis[r])):
+                r = i
+        pivot = tab[r]
+        p = pivot[col]
         for t in (*tab, obj):
-            factor = t[col]
-            if factor and t is not pivot:
-                t[:] = [a - factor * b if b else a for a, b in zip(t, pivot)]
+            if t is not pivot:
+                factor = t[col]
+                t[:] = [(p * a - factor * b) // d for a, b in zip(t, pivot)]
         basis[r] = col
+        d = p
 
 
 # ---------------------------------------------------------------------------
@@ -362,19 +411,23 @@ def strength_single_split(body: LatticeFreeBody, f: Rational2) -> StrengthReport
 def admissible_normals(f: Rational2, n: int) -> list[tuple[int, int]]:
     """Primitive normals with max-norm <= n whose split contains ``f`` strictly,
     deduplicated over +-."""
-    return [(n1, n2) for n1, n2 in primitive_directions(n) if (n1 * f.x1 + n2 * f.x2).denominator != 1]
+    d, big_f, _ = _scaled(f, ())
+    return [(n1, n2) for n1, n2, _ in _admissible(n, d, big_f)]
 
 
 def strength_split_closure_approx(body: LatticeFreeBody, f: Rational2, n: int) -> Fraction:
-    """Finite split-closure strength ``t_N``: all splits with max-norm <= n."""
+    """Finite split-closure strength ``t_N``: all splits with max-norm <= n.
+
+    The split rows are built in integers scaled by the common denominator of
+    ``f`` and the corner rays and go straight to :func:`_min_cover`.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
-    rays = corner_rays(body, f)
-    normals = admissible_normals(f, n)
-    if not normals:
+    d, big_f, big_rays = _scaled(f, corner_rays(body, f))
+    rows = [_split_row(n1, n2, rem, d, big_rays) for n1, n2, rem in _admissible(n, d, big_f)]
+    if not rows:
         raise ValueError(f"no admissible split with max-norm <= {n} for f = {f}")
-    rows = [split_coefficients(nrm, f, rays).coefficients for nrm in normals]
-    value, _ = covering_lp_min(rows, len(rays))
+    value, _ = _min_cover(rows, len(big_rays))
     return 1 / value
 
 

@@ -1,7 +1,8 @@
 """Exact-rational planar geometry of maximal lattice-free bodies.
 
-Everything in this module runs on ``fractions.Fraction``; there is no
-floating point anywhere.  Bodies are kept in canonical parameterizations:
+Everything in this module runs on ``fractions.Fraction``, or on integers
+over a common denominator; there is no floating point anywhere.  Bodies are
+kept in canonical parameterizations:
 
 * ``SplitBody``      -- the band ``offset <= normal . x <= offset + 1``
 * ``Type1Body``      -- conv{(0,0), (2,0), (0,2)}
@@ -23,7 +24,8 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import ceil, floor, gcd
+from functools import cached_property
+from math import ceil, floor, gcd, lcm
 from typing import Iterator, Sequence, Union
 
 Rat = Union[int, Fraction, str]
@@ -85,6 +87,12 @@ def point(x1: Rat, x2: Rat) -> Rational2:
     return Rational2(_frac(x1), _frac(x2))
 
 
+def over_common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The least common denominator ``d`` of the values, and each value times ``d``."""
+    d = lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
 class BodyClass(Enum):
     SPLIT = "Split"
     TYPE1_TRIANGLE = "Type1Triangle"
@@ -115,22 +123,20 @@ def _ccw(pts: Sequence[Rational2]) -> list[Rational2]:
 
 
 def is_strictly_convex(pts: Sequence[Rational2]) -> bool:
-    """True iff the cyclic vertex list bounds a non-degenerate convex polygon."""
+    """True iff the cyclic vertex list bounds a non-degenerate convex polygon:
+    every turn goes the same way, and the edges wind around exactly once."""
     n = len(pts)
     if n < 3:
         return False
-    sign = 0
-    for i in range(n):
-        a, b, c = pts[i], pts[(i + 1) % n], pts[(i + 2) % n]
-        cr = (b - a).cross(c - b)
-        if cr == 0:
-            return False
-        s = 1 if cr > 0 else -1
-        if sign == 0:
-            sign = s
-        elif s != sign:
-            return False
-    return True
+    edges = [b - a for a, b in zip(pts, pts[1:] + pts[:1])]
+    turns = [u.cross(w) for u, w in zip(edges, edges[1:] + edges[:1])]
+    if not (all(t > 0 for t in turns) or all(t < 0 for t in turns)):
+        return False
+    # every turn is less than a half turn, so the edge direction passes angle
+    # 0 once per winding, as one step between the upper half-plane (angles in
+    # [0, pi)) and the lower one; count the steps from lower to upper
+    upper = [e.x2 > 0 or (e.x2 == 0 and e.x1 > 0) for e in edges]
+    return sum(w and not u for u, w in zip(upper, upper[1:] + upper[:1])) == 1
 
 
 def contains(pts: Sequence[Rational2], p: Rational2, strict: bool = False) -> bool:
@@ -257,18 +263,27 @@ class LatticeFreeBody:
 
     def facets(self) -> list[tuple[Rational2, Fraction]]:
         """Outward facet representation ``normal . x <= offset``."""
-        pts = self.polygon()
-        out = []
-        n = len(pts)
-        for i in range(n):
-            a, b = pts[i], pts[(i + 1) % n]
-            d = b - a
-            normal = Rational2(d.x2, -d.x1)  # outward for a CCW cycle
-            out.append((normal, normal.dot(a)))
-        return out
+        v, facets = self._facets
+        return [(Rational2(Fraction(n1, v), Fraction(n2, v)), Fraction(c, v * v)) for n1, n2, c in facets]
+
+    @cached_property
+    def _facets(self) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+        """The facets in integers, built on first use (a body never changes
+        after construction): ``(v, ((n1, n2, c), ...))`` with ``v`` the common
+        denominator of the vertices, so that facet ``normal . x <= offset``
+        is ``(n1, n2) . (v x) <= c`` with ``(n1, n2) = v normal``."""
+        v, ints = over_common_denominator([c for p in self.polygon() for c in (p.x1, p.x2)])
+        pts = list(zip(ints[::2], ints[1::2]))
+        facets = []
+        for (a1, a2), (b1, b2) in zip(pts, pts[1:] + pts[:1]):
+            n1, n2 = b2 - a2, a1 - b1  # outward for a CCW cycle
+            facets.append((n1, n2, n1 * a1 + n2 * a2))
+        return v, tuple(facets)
 
     def contains_interior(self, f: Rational2) -> bool:
-        return all(n.dot(f) < beta for n, beta in self.facets())
+        v, facets = self._facets
+        d, (x1, x2) = over_common_denominator((f.x1, f.x2))
+        return all(v * (n1 * x1 + n2 * x2) < c * d for n1, n2, c in facets)
 
 
 class SplitBody(LatticeFreeBody):
@@ -482,11 +497,6 @@ def lattice_width(body: LatticeFreeBody) -> Fraction:
     raise TypeError(f"unsupported body {body!r}")
 
 
-def directional_width(pts: Sequence[Rational2], u: Rational2) -> Fraction:
-    vals = [u.dot(p) for p in pts]
-    return max(vals) - min(vals)
-
-
 def primitive_directions(radius: int) -> Iterator[tuple[int, int]]:
     """Primitive integer directions with max-norm <= radius, one of each
     pair +-u: ``u1 >= 0``, and ``u2 > 0`` when ``u1 = 0``."""
@@ -494,15 +504,6 @@ def primitive_directions(radius: int) -> Iterator[tuple[int, int]]:
         for u2 in range(-radius, radius + 1):
             if (u1 > 0 or u2 > 0) and gcd(u1, u2) == 1:
                 yield u1, u2
-
-
-def lattice_width_enumerated(body: LatticeFreeBody, radius: int = 10) -> Fraction:
-    """Brute-force width: minimum over primitive directions with max-norm <= radius."""
-    if isinstance(body, SplitBody):
-        # the only directions of finite width are multiples of the normal
-        return Fraction(1)
-    pts = body.polygon()
-    return min((directional_width(pts, point(*u)) for u in primitive_directions(radius)), default=None)
 
 
 def gauge(body: LatticeFreeBody, f: Rational2, r: Rational2) -> Fraction:

@@ -1,13 +1,20 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+import os
 from fractions import Fraction as F
 from itertools import combinations
 from math import ceil, floor
 
 import pytest
+from hypothesis import assume, settings
+from hypothesis import strategies as st
 
 from cutstrength import QuadBody, Type1Body, Type2Body, Type3Body, point
-from cutstrength.geometry import clip_halfplane, contains, polygon_area
+from cutstrength.geometry import clip_halfplane, contains, polygon_area, primitive_directions
+
+# CI runs with HYPOTHESIS_PROFILE=ci: the same examples on every run, no deadline
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture
@@ -47,6 +54,20 @@ def lattice_points_oracle(pts):
             elif contains(pts, point(x, y)):
                 boundary.add((x, y))
     return boundary, interior
+
+
+def directional_width(pts, u):
+    vals = [u.dot(p) for p in pts]
+    return max(vals) - min(vals)
+
+
+def lattice_width_enumerated(body, radius=10):
+    """Brute-force lattice width of a bounded body: the minimum width over
+    the primitive directions with max-norm <= radius."""
+    if radius < 1:
+        raise ValueError(f"need radius >= 1, got {radius}")
+    pts = body.polygon()
+    return min(directional_width(pts, point(*u)) for u in primitive_directions(radius))
 
 
 def _solve_square(a, b):
@@ -143,3 +164,60 @@ def random_interior_point(body, rng, denominator=512):
         f = point(x1, x2)
         if body.contains_interior(f):
             return f
+
+
+def _inside(lo, hi, max_denominator=60):
+    """Rationals strictly between lo and hi: ``lo + (hi - lo) k / q`` with
+    ``0 < k < q <= max_denominator``."""
+    return st.integers(2, max_denominator).flatmap(
+        lambda q: st.integers(1, q - 1).map(lambda k: lo + (hi - lo) * F(k, q))
+    )
+
+
+@st.composite
+def any_body(draw):
+    """A valid body of any bounded family, with parameters over the whole
+    domain (w near 1 and at 2, flat and tall type-2 apexes, a1 = b1 quads)."""
+    family = draw(st.sampled_from(("type1", "type2", "quad", "t3")))
+    if family == "type1":
+        return Type1Body()
+    if family == "type2":
+        a2 = draw(st.one_of(_inside(1, 3), _inside(3, 60), st.just(F(2))))
+        return Type2Body(draw(_inside(0, 1)), a2)
+    try:
+        if family == "quad":
+            a1 = draw(_inside(0, 1))
+            b1 = a1 + (1 - a1) * draw(st.one_of(st.just(0), _inside(0, 1, 12)))
+            a2 = draw(st.one_of(_inside(1, 2), _inside(2, 4)))
+            return QuadBody(a1, a2, b1, -(a2 - 1) * draw(_inside(0, 1, 12)))
+        a1, a2 = draw(_inside(1, 6)), draw(_inside(0, 1))
+        # b1 < a2 / (a1 - 1 + a2) is b1 + b2 < 0
+        return Type3Body(a1, a2, a2 / (a1 - 1 + a2) * draw(_inside(0, 1, 12)))
+    except ValueError:
+        assume(False)
+
+
+@st.composite
+def root_vertex(draw, body, max_denominator=60):
+    """A point strictly inside ``body`` whose coordinates have denominators
+    up to ``max_denominator``, often on a lattice line x1 = k or x2 = k.
+
+    One coordinate is drawn first, strictly inside the body's range of it;
+    the other strictly inside the chord of the body on that line."""
+    pts = [p.as_tuple() for p in body.polygon()]
+    axis = draw(st.sampled_from((0, 1)))
+    q = draw(st.one_of(st.just(1), st.integers(2, max_denominator)))
+    ts = [p[axis] for p in pts]
+    t = F(draw(st.integers(floor(min(ts) * q) + 1, ceil(max(ts) * q) - 1)), q)
+    ends = [
+        a[1 - axis] + (t - a[axis]) * (b[1 - axis] - a[1 - axis]) / (b[axis] - a[axis])
+        for a, b in zip(pts, pts[1:] + pts[:1])
+        if min(a[axis], b[axis]) <= t <= max(a[axis], b[axis])
+    ]
+    q = draw(st.integers(1, max_denominator))
+    lo, hi = floor(min(ends) * q) + 1, ceil(max(ends) * q) - 1
+    assume(lo <= hi)
+    s = F(draw(st.integers(lo, hi)), q)
+    f = point(t, s) if axis == 0 else point(s, t)
+    assert body.contains_interior(f)
+    return f

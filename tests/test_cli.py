@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutstrength.cli import USAGE_ERROR, VALIDATION_ERROR, run
 from cutstrength.descriptors import (
@@ -11,7 +15,9 @@ from cutstrength.descriptors import (
     parse_pair,
     parse_rational,
 )
-from cutstrength import QuadBody, SplitBody, Type2Body, point
+from cutstrength import QuadBody, SplitBody, Type2Body, bound_for, point, strength_report
+
+from conftest import any_body, root_vertex
 
 
 T2_DESC = '{"type":"type2","a":["1/2","3/2"]}'
@@ -181,6 +187,14 @@ class TestExitCodes:
         assert code == VALIDATION_ERROR
         assert err.startswith("error:")
 
+    def test_validation_error_star(self, capsys):
+        # a five-point star turns the same way at every vertex but winds twice
+        star = '{"vertices":[["0","3"],["-2","-2"],["3","1"],["-3","1"],["2","-2"]]}'
+        code, out, err = invoke(capsys, "classify", "--body", star)
+        assert code == VALIDATION_ERROR
+        assert out == ""
+        assert "not strictly convex" in err
+
     def test_validation_error_bad_rational(self, capsys):
         code, _, _ = invoke(capsys, "bound", "--body", T2_DESC, "--z", "1.5")
         assert code == VALIDATION_ERROR
@@ -206,6 +220,84 @@ class TestExitCodes:
         code, _, err = invoke(capsys, *argv)
         assert code == VALIDATION_ERROR
         assert "samples" in err
+
+
+class TestWholeDomain:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_only_validation_errors(self, data):
+        # valid bodies of every family and root vertices on and off lattice
+        # lines: the library raises nothing but ValueError, so the CLI's
+        # except clause needs no other arithmetic error
+        body = data.draw(any_body())
+        f = data.draw(root_vertex(body))
+        z = data.draw(st.fractions(1, 12, max_denominator=60).filter(lambda z: z > 1))
+        for n in (1, 2, 3):
+            try:
+                strength_report(body, f, n)
+            except ValueError:
+                pass
+        try:
+            bound_for(body, z)
+        except ValueError:
+            pass
+        desc = json.dumps(body_to_dict(body))
+        argvs = [
+            ["strength", "--body", desc, "--f", json.dumps([str(f.x1), str(f.x2)]), "--N", "3"],
+            ["bound", "--body", desc, "--z", str(z)],
+        ]
+        for argv in argvs:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert run(argv) in (0, VALIDATION_ERROR)
+
+
+FIXTURE_DESC = {
+    "type1": '{"type":"type1"}',
+    "type2": T2_DESC,
+    "quad": '{"type":"quad","a":["2/5","3/2"],"b":["3/5","-3/10"]}',
+    "t3": '{"type":"type3","a":["3","3/10"],"b1":"1/10"}',
+}
+
+# (fixture, f, region, chosen split, t_bar, t_N for N = 1, 5, 6), recorded
+# with the Fraction simplex, at interior points and on lattice lines x1 = k or x2 = k
+STRENGTH_GOLDEN = [
+    ("type1", ("3/5", "3/5"), "R1", None, "2", ("2", "2", "2")),
+    ("type1", ("1/5", "1/5"), "R2", None, "13/8", ("13/8", "13/8", "13/8")),
+    ("type1", ("3/2", "1/4"), "R4", None, "5/3", ("5/3", "5/3", "5/3")),
+    ("type1", ("1/2", "1"), "R1", None, "2", ("2", "2", "2")),
+    ("type1", ("1", "1/3"), "R1", None, "2", ("2", "2", "2")),
+    ("type2", ("1/4", "1/2"), "R1", (0, 1), "2", ("5/3", "5/3", "5/3")),
+    ("type2", ("-1/4", "1/4"), "R3", (0, 1), "5/3", ("11/7", "23/15", "23/15")),
+    ("type2", ("1/4", "1"), "R5", (1, 0), "5", ("3", "3", "3")),
+    ("type2", ("0", "1/2"), "R1", (0, 1), "2", ("9/5", "9/5", "9/5")),
+    ("type2", ("3/7", "9/11"), "R1", (0, 1), "15/4", ("87/43", "87/43", "87/43")),
+    ("quad", ("1/3", "2/5"), "R2", (0, 1), "11/6", ("44681/36593", "44681/36593", "44681/36593")),
+    ("quad", ("7/10", "3/4"), "R2", (0, 1), "3", ("108/67", "108/67", "108/67")),
+    ("quad", ("1/2", "1"), "R4", (1, 0), "43/19", ("73/33", "73/33", "73/33")),
+    ("quad", ("1", "1/2"), "R2", (0, 1), "2", ("44/25", "44/25", "44/25")),
+    ("quad", ("5/11", "-1/9"), "R3", (1, 0), "79/35", ("91446221/42705452", "433447/220399", "433447/220399")),
+    ("t3", ("1", "1/4"), "R1", (0, 1), "77/50", ("37561/25482", "37561/25482", "37561/25482")),
+    ("t3", ("1/3", "1/5"), "R1", (0, 1), "67/40", ("22941/15713", "22941/15713", "22941/15713")),
+    ("t3", ("1/2", "0"), "R4", (1, 0), "5", ("1537/337", "1537/337", "1537/337")),
+    ("t3", ("1", "1/3"), "R1", (0, 1), "281/200", ("44575/32167", "44575/32167", "44575/32167")),
+    ("t3", ("21/268", "-156951/3430400"), "R3", (1, 0), "87/7",
+     ("542724581895/164309816839", "9850611792561/3104769642161", "56303658137/17984387801")),
+]
+
+
+class TestStrengthGolden:
+    @pytest.mark.parametrize("fixture, f, region, split, t_bar, t_n", STRENGTH_GOLDEN)
+    def test_stdout(self, capsys, fixture, f, region, split, t_bar, t_n):
+        normal = "null" if split is None else f"[{split[0]}, {split[1]}]"
+        for n, value in zip((1, 5, 6), t_n):
+            code, out, _ = invoke(
+                capsys, "strength", "--body", FIXTURE_DESC[fixture], "--f", json.dumps(f), "--N", str(n)
+            )
+            assert code == 0
+            assert out == (
+                f'{{"region": "{region}", "chosen_split_normal": {normal}, '
+                f'"t_bar": "{t_bar}", "t_n": "{value}", "n": {n}}}\n'
+            )
 
 
 class TestDeterminism:

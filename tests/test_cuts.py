@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 from math import ceil, floor, inf
+from operator import le
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +32,7 @@ from cutstrength import (
 from cutstrength.cli import run
 from cutstrength.geometry import contains
 
-from conftest import covering_lp_oracle, random_interior_point
+from conftest import any_body, covering_lp_oracle, random_interior_point, root_vertex
 
 
 def grid_bodies():
@@ -113,6 +114,19 @@ class TestCoveringLp:
         value, arg = covering_lp_min([(F(1), F(0)), (F(0), F(1))], 2)
         assert value == F(2)
         assert list(arg) == [F(1), F(1)]
+
+    def test_argmin_of_tied_optima(self):
+        # each LP has more than one optimal argmin; the one returned depends
+        # on the order in which the minimal rows enter the simplex (recorded
+        # with the Fraction simplex)
+        cases = [
+            ([(1, F(5, 2)), (1, 1)], (F(1), F(0))),
+            ([(1, 1), (F(5, 4), F(7, 2))], (F(1), F(0))),
+            ([(0, 1, 2), (1, F(3, 4), F(1, 2))], (F(3, 4), F(0), F(1, 2))),
+            ([(0, 0, F(5, 3)), (1, 0, 1)], (F(0), F(0), F(1))),
+        ]
+        for rows, argmin in cases:
+            assert covering_lp_min([tuple(map(F, row)) for row in rows], len(argmin))[1] == argmin
 
     def test_uncoverable_row(self):
         value, arg = covering_lp_min([(F(0), F(0))], 2)
@@ -344,6 +358,25 @@ class TestClosureApprox:
                 assert lo <= hi
             assert all(v >= 1 for v in values)
             assert values[-1] <= rep.t_bar
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_property_against_fraction_reference(self, data):
+        # t_N from the integer kernel against Fraction split rows, each
+        # checked against the split's gauge, and the enumeration oracle;
+        # dominated rows are dropped first, which leaves the LP's value
+        body = data.draw(any_body())
+        f = data.draw(root_vertex(body))
+        rays = corner_rays(body, f)
+        for n in range(1, 5):
+            rows = set()
+            for normal in admissible_normals(f, n):
+                cut = split_coefficients(normal, f, rays)
+                band = SplitBody(normal, cut.offset)
+                assert list(cut.coefficients) == [gauge(band, f, r) for r in rays]
+                rows.add(cut.coefficients)
+            minimal = [r for r in rows if not any(o != r and all(map(le, o, r)) for o in rows)]
+            assert strength_split_closure_approx(body, f, n) == 1 / covering_lp_oracle(minimal, len(rays))
 
     def test_indicator_domination(self):
         rng = random.Random(23)

@@ -20,12 +20,11 @@ from cutstrength import (
     corner_rays,
     gauge,
     lattice_width,
-    lattice_width_enumerated,
     point,
 )
 from cutstrength.geometry import _ccw, _edge_points, _row_meets_interior, is_strictly_convex, polygon_area
 
-from conftest import lattice_points_oracle, random_interior_point
+from conftest import lattice_points_oracle, lattice_width_enumerated, random_interior_point
 
 
 def grid_bodies():
@@ -161,10 +160,11 @@ class TestClassify:
     def test_five_vertices_not_maximal(self):
         pentagon = [point(0, 3), point(-3, 1), point(-2, -2), point(2, -2), point(3, 1)]
         assert classify(pentagon) is BodyClass.NOT_MAXIMAL_LATTICE_FREE
-        # the star passes the turn-sign test; its edge from (-3,1) to (3,1)
-        # lies on a row between its lowest and highest vertex
+        # the star turns the same way at every vertex but winds twice
         star = pentagon[::2] + pentagon[1::2]
-        assert classify(star) is BodyClass.NOT_MAXIMAL_LATTICE_FREE
+        for cycle in (star, star[::-1]):
+            with pytest.raises(ValueError, match="not strictly convex"):
+                classify(cycle)
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
@@ -174,6 +174,19 @@ class TestClassify:
         verts = [point(0, 0), point(2, 0), point(1, F(1, 4)), point(0, 2)]
         with pytest.raises(ValueError):
             classify(verts)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.permutations(range(7)))
+    @example([0, 2, 4, 6, 1, 3, 5])
+    @example([0, 3, 6, 2, 5, 1, 4])
+    @example([6, 4, 2, 0, 5, 3, 1])
+    def test_strictly_convex_only_in_cyclic_order(self, order):
+        # seven points in convex position: strictly convex in their cyclic
+        # order, either way round and from any start, and in no other order;
+        # the star orders turn the same way at every vertex but wind 2 or 3 times
+        hull = [point(x, x * x) for x in range(-3, 4)]
+        steps = {(j - i) % 7 for i, j in zip(order, order[1:] + order[:1])}
+        assert is_strictly_convex([hull[i] for i in order]) == (steps in ({1}, {6}))
 
 
 _COORD = st.integers(1, 6).flatmap(lambda q: st.integers(-3 * q, 3 * q).map(lambda p: F(p, q)))
@@ -215,6 +228,11 @@ class TestLatticeWidth:
     def test_closed_form_equals_enumeration(self):
         for body in grid_bodies():
             assert lattice_width(body) == lattice_width_enumerated(body)
+
+    def test_enumeration_oracle_needs_a_direction(self, t1_body):
+        for radius in (0, -1):
+            with pytest.raises(ValueError):
+                lattice_width_enumerated(t1_body, radius)
 
     def test_type2_width_range(self):
         for a2_num in range(101, 300, 13):
