@@ -3,7 +3,8 @@
 The strength of adding a body's cut on top of split cuts is always the
 reciprocal of a small covering LP over the corner rays (scaled to gauge 1):
 
-* one split row  -> the single-split value ``t_bar``,
+* one split row  -> the single-split value ``t_bar``, which for one row is
+  just the row's largest coefficient,
 * all primitive normals up to a max-norm radius -> the finite split-closure
   approximation ``t_N`` (an upper bound on the true closure strength, and
   nonincreasing in N).
@@ -14,7 +15,7 @@ For every non-split body the region table gives ``t_bar`` in closed form;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
 from math import gcd, inf, lcm
@@ -349,21 +350,25 @@ def region_area(pieces: Sequence[Sequence[Rational2]]) -> Fraction:
     return sum((polygon_area(p) for p in pieces), Fraction(0))
 
 
-def region_of(body: LatticeFreeBody, f: Rational2) -> RegionId:
-    """The first region of ``region_spec(body)`` that :func:`_matches` ``f``:
-    boundary points go to the smallest-index adjacent region whose split
-    contains ``f`` strictly."""
+def _region(body: LatticeFreeBody, f: Rational2) -> tuple[int, Region]:
+    """The index and the entry of the first region of ``region_spec(body)``
+    that :func:`_matches` ``f``, from one projection of ``f`` per normal."""
     if isinstance(body, SplitBody):
         raise ValueError("splits have no region decomposition")
     if not body.contains_interior(f):
         raise ValueError(f"root vertex {f} is not strictly interior to {body!r}")
-    def dot(n):
-        return _dot(n, f)
-
+    proj = {n: _dot(n, f) for n in (_X1, _X2, _S)}
     for i, region in enumerate(region_spec(body), start=1):
-        if _matches(region, dot, lambda n: dot(n).denominator != 1):
-            return RegionId(body.tag, i)
+        if _matches(region, proj.__getitem__, lambda n: proj[n].denominator != 1):
+            return i, region
     raise ValueError(f"no region of {body!r} has a split containing f = {f} strictly")
+
+
+def region_of(body: LatticeFreeBody, f: Rational2) -> RegionId:
+    """The first region of ``region_spec(body)`` that :func:`_matches` ``f``:
+    boundary points go to the smallest-index adjacent region whose split
+    contains ``f`` strictly."""
+    return RegionId(body.tag, _region(body, f)[0])
 
 
 def chosen_split(body: LatticeFreeBody, region: RegionId) -> tuple[int, int]:
@@ -382,30 +387,27 @@ def chosen_split(body: LatticeFreeBody, region: RegionId) -> tuple[int, int]:
 def strength_single_split(body: LatticeFreeBody, f: Rational2) -> StrengthReport:
     """Single-split strength ``t_bar`` at ``f`` for the split of ``f``'s
     region: region-table closed form, cross-checked exactly against the
-    one-row covering-LP reciprocal.  Each region uses the split of the
-    paper's bounds, which is not always the best single split at ``f``.
+    split's largest coefficient at the corner rays, which is the reciprocal
+    of the one-row covering LP ``min{sum(s) : c . s >= 1, s >= 0}``.  Each
+    region uses the split of the paper's bounds, which is not always the best
+    single split at ``f``.
 
     For the type 1 triangle the full split closure is generated by the three
     facet normals, so the exact closure strength is reported instead and no
     single split is singled out.
     """
-    region = region_of(body, f)
-    rays = corner_rays(body, f)
-    entry = region_spec(body)[region.index - 1]
-    normal = entry.split
-    if normal is None:
-        t_lp = strength_split_closure_approx(body, f, 1)
+    index, region = _region(body, f)
+    if region.split is None:
+        t_check = strength_split_closure_approx(body, f, 1)
     else:
-        cut = split_coefficients(normal, f, rays)
-        value, _ = covering_lp_min([cut.coefficients], len(rays))
-        t_lp = 1 / value
-    t_table = entry.t_bar(f)
-    if t_table != t_lp:
+        t_check = max(split_coefficients(region.split, f, corner_rays(body, f)).coefficients)
+    t_table = region.t_bar(f)
+    if t_table != t_check:
         raise AssertionError(
-            f"strength table value {t_table} disagrees with the covering-LP value {t_lp} "
-            f"for {body!r}, f={f}, region {region}"
+            f"strength table value {t_table} disagrees with the split-coefficient value {t_check} "
+            f"for {body!r}, f={f}, region R{index}"
         )
-    return StrengthReport(region=region, chosen_split_normal=normal, t_bar=t_table)
+    return StrengthReport(region=RegionId(body.tag, index), chosen_split_normal=region.split, t_bar=t_table)
 
 
 def admissible_normals(f: Rational2, n: int) -> list[tuple[int, int]]:
@@ -433,12 +435,4 @@ def strength_split_closure_approx(body: LatticeFreeBody, f: Rational2, n: int) -
 
 def strength_report(body: LatticeFreeBody, f: Rational2, n: int = 5) -> StrengthReport:
     """Full report: region, chosen split, single-split t_bar, and t_N."""
-    base = strength_single_split(body, f)
-    t_n = strength_split_closure_approx(body, f, n)
-    return StrengthReport(
-        region=base.region,
-        chosen_split_normal=base.chosen_split_normal,
-        t_bar=base.t_bar,
-        t_n=t_n,
-        n=n,
-    )
+    return replace(strength_single_split(body, f), t_n=strength_split_closure_approx(body, f, n), n=n)

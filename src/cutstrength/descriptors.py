@@ -79,15 +79,20 @@ def parse_body(descriptor):
         return QuadBody(a.x1, a.x2, b.x1, b.x2)
     if kind == "split":
         normal = _require(descriptor, "normal")
-        if not isinstance(normal, list) or len(normal) != 2 or not all(isinstance(v, int) for v in normal):
+        if not isinstance(normal, list) or len(normal) != 2 or not all(map(_is_int, normal)):
             raise ValueError(f"split normal must be an integer pair, got {normal!r}")
         offset = descriptor.get("offset", 0)
-        if not isinstance(offset, int):
+        if not _is_int(offset):
             raise ValueError(f"split offset must be an integer, got {offset!r}")
         return SplitBody(tuple(normal), offset)
     raise ValueError(
         f"unknown body type {kind!r}; expected type1, type2, type3, quad, split, or a vertices list"
     )
+
+
+def _is_int(value) -> bool:
+    """Whether a JSON value is an integer; ``true`` and ``false`` are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _require(descriptor: dict, key: str):

@@ -20,7 +20,6 @@ Type3 = (a, b, c); Quad = (a, b, c, d) with a top, b bottom, c left, d right.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -38,16 +37,15 @@ def _frac(value: Rat) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rational2:
-    """Exact rational 2-vector; the coordinate type for all geometry."""
+    """Exact rational 2-vector; the coordinate type for all geometry.
+
+    The constructor takes its coordinates as they are: build points from
+    outside input with :func:`point`, which coerces and rejects floats."""
 
     x1: Fraction
     x2: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "x1", _frac(self.x1))
-        object.__setattr__(self, "x2", _frac(self.x2))
 
     def __add__(self, other: "Rational2") -> "Rational2":
         return Rational2(self.x1 + other.x1, self.x2 + other.x2)
@@ -84,6 +82,7 @@ class Rational2:
 
 
 def point(x1: Rat, x2: Rat) -> Rational2:
+    """The exact point ``(x1, x2)`` from ints, Fractions or "p/q" strings."""
     return Rational2(_frac(x1), _frac(x2))
 
 
@@ -617,10 +616,15 @@ def canonicalize(obj: Union[SplitBody, Sequence[Rational2]]) -> tuple[LatticeFre
     Every canonical bounded body has (0,0), (1,0) and (0,1) on its boundary,
     so a map onto one sends some boundary lattice points q0, q1, q2 of the
     input there, and these fix it: the matrix ``M`` inverts
-    ``[q1 - q0 | q2 - q0]`` and the translation is ``-M q0``.  Of the maps
-    that match, the one with the least ``(max |m|, sum |m|, m != I, m)`` is
-    returned, so a canonical input gets the identity.  Applying the returned
-    map to the input reproduces the canonical body's vertices exactly.
+    ``[q1 - q0 | q2 - q0]`` and the translation is ``-M q0``.  (0,0) and
+    (1,0) are neighbours in the cycle of a canonical body's boundary lattice
+    points, and a unimodular map keeps that cycle, so q1 is a cycle neighbour
+    of q0; the q2 come from indexing the cycle by ``det(q1 - q0, q)``, once
+    per direction.  The candidates are thus linear in the boundary lattice
+    points.  Of the maps that match, the one with the least
+    ``(max |m|, sum |m|, m != I, m)`` is returned, so a canonical input gets
+    the identity.  Applying the returned map to the input reproduces the
+    canonical body's vertices exactly.
     """
     if isinstance(obj, SplitBody):
         n1, n2 = obj.normal
@@ -638,21 +642,35 @@ def canonicalize(obj: Union[SplitBody, Sequence[Rational2]]) -> tuple[LatticeFre
     if cls is BodyClass.NOT_MAXIMAL_LATTICE_FREE:
         raise ValueError("input polygon is not maximal lattice-free")
     pts = list(obj)
-    boundary = {q for a, b in zip(pts, pts[1:] + pts[:1]) for q in _edge_points(a, b)}
+    # the boundary lattice points in cycle order, each edge walked from its
+    # start; an integral vertex ends one walk and starts the next
+    cycle: list[tuple[int, int]] = []
+    for a, b in zip(pts, pts[1:] + pts[:1]):
+        walk = _edge_points(a, b)
+        if (a.x2, a.x1) > (b.x2, b.x1):
+            walk.reverse()
+        cycle += walk[1:] if cycle and walk and walk[0] == cycle[-1] else walk
+    if cycle[0] == cycle[-1]:
+        cycle.pop()
+    levels: dict[tuple[int, int], dict[int, list[tuple[int, int]]]] = {}
     candidates = []
-    for (x0, y0), (x1, y1) in itertools.permutations(boundary, 2):
-        u1, u2 = x1 - x0, y1 - y0
-        # q1 - q0 goes to (1,0), so it is primitive; pruning here keeps the
-        # many collinear base points of flat type-2 bodies from going cubic
-        if gcd(u1, u2) != 1:
-            continue
-        for x2, y2 in boundary:
-            v1, v2 = x2 - x0, y2 - y0
-            d = u1 * v2 - u2 * v1
-            if abs(d) == 1:
-                m = (d * v2, -d * v1, -d * u2, d * u1)
-                key = (max(map(abs, m)), sum(map(abs, m)), m != (1, 0, 0, 1), m)
-                candidates.append((key, (x0, y0)))
+    for i, (x0, y0) in enumerate(cycle):
+        for x1, y1 in {cycle[i - 1], cycle[(i + 1) % len(cycle)]}:
+            u1, u2 = x1 - x0, y1 - y0
+            # q1 - q0 goes to (1,0), so it is primitive
+            if gcd(u1, u2) != 1:
+                continue
+            if (u1, u2) not in levels:
+                level = levels[u1, u2] = {}
+                for x, y in cycle:
+                    level.setdefault(u1 * y - u2 * x, []).append((x, y))
+            for d in (1, -1):
+                # the q2 with det(q1 - q0, q2 - q0) = d
+                for x2, y2 in levels[u1, u2].get(u1 * y0 - u2 * x0 + d, ()):
+                    v1, v2 = x2 - x0, y2 - y0
+                    m = (d * v2, -d * v1, -d * u2, d * u1)
+                    key = (max(map(abs, m)), sum(map(abs, m)), m != (1, 0, 0, 1), m)
+                    candidates.append((key, (x0, y0)))
     for (*_, m), (x0, y0) in sorted(candidates):
         umap = UnimodularMap(*m, -(m[0] * x0 + m[1] * y0), -(m[2] * x0 + m[3] * y0))
         body = _match_canonical(cls, frozenset(umap.apply(p) for p in pts))

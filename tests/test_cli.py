@@ -195,6 +195,15 @@ class TestExitCodes:
         assert out == ""
         assert "not strictly convex" in err
 
+    @pytest.mark.parametrize("desc, field", [('{"type":"split","normal":[true,false]}', "normal"),
+                                             ('{"type":"split","normal":[0,1],"offset":true}', "offset")])
+    def test_validation_error_boolean_split(self, capsys, desc, field):
+        # a JSON boolean is a Python int, but not an integer of the descriptor
+        code, out, err = invoke(capsys, "classify", "--body", desc)
+        assert code == VALIDATION_ERROR
+        assert out == ""
+        assert f"split {field} must be an integer" in err
+
     def test_validation_error_bad_rational(self, capsys):
         code, _, _ = invoke(capsys, "bound", "--body", T2_DESC, "--z", "1.5")
         assert code == VALIDATION_ERROR

@@ -321,6 +321,25 @@ class TestSingleSplitStrength:
         assert rep.chosen_split_normal is None
         assert rep.t_bar == F(2)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_property_table_against_one_row_lp(self, data):
+        # the one-row covering LP stays the reference for the closed form and
+        # for the largest-coefficient check inside strength_single_split
+        body = data.draw(any_body())
+        f = data.draw(root_vertex(body))
+        rep = strength_single_split(body, f)
+        assert rep.region == region_of(body, f)
+        if isinstance(body, Type1Body):
+            assert rep.chosen_split_normal is None
+            assert rep.t_bar == strength_split_closure_approx(body, f, 1)
+            return
+        assert rep.chosen_split_normal == chosen_split(body, rep.region)
+        rays = corner_rays(body, f)
+        row = split_coefficients(rep.chosen_split_normal, f, rays).coefficients
+        value, _ = covering_lp_min([row], len(rays))
+        assert rep.t_bar == 1 / value
+
     def test_table_matches_lp_on_random_points(self):
         rng = random.Random(17)
         for body in grid_bodies():

@@ -393,6 +393,21 @@ class TestCanonicalize:
             assert body == source
             assert {umap.apply(v) for v in moved} == set(body.vertices())
 
+    def test_flat_type2(self):
+        # about 10,000 base lattice points: the candidate maps are linear in
+        # the boundary lattice points, not quadratic
+        source = Type2Body(F(1, 2), F(10001, 10000))
+        body, umap = canonicalize(source.polygon())
+        assert body == source
+        assert umap == UnimodularMap.identity()
+        # a signed permutation: a shear that fixes the base line would give
+        # the equivalent apex (a1 + k a2 - j, a2) a smaller map
+        m = UnimodularMap(0, -1, 1, 0, -3, 5)
+        moved = [m.apply(v) for v in source.polygon()]
+        body, umap = canonicalize(moved)
+        assert body == source
+        assert {umap.apply(v) for v in moved} == set(body.vertices())
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.sampled_from(range(13)),
