@@ -12,7 +12,7 @@ import json
 import sys
 
 from .bounds import bound_for, special_values
-from .descriptors import format_rational, parse_body, parse_pair, parse_rational
+from .descriptors import format_rational, parse_body, parse_json, parse_pair, parse_rational
 from .cuts import strength_report
 from .geometry import SplitBody, classify, lattice_width
 from .montecarlo import monte_carlo_lower
@@ -22,12 +22,8 @@ USAGE_ERROR = 2
 VALIDATION_ERROR = 3
 
 
-def _body_arg(parser, required=True):
-    parser.add_argument(
-        "--body",
-        required=required,
-        help="JSON body descriptor, inline or @path to a file",
-    )
+def _body_arg(parser):
+    parser.add_argument("--body", required=True, help="JSON body descriptor, inline or @path to a file")
 
 
 def _load_body(raw: str):
@@ -111,7 +107,7 @@ def _run_strength(args) -> str:
     body = _load_body(args.body)
     if isinstance(body, list):
         raise ValueError("strength needs a typed body descriptor, not a vertex list")
-    f = parse_pair(json.loads(args.f))
+    f = parse_pair(parse_json(args.f, "root vertex"))
     if args.N < 1:
         raise ValueError(f"need N >= 1, got {args.N}")
     rep = strength_report(body, f, args.N)
@@ -255,11 +251,10 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_ERROR
     try:
-        text = _RUNNERS[args.command](args)
+        _emit(_RUNNERS[args.command](args), getattr(args, "output", None))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return VALIDATION_ERROR
-    _emit(text, getattr(args, "output", None))
     return 0
 
 

@@ -46,6 +46,17 @@ def parse_pair(value) -> Rational2:
     return point(parse_rational(value[0]), parse_rational(value[1]))
 
 
+def parse_json(text: str, what: str):
+    """Decode JSON text; malformed or too deeply nested input raises a
+    ValueError that names ``what``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed JSON {what}: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"JSON {what} is nested too deeply") from exc
+
+
 def parse_body(descriptor):
     """Build a body, or a raw vertex list, from a JSON descriptor.
 
@@ -53,10 +64,7 @@ def parse_body(descriptor):
     descriptors and a list of Rational2 for {"vertices": ...}.
     """
     if isinstance(descriptor, str):
-        try:
-            descriptor = json.loads(descriptor)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed JSON descriptor: {exc}") from exc
+        descriptor = parse_json(descriptor, "descriptor")
     if not isinstance(descriptor, dict):
         raise ValueError(f"descriptor must be a JSON object, got {descriptor!r}")
     if "vertices" in descriptor:

@@ -20,7 +20,7 @@ Type3 = (a, b, c); Quad = (a, b, c, d) with a top, b bottom, c left, d right.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -112,13 +112,6 @@ def shoelace_area(pts: Sequence[Rational2]) -> Fraction:
     for i in range(n):
         total += pts[i].cross(pts[(i + 1) % n])
     return total / 2
-
-
-def _ccw(pts: Sequence[Rational2]) -> list[Rational2]:
-    pts = list(pts)
-    if shoelace_area(pts) < 0:
-        pts.reverse()
-    return pts
 
 
 def is_strictly_convex(pts: Sequence[Rational2]) -> bool:
@@ -248,17 +241,30 @@ class UnimodularMap:
 
 
 class LatticeFreeBody:
-    """Base for all canonical-form bodies."""
+    """Base for all canonical-form bodies.
+
+    Each family is a dataclass whose fields are its parameters.  Its
+    ``__post_init__`` coerces them with ``_frac``, validates them and fixes
+    the vertices once: ``_vertices`` in the documented corner-ray order and
+    ``_cycle`` counter-clockwise, an orientation that the family's sign
+    constraints decide.  Bodies compare equal by their fields.
+    """
 
     tag: str
+    _vertices: tuple[Rational2, ...]
+    _cycle: tuple[Rational2, ...]
+
+    def __repr__(self):
+        args = ", ".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
+        return f"{type(self).__name__}({args})"
 
     def vertices(self) -> tuple[Rational2, ...]:
         """Vertices in the documented corner-ray order."""
-        raise NotImplementedError
+        return self._vertices
 
     def polygon(self) -> list[Rational2]:
         """Vertices as a counter-clockwise boundary cycle."""
-        return _ccw(self.vertices())
+        return list(self._cycle)
 
     def facets(self) -> list[tuple[Rational2, Fraction]]:
         """Outward facet representation ``normal . x <= offset``."""
@@ -271,7 +277,7 @@ class LatticeFreeBody:
         after construction): ``(v, ((n1, n2, c), ...))`` with ``v`` the common
         denominator of the vertices, so that facet ``normal . x <= offset``
         is ``(n1, n2) . (v x) <= c`` with ``(n1, n2) = v normal``."""
-        v, ints = over_common_denominator([c for p in self.polygon() for c in (p.x1, p.x2)])
+        v, ints = over_common_denominator([c for p in self._cycle for c in (p.x1, p.x2)])
         pts = list(zip(ints[::2], ints[1::2]))
         facets = []
         for (a1, a2), (b1, b2) in zip(pts, pts[1:] + pts[:1]):
@@ -285,17 +291,22 @@ class LatticeFreeBody:
         return all(v * (n1 * x1 + n2 * x2) < c * d for n1, n2, c in facets)
 
 
+@dataclass(repr=False)
 class SplitBody(LatticeFreeBody):
     """The band ``offset <= normal . x <= offset + 1`` with primitive normal."""
 
     tag = "split"
+    normal: tuple[int, int] = (0, 1)
+    offset: int = 0
 
-    def __init__(self, normal: tuple[int, int] = (0, 1), offset: int = 0):
-        n1, n2 = int(normal[0]), int(normal[1])
+    def __post_init__(self):
+        n1, n2 = int(self.normal[0]), int(self.normal[1])
         if (n1, n2) == (0, 0) or gcd(abs(n1), abs(n2)) != 1:
-            raise ValueError(f"split normal must be a primitive integer pair, got {normal}")
+            raise ValueError(f"split normal must be a primitive integer pair, got {self.normal}")
         self.normal = (n1, n2)
-        self.offset = int(offset)
+        self.offset = int(self.offset)
+        # the facets n . x <= offset + 1 and -n . x <= -offset, over v = 1
+        self._facets = (1, ((n1, n2, self.offset + 1), (-n1, -n2, -self.offset)))
 
     def vertices(self):
         raise ValueError("a split is unbounded and has no vertices")
@@ -303,43 +314,25 @@ class SplitBody(LatticeFreeBody):
     def polygon(self):
         raise ValueError("a split is unbounded and has no vertex cycle")
 
-    def facets(self):
-        n = point(self.normal[0], self.normal[1])
-        return [(n, Fraction(self.offset + 1)), (-n, Fraction(-self.offset))]
 
-    def contains_interior(self, f: Rational2) -> bool:
-        v = f.x1 * self.normal[0] + f.x2 * self.normal[1]
-        return self.offset < v < self.offset + 1
-
-    def __repr__(self):
-        return f"SplitBody(normal={self.normal}, offset={self.offset})"
-
-    def __eq__(self, other):
-        return isinstance(other, SplitBody) and (self.normal, self.offset) == (other.normal, other.offset)
-
-
+@dataclass(repr=False)
 class Type1Body(LatticeFreeBody):
     """conv{(0,0), (2,0), (0,2)}: integer vertices, one lattice point per edge."""
 
     tag = "type1"
-
-    def vertices(self):
-        return (point(0, 0), point(2, 0), point(0, 2))
-
-    def __repr__(self):
-        return "Type1Body()"
-
-    def __eq__(self, other):
-        return isinstance(other, Type1Body)
+    _vertices = _cycle = (point(0, 0), point(2, 0), point(0, 2))
 
 
+@dataclass(repr=False)
 class Type2Body(LatticeFreeBody):
     """Apex ``(a1, a2)``, base on the x1-axis; ``0 < a1 < 1 < a2``."""
 
     tag = "type2"
+    a1: Rat
+    a2: Rat
 
-    def __init__(self, a1: Rat, a2: Rat):
-        a1, a2 = _frac(a1), _frac(a2)
+    def __post_init__(self):
+        a1, a2 = _frac(self.a1), _frac(self.a2)
         if not (0 < a1 < 1):
             raise ValueError(f"need 0 < a1 < 1, got a1={a1}")
         if not (a2 > 1):
@@ -348,17 +341,10 @@ class Type2Body(LatticeFreeBody):
         self.left = Rational2(-a1 / (a2 - 1), Fraction(0))
         self.right = Rational2((a2 - a1) / (a2 - 1), Fraction(0))
         self.apex = Rational2(a1, a2)
-
-    def vertices(self):
-        return (self.left, self.right, self.apex)
-
-    def __repr__(self):
-        return f"Type2Body(a1={self.a1}, a2={self.a2})"
-
-    def __eq__(self, other):
-        return isinstance(other, Type2Body) and (self.a1, self.a2) == (other.a1, other.a2)
+        self._vertices = self._cycle = (self.left, self.right, self.apex)
 
 
+@dataclass(repr=False)
 class Type3Body(LatticeFreeBody):
     """Triangle with boundary lattice points exactly {(0,0), (1,0), (0,1)}.
 
@@ -368,9 +354,12 @@ class Type3Body(LatticeFreeBody):
     """
 
     tag = "type3"
+    a1: Rat
+    a2: Rat
+    b1: Rat
 
-    def __init__(self, a1: Rat, a2: Rat, b1: Rat):
-        a1, a2, b1 = _frac(a1), _frac(a2), _frac(b1)
+    def __post_init__(self):
+        a1, a2, b1 = _frac(self.a1), _frac(self.a2), _frac(self.b1)
         if not a1 > 1:
             raise ValueError(f"need a1 > 1, got a1={a1}")
         if not (0 < a2 < 1):
@@ -393,21 +382,14 @@ class Type3Body(LatticeFreeBody):
             )
         self.a1, self.a2, self.b1 = a1, a2, b1
         self.b2, self.c1, self.c2 = b2, c1, c2
-
-    def vertices(self):
-        return (
-            Rational2(self.a1, self.a2),
-            Rational2(self.b1, self.b2),
-            Rational2(self.c1, self.c2),
-        )
-
-    def __repr__(self):
-        return f"Type3Body(a1={self.a1}, a2={self.a2}, b1={self.b1})"
-
-    def __eq__(self, other):
-        return isinstance(other, Type3Body) and (self.a1, self.a2, self.b1) == (other.a1, other.a2, other.b1)
+        a, b, c = Rational2(a1, a2), Rational2(b1, b2), Rational2(c1, c2)
+        self._vertices = (a, b, c)
+        # a lies right of the lattice points, b below and c above left, so
+        # a, b, c turns clockwise
+        self._cycle = (c, b, a)
 
 
+@dataclass(repr=False)
 class QuadBody(LatticeFreeBody):
     """Quadrilateral with one lattice point on each edge.
 
@@ -418,9 +400,13 @@ class QuadBody(LatticeFreeBody):
     """
 
     tag = "quad"
+    a1: Rat
+    a2: Rat
+    b1: Rat
+    b2: Rat
 
-    def __init__(self, a1: Rat, a2: Rat, b1: Rat, b2: Rat):
-        a1, a2, b1, b2 = _frac(a1), _frac(a2), _frac(b1), _frac(b2)
+    def __post_init__(self):
+        a1, a2, b1, b2 = _frac(self.a1), _frac(self.a2), _frac(self.b1), _frac(self.b2)
         if not (0 < a1 <= b1 < 1):
             raise ValueError(f"need 0 < a1 <= b1 < 1, got a1={a1}, b1={b1}")
         if not a2 > 1:
@@ -442,29 +428,9 @@ class QuadBody(LatticeFreeBody):
             )
         self.a1, self.a2, self.b1, self.b2 = a1, a2, b1, b2
         self.c1, self.c2, self.d1, self.d2 = c1, c2, d1, d2
-
-    def vertices(self):
-        return (
-            Rational2(self.a1, self.a2),
-            Rational2(self.b1, self.b2),
-            Rational2(self.c1, self.c2),
-            Rational2(self.d1, self.d2),
-        )
-
-    def polygon(self):
-        a, b, c, d = self.vertices()
-        return [c, b, d, a]
-
-    def __repr__(self):
-        return f"QuadBody(a1={self.a1}, a2={self.a2}, b1={self.b1}, b2={self.b2})"
-
-    def __eq__(self, other):
-        return isinstance(other, QuadBody) and (self.a1, self.a2, self.b1, self.b2) == (
-            other.a1,
-            other.a2,
-            other.b1,
-            other.b2,
-        )
+        a, b, c, d = Rational2(a1, a2), Rational2(b1, b2), Rational2(c1, c2), Rational2(d1, d2)
+        self._vertices = (a, b, c, d)
+        self._cycle = (c, b, d, a)
 
 
 Body = Union[SplitBody, Type1Body, Type2Body, Type3Body, QuadBody]

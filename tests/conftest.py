@@ -10,7 +10,7 @@ from hypothesis import assume, settings
 from hypothesis import strategies as st
 
 from cutstrength import QuadBody, Type1Body, Type2Body, Type3Body, point
-from cutstrength.geometry import clip_halfplane, contains, polygon_area, primitive_directions
+from cutstrength.geometry import clip_halfplane, contains, polygon_area, primitive_directions, shoelace_area
 
 # CI runs with HYPOTHESIS_PROFILE=ci: the same examples on every run, no deadline
 settings.register_profile("ci", derandomize=True, deadline=None)
@@ -40,6 +40,14 @@ def t3_body():
 def clip_area(pieces, normal, offset):
     """Exact area of a region (a tuple of piece polygons) cut by a half-plane."""
     return sum((polygon_area(clip_halfplane(p, normal, offset)) for p in pieces if len(p) >= 3), F(0))
+
+
+def ccw(pts):
+    """The vertex cycle as a list, reversed if it runs clockwise."""
+    pts = list(pts)
+    if shoelace_area(pts) < 0:
+        pts.reverse()
+    return pts
 
 
 def lattice_points_oracle(pts):

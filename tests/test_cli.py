@@ -230,6 +230,34 @@ class TestExitCodes:
         assert code == VALIDATION_ERROR
         assert "samples" in err
 
+    @pytest.mark.parametrize("where", ["--body", "--body @file", "--f"])
+    def test_validation_error_deep_json(self, capsys, tmp_path, where):
+        # nested past the recursion limit, json.loads raises RecursionError
+        deep = "[" * 100000
+        path = tmp_path / "body.json"
+        path.write_text(deep, encoding="utf-8")
+        body, f = {
+            "--body": (deep, '["1/2","1/2"]'),
+            "--body @file": (f"@{path}", '["1/2","1/2"]'),
+            "--f": ('{"type":"type1"}', deep),
+        }[where]
+        code, out, err = invoke(capsys, "strength", "--body", body, "--f", f)
+        assert code == VALIDATION_ERROR
+        assert out == ""
+        assert "nested too deeply" in err
+
+    @pytest.mark.parametrize(
+        "argv, output",
+        [(("sweep", "--family", "t2", "--z", "2"), "missing/x.csv"), (("plotdata", "--curve", "z2"), ".")],
+        ids=["missing-directory", "directory"],
+    )
+    def test_validation_error_unwritable_output(self, capsys, tmp_path, argv, output):
+        # a file in a missing directory, and a directory in place of the file
+        code, out, err = invoke(capsys, *argv, "--output", str(tmp_path / output))
+        assert code == VALIDATION_ERROR
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestWholeDomain:
     @settings(max_examples=150, deadline=None)

@@ -22,9 +22,15 @@ from cutstrength import (
     lattice_width,
     point,
 )
-from cutstrength.geometry import _ccw, _edge_points, _row_meets_interior, is_strictly_convex, polygon_area
+from cutstrength.geometry import (
+    _edge_points,
+    _row_meets_interior,
+    is_strictly_convex,
+    polygon_area,
+    shoelace_area,
+)
 
-from conftest import lattice_points_oracle, lattice_width_enumerated, random_interior_point
+from conftest import any_body, ccw, lattice_points_oracle, lattice_width_enumerated, random_interior_point
 
 
 def grid_bodies():
@@ -127,6 +133,63 @@ class TestConstruction:
             SplitBody((2, 4), 0)
 
 
+class TestBodyModel:
+    @settings(max_examples=200, deadline=None)
+    @given(any_body())
+    def test_vertex_cycle(self, body):
+        cycle, vertices = body.polygon(), body.vertices()
+        assert shoelace_area(cycle) > 0
+        assert is_strictly_convex(cycle)
+        assert len(cycle) == len(vertices) and set(cycle) == set(vertices)
+        # the documented corner-ray order: a first for type 3 and quad, the
+        # apex last (after the left and right base vertices) for type 2
+        if isinstance(body, (Type3Body, QuadBody)):
+            assert vertices[0] == point(body.a1, body.a2)
+        elif isinstance(body, Type2Body):
+            assert vertices[2] == body.apex == point(body.a1, body.a2)
+
+    @pytest.mark.parametrize(
+        "body, text",
+        [
+            (SplitBody(), "SplitBody(normal=(0, 1), offset=0)"),
+            (SplitBody((2, 3), -1), "SplitBody(normal=(2, 3), offset=-1)"),
+            (Type1Body(), "Type1Body()"),
+            (Type2Body(F(1, 2), F(3, 2)), "Type2Body(a1=1/2, a2=3/2)"),
+            (Type3Body(F(3), F(3, 10), F(1, 10)), "Type3Body(a1=3, a2=3/10, b1=1/10)"),
+            (QuadBody(F(2, 5), F(3, 2), F(3, 5), F(-3, 10)), "QuadBody(a1=2/5, a2=3/2, b1=3/5, b2=-3/10)"),
+        ],
+    )
+    def test_repr(self, body, text):
+        assert repr(body) == text
+
+    def test_strings_equal_fractions(self, t2_body, t3_body, quad_body):
+        from_strings = [
+            Type2Body("1/2", "3/2"),
+            Type3Body("3", "3/10", "1/10"),
+            QuadBody("2/5", "3/2", "3/5", "-3/10"),
+        ]
+        assert from_strings == [t2_body, t3_body, quad_body]
+        assert all(isinstance(v, F) for body in from_strings for v in (body.a1, body.a2))
+        assert Type2Body("1/2", "5/2") != t2_body
+        assert SplitBody([2, 3], -1) == SplitBody((2, 3), -1) != SplitBody((2, 3), 0)
+        assert Type1Body() == Type1Body() != t2_body
+
+    @pytest.mark.parametrize(
+        "normal, offset, across, along",
+        [((0, 1), 0, (0, 1), (1, 0)), ((2, 3), -1, (-1, 1), (3, -2)), ((-5, 7), 4, (4, 3), (7, 5))],
+    )
+    def test_split_band(self, normal, offset, across, along):
+        # n . across = 1 and n . along = 0, so x = t across + k along has n . x = t
+        band = SplitBody(normal, offset)
+        n = point(*normal)
+        assert band.facets() == [(n, F(offset + 1)), (-n, F(-offset))]
+        for k in range(-2, 3):
+            for q in range(-8, 13):
+                t = offset + F(q, 4)
+                x = point(*across) * t + point(*along) * k
+                assert band.contains_interior(x) == (offset < t < offset + 1)
+
+
 class TestClassify:
     def test_split_band(self):
         assert classify(SplitBody((0, 1), 0)) is BodyClass.SPLIT
@@ -202,7 +265,7 @@ class TestLatticePoints:
         # the helpers get the cycle as drawn, in either orientation
         pts = [point(*c) for c in coords]
         assume(is_strictly_convex(pts))
-        boundary, interior = lattice_points_oracle(_ccw(pts))
+        boundary, interior = lattice_points_oracle(ccw(pts))
         edges = list(zip(pts, pts[1:] + pts[:1]))
         assert {q for a, b in edges for q in _edge_points(a, b)} == boundary
         for a, b in edges:
