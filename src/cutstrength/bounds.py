@@ -22,6 +22,68 @@ from typing import Callable
 from .geometry import QuadBody, Rat, Rational2, Type1Body, Type2Body, Type3Body, _frac, area, lattice_width
 
 
+class _Ratio:
+    """An unreduced rational ``numerator / denominator`` with a positive
+    denominator, for evaluating the bound pieces.
+
+    Each operation is a few integer products and no gcd, so a bound costs one
+    reduction, in :meth:`PiecewiseBound.__call__`.  It works against ints,
+    Fractions and itself, all of which carry ``numerator`` and
+    ``denominator``; it has no comparisons.
+    """
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int = 1):
+        self.numerator = numerator
+        self.denominator = denominator
+
+    @classmethod
+    def of(cls, value) -> "_Ratio":
+        return cls(value.numerator, value.denominator)
+
+    def __add__(self, other) -> "_Ratio":
+        n, d = other.numerator, other.denominator
+        return _Ratio(self.numerator * d + n * self.denominator, self.denominator * d)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "_Ratio":
+        n, d = other.numerator, other.denominator
+        return _Ratio(self.numerator * d - n * self.denominator, self.denominator * d)
+
+    def __rsub__(self, other) -> "_Ratio":
+        n, d = other.numerator, other.denominator
+        return _Ratio(n * self.denominator - self.numerator * d, self.denominator * d)
+
+    def __mul__(self, other) -> "_Ratio":
+        return _Ratio(self.numerator * other.numerator, self.denominator * other.denominator)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "_Ratio":
+        return _quotient(self.numerator * other.denominator, self.denominator * other.numerator)
+
+    def __rtruediv__(self, other) -> "_Ratio":
+        return _quotient(other.numerator * self.denominator, other.denominator * self.numerator)
+
+    def __neg__(self) -> "_Ratio":
+        return _Ratio(-self.numerator, self.denominator)
+
+    def __pow__(self, k: int) -> "_Ratio":
+        if k < 0:
+            return 1 / self ** -k
+        return _Ratio(self.numerator**k, self.denominator**k)
+
+
+def _quotient(n: int, d: int) -> _Ratio:
+    if d > 0:
+        return _Ratio(n, d)
+    if d < 0:
+        return _Ratio(-n, -d)
+    raise ZeroDivisionError("division by zero in a bound piece")
+
+
 @dataclass(frozen=True)
 class PiecewiseBound:
     """Piecewise closed form in ``z`` on (1, oo), divided by ``scale``.
@@ -29,10 +91,11 @@ class PiecewiseBound:
     Each term ``(breaks, fns)`` applies ``fns[i]`` on
     ``[breaks[i-1], breaks[i])`` (first and last interval open-ended); the
     value is the sum over the terms.  Selection is right-continuous, which is
-    the natural convention for a distribution-style bound.
+    the natural convention for a distribution-style bound.  The pieces take
+    and return unreduced :class:`_Ratio` values; the sum is reduced once.
     """
 
-    terms: tuple[tuple[tuple[Fraction, ...], tuple[Callable[[Fraction], Fraction], ...]], ...]
+    terms: tuple[tuple[tuple[Fraction, ...], tuple[Callable[[_Ratio], _Ratio], ...]], ...]
     scale: Fraction = Fraction(1)
 
     @property
@@ -43,11 +106,14 @@ class PiecewiseBound:
         z = _frac(z)
         if z <= 1:
             raise ValueError(f"threshold must satisfy z > 1, got {z}")
-        return sum(fns[bisect_right(breaks, z)](z) for breaks, fns in self.terms) / self.scale
+        zr = _Ratio.of(z)
+        total = sum(fns[bisect_right(breaks, z)](zr) for breaks, fns in self.terms)
+        scale = self.scale
+        return Fraction(total.numerator * scale.denominator, total.denominator * scale.numerator)
 
 
-def _const(value: Rat) -> Callable[[Fraction], Fraction]:
-    v = _frac(value)
+def _const(value: Rat) -> Callable[[_Ratio], _Ratio]:
+    v = _Ratio.of(_frac(value))
     return lambda z: v
 
 
@@ -61,7 +127,7 @@ _ZERO = _const(0)
 def t1_bound() -> PiecewiseBound:
     """Exact probability that the type 1 strength is at most z."""
 
-    def middle(z: Fraction) -> Fraction:
+    def middle(z: _Ratio) -> _Ratio:
         return Fraction(3, 4) * ((2 * z - 3) / (z - 1)) ** 2
 
     return PiecewiseBound((((Fraction(3, 2), Fraction(2)), (_ZERO, middle, _const(1))),))
@@ -85,15 +151,17 @@ def t2_bound(w: Rat) -> PiecewiseBound:
     at most z, as a function of the lattice width alone."""
     w = _frac(w)
     _check_width(w)
+    # at w = 2 the breaks coincide and bisect_right skips the empty middle
+    breaks = (w, w / (w - 1))
+    w = _Ratio.of(w)
 
-    def g1(z: Fraction) -> Fraction:
+    def g1(z: _Ratio) -> _Ratio:
         return (z - w) * (2 * w * z - w - z) / (w**2 * (z - 1) ** 2)
 
-    def g2(z: Fraction) -> Fraction:
+    def g2(z: _Ratio) -> _Ratio:
         return ((w - 1) ** 2 * (z - 1) ** 2 - 1) / (w**2 * (z - 1) ** 2)
 
-    # at w = 2 the breaks coincide and bisect_right skips the empty middle
-    return PiecewiseBound((((w, w / (w - 1)), (_ZERO, g1, lambda z: g1(z) + g2(z))),))
+    return PiecewiseBound(((breaks, (_ZERO, g1, lambda z: g1(z) + g2(z))),))
 
 
 def p_t2_lower(z: Rat, w: Rat) -> Fraction:
@@ -150,7 +218,14 @@ def quad_bound(body: QuadBody) -> PiecewiseBound:
     a1, a2, b1, b2 = body.a1, body.a2, body.b1, body.b2
     c1, c2, d1, d2 = body.c1, body.c2, body.d1, body.d2
     w = a2 - b2
-    half = Fraction(1, 2)
+    breaks = (
+        (w, (c2 - b2) / c2),
+        (w, (a2 - d2) / (1 - d2)),
+        (d1 - c1, (a1 - c1) / a1),
+        (d1 - c1, (d1 - b1) / (1 - b1)),
+    )
+    a1, a2, b1, b2, c1, c2, d1, d2, w = map(_Ratio.of, (a1, a2, b1, b2, c1, c2, d1, d2, w))
+    half = _Ratio(1, 2)
 
     def r1_mid(z):
         return half * (-b2 / (w - 1) - -b2 / (z - 1)) * (
@@ -214,13 +289,13 @@ def quad_bound(body: QuadBody) -> PiecewiseBound:
             + ((a2 - 1) * (2 - b1) - b2 * (1 - a1)) / (1 - a1)
         )
 
-    terms = (
-        ((w, (c2 - b2) / c2), (_ZERO, r1_mid, r1_tail)),
-        ((w, (a2 - d2) / (1 - d2)), (_ZERO, r2_mid, r2_tail)),
-        ((d1 - c1, (a1 - c1) / a1), (_ZERO, r3_mid, r3_tail)),
-        ((d1 - c1, (d1 - b1) / (1 - b1)), (_ZERO, r4_mid, r4_tail)),
+    fns = (
+        (_ZERO, r1_mid, r1_tail),
+        (_ZERO, r2_mid, r2_tail),
+        (_ZERO, r3_mid, r3_tail),
+        (_ZERO, r4_mid, r4_tail),
     )
-    return PiecewiseBound(terms, area(body))
+    return PiecewiseBound(tuple(zip(breaks, fns)), area(body))
 
 
 def quad_lower(body: QuadBody, z: Rat) -> Fraction:
@@ -237,7 +312,20 @@ def t3_bound(body: Type3Body) -> PiecewiseBound:
     a1, a2, b1 = body.a1, body.a2, body.b1
     b2, c1, c2 = body.b2, body.c1, body.c2
     w = c2 - b2
-    half = Fraction(1, 2)
+    # The diagonal-split region above the line x2 = 1 is the triangle with
+    # vertices c, (0,1), and (c1/c2, 1); its lowest diagonal coordinate
+    # x1 + x2 is s_low, attained at (c1/c2, 1), so its contribution starts at
+    # z_corner, not at the diagonal lattice width.  The low-diagonal region
+    # R5 is always empty under the enforced width ordering: it would require
+    # a1 + a2 <= 1 + b1, which forces c2 <= 1.
+    s_low = (c1 + c2) / c2
+    breaks = (
+        (w, (a2 - b2) / a2),
+        (a1 - c1, (b1 - c1) / b1),
+        ((a1 + a2 - s_low) / (1 - s_low), (a1 + a2 - (c1 + c2)) / (1 - (c1 + c2))),
+    )
+    a1, a2, b1, b2, c1, c2, w, s_low = map(_Ratio.of, (a1, a2, b1, b2, c1, c2, w, s_low))
+    half = _Ratio(1, 2)
 
     def r12_mid(z):
         # trapezoid between the two horizontal cut lines plus the upper piece
@@ -274,14 +362,6 @@ def t3_bound(body: Type3Body) -> PiecewiseBound:
         overlap = half * a2 / (b1 * (a1 - 1)) * ((b1 * (z - 1) + c1) / (z - 1)) ** 2
         return r34_lo(z) - overlap
 
-    # The diagonal-split region above the line x2 = 1 is the triangle with
-    # vertices c, (0,1), and (c1/c2, 1); its lowest diagonal coordinate
-    # x1 + x2 is s_low, attained at (c1/c2, 1), so its contribution starts at
-    # z_corner, not at the diagonal lattice width.  The low-diagonal region
-    # R5 is always empty under the enforced width ordering: it would require
-    # a1 + a2 <= 1 + b1, which forces c2 <= 1.
-    s_low = (c1 + c2) / c2
-
     def r6_mid(z):
         sigma = (z - (a1 + a2)) / (z - 1)
         return half * (sigma - s_low) ** 2 / s_low
@@ -293,15 +373,8 @@ def t3_bound(body: Type3Body) -> PiecewiseBound:
         t17 = (1 - a2) / (z - 1) * (1 - (c1 + c2) - (a1 + a2 - 1) / (z - 1))
         return t13 - t14 + t16 + t17
 
-    terms = (
-        ((w, (a2 - b2) / a2), (_ZERO, r12_mid, r12_tail)),
-        ((a1 - c1, (b1 - c1) / b1), (_ZERO, r34_lo, r34_hi)),
-        (
-            ((a1 + a2 - s_low) / (1 - s_low), (a1 + a2 - (c1 + c2)) / (1 - (c1 + c2))),
-            (_ZERO, r6_mid, r6_tail),
-        ),
-    )
-    return PiecewiseBound(terms, area(body))
+    fns = ((_ZERO, r12_mid, r12_tail), (_ZERO, r34_lo, r34_hi), (_ZERO, r6_mid, r6_tail))
+    return PiecewiseBound(tuple(zip(breaks, fns)), area(body))
 
 
 def t3_lower(body: Type3Body, z: Rat) -> Fraction:

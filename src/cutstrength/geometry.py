@@ -441,10 +441,23 @@ Body = Union[SplitBody, Type1Body, Type2Body, Type3Body, QuadBody]
 
 
 def area(body: LatticeFreeBody) -> Fraction:
-    """Shoelace area of a bounded body; errors on splits."""
+    """Closed-form area of a bounded body; errors on splits.
+
+    Type 2 is a base of length ``a2/(a2-1)`` under the apex height ``a2``.
+    The type 3 and quad forms hold because their edges pass through the
+    boundary lattice points; :func:`polygon_area` of the cycle is the test
+    reference."""
     if isinstance(body, SplitBody):
         raise ValueError("a split is unbounded; its area is not defined")
-    return polygon_area(body.polygon())
+    if isinstance(body, Type1Body):
+        return Fraction(2)
+    if isinstance(body, Type2Body):
+        return body.a2**2 / (2 * (body.a2 - 1))
+    if isinstance(body, Type3Body):
+        return (body.a1 + body.a2 - body.b2 - body.c1) / 2
+    if isinstance(body, QuadBody):
+        return (body.a2 - body.b2 + body.d1 - body.c1) / 2
+    raise TypeError(f"unsupported body {body!r}")
 
 
 def lattice_width(body: LatticeFreeBody) -> Fraction:

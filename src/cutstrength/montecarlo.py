@@ -6,6 +6,9 @@ region-table strength is at most a threshold.  Sample ``i`` is a pure
 function of ``(seed, i)``: each sample consumes exactly one Philox counter
 block (four doubles, three used), so results are bit-identical no matter how
 the index range is chunked across threads.
+
+numpy is imported inside the functions that use it, so that importing the
+package and the exact commands do not pay for it.
 """
 
 from __future__ import annotations
@@ -14,11 +17,13 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import sqrt
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .cuts import _matches, region_spec
 from .geometry import LatticeFreeBody, SplitBody, _frac
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _CHUNK = 1 << 16  # fixed so chunk boundaries never depend on thread count
 
@@ -43,6 +48,8 @@ def thread_count() -> int:
 def _fan_triangles(body: LatticeFreeBody):
     """Fan triangulation from vertex 0 with float vertex arrays and exact
     cumulative area weights."""
+    import numpy as np
+
     poly = body.polygon()
     v0 = poly[0]
     tris = []
@@ -60,6 +67,8 @@ def _fan_triangles(body: LatticeFreeBody):
 
 
 def _sample_points(body_tri, seed: int, start: int, count: int) -> np.ndarray:
+    import numpy as np
+
     cum, origin, edge1, edge2 = body_tri
     bg = np.random.Philox(key=seed, counter=[start, 0, 0, 0])
     u = np.random.Generator(bg).random(count * 4).reshape(count, 4)
@@ -79,6 +88,8 @@ def _t_bar_evaluator(body: LatticeFreeBody):
     in ``region_of``; every constant is ``float()`` of the exact one.
     A point that float round-off puts in no region gets NaN.
     """
+    import numpy as np
+
     spec = region_spec(body)
     normals = {n for region in spec for piece in region.pieces for n, _, _ in piece}
     splits = {region.split for region in spec if region.split is not None}
@@ -113,6 +124,8 @@ def monte_carlo_lower(
 ) -> McEstimate:
     """Estimate P(strength at the sampled root vertex <= z) by uniform
     sampling; deterministic for fixed (seed, samples)."""
+    import numpy as np
+
     if isinstance(body, SplitBody):
         raise ValueError("splits have no bounded area to sample")
     if samples < 1:

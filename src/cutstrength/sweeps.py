@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, floor
 from typing import Optional
 
 from .bounds import p_t2_lower, quad_lower, t3_lower
@@ -36,6 +37,13 @@ def _steps(lo: Fraction, hi: Fraction, step: Fraction):
     while v <= hi:
         yield v
         v += step
+
+
+def _negative_steps_down(lo: Fraction, hi: Fraction, step: Fraction):
+    """The values of ``_steps(lo, hi, step)`` that are below 0, largest first."""
+    top = min(floor((hi - lo) / step), ceil(-lo / step) - 1)
+    for k in range(top, -1, -1):
+        yield lo + k * step
 
 
 def _range(ranges, key, default):
@@ -79,17 +87,27 @@ def sweep_grid(
     elif family == "quad":
         a1_r = _range(ranges, "a1", (step, 1 - step))
         a2_r = _range(ranges, "a2", (1 + step, 2 - step))
-        b1_r = _range(ranges, "b1", a1_r)
+        b1_r = _range(ranges, "b1", (step, 1 - step))
         b2_r = _range(ranges, "b2", None)
         for a1 in _steps(*a1_r, step):
             for b1 in _steps(max(a1, b1_r[0]), b1_r[1], step):
                 for a2 in _steps(*a2_r, step):
                     lo2, hi2 = b2_r if b2_r else (-(a2 - 1), -step)
-                    for b2 in _steps(lo2, hi2, step):
+                    # QuadBody accepts a top run of the column's b2 < 0: as b2
+                    # falls, a2 - b2 rises and d1 - c1 falls (-c1 and d1 - 1
+                    # have denominators that grow with -b2), and -b2 <= a2 - 1
+                    # bounds b2 below.  Every other check does not depend on
+                    # b2, or holds whenever 0 < a1 <= b1 < 1, a2 > 1 and
+                    # b2 < 0 (c2 <= d2 reduces to a1 <= b1).  So walk down to
+                    # the first rejection and emit the run ascending, in the
+                    # order of a full scan.
+                    run = []
+                    for b2 in _negative_steps_down(lo2, hi2, step):
                         try:
-                            body = QuadBody(a1, a2, b1, b2)
+                            run.append((b2, QuadBody(a1, a2, b1, b2)))
                         except ValueError:
-                            continue
+                            break
+                    for b2, body in reversed(run):
                         w = lattice_width(body)
                         rows.append(
                             _row((a1, a2, b1, b2), w, z, quad_lower(body, z), body, mc_samples, seed)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, settings
 from hypothesis import strategies as st
 
-from cutstrength import QuadBody, Type1Body, Type2Body, Type3Body, point
+from cutstrength import QuadBody, Type1Body, Type2Body, Type3Body, lattice_width, point, quad_lower, t3_lower
 from cutstrength.geometry import clip_halfplane, contains, polygon_area, primitive_directions, shoelace_area
 
 # CI runs with HYPOTHESIS_PROFILE=ci: the same examples on every run, no deadline
@@ -76,6 +76,45 @@ def lattice_width_enumerated(body, radius=10):
         raise ValueError(f"need radius >= 1, got {radius}")
     pts = body.polygon()
     return min(directional_width(pts, point(*u)) for u in primitive_directions(radius))
+
+
+def sweep_grid_oracle(family, z, step, ranges=None):
+    """``(params, w, bound)`` of each row that ``sweep_grid`` gives for the
+    quad or t3 family, by brute force: every tuple of the grid is tried in
+    loop order, b2 over its whole range, and the rows are sorted stably by
+    lattice width, widest first."""
+    ranges = ranges or {}
+
+    def values(lo, hi):
+        out = []
+        while lo <= hi:
+            out.append(lo)
+            lo += step
+        return out
+
+    tuples = []
+    if family == "quad":
+        b1_lo, b1_hi = ranges.get("b1", (step, 1 - step))
+        for a1 in values(*ranges.get("a1", (step, 1 - step))):
+            for b1 in values(max(a1, b1_lo), b1_hi):
+                for a2 in values(*ranges.get("a2", (1 + step, 2 - step))):
+                    for b2 in values(*ranges.get("b2", (-(a2 - 1), -step))):
+                        tuples.append((QuadBody, quad_lower, (a1, a2, b1, b2)))
+    else:
+        for a1 in values(*ranges.get("a1", (1 + step, 4))):
+            for a2 in values(*ranges.get("a2", (step, 1 - step))):
+                for b1 in values(*ranges.get("b1", (step, 1 - step))):
+                    if b1 < a2 / (a1 + a2 - 1):
+                        tuples.append((Type3Body, t3_lower, (a1, a2, b1)))
+    rows = []
+    for cls, lower, params in tuples:
+        try:
+            body = cls(*params)
+        except ValueError:
+            continue
+        rows.append((params, lattice_width(body), lower(body, z)))
+    rows.sort(key=lambda row: row[1], reverse=True)
+    return rows
 
 
 def _solve_square(a, b):

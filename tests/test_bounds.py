@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutstrength import (
     QuadBody,
@@ -22,7 +24,7 @@ from cutstrength import (
     t3_lower,
 )
 
-from conftest import indicator_area, strength_specs
+from conftest import any_body, indicator_area, strength_specs
 
 
 QUAD_PARAMS = [
@@ -222,3 +224,17 @@ class TestPiecewiseStructure:
         assert bound_for(q, F(5, 2)) == quad_lower(q, F(5, 2))
         t3 = Type3Body(F(3), F(3, 10), F(1, 10))
         assert bound_for(t3, F(3)) == t3_lower(t3, F(3))
+
+
+class TestWholeDomain:
+    # the clipping oracle describes no type 1 regions; type 1's exact
+    # probability has its own tests above
+    @settings(max_examples=60, deadline=None)
+    @given(
+        any_body().filter(lambda body: not isinstance(body, Type1Body)),
+        st.lists(st.fractions(F(11, 10), 20, max_denominator=97), min_size=1, max_size=3),
+    )
+    def test_matches_clipping_oracle(self, body, drawn):
+        pb = piecewise_bound_for(body)
+        for z in [b for b in pb.breakpoints if b > 1] + drawn:
+            assert pb(z) == oracle_lower(body, z)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 from fractions import Fraction as F
@@ -143,6 +144,19 @@ class TestCommands:
         lines = out.strip().splitlines()
         assert lines[0] == "params,w,z,bound,mc_estimate,mc_stderr,samples,seed"
         assert len(lines) > 2
+
+    # sha256 of the CSV stdout; the same digests pin the bench's sweep outputs
+    @pytest.mark.parametrize(
+        "family, digest",
+        [
+            ("quad", "3dade90e3b3faf28d9a72e5220aba4edc6aa2faa80168ddcb7cda69031e18c65"),
+            ("t3", "07df3e4d7ec73696b4770e27ff4b576800f6f5daa058c3bf2b9f7c2e7c45493b"),
+        ],
+    )
+    def test_sweep_golden(self, capsys, family, digest):
+        code, out, _ = invoke(capsys, "sweep", "--family", family, "--z", "2", "--step", "1/10")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_sweep_json(self, capsys):
         code, out, _ = invoke(

@@ -320,9 +320,20 @@ class TestArea:
             if isinstance(body, Type3Body):
                 assert area(body) == (body.a1 + body.a2 - body.b2 - body.c1) / 2
 
+    @settings(max_examples=200, deadline=None)
+    @given(any_body())
+    @example(Type2Body(F(1, 3), F(5, 2)))
+    @example(Type2Body(F(1, 2), F(40)))
+    def test_closed_form_equals_shoelace_whole_domain(self, body):
+        assert area(body) == polygon_area(body.polygon())
+
     def test_split_has_no_area(self):
         with pytest.raises(ValueError):
             area(SplitBody((0, 1), 0))
+
+    def test_unknown_body(self):
+        with pytest.raises(TypeError, match="unsupported body"):
+            area(object())
 
 
 class TestGauge:

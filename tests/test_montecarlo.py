@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from math import ceil, floor, sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cutstrength
 from cutstrength import (
     QuadBody,
     SplitBody,
@@ -217,3 +222,20 @@ class TestValidation:
             with pytest.raises(ValueError, match="seed"):
                 monte_carlo_lower(t2_body, F(2), 100, seed=seed)
         monte_carlo_lower(t2_body, F(2), 100, seed=2**128 - 1)
+
+
+class TestLazyNumpy:
+    @pytest.mark.parametrize(
+        "code",
+        [
+            "import cutstrength",
+            "from cutstrength import cli; "
+            """cli.run(["bound", "--body", '{"type":"type2","a":["1/2","3/2"]}', "--z", "7/4"])""",
+        ],
+    )
+    def test_not_imported(self, code):
+        src = str(Path(cutstrength.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        check = f"{code}; import sys; print('numpy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.splitlines()[-1] == "False"

@@ -1,9 +1,93 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutstrength import p_t2_lower
 from cutstrength.sweeps import DEFAULT_STEP, sweep_grid
+
+from conftest import sweep_grid_oracle
+
+
+def _span(q, lo, hi, most, offset=0):
+    """Ranges ``(offset + k/q, offset + (k + j)/q)`` with ``lo <= k <= hi``
+    and ``0 <= j <= most``."""
+    return st.tuples(st.integers(lo, hi), st.integers(0, most)).map(
+        lambda kj: (offset + F(kj[0], q), offset + F(kj[0] + kj[1], q))
+    )
+
+
+@st.composite
+def quad_boxes(draw):
+    """Range boxes at step 1/q that may put b1 below a1, b2 below -(a2 - 1)
+    and b2 at or above 0; b1 and b2 are sometimes left to their defaults."""
+    q = draw(st.integers(2, 12))
+    ranges = {"a1": draw(_span(q, 1, q - 1, 2)), "a2": draw(_span(q, 1, q, 2, offset=1))}
+    if draw(st.booleans()):
+        ranges["b1"] = draw(_span(q, 1, q - 1, 3))
+    if draw(st.booleans()):
+        ranges["b2"] = draw(_span(q, -2 * q, -1, q + 1))
+    return F(1, q), ranges
+
+
+@st.composite
+def t3_boxes(draw):
+    q = draw(st.integers(2, 12))
+    ranges = {
+        "a1": draw(_span(q, 1, 3 * q, 3, offset=1)),
+        "a2": draw(_span(q, 1, q - 1, 3)),
+        "b1": draw(_span(q, 1, q - 1, 3)),
+    }
+    return F(1, q), ranges
+
+
+def _triples(rows):
+    return [(r.params, r.w, r.bound) for r in rows]
+
+
+class TestAgainstBruteForce:
+    """``sweep_grid`` against trying every tuple of the grid in loop order."""
+
+    @pytest.mark.parametrize("family", ["quad", "t3"])
+    def test_default_grid(self, family):
+        step = F(1, 10)
+        assert _triples(sweep_grid(family, F(2), step=step)) == sweep_grid_oracle(family, F(2), step)
+
+    @pytest.mark.parametrize(
+        "step, ranges",
+        [
+            # b2 crosses 0
+            (F(1, 10), {"b2": (F(-1), F(1, 10))}),
+            # b2 below -(a2 - 1) and above 0
+            (F(1, 8), {"a2": (F(9, 8), F(15, 8)), "b2": (F(-3, 2), F(3, 8))}),
+            # b1 range starting below a1
+            (F(1, 12), {"a1": (F(1, 3), F(2, 3)), "b1": (F(1, 12), F(1, 2)), "b2": (F(-5, 6), F(-1, 12))}),
+            (F(1, 9), {"a2": (F(10, 9), F(13, 9)), "b2": (F(-2, 3), F(0))}),
+        ],
+    )
+    def test_quad_boxes(self, step, ranges):
+        assert _triples(sweep_grid("quad", F(2), step=step, ranges=ranges)) == sweep_grid_oracle(
+            "quad", F(2), step, ranges
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(quad_boxes())
+    def test_quad_drawn_boxes(self, box):
+        self._check("quad", *box)
+
+    @settings(max_examples=20, deadline=None)
+    @given(t3_boxes())
+    def test_t3_drawn_boxes(self, box):
+        self._check("t3", *box)
+
+    def _check(self, family, step, ranges):
+        expected = sweep_grid_oracle(family, F(5, 2), step, ranges)
+        if not expected:
+            with pytest.raises(ValueError, match="empty"):
+                sweep_grid(family, F(5, 2), step=step, ranges=ranges)
+        else:
+            assert _triples(sweep_grid(family, F(5, 2), step=step, ranges=ranges)) == expected
 
 
 class TestT2Sweep:
@@ -43,6 +127,14 @@ class TestQuadSweep:
         bounds = [r.bound for r in rows]
         assert bounds == sorted(bounds)
         assert all(0 <= b <= 1 for b in bounds)
+
+    def test_a1_range_leaves_b1_default(self):
+        # b1 keeps its own default range [max(a1, step), 1 - step]
+        step = F(1, 10)
+        ranged = sweep_grid("quad", F(2), step=step, ranges={"a1": (step, step)})
+        default = [r for r in sweep_grid("quad", F(2), step=step) if r.params[0] == step]
+        assert ranged == default
+        assert max(r.params[2] for r in ranged) == F(9, 10)
 
     def test_invalid_combinations_skipped(self):
         # a grid that includes quads violating -b2 <= a2-1 still sweeps cleanly
