@@ -400,7 +400,8 @@ def strength_single_split(body: LatticeFreeBody, f: Rational2) -> StrengthReport
     if region.split is None:
         t_check = strength_split_closure_approx(body, f, 1)
     else:
-        t_check = max(split_coefficients(region.split, f, corner_rays(body, f)).coefficients)
+        rays = [v - f for v in body.vertices()]  # _region has checked that f is interior
+        t_check = max(split_coefficients(region.split, f, rays).coefficients)
     t_table = region.t_bar(f)
     if t_table != t_check:
         raise AssertionError(

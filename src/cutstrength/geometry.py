@@ -32,6 +32,8 @@ Rat = Union[int, Fraction, str]
 
 def _frac(value: Rat) -> Fraction:
     """Coerce ints / "p/q" strings to Fraction without touching floats."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError("floating point input is not allowed in exact geometry")
     return Fraction(value)
@@ -351,6 +353,11 @@ class Type3Body(LatticeFreeBody):
     Parameters (a1, a2, b1) fix vertex ``a = (a1, a2)`` and the first
     coordinate of ``b``; ``b2`` and ``c`` follow.  The minimum-width direction
     is required to be (0,1), i.e. ``c2 - b2`` attains the lattice width.
+
+    In integers, with ``(a1, a2, b1) = (A1, A2, B1)/D``: ``b2 = -A2 (D - B1) /
+    (D (A1 - D))`` and ``c = (A1 (A1 - D) B1, -A1 A2 (D - B1)) / E``, where
+    ``E = (A1 - D)(D - A2) B1 - A1 A2 (D - B1)``.  Once ``b1 + b2 < 0``, that
+    is ``(A1 - D) B1 < A2 (D - B1)``, ``E < A2 (D - B1)(D - A1 - A2) < 0``.
     """
 
     tag = "type3"
@@ -360,26 +367,29 @@ class Type3Body(LatticeFreeBody):
 
     def __post_init__(self):
         a1, a2, b1 = _frac(self.a1), _frac(self.a2), _frac(self.b1)
-        if not a1 > 1:
+        D, (A1, A2, B1) = over_common_denominator((a1, a2, b1))
+        if not A1 > D:
             raise ValueError(f"need a1 > 1, got a1={a1}")
-        if not (0 < a2 < 1):
+        if not (0 < A2 < D):
             raise ValueError(f"need 0 < a2 < 1, got a2={a2}")
-        if not (0 < b1 < 1):
+        if not (0 < B1 < D):
             raise ValueError(f"need 0 < b1 < 1, got b1={b1}")
-        b2 = -a2 * (1 - b1) / (a1 - 1)
-        if not b1 + b2 < 0:
-            raise ValueError(f"need b1 + b2 < 0, got {b1 + b2}")
-        den = (a1 - 1) * (1 - a2) * b1 - a1 * a2 * (1 - b1)
-        c1 = a1 * (a1 - 1) * b1 / den
-        c2 = -a1 * a2 * (1 - b1) / den
-        if not (b2 < 0 and c1 < 0 and c2 > 1 and 0 < c1 + c2 < 1):
+        nb2, db2 = -A2 * (D - B1), D * (A1 - D)  # b2 = nb2 / db2, db2 > 0
+        if not B1 * (A1 - D) + nb2 < 0:
+            raise ValueError(f"need b1 + b2 < 0, got {b1 + Fraction(nb2, db2)}")
+        E = (A1 - D) * (D - A2) * B1 - A1 * A2 * (D - B1)
+        nc1, nc2 = A1 * (A1 - D) * B1, -A1 * A2 * (D - B1)  # c = (nc1, nc2) / E
+        if not (nb2 < 0 and nc1 > 0 and nc2 < E and E < nc1 + nc2 < 0):
             raise ValueError("derived vertices violate the canonical sign/range checks")
-        width_candidates = (c2 - b2, a1 - c1, a1 + a2 - (b1 + b2))
-        if min(width_candidates) != c2 - b2:
+        # c2 - b2 <= a1 - c1 times D db2 E < 0, and c2 - b2 <= a1 + a2 - (b1 + b2) times D E
+        if not (D * db2 * (nc1 + nc2) >= (A1 * db2 + D * nb2) * E and D * nc2 >= (A1 + A2 - B1) * E):
+            b2, c1, c2 = Fraction(nb2, db2), Fraction(nc1, E), Fraction(nc2, E)
+            width_candidates = (c2 - b2, a1 - c1, a1 + a2 - (b1 + b2))
             raise ValueError(
                 "lattice width must be attained by the vertical direction "
                 f"(candidates {width_candidates})"
             )
+        b2, c1, c2 = Fraction(nb2, db2), Fraction(nc1, E), Fraction(nc2, E)
         self.a1, self.a2, self.b1 = a1, a2, b1
         self.b2, self.c1, self.c2 = b2, c1, c2
         a, b, c = Rational2(a1, a2), Rational2(b1, b2), Rational2(c1, c2)
@@ -397,6 +407,12 @@ class QuadBody(LatticeFreeBody):
     ad.  Parameters (a1, a2, b1, b2) fix vertices ``a`` (top) and ``b``
     (bottom); ``c`` (left) and ``d`` (right) follow.  The lattice width must
     be attained by the vertical direction: ``a2 - b2 <= d1 - c1``.
+
+    In integers, with ``(a1, a2, b1, b2) = (A1, A2, B1, B2)/D``:
+    ``c = (-A1 B1, -A1 B2) / e_c`` with ``e_c = (A2 - D) B1 - A1 B2``, and
+    ``d = ((A2 - A1)(D - B1) - (D - A1) B2, -(D - A1) B2) / e_d`` with
+    ``e_d = (A2 - D)(D - B1) - (D - A1) B2``; both are positive once
+    ``0 < a1 <= b1 < 1``, ``a2 > 1`` and ``b2 < 0``.
     """
 
     tag = "quad"
@@ -407,25 +423,29 @@ class QuadBody(LatticeFreeBody):
 
     def __post_init__(self):
         a1, a2, b1, b2 = _frac(self.a1), _frac(self.a2), _frac(self.b1), _frac(self.b2)
-        if not (0 < a1 <= b1 < 1):
+        D, (A1, A2, B1, B2) = over_common_denominator((a1, a2, b1, b2))
+        if not (0 < A1 <= B1 < D):
             raise ValueError(f"need 0 < a1 <= b1 < 1, got a1={a1}, b1={b1}")
-        if not a2 > 1:
+        if not A2 > D:
             raise ValueError(f"need a2 > 1, got a2={a2}")
-        if not b2 < 0:
+        if not B2 < 0:
             raise ValueError(f"need b2 < 0, got b2={b2}")
-        if not -b2 <= a2 - 1:
+        if not -B2 <= A2 - D:
             raise ValueError(f"need -b2 <= a2 - 1, got b2={b2}, a2={a2}")
-        c1 = -a1 * b1 / ((a2 - 1) * b1 - a1 * b2)
-        c2 = c1 * b2 / b1
-        d1 = ((a2 - a1) * (1 - b1) - (1 - a1) * b2) / ((a2 - 1) * (1 - b1) - (1 - a1) * b2)
-        d2 = (d1 - 1) * b2 / (b1 - 1)
-        if not (c1 < 0 and 0 < c2 < 1 and d1 > 1 and 0 < d2 < 1 and c2 <= d2):
+        e_c = (A2 - D) * B1 - A1 * B2
+        e_d = (A2 - D) * (D - B1) - (D - A1) * B2
+        nc1, nc2 = -A1 * B1, -A1 * B2
+        nd1, nd2 = (A2 - A1) * (D - B1) - (D - A1) * B2, -(D - A1) * B2
+        if not (nc1 < 0 and 0 < nc2 < e_c and nd1 > e_d and 0 < nd2 < e_d and nc2 * e_d <= nd2 * e_c):
             raise ValueError("derived vertices violate the canonical sign/range checks")
-        if not a2 - b2 <= d1 - c1:
+        # a2 - b2 <= d1 - c1 times D e_c e_d > 0
+        if not (A2 - B2) * e_c * e_d <= D * (nd1 * e_c - nc1 * e_d):
+            c1, d1 = Fraction(nc1, e_c), Fraction(nd1, e_d)
             raise ValueError(
                 f"lattice width must be attained by the vertical direction "
                 f"(a2-b2={a2 - b2} > d1-c1={d1 - c1})"
             )
+        c1, c2, d1, d2 = Fraction(nc1, e_c), Fraction(nc2, e_c), Fraction(nd1, e_d), Fraction(nd2, e_d)
         self.a1, self.a2, self.b1, self.b2 = a1, a2, b1, b2
         self.c1, self.c2, self.d1, self.d2 = c1, c2, d1, d2
         a, b, c, d = Rational2(a1, a2), Rational2(b1, b2), Rational2(c1, c2), Rational2(d1, d2)

@@ -118,9 +118,13 @@ def sweep_grid(
         b1_r = _range(ranges, "b1", (step, 1 - step))
         for a1 in _steps(*a1_r, step):
             for a2 in _steps(*a2_r, step):
+                if a1 <= 1 or a2 <= 0:
+                    continue  # Type3Body rejects every b1
+                # Type3Body's b1 + b2 < 0 is b1 < a2 / (a1 + a2 - 1), and b1 ascends
+                limit = a2 / (a1 + a2 - 1)
                 for b1 in _steps(*b1_r, step):
-                    if b1 >= a2 / (a1 + a2 - 1):
-                        continue
+                    if b1 >= limit:
+                        break
                     try:
                         body = Type3Body(a1, a2, b1)
                     except ValueError:

@@ -10,7 +10,7 @@ from hypothesis import assume, settings
 from hypothesis import strategies as st
 
 from cutstrength import QuadBody, Type1Body, Type2Body, Type3Body, lattice_width, point, quad_lower, t3_lower
-from cutstrength.geometry import clip_halfplane, contains, polygon_area, primitive_directions, shoelace_area
+from cutstrength.geometry import _frac, clip_halfplane, contains, polygon_area, primitive_directions, shoelace_area
 
 # CI runs with HYPOTHESIS_PROFILE=ci: the same examples on every run, no deadline
 settings.register_profile("ci", derandomize=True, deadline=None)
@@ -35,6 +35,61 @@ def quad_body():
 @pytest.fixture
 def t3_body():
     return Type3Body(F(3), F(3, 10), F(1, 10))
+
+
+def quad_oracle(a1, a2, b1, b2):
+    """The fields of ``QuadBody(a1, a2, b1, b2)`` as a dict, validated and
+    derived in Fraction arithmetic with the constructor's checks and
+    messages."""
+    a1, a2, b1, b2 = _frac(a1), _frac(a2), _frac(b1), _frac(b2)
+    if not (0 < a1 <= b1 < 1):
+        raise ValueError(f"need 0 < a1 <= b1 < 1, got a1={a1}, b1={b1}")
+    if not a2 > 1:
+        raise ValueError(f"need a2 > 1, got a2={a2}")
+    if not b2 < 0:
+        raise ValueError(f"need b2 < 0, got b2={b2}")
+    if not -b2 <= a2 - 1:
+        raise ValueError(f"need -b2 <= a2 - 1, got b2={b2}, a2={a2}")
+    c1 = -a1 * b1 / ((a2 - 1) * b1 - a1 * b2)
+    c2 = c1 * b2 / b1
+    d1 = ((a2 - a1) * (1 - b1) - (1 - a1) * b2) / ((a2 - 1) * (1 - b1) - (1 - a1) * b2)
+    d2 = (d1 - 1) * b2 / (b1 - 1)
+    if not (c1 < 0 and 0 < c2 < 1 and d1 > 1 and 0 < d2 < 1 and c2 <= d2):
+        raise ValueError("derived vertices violate the canonical sign/range checks")
+    if not a2 - b2 <= d1 - c1:
+        raise ValueError(
+            f"lattice width must be attained by the vertical direction "
+            f"(a2-b2={a2 - b2} > d1-c1={d1 - c1})"
+        )
+    return dict(a1=a1, a2=a2, b1=b1, b2=b2, c1=c1, c2=c2, d1=d1, d2=d2)
+
+
+def t3_oracle(a1, a2, b1):
+    """The fields of ``Type3Body(a1, a2, b1)`` as a dict, validated and
+    derived in Fraction arithmetic with the constructor's checks and
+    messages."""
+    a1, a2, b1 = _frac(a1), _frac(a2), _frac(b1)
+    if not a1 > 1:
+        raise ValueError(f"need a1 > 1, got a1={a1}")
+    if not (0 < a2 < 1):
+        raise ValueError(f"need 0 < a2 < 1, got a2={a2}")
+    if not (0 < b1 < 1):
+        raise ValueError(f"need 0 < b1 < 1, got b1={b1}")
+    b2 = -a2 * (1 - b1) / (a1 - 1)
+    if not b1 + b2 < 0:
+        raise ValueError(f"need b1 + b2 < 0, got {b1 + b2}")
+    den = (a1 - 1) * (1 - a2) * b1 - a1 * a2 * (1 - b1)
+    c1 = a1 * (a1 - 1) * b1 / den
+    c2 = -a1 * a2 * (1 - b1) / den
+    if not (b2 < 0 and c1 < 0 and c2 > 1 and 0 < c1 + c2 < 1):
+        raise ValueError("derived vertices violate the canonical sign/range checks")
+    width_candidates = (c2 - b2, a1 - c1, a1 + a2 - (b1 + b2))
+    if min(width_candidates) != c2 - b2:
+        raise ValueError(
+            "lattice width must be attained by the vertical direction "
+            f"(candidates {width_candidates})"
+        )
+    return dict(a1=a1, a2=a2, b1=b1, b2=b2, c1=c1, c2=c2)
 
 
 def clip_area(pieces, normal, offset):

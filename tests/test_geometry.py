@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 from fractions import Fraction as F
 from math import ceil, floor
 
@@ -30,7 +31,16 @@ from cutstrength.geometry import (
     shoelace_area,
 )
 
-from conftest import any_body, ccw, lattice_points_oracle, lattice_width_enumerated, random_interior_point
+from conftest import (
+    _inside,
+    any_body,
+    ccw,
+    lattice_points_oracle,
+    lattice_width_enumerated,
+    quad_oracle,
+    random_interior_point,
+    t3_oracle,
+)
 
 
 def grid_bodies():
@@ -64,6 +74,79 @@ class TestRational2:
     def test_integrality(self):
         assert point(3, -2).is_integral()
         assert not point(F(1, 2), 0).is_integral()
+
+
+def _rat(lo, hi, max_denominator=10**4):
+    """Rationals ``lo + (hi - lo) k / q`` with ``0 <= k <= q <= max_denominator``."""
+    return st.integers(1, max_denominator).flatmap(
+        lambda q: st.integers(0, q).map(lambda k: lo + (hi - lo) * F(k, q))
+    )
+
+
+def _nudged(value):
+    """``value``, or ``value`` moved by ``±1/q``, ``q <= 10^4``, to either side of an edge."""
+    nudge = st.builds(F, st.sampled_from((-1, 1)), st.integers(1, 10**4))
+    return st.one_of(st.just(value), nudge.map(lambda e: value + e))
+
+
+@st.composite
+def quad_params(draw):
+    """``(a1, a2, b1, b2)`` over and around the quad domain, with the edges
+    a1 = b1 and -b2 = a2 - 1, and the two families of width ties
+    a2 - b2 = d1 - c1: a1 = b1 with a2 - b2 = 2 (where also c2 = d2), and the
+    point-symmetric quads a1 = 1 - b1 = 1/(1 + m^2), a2 - 1 = -b2 = m/(1 + m^2)."""
+    family = draw(st.sampled_from(("free", "diagonal tie", "symmetric tie")))
+    if family == "diagonal tie":
+        t, a2 = draw(_inside(0, 1, 10**4)), draw(_rat(F(3, 2), 2))
+        return t, a2, t, draw(_nudged(a2 - 2))
+    if family == "symmetric tie":
+        m = draw(st.one_of(st.just(F(1)), _inside(1, 10, 10**4)))
+        t, h = 1 / (1 + m * m), m / (1 + m * m)
+        return t, draw(_nudged(1 + h)), 1 - t, -h
+    a1 = draw(st.one_of(_inside(0, 1, 10**4), _rat(F(-1, 4), F(5, 4), 8)))
+    b1 = draw(st.one_of(st.just(a1), _rat(a1, 1), _rat(F(-1, 4), F(5, 4))))
+    a2 = draw(st.one_of(_rat(1, 2), _rat(F(1, 2), 4)))
+    b2 = draw(st.one_of(st.just(1 - a2), _rat(0, 1).map(lambda v: (1 - a2) * v), _rat(-3, F(1, 2))))
+    return a1, a2, b1, b2
+
+
+@st.composite
+def t3_params(draw):
+    """``(a1, a2, b1)`` over and around the type 3 domain, with the edge
+    b1 + b2 = 0 and the two families of width ties: c2 - b2 equals
+    a1 + a2 - (b1 + b2) when a2 = b1, and a1 - c1 when
+    a2 = (a1^2 + a1 b1 - 2 a1 - b1 + 1) / (1 - b1)."""
+    family = draw(st.sampled_from(("free", "inside", "sum tie", "c1 tie")))
+    if family == "free":
+        return draw(_rat(F(1, 2), 6)), draw(_rat(F(-1, 4), F(5, 4))), draw(_rat(F(-1, 4), F(5, 4)))
+    a1, b1 = draw(_inside(1, 2 if family == "c1 tie" else 6, 10**4)), draw(_inside(0, 1, 10**4))
+    if family == "sum tie":
+        return a1, draw(_nudged(b1)), b1
+    if family == "c1 tie":
+        return a1, draw(_nudged((a1 * a1 + a1 * b1 - 2 * a1 - b1 + 1) / (1 - b1))), b1
+    # b1 + b2 < 0 is b1 < a2 / (a1 + a2 - 1); the top of the range is its edge
+    a2 = draw(_inside(0, 1, 10**4))
+    return a1, a2, a2 / (a1 + a2 - 1) * draw(_rat(0, 1, 12))
+
+
+def assert_same_as_oracle(cls, oracle, params, cycle):
+    """``cls(*params)`` raises the oracle's ValueError message, or has the
+    oracle's fields, repr, vertices and counter-clockwise ``cycle``."""
+    try:
+        want = oracle(*params)
+    except ValueError as error:
+        with pytest.raises(ValueError) as raised:
+            cls(*params)
+        assert str(raised.value) == str(error)
+        return
+    body = cls(*params)
+    assert {name: getattr(body, name) for name in want} == want
+    assert all(type(getattr(body, name)) is F for name in want)
+    args = ", ".join(f"{f.name}={want[f.name]}" for f in fields(cls))
+    assert repr(body) == f"{cls.__name__}({args})"
+    vertex = {v: point(want[v + "1"], want[v + "2"]) for v in cycle}
+    assert body.vertices() == tuple(vertex[v] for v in sorted(cycle))
+    assert body.polygon() == [vertex[v] for v in cycle]
 
 
 class TestConstruction:
@@ -127,6 +210,20 @@ class TestConstruction:
             cls(*args)
         except ValueError:
             pass
+
+    @settings(max_examples=600, deadline=None)
+    @given(quad_params())
+    @example((F(1, 2), F(3, 2), F(1, 2), F(-1, 2)))  # a1 = b1, -b2 = a2 - 1 and a width tie
+    @example((F(1, 3), F(5, 3), F(14, 15), F(-2, 15)))  # width ties off both families drawn
+    @example((F(1, 4), F(3, 2), F(17, 20), F(-3, 10)))
+    def test_quad_matches_fraction_oracle(self, params):
+        assert_same_as_oracle(QuadBody, quad_oracle, params, cycle="cbda")
+
+    @settings(max_examples=600, deadline=None)
+    @given(t3_params())
+    @example((F(4, 3), F(1, 3), F(1, 3)))  # all three width candidates tie
+    def test_t3_matches_fraction_oracle(self, params):
+        assert_same_as_oracle(Type3Body, t3_oracle, params, cycle="cba")
 
     def test_split_normal_must_be_primitive(self):
         with pytest.raises(ValueError):

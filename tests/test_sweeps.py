@@ -160,6 +160,12 @@ class TestT3Sweep:
             a1, a2, b1 = row.params
             assert b1 < a2 / (a1 + a2 - 1)
 
+    def test_box_outside_domain(self):
+        # a1 + a2 = 1 at the first (a1, a2), where the limit on b1 has no value
+        ranges = {"a1": (F(1, 2), F(1)), "a2": (F(1, 2), F(1, 2))}
+        with pytest.raises(ValueError, match="empty"):
+            sweep_grid("t3", F(2), step=F(1, 4), ranges=ranges)
+
 
 class TestSweepValidation:
     def test_unknown_family(self):
