@@ -11,6 +11,10 @@ reciprocal of a small covering LP over the corner rays (scaled to gauge 1):
 
 For every non-split body the region table gives ``t_bar`` in closed form;
 ``strength_single_split`` evaluates both routes and insists they agree.
+
+Both run in the body's integer frame: f is scaled once to ``(X1, X2) / q``,
+tested on the integer facets and matched against an integer table derived
+from :func:`region_spec`, kept between queries on the same body object.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .geometry import (
     Type2Body,
     Type3Body,
     clip_halfplane,
-    corner_rays,
+    corner_rays,  # unused here, but callers look it up as cuts.corner_rays
     over_common_denominator,
     point,
     polygon_area,
@@ -240,32 +244,18 @@ class Region:
     num: tuple[Fraction, Fraction]
     den: tuple[Fraction, Fraction]
 
-    def t_bar(self, f: Rational2) -> Fraction:
-        u = _dot(self.normal, f)
-        return (self.num[0] + self.num[1] * u) / (self.den[0] + self.den[1] * u)
 
-
-def _dot(normal: tuple[int, int], f: Rational2) -> Fraction:
-    return normal[0] * f.x1 + normal[1] * f.x2
-
-
-def _holds(pieces, dot, num=lambda c: c):
-    """Whether a point lies in the union of band intersections, given
-    ``dot(normal) = normal . f`` and ``num``, which turns a band constant into
-    the point's number type.  Elementwise when ``dot`` returns arrays."""
+def _matches(region, dot, strict, num=lambda c: c):
+    """Whether a point lies in ``region`` (a union of band intersections) and
+    strictly inside its split, given ``dot(normal) = normal . f``, ``num`` to
+    turn a band constant into the point's number type, and ``strict(normal)``:
+    ``normal . f`` is off the integers.  Elementwise on arrays.  A point on a
+    lattice line of the region's split is left to a later region."""
 
     def band(n, lo, hi):
         return (lo is None or num(lo) <= dot(n)) & (hi is None or dot(n) <= num(hi))
 
-    return reduce(or_, (reduce(and_, (band(*b) for b in piece)) for piece in pieces))
-
-
-def _matches(region, dot, strict, num=lambda c: c):
-    """Whether a point lies in ``region`` and strictly inside its chosen split,
-    with ``dot`` and ``num`` as in :func:`_holds` and ``strict(normal)`` telling
-    whether ``normal . f`` is off the integers.  A point on a lattice line of
-    the region's split is left to a later region whose split contains it."""
-    held = _holds(region.pieces, dot, num)
+    held = reduce(or_, (reduce(and_, (band(*b) for b in piece)) for piece in region.pieces))
     return held if region.split is None else held & strict(region.split)
 
 
@@ -283,7 +273,9 @@ def _pair(normal, low, high, sides=((),)) -> list[Region]:
     """A ``_low`` and a ``_high`` region along ``normal`` on ``0 <= u <= 1``,
     split at the u where the two formulas agree.  Each has one piece per
     tuple of extra bands in ``sides``."""
-    t = -low / (high - low - 1)
+    # t = -low / (high - low - 1), over the product of the denominators
+    ln, ld, hn, hd = low.numerator, low.denominator, high.numerator, high.denominator
+    t = Fraction(-ln * hd, (hn - hd) * ld - ln * hd)
     return [
         _low(normal, low, *(((normal, 0, t), *side) for side in sides)),
         _high(normal, high, *(((normal, t, 1), *side) for side in sides)),
@@ -350,17 +342,65 @@ def region_area(pieces: Sequence[Sequence[Rational2]]) -> Fraction:
     return sum((polygon_area(p) for p in pieces), Fraction(0))
 
 
-def _region(body: LatticeFreeBody, f: Rational2) -> tuple[int, Region]:
-    """The index and the entry of the first region of ``region_spec(body)``
-    that :func:`_matches` ``f``, from one projection of ``f`` per normal."""
+# ---------------------------------------------------------------------------
+# the integer frame
+
+_last_table: tuple = (None, None)
+
+
+def _table(body: LatticeFreeBody):
+    """``(V, regions)``: the vertices in corner-ray order times ``v``, the
+    facets' common denominator, and ``region_spec(body)`` as ``(pieces, split,
+    normal, (a0, a1, b0, b1))`` with ``t_bar = (a0 q + a1 P) / (b0 q + b1 P)``
+    at ``f = X / q``, ``P = normal . X``, each band ``lo <= P / q <= hi`` as
+    ``(n1, n2, lo.num, lo.den, hi.num, hi.den)``, an open side as -1/0 or 1/0.
+    Kept, as one pair read and replaced whole, until a call on another body."""
+    global _last_table
+    last, table = _last_table
+    if last is body:
+        return table
+
+    def bound(c, open_side):
+        return open_side if c is None else (c.numerator, c.denominator)
+
+    v = body._facets[0]
+    regions = [
+        ([[(*n, *bound(lo, (-1, 0)), *bound(hi, (1, 0))) for n, lo, hi in piece] for piece in r.pieces],
+         r.split, r.normal, over_common_denominator((*r.num, *r.den))[1])
+        for r in region_spec(body)
+    ]
+    table = [(int(p.x1 * v), int(p.x2 * v)) for p in body.vertices()], regions
+    _last_table = body, table
+    return table
+
+
+def _frame(body: LatticeFreeBody, f: Rational2, split_error: str):
+    """``(q, X1, X2), (d, D f, [D r])``: ``f = (X1, X2) / q`` found strictly
+    inside the body (``v (n . X) < c q`` at each integer facet), then ``f`` and
+    the corner rays ``V / v - f`` over ``d = lcm(v, q)``, as :func:`_scaled`."""
     if isinstance(body, SplitBody):
-        raise ValueError("splits have no region decomposition")
-    if not body.contains_interior(f):
+        raise ValueError(split_error)
+    q, (x1, x2) = over_common_denominator((f.x1, f.x2))
+    v, facets = body._facets
+    if not all(v * (n1 * x1 + n2 * x2) < c * q for n1, n2, c in facets):
         raise ValueError(f"root vertex {f} is not strictly interior to {body!r}")
-    proj = {n: _dot(n, f) for n in (_X1, _X2, _S)}
-    for i, region in enumerate(region_spec(body), start=1):
-        if _matches(region, proj.__getitem__, lambda n: proj[n].denominator != 1):
-            return i, region
+    d = lcm(v, q)
+    s, f1, f2 = d // v, x1 * (d // q), x2 * (d // q)
+    return (q, x1, x2), (d, (f1, f2), [(a * s - f1, b * s - f2) for a, b in _table(body)[0]])
+
+
+def _locate(body: LatticeFreeBody, f: Rational2):
+    """``(index, entry, _frame(...))`` of the first entry of :func:`_table`
+    that :func:`_matches` ``f``, with ``split . X mod q != 0`` as the strict test."""
+    frame = _frame(body, f, "splits have no region decomposition")
+    q, x1, x2 = frame[0]
+    for i, entry in enumerate(_table(body)[1], start=1):
+        pieces, split = entry[:2]
+        if (split is None or (split[0] * x1 + split[1] * x2) % q) and any(
+            all(ln * q <= (p := n1 * x1 + n2 * x2) * ld and p * hd <= hn * q for n1, n2, ln, ld, hn, hd in piece)
+            for piece in pieces
+        ):
+            return i, entry, frame
     raise ValueError(f"no region of {body!r} has a split containing f = {f} strictly")
 
 
@@ -368,7 +408,7 @@ def region_of(body: LatticeFreeBody, f: Rational2) -> RegionId:
     """The first region of ``region_spec(body)`` that :func:`_matches` ``f``:
     boundary points go to the smallest-index adjacent region whose split
     contains ``f`` strictly."""
-    return RegionId(body.tag, _region(body, f)[0])
+    return RegionId(body.tag, _locate(body, f)[0])
 
 
 def chosen_split(body: LatticeFreeBody, region: RegionId) -> tuple[int, int]:
@@ -396,19 +436,20 @@ def strength_single_split(body: LatticeFreeBody, f: Rational2) -> StrengthReport
     facet normals, so the exact closure strength is reported instead and no
     single split is singled out.
     """
-    index, region = _region(body, f)
-    if region.split is None:
+    index, (_, split, (n1, n2), (a0, a1, b0, b1)), ((q, x1, x2), (d, big_f, big_rays)) = _locate(body, f)
+    t_table = Fraction(a0 * q + a1 * (p := n1 * x1 + n2 * x2), b0 * q + b1 * p)
+    if split is None:
         t_check = strength_split_closure_approx(body, f, 1)
     else:
-        rays = [v - f for v in body.vertices()]  # _region has checked that f is interior
-        t_check = max(split_coefficients(region.split, f, rays).coefficients)
-    t_table = region.t_bar(f)
+        scale, row = _split_row(*split, (split[0] * big_f[0] + split[1] * big_f[1]) % d, d, big_rays)
+        top = max(row)  # t_check = top / scale, built only on a mismatch
+        t_check = t_table if t_table.numerator * scale == top * t_table.denominator else Fraction(top, scale)
     if t_table != t_check:
         raise AssertionError(
             f"strength table value {t_table} disagrees with the split-coefficient value {t_check} "
             f"for {body!r}, f={f}, region R{index}"
         )
-    return StrengthReport(region=RegionId(body.tag, index), chosen_split_normal=region.split, t_bar=t_table)
+    return StrengthReport(region=RegionId(body.tag, index), chosen_split_normal=split, t_bar=t_table)
 
 
 def admissible_normals(f: Rational2, n: int) -> list[tuple[int, int]]:
@@ -422,11 +463,12 @@ def strength_split_closure_approx(body: LatticeFreeBody, f: Rational2, n: int) -
     """Finite split-closure strength ``t_N``: all splits with max-norm <= n.
 
     The split rows are built in integers scaled by the common denominator of
-    ``f`` and the corner rays and go straight to :func:`_min_cover`.
+    ``f`` and the corner rays, in the body's integer frame, and go straight to
+    :func:`_min_cover`.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    d, big_f, big_rays = _scaled(f, corner_rays(body, f))
+    d, big_f, big_rays = _frame(body, f, "a split has no vertices, hence no corner rays")[1]
     rows = [_split_row(n1, n2, rem, d, big_rays) for n1, n2, rem in _admissible(n, d, big_f)]
     if not rows:
         raise ValueError(f"no admissible split with max-norm <= {n} for f = {f}")

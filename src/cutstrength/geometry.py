@@ -357,7 +357,8 @@ class Type3Body(LatticeFreeBody):
     In integers, with ``(a1, a2, b1) = (A1, A2, B1)/D``: ``b2 = -A2 (D - B1) /
     (D (A1 - D))`` and ``c = (A1 (A1 - D) B1, -A1 A2 (D - B1)) / E``, where
     ``E = (A1 - D)(D - A2) B1 - A1 A2 (D - B1)``.  Once ``b1 + b2 < 0``, that
-    is ``(A1 - D) B1 < A2 (D - B1)``, ``E < A2 (D - B1)(D - A1 - A2) < 0``.
+    is ``(A1 - D) B1 < A2 (D - B1)``, ``E < A2 (D - B1)(D - A1 - A2) < 0``, and
+    then ``b2 < 0``, ``c1 < 0``, ``c2 > 1`` and ``0 < c1 + c2 < 1``.
     """
 
     tag = "type3"
@@ -379,8 +380,6 @@ class Type3Body(LatticeFreeBody):
             raise ValueError(f"need b1 + b2 < 0, got {b1 + Fraction(nb2, db2)}")
         E = (A1 - D) * (D - A2) * B1 - A1 * A2 * (D - B1)
         nc1, nc2 = A1 * (A1 - D) * B1, -A1 * A2 * (D - B1)  # c = (nc1, nc2) / E
-        if not (nb2 < 0 and nc1 > 0 and nc2 < E and E < nc1 + nc2 < 0):
-            raise ValueError("derived vertices violate the canonical sign/range checks")
         # c2 - b2 <= a1 - c1 times D db2 E < 0, and c2 - b2 <= a1 + a2 - (b1 + b2) times D E
         if not (D * db2 * (nc1 + nc2) >= (A1 * db2 + D * nb2) * E and D * nc2 >= (A1 + A2 - B1) * E):
             b2, c1, c2 = Fraction(nb2, db2), Fraction(nc1, E), Fraction(nc2, E)
@@ -412,7 +411,8 @@ class QuadBody(LatticeFreeBody):
     ``c = (-A1 B1, -A1 B2) / e_c`` with ``e_c = (A2 - D) B1 - A1 B2``, and
     ``d = ((A2 - A1)(D - B1) - (D - A1) B2, -(D - A1) B2) / e_d`` with
     ``e_d = (A2 - D)(D - B1) - (D - A1) B2``; both are positive once
-    ``0 < a1 <= b1 < 1``, ``a2 > 1`` and ``b2 < 0``.
+    ``0 < a1 <= b1 < 1``, ``a2 > 1`` and ``b2 < 0``, and then
+    ``c1 < 0 < c2 <= d2 < 1 < d1``.
     """
 
     tag = "quad"
@@ -436,8 +436,6 @@ class QuadBody(LatticeFreeBody):
         e_d = (A2 - D) * (D - B1) - (D - A1) * B2
         nc1, nc2 = -A1 * B1, -A1 * B2
         nd1, nd2 = (A2 - A1) * (D - B1) - (D - A1) * B2, -(D - A1) * B2
-        if not (nc1 < 0 and 0 < nc2 < e_c and nd1 > e_d and 0 < nd2 < e_d and nc2 * e_d <= nd2 * e_c):
-            raise ValueError("derived vertices violate the canonical sign/range checks")
         # a2 - b2 <= d1 - c1 times D e_c e_d > 0
         if not (A2 - B2) * e_c * e_d <= D * (nd1 * e_c - nc1 * e_d):
             c1, d1 = Fraction(nc1, e_c), Fraction(nd1, e_d)

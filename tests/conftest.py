@@ -9,7 +9,20 @@ import pytest
 from hypothesis import assume, settings
 from hypothesis import strategies as st
 
-from cutstrength import QuadBody, Type1Body, Type2Body, Type3Body, lattice_width, point, quad_lower, t3_lower
+from cutstrength import (
+    QuadBody,
+    SplitBody,
+    Type1Body,
+    Type2Body,
+    Type3Body,
+    corner_rays,
+    lattice_width,
+    point,
+    quad_lower,
+    split_coefficients,
+    t3_lower,
+)
+from cutstrength.cuts import _admissible, _matches, _min_cover, _scaled, _split_row, region_spec
 from cutstrength.geometry import _frac, clip_halfplane, contains, polygon_area, primitive_directions, shoelace_area
 
 # CI runs with HYPOTHESIS_PROFILE=ci: the same examples on every run, no deadline
@@ -37,10 +50,32 @@ def t3_body():
     return Type3Body(F(3), F(3, 10), F(1, 10))
 
 
+# bodies whose region boundaries and lattice lines the 1/16 grid hits
+BOUNDARY_BODIES = [
+    Type1Body(),
+    Type2Body(F(1, 2), F(3, 2)),
+    Type2Body(F(2, 5), F(5, 2)),
+    Type2Body(F(1, 5), F(2)),  # w = 2
+    QuadBody(F(2, 5), F(3, 2), F(3, 5), F(-3, 10)),
+    QuadBody(F(1, 3), F(3, 2), F(1, 3), F(-1, 4)),  # a1 = b1
+    Type3Body(F(3), F(3, 10), F(1, 10)),
+]
+
+
+def box_grid(body, q):
+    """Every point of the 1/q grid in the body's bounding box, inside or not."""
+    box = body.polygon()
+    return [
+        point(F(i, q), F(j, q))
+        for i in range(floor(min(v.x1 for v in box) * q), ceil(max(v.x1 for v in box) * q) + 1)
+        for j in range(floor(min(v.x2 for v in box) * q), ceil(max(v.x2 for v in box) * q) + 1)
+    ]
+
+
 def quad_oracle(a1, a2, b1, b2):
     """The fields of ``QuadBody(a1, a2, b1, b2)`` as a dict, validated and
     derived in Fraction arithmetic with the constructor's checks and
-    messages."""
+    messages, asserting the sign and range facts of the derived vertices."""
     a1, a2, b1, b2 = _frac(a1), _frac(a2), _frac(b1), _frac(b2)
     if not (0 < a1 <= b1 < 1):
         raise ValueError(f"need 0 < a1 <= b1 < 1, got a1={a1}, b1={b1}")
@@ -54,8 +89,8 @@ def quad_oracle(a1, a2, b1, b2):
     c2 = c1 * b2 / b1
     d1 = ((a2 - a1) * (1 - b1) - (1 - a1) * b2) / ((a2 - 1) * (1 - b1) - (1 - a1) * b2)
     d2 = (d1 - 1) * b2 / (b1 - 1)
-    if not (c1 < 0 and 0 < c2 < 1 and d1 > 1 and 0 < d2 < 1 and c2 <= d2):
-        raise ValueError("derived vertices violate the canonical sign/range checks")
+    # the parameter checks imply these; QuadBody relies on them unchecked
+    assert c1 < 0 and 0 < c2 < 1 and d1 > 1 and 0 < d2 < 1 and c2 <= d2, (a1, a2, b1, b2)
     if not a2 - b2 <= d1 - c1:
         raise ValueError(
             f"lattice width must be attained by the vertical direction "
@@ -67,7 +102,7 @@ def quad_oracle(a1, a2, b1, b2):
 def t3_oracle(a1, a2, b1):
     """The fields of ``Type3Body(a1, a2, b1)`` as a dict, validated and
     derived in Fraction arithmetic with the constructor's checks and
-    messages."""
+    messages, asserting the sign and range facts of the derived vertices."""
     a1, a2, b1 = _frac(a1), _frac(a2), _frac(b1)
     if not a1 > 1:
         raise ValueError(f"need a1 > 1, got a1={a1}")
@@ -81,8 +116,8 @@ def t3_oracle(a1, a2, b1):
     den = (a1 - 1) * (1 - a2) * b1 - a1 * a2 * (1 - b1)
     c1 = a1 * (a1 - 1) * b1 / den
     c2 = -a1 * a2 * (1 - b1) / den
-    if not (b2 < 0 and c1 < 0 and c2 > 1 and 0 < c1 + c2 < 1):
-        raise ValueError("derived vertices violate the canonical sign/range checks")
+    # the parameter checks imply these; Type3Body relies on them unchecked
+    assert b2 < 0 and c1 < 0 and c2 > 1 and 0 < c1 + c2 < 1, (a1, a2, b1)
     width_candidates = (c2 - b2, a1 - c1, a1 + a2 - (b1 + b2))
     if min(width_candidates) != c2 - b2:
         raise ValueError(
@@ -323,3 +358,53 @@ def root_vertex(draw, body, max_denominator=60):
     f = point(t, s) if axis == 0 else point(s, t)
     assert body.contains_interior(f)
     return f
+
+
+def region_t_bar(region, f):
+    """The closed-form ``t_bar`` of a ``region_spec`` entry at ``f``, in
+    Fractions: ``(num[0] + num[1] u) / (den[0] + den[1] u)``, ``u = normal . f``."""
+    u = region.normal[0] * f.x1 + region.normal[1] * f.x2
+    return (region.num[0] + region.num[1] * u) / (region.den[0] + region.den[1] * u)
+
+
+def region_oracle(body, f):
+    """``(index, region)`` of the first entry of ``region_spec(body)`` that
+    ``_matches`` ``f``, from Fraction projections of ``f``, with the errors and
+    messages of ``region_of``."""
+    if isinstance(body, SplitBody):
+        raise ValueError("splits have no region decomposition")
+    if not body.contains_interior(f):
+        raise ValueError(f"root vertex {f} is not strictly interior to {body!r}")
+    proj = {n: n[0] * f.x1 + n[1] * f.x2 for n in ((1, 0), (0, 1), (1, 1))}
+    for i, region in enumerate(region_spec(body), start=1):
+        if _matches(region, proj.__getitem__, lambda n: proj[n].denominator != 1):
+            return i, region
+    raise ValueError(f"no region of {body!r} has a split containing f = {f} strictly")
+
+
+def closure_oracle(body, f, n):
+    """``strength_split_closure_approx`` with the split rows scaled from the
+    Fraction corner rays of ``corner_rays``."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    d, big_f, big_rays = _scaled(f, corner_rays(body, f))
+    rows = [_split_row(n1, n2, rem, d, big_rays) for n1, n2, rem in _admissible(n, d, big_f)]
+    if not rows:
+        raise ValueError(f"no admissible split with max-norm <= {n} for f = {f}")
+    value, _ = _min_cover(rows, len(big_rays))
+    return 1 / value
+
+
+def single_split_oracle(body, f):
+    """``(index, split, t_bar)`` of ``strength_single_split`` in Fractions:
+    the region from :func:`region_oracle`, ``t_bar`` from its closed form,
+    which must equal the split's largest Fraction coefficient at the corner
+    rays (type 1: :func:`closure_oracle` at N = 1)."""
+    index, region = region_oracle(body, f)
+    if region.split is None:
+        t_check = closure_oracle(body, f, 1)
+    else:
+        t_check = max(split_coefficients(region.split, f, corner_rays(body, f)).coefficients)
+    t_bar = region_t_bar(region, f)
+    assert t_bar == t_check, (body, f, index)
+    return index, region.split, t_bar

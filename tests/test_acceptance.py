@@ -30,7 +30,7 @@ from cutstrength import (
 from cutstrength.cuts import region_spec
 from cutstrength.sweeps import sweep_grid
 
-from conftest import random_interior_point
+from conftest import random_interior_point, region_t_bar
 
 
 T2_FIXTURE = Type2Body(F(1, 2), F(3, 2))
@@ -112,7 +112,7 @@ def test_criterion_6_table_equals_lp_reciprocal():
         for _ in range(1000):
             f = random_interior_point(body, rng)
             region = region_of(body, f)
-            table = region_spec(body)[region.index - 1].t_bar(f)
+            table = region_t_bar(region_spec(body)[region.index - 1], f)
             cut = split_coefficients(chosen_split(body, region), f, corner_rays(body, f))
             value, _ = covering_lp_min([cut.coefficients], len(cut.coefficients))
             ok = ok and table == 1 / value
@@ -134,7 +134,7 @@ def test_criterion_7_closure_monotonicity():
     t1 = Type1Body()
     for _ in range(1000):
         f = random_interior_point(t1, rng)
-        exact = region_spec(t1)[region_of(t1, f).index - 1].t_bar(f)
+        exact = region_t_bar(region_spec(t1)[region_of(t1, f).index - 1], f)
         ok = ok and strength_split_closure_approx(t1, f, 1) == exact
     report(7, "t_N nonincreasing, below t_bar; type 1 exact at N = 1", ok)
 

@@ -1,4 +1,8 @@
+import gc
 import random
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 from math import ceil, floor, inf
 from operator import le
@@ -29,10 +33,21 @@ from cutstrength import (
     strength_single_split,
     strength_split_closure_approx,
 )
+from cutstrength import cuts
 from cutstrength.cli import run
 from cutstrength.geometry import contains
 
-from conftest import any_body, covering_lp_oracle, random_interior_point, root_vertex
+from conftest import (
+    BOUNDARY_BODIES,
+    any_body,
+    box_grid,
+    closure_oracle,
+    covering_lp_oracle,
+    random_interior_point,
+    region_oracle,
+    root_vertex,
+    single_split_oracle,
+)
 
 
 def grid_bodies():
@@ -415,3 +430,124 @@ class TestStrengthReport:
         assert rep.t_bar == F(2)
         assert rep.n == 2
         assert rep.t_n is not None and rep.t_n <= rep.t_bar
+
+
+def outcome(call, *args):
+    """The call's result, or its exception's type and text."""
+    try:
+        return call(*args)
+    except Exception as exc:  # compared, never swallowed: the caller asserts on it
+        return type(exc), str(exc)
+
+
+def single_split(body, f):
+    rep = strength_single_split(body, f)
+    return rep.region.index, rep.chosen_split_normal, rep.t_bar
+
+
+def assert_same_as_oracles(body, f, closure=(1, 3)):
+    """The integer-frame queries give the Fraction oracles' values, or raise
+    the same exception type with the same text."""
+    assert outcome(single_split, body, f) == outcome(single_split_oracle, body, f), (body, f)
+    assert outcome(lambda: region_of(body, f).index) == outcome(lambda: region_oracle(body, f)[0]), (body, f)
+    for n in closure:
+        got = outcome(strength_split_closure_approx, body, f, n)
+        assert got == outcome(closure_oracle, body, f, n), (body, f, n)
+
+
+class TestIntegerFrame:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_property_against_fraction_oracles(self, data):
+        body = data.draw(any_body())
+        assert_same_as_oracles(body, data.draw(root_vertex(body)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_property_any_point_of_the_box(self, data):
+        # points on and outside the boundary raise the oracle's error
+        body = data.draw(any_body())
+        box = body.polygon()
+        x1, x2 = (
+            data.draw(st.fractions(floor(min(xs)) - 1, ceil(max(xs)) + 1, max_denominator=12))
+            for xs in ([v.x1 for v in box], [v.x2 for v in box])
+        )
+        assert_same_as_oracles(body, point(x1, x2))
+
+    def test_dyadic_grid(self):
+        # the 1/16 grid hits region boundaries and lattice lines; the box
+        # points outside the body check the exterior error
+        for body in BOUNDARY_BODIES:
+            for f in box_grid(body, 16):
+                assert_same_as_oracles(body, f, closure=(1,))
+
+    def test_errors(self, t2_body):
+        f = point(F(1, 2), F(1, 2))
+        for body, g in [(t2_body, point(5, 5)), (t2_body, point(-1, 0)), (SplitBody((0, 1), 0), f)]:
+            for call, oracle in [(single_split, single_split_oracle), (region_of, region_oracle)]:
+                got = outcome(call, body, g)
+                assert got[0] is ValueError and got == outcome(oracle, body, g)
+            got = outcome(strength_split_closure_approx, body, g, 2)
+            assert got[0] is ValueError and got == outcome(closure_oracle, body, g, 2)
+        for n in (0, -1):
+            got = outcome(strength_split_closure_approx, t2_body, f, n)
+            assert got == (ValueError, "need n >= 1") == outcome(closure_oracle, t2_body, f, n)
+
+
+class TestTableReuse:
+    # the region table of the last body queried is reused for the next query
+    # on the same body object; a different object gets its own table
+
+    @staticmethod
+    def queries():
+        a = QuadBody(F(2, 5), F(3, 2), F(3, 5), F(-3, 10))
+        b = Type3Body(F(3), F(3, 10), F(1, 10))
+        a_again = QuadBody(F(2, 5), F(3, 2), F(3, 5), F(-3, 10))
+        assert a_again == a and a_again is not a
+        points = [point(F(1, 2), F(1, 3)), point(F(1, 4), F(1, 2)), point(F(1, 2), F(1, 2)), point(F(1, 2), 1)]
+        return [(body, f) for body in (a, b, a, a_again) for f in points if body.contains_interior(f)]
+
+    @staticmethod
+    def answer(body, f):
+        return single_split(body, f), region_of(body, f).index, strength_split_closure_approx(body, f, 2)
+
+    def test_interleaved_bodies(self):
+        queries = self.queries()
+        assert {type(body) for body, _ in queries} == {QuadBody, Type3Body}
+        for body, f in queries:
+            want = single_split_oracle(body, f), region_oracle(body, f)[0], closure_oracle(body, f, 2)
+            assert self.answer(body, f) == want, (body, f)
+
+    def test_two_threads(self):
+        # a short switch interval makes the two threads' bodies alternate often
+        queries = self.queries() * 50
+        serial = [self.answer(body, f) for body, f in queries]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                threaded = list(pool.map(lambda q: self.answer(*q), queries, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
+    def test_cross_check_catches_a_wrong_table(self, quad_body, monkeypatch):
+        f = point(F(1, 2), F(1, 3))
+        index = region_of(quad_body, f).index
+        vertices, regions = cuts._last_table[1]
+        pieces, split, normal, (a0, a1, b0, b1) = regions[index - 1]
+        wrong = list(regions)
+        wrong[index - 1] = pieces, split, normal, (a0 + b0, a1 + b1, b0, b1)  # t_bar + 1
+        monkeypatch.setattr(cuts, "_last_table", (quad_body, (vertices, wrong)))
+        with pytest.raises(AssertionError, match="disagrees with the split-coefficient value"):
+            strength_single_split(quad_body, f)
+
+    def test_keeps_one_body(self):
+        body = Type2Body(F(1, 3), F(5, 2))
+        region_of(body, point(F(1, 4), F(1, 2)))
+        ref = weakref.ref(body)
+        del body
+        region_of(Type1Body(), point(F(1, 2), F(1, 2)))
+        gc.collect()
+        assert ref() is None
+        assert isinstance(cuts._last_table[0], Type1Body)

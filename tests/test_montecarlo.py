@@ -3,7 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as F
-from math import ceil, floor, sqrt
+from math import sqrt
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from cutstrength.montecarlo import (
     thread_count,
 )
 
-from conftest import random_interior_point
+from conftest import BOUNDARY_BODIES, box_grid, random_interior_point, region_t_bar
 
 
 @pytest.fixture
@@ -113,15 +113,7 @@ class TestEstimates:
 
 
 class TestEvaluators:
-    BODIES = [
-        Type1Body(),
-        Type2Body(F(1, 2), F(3, 2)),
-        Type2Body(F(2, 5), F(5, 2)),
-        Type2Body(F(1, 5), F(2)),  # w = 2
-        QuadBody(F(2, 5), F(3, 2), F(3, 5), F(-3, 10)),
-        QuadBody(F(1, 3), F(3, 2), F(1, 3), F(-1, 4)),  # a1 = b1
-        Type3Body(F(3), F(3, 10), F(1, 10)),
-    ]
+    BODIES = BOUNDARY_BODIES
 
     @staticmethod
     def assert_matches_exact(body, points):
@@ -174,17 +166,11 @@ class TestEvaluators:
         # the evaluator must pick the same region as region_of
         for body in self.BODIES:
             spec = region_spec(body)
-            box = body.polygon()
-            pts = [
-                point(F(i, 16), F(j, 16))
-                for i in range(floor(min(v.x1 for v in box) * 16), ceil(max(v.x1 for v in box) * 16) + 1)
-                for j in range(floor(min(v.x2 for v in box) * 16), ceil(max(v.x2 for v in box) * 16) + 1)
-            ]
-            pts = [f for f in pts if body.contains_interior(f)]
+            pts = [f for f in box_grid(body, 16) if body.contains_interior(f)]
             values = _t_bar_evaluator(body)(np.array([[float(f.x1), float(f.x2)] for f in pts]))
             for f, value in zip(pts, values):
                 try:
-                    exact = spec[region_of(body, f).index - 1].t_bar(f)
+                    exact = region_t_bar(spec[region_of(body, f).index - 1], f)
                 except ZeroDivisionError:
                     assert not np.isfinite(value), (body, f)
                 else:
