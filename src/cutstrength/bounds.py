@@ -5,7 +5,11 @@ All evaluators are exact: rational in, rational out.  Every family bound is
 represented as a :class:`PiecewiseBound` (one term per region: ordered
 breaks plus one closed-form evaluator per interval, selected
 right-continuously), so that breakpoint continuity can be tested piece
-against piece.
+against piece.  The breaks, the scale and the pieces' values are unreduced
+integer pairs; the quad and type 3 bounds build theirs from the integer frame
+that their body's constructor keeps, and a call picks each term's piece by
+cross-multiplying ``z`` against the breaks, so only the value it returns is a
+``Fraction``.
 
 For the type 1 triangle the value is an exact probability, not merely a
 bound; it has a genuine jump at ``z = 2`` because the strength equals 2 on a
@@ -14,12 +18,11 @@ region of positive area.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .geometry import QuadBody, Rat, Rational2, Type1Body, Type2Body, Type3Body, _frac, area, lattice_width
+from .geometry import QuadBody, Rat, Rational2, Type1Body, Type2Body, Type3Body, _frac, lattice_width
 
 
 class _Ratio:
@@ -37,10 +40,6 @@ class _Ratio:
     def __init__(self, numerator: int, denominator: int = 1):
         self.numerator = numerator
         self.denominator = denominator
-
-    @classmethod
-    def of(cls, value) -> "_Ratio":
-        return cls(value.numerator, value.denominator)
 
     def __add__(self, other) -> "_Ratio":
         n, d = other.numerator, other.denominator
@@ -90,30 +89,41 @@ class PiecewiseBound:
 
     Each term ``(breaks, fns)`` applies ``fns[i]`` on
     ``[breaks[i-1], breaks[i])`` (first and last interval open-ended); the
-    value is the sum over the terms.  Selection is right-continuous, which is
-    the natural convention for a distribution-style bound.  The pieces take
-    and return unreduced :class:`_Ratio` values; the sum is reduced once.
+    value is the sum over the terms.  The breaks of a term are in
+    non-decreasing order; they and the positive ``scale`` are unreduced
+    :class:`_Ratio` pairs.  A call picks ``fns[i]`` with ``i`` the number of
+    breaks ``b <= z``, by cross-multiplying, which is ``bisect_right`` on the
+    ordered breaks: selection is right-continuous, the natural convention for
+    a distribution-style bound.  The pieces take and return unreduced
+    :class:`_Ratio` values; the sum is reduced once.
     """
 
-    terms: tuple[tuple[tuple[Fraction, ...], tuple[Callable[[_Ratio], _Ratio], ...]], ...]
-    scale: Fraction = Fraction(1)
+    terms: tuple[tuple[tuple[_Ratio, ...], tuple[Callable[[_Ratio], _Ratio], ...]], ...]
+    scale: _Ratio = _Ratio(1)
 
     @property
     def breakpoints(self) -> tuple[Fraction, ...]:
-        return tuple(sorted({b for breaks, _ in self.terms for b in breaks}))
+        return tuple(sorted({Fraction(b.numerator, b.denominator) for breaks, _ in self.terms for b in breaks}))
 
     def __call__(self, z: Rat) -> Fraction:
         z = _frac(z)
-        if z <= 1:
+        p, q = z.numerator, z.denominator
+        if p <= q:
             raise ValueError(f"threshold must satisfy z > 1, got {z}")
-        zr = _Ratio.of(z)
-        total = sum(fns[bisect_right(breaks, z)](zr) for breaks, fns in self.terms)
+        zr = _Ratio(p, q)
+        total = _Ratio(0)
+        for breaks, fns in self.terms:
+            i = 0
+            for b in breaks:
+                if b.numerator * q <= p * b.denominator:
+                    i += 1
+            total += fns[i](zr)
         scale = self.scale
         return Fraction(total.numerator * scale.denominator, total.denominator * scale.numerator)
 
 
-def _const(value: Rat) -> Callable[[_Ratio], _Ratio]:
-    v = _Ratio.of(_frac(value))
+def _const(value: int) -> Callable[[_Ratio], _Ratio]:
+    v = _Ratio(value)
     return lambda z: v
 
 
@@ -128,9 +138,9 @@ def t1_bound() -> PiecewiseBound:
     """Exact probability that the type 1 strength is at most z."""
 
     def middle(z: _Ratio) -> _Ratio:
-        return Fraction(3, 4) * ((2 * z - 3) / (z - 1)) ** 2
+        return _Ratio(3, 4) * ((2 * z - 3) / (z - 1)) ** 2
 
-    return PiecewiseBound((((Fraction(3, 2), Fraction(2)), (_ZERO, middle, _const(1))),))
+    return PiecewiseBound((((_Ratio(3, 2), _Ratio(2)), (_ZERO, middle, _const(1))),))
 
 
 def p_t1(z: Rat) -> Fraction:
@@ -151,9 +161,11 @@ def t2_bound(w: Rat) -> PiecewiseBound:
     at most z, as a function of the lattice width alone."""
     w = _frac(w)
     _check_width(w)
-    # at w = 2 the breaks coincide and bisect_right skips the empty middle
-    breaks = (w, w / (w - 1))
-    w = _Ratio.of(w)
+    # w / (w - 1) = p / (p - q); at w = 2 the breaks coincide and the empty
+    # middle piece is never picked
+    p, q = w.numerator, w.denominator
+    breaks = (_Ratio(p, q), _Ratio(p, p - q))
+    w = _Ratio(p, q)
 
     def g1(z: _Ratio) -> _Ratio:
         return (z - w) * (2 * w * z - w - z) / (w**2 * (z - 1) ** 2)
@@ -214,17 +226,26 @@ def special_values(w: Rat) -> tuple[Fraction, Fraction]:
 
 def quad_bound(body: QuadBody) -> PiecewiseBound:
     """Lower bound on the probability that the quadrilateral single-split
-    strength is at most z, in the vertex parameterization."""
-    a1, a2, b1, b2 = body.a1, body.a2, body.b1, body.b2
-    c1, c2, d1, d2 = body.c1, body.c2, body.d1, body.d2
-    w = a2 - b2
+    strength is at most z, in the vertex parameterization, built from the
+    body's integer frame."""
+    D, A1, A2, B1, B2, e_c, e_d, nc1, nc2, nd1, nd2 = body._frame
+    a1, a2, b1, b2 = _Ratio(A1, D), _Ratio(A2, D), _Ratio(B1, D), _Ratio(B2, D)
+    c1, c2, d1, d2 = _Ratio(nc1, e_c), _Ratio(nc2, e_c), _Ratio(nd1, e_d), _Ratio(nd2, e_d)
+    w, v = _Ratio(A2 - B2, D), d1 - c1
     breaks = (
         (w, (c2 - b2) / c2),
         (w, (a2 - d2) / (1 - d2)),
-        (d1 - c1, (a1 - c1) / a1),
-        (d1 - c1, (d1 - b1) / (1 - b1)),
+        (v, (a1 - c1) / a1),
+        (v, (d1 - b1) / (1 - b1)),
     )
-    a1, a2, b1, b2, c1, c2, d1, d2, w = map(_Ratio.of, (a1, a2, b1, b2, c1, c2, d1, d2, w))
+    fns = _quad_pieces(a1, a2, b1, b2, c1, c2, d1, d2, w)
+    # the area (a2 - b2 + d1 - c1) / 2
+    return PiecewiseBound(tuple(zip(breaks, fns)), (w + v) * _Ratio(1, 2))
+
+
+def _quad_pieces(a1, a2, b1, b2, c1, c2, d1, d2, w):
+    """The pieces ``(fns, ...)`` of the quad bound's four terms, one per
+    region, from the vertices and the width as :class:`_Ratio` values."""
     half = _Ratio(1, 2)
 
     def r1_mid(z):
@@ -289,13 +310,12 @@ def quad_bound(body: QuadBody) -> PiecewiseBound:
             + ((a2 - 1) * (2 - b1) - b2 * (1 - a1)) / (1 - a1)
         )
 
-    fns = (
+    return (
         (_ZERO, r1_mid, r1_tail),
         (_ZERO, r2_mid, r2_tail),
         (_ZERO, r3_mid, r3_tail),
         (_ZERO, r4_mid, r4_tail),
     )
-    return PiecewiseBound(tuple(zip(breaks, fns)), area(body))
 
 
 def quad_lower(body: QuadBody, z: Rat) -> Fraction:
@@ -308,9 +328,12 @@ def quad_lower(body: QuadBody, z: Rat) -> Fraction:
 
 def t3_bound(body: Type3Body) -> PiecewiseBound:
     """Lower bound on the probability that the type 3 single-split strength is
-    at most z, in the vertex parameterization."""
-    a1, a2, b1 = body.a1, body.a2, body.b1
-    b2, c1, c2 = body.b2, body.c1, body.c2
+    at most z, in the vertex parameterization, built from the body's integer
+    frame."""
+    D, A1, A2, B1, nb2, db2, E, nc1, nc2 = body._frame
+    a1, a2, b1, b2 = _Ratio(A1, D), _Ratio(A2, D), _Ratio(B1, D), _Ratio(nb2, db2)
+    # c = (nc1, nc2) / E with E < 0 and nc2 < 0
+    c1, c2, cs = _Ratio(-nc1, -E), _Ratio(-nc2, -E), _Ratio(-nc1 - nc2, -E)
     w = c2 - b2
     # The diagonal-split region above the line x2 = 1 is the triangle with
     # vertices c, (0,1), and (c1/c2, 1); its lowest diagonal coordinate
@@ -318,13 +341,20 @@ def t3_bound(body: Type3Body) -> PiecewiseBound:
     # z_corner, not at the diagonal lattice width.  The low-diagonal region
     # R5 is always empty under the enforced width ordering: it would require
     # a1 + a2 <= 1 + b1, which forces c2 <= 1.
-    s_low = (c1 + c2) / c2
+    s_low = _Ratio(-nc1 - nc2, -nc2)  # (c1 + c2) / c2
     breaks = (
         (w, (a2 - b2) / a2),
         (a1 - c1, (b1 - c1) / b1),
-        ((a1 + a2 - s_low) / (1 - s_low), (a1 + a2 - (c1 + c2)) / (1 - (c1 + c2))),
+        ((a1 + a2 - s_low) / (1 - s_low), (a1 + a2 - cs) / (1 - cs)),
     )
-    a1, a2, b1, b2, c1, c2, w, s_low = map(_Ratio.of, (a1, a2, b1, b2, c1, c2, w, s_low))
+    fns = _t3_pieces(a1, a2, b1, b2, c1, c2, w, s_low)
+    # the area (a1 + a2 - b2 - c1) / 2
+    return PiecewiseBound(tuple(zip(breaks, fns)), (a1 + a2 - b2 - c1) * _Ratio(1, 2))
+
+
+def _t3_pieces(a1, a2, b1, b2, c1, c2, w, s_low):
+    """The pieces ``(fns, ...)`` of the type 3 bound's three terms from the
+    vertices, the width and ``s_low`` as :class:`_Ratio` values."""
     half = _Ratio(1, 2)
 
     def r12_mid(z):
@@ -373,8 +403,7 @@ def t3_bound(body: Type3Body) -> PiecewiseBound:
         t17 = (1 - a2) / (z - 1) * (1 - (c1 + c2) - (a1 + a2 - 1) / (z - 1))
         return t13 - t14 + t16 + t17
 
-    fns = ((_ZERO, r12_mid, r12_tail), (_ZERO, r34_lo, r34_hi), (_ZERO, r6_mid, r6_tail))
-    return PiecewiseBound(tuple(zip(breaks, fns)), area(body))
+    return ((_ZERO, r12_mid, r12_tail), (_ZERO, r34_lo, r34_hi), (_ZERO, r6_mid, r6_tail))
 
 
 def t3_lower(body: Type3Body, z: Rat) -> Fraction:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .bounds import bound_for, special_values
@@ -244,10 +245,24 @@ _RUNNERS = {
 }
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argparse takes a value such as "-3/2" for an option of its own, so
+    join a value that starts with "-" and a digit to the long option before
+    it, as "--z=-3/2"; every option here takes one value."""
+    out = []
+    for arg in argv:
+        prev = out[-1] if out else ""
+        if len(prev) > 2 and prev.startswith("--") and "=" not in prev and re.match(r"-\d", arg):
+            out[-1] = f"{prev}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def run(argv=None) -> int:
     parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_ERROR
     try:

@@ -358,7 +358,10 @@ class Type3Body(LatticeFreeBody):
     (D (A1 - D))`` and ``c = (A1 (A1 - D) B1, -A1 A2 (D - B1)) / E``, where
     ``E = (A1 - D)(D - A2) B1 - A1 A2 (D - B1)``.  Once ``b1 + b2 < 0``, that
     is ``(A1 - D) B1 < A2 (D - B1)``, ``E < A2 (D - B1)(D - A1 - A2) < 0``, and
-    then ``b2 < 0``, ``c1 < 0``, ``c2 > 1`` and ``0 < c1 + c2 < 1``.
+    then ``b2 < 0``, ``c1 < 0``, ``c2 > 1`` and ``0 < c1 + c2 < 1``.  The body
+    keeps these integers as ``_frame = (D, A1, A2, B1, nb2, db2, E, nc1,
+    nc2)``, with ``b2 = nb2 / db2`` and ``c = (nc1, nc2) / E``; it is not a
+    field.
     """
 
     tag = "type3"
@@ -391,6 +394,7 @@ class Type3Body(LatticeFreeBody):
         b2, c1, c2 = Fraction(nb2, db2), Fraction(nc1, E), Fraction(nc2, E)
         self.a1, self.a2, self.b1 = a1, a2, b1
         self.b2, self.c1, self.c2 = b2, c1, c2
+        self._frame = (D, A1, A2, B1, nb2, db2, E, nc1, nc2)
         a, b, c = Rational2(a1, a2), Rational2(b1, b2), Rational2(c1, c2)
         self._vertices = (a, b, c)
         # a lies right of the lattice points, b below and c above left, so
@@ -412,7 +416,9 @@ class QuadBody(LatticeFreeBody):
     ``d = ((A2 - A1)(D - B1) - (D - A1) B2, -(D - A1) B2) / e_d`` with
     ``e_d = (A2 - D)(D - B1) - (D - A1) B2``; both are positive once
     ``0 < a1 <= b1 < 1``, ``a2 > 1`` and ``b2 < 0``, and then
-    ``c1 < 0 < c2 <= d2 < 1 < d1``.
+    ``c1 < 0 < c2 <= d2 < 1 < d1``.  The body keeps these integers as
+    ``_frame = (D, A1, A2, B1, B2, e_c, e_d, nc1, nc2, nd1, nd2)``, with
+    ``c = (nc1, nc2) / e_c`` and ``d = (nd1, nd2) / e_d``; it is not a field.
     """
 
     tag = "quad"
@@ -446,6 +452,7 @@ class QuadBody(LatticeFreeBody):
         c1, c2, d1, d2 = Fraction(nc1, e_c), Fraction(nc2, e_c), Fraction(nd1, e_d), Fraction(nd2, e_d)
         self.a1, self.a2, self.b1, self.b2 = a1, a2, b1, b2
         self.c1, self.c2, self.d1, self.d2 = c1, c2, d1, d2
+        self._frame = (D, A1, A2, B1, B2, e_c, e_d, nc1, nc2, nd1, nd2)
         a, b, c, d = Rational2(a1, a2), Rational2(b1, b2), Rational2(c1, c2), Rational2(d1, d2)
         self._vertices = (a, b, c, d)
         self._cycle = (c, b, d, a)
@@ -479,7 +486,12 @@ def area(body: LatticeFreeBody) -> Fraction:
 
 
 def lattice_width(body: LatticeFreeBody) -> Fraction:
-    """Closed-form lattice width of a canonical body."""
+    """Closed-form lattice width of a canonical body.
+
+    Type 3 and quad bodies are built so that the vertical direction attains
+    it: their constructors reject parameters where another direction is
+    narrower (quad: ``a2 - b2 <= d1 - c1``), so the width is ``c2 - b2`` and
+    ``a2 - b2``."""
     if isinstance(body, SplitBody):
         return Fraction(1)
     if isinstance(body, Type1Body):
@@ -489,7 +501,7 @@ def lattice_width(body: LatticeFreeBody) -> Fraction:
     if isinstance(body, Type3Body):
         return body.c2 - body.b2
     if isinstance(body, QuadBody):
-        return min(body.a2 - body.b2, body.d1 - body.c1)
+        return body.a2 - body.b2
     raise TypeError(f"unsupported body {body!r}")
 
 

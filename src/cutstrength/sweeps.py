@@ -135,7 +135,9 @@ def sweep_grid(
                     )
     if not rows:
         raise ValueError("grid is empty: no valid parameter combinations")
-    rows.sort(key=lambda r: r.w, reverse=True)
+    # float rounding is monotone, so the exact w only breaks ties of the
+    # floats, and the stable sort keeps the order of a sort on w alone
+    rows.sort(key=lambda r: (float(r.w), r.w), reverse=True)
     return rows
 
 

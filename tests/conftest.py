@@ -1,6 +1,7 @@
 """Shared fixtures and independent oracles for the test suite."""
 
 import os
+from bisect import bisect_right
 from fractions import Fraction as F
 from itertools import combinations
 from math import ceil, floor
@@ -15,6 +16,7 @@ from cutstrength import (
     Type1Body,
     Type2Body,
     Type3Body,
+    area,
     corner_rays,
     lattice_width,
     point,
@@ -22,6 +24,7 @@ from cutstrength import (
     split_coefficients,
     t3_lower,
 )
+from cutstrength.bounds import _quad_pieces, _Ratio, _t3_pieces
 from cutstrength.cuts import _admissible, _matches, _min_cover, _scaled, _split_row, region_spec
 from cutstrength.geometry import _frac, clip_halfplane, contains, polygon_area, primitive_directions, shoelace_area
 
@@ -311,6 +314,59 @@ def _inside(lo, hi, max_denominator=60):
     )
 
 
+def _rat(lo, hi, max_denominator=10**4):
+    """Rationals ``lo + (hi - lo) k / q`` with ``0 <= k <= q <= max_denominator``."""
+    return st.integers(1, max_denominator).flatmap(
+        lambda q: st.integers(0, q).map(lambda k: lo + (hi - lo) * F(k, q))
+    )
+
+
+def _nudged(value):
+    """``value``, or ``value`` moved by ``±1/q``, ``q <= 10^4``, to either side of an edge."""
+    nudge = st.builds(F, st.sampled_from((-1, 1)), st.integers(1, 10**4))
+    return st.one_of(st.just(value), nudge.map(lambda e: value + e))
+
+
+@st.composite
+def quad_params(draw):
+    """``(a1, a2, b1, b2)`` over and around the quad domain, with the edges
+    a1 = b1 and -b2 = a2 - 1, and the two families of width ties
+    a2 - b2 = d1 - c1: a1 = b1 with a2 - b2 = 2 (where also c2 = d2), and the
+    point-symmetric quads a1 = 1 - b1 = 1/(1 + m^2), a2 - 1 = -b2 = m/(1 + m^2)."""
+    family = draw(st.sampled_from(("free", "diagonal tie", "symmetric tie")))
+    if family == "diagonal tie":
+        t, a2 = draw(_inside(0, 1, 10**4)), draw(_rat(F(3, 2), 2))
+        return t, a2, t, draw(_nudged(a2 - 2))
+    if family == "symmetric tie":
+        m = draw(st.one_of(st.just(F(1)), _inside(1, 10, 10**4)))
+        t, h = 1 / (1 + m * m), m / (1 + m * m)
+        return t, draw(_nudged(1 + h)), 1 - t, -h
+    a1 = draw(st.one_of(_inside(0, 1, 10**4), _rat(F(-1, 4), F(5, 4), 8)))
+    b1 = draw(st.one_of(st.just(a1), _rat(a1, 1), _rat(F(-1, 4), F(5, 4))))
+    a2 = draw(st.one_of(_rat(1, 2), _rat(F(1, 2), 4)))
+    b2 = draw(st.one_of(st.just(1 - a2), _rat(0, 1).map(lambda v: (1 - a2) * v), _rat(-3, F(1, 2))))
+    return a1, a2, b1, b2
+
+
+@st.composite
+def t3_params(draw):
+    """``(a1, a2, b1)`` over and around the type 3 domain, with the edge
+    b1 + b2 = 0 and the two families of width ties: c2 - b2 equals
+    a1 + a2 - (b1 + b2) when a2 = b1, and a1 - c1 when
+    a2 = (a1^2 + a1 b1 - 2 a1 - b1 + 1) / (1 - b1)."""
+    family = draw(st.sampled_from(("free", "inside", "sum tie", "c1 tie")))
+    if family == "free":
+        return draw(_rat(F(1, 2), 6)), draw(_rat(F(-1, 4), F(5, 4))), draw(_rat(F(-1, 4), F(5, 4)))
+    a1, b1 = draw(_inside(1, 2 if family == "c1 tie" else 6, 10**4)), draw(_inside(0, 1, 10**4))
+    if family == "sum tie":
+        return a1, draw(_nudged(b1)), b1
+    if family == "c1 tie":
+        return a1, draw(_nudged((a1 * a1 + a1 * b1 - 2 * a1 - b1 + 1) / (1 - b1))), b1
+    # b1 + b2 < 0 is b1 < a2 / (a1 + a2 - 1); the top of the range is its edge
+    a2 = draw(_inside(0, 1, 10**4))
+    return a1, a2, a2 / (a1 + a2 - 1) * draw(_rat(0, 1, 12))
+
+
 @st.composite
 def any_body(draw):
     """A valid body of any bounded family, with parameters over the whole
@@ -408,3 +464,49 @@ def single_split_oracle(body, f):
     t_bar = region_t_bar(region, f)
     assert t_bar == t_check, (body, f, index)
     return index, region.split, t_bar
+
+
+def _ratio_of(value):
+    return _Ratio(value.numerator, value.denominator)
+
+
+def quad_bound_oracle(body):
+    """``(breaks, fns, scale)`` of ``quad_bound(body)`` derived in Fraction
+    arithmetic: the breaks and the area from the body's Fraction vertices,
+    and the pieces seeded with those Fractions."""
+    a1, a2, b1, b2 = body.a1, body.a2, body.b1, body.b2
+    c1, c2, d1, d2 = body.c1, body.c2, body.d1, body.d2
+    w = a2 - b2
+    breaks = (
+        (w, (c2 - b2) / c2),
+        (w, (a2 - d2) / (1 - d2)),
+        (d1 - c1, (a1 - c1) / a1),
+        (d1 - c1, (d1 - b1) / (1 - b1)),
+    )
+    a1, a2, b1, b2, c1, c2, d1, d2, w = map(_ratio_of, (a1, a2, b1, b2, c1, c2, d1, d2, w))
+    return breaks, _quad_pieces(a1, a2, b1, b2, c1, c2, d1, d2, w), area(body)
+
+
+def t3_bound_oracle(body):
+    """``(breaks, fns, scale)`` of ``t3_bound(body)`` derived in Fraction
+    arithmetic, as :func:`quad_bound_oracle`."""
+    a1, a2, b1 = body.a1, body.a2, body.b1
+    b2, c1, c2 = body.b2, body.c1, body.c2
+    w = c2 - b2
+    s_low = (c1 + c2) / c2
+    breaks = (
+        (w, (a2 - b2) / a2),
+        (a1 - c1, (b1 - c1) / b1),
+        ((a1 + a2 - s_low) / (1 - s_low), (a1 + a2 - (c1 + c2)) / (1 - (c1 + c2))),
+    )
+    a1, a2, b1, b2, c1, c2, w, s_low = map(_ratio_of, (a1, a2, b1, b2, c1, c2, w, s_low))
+    return breaks, _t3_pieces(a1, a2, b1, b2, c1, c2, w, s_low), area(body)
+
+
+def bound_oracle(body, z):
+    """The quad or type 3 bound at ``z`` from the Fraction derivation, each
+    term's piece picked by ``bisect_right`` on its Fraction breaks."""
+    breaks, fns, scale = (quad_bound_oracle if isinstance(body, QuadBody) else t3_bound_oracle)(body)
+    zr = _ratio_of(z)
+    total = sum(f[bisect_right(b, z)](zr) for b, f in zip(breaks, fns))
+    return F(total.numerator, total.denominator) / scale

@@ -1,11 +1,13 @@
 import random
+from bisect import bisect_right
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cutstrength import (
+    PiecewiseBound,
     QuadBody,
     Type1Body,
     Type2Body,
@@ -23,8 +25,18 @@ from cutstrength import (
     t2_region_integrals,
     t3_lower,
 )
+from cutstrength.bounds import _const
 
-from conftest import any_body, indicator_area, strength_specs
+from conftest import (
+    any_body,
+    bound_oracle,
+    indicator_area,
+    quad_bound_oracle,
+    quad_params,
+    strength_specs,
+    t3_bound_oracle,
+    t3_params,
+)
 
 
 QUAD_PARAMS = [
@@ -238,3 +250,63 @@ class TestWholeDomain:
         pb = piecewise_bound_for(body)
         for z in [b for b in pb.breakpoints if b > 1] + drawn:
             assert pb(z) == oracle_lower(body, z)
+
+
+@st.composite
+def quad_or_t3_body(draw):
+    """A quad or type 3 body from :func:`any_body`, or from the parameter
+    draws of the constructor tests with their width-tie families."""
+    source = draw(st.sampled_from(("any", QuadBody, Type3Body)))
+    if source == "any":
+        body = draw(any_body())
+        assume(isinstance(body, (QuadBody, Type3Body)))
+        return body
+    params = draw(quad_params() if source is QuadBody else t3_params())
+    try:
+        return source(*params)
+    except ValueError:
+        assume(False)
+
+
+def _fractions(ratios):
+    return [F(r.numerator, r.denominator) for r in ratios]
+
+
+class TestIntegerFrame:
+    """The quad and type 3 bounds are built from the body's integer frame
+    and pick their pieces by cross-multiplying; the Fraction derivation and
+    the clipping oracle must agree with them at every break, where the
+    choice between pieces is decided, and at drawn z."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        quad_or_t3_body(),
+        st.lists(st.fractions(F(11, 10), 20, max_denominator=97), min_size=1, max_size=3),
+    )
+    @example(QuadBody(F(1, 2), F(3, 2), F(1, 2), F(-1, 2)), [F(2)])  # a width tie
+    @example(Type3Body(F(4, 3), F(1, 3), F(1, 3)), [F(2)])  # all three width candidates tie
+    def test_matches_fraction_and_clipping_oracles(self, body, drawn):
+        pb = piecewise_bound_for(body)
+        breaks, _, scale = (quad_bound_oracle if isinstance(body, QuadBody) else t3_bound_oracle)(body)
+        assert [_fractions(term_breaks) for term_breaks, _ in pb.terms] == [list(b) for b in breaks]
+        assert pb.scale.denominator > 0
+        assert F(pb.scale.numerator, pb.scale.denominator) == scale
+        for z in [b for b in pb.breakpoints if b > 1] + drawn:
+            assert pb(z) == bound_oracle(body, z) == oracle_lower(body, z)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(any_body(), quad_or_t3_body()),
+        st.lists(st.fractions(F(11, 10), 20, max_denominator=97), min_size=1, max_size=3),
+    )
+    def test_selection_is_bisect_right(self, body, drawn):
+        # the bounds are continuous at most breaks, so their values cannot
+        # tell which piece a break picks; constant pieces 0, 1, ... can
+        for breaks, _ in piecewise_bound_for(body).terms:
+            ordered = _fractions(breaks)
+            # counting the breaks at or below z is bisect_right only on ordered breaks
+            assert all(b.denominator > 0 for b in breaks)
+            assert ordered == sorted(ordered)
+            probe = PiecewiseBound(((breaks, tuple(_const(i) for i in range(len(breaks) + 1))),))
+            for z in [b for b in ordered if b > 1] + drawn:
+                assert probe(z) == bisect_right(ordered, z)

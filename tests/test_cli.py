@@ -244,6 +244,27 @@ class TestExitCodes:
         assert code == VALIDATION_ERROR
         assert "samples" in err
 
+    @pytest.mark.parametrize("joined", [False, True], ids=["spaced", "joined"])
+    @pytest.mark.parametrize(
+        "argv, option, message",
+        [
+            (("bound", "--body", T2_DESC), "--z", "threshold must satisfy z > 1, got -3/2"),
+            (("montecarlo", "--body", T2_DESC, "--samples", "10"), "--z", "threshold must satisfy z > 1, got -3/2"),
+            (("sweep", "--family", "t3", "--step", "1/10"), "--z", "threshold must satisfy z > 1, got -3/2"),
+            (("sweep", "--family", "t3", "--z", "2"), "--step", "need step > 0, got -3/2"),
+            (("plotdata", "--curve", "z2"), "--step", "need step > 0, got -3/2"),
+            (("plotdata", "--curve", "z2"), "--st", "need step > 0, got -3/2"),
+        ],
+        ids=["bound-z", "montecarlo-z", "sweep-z", "sweep-step", "plotdata-step", "plotdata-step-prefix"],
+    )
+    def test_validation_error_negative_rational(self, capsys, argv, option, message, joined):
+        # "-3/2" looks like an option to argparse; both forms reach the validator
+        value = [f"{option}=-3/2"] if joined else [option, "-3/2"]
+        code, out, err = invoke(capsys, *argv, *value)
+        assert code == VALIDATION_ERROR
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("where", ["--body", "--body @file", "--f"])
     def test_validation_error_deep_json(self, capsys, tmp_path, where):
         # nested past the recursion limit, json.loads raises RecursionError

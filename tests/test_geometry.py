@@ -32,14 +32,15 @@ from cutstrength.geometry import (
 )
 
 from conftest import (
-    _inside,
     any_body,
     ccw,
     lattice_points_oracle,
     lattice_width_enumerated,
     quad_oracle,
+    quad_params,
     random_interior_point,
     t3_oracle,
+    t3_params,
 )
 
 
@@ -74,59 +75,6 @@ class TestRational2:
     def test_integrality(self):
         assert point(3, -2).is_integral()
         assert not point(F(1, 2), 0).is_integral()
-
-
-def _rat(lo, hi, max_denominator=10**4):
-    """Rationals ``lo + (hi - lo) k / q`` with ``0 <= k <= q <= max_denominator``."""
-    return st.integers(1, max_denominator).flatmap(
-        lambda q: st.integers(0, q).map(lambda k: lo + (hi - lo) * F(k, q))
-    )
-
-
-def _nudged(value):
-    """``value``, or ``value`` moved by ``±1/q``, ``q <= 10^4``, to either side of an edge."""
-    nudge = st.builds(F, st.sampled_from((-1, 1)), st.integers(1, 10**4))
-    return st.one_of(st.just(value), nudge.map(lambda e: value + e))
-
-
-@st.composite
-def quad_params(draw):
-    """``(a1, a2, b1, b2)`` over and around the quad domain, with the edges
-    a1 = b1 and -b2 = a2 - 1, and the two families of width ties
-    a2 - b2 = d1 - c1: a1 = b1 with a2 - b2 = 2 (where also c2 = d2), and the
-    point-symmetric quads a1 = 1 - b1 = 1/(1 + m^2), a2 - 1 = -b2 = m/(1 + m^2)."""
-    family = draw(st.sampled_from(("free", "diagonal tie", "symmetric tie")))
-    if family == "diagonal tie":
-        t, a2 = draw(_inside(0, 1, 10**4)), draw(_rat(F(3, 2), 2))
-        return t, a2, t, draw(_nudged(a2 - 2))
-    if family == "symmetric tie":
-        m = draw(st.one_of(st.just(F(1)), _inside(1, 10, 10**4)))
-        t, h = 1 / (1 + m * m), m / (1 + m * m)
-        return t, draw(_nudged(1 + h)), 1 - t, -h
-    a1 = draw(st.one_of(_inside(0, 1, 10**4), _rat(F(-1, 4), F(5, 4), 8)))
-    b1 = draw(st.one_of(st.just(a1), _rat(a1, 1), _rat(F(-1, 4), F(5, 4))))
-    a2 = draw(st.one_of(_rat(1, 2), _rat(F(1, 2), 4)))
-    b2 = draw(st.one_of(st.just(1 - a2), _rat(0, 1).map(lambda v: (1 - a2) * v), _rat(-3, F(1, 2))))
-    return a1, a2, b1, b2
-
-
-@st.composite
-def t3_params(draw):
-    """``(a1, a2, b1)`` over and around the type 3 domain, with the edge
-    b1 + b2 = 0 and the two families of width ties: c2 - b2 equals
-    a1 + a2 - (b1 + b2) when a2 = b1, and a1 - c1 when
-    a2 = (a1^2 + a1 b1 - 2 a1 - b1 + 1) / (1 - b1)."""
-    family = draw(st.sampled_from(("free", "inside", "sum tie", "c1 tie")))
-    if family == "free":
-        return draw(_rat(F(1, 2), 6)), draw(_rat(F(-1, 4), F(5, 4))), draw(_rat(F(-1, 4), F(5, 4)))
-    a1, b1 = draw(_inside(1, 2 if family == "c1 tie" else 6, 10**4)), draw(_inside(0, 1, 10**4))
-    if family == "sum tie":
-        return a1, draw(_nudged(b1)), b1
-    if family == "c1 tie":
-        return a1, draw(_nudged((a1 * a1 + a1 * b1 - 2 * a1 - b1 + 1) / (1 - b1))), b1
-    # b1 + b2 < 0 is b1 < a2 / (a1 + a2 - 1); the top of the range is its edge
-    a2 = draw(_inside(0, 1, 10**4))
-    return a1, a2, a2 / (a1 + a2 - 1) * draw(_rat(0, 1, 12))
 
 
 def assert_same_as_oracle(cls, oracle, params, cycle):
