@@ -253,7 +253,13 @@ def _matches(region, dot, strict, num=lambda c: c):
     lattice line of the region's split is left to a later region."""
 
     def band(n, lo, hi):
-        return (lo is None or num(lo) <= dot(n)) & (hi is None or dot(n) <= num(hi))
+        # one test for a band open on one side: on arrays, True & mask is a
+        # slow scalar loop in numpy, about ten times the cost of mask & mask
+        if lo is None:
+            return dot(n) <= num(hi)
+        if hi is None:
+            return num(lo) <= dot(n)
+        return (num(lo) <= dot(n)) & (dot(n) <= num(hi))
 
     held = reduce(or_, (reduce(and_, (band(*b) for b in piece)) for piece in region.pieces))
     return held if region.split is None else held & strict(region.split)

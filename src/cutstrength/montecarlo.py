@@ -7,6 +7,16 @@ function of ``(seed, i)``: each sample consumes exactly one Philox counter
 block (four doubles, three used), so results are bit-identical no matter how
 the index range is chunked across threads.
 
+The kernel works on columns: a chunk of samples becomes the 1-D arrays
+``x1`` and ``x2``, built by whole-array arithmetic (a branch-free fold, and a
+triangle pick that is one comparison per break of the fan), and the
+evaluator reads those columns directly.  Every step computes the same
+doubles as the per-point formulas, so points, ``t_bar`` values and hit
+counts are bit for bit those of a row-wise kernel (an ``(n, 2)`` array,
+masked writes, ``searchsorted``), which the tests keep as an oracle.  A
+chunk is a short run of whole-array operations with no masked writes, so
+the chunks of two threads overlap.
+
 numpy is imported inside the functions that use it, so that importing the
 package and the exact commands do not pay for it.
 """
@@ -46,39 +56,55 @@ def thread_count() -> int:
 
 
 def _fan_triangles(body: LatticeFreeBody):
-    """Fan triangulation from vertex 0 with float vertex arrays and exact
-    cumulative area weights."""
+    """Fan triangulation from vertex 0 in floats: the cumulative area weights
+    at which the triangles after the first start, the origin, and the edge
+    columns ``(e1x, e1y, e2x, e2y)`` with one entry per triangle."""
     import numpy as np
 
     poly = body.polygon()
     v0 = poly[0]
-    tris = []
-    areas = []
-    for p, q in zip(poly[1:], poly[2:]):
-        tris.append((v0, p, q))
-        areas.append((p.x1 - v0.x1) * (q.x2 - v0.x2) - (p.x2 - v0.x2) * (q.x1 - v0.x1))
+    # triangle k spans edges[k] and edges[k + 1]
+    edges = [(p.x1 - v0.x1, p.x2 - v0.x2) for p in poly[1:]]
+    areas = [a1 * b2 - a2 * b1 for (a1, a2), (b1, b2) in zip(edges, edges[1:])]
     total = sum(areas)
-    cum = np.cumsum([float(a / total) for a in areas])
-    cum[-1] = 1.0  # guard against float round-off at the top
-    origin = np.array([float(v0.x1), float(v0.x2)])
-    edge1 = np.array([[float(p.x1 - v0.x1), float(p.x2 - v0.x2)] for _, p, _ in tris])
-    edge2 = np.array([[float(q.x1 - v0.x1), float(q.x2 - v0.x2)] for _, _, q in tris])
-    return cum, origin, edge1, edge2
+    breaks = np.cumsum([float(a / total) for a in areas])[:-1]
+    e1x, e1y = (np.array([float(c) for c in column]) for column in zip(*edges[:-1]))
+    e2x, e2y = (np.array([float(c) for c in column]) for column in zip(*edges[1:]))
+    return breaks, (float(v0.x1), float(v0.x2)), (e1x, e1y, e2x, e2y)
 
 
-def _sample_points(body_tri, seed: int, start: int, count: int) -> np.ndarray:
+def _sample_points(fan, seed: int, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Samples ``start`` to ``start + count - 1`` as the columns ``(x1, x2)``.
+
+    Sample ``i`` takes the four doubles of Philox block ``i`` (the last one
+    unused): ``u0`` picks the triangle by area, ``(r1, r2)`` folded into the
+    triangle give ``x = origin + r1 e1 + r2 e2``.
+    """
     import numpy as np
 
-    cum, origin, edge1, edge2 = body_tri
+    breaks, (o1, o2), (e1x, e1y, e2x, e2y) = fan
     bg = np.random.Philox(key=seed, counter=[start, 0, 0, 0])
     u = np.random.Generator(bg).random(count * 4).reshape(count, 4)
-    tri = np.searchsorted(cum, u[:, 0], side="right")
-    tri = np.minimum(tri, len(cum) - 1)
-    r1, r2 = u[:, 1].copy(), u[:, 2].copy()
-    flip = r1 + r2 > 1.0
-    r1[flip] = 1.0 - r1[flip]
-    r2[flip] = 1.0 - r2[flip]
-    return origin + r1[:, None] * edge1[tri] + r2[:, None] * edge2[tri]
+    # the triangle is the number of breaks at or below u0, an intp array (the
+    # fast index type of take); the sum over no breaks is the scalar 0, so a
+    # single triangle's edges need no gather
+    tri = sum(u[:, 0] >= b for b in breaks)
+    # the fold r -> 1 - r where r1 + r2 > 1, without a branch per sample:
+    # |flip - r| is |-r| = r or |1 - r| = 1 - r (r < 1), the same doubles
+    flip = (u[:, 1] + u[:, 2] > 1.0).astype(float)
+    r1 = np.abs(flip - u[:, 1])
+    r2 = np.abs(flip - u[:, 2])
+    x1 = o1 + r1 * e1x.take(tri) + r2 * e2x.take(tri)
+    x2 = o2 + r1 * e1y.take(tri) + r2 * e2y.take(tri)
+    return x1, x2
+
+
+def _dot(n, x1, x2):
+    """``n . x`` without the terms of zero entries and the factors 1.  For
+    finite ``x`` it differs from ``n[0] x1 + n[1] x2`` at most in the sign of
+    a zero, which no comparison and no ``floor`` test sees."""
+    terms = [x if c == 1 else c * x for c, x in zip(n, (x1, x2)) if c != 0]
+    return terms[0] if len(terms) == 1 else terms[0] + terms[1]
 
 
 def _t_bar_evaluator(body: LatticeFreeBody):
@@ -97,26 +123,30 @@ def _t_bar_evaluator(body: LatticeFreeBody):
     table = [[*r.normal, *r.num, *r.den] for r in spec] + [[0, 0, np.nan, 0, 1, 0]]
     n1, n2, p0, p1, q0, q1 = (np.array(column, dtype=float) for column in zip(*table))
 
-    def evaluate(pts: np.ndarray) -> np.ndarray:
-        x1, x2 = pts[:, 0], pts[:, 1]
-        proj = {n: n[0] * x1 + n[1] * x2 for n in normals}
+    def evaluate(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+        proj = {n: _dot(n, x1, x2) for n in normals}
         strict = {n: np.floor(proj[n]) != proj[n] for n in splits}
         # index of the first region that matches, len(spec) where none
         # does: later regions are written first, so earlier ones win.  uint8
         # arithmetic, since masked writes cost several times more on random
         # masks; the wraparound of (i - first) cancels in first + (i - first).
-        first = np.full(len(pts), len(spec), dtype=np.uint8)
+        first = np.full(len(x1), len(spec), dtype=np.uint8)
         for i in reversed(range(len(spec))):
             matched = _matches(spec[i], proj.__getitem__, strict.__getitem__, float)
             first += (np.uint8(i) - first) * matched
         first = first.astype(np.intp)
         # the normals' and slopes' entries are 0 and +-1, so u and the affine
         # parts round exactly as the closed forms written out would
-        u = n1[first] * x1 + n2[first] * x2
+        u = n1.take(first) * x1 + n2.take(first) * x2
         with np.errstate(divide="ignore", invalid="ignore"):
-            return (p0[first] + p1[first] * u) / (q0[first] + q1[first] * u)
+            return (p0.take(first) + p1.take(first) * u) / (q0.take(first) + q1.take(first) * u)
 
     return evaluate
+
+
+def _check_int(name: str, value) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 def monte_carlo_lower(
@@ -128,18 +158,22 @@ def monte_carlo_lower(
 
     if isinstance(body, SplitBody):
         raise ValueError("splits have no bounded area to sample")
+    _check_int("samples", samples)
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
+    _check_int("seed", seed)
     if not 0 <= seed < 2**128:
         raise ValueError(f"need 0 <= seed < 2**128, got seed={seed}")
-    z = float(_frac(z))
+    z = _frac(z)
+    if z <= 1:
+        raise ValueError(f"threshold must satisfy z > 1, got {z}")
+    z = float(z)
     evaluate = _t_bar_evaluator(body)
-    tri = _fan_triangles(body)
+    fan = _fan_triangles(body)
 
     def run(start: int) -> int:
         count = min(_CHUNK, samples - start)
-        pts = _sample_points(tri, seed, start, count)
-        return int(np.count_nonzero(evaluate(pts) <= z))
+        return int(np.count_nonzero(evaluate(*_sample_points(fan, seed, start, count)) <= z))
 
     starts = range(0, samples, _CHUNK)
     threads = thread_count()

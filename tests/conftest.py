@@ -6,6 +6,7 @@ from fractions import Fraction as F
 from itertools import combinations
 from math import ceil, floor
 
+import numpy as np
 import pytest
 from hypothesis import assume, settings
 from hypothesis import strategies as st
@@ -510,3 +511,82 @@ def bound_oracle(body, z):
     zr = _ratio_of(z)
     total = sum(f[bisect_right(b, z)](zr) for b, f in zip(breaks, fns))
     return F(total.numerator, total.denominator) / scale
+
+
+# The row-wise Monte Carlo kernel: points as an (n, 2) array, the fold as
+# masked writes, the triangle by searchsorted.  The column kernel of
+# cutstrength.montecarlo must reproduce its points and t_bar values bit for bit.
+
+
+def fan_triangles_oracle(body):
+    """Fan triangulation from vertex 0 with float vertex arrays and exact
+    cumulative area weights."""
+    import numpy as np
+
+    poly = body.polygon()
+    v0 = poly[0]
+    tris = []
+    areas = []
+    for p, q in zip(poly[1:], poly[2:]):
+        tris.append((v0, p, q))
+        areas.append((p.x1 - v0.x1) * (q.x2 - v0.x2) - (p.x2 - v0.x2) * (q.x1 - v0.x1))
+    total = sum(areas)
+    cum = np.cumsum([float(a / total) for a in areas])
+    cum[-1] = 1.0  # guard against float round-off at the top
+    origin = np.array([float(v0.x1), float(v0.x2)])
+    edge1 = np.array([[float(p.x1 - v0.x1), float(p.x2 - v0.x2)] for _, p, _ in tris])
+    edge2 = np.array([[float(q.x1 - v0.x1), float(q.x2 - v0.x2)] for _, _, q in tris])
+    return cum, origin, edge1, edge2
+
+
+def sample_points_oracle(body_tri, seed: int, start: int, count: int) -> np.ndarray:
+    import numpy as np
+
+    cum, origin, edge1, edge2 = body_tri
+    bg = np.random.Philox(key=seed, counter=[start, 0, 0, 0])
+    u = np.random.Generator(bg).random(count * 4).reshape(count, 4)
+    tri = np.searchsorted(cum, u[:, 0], side="right")
+    tri = np.minimum(tri, len(cum) - 1)
+    r1, r2 = u[:, 1].copy(), u[:, 2].copy()
+    flip = r1 + r2 > 1.0
+    r1[flip] = 1.0 - r1[flip]
+    r2[flip] = 1.0 - r2[flip]
+    return origin + r1[:, None] * edge1[tri] + r2[:, None] * edge2[tri]
+
+
+def t_bar_evaluator_oracle(body):
+    """Vectorized float ``t_bar`` derived from ``region_spec(body)``.
+
+    Each point takes the formula of the first region that ``_matches`` it, as
+    in ``region_of``; every constant is ``float()`` of the exact one.
+    A point that float round-off puts in no region gets NaN.
+    """
+    import numpy as np
+
+    spec = region_spec(body)
+    normals = {n for region in spec for piece in region.pieces for n, _, _ in piece}
+    splits = {region.split for region in spec if region.split is not None}
+    # coefficients by region index; the extra last entry is for a point in no region
+    table = [[*r.normal, *r.num, *r.den] for r in spec] + [[0, 0, np.nan, 0, 1, 0]]
+    n1, n2, p0, p1, q0, q1 = (np.array(column, dtype=float) for column in zip(*table))
+
+    def evaluate(pts: np.ndarray) -> np.ndarray:
+        x1, x2 = pts[:, 0], pts[:, 1]
+        proj = {n: n[0] * x1 + n[1] * x2 for n in normals}
+        strict = {n: np.floor(proj[n]) != proj[n] for n in splits}
+        # index of the first region that matches, len(spec) where none
+        # does: later regions are written first, so earlier ones win.  uint8
+        # arithmetic, since masked writes cost several times more on random
+        # masks; the wraparound of (i - first) cancels in first + (i - first).
+        first = np.full(len(pts), len(spec), dtype=np.uint8)
+        for i in reversed(range(len(spec))):
+            matched = _matches(spec[i], proj.__getitem__, strict.__getitem__, float)
+            first += (np.uint8(i) - first) * matched
+        first = first.astype(np.intp)
+        # the normals' and slopes' entries are 0 and +-1, so u and the affine
+        # parts round exactly as the closed forms written out would
+        u = n1[first] * x1 + n2[first] * x2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (p0[first] + p1[first] * u) / (q0[first] + q1[first] * u)
+
+    return evaluate

@@ -16,7 +16,7 @@ from cutstrength.descriptors import (
     parse_pair,
     parse_rational,
 )
-from cutstrength import QuadBody, SplitBody, Type2Body, bound_for, point, strength_report
+from cutstrength import QuadBody, SplitBody, Type2Body, bound_for, montecarlo, point, strength_report
 
 from conftest import any_body, root_vertex
 
@@ -227,6 +227,16 @@ class TestExitCodes:
         assert code == VALIDATION_ERROR
         assert "seed" in err
 
+
+    def test_montecarlo_threshold_checked_before_sampling(self, capsys, monkeypatch):
+        def sample(*args):
+            raise AssertionError("sampled before validating --z")
+
+        monkeypatch.setattr(montecarlo, "_sample_points", sample)
+        code, out, err = invoke(capsys, "montecarlo", "--body", T2_DESC, "--z", "1")
+        assert code == VALIDATION_ERROR
+        assert out == ""
+        assert "threshold must satisfy z > 1, got 1" in err
 
     @pytest.mark.parametrize(
         "family, item", [("t2", "foo=0:1"), ("t3", "w=1:2"), ("t2", "a1=0:1")]

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cutstrength
 from cutstrength import (
@@ -16,6 +18,7 @@ from cutstrength import (
     Type1Body,
     Type2Body,
     Type3Body,
+    bound_for,
     point,
     region_of,
     strength_single_split,
@@ -30,7 +33,20 @@ from cutstrength.montecarlo import (
     thread_count,
 )
 
-from conftest import BOUNDARY_BODIES, box_grid, random_interior_point, region_t_bar
+from conftest import (
+    BOUNDARY_BODIES,
+    box_grid,
+    fan_triangles_oracle,
+    random_interior_point,
+    region_t_bar,
+    sample_points_oracle,
+    t_bar_evaluator_oracle,
+)
+
+
+def columns(points):
+    """The float columns ``(x1, x2)`` of exact points."""
+    return np.array([float(f.x1) for f in points]), np.array([float(f.x2) for f in points])
 
 
 @pytest.fixture
@@ -61,14 +77,17 @@ class TestThreadCount:
 
 
 class TestDeterminism:
-    def test_independent_of_thread_count(self, t2_body, threads_env):
-        # spans several chunks so the merge order actually varies
+    def test_independent_of_thread_count(self, t1_body, t2_body, quad_body, t3_body, threads_env):
+        # spans several chunks so the merge order actually varies; the quad's
+        # fan has two triangles, the others one.  Each z leaves hits and misses.
         samples = 3 * _CHUNK + 123
-        results = []
-        for n in (1, 2, 4):
-            threads_env(n)
-            results.append(monte_carlo_lower(t2_body, F(7, 4), samples, seed=42).estimate)
-        assert results[0] == results[1] == results[2]
+        for body, z in ((t1_body, F(7, 4)), (t2_body, F(7, 4)), (quad_body, F(5, 2)), (t3_body, F(7, 4))):
+            results = []
+            for n in (1, 2, 4):
+                threads_env(n)
+                results.append(monte_carlo_lower(body, z, samples, seed=42).estimate)
+            assert results[0] == results[1] == results[2], body
+            assert 0 < results[0] < 1, body
 
     def test_seed_changes_stream(self, t2_body):
         a = monte_carlo_lower(t2_body, F(7, 4), 10_000, seed=1)
@@ -83,11 +102,35 @@ class TestDeterminism:
     def test_sample_stream_is_positional(self, t2_body):
         # sample i depends only on (seed, i): regenerating a mid-stream window
         # chunk-by-chunk reproduces the same points
-        tri = _fan_triangles(t2_body)
-        whole = _sample_points(tri, seed=9, start=0, count=256)
+        fan = _fan_triangles(t2_body)
+        whole = _sample_points(fan, seed=9, start=0, count=256)
         # restart at position 128 (we know one counter block yields one sample)
-        tail = _sample_points(tri, seed=9, start=128, count=128)
-        assert (whole[128:] == tail).all()
+        tail = _sample_points(fan, seed=9, start=128, count=128)
+        for whole_column, tail_column in zip(whole, tail):
+            assert (whole_column[128:] == tail_column).all()
+
+
+class TestRowWiseOracle:
+    """The column kernel against the row-wise one kept in conftest."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        body=st.sampled_from(BOUNDARY_BODIES),
+        seed=st.one_of(st.sampled_from([0, 2**128 - 1]), st.integers(0, 2**128 - 1)),
+        # chunk starts and mid-chunk offsets
+        start=st.one_of(st.sampled_from([0, _CHUNK, _CHUNK // 2 + 7]), st.integers(0, 2**40)),
+        # one sample, the ragged tail of a 5*10**5-sample call, a full chunk
+        count=st.one_of(st.sampled_from([1, 5 * 10**5 % _CHUNK, _CHUNK]), st.integers(1, _CHUNK)),
+    )
+    def test_points_and_t_bar_bit_identical(self, body, seed, start, count):
+        pts = sample_points_oracle(fan_triangles_oracle(body), seed, start, count)
+        x1, x2 = _sample_points(_fan_triangles(body), seed, start, count)
+        assert np.array_equal(x1, pts[:, 0]) and np.array_equal(x2, pts[:, 1])
+        expected = t_bar_evaluator_oracle(body)(pts)
+        got = _t_bar_evaluator(body)(x1, x2)
+        assert np.array_equal(got, expected, equal_nan=True)
+        # the signs of zeros and infinities too
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 class TestEstimates:
@@ -118,7 +161,7 @@ class TestEvaluators:
     @staticmethod
     def assert_matches_exact(body, points):
         evaluate = _t_bar_evaluator(body)
-        approx = evaluate(np.array([[float(f.x1), float(f.x2)] for f in points]))
+        approx = evaluate(*columns(points))
         for f, value in zip(points, approx):
             exact = strength_single_split(body, f).t_bar
             assert abs(value - float(exact)) < 1e-9, (body, f)
@@ -167,7 +210,7 @@ class TestEvaluators:
         for body in self.BODIES:
             spec = region_spec(body)
             pts = [f for f in box_grid(body, 16) if body.contains_interior(f)]
-            values = _t_bar_evaluator(body)(np.array([[float(f.x1), float(f.x2)] for f in pts]))
+            values = _t_bar_evaluator(body)(*columns(pts))
             for f, value in zip(pts, values):
                 try:
                     exact = region_t_bar(spec[region_of(body, f).index - 1], f)
@@ -208,6 +251,45 @@ class TestValidation:
             with pytest.raises(ValueError, match="seed"):
                 monte_carlo_lower(t2_body, F(2), 100, seed=seed)
         monte_carlo_lower(t2_body, F(2), 100, seed=2**128 - 1)
+
+    @pytest.mark.parametrize("name", ["samples", "seed"])
+    @pytest.mark.parametrize("value", [True, False, 1.5, 10.0, "10", None])
+    def test_samples_and_seed_must_be_ints(self, t2_body, name, value):
+        args = {"samples": 100, "seed": 0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be an int, got "):
+            monte_carlo_lower(t2_body, F(2), **args)
+
+    @pytest.mark.parametrize(
+        "z", [F(1), 1, "1", F(1, 2), F(-3, 2), 0], ids=["Fraction 1", "int 1", "str 1", "1/2", "-3/2", "0"]
+    )
+    def test_threshold_above_one(self, t2_body, z):
+        message = f"threshold must satisfy z > 1, got {F(z)}"
+        with pytest.raises(ValueError) as raised:
+            monte_carlo_lower(t2_body, z, 100)
+        assert str(raised.value) == message
+        # the exact bound rejects the same z with the same text
+        with pytest.raises(ValueError) as raised:
+            bound_for(t2_body, z)
+        assert str(raised.value) == message
+
+    def test_threshold_checked_before_sampling(self, t2_body, monkeypatch):
+        def sample(*args):
+            raise AssertionError("sampled before validating z")
+
+        monkeypatch.setattr(cutstrength.montecarlo, "_sample_points", sample)
+        with pytest.raises(ValueError, match="z > 1"):
+            monte_carlo_lower(t2_body, F(1), 10**6)
+
+    def test_checks_in_order(self, t2_body):
+        # split, then samples, then seed, then the threshold
+        with pytest.raises(ValueError, match="splits"):
+            monte_carlo_lower(SplitBody((0, 1), 0), F(1), 1.5, seed=1.5)
+        with pytest.raises(ValueError, match="^samples must be an int"):
+            monte_carlo_lower(t2_body, F(1), 1.5, seed=1.5)
+        with pytest.raises(ValueError, match="samples >= 1"):
+            monte_carlo_lower(t2_body, F(1), 0, seed=1.5)
+        with pytest.raises(ValueError, match="seed"):
+            monte_carlo_lower(t2_body, F(1), 100, seed=1.5)
 
 
 class TestLazyNumpy:
