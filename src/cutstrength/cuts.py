@@ -15,6 +15,9 @@ For every non-split body the region table gives ``t_bar`` in closed form;
 Both run in the body's integer frame: f is scaled once to ``(X1, X2) / q``,
 tested on the integer facets and matched against an integer table derived
 from :func:`region_spec`, kept between queries on the same body object.
+``t_N`` hands every split row to the packing kernel as a pool, low max-norm
+first, and the kernel prices in only the rows it needs; the dominance
+pruning of :func:`covering_lp_min` stays for the argmin it returns.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
 from math import gcd, inf, lcm
-from operator import and_, le, or_
+from operator import and_, le, mul, or_
 from typing import Optional, Sequence
 
 from .geometry import (
@@ -144,63 +147,86 @@ def covering_lp_min(rows: Sequence[Sequence[Fraction]], k: int):
     return _min_cover([over_common_denominator(row) for row in mat], k)
 
 
-def _min_cover(rows, k: int):
+def _min_cover(rows, k: int, prune: bool = True):
     """:func:`covering_lp_min` on integer rows: ``(scale, ints)`` stands for
-    the row ``ints / scale`` with ``scale > 0``.
+    the row ``ints / scale`` with ``scale > 0``.  A zero row is uncoverable,
+    and as a column it would have no pivot row, so it gives ``(inf, None)``.
 
-    Over the common scale of all rows, equal rows become equal integer
-    tuples and the order of the tuples is that of the rational rows.
-    Dominance pruning: a row with componentwise-larger coefficients is
-    implied by the smaller row (s >= 0), so only minimal rows matter; in
-    increasing order every dominating row comes before the rows it dominates.
+    With ``prune``, only the minimal rows enter :func:`_max_packing`, all up
+    front: a row with componentwise-larger coefficients is implied by the
+    smaller row (s >= 0).  Over the common scale of all rows, equal rows
+    become equal integer tuples in the order of the rational rows; in
+    increasing order every dominating row comes before the rows it
+    dominates, and that order fixes which optimal argmin comes out.
+    Without it, every row is a pool row that the kernel prices in, in the
+    order given: the same value, with no sort and no quadratic scan.
     """
     if any(not any(ints) for _, ints in rows):
         return inf, None
+    if not prune:
+        return _max_packing([], k, rows)
     common = lcm(*(scale for scale, _ in rows))
     by_value = {tuple(c * (common // scale) for c in ints): (scale, ints) for scale, ints in rows}
     kept: list[tuple[int, ...]] = []
     for row in sorted(by_value):
         if not any(all(map(le, o, row)) for o in kept):
             kept.append(row)
-    cols, weights = [], []
+    columns = []
     for row in kept:
         scale, ints = by_value[row]
         g = gcd(scale, *ints)
-        cols.append([c // g for c in ints])
-        weights.append(scale // g)
-    return _max_packing(cols, weights, k)
+        columns.append((scale // g, [c // g for c in ints]))
+    return _max_packing(columns, k)
 
 
-def _max_packing(cols: list[list[int]], weights: list[int], k: int):
-    """The dual ``max sum_i y_i`` s.t. ``sum_i y_i cols[i] / weights[i] <= 1``,
-    ``y >= 0``, by the simplex method on integers.
+def _max_packing(columns, k: int, pool=()):
+    """The dual ``max sum_i y_i`` s.t. ``sum_i y_i c_i / w_i <= 1``, ``y >= 0``,
+    over the columns ``(w_i, c_i)`` and the ``pool`` rows priced in, by the
+    simplex method on integers.
 
-    Substituting ``y_i = weights[i] x_i`` leaves the integer constraint
-    matrix ``cols`` and the objective ``sum_i weights[i] x_i``; a positive
-    rescaling of a column changes neither the sign of its reduced cost nor
-    the order of its ratios, so the pivots are those of the unscaled LP.
-    The tableau is fraction-free (Edmonds, Bareiss): it holds integers ``T``
-    standing for ``T / d``, where ``d`` is the last pivot (1 at the start),
-    and a pivot on ``p`` maps every other row ``t`` to
-    ``(p t - t[col] pivot) // d``, a division that is always exact.
+    With ``y_i = w_i x_i`` the constraint matrix is the integer ``c_i`` and
+    the objective ``sum_i w_i x_i``; a positive column scaling changes no
+    reduced-cost sign and no ratio order, so the pivots are the unscaled LP's.
+    The tableau is fraction-free (Edmonds, Bareiss): integers ``T`` stand for
+    ``T / d``, where ``d`` is the last pivot (1 at the start), and a pivot on
+    ``p`` maps every other row ``t`` to ``(p t - t[col] pivot) // d``, a
+    division that is always exact.
 
     The all-slack basis is feasible because the right-hand side is 1, and
-    Bland's rule (lowest improving column, ties in the ratio test to the lowest
-    basic column) keeps degenerate pivots from cycling.  Every row has a
-    positive entry, so the covering LP is feasible, this dual is bounded and
-    the ratio test always finds a pivot.  At the optimum the objective entries
-    of the slack columns are the covering LP's argmin.
+    Bland's rule (lowest improving column, x columns by arrival before the
+    slacks; ties in the ratio test to the lowest basic column) keeps
+    degenerate pivots from cycling.  Every column has a positive entry, so
+    this dual is bounded and the ratio test always finds a pivot.  The
+    objective row's slack block is ``d s``, ``s`` the covering solution.
+
+    At an optimum over the current columns, a pool row ``(w, c)`` with
+    ``d s . c < w d`` is a violated covering row: a column of negative
+    reduced cost.  The first one in pool order enters as the last x column,
+    with entries ``t_slack . c`` (the slack block is ``d B^-1``) and the
+    objective entry ``d s . c - w d``, and pivoting resumes.  A column in
+    the LP is never violated at an optimum, so each pool row enters at most
+    once.  Once none is violated the kernel returns ``(value, s)``.
     """
-    m = len(cols)
-    # constraint j: sum_i cols[i][j] x_i + slack_j = 1; columns x, slacks, rhs
-    tab = [[c[j] for c in cols] + [int(i == j) for i in range(k)] + [1] for j in range(k)]
-    obj = [-w for w in weights] + [0] * (k + 1)
+    m = len(columns)
+    # constraint j: sum_i c_i[j] x_i + slack_j = 1; columns x, slacks, rhs
+    tab = [[c[j] for _, c in columns] + [int(i == j) for i in range(k)] + [1] for j in range(k)]
+    obj = [-w for w, _ in columns] + [0] * (k + 1)
     basis = [m + j for j in range(k)]
     d = 1
     while True:
         col = next((c for c, v in enumerate(obj[:-1]) if v < 0), None)
         if col is None:
-            return Fraction(obj[-1], d), tuple(Fraction(v, d) for v in obj[m:-1])
+            s = obj[m:-1]
+            for w, c in pool:
+                if (price := sum(map(mul, s, c))) < w * d:
+                    break
+            else:
+                return Fraction(obj[-1], d), tuple(Fraction(v, d) for v in s)
+            for t in tab:
+                t.insert(m, sum(map(mul, t[m:-1], c)))
+            obj.insert(m, price - w * d)
+            basis = [b + (b >= m) for b in basis]
+            col, m = m, m + 1
         # least ratio t[-1] / t[col] over t[col] > 0, compared by
         # cross-multiplying; ties go to the lowest basic column
         r = None
@@ -380,10 +406,19 @@ def _table(body: LatticeFreeBody):
     return table
 
 
+_last_frame: tuple = (None, None, None)
+
+
 def _frame(body: LatticeFreeBody, f: Rational2, split_error: str):
     """``(q, X1, X2), (d, D f, [D r])``: ``f = (X1, X2) / q`` found strictly
     inside the body (``v (n . X) < c q`` at each integer facet), then ``f`` and
-    the corner rays ``V / v - f`` over ``d = lcm(v, q)``, as :func:`_scaled`."""
+    the corner rays ``V / v - f`` over ``d = lcm(v, q)``, as :func:`_scaled`.
+    Kept, as one tuple read and replaced whole, for the next call on the same
+    body and point objects, so a report locates f once."""
+    global _last_frame
+    last_body, last_f, frame = _last_frame
+    if last_body is body and last_f is f:
+        return frame
     if isinstance(body, SplitBody):
         raise ValueError(split_error)
     q, (x1, x2) = over_common_denominator((f.x1, f.x2))
@@ -392,7 +427,9 @@ def _frame(body: LatticeFreeBody, f: Rational2, split_error: str):
         raise ValueError(f"root vertex {f} is not strictly interior to {body!r}")
     d = lcm(v, q)
     s, f1, f2 = d // v, x1 * (d // q), x2 * (d // q)
-    return (q, x1, x2), (d, (f1, f2), [(a * s - f1, b * s - f2) for a, b in _table(body)[0]])
+    frame = (q, x1, x2), (d, (f1, f2), [(a * s - f1, b * s - f2) for a, b in _table(body)[0]])
+    _last_frame = body, f, frame
+    return frame
 
 
 def _locate(body: LatticeFreeBody, f: Rational2):
@@ -458,9 +495,17 @@ def strength_single_split(body: LatticeFreeBody, f: Rational2) -> StrengthReport
     return StrengthReport(region=RegionId(body.tag, index), chosen_split_normal=split, t_bar=t_table)
 
 
+def _check_radius(n) -> None:
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"n must be an int >= 1, got {n!r}")
+    if n < 1:
+        raise ValueError("need n >= 1")
+
+
 def admissible_normals(f: Rational2, n: int) -> list[tuple[int, int]]:
     """Primitive normals with max-norm <= n whose split contains ``f`` strictly,
-    deduplicated over +-."""
+    deduplicated over +-, in max-norm order."""
+    _check_radius(n)
     d, big_f, _ = _scaled(f, ())
     return [(n1, n2) for n1, n2, _ in _admissible(n, d, big_f)]
 
@@ -469,19 +514,21 @@ def strength_split_closure_approx(body: LatticeFreeBody, f: Rational2, n: int) -
     """Finite split-closure strength ``t_N``: all splits with max-norm <= n.
 
     The split rows are built in integers scaled by the common denominator of
-    ``f`` and the corner rays, in the body's integer frame, and go straight to
-    :func:`_min_cover`.
+    ``f`` and the corner rays, in the body's integer frame, low max-norm
+    first, and go to :func:`_min_cover` without pruning, for the kernel to
+    price in: the LP's value is unique, so ``t_N`` is the same whichever
+    optimal basis pricing ends in.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _check_radius(n)
     d, big_f, big_rays = _frame(body, f, "a split has no vertices, hence no corner rays")[1]
     rows = [_split_row(n1, n2, rem, d, big_rays) for n1, n2, rem in _admissible(n, d, big_f)]
     if not rows:
         raise ValueError(f"no admissible split with max-norm <= {n} for f = {f}")
-    value, _ = _min_cover(rows, len(big_rays))
+    value, _ = _min_cover(rows, len(big_rays), prune=False)
     return 1 / value
 
 
 def strength_report(body: LatticeFreeBody, f: Rational2, n: int = 5) -> StrengthReport:
-    """Full report: region, chosen split, single-split t_bar, and t_N."""
+    """Full report: region, chosen split, single-split t_bar, and t_N.  Both
+    strengths use the one integer frame of ``f`` that :func:`_frame` keeps."""
     return replace(strength_single_split(body, f), t_n=strength_split_closure_approx(body, f, n), n=n)

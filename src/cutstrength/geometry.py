@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import chain
 from math import ceil, floor, gcd, lcm
 from typing import Iterator, Sequence, Union
 
@@ -507,11 +508,16 @@ def lattice_width(body: LatticeFreeBody) -> Fraction:
 
 def primitive_directions(radius: int) -> Iterator[tuple[int, int]]:
     """Primitive integer directions with max-norm <= radius, one of each
-    pair +-u: ``u1 >= 0``, and ``u2 > 0`` when ``u1 = 0``."""
-    for u1 in range(0, radius + 1):
-        for u2 in range(-radius, radius + 1):
-            if (u1 > 0 or u2 > 0) and gcd(u1, u2) == 1:
-                yield u1, u2
+    pair +-u: ``u1 >= 0``, and ``u2 > 0`` when ``u1 = 0``.  They come in
+    max-norm order, ring by ring, each ring in ``(u1, u2)`` order."""
+    return chain.from_iterable(map(_ring, range(1, radius + 1)))
+
+
+@lru_cache(maxsize=64)
+def _ring(r: int) -> tuple[tuple[int, int], ...]:
+    """The primitive directions of max-norm exactly ``r``, in ``(u1, u2)`` order."""
+    edge = [(u1, u2) for u1 in range(r) for u2 in (-r, r) if u1 > 0 or u2 > 0]
+    return tuple(u for u in edge + [(r, u2) for u2 in range(-r, r + 1)] if gcd(*u) == 1)
 
 
 def gauge(body: LatticeFreeBody, f: Rational2, r: Rational2) -> Fraction:

@@ -417,6 +417,29 @@ def root_vertex(draw, body, max_denominator=60):
     return f
 
 
+@st.composite
+def lattice_line_vertex(draw, body, max_denominator=60):
+    """A point strictly inside ``body`` on a lattice line ``n . x = k`` of a
+    normal of max-norm 1: x1, x2, x1 + x2 or x1 - x2 integral."""
+    n1, n2 = draw(st.sampled_from(((1, 0), (0, 1), (1, 1), (1, -1))))
+    pts = body.polygon()
+    values = [n1 * p.x1 + n2 * p.x2 for p in pts]
+    lo, hi = floor(min(values)) + 1, ceil(max(values)) - 1
+    assume(lo <= hi)
+    k = draw(st.integers(lo, hi))
+    # the chord of the body on the line, between two boundary points
+    ends = [
+        a + (b - a) * ((k - va) / (vb - va))
+        for (a, va), (b, vb) in zip(zip(pts, values), zip(pts[1:] + pts[:1], values[1:] + values[:1]))
+        if va != vb and min(va, vb) <= k <= max(va, vb)
+    ]
+    a, b = min(ends, key=lambda p: (p.x1, p.x2)), max(ends, key=lambda p: (p.x1, p.x2))
+    q = draw(st.integers(2, max_denominator))
+    f = a + (b - a) * F(draw(st.integers(1, q - 1)), q)
+    assert body.contains_interior(f) and n1 * f.x1 + n2 * f.x2 == k
+    return f
+
+
 def region_t_bar(region, f):
     """The closed-form ``t_bar`` of a ``region_spec`` entry at ``f``, in
     Fractions: ``(num[0] + num[1] u) / (den[0] + den[1] u)``, ``u = normal . f``."""

@@ -1,5 +1,6 @@
 import gc
 import random
+from dataclasses import replace
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -7,6 +8,7 @@ from fractions import Fraction as F
 from math import ceil, floor, inf
 from operator import le
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,7 +37,7 @@ from cutstrength import (
 )
 from cutstrength import cuts
 from cutstrength.cli import run
-from cutstrength.geometry import contains
+from cutstrength.geometry import contains, over_common_denominator
 
 from conftest import (
     BOUNDARY_BODIES,
@@ -43,6 +45,7 @@ from conftest import (
     box_grid,
     closure_oracle,
     covering_lp_oracle,
+    lattice_line_vertex,
     random_interior_point,
     region_oracle,
     root_vertex,
@@ -205,6 +208,85 @@ class TestCoveringLp:
         assert value == covering_lp_oracle(rows, k)
         assert value == sum(arg) and all(s >= 0 for s in arg)
         assert all(sum(c * s for c, s in zip(row, arg)) >= 1 for row in rows)
+
+
+def integer_rows(rows):
+    """``(scale, ints)`` for each Fraction row, over its own denominators."""
+    return [over_common_denominator(row) for row in rows]
+
+
+class CountingPool:
+    """A pool that fails the kernel once it makes more pricing passes than
+    ``limit``: each pass but the last brings in a row not in the LP yet."""
+
+    def __init__(self, rows, limit):
+        self.rows, self.limit, self.passes = rows, limit, 0
+
+    def __iter__(self):
+        self.passes += 1
+        assert self.passes <= self.limit, "a pool row entered twice"
+        return iter(self.rows)
+
+
+class TestPricing:
+    # covering rows priced into the packing kernel from a pool, against the
+    # pruned, all-columns-up-front path and the enumeration oracle
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_property_same_value_as_pruning_and_oracle(self, data):
+        # zero entries, repeated, rescaled and dominated rows, and small
+        # integers make ties in the ratio test and in the pricing test
+        k = data.draw(st.integers(1, 4))
+        entry = st.fractions(min_value=0, max_value=4, max_denominator=3)
+        rows = data.draw(st.lists(st.tuples(*[entry] * k).filter(any), min_size=1, max_size=6))
+        rows += data.draw(st.lists(st.sampled_from(rows), max_size=2))
+        rows += [tuple(c + 1 for c in row) for row in data.draw(st.lists(st.sampled_from(rows), max_size=2))]
+        rows = data.draw(st.permutations(rows))
+        ints = integer_rows(rows)
+        g = data.draw(st.integers(1, 6))  # a row over a non-reduced scale
+        ints.append((ints[0][0] * g, [c * g for c in ints[0][1]]))
+        pool = CountingPool(ints, len({tuple(F(c, scale) for c in row) for scale, row in ints}) + 1)
+        value, arg = cuts._max_packing([], k, pool)
+        assert value == cuts._min_cover(ints, k)[0] == covering_lp_oracle(rows, k)
+        assert (value, arg) == cuts._min_cover(ints, k, prune=False)
+        assert value == sum(arg) and all(s >= 0 for s in arg)
+        assert all(sum(c * s for c, s in zip(row, arg)) >= 1 for row in rows)
+
+    def test_tight_rows(self):
+        # every row is tight at the optimum, and several bases are optimal
+        for rows, k in [
+            ([(1, 1), (1, 1), (2, 0), (0, 2)], 2),
+            ([(1, 0, 1), (0, 1, 1), (1, 1, 0), (1, 1, 1)], 3),
+            ([(1, 1, 1, 1), (2, 0, 2, 0), (0, 2, 0, 2), (1, 1, 1, 1)], 4),
+        ]:
+            rows = [tuple(map(F, row)) for row in rows]
+            ints = integer_rows(rows)
+            want = covering_lp_oracle(rows, k)
+            assert cuts._min_cover(ints, k, prune=False)[0] == cuts._min_cover(ints, k)[0] == want
+
+    def test_zero_row_is_uncoverable(self):
+        for rows in ([(1, [0, 0])], [(2, [1, 3]), (1, [0, 0])], [(1, [0, 0]), (2, [1, 3])]):
+            assert cuts._min_cover(rows, 2, prune=False) == (inf, None)
+            assert cuts._min_cover(rows, 2) == (inf, None)
+
+    def test_blands_order_fixes_the_argmin(self):
+        # x columns by arrival, then the slacks: on these LPs another order
+        # of the entering columns ends in another optimal basis
+        rows = [(F(1, 3), F(2, 3), F(1, 3)), (0, 1, 2), (2, F(1, 3), 2)]
+        assert covering_lp_min([tuple(map(F, row)) for row in rows], 3) == (F(18, 11), (0, F(15, 11), F(3, 11)))
+        rows = [(0, 0, 3, 2), (1, F(1, 3), 0, F(4, 3)), (2, F(4, 3), 4, 1), (2, 1, 2, F(2, 3)), (F(2, 3), F(2, 3), F(2, 3), 0)]
+        ints = integer_rows([tuple(map(F, row)) for row in rows])
+        assert cuts._min_cover(ints, 4, prune=False) == (F(3, 2), (1, 0, F(1, 2), 0))
+
+    def test_columns_up_front_keep_their_pivots(self):
+        # the argmin of the pruned path is fixed by the order in which the
+        # minimal rows enter; pricing from a pool may end in another
+        # optimal basis, with the same value
+        rows = [(0, 1, 2), (1, F(3, 4), F(1, 2))]
+        ints = integer_rows([tuple(map(F, row)) for row in rows])
+        assert cuts._min_cover(ints, 3)[1] == (F(3, 4), F(0), F(1, 2))
+        assert cuts._min_cover(ints, 3, prune=False)[0] == F(5, 4)
 
 
 class TestRegions:
@@ -412,6 +494,28 @@ class TestClosureApprox:
             minimal = [r for r in rows if not any(o != r and all(map(le, o, r)) for o in rows)]
             assert strength_split_closure_approx(body, f, n) == 1 / covering_lp_oracle(minimal, len(rays))
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_property_priced_against_pruned_oracle(self, data):
+        # pricing the split rows in against pruning them first, from the
+        # Fraction corner rays, at every radius up to 12; half the points lie
+        # on a lattice line x1, x2, x1 + x2 or x1 - x2 = k
+        body = data.draw(any_body())
+        f = data.draw(st.one_of(root_vertex(body), lattice_line_vertex(body)))
+        for n in range(1, 13):
+            assert outcome(strength_split_closure_approx, body, f, n) == outcome(closure_oracle, body, f, n), n
+
+    def test_radius_must_be_an_int(self, t2_body):
+        f = point(F(1, 4), F(1, 2))
+        calls = [lambda n: admissible_normals(f, n), lambda n: strength_split_closure_approx(t2_body, f, n),
+                 lambda n: strength_report(t2_body, f, n)]
+        for n in (F(5, 2), 2.5, 3.0, F(3), True, False, "3", None, np.int64(3)):
+            for call in calls:
+                assert outcome(call, n) == (ValueError, f"n must be an int >= 1, got {n!r}")
+        for n in (0, -1):
+            for call in calls:
+                assert outcome(call, n) == (ValueError, "need n >= 1")
+
     def test_indicator_domination(self):
         rng = random.Random(23)
         z = F(2)
@@ -430,6 +534,29 @@ class TestStrengthReport:
         assert rep.t_bar == F(2)
         assert rep.n == 2
         assert rep.t_n is not None and rep.t_n <= rep.t_bar
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_property_is_the_composition(self, data):
+        # one frame per report gives the two calls' values and errors, type 1
+        # included; the points reach the boundary, the exterior and lattice lines
+        body = data.draw(st.one_of(any_body(), st.just(SplitBody((0, 1), 0))))
+        if isinstance(body, SplitBody):
+            f = point(F(1, 2), F(1, 3))
+        else:
+            box = body.polygon()
+            anywhere = st.builds(
+                point,
+                *(st.fractions(floor(min(xs)) - 1, ceil(max(xs)) + 1, max_denominator=12)
+                  for xs in ([v.x1 for v in box], [v.x2 for v in box])),
+            )
+            f = data.draw(st.one_of(root_vertex(body), lattice_line_vertex(body), anywhere))
+        n = data.draw(st.one_of(st.integers(-1, 7), st.sampled_from((F(5, 2), 2.5, True, False, None))))
+
+        def composed():
+            return replace(strength_single_split(body, f), t_n=strength_split_closure_approx(body, f, n), n=n)
+
+        assert outcome(strength_report, body, f, n) == outcome(composed)
 
 
 def outcome(call, *args):
@@ -541,6 +668,18 @@ class TestTableReuse:
         monkeypatch.setattr(cuts, "_last_table", (quad_body, (vertices, wrong)))
         with pytest.raises(AssertionError, match="disagrees with the split-coefficient value"):
             strength_single_split(quad_body, f)
+
+    def test_report_builds_one_frame(self, monkeypatch):
+        # t_bar, type 1's t_1 cross-check and t_N share the frame of f
+        for body in (Type1Body(), QuadBody(F(2, 5), F(3, 2), F(3, 5), F(-3, 10))):
+            region_of(body, point(F(1, 2), F(1, 4)))  # builds the region table
+            f = point(F(1, 2), F(1, 3))
+            calls = []
+            monkeypatch.setattr(cuts, "over_common_denominator", lambda v: calls.append(v) or over_common_denominator(v))
+            rep = strength_report(body, f, 3)
+            monkeypatch.undo()
+            assert calls == [(f.x1, f.x2)]
+            assert (rep.t_bar, rep.t_n) == (single_split_oracle(body, f)[2], closure_oracle(body, f, 3))
 
     def test_keeps_one_body(self):
         body = Type2Body(F(1, 3), F(5, 2))
