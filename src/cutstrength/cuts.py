@@ -13,8 +13,10 @@ For every non-split body the region table gives ``t_bar`` in closed form;
 ``strength_single_split`` evaluates both routes and insists they agree.
 
 Both run in the body's integer frame: f is scaled once to ``(X1, X2) / q``,
-tested on the integer facets and matched against an integer table derived
-from :func:`region_spec`, kept between queries on the same body object.
+tested on the integer facets and matched against the body's integer region
+table, built from the integers the body already has and kept between queries
+on the same body object.  :func:`region_spec` is that table's exact Fraction
+view; :func:`region_of` and the strength queries do not read it.
 ``t_N`` hands every split row to the packing kernel as a pool, low max-norm
 first, and the kernel prices in only the rows it needs; the dominance
 pruning of :func:`covering_lp_min` stays for the argmin it returns.
@@ -37,11 +39,8 @@ from .geometry import (
     Type1Body,
     Type2Body,
     Type3Body,
-    clip_halfplane,
     corner_rays,  # unused here, but callers look it up as cuts.corner_rays
     over_common_denominator,
-    point,
-    polygon_area,
     primitive_directions,
 )
 
@@ -255,7 +254,8 @@ _X1, _X2, _S = (1, 0), (0, 1), (1, 1)
 
 @dataclass(frozen=True)
 class Region:
-    """One region of a body's decomposition and its closed-form ``t_bar``.
+    """One region of a body's decomposition and its closed-form ``t_bar``,
+    as :func:`region_spec` reads it off the integer table.
 
     The region is the union of ``pieces``, each an intersection of closed
     bands.  On it ``t_bar = (num[0] + num[1] u) / (den[0] + den[1] u)`` with
@@ -291,120 +291,130 @@ def _matches(region, dot, strict, num=lambda c: c):
     return held if region.split is None else held & strict(region.split)
 
 
-def _low(normal, const, *pieces) -> Region:
-    """``t_bar = (u - const) / u``, split along ``normal``."""
-    return Region(pieces, normal, normal, (-const, 1), (0, 1))
+# The region table.  A band of a table row is ``(n1, n2, ln, ld, hn, hd)``,
+# the closed set ``ln / ld <= n . f <= hn / hd`` with ``ld, hd > 0``; an open
+# side is ``-1/0`` or ``1/0``, which every point passes when the test is
+# cross-multiplied.  A row's formula ``(a0, a1, b0, b1)`` is ``Region``'s
+# ``num`` and ``den`` times one positive scale: ``|b1|``, or ``b0`` where
+# ``b1 = 0`` (``den`` is ``(c, ±1)`` or ``(1, 0)``).
+_LO, _HI = (-1, 0), (1, 0)
+_BELOW, _ABOVE = (*_X2, *_LO, 0, 1), (*_X2, 1, 1, *_HI)
 
 
-def _high(normal, const, *pieces) -> Region:
-    """``t_bar = (const - u) / (1 - u)``, split along ``normal``."""
-    return Region(pieces, normal, normal, (const, -1), (1, -1))
+def _low(normal, low, *pieces):
+    """``t_bar = (u - l) / u`` with ``l = ln / ld``, split along ``normal``."""
+    ln, ld = low
+    return pieces, normal, normal, (-ln, ld, 0, ld)
 
 
-def _pair(normal, low, high, sides=((),)) -> list[Region]:
-    """A ``_low`` and a ``_high`` region along ``normal`` on ``0 <= u <= 1``,
+def _high(normal, high, *pieces):
+    """``t_bar = (h - u) / (1 - u)`` with ``h = hn / hd``, split along ``normal``."""
+    hn, hd = high
+    return pieces, normal, normal, (hn, -hd, hd, -hd)
+
+
+def _pair(normal, low, high, sides=((),)):
+    """A ``_low`` and a ``_high`` row along ``normal`` on ``0 <= u <= 1``,
     split at the u where the two formulas agree.  Each has one piece per
-    tuple of extra bands in ``sides``."""
-    # t = -low / (high - low - 1), over the product of the denominators
-    ln, ld, hn, hd = low.numerator, low.denominator, high.numerator, high.denominator
-    t = Fraction(-ln * hd, (hn - hd) * ld - ln * hd)
+    tuple of extra bands in ``sides``.  ``low`` and ``high`` are integer
+    pairs with positive denominators, and ``l < 0 < 1 < h``."""
+    (ln, ld), (hn, hd) = low, high
+    # t = -l / (h - l - 1), over ld hd; the denominator is ld hd (h - 1 - l) > 0
+    tn, td = -ln * hd, (hn - hd) * ld - ln * hd
     return [
-        _low(normal, low, *(((normal, 0, t), *side) for side in sides)),
-        _high(normal, high, *(((normal, t, 1), *side) for side in sides)),
+        _low(normal, low, *(((*normal, 0, 1, tn, td), *side) for side in sides)),
+        _high(normal, high, *(((*normal, tn, td, 1, 1), *side) for side in sides)),
     ]
 
 
-def _t1_region(normal, num, den, *bands) -> Region:
-    return Region((bands,), None, normal, num, den)
+_TYPE1_TABLE = (
+    [(0, 0), (2, 0), (0, 2)],  # v = 1
+    [
+        ((((*_S, 1, 1, *_HI), (*_X1, *_LO, 1, 1), (*_X2, *_LO, 1, 1)),), None, _S, (2, 0, 1, 0)),
+        ((((*_S, *_LO, 1, 1),),), None, _S, (3, -1, 2, -1)),
+        ((((*_X2, 1, 1, *_HI),),), None, _X2, (1, 1, 0, 1)),
+        ((((*_X1, 1, 1, *_HI),),), None, _X1, (1, 1, 0, 1)),
+    ],
+)
 
 
-_TYPE1_SPEC = [
-    _t1_region(_S, (2, 0), (1, 0), (_S, 1, None), (_X1, None, 1), (_X2, None, 1)),
-    _t1_region(_S, (3, -1), (2, -1), (_S, None, 1)),
-    _t1_region(_X2, (1, 1), (0, 1), (_X2, 1, None)),
-    _t1_region(_X1, (1, 1), (0, 1), (_X1, 1, None)),
-]
+def _vertex_rows(v, *vertices):
+    """Each vertex ``((x1, d1), (x2, d2))`` as the integer pair ``v x``:
+    ``v`` is a common denominator of the coordinates, so the divisions are exact."""
+    return [(x1 * v // d1, x2 * v // d2) for (x1, d1), (x2, d2) in vertices]
 
-
-def region_spec(body: LatticeFreeBody) -> list[Region]:
-    """The body's regions in index order, region 1 first.  Matching the closed
-    regions in this order sends a boundary point to its smallest-index region
-    (see :func:`_matches` for points on a lattice line)."""
-    below, above = ((_X2, None, 0),), ((_X2, 1, None),)
-    if isinstance(body, Type1Body):
-        return _TYPE1_SPEC
-    if isinstance(body, Type2Body):
-        left, right = body.left.x1, body.right.x1
-        inner = _pair(_X1, left, right, [((_X2, 0, 1),)])
-        if body.a2 <= 2:  # the paper's bounds use the horizontal split on the whole unit square
-            inner = [_high(_X2, body.a2, *region.pieces) for region in inner]
-        sides = [_high(_X2, body.a2, ((_X1, None, 0),)), _high(_X2, body.a2, ((_X1, 1, None),))]
-        return inner + sides + _pair(_X1, left, right, [above])
-    if isinstance(body, QuadBody):
-        return _pair(_X2, body.b2, body.a2) + _pair(_X1, body.c1, body.d1, [below, above])
-    if isinstance(body, Type3Body):
-        return (
-            _pair(_X2, body.b2, body.c2)
-            + _pair(_X1, body.c1, body.a1, [below])
-            + _pair(_S, body.b1 + body.b2, body.a1 + body.a2, [above])
-        )
-    raise ValueError(f"no region decomposition for {body!r}")
-
-
-def region_polygons(body: LatticeFreeBody) -> list[tuple[list[Rational2], ...]]:
-    """Closed region decomposition, indexed from region 1: each region is a
-    tuple of CCW piece polygons, the body clipped by each piece's bands."""
-    out = []
-    for region in region_spec(body):
-        polys = []
-        for piece in region.pieces:
-            poly = body.polygon()
-            for n, lo, hi in piece:
-                normal = point(*n)
-                if hi is not None:
-                    poly = clip_halfplane(poly, normal, hi)
-                if lo is not None and poly:
-                    poly = clip_halfplane(poly, -normal, -lo)
-            polys.append(poly)
-        out.append(tuple(polys))
-    return out
-
-
-def region_area(pieces: Sequence[Sequence[Rational2]]) -> Fraction:
-    return sum((polygon_area(p) for p in pieces), Fraction(0))
-
-
-# ---------------------------------------------------------------------------
-# the integer frame
 
 _last_table: tuple = (None, None)
 
 
 def _table(body: LatticeFreeBody):
     """``(V, regions)``: the vertices in corner-ray order times ``v``, the
-    facets' common denominator, and ``region_spec(body)`` as ``(pieces, split,
-    normal, (a0, a1, b0, b1))`` with ``t_bar = (a0 q + a1 P) / (b0 q + b1 P)``
-    at ``f = X / q``, ``P = normal . X``, each band ``lo <= P / q <= hi`` as
-    ``(n1, n2, lo.num, lo.den, hi.num, hi.den)``, an open side as -1/0 or 1/0.
-    Kept, as one pair read and replaced whole, until a call on another body."""
+    facets' common denominator, and the body's regions in index order as
+    ``(pieces, split, normal, (a0, a1, b0, b1))``, with ``t_bar = (a0 q + a1
+    P) / (b0 q + b1 P)`` at ``f = X / q``, ``P = normal . X``, and the bands
+    of the integer rows above.  Built from the integers the body already
+    has: the quad and type 3 ``_frame``, type 2's ``(a1, a2)`` over one
+    denominator.  Kept, as one pair read and replaced whole, until a call
+    on another body."""
     global _last_table
     last, table = _last_table
     if last is body:
         return table
-
-    def bound(c, open_side):
-        return open_side if c is None else (c.numerator, c.denominator)
-
-    v = body._facets[0]
-    regions = [
-        ([[(*n, *bound(lo, (-1, 0)), *bound(hi, (1, 0))) for n, lo, hi in piece] for piece in r.pieces],
-         r.split, r.normal, over_common_denominator((*r.num, *r.den))[1])
-        for r in region_spec(body)
-    ]
-    table = [(int(p.x1 * v), int(p.x2 * v)) for p in body.vertices()], regions
+    if isinstance(body, Type1Body):
+        table = _TYPE1_TABLE
+    elif isinstance(body, Type2Body):
+        D, (A1, A2) = over_common_denominator((body.a1, body.a2))
+        left, right, a2 = (-A1, A2 - D), (A2 - A1, A2 - D), (A2, D)
+        inner = _pair(_X1, left, right, [((*_X2, 0, 1, 1, 1),)])
+        if A2 <= 2 * D:  # the paper's bounds use the horizontal split on the whole unit square
+            inner = [_high(_X2, a2, *row[0]) for row in inner]
+        sides = [_high(_X2, a2, ((*_X1, *_LO, 0, 1),)), _high(_X2, a2, ((*_X1, 1, 1, *_HI),))]
+        table = (
+            _vertex_rows(body._facets[0], (left, (0, 1)), (right, (0, 1)), ((A1, D), a2)),
+            inner + sides + _pair(_X1, left, right, [(_ABOVE,)]),
+        )
+    elif isinstance(body, QuadBody):
+        D, A1, A2, B1, B2, e_c, e_d, nc1, nc2, nd1, nd2 = body._frame
+        c1, d1 = (nc1, e_c), (nd1, e_d)
+        table = (
+            _vertex_rows(body._facets[0], ((A1, D), (A2, D)), ((B1, D), (B2, D)), (c1, (nc2, e_c)), (d1, (nd2, e_d))),
+            _pair(_X2, (B2, D), (A2, D)) + _pair(_X1, c1, d1, [(_BELOW,), (_ABOVE,)]),
+        )
+    elif isinstance(body, Type3Body):
+        D, A1, A2, B1, nb2, db2, E, nc1, nc2 = body._frame
+        b2, c1, c2 = (nb2, db2), (-nc1, -E), (-nc2, -E)  # E < 0
+        table = (
+            _vertex_rows(body._facets[0], ((A1, D), (A2, D)), ((B1, D), b2), (c1, c2)),
+            _pair(_X2, b2, c2)
+            + _pair(_X1, c1, (A1, D), [(_BELOW,)])
+            + _pair(_S, (B1 * db2 + nb2 * D, D * db2), (A1 + A2, D), [(_ABOVE,)]),
+        )
+    else:
+        raise ValueError(f"no region decomposition for {body!r}")
     _last_table = body, table
     return table
 
+
+def region_spec(body: LatticeFreeBody) -> list[Region]:
+    """The body's regions in index order, region 1 first: the exact Fraction
+    view of its integer table.  Matching the closed regions in this order
+    sends a boundary point to its smallest-index region (see
+    :func:`_matches` for points on a lattice line)."""
+
+    def side(n, d):
+        return Fraction(n, d) if d else None
+
+    spec = []
+    for pieces, split, normal, (a0, a1, b0, b1) in _table(body)[1]:
+        scale = abs(b1) or b0
+        bands = tuple(tuple(((n1, n2), side(ln, ld), side(hn, hd)) for n1, n2, ln, ld, hn, hd in p) for p in pieces)
+        num, den = (Fraction(a0, scale), Fraction(a1, scale)), (Fraction(b0, scale), Fraction(b1, scale))
+        spec.append(Region(bands, split, normal, num, den))
+    return spec
+
+
+# ---------------------------------------------------------------------------
+# the integer frame
 
 _last_frame: tuple = (None, None, None)
 
@@ -455,7 +465,9 @@ def region_of(body: LatticeFreeBody, f: Rational2) -> RegionId:
 
 
 def chosen_split(body: LatticeFreeBody, region: RegionId) -> tuple[int, int]:
-    """Normal of the single split used in the given region."""
+    """Normal of the single split used in the given region of the body's family."""
+    if region.family != body.tag:
+        raise ValueError(f"region {region} is a {region.family} region, not one of {body!r}")
     spec = region_spec(body)
     split = spec[region.index - 1].split if 1 <= region.index <= len(spec) else None
     if split is None:

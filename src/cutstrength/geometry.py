@@ -134,49 +134,6 @@ def is_strictly_convex(pts: Sequence[Rational2]) -> bool:
     return sum(w and not u for u, w in zip(upper, upper[1:] + upper[:1])) == 1
 
 
-def contains(pts: Sequence[Rational2], p: Rational2, strict: bool = False) -> bool:
-    """Exact point-in-convex-polygon test; ``pts`` must run counter-clockwise."""
-    n = len(pts)
-    for i in range(n):
-        a, b = pts[i], pts[(i + 1) % n]
-        cr = (b - a).cross(p - a)
-        if cr < 0 or (strict and cr == 0):
-            return False
-    return True
-
-
-def clip_halfplane(pts: Sequence[Rational2], normal: Rational2, offset: Fraction) -> list[Rational2]:
-    """Clip a convex CCW polygon against ``{x : normal . x <= offset}``.
-
-    Returns the clipped vertex cycle (possibly empty / degenerate).
-    """
-    out: list[Rational2] = []
-    n = len(pts)
-    for i in range(n):
-        cur, nxt = pts[i], pts[(i + 1) % n]
-        dc = offset - normal.dot(cur)
-        dn = offset - normal.dot(nxt)
-        if dc >= 0:
-            out.append(cur)
-        if (dc > 0 > dn) or (dc < 0 < dn):
-            t = dc / (dc - dn)
-            out.append(cur + t * (nxt - cur))
-    # drop exact duplicates produced by vertices lying on the cut line
-    dedup: list[Rational2] = []
-    for p in out:
-        if not dedup or p != dedup[-1]:
-            dedup.append(p)
-    if len(dedup) > 1 and dedup[0] == dedup[-1]:
-        dedup.pop()
-    return dedup
-
-
-def polygon_area(pts: Sequence[Rational2]) -> Fraction:
-    if len(pts) < 3:
-        return Fraction(0)
-    return abs(shoelace_area(pts))
-
-
 def _edge_points(a: Rational2, b: Rational2) -> list[tuple[int, int]]:
     """Integer points of the closed segment ab: the one x on each integer row,
     or every integer column of a horizontal edge."""
@@ -471,7 +428,7 @@ def area(body: LatticeFreeBody) -> Fraction:
 
     Type 2 is a base of length ``a2/(a2-1)`` under the apex height ``a2``.
     The type 3 and quad forms hold because their edges pass through the
-    boundary lattice points; :func:`polygon_area` of the cycle is the test
+    boundary lattice points; the shoelace area of the cycle is the test
     reference."""
     if isinstance(body, SplitBody):
         raise ValueError("a split is unbounded; its area is not defined")
@@ -500,7 +457,8 @@ def lattice_width(body: LatticeFreeBody) -> Fraction:
     if isinstance(body, Type2Body):
         return min(body.a2, body.a2 / (body.a2 - 1))
     if isinstance(body, Type3Body):
-        return body.c2 - body.b2
+        nb2, db2, E, _, nc2 = body._frame[4:]
+        return Fraction(nc2 * db2 - nb2 * E, E * db2)  # c2 - b2
     if isinstance(body, QuadBody):
         return body.a2 - body.b2
     raise TypeError(f"unsupported body {body!r}")

@@ -5,6 +5,7 @@ from bisect import bisect_right
 from fractions import Fraction as F
 from itertools import combinations
 from math import ceil, floor
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from cutstrength import (
     QuadBody,
+    Rational2,
     SplitBody,
     Type1Body,
     Type2Body,
@@ -26,8 +28,8 @@ from cutstrength import (
     t3_lower,
 )
 from cutstrength.bounds import _quad_pieces, _Ratio, _t3_pieces
-from cutstrength.cuts import _admissible, _matches, _min_cover, _scaled, _split_row, region_spec
-from cutstrength.geometry import _frac, clip_halfplane, contains, polygon_area, primitive_directions, shoelace_area
+from cutstrength.cuts import Region, _admissible, _matches, _min_cover, _scaled, _split_row
+from cutstrength.geometry import _frac, primitive_directions, shoelace_area
 
 # CI runs with HYPOTHESIS_PROFILE=ci: the same examples on every run, no deadline
 settings.register_profile("ci", derandomize=True, deadline=None)
@@ -129,6 +131,137 @@ def t3_oracle(a1, a2, b1):
             f"(candidates {width_candidates})"
         )
     return dict(a1=a1, a2=a2, b1=b1, b2=b2, c1=c1, c2=c2)
+
+
+# The clipping oracle: exact polygons of the Fraction region spec.
+
+
+def contains(pts: Sequence[Rational2], p: Rational2, strict: bool = False) -> bool:
+    """Exact point-in-convex-polygon test; ``pts`` must run counter-clockwise."""
+    n = len(pts)
+    for i in range(n):
+        a, b = pts[i], pts[(i + 1) % n]
+        cr = (b - a).cross(p - a)
+        if cr < 0 or (strict and cr == 0):
+            return False
+    return True
+
+
+def clip_halfplane(pts: Sequence[Rational2], normal: Rational2, offset: F) -> list[Rational2]:
+    """Clip a convex CCW polygon against ``{x : normal . x <= offset}``.
+
+    Returns the clipped vertex cycle (possibly empty / degenerate).
+    """
+    out: list[Rational2] = []
+    n = len(pts)
+    for i in range(n):
+        cur, nxt = pts[i], pts[(i + 1) % n]
+        dc = offset - normal.dot(cur)
+        dn = offset - normal.dot(nxt)
+        if dc >= 0:
+            out.append(cur)
+        if (dc > 0 > dn) or (dc < 0 < dn):
+            t = dc / (dc - dn)
+            out.append(cur + t * (nxt - cur))
+    # drop exact duplicates produced by vertices lying on the cut line
+    dedup: list[Rational2] = []
+    for p in out:
+        if not dedup or p != dedup[-1]:
+            dedup.append(p)
+    if len(dedup) > 1 and dedup[0] == dedup[-1]:
+        dedup.pop()
+    return dedup
+
+
+def polygon_area(pts: Sequence[Rational2]) -> F:
+    if len(pts) < 3:
+        return F(0)
+    return abs(shoelace_area(pts))
+
+
+_X1, _X2, _S = (1, 0), (0, 1), (1, 1)
+
+
+def _low(normal, const, *pieces) -> Region:
+    """``t_bar = (u - const) / u``, split along ``normal``."""
+    return Region(pieces, normal, normal, (-const, 1), (0, 1))
+
+
+def _high(normal, const, *pieces) -> Region:
+    """``t_bar = (const - u) / (1 - u)``, split along ``normal``."""
+    return Region(pieces, normal, normal, (const, -1), (1, -1))
+
+
+def _pair(normal, low, high, sides=((),)) -> list[Region]:
+    """A ``_low`` and a ``_high`` region along ``normal`` on ``0 <= u <= 1``,
+    split at the u where the two formulas agree.  Each has one piece per
+    tuple of extra bands in ``sides``."""
+    # t = -low / (high - low - 1), over the product of the denominators
+    ln, ld, hn, hd = low.numerator, low.denominator, high.numerator, high.denominator
+    t = F(-ln * hd, (hn - hd) * ld - ln * hd)
+    return [
+        _low(normal, low, *(((normal, 0, t), *side) for side in sides)),
+        _high(normal, high, *(((normal, t, 1), *side) for side in sides)),
+    ]
+
+
+def _t1_region(normal, num, den, *bands) -> Region:
+    return Region((bands,), None, normal, num, den)
+
+
+_TYPE1_SPEC = [
+    _t1_region(_S, (2, 0), (1, 0), (_S, 1, None), (_X1, None, 1), (_X2, None, 1)),
+    _t1_region(_S, (3, -1), (2, -1), (_S, None, 1)),
+    _t1_region(_X2, (1, 1), (0, 1), (_X2, 1, None)),
+    _t1_region(_X1, (1, 1), (0, 1), (_X1, 1, None)),
+]
+
+
+def region_spec_oracle(body):
+    """``region_spec(body)`` derived in Fractions from the body's Fraction
+    vertices and parameters, region by region."""
+    below, above = ((_X2, None, 0),), ((_X2, 1, None),)
+    if isinstance(body, Type1Body):
+        return _TYPE1_SPEC
+    if isinstance(body, Type2Body):
+        left, right = body.left.x1, body.right.x1
+        inner = _pair(_X1, left, right, [((_X2, 0, 1),)])
+        if body.a2 <= 2:  # the paper's bounds use the horizontal split on the whole unit square
+            inner = [_high(_X2, body.a2, *region.pieces) for region in inner]
+        sides = [_high(_X2, body.a2, ((_X1, None, 0),)), _high(_X2, body.a2, ((_X1, 1, None),))]
+        return inner + sides + _pair(_X1, left, right, [above])
+    if isinstance(body, QuadBody):
+        return _pair(_X2, body.b2, body.a2) + _pair(_X1, body.c1, body.d1, [below, above])
+    if isinstance(body, Type3Body):
+        return (
+            _pair(_X2, body.b2, body.c2)
+            + _pair(_X1, body.c1, body.a1, [below])
+            + _pair(_S, body.b1 + body.b2, body.a1 + body.a2, [above])
+        )
+    raise ValueError(f"no region decomposition for {body!r}")
+
+
+def region_polygons(body):
+    """Closed region decomposition, indexed from region 1: each region is a
+    tuple of CCW piece polygons, the body clipped by each piece's bands."""
+    out = []
+    for region in region_spec_oracle(body):
+        polys = []
+        for piece in region.pieces:
+            poly = body.polygon()
+            for n, lo, hi in piece:
+                normal = point(*n)
+                if hi is not None:
+                    poly = clip_halfplane(poly, normal, hi)
+                if lo is not None and poly:
+                    poly = clip_halfplane(poly, -normal, -lo)
+            polys.append(poly)
+        out.append(tuple(polys))
+    return out
+
+
+def region_area(pieces):
+    return sum((polygon_area(p) for p in pieces), F(0))
 
 
 def clip_area(pieces, normal, offset):
@@ -448,7 +581,7 @@ def region_t_bar(region, f):
 
 
 def region_oracle(body, f):
-    """``(index, region)`` of the first entry of ``region_spec(body)`` that
+    """``(index, region)`` of the first entry of ``region_spec_oracle(body)`` that
     ``_matches`` ``f``, from Fraction projections of ``f``, with the errors and
     messages of ``region_of``."""
     if isinstance(body, SplitBody):
@@ -456,7 +589,7 @@ def region_oracle(body, f):
     if not body.contains_interior(f):
         raise ValueError(f"root vertex {f} is not strictly interior to {body!r}")
     proj = {n: n[0] * f.x1 + n[1] * f.x2 for n in ((1, 0), (0, 1), (1, 1))}
-    for i, region in enumerate(region_spec(body), start=1):
+    for i, region in enumerate(region_spec_oracle(body), start=1):
         if _matches(region, proj.__getitem__, lambda n: proj[n].denominator != 1):
             return i, region
     raise ValueError(f"no region of {body!r} has a split containing f = {f} strictly")
@@ -578,7 +711,7 @@ def sample_points_oracle(body_tri, seed: int, start: int, count: int) -> np.ndar
 
 
 def t_bar_evaluator_oracle(body):
-    """Vectorized float ``t_bar`` derived from ``region_spec(body)``.
+    """Vectorized float ``t_bar`` derived from ``region_spec_oracle(body)``.
 
     Each point takes the formula of the first region that ``_matches`` it, as
     in ``region_of``; every constant is ``float()`` of the exact one.
@@ -586,7 +719,7 @@ def t_bar_evaluator_oracle(body):
     """
     import numpy as np
 
-    spec = region_spec(body)
+    spec = region_spec_oracle(body)
     normals = {n for region in spec for piece in region.pieces for n, _, _ in piece}
     splits = {region.split for region in spec if region.split is not None}
     # coefficients by region index; the extra last entry is for a point in no region

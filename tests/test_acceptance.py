@@ -18,9 +18,7 @@ from cutstrength import (
     p_t2_lower,
     piecewise_bound_for,
     quad_lower,
-    region_area,
     region_of,
-    region_polygons,
     special_values,
     split_coefficients,
     strength_single_split,
@@ -30,7 +28,7 @@ from cutstrength import (
 from cutstrength.cuts import region_spec
 from cutstrength.sweeps import sweep_grid
 
-from conftest import random_interior_point, region_t_bar
+from conftest import random_interior_point, region_area, region_polygons, region_t_bar
 
 
 T2_FIXTURE = Type2Body(F(1, 2), F(3, 2))

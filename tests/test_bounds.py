@@ -20,7 +20,6 @@ from cutstrength import (
     piecewise_bound_for,
     point,
     quad_lower,
-    region_polygons,
     special_values,
     t2_region_integrals,
     t3_lower,
@@ -33,6 +32,7 @@ from conftest import (
     indicator_area,
     quad_bound_oracle,
     quad_params,
+    region_polygons,
     strength_specs,
     t3_bound_oracle,
     t3_params,

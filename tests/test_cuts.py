@@ -10,7 +10,7 @@ from operator import le
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cutstrength import (
@@ -27,29 +27,34 @@ from cutstrength import (
     covering_lp_min,
     gauge,
     point,
-    region_area,
     region_of,
-    region_polygons,
     split_coefficients,
     strength_report,
     strength_single_split,
     strength_split_closure_approx,
 )
 from cutstrength import cuts
+from cutstrength.cuts import region_spec
 from cutstrength.cli import run
-from cutstrength.geometry import contains, over_common_denominator
+from cutstrength.geometry import over_common_denominator
 
 from conftest import (
     BOUNDARY_BODIES,
     any_body,
     box_grid,
     closure_oracle,
+    contains,
     covering_lp_oracle,
     lattice_line_vertex,
+    quad_params,
     random_interior_point,
+    region_area,
     region_oracle,
+    region_polygons,
+    region_spec_oracle,
     root_vertex,
     single_split_oracle,
+    t3_params,
 )
 
 
@@ -369,6 +374,49 @@ class TestChosenSplit:
         assert chosen_split(body, RegionId("quad", 3)) == (1, 0)
         assert chosen_split(body, RegionId("quad", 4)) == (1, 0)
 
+    def test_region_of_another_family(self):
+        # a region index is only meaningful within its own family
+        with pytest.raises(ValueError, match="is a type2 region"):
+            chosen_split(QuadBody(F(1, 4), F(3, 2), F(1, 2), F(-1, 4)), RegionId("type2", 1))
+
+
+@st.composite
+def drawn_body(draw):
+    """A body from ``any_body``, or from the ``quad_params`` and ``t3_params``
+    draws over their edges and width ties."""
+    kind = draw(st.sampled_from(("any", "quad", "t3")))
+    if kind == "any":
+        return draw(any_body())
+    try:
+        return QuadBody(*draw(quad_params())) if kind == "quad" else Type3Body(*draw(t3_params()))
+    except ValueError:
+        assume(False)
+
+
+class TestRegionTable:
+    @settings(max_examples=300, deadline=None)
+    @given(drawn_body())
+    @example(Type2Body(F(1, 3), 2))
+    @example(Type2Body(F(1, 3), 2 + F(1, 10**6)))
+    @example(QuadBody(F(1, 2), F(3, 2), F(1, 2), F(-1, 2)))  # both quad width ties
+    @example(Type3Body(F(3, 2), F(1, 4), F(1, 4)))  # t3 sum tie
+    @example(Type3Body(F(3, 2), F(1, 2), F(1, 4)))  # t3 c1 tie
+    def test_view_matches_fraction_oracle(self, body):
+        # the integer table, read as Fractions, is the Fraction derivation;
+        # its bands have positive denominators, as the cross-multiplied
+        # tests of region_of need, and its vertices are the body's times v
+        assert region_spec(body) == region_spec_oracle(body)
+        vertices, regions = cuts._table(body)
+        v = body._facets[0]
+        assert vertices == [(p.x1 * v, p.x2 * v) for p in body.vertices()]
+        for pieces, _, _, (_, _, b0, b1) in regions:
+            assert (abs(b1) or b0) > 0
+            assert all(ld >= 0 and hd >= 0 for piece in pieces for *_, ld, _, hd in piece)
+
+    def test_split_has_no_table(self):
+        with pytest.raises(ValueError, match="no region decomposition"):
+            region_spec(SplitBody((0, 1), 0))
+
 
 class TestSingleSplitStrength:
     def test_type2_left_triangle(self, t2_body):
@@ -680,6 +728,26 @@ class TestTableReuse:
             monkeypatch.undo()
             assert calls == [(f.x1, f.x2)]
             assert (rep.t_bar, rep.t_n) == (single_split_oracle(body, f)[2], closure_oracle(body, f, 3))
+
+    def test_report_needs_no_fraction_view(self, monkeypatch):
+        # a query on a fresh body builds its table from the body's integers
+        queries = [
+            (Type1Body(), point(F(1, 2), F(1, 3))),
+            (Type2Body(F(1, 3), F(5, 2)), point(F(1, 4), F(1, 2))),
+            (QuadBody(F(2, 5), F(3, 2), F(3, 5), F(-3, 10)), point(F(1, 2), F(1, 3))),
+            (Type3Body(F(3), F(3, 10), F(1, 10)), point(F(1, 2), F(1, 3))),
+        ]
+
+        def fail(body):
+            raise AssertionError("region_spec called on the query path")
+
+        monkeypatch.setattr(cuts, "region_spec", fail)
+        reports = [strength_report(body, f, 3) for body, f in queries]
+        monkeypatch.undo()
+        for (body, f), rep in zip(queries, reports):
+            index, split, t_bar = single_split_oracle(body, f)
+            assert (rep.region.index, rep.chosen_split_normal, rep.t_bar) == (index, split, t_bar)
+            assert rep.t_n == closure_oracle(body, f, 3)
 
     def test_keeps_one_body(self):
         body = Type2Body(F(1, 3), F(5, 2))

@@ -27,7 +27,6 @@ from cutstrength.geometry import (
     _edge_points,
     _row_meets_interior,
     is_strictly_convex,
-    polygon_area,
     shoelace_area,
 )
 
@@ -36,6 +35,7 @@ from conftest import (
     ccw,
     lattice_points_oracle,
     lattice_width_enumerated,
+    polygon_area,
     quad_oracle,
     quad_params,
     random_interior_point,
