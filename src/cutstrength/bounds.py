@@ -5,11 +5,17 @@ All evaluators are exact: rational in, rational out.  Every family bound is
 represented as a :class:`PiecewiseBound` (one term per region: ordered
 breaks plus one closed-form evaluator per interval, selected
 right-continuously), so that breakpoint continuity can be tested piece
-against piece.  The breaks, the scale and the pieces' values are unreduced
-integer pairs; the quad and type 3 bounds build theirs from the integer frame
-that their body's constructor keeps, and a call picks each term's piece by
-cross-multiplying ``z`` against the breaks, so only the value it returns is a
-``Fraction``.
+against piece.
+
+On each interval, the area that a region contributes is a quadratic in
+``y = 1 / (z - 1)``.  So every piece is a closed form over integers: it takes
+``z = p / q`` as the pair ``(p, q)`` and returns an unreduced ``(num, den)``
+pair, with ``y = q / (p - q)``.  The quad and type 3 pieces are written over
+the integer frame that their body's constructor keeps, and the parts that
+depend on the body alone are computed once per bound; the breaks and the
+scale are integer pairs too.  A call picks each term's piece by
+cross-multiplying ``z`` against the breaks, adds the pairs, and reduces once,
+to the ``Fraction`` it returns.
 
 For the type 1 triangle the value is an exact probability, not merely a
 bound; it has a genuine jump at ``z = 2`` because the strength equals 2 on a
@@ -22,65 +28,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .geometry import QuadBody, Rat, Rational2, Type1Body, Type2Body, Type3Body, _frac, lattice_width
+from .geometry import QuadBody, Rat, Type1Body, Type2Body, Type3Body, _frac, lattice_width
 
-
-class _Ratio:
-    """An unreduced rational ``numerator / denominator`` with a positive
-    denominator, for evaluating the bound pieces.
-
-    Each operation is a few integer products and no gcd, so a bound costs one
-    reduction, in :meth:`PiecewiseBound.__call__`.  It works against ints,
-    Fractions and itself, all of which carry ``numerator`` and
-    ``denominator``; it has no comparisons.
-    """
-
-    __slots__ = ("numerator", "denominator")
-
-    def __init__(self, numerator: int, denominator: int = 1):
-        self.numerator = numerator
-        self.denominator = denominator
-
-    def __add__(self, other) -> "_Ratio":
-        n, d = other.numerator, other.denominator
-        return _Ratio(self.numerator * d + n * self.denominator, self.denominator * d)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "_Ratio":
-        n, d = other.numerator, other.denominator
-        return _Ratio(self.numerator * d - n * self.denominator, self.denominator * d)
-
-    def __rsub__(self, other) -> "_Ratio":
-        n, d = other.numerator, other.denominator
-        return _Ratio(n * self.denominator - self.numerator * d, self.denominator * d)
-
-    def __mul__(self, other) -> "_Ratio":
-        return _Ratio(self.numerator * other.numerator, self.denominator * other.denominator)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "_Ratio":
-        return _quotient(self.numerator * other.denominator, self.denominator * other.numerator)
-
-    def __rtruediv__(self, other) -> "_Ratio":
-        return _quotient(other.numerator * self.denominator, other.denominator * self.numerator)
-
-    def __neg__(self) -> "_Ratio":
-        return _Ratio(-self.numerator, self.denominator)
-
-    def __pow__(self, k: int) -> "_Ratio":
-        if k < 0:
-            return 1 / self ** -k
-        return _Ratio(self.numerator**k, self.denominator**k)
-
-
-def _quotient(n: int, d: int) -> _Ratio:
-    if d > 0:
-        return _Ratio(n, d)
-    if d < 0:
-        return _Ratio(-n, -d)
-    raise ZeroDivisionError("division by zero in a bound piece")
+Pair = tuple[int, int]
+Piece = Callable[[int, int], Pair]
 
 
 @dataclass(frozen=True)
@@ -91,40 +42,41 @@ class PiecewiseBound:
     ``[breaks[i-1], breaks[i])`` (first and last interval open-ended); the
     value is the sum over the terms.  The breaks of a term are in
     non-decreasing order; they and the positive ``scale`` are unreduced
-    :class:`_Ratio` pairs.  A call picks ``fns[i]`` with ``i`` the number of
-    breaks ``b <= z``, by cross-multiplying, which is ``bisect_right`` on the
-    ordered breaks: selection is right-continuous, the natural convention for
-    a distribution-style bound.  The pieces take and return unreduced
-    :class:`_Ratio` values; the sum is reduced once.
+    ``(num, den)`` pairs with ``den > 0``.  A call picks ``fns[i]`` with ``i``
+    the number of breaks ``b <= z``, by cross-multiplying, which is
+    ``bisect_right`` on the ordered breaks: selection is right-continuous, the
+    natural convention for a distribution-style bound.  A piece takes
+    ``z = p / q`` as ``(p, q)`` with ``q > 0`` and returns an unreduced
+    ``(num, den)`` pair; the sum is reduced once.
     """
 
-    terms: tuple[tuple[tuple[_Ratio, ...], tuple[Callable[[_Ratio], _Ratio], ...]], ...]
-    scale: _Ratio = _Ratio(1)
+    terms: tuple[tuple[tuple[Pair, ...], tuple[Piece, ...]], ...]
+    scale: Pair = (1, 1)
 
     @property
     def breakpoints(self) -> tuple[Fraction, ...]:
-        return tuple(sorted({Fraction(b.numerator, b.denominator) for breaks, _ in self.terms for b in breaks}))
+        return tuple(sorted({Fraction(n, d) for breaks, _ in self.terms for n, d in breaks}))
 
     def __call__(self, z: Rat) -> Fraction:
         z = _frac(z)
         p, q = z.numerator, z.denominator
         if p <= q:
             raise ValueError(f"threshold must satisfy z > 1, got {z}")
-        zr = _Ratio(p, q)
-        total = _Ratio(0)
+        num, den = 0, 1
         for breaks, fns in self.terms:
             i = 0
-            for b in breaks:
-                if b.numerator * q <= p * b.denominator:
+            for n, d in breaks:
+                if n * q <= p * d:
                     i += 1
-            total += fns[i](zr)
-        scale = self.scale
-        return Fraction(total.numerator * scale.denominator, total.denominator * scale.numerator)
+            n, d = fns[i](p, q)
+            num, den = num * d + n * den, den * d
+        sn, sd = self.scale
+        return Fraction(num * sd, den * sn)
 
 
-def _const(value: int) -> Callable[[_Ratio], _Ratio]:
-    v = _Ratio(value)
-    return lambda z: v
+def _const(value: int) -> Piece:
+    pair = (value, 1)
+    return lambda p, q: pair
 
 
 _ZERO = _const(0)
@@ -137,10 +89,11 @@ _ZERO = _const(0)
 def t1_bound() -> PiecewiseBound:
     """Exact probability that the type 1 strength is at most z."""
 
-    def middle(z: _Ratio) -> _Ratio:
-        return _Ratio(3, 4) * ((2 * z - 3) / (z - 1)) ** 2
+    def middle(p: int, q: int) -> Pair:
+        # 3/4 ((2z - 3) / (z - 1))^2
+        return 3 * (2 * p - 3 * q) ** 2, 4 * (p - q) ** 2
 
-    return PiecewiseBound((((_Ratio(3, 2), _Ratio(2)), (_ZERO, middle, _const(1))),))
+    return PiecewiseBound(((((3, 2), (2, 1)), (_ZERO, middle, _const(1))),))
 
 
 def p_t1(z: Rat) -> Fraction:
@@ -161,54 +114,25 @@ def t2_bound(w: Rat) -> PiecewiseBound:
     at most z, as a function of the lattice width alone."""
     w = _frac(w)
     _check_width(w)
-    # w / (w - 1) = p / (p - q); at w = 2 the breaks coincide and the empty
-    # middle piece is never picked
-    p, q = w.numerator, w.denominator
-    breaks = (_Ratio(p, q), _Ratio(p, p - q))
-    w = _Ratio(p, q)
+    # w = P / Q and w / (w - 1) = P / (P - Q); at w = 2 the breaks coincide
+    # and the empty middle piece is never picked
+    P, Q = w.numerator, w.denominator
 
-    def g1(z: _Ratio) -> _Ratio:
-        return (z - w) * (2 * w * z - w - z) / (w**2 * (z - 1) ** 2)
+    def g1(p: int, q: int) -> Pair:
+        # (z - w)(2wz - w - z) / (w^2 (z - 1)^2)
+        return (Q * p - P * q) * (2 * P * p - P * q - Q * p), (P * (p - q)) ** 2
 
-    def g2(z: _Ratio) -> _Ratio:
-        return ((w - 1) ** 2 * (z - 1) ** 2 - 1) / (w**2 * (z - 1) ** 2)
+    def g1_g2(p: int, q: int) -> Pair:
+        # g1 + g2, g2 = ((w - 1)^2 (z - 1)^2 - 1) / (w^2 (z - 1)^2)
+        m = p - q
+        g2 = ((P - Q) * m) ** 2 - (Q * q) ** 2
+        return (Q * p - P * q) * (2 * P * p - P * q - Q * p) + g2, (P * m) ** 2
 
-    return PiecewiseBound(((breaks, (_ZERO, g1, lambda z: g1(z) + g2(z))),))
+    return PiecewiseBound(((((P, Q), (P, P - Q)), (_ZERO, g1, g1_g2)),))
 
 
 def p_t2_lower(z: Rat, w: Rat) -> Fraction:
     return t2_bound(w)(z)
-
-
-def t2_region_integrals(a, z: Rat) -> tuple[Fraction, Fraction, Fraction]:
-    """Aggregated region integrals (R1+R2, R3+R4, R5+R6) for a type 2 body.
-
-    Their sum divided by the body area equals :func:`p_t2_lower` at the body's
-    lattice width, exactly.
-    """
-    if isinstance(a, Type2Body):
-        body = a
-    elif isinstance(a, Rational2):
-        body = Type2Body(a.x1, a.x2)
-    else:
-        body = Type2Body(*a)
-    z = _frac(z)
-    if z <= 1:
-        raise ValueError(f"threshold must satisfy z > 1, got {z}")
-    a2 = body.a2
-    steep = a2 / (a2 - 1)
-
-    if a2 <= 2:
-        r12 = Fraction(0) if z <= a2 else (z - a2) / (z - 1)
-    else:
-        r12 = Fraction(0) if z <= steep else 1 - 1 / ((a2 - 1) * (z - 1))
-    r34 = Fraction(0) if z <= a2 else (z - a2) * (z + a2 - 2) / (2 * (a2 - 1) * (z - 1) ** 2)
-    r56 = (
-        Fraction(0)
-        if z <= steep
-        else (a2 - 1) / 2 * (1 - 1 / ((a2 - 1) ** 2 * (z - 1) ** 2))
-    )
-    return r12, r34, r56
 
 
 def special_values(w: Rat) -> tuple[Fraction, Fraction]:
@@ -227,94 +151,76 @@ def special_values(w: Rat) -> tuple[Fraction, Fraction]:
 def quad_bound(body: QuadBody) -> PiecewiseBound:
     """Lower bound on the probability that the quadrilateral single-split
     strength is at most z, in the vertex parameterization, built from the
-    body's integer frame."""
-    D, A1, A2, B1, B2, e_c, e_d, nc1, nc2, nd1, nd2 = body._frame
-    a1, a2, b1, b2 = _Ratio(A1, D), _Ratio(A2, D), _Ratio(B1, D), _Ratio(B2, D)
-    c1, c2, d1, d2 = _Ratio(nc1, e_c), _Ratio(nc2, e_c), _Ratio(nd1, e_d), _Ratio(nd2, e_d)
-    w, v = _Ratio(A2 - B2, D), d1 - c1
-    breaks = (
-        (w, (c2 - b2) / c2),
-        (w, (a2 - d2) / (1 - d2)),
-        (v, (a1 - c1) / a1),
-        (v, (d1 - b1) / (1 - b1)),
-    )
-    fns = _quad_pieces(a1, a2, b1, b2, c1, c2, d1, d2, w)
-    # the area (a2 - b2 + d1 - c1) / 2
-    return PiecewiseBound(tuple(zip(breaks, fns)), (w + v) * _Ratio(1, 2))
+    body's integer frame.
 
+    With ``(a1, a2, b1, b2) = (A1, A2, B1, B2) / D``, ``G = D - A1``,
+    ``H = A2 - D`` and ``J = D - B1``, the frame has ``c = -A1 (B1, B2) / e_c``
+    and ``d = (1, 0) + G (J, -B2) / e_d``.  Regions 1 and 2 split along x2 at
+    ``-b2 / (w - 1)``, regions 3 and 4 along x1 at ``-c1 / (v - 1)``, with
+    ``w = a2 - b2`` and ``v = d1 - c1``.  A region's ``mid`` piece is the part
+    of the body between its split line and the line where its ``t_bar``
+    equals z, a trapezoid; its ``tail`` piece takes over once that line has
+    passed a vertex.  In each piece ``m = p - q``."""
+    D, A1, A2, B1, B2, e_c, e_d = body._frame[:7]
+    G, H, J = D - A1, A2 - D, D - B1
+    W = A2 - B2 - D  # D (w - 1)
+    K = A2 - B2 - B1 + A1  # W times the body's width at x2 = -b2 / (w - 1)
+    V = G * J * e_c + A1 * B1 * e_d  # e_c e_d (v - 1)
+    # two shorthands of regions 3 and 4
+    P = H * B1 + G * B2
+    S = H * J * e_c - A1 * B2 * e_d
+    DW2 = 2 * D * W * W
 
-def _quad_pieces(a1, a2, b1, b2, c1, c2, d1, d2, w):
-    """The pieces ``(fns, ...)`` of the quad bound's four terms, one per
-    region, from the vertices and the width as :class:`_Ratio` values."""
-    half = _Ratio(1, 2)
+    def r1_mid(p: int, q: int) -> Pair:
+        m = p - q
+        num = -B2 * (D * m - W * q) * (D * (H * K + W * (H + A1)) * m + W * (H * J + A1 * B2) * q)
+        return num, D * DW2 * H * m * m
 
-    def r1_mid(z):
-        return half * (-b2 / (w - 1) - -b2 / (z - 1)) * (
-            (w - (b1 - a1)) / (w - 1) + (z - b1) / (z - 1) + a1 * (z - 1 + b2) / ((a2 - 1) * (z - 1))
-        )
+    def r1_tail(p: int, q: int) -> Pair:
+        m = p - q
+        num = D * (A1 * (A1 - B1) * W - e_c * (K + W)) * m * m + W * W * e_c * q * (2 * m + q)
+        return B2 * num, DW2 * e_c * m * m
 
-    def r1_tail(z):
-        edge = (a1 * (b2 - 1) - (a2 - 1) * b1) / (a1 * b2 - (a2 - 1) * b1)
-        return half * (-b2 / (w - 1) - c2) * ((w - (b1 - a1)) / (w - 1) + edge) + half * (
-            c2 - -b2 / (z - 1)
-        ) * (z / (z - 1) + edge)
+    def r2_mid(p: int, q: int) -> Pair:
+        m = p - q
+        num = H * (D * m - W * q) * (D * (B2 * K + W * (B2 - J)) * m + W * (H * J + A1 * B2) * q)
+        return num, D * DW2 * B2 * m * m
 
-    def r2_mid(z):
-        return half * ((z - a2) / (z - 1) - -b2 / (w - 1)) * (
-            (w - (b1 - a1)) / (w - 1) + (z - 1 + a1) / (z - 1) + (z - a2) * (b1 - 1) / (b2 * (z - 1))
-        )
+    def r2_tail(p: int, q: int) -> Pair:
+        m = p - q
+        num = D * (B2 * (A1 - B1) * (K + W) + J * W * (D + 2 * W)) * m * m - W * W * e_d * q * (2 * m + q)
+        return H * num, DW2 * e_d * m * m
 
-    def r2_tail(z):
-        edge = (a2 * (1 - b1) - (1 - a1) * b2) / ((a2 - 1) * (1 - b1) - (1 - a1) * b2)
-        return half * ((z - a2) / (z - 1) - d2) * (z / (z - 1) + edge) + half * (
-            d2 - -b2 / (w - 1)
-        ) * ((w - (b1 - a1)) / (w - 1) + edge)
+    def r3_mid(p: int, q: int) -> Pair:
+        m = p - q
+        num = A1 * B1 * (e_c * e_d * m - V * q) * (e_c * (G * S + H * V) * m - A1 * P * V * q)
+        return num, 2 * G * (V * e_c * m) ** 2
 
-    def r3_mid(z):
-        return half * (-c1 / (d1 - c1 - 1) - -c1 / (z - 1)) * (
-            (a2 - 1) * (d1 - 1) / ((1 - a1) * (d1 - c1 - 1))
-            + (a2 - 1) * (z - 1 + c1) / ((1 - a1) * (z - 1))
-            + c2 / (d1 - c1 - 1)
-            + c2 / (z - 1)
-        )
+    def r3_tail(p: int, q: int) -> Pair:
+        m = p - q
+        X = D * B2 * (A1 - B1) * ((H * (D + G) * B1 - A1 * B2 * G) * V - A1 * D * B1 * P * e_d) + e_c * V * V
+        return A1 * (e_c * X * m * m - (D * B1 * V * q) ** 2), 2 * B1 * e_c * (D * V * m) ** 2
 
-    def r3_tail(z):
-        return half * (-c1 / (d1 - c1 - 1) - a1) * (
-            (a2 - 1) * (2 - a1) / (1 - a1)
-            - a1 * b2 / b1
-            + (c1 * (a2 - 1) + c2 * (1 - a1)) / ((1 - a1) * (d1 - c1 - 1))
-        ) + half * (a1 - -c1 / (z - 1)) * (
-            a2 - 1 - a1 * b2 / b1 + (a1 * c2 - c1 * (a2 - 1)) / (a1 * (z - 1))
-        )
+    def r4_mid(p: int, q: int) -> Pair:
+        m = p - q
+        num = G * J * (e_c * e_d * m - V * q) * (e_d * (B1 * S - B2 * V) * m + J * P * V * q)
+        return num, 2 * B1 * (V * e_d * m) ** 2
 
-    def r4_mid(z):
-        return (
-            half
-            * (d1 - 1)
-            * (z - d1 + c1)
-            / ((z - 1) * (d1 - c1 - 1))
-            * (
-                (c2 * (1 - a1) + (a2 - 1) * (d1 - 1)) / ((1 - a1) * (d1 - c1 - 1))
-                + (a2 - 1) * (d1 - 1) / ((1 - a1) * (z - 1))
-                - b2 * (z - d1) / (b1 * (z - 1))
-            )
-        )
+    def r4_tail(p: int, q: int) -> Pair:
+        m = p - q
+        X = D * B1 * H * (B1 - A1) * ((H * (D + J) - G * B2) * V - A1 * D * P * e_d) + e_d * V * V
+        return J * (e_d * X * m * m - (D * G * V * q) ** 2), 2 * G * e_d * (D * V * m) ** 2
 
-    def r4_tail(z):
-        return half * (b1 - -c1 / (d1 - c1 - 1)) * (
-            (c2 * (1 - a1) + c1 * (a2 - 1)) / ((1 - a1) * (d1 - c1 - 1))
-            + ((a2 - 1) * (2 - b1) - b2 * (1 - a1)) / (1 - a1)
-        ) + half * ((z - d1) / (z - 1) - b1) * (
-            (a2 - 1) * (z - d1) / ((a1 - 1) * (z - 1))
-            - b2 * (d1 - 1) / ((1 - b1) * (z - 1))
-            + ((a2 - 1) * (2 - b1) - b2 * (1 - a1)) / (1 - a1)
-        )
-
-    return (
-        (_ZERO, r1_mid, r1_tail),
-        (_ZERO, r2_mid, r2_tail),
-        (_ZERO, r3_mid, r3_tail),
-        (_ZERO, r4_mid, r4_tail),
+    w, v = (A2 - B2, D), (e_c * e_d + V, e_c * e_d)
+    return PiecewiseBound(
+        (
+            ((w, (e_c + A1 * D, A1 * D)), (_ZERO, r1_mid, r1_tail)),
+            ((w, (A2 * e_d + D * G * B2, D * H * J)), (_ZERO, r2_mid, r2_tail)),
+            ((v, (e_c + D * B1, e_c)), (_ZERO, r3_mid, r3_tail)),
+            ((v, (e_d + D * G, e_d)), (_ZERO, r4_mid, r4_tail)),
+        ),
+        # the area (w + v) / 2
+        ((A2 - B2) * e_c * e_d + D * (e_c * e_d + V), 2 * D * e_c * e_d),
     )
 
 
@@ -329,81 +235,63 @@ def quad_lower(body: QuadBody, z: Rat) -> Fraction:
 def t3_bound(body: Type3Body) -> PiecewiseBound:
     """Lower bound on the probability that the type 3 single-split strength is
     at most z, in the vertex parameterization, built from the body's integer
-    frame."""
-    D, A1, A2, B1, nb2, db2, E, nc1, nc2 = body._frame
-    a1, a2, b1, b2 = _Ratio(A1, D), _Ratio(A2, D), _Ratio(B1, D), _Ratio(nb2, db2)
-    # c = (nc1, nc2) / E with E < 0 and nc2 < 0
-    c1, c2, cs = _Ratio(-nc1, -E), _Ratio(-nc2, -E), _Ratio(-nc1 - nc2, -E)
-    w = c2 - b2
-    # The diagonal-split region above the line x2 = 1 is the triangle with
-    # vertices c, (0,1), and (c1/c2, 1); its lowest diagonal coordinate
-    # x1 + x2 is s_low, attained at (c1/c2, 1), so its contribution starts at
-    # z_corner, not at the diagonal lattice width.  The low-diagonal region
-    # R5 is always empty under the enforced width ordering: it would require
-    # a1 + a2 <= 1 + b1, which forces c2 <= 1.
-    s_low = _Ratio(-nc1 - nc2, -nc2)  # (c1 + c2) / c2
-    breaks = (
-        (w, (a2 - b2) / a2),
-        (a1 - c1, (b1 - c1) / b1),
-        ((a1 + a2 - s_low) / (1 - s_low), (a1 + a2 - cs) / (1 - cs)),
+    frame.
+
+    With ``(a1, a2, b1) = (A1, A2, B1) / D``, ``R = A1 - D``, ``J = D - B1``,
+    ``T = A1 + A2 - D`` and ``F = A1 A2 - T B1`` (the frame's ``E`` is
+    ``-D F``), ``b2 = -A2 J / (D R)`` and ``c = A1 (-B1 R, A2 J) / (D F)``.
+    Regions 1 and 2 split along x2, 3 and 4 along x1, and 5 and 6 along the
+    diagonal x1 + x2; the low-diagonal region 5 is always empty under the
+    enforced width ordering, since it would need a1 + a2 <= 1 + b1, which
+    forces c2 <= 1.  In each piece ``m = p - q``."""
+    D, A1, A2, B1 = body._frame[:4]
+    R, J, L, T = A1 - D, D - B1, D - A2, A1 + A2 - D
+    F = A1 * A2 - T * B1
+    W = A2 * J * (A1 * R + F) - D * F * R  # D F R (w - 1), w = c2 - b2
+
+    def r12_mid(p: int, q: int) -> Pair:
+        # the body between x2 = -b2 y and x2 = 1 - (c2 - 1) y, where its width
+        # is a1 (1 - x2) / (1 - a2) - (b1 / b2) x2
+        m = p - q
+        U = D * F * R - A1 * A2 * J * R + A2 * J * F  # D F R (1 - c2 - b2)
+        num = (D * F * R * m - W * q) * ((2 * A1 * A2 * J - D * F) * R * m - U * q)
+        return num, 2 * D * F * L * A2 * J * (R * m) ** 2
+
+    def r12_tail(p: int, q: int) -> Pair:
+        # less the part below a2 that lies right of the edge ab
+        num, den = r12_mid(p, q)
+        return num - F * A2 * A2 * J * T * (R * (p - q) - J * q) ** 2, den
+
+    def r34_lo(p: int, q: int) -> Pair:
+        m = p - q
+        return A2 * ((D * F * m - A1 * B1 * R * q) ** 2 - (R * F * q) ** 2), 2 * R * (D * F * m) ** 2
+
+    def r34_hi(p: int, q: int) -> Pair:
+        m = p - q
+        num = D * F * F * J * m * m - R * R * (F * F + A1 * A1 * B1 * J) * q * q
+        return A2 * num, 2 * R * (D * F * m) ** 2
+
+    def r6_mid(p: int, q: int) -> Pair:
+        m = p - q
+        return (T * A2 * J * q - D * R * B1 * m) ** 2, 2 * A2 * J * (A2 * J - R * B1) * (D * m) ** 2
+
+    def r6_tail(p: int, q: int) -> Pair:
+        m = p - q
+        return L * (D * (B1 * R * m) ** 2 - A2 * J * F * T * q * q), 2 * A2 * J * F * (D * m) ** 2
+
+    cs = A1 * (A2 * J - B1 * R)  # D F (c1 + c2)
+    return PiecewiseBound(
+        (
+            (((A2 * J * (A1 * R + F), D * F * R), (A1 - B1, R)), (_ZERO, r12_mid, r12_tail)),
+            (((A1 * (F + B1 * R), D * F), (F + A1 * R, F)), (_ZERO, r34_lo, r34_hi)),
+            (
+                ((T * A2 * J + D * R * B1, D * R * B1), ((A1 + A2) * F - cs, D * F - cs)),
+                (_ZERO, r6_mid, r6_tail),
+            ),
+        ),
+        # the area (a1 + a2 - b2 - c1) / 2
+        ((A1 + A2) * R * F + A2 * J * F + A1 * B1 * R * R, 2 * D * R * F),
     )
-    fns = _t3_pieces(a1, a2, b1, b2, c1, c2, w, s_low)
-    # the area (a1 + a2 - b2 - c1) / 2
-    return PiecewiseBound(tuple(zip(breaks, fns)), (a1 + a2 - b2 - c1) * _Ratio(1, 2))
-
-
-def _t3_pieces(a1, a2, b1, b2, c1, c2, w, s_low):
-    """The pieces ``(fns, ...)`` of the type 3 bound's three terms from the
-    vertices, the width and ``s_low`` as :class:`_Ratio` values."""
-    half = _Ratio(1, 2)
-
-    def r12_mid(z):
-        # trapezoid between the two horizontal cut lines plus the upper piece
-        t1 = half * (-b2 / (w - 1) - -b2 / (z - 1)) * (
-            b1 / (w - 1)
-            + b1 / (z - 1)
-            + a1 / (1 - a2) * ((c2 - 1) / (w - 1) + (z - 1 + b2) / (z - 1))
-        )
-        return t1 + _r2_piece(z)
-
-    def r12_tail(z):
-        t2 = half * (-b2 / (w - 1) - a2) * (
-            ((1 - a2) * b1 + a1 * (c2 - 1)) / ((1 - a2) * (w - 1)) - (a2 * b1 - a1 * b2) / b2
-        ) + half * (a2 - -b2 / (z - 1)) * (
-            (a2 * b1 - (a1 - 1) * b2) / (a2 * (z - 1)) - (a2 * b1 - (a1 + 1) * b2) / b2
-        )
-        return t2 + _r2_piece(z)
-
-    def _r2_piece(z):
-        return half * ((z - c2) / (z - 1) - -b2 / (w - 1)) * (
-            b1 / (w - 1)
-            - b1 * (z - c2) / (b2 * (z - 1))
-            + a1 / (1 - a2) * ((c2 - 1) / (w - 1) + (c2 - 1) / (z - 1))
-        )
-
-    def r34_lo(z):
-        t4 = half * (-c1 / (a1 - c1 - 1) - -c1 / (z - 1)) * (
-            a2 / (a1 - c1 - 1) + a2 * (z - 1 + c1) / ((a1 - 1) * (z - 1))
-        )
-        t6 = half * ((z - a1) / (z - 1) - -c1 / (a1 - c1 - 1)) * (a2 / (a1 - c1 - 1) + a2 / (z - 1))
-        return t4 + t6
-
-    def r34_hi(z):
-        overlap = half * a2 / (b1 * (a1 - 1)) * ((b1 * (z - 1) + c1) / (z - 1)) ** 2
-        return r34_lo(z) - overlap
-
-    def r6_mid(z):
-        sigma = (z - (a1 + a2)) / (z - 1)
-        return half * (sigma - s_low) ** 2 / s_low
-
-    def r6_tail(z):
-        t13 = half * (c2 - 1) ** 2
-        t14 = half * (b1 / b2 - c1) * (c2 - 1)
-        t16 = half * (1 - (c1 + c2) - (a1 + a2 - 1) / (z - 1)) * (c2 - (z - a2) / (z - 1))
-        t17 = (1 - a2) / (z - 1) * (1 - (c1 + c2) - (a1 + a2 - 1) / (z - 1))
-        return t13 - t14 + t16 + t17
-
-    return ((_ZERO, r12_mid, r12_tail), (_ZERO, r34_lo, r34_hi), (_ZERO, r6_mid, r6_tail))
 
 
 def t3_lower(body: Type3Body, z: Rat) -> Fraction:

@@ -74,6 +74,8 @@ def sweep_grid(
                 f"unknown range parameter {key!r} for family {family}, expected one of {PARAMS[family]}"
             )
     z = _frac(z)
+    if z <= 1:
+        raise ValueError(f"threshold must satisfy z > 1, got {z}")
     step = _frac(step)
     if step <= 0:
         raise ValueError(f"need step > 0, got {step}")

@@ -23,11 +23,8 @@ from cutstrength import (
     corner_rays,
     lattice_width,
     point,
-    quad_lower,
     split_coefficients,
-    t3_lower,
 )
-from cutstrength.bounds import _quad_pieces, _Ratio, _t3_pieces
 from cutstrength.cuts import Region, _admissible, _matches, _min_cover, _scaled, _split_row
 from cutstrength.geometry import _frac, primitive_directions, shoelace_area
 
@@ -308,8 +305,9 @@ def lattice_width_enumerated(body, radius=10):
 def sweep_grid_oracle(family, z, step, ranges=None):
     """``(params, w, bound)`` of each row that ``sweep_grid`` gives for the
     quad or t3 family, by brute force: every tuple of the grid is tried in
-    loop order, b2 over its whole range, and the rows are sorted stably by
-    lattice width, widest first."""
+    loop order, b2 over its whole range, each bound comes from
+    :func:`bound_oracle`, and the rows are sorted stably by lattice width,
+    widest first."""
     ranges = ranges or {}
 
     def values(lo, hi):
@@ -326,20 +324,20 @@ def sweep_grid_oracle(family, z, step, ranges=None):
             for b1 in values(max(a1, b1_lo), b1_hi):
                 for a2 in values(*ranges.get("a2", (1 + step, 2 - step))):
                     for b2 in values(*ranges.get("b2", (-(a2 - 1), -step))):
-                        tuples.append((QuadBody, quad_lower, (a1, a2, b1, b2)))
+                        tuples.append((QuadBody, (a1, a2, b1, b2)))
     else:
         for a1 in values(*ranges.get("a1", (1 + step, 4))):
             for a2 in values(*ranges.get("a2", (step, 1 - step))):
                 for b1 in values(*ranges.get("b1", (step, 1 - step))):
                     if b1 < a2 / (a1 + a2 - 1):
-                        tuples.append((Type3Body, t3_lower, (a1, a2, b1)))
+                        tuples.append((Type3Body, (a1, a2, b1)))
     rows = []
-    for cls, lower, params in tuples:
+    for cls, params in tuples:
         try:
             body = cls(*params)
         except ValueError:
             continue
-        rows.append((params, lattice_width(body), lower(body, z)))
+        rows.append((params, lattice_width(body), bound_oracle(body, z)))
     rows.sort(key=lambda row: row[1], reverse=True)
     return rows
 
@@ -623,8 +621,102 @@ def single_split_oracle(body, f):
     return index, region.split, t_bar
 
 
+# The Fraction derivation of the bound pieces: the paper's closed forms,
+# evaluated in unreduced rationals.  cutstrength.bounds writes each piece as a
+# closed form over the body's integers; every piece must equal its form here.
+
+
+class _Ratio:
+    """An unreduced rational ``numerator / denominator`` with a positive
+    denominator, for evaluating the bound pieces.
+
+    Each operation is a few integer products and no gcd, so a bound costs one
+    reduction, in :func:`bound_oracle`.  It works against ints,
+    Fractions and itself, all of which carry ``numerator`` and
+    ``denominator``; it has no comparisons.
+    """
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int = 1):
+        self.numerator = numerator
+        self.denominator = denominator
+
+    def __add__(self, other) -> "_Ratio":
+        n, d = other.numerator, other.denominator
+        return _Ratio(self.numerator * d + n * self.denominator, self.denominator * d)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "_Ratio":
+        n, d = other.numerator, other.denominator
+        return _Ratio(self.numerator * d - n * self.denominator, self.denominator * d)
+
+    def __rsub__(self, other) -> "_Ratio":
+        n, d = other.numerator, other.denominator
+        return _Ratio(n * self.denominator - self.numerator * d, self.denominator * d)
+
+    def __mul__(self, other) -> "_Ratio":
+        return _Ratio(self.numerator * other.numerator, self.denominator * other.denominator)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "_Ratio":
+        return _quotient(self.numerator * other.denominator, self.denominator * other.numerator)
+
+    def __rtruediv__(self, other) -> "_Ratio":
+        return _quotient(other.numerator * self.denominator, other.denominator * self.numerator)
+
+    def __neg__(self) -> "_Ratio":
+        return _Ratio(-self.numerator, self.denominator)
+
+    def __pow__(self, k: int) -> "_Ratio":
+        if k < 0:
+            return 1 / self ** -k
+        return _Ratio(self.numerator**k, self.denominator**k)
+
+
+def _quotient(n: int, d: int) -> _Ratio:
+    if d > 0:
+        return _Ratio(n, d)
+    if d < 0:
+        return _Ratio(-n, -d)
+    raise ZeroDivisionError("division by zero in a bound piece")
+
+
 def _ratio_of(value):
     return _Ratio(value.numerator, value.denominator)
+
+
+def _const_oracle(value):
+    v = _Ratio(value)
+    return lambda z: v
+
+
+_ZERO = _const_oracle(0)
+
+
+def t1_bound_oracle():
+    """``(breaks, fns, scale)`` of ``t1_bound()``: the exact type 1 probability."""
+
+    def middle(z):
+        return _Ratio(3, 4) * ((2 * z - 3) / (z - 1)) ** 2
+
+    return ((F(3, 2), F(2)),), ((_ZERO, middle, _const_oracle(1)),), F(1)
+
+
+def t2_bound_oracle(w):
+    """``(breaks, fns, scale)`` of ``t2_bound(w)``, seeded with the Fraction width."""
+    breaks = (w, w / (w - 1))
+    w = _ratio_of(w)
+
+    def g1(z):
+        return (z - w) * (2 * w * z - w - z) / (w**2 * (z - 1) ** 2)
+
+    def g2(z):
+        return ((w - 1) ** 2 * (z - 1) ** 2 - 1) / (w**2 * (z - 1) ** 2)
+
+    return (breaks,), ((_ZERO, g1, lambda z: g1(z) + g2(z)),), F(1)
 
 
 def quad_bound_oracle(body):
@@ -660,13 +752,183 @@ def t3_bound_oracle(body):
     return breaks, _t3_pieces(a1, a2, b1, b2, c1, c2, w, s_low), area(body)
 
 
+def _quad_pieces(a1, a2, b1, b2, c1, c2, d1, d2, w):
+    """The pieces ``(fns, ...)`` of the quad bound's four terms, one per
+    region, from the vertices and the width as :class:`_Ratio` values."""
+    half = _Ratio(1, 2)
+
+    def r1_mid(z):
+        return half * (-b2 / (w - 1) - -b2 / (z - 1)) * (
+            (w - (b1 - a1)) / (w - 1) + (z - b1) / (z - 1) + a1 * (z - 1 + b2) / ((a2 - 1) * (z - 1))
+        )
+
+    def r1_tail(z):
+        edge = (a1 * (b2 - 1) - (a2 - 1) * b1) / (a1 * b2 - (a2 - 1) * b1)
+        return half * (-b2 / (w - 1) - c2) * ((w - (b1 - a1)) / (w - 1) + edge) + half * (
+            c2 - -b2 / (z - 1)
+        ) * (z / (z - 1) + edge)
+
+    def r2_mid(z):
+        return half * ((z - a2) / (z - 1) - -b2 / (w - 1)) * (
+            (w - (b1 - a1)) / (w - 1) + (z - 1 + a1) / (z - 1) + (z - a2) * (b1 - 1) / (b2 * (z - 1))
+        )
+
+    def r2_tail(z):
+        edge = (a2 * (1 - b1) - (1 - a1) * b2) / ((a2 - 1) * (1 - b1) - (1 - a1) * b2)
+        return half * ((z - a2) / (z - 1) - d2) * (z / (z - 1) + edge) + half * (
+            d2 - -b2 / (w - 1)
+        ) * ((w - (b1 - a1)) / (w - 1) + edge)
+
+    def r3_mid(z):
+        return half * (-c1 / (d1 - c1 - 1) - -c1 / (z - 1)) * (
+            (a2 - 1) * (d1 - 1) / ((1 - a1) * (d1 - c1 - 1))
+            + (a2 - 1) * (z - 1 + c1) / ((1 - a1) * (z - 1))
+            + c2 / (d1 - c1 - 1)
+            + c2 / (z - 1)
+        )
+
+    def r3_tail(z):
+        return half * (-c1 / (d1 - c1 - 1) - a1) * (
+            (a2 - 1) * (2 - a1) / (1 - a1)
+            - a1 * b2 / b1
+            + (c1 * (a2 - 1) + c2 * (1 - a1)) / ((1 - a1) * (d1 - c1 - 1))
+        ) + half * (a1 - -c1 / (z - 1)) * (
+            a2 - 1 - a1 * b2 / b1 + (a1 * c2 - c1 * (a2 - 1)) / (a1 * (z - 1))
+        )
+
+    def r4_mid(z):
+        return (
+            half
+            * (d1 - 1)
+            * (z - d1 + c1)
+            / ((z - 1) * (d1 - c1 - 1))
+            * (
+                (c2 * (1 - a1) + (a2 - 1) * (d1 - 1)) / ((1 - a1) * (d1 - c1 - 1))
+                + (a2 - 1) * (d1 - 1) / ((1 - a1) * (z - 1))
+                - b2 * (z - d1) / (b1 * (z - 1))
+            )
+        )
+
+    def r4_tail(z):
+        return half * (b1 - -c1 / (d1 - c1 - 1)) * (
+            (c2 * (1 - a1) + c1 * (a2 - 1)) / ((1 - a1) * (d1 - c1 - 1))
+            + ((a2 - 1) * (2 - b1) - b2 * (1 - a1)) / (1 - a1)
+        ) + half * ((z - d1) / (z - 1) - b1) * (
+            (a2 - 1) * (z - d1) / ((a1 - 1) * (z - 1))
+            - b2 * (d1 - 1) / ((1 - b1) * (z - 1))
+            + ((a2 - 1) * (2 - b1) - b2 * (1 - a1)) / (1 - a1)
+        )
+
+    return (
+        (_ZERO, r1_mid, r1_tail),
+        (_ZERO, r2_mid, r2_tail),
+        (_ZERO, r3_mid, r3_tail),
+        (_ZERO, r4_mid, r4_tail),
+    )
+
+
+def _t3_pieces(a1, a2, b1, b2, c1, c2, w, s_low):
+    """The pieces ``(fns, ...)`` of the type 3 bound's three terms from the
+    vertices, the width and ``s_low`` as :class:`_Ratio` values."""
+    half = _Ratio(1, 2)
+
+    def r12_mid(z):
+        # trapezoid between the two horizontal cut lines plus the upper piece
+        t1 = half * (-b2 / (w - 1) - -b2 / (z - 1)) * (
+            b1 / (w - 1)
+            + b1 / (z - 1)
+            + a1 / (1 - a2) * ((c2 - 1) / (w - 1) + (z - 1 + b2) / (z - 1))
+        )
+        return t1 + _r2_piece(z)
+
+    def r12_tail(z):
+        t2 = half * (-b2 / (w - 1) - a2) * (
+            ((1 - a2) * b1 + a1 * (c2 - 1)) / ((1 - a2) * (w - 1)) - (a2 * b1 - a1 * b2) / b2
+        ) + half * (a2 - -b2 / (z - 1)) * (
+            (a2 * b1 - (a1 - 1) * b2) / (a2 * (z - 1)) - (a2 * b1 - (a1 + 1) * b2) / b2
+        )
+        return t2 + _r2_piece(z)
+
+    def _r2_piece(z):
+        return half * ((z - c2) / (z - 1) - -b2 / (w - 1)) * (
+            b1 / (w - 1)
+            - b1 * (z - c2) / (b2 * (z - 1))
+            + a1 / (1 - a2) * ((c2 - 1) / (w - 1) + (c2 - 1) / (z - 1))
+        )
+
+    def r34_lo(z):
+        t4 = half * (-c1 / (a1 - c1 - 1) - -c1 / (z - 1)) * (
+            a2 / (a1 - c1 - 1) + a2 * (z - 1 + c1) / ((a1 - 1) * (z - 1))
+        )
+        t6 = half * ((z - a1) / (z - 1) - -c1 / (a1 - c1 - 1)) * (a2 / (a1 - c1 - 1) + a2 / (z - 1))
+        return t4 + t6
+
+    def r34_hi(z):
+        overlap = half * a2 / (b1 * (a1 - 1)) * ((b1 * (z - 1) + c1) / (z - 1)) ** 2
+        return r34_lo(z) - overlap
+
+    def r6_mid(z):
+        sigma = (z - (a1 + a2)) / (z - 1)
+        return half * (sigma - s_low) ** 2 / s_low
+
+    def r6_tail(z):
+        t13 = half * (c2 - 1) ** 2
+        t14 = half * (b1 / b2 - c1) * (c2 - 1)
+        t16 = half * (1 - (c1 + c2) - (a1 + a2 - 1) / (z - 1)) * (c2 - (z - a2) / (z - 1))
+        t17 = (1 - a2) / (z - 1) * (1 - (c1 + c2) - (a1 + a2 - 1) / (z - 1))
+        return t13 - t14 + t16 + t17
+
+    return ((_ZERO, r12_mid, r12_tail), (_ZERO, r34_lo, r34_hi), (_ZERO, r6_mid, r6_tail))
+
+
+def pieces_oracle(body):
+    """``(breaks, fns, scale)`` of ``piecewise_bound_for(body)`` from the
+    Fraction derivation, for any bounded family."""
+    if isinstance(body, Type1Body):
+        return t1_bound_oracle()
+    if isinstance(body, Type2Body):
+        return t2_bound_oracle(lattice_width(body))
+    return (quad_bound_oracle if isinstance(body, QuadBody) else t3_bound_oracle)(body)
+
+
 def bound_oracle(body, z):
-    """The quad or type 3 bound at ``z`` from the Fraction derivation, each
-    term's piece picked by ``bisect_right`` on its Fraction breaks."""
-    breaks, fns, scale = (quad_bound_oracle if isinstance(body, QuadBody) else t3_bound_oracle)(body)
+    """The bound at ``z`` from the Fraction derivation, each term's piece
+    picked by ``bisect_right`` on its Fraction breaks."""
+    breaks, fns, scale = pieces_oracle(body)
     zr = _ratio_of(z)
-    total = sum(f[bisect_right(b, z)](zr) for b, f in zip(breaks, fns))
+    total = sum((f[bisect_right(b, z)](zr) for b, f in zip(breaks, fns)), _Ratio(0))
     return F(total.numerator, total.denominator) / scale
+
+
+def t2_region_integrals(a, z) -> tuple[F, F, F]:
+    """Aggregated region integrals (R1+R2, R3+R4, R5+R6) for a type 2 body.
+
+    Their sum divided by the body area equals :func:`p_t2_lower` at the body's
+    lattice width, exactly.
+    """
+    if isinstance(a, Type2Body):
+        body = a
+    elif isinstance(a, Rational2):
+        body = Type2Body(a.x1, a.x2)
+    else:
+        body = Type2Body(*a)
+    z = _frac(z)
+    if z <= 1:
+        raise ValueError(f"threshold must satisfy z > 1, got {z}")
+    a2 = body.a2
+    steep = a2 / (a2 - 1)
+
+    if a2 <= 2:
+        r12 = F(0) if z <= a2 else (z - a2) / (z - 1)
+    else:
+        r12 = F(0) if z <= steep else 1 - 1 / ((a2 - 1) * (z - 1))
+    r34 = F(0) if z <= a2 else (z - a2) * (z + a2 - 2) / (2 * (a2 - 1) * (z - 1) ** 2)
+    r56 = (
+        F(0)
+        if z <= steep
+        else (a2 - 1) / 2 * (1 - 1 / ((a2 - 1) ** 2 * (z - 1) ** 2))
+    )
+    return r12, r34, r56
 
 
 # The row-wise Monte Carlo kernel: points as an (n, 2) array, the fold as

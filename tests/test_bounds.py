@@ -21,20 +21,20 @@ from cutstrength import (
     point,
     quad_lower,
     special_values,
-    t2_region_integrals,
     t3_lower,
 )
 from cutstrength.bounds import _const
 
 from conftest import (
+    _ratio_of,
     any_body,
     bound_oracle,
     indicator_area,
-    quad_bound_oracle,
+    pieces_oracle,
     quad_params,
     region_polygons,
     strength_specs,
-    t3_bound_oracle,
+    t2_region_integrals,
     t3_params,
 )
 
@@ -268,15 +268,16 @@ def quad_or_t3_body(draw):
         assume(False)
 
 
-def _fractions(ratios):
-    return [F(r.numerator, r.denominator) for r in ratios]
+def _fractions(pairs):
+    return [F(n, d) for n, d in pairs]
 
 
 class TestIntegerFrame:
-    """The quad and type 3 bounds are built from the body's integer frame
-    and pick their pieces by cross-multiplying; the Fraction derivation and
-    the clipping oracle must agree with them at every break, where the
-    choice between pieces is decided, and at drawn z."""
+    """Every piece is a closed form over integers, the quad and type 3 ones
+    over the body's integer frame, and a bound picks its pieces by
+    cross-multiplying; the Fraction derivation and the clipping oracle must
+    agree with them at every break, where the choice between pieces is
+    decided, and at drawn z."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -287,12 +288,33 @@ class TestIntegerFrame:
     @example(Type3Body(F(4, 3), F(1, 3), F(1, 3)), [F(2)])  # all three width candidates tie
     def test_matches_fraction_and_clipping_oracles(self, body, drawn):
         pb = piecewise_bound_for(body)
-        breaks, _, scale = (quad_bound_oracle if isinstance(body, QuadBody) else t3_bound_oracle)(body)
+        breaks, _, scale = pieces_oracle(body)
         assert [_fractions(term_breaks) for term_breaks, _ in pb.terms] == [list(b) for b in breaks]
-        assert pb.scale.denominator > 0
-        assert F(pb.scale.numerator, pb.scale.denominator) == scale
+        assert pb.scale[1] > 0
+        assert F(*pb.scale) == scale
         for z in [b for b in pb.breakpoints if b > 1] + drawn:
             assert pb(z) == bound_oracle(body, z) == oracle_lower(body, z)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.one_of(any_body(), quad_or_t3_body()),
+        st.lists(st.fractions(F(11, 10), 20, max_denominator=97), min_size=1, max_size=3),
+    )
+    @example(Type1Body(), [F(7, 4)])
+    @example(Type2Body(F(1, 5), F(2)), [F(3, 2)])  # w = 2: the type 2 breaks coincide
+    @example(QuadBody(F(1, 2), F(3, 2), F(1, 2), F(-1, 2)), [F(2)])
+    @example(Type3Body(F(4, 3), F(1, 3), F(1, 3)), [F(2)])
+    def test_every_piece_matches_its_oracle_piece(self, body, drawn):
+        # every piece at every z, not only where it is picked, so that a slip
+        # in a piece that few bodies or thresholds pick still shows
+        pb = piecewise_bound_for(body)
+        _, fns, _ = pieces_oracle(body)
+        assert [len(pieces) for _, pieces in pb.terms] == [len(pieces) for pieces in fns]
+        for z in [b for b in pb.breakpoints if b > 1] + drawn:
+            for (_, pieces), oracle_pieces in zip(pb.terms, fns):
+                for piece, oracle_piece in zip(pieces, oracle_pieces):
+                    value = oracle_piece(_ratio_of(z))
+                    assert F(*piece(z.numerator, z.denominator)) == F(value.numerator, value.denominator)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -305,7 +327,7 @@ class TestIntegerFrame:
         for breaks, _ in piecewise_bound_for(body).terms:
             ordered = _fractions(breaks)
             # counting the breaks at or below z is bisect_right only on ordered breaks
-            assert all(b.denominator > 0 for b in breaks)
+            assert all(d > 0 for _, d in breaks)
             assert ordered == sorted(ordered)
             probe = PiecewiseBound(((breaks, tuple(_const(i) for i in range(len(breaks) + 1))),))
             for z in [b for b in ordered if b > 1] + drawn:

@@ -23,6 +23,19 @@ from conftest import any_body, root_vertex
 
 T2_DESC = '{"type":"type2","a":["1/2","3/2"]}'
 
+# (family, z, sha256 of the sweep's CSV at step 1/10)
+SWEEP_GOLDENS = [
+    ("quad", "2", "3dade90e3b3faf28d9a72e5220aba4edc6aa2faa80168ddcb7cda69031e18c65"),
+    ("t3", "2", "07df3e4d7ec73696b4770e27ff4b576800f6f5daa058c3bf2b9f7c2e7c45493b"),
+    ("t2", "2", "437d9bbcc4ffa402baf88f9e7bf92e2e743093461770ee145af139408028552c"),
+    ("quad", "3/2", "94fb1472f021fe827927184c12900d657aced407aa121165c6735d4050925ccf"),
+    ("t3", "3/2", "68d99371052550b2620e918ebca3007aba162567636f2e4dbc62ff8de40174cd"),
+    ("t2", "3/2", "8a61e561a1d8960deec8d68a296c62a96dd6b8e0744b5f62de35735d65653d2d"),
+    ("quad", "4", "1eea0b660f2c9ec110fc554a16ee89cf47ca4436f0816c6aad0e92dfc13eb2e9"),
+    ("t3", "4", "d53c8897af7aae8d4d461cb45f28e10ab38d951dfb7b7c1d9db180fc6fe617fa"),
+    ("t2", "4", "37f9b559f9f0a49df455c66d6c623c3be50fd682033e6776268e5b6d92adecae"),
+]
+
 
 def invoke(capsys, *argv):
     code = run(list(argv))
@@ -145,16 +158,15 @@ class TestCommands:
         assert lines[0] == "params,w,z,bound,mc_estimate,mc_stderr,samples,seed"
         assert len(lines) > 2
 
-    # sha256 of the CSV stdout; the same digests pin the bench's sweep outputs
+    # sha256 of the CSV stdout; the z = 2 quad and t3 digests pin the bench's
+    # sweep outputs, and z = 3/2 and 4 pick pieces that z = 2 does not
     @pytest.mark.parametrize(
-        "family, digest",
-        [
-            ("quad", "3dade90e3b3faf28d9a72e5220aba4edc6aa2faa80168ddcb7cda69031e18c65"),
-            ("t3", "07df3e4d7ec73696b4770e27ff4b576800f6f5daa058c3bf2b9f7c2e7c45493b"),
-        ],
+        "family, z, digest",
+        SWEEP_GOLDENS,
+        ids=[f"{f}-{d}" if z == "2" else f"{f}-z{z.replace('/', '_')}-{d}" for f, z, d in SWEEP_GOLDENS],
     )
-    def test_sweep_golden(self, capsys, family, digest):
-        code, out, _ = invoke(capsys, "sweep", "--family", family, "--z", "2", "--step", "1/10")
+    def test_sweep_golden(self, capsys, family, z, digest):
+        code, out, _ = invoke(capsys, "sweep", "--family", family, "--z", z, "--step", "1/10")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -237,6 +249,20 @@ class TestExitCodes:
         assert code == VALIDATION_ERROR
         assert out == ""
         assert "threshold must satisfy z > 1, got 1" in err
+
+    @pytest.mark.parametrize(
+        "argv, z",
+        [
+            (("--family", "t2", "--z", "1", "--step", "5"), "1"),
+            (("--family", "quad", "--z", "1/2", "--step", "1/5", "--range", "b2=1:2"), "1/2"),
+        ],
+    )
+    def test_sweep_threshold_checked_before_the_grid(self, capsys, argv, z):
+        # both grids are empty; the threshold is the error to report
+        code, out, err = invoke(capsys, "sweep", *argv)
+        assert code == VALIDATION_ERROR
+        assert out == ""
+        assert f"threshold must satisfy z > 1, got {z}" in err
 
     @pytest.mark.parametrize(
         "family, item", [("t2", "foo=0:1"), ("t3", "w=1:2"), ("t2", "a1=0:1")]

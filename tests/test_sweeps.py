@@ -181,6 +181,15 @@ class TestSweepValidation:
             sweep_grid("t2", F(2), ranges={"w": (F(3), F(4))})
 
     @pytest.mark.parametrize(
+        "family, z, step, ranges",
+        [("t2", F(1), F(5), None), ("quad", F(1, 2), F(1, 5), {"b2": (F(1), F(2))})],
+    )
+    def test_threshold_checked_before_the_grid(self, family, z, step, ranges):
+        # both grids are empty, and would report that instead
+        with pytest.raises(ValueError, match=f"threshold must satisfy z > 1, got {z}$"):
+            sweep_grid(family, z, step=step, ranges=ranges)
+
+    @pytest.mark.parametrize(
         "family, key", [("t2", "foo"), ("t3", "w"), ("t2", "a1"), ("quad", "w"), ("t3", "b2")]
     )
     def test_unknown_range_parameter(self, family, key):
