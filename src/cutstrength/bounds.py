@@ -136,12 +136,10 @@ def p_t2_lower(z: Rat, w: Rat) -> Fraction:
 
 
 def special_values(w: Rat) -> tuple[Fraction, Fraction]:
-    """(upper bound on 1 - P(2), lower bound on P(3/2)) for a type 2 body."""
-    w = _frac(w)
-    _check_width(w)
-    upper_z2 = 4 * (w - 1) ** 2 / w**2
-    lower_z32 = (3 - 2 * w) * (4 * w - 3) / w**2 if w < Fraction(3, 2) else Fraction(0)
-    return upper_z2, lower_z32
+    """(upper bound on 1 - P(2), lower bound on P(3/2)) for a type 2 body of
+    lattice width ``w``, read off :func:`t2_bound`."""
+    bound = t2_bound(w)
+    return 1 - bound(2), bound(Fraction(3, 2))
 
 
 # ---------------------------------------------------------------------------

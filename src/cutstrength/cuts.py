@@ -15,20 +15,19 @@ For every non-split body the region table gives ``t_bar`` in closed form;
 Both run in the body's integer frame: f is scaled once to ``(X1, X2) / q``,
 tested on the integer facets and matched against the body's integer region
 table, built from the integers the body already has and kept between queries
-on the same body object.  :func:`region_spec` is that table's exact Fraction
-view; :func:`region_of` and the strength queries do not read it.
-``t_N`` hands every split row to the packing kernel as a pool, low max-norm
-first, and the kernel prices in only the rows it needs; the dominance
-pruning of :func:`covering_lp_min` stays for the argmin it returns.
+on the same body object: the one form of the regions, which the strength
+queries, :func:`chosen_split` and the Monte Carlo evaluator read.  ``t_N``
+hands every split row to the packing kernel as a pool, low max-norm first,
+and the kernel prices in only the rows it needs; the dominance pruning of
+:func:`covering_lp_min` stays for the argmin it returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import reduce
 from math import gcd, inf, lcm
-from operator import and_, le, mul, or_
+from operator import le, mul
 from typing import Optional, Sequence
 
 from .geometry import (
@@ -146,24 +145,20 @@ def covering_lp_min(rows: Sequence[Sequence[Fraction]], k: int):
     return _min_cover([over_common_denominator(row) for row in mat], k)
 
 
-def _min_cover(rows, k: int, prune: bool = True):
+def _min_cover(rows, k: int):
     """:func:`covering_lp_min` on integer rows: ``(scale, ints)`` stands for
     the row ``ints / scale`` with ``scale > 0``.  A zero row is uncoverable,
     and as a column it would have no pivot row, so it gives ``(inf, None)``.
 
-    With ``prune``, only the minimal rows enter :func:`_max_packing`, all up
-    front: a row with componentwise-larger coefficients is implied by the
-    smaller row (s >= 0).  Over the common scale of all rows, equal rows
-    become equal integer tuples in the order of the rational rows; in
-    increasing order every dominating row comes before the rows it
-    dominates, and that order fixes which optimal argmin comes out.
-    Without it, every row is a pool row that the kernel prices in, in the
-    order given: the same value, with no sort and no quadratic scan.
+    Only the minimal rows enter :func:`_max_packing`, all up front: a row
+    with componentwise-larger coefficients is implied by the smaller row
+    (s >= 0).  Over the common scale of all rows, equal rows become equal
+    integer tuples in the order of the rational rows; in increasing order
+    every dominating row comes before the rows it dominates, and that order
+    fixes which optimal argmin comes out.
     """
     if any(not any(ints) for _, ints in rows):
         return inf, None
-    if not prune:
-        return _max_packing([], k, rows)
     common = lcm(*(scale for scale, _ in rows))
     by_value = {tuple(c * (common // scale) for c in ints): (scale, ints) for scale, ints in rows}
     kept: list[tuple[int, ...]] = []
@@ -245,58 +240,17 @@ def _max_packing(columns, k: int, pool=()):
 # ---------------------------------------------------------------------------
 # regions
 
-# A band ``(normal, lo, hi)`` is the closed set ``lo <= normal . f <= hi``;
-# ``None`` leaves that side open.
-Band = tuple[tuple[int, int], Optional[Fraction], Optional[Fraction]]
-
+# The region table.  A row ``(pieces, split, normal, (a0, a1, b0, b1))`` is a
+# union of pieces, each an intersection of closed bands, with ``t_bar = (a0 +
+# a1 u) / (b0 + b1 u)`` on it, ``u = normal . f``, scaled so that ``abs(b1) or
+# b0`` is positive, and the normal of its single split (None for type 1, whose
+# strength needs all three facet splits).  A band ``(n1, n2, ln, ld, hn, hd)``
+# is ``ln / ld <= n . f <= hn / hd`` with ``ld, hd > 0``, or an open side
+# ``-1/0`` or ``1/0``, which every point passes cross-multiplied.  A point goes
+# to the first row that holds it, strictly inside the split: a boundary point
+# to its smallest-index region, a point on a lattice line of its split to a
+# later one.
 _X1, _X2, _S = (1, 0), (0, 1), (1, 1)
-
-
-@dataclass(frozen=True)
-class Region:
-    """One region of a body's decomposition and its closed-form ``t_bar``,
-    as :func:`region_spec` reads it off the integer table.
-
-    The region is the union of ``pieces``, each an intersection of closed
-    bands.  On it ``t_bar = (num[0] + num[1] u) / (den[0] + den[1] u)`` with
-    ``u = normal . f``.  ``split`` is the normal of the single split used on
-    the region; it is None for type 1, whose strength needs all three facet
-    splits.
-    """
-
-    pieces: tuple[tuple[Band, ...], ...]
-    split: Optional[tuple[int, int]]
-    normal: tuple[int, int]
-    num: tuple[Fraction, Fraction]
-    den: tuple[Fraction, Fraction]
-
-
-def _matches(region, dot, strict, num=lambda c: c):
-    """Whether a point lies in ``region`` (a union of band intersections) and
-    strictly inside its split, given ``dot(normal) = normal . f``, ``num`` to
-    turn a band constant into the point's number type, and ``strict(normal)``:
-    ``normal . f`` is off the integers.  Elementwise on arrays.  A point on a
-    lattice line of the region's split is left to a later region."""
-
-    def band(n, lo, hi):
-        # one test for a band open on one side: on arrays, True & mask is a
-        # slow scalar loop in numpy, about ten times the cost of mask & mask
-        if lo is None:
-            return dot(n) <= num(hi)
-        if hi is None:
-            return num(lo) <= dot(n)
-        return (num(lo) <= dot(n)) & (dot(n) <= num(hi))
-
-    held = reduce(or_, (reduce(and_, (band(*b) for b in piece)) for piece in region.pieces))
-    return held if region.split is None else held & strict(region.split)
-
-
-# The region table.  A band of a table row is ``(n1, n2, ln, ld, hn, hd)``,
-# the closed set ``ln / ld <= n . f <= hn / hd`` with ``ld, hd > 0``; an open
-# side is ``-1/0`` or ``1/0``, which every point passes when the test is
-# cross-multiplied.  A row's formula ``(a0, a1, b0, b1)`` is ``Region``'s
-# ``num`` and ``den`` times one positive scale: ``|b1|``, or ``b0`` where
-# ``b1 = 0`` (``den`` is ``(c, ±1)`` or ``(1, 0)``).
 _LO, _HI = (-1, 0), (1, 0)
 _BELOW, _ABOVE = (*_X2, *_LO, 0, 1), (*_X2, 1, 1, *_HI)
 
@@ -327,21 +281,12 @@ def _pair(normal, low, high, sides=((),)):
     ]
 
 
-_TYPE1_TABLE = (
-    [(0, 0), (2, 0), (0, 2)],  # v = 1
-    [
-        ((((*_S, 1, 1, *_HI), (*_X1, *_LO, 1, 1), (*_X2, *_LO, 1, 1)),), None, _S, (2, 0, 1, 0)),
-        ((((*_S, *_LO, 1, 1),),), None, _S, (3, -1, 2, -1)),
-        ((((*_X2, 1, 1, *_HI),),), None, _X2, (1, 1, 0, 1)),
-        ((((*_X1, 1, 1, *_HI),),), None, _X1, (1, 1, 0, 1)),
-    ],
-)
-
-
-def _vertex_rows(v, *vertices):
-    """Each vertex ``((x1, d1), (x2, d2))`` as the integer pair ``v x``:
-    ``v`` is a common denominator of the coordinates, so the divisions are exact."""
-    return [(x1 * v // d1, x2 * v // d2) for (x1, d1), (x2, d2) in vertices]
+_TYPE1_TABLE = [
+    ((((*_S, 1, 1, *_HI), (*_X1, *_LO, 1, 1), (*_X2, *_LO, 1, 1)),), None, _S, (2, 0, 1, 0)),
+    ((((*_S, *_LO, 1, 1),),), None, _S, (3, -1, 2, -1)),
+    ((((*_X2, 1, 1, *_HI),),), None, _X2, (1, 1, 0, 1)),
+    ((((*_X1, 1, 1, *_HI),),), None, _X1, (1, 1, 0, 1)),
+]
 
 
 _last_table: tuple = (None, None)
@@ -349,19 +294,16 @@ _last_table: tuple = (None, None)
 
 def _table(body: LatticeFreeBody):
     """``(V, regions)``: the vertices in corner-ray order times ``v``, the
-    facets' common denominator, and the body's regions in index order as
-    ``(pieces, split, normal, (a0, a1, b0, b1))``, with ``t_bar = (a0 q + a1
-    P) / (b0 q + b1 P)`` at ``f = X / q``, ``P = normal . X``, and the bands
-    of the integer rows above.  Built from the integers the body already
-    has: the quad and type 3 ``_frame``, type 2's ``(a1, a2)`` over one
-    denominator.  Kept, as one pair read and replaced whole, until a call
-    on another body."""
+    facets' common denominator, and the region rows in index order, built
+    from the integers the body already has: the quad and type 3 ``_frame``,
+    type 2's ``(a1, a2)`` over one denominator.  Kept, as one pair read and
+    replaced whole, until a call on another body."""
     global _last_table
     last, table = _last_table
     if last is body:
         return table
     if isinstance(body, Type1Body):
-        table = _TYPE1_TABLE
+        regions = _TYPE1_TABLE
     elif isinstance(body, Type2Body):
         D, (A1, A2) = over_common_denominator((body.a1, body.a2))
         left, right, a2 = (-A1, A2 - D), (A2 - A1, A2 - D), (A2, D)
@@ -369,48 +311,26 @@ def _table(body: LatticeFreeBody):
         if A2 <= 2 * D:  # the paper's bounds use the horizontal split on the whole unit square
             inner = [_high(_X2, a2, *row[0]) for row in inner]
         sides = [_high(_X2, a2, ((*_X1, *_LO, 0, 1),)), _high(_X2, a2, ((*_X1, 1, 1, *_HI),))]
-        table = (
-            _vertex_rows(body._facets[0], (left, (0, 1)), (right, (0, 1)), ((A1, D), a2)),
-            inner + sides + _pair(_X1, left, right, [(_ABOVE,)]),
-        )
+        regions = inner + sides + _pair(_X1, left, right, [(_ABOVE,)])
     elif isinstance(body, QuadBody):
         D, A1, A2, B1, B2, e_c, e_d, nc1, nc2, nd1, nd2 = body._frame
-        c1, d1 = (nc1, e_c), (nd1, e_d)
-        table = (
-            _vertex_rows(body._facets[0], ((A1, D), (A2, D)), ((B1, D), (B2, D)), (c1, (nc2, e_c)), (d1, (nd2, e_d))),
-            _pair(_X2, (B2, D), (A2, D)) + _pair(_X1, c1, d1, [(_BELOW,), (_ABOVE,)]),
-        )
+        regions = _pair(_X2, (B2, D), (A2, D)) + _pair(_X1, (nc1, e_c), (nd1, e_d), [(_BELOW,), (_ABOVE,)])
     elif isinstance(body, Type3Body):
         D, A1, A2, B1, nb2, db2, E, nc1, nc2 = body._frame
-        b2, c1, c2 = (nb2, db2), (-nc1, -E), (-nc2, -E)  # E < 0
-        table = (
-            _vertex_rows(body._facets[0], ((A1, D), (A2, D)), ((B1, D), b2), (c1, c2)),
-            _pair(_X2, b2, c2)
-            + _pair(_X1, c1, (A1, D), [(_BELOW,)])
-            + _pair(_S, (B1 * db2 + nb2 * D, D * db2), (A1 + A2, D), [(_ABOVE,)]),
+        regions = (
+            _pair(_X2, (nb2, db2), (-nc2, -E))  # E < 0
+            + _pair(_X1, (-nc1, -E), (A1, D), [(_BELOW,)])
+            + _pair(_S, (B1 * db2 + nb2 * D, D * db2), (A1 + A2, D), [(_ABOVE,)])
         )
     else:
         raise ValueError(f"no region decomposition for {body!r}")
-    _last_table = body, table
-    return table
-
-
-def region_spec(body: LatticeFreeBody) -> list[Region]:
-    """The body's regions in index order, region 1 first: the exact Fraction
-    view of its integer table.  Matching the closed regions in this order
-    sends a boundary point to its smallest-index region (see
-    :func:`_matches` for points on a lattice line)."""
-
-    def side(n, d):
-        return Fraction(n, d) if d else None
-
-    spec = []
-    for pieces, split, normal, (a0, a1, b0, b1) in _table(body)[1]:
-        scale = abs(b1) or b0
-        bands = tuple(tuple(((n1, n2), side(ln, ld), side(hn, hd)) for n1, n2, ln, ld, hn, hd in p) for p in pieces)
-        num, den = (Fraction(a0, scale), Fraction(a1, scale)), (Fraction(b0, scale), Fraction(b1, scale))
-        spec.append(Region(bands, split, normal, num, den))
-    return spec
+    # v is the common denominator of the coordinates, so the divisions are exact
+    v = body._facets[0]
+    vertices = [
+        (p.x1.numerator * (v // p.x1.denominator), p.x2.numerator * (v // p.x2.denominator)) for p in body._vertices
+    ]
+    _last_table = body, (vertices, regions)
+    return vertices, regions
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +363,8 @@ def _frame(body: LatticeFreeBody, f: Rational2, split_error: str):
 
 
 def _locate(body: LatticeFreeBody, f: Rational2):
-    """``(index, entry, _frame(...))`` of the first entry of :func:`_table`
-    that :func:`_matches` ``f``, with ``split . X mod q != 0`` as the strict test."""
+    """``(index, entry, _frame(...))`` of the first row of :func:`_table`
+    that ``f`` matches, with ``split . X mod q != 0`` as the strict test."""
     frame = _frame(body, f, "splits have no region decomposition")
     q, x1, x2 = frame[0]
     for i, entry in enumerate(_table(body)[1], start=1):
@@ -458,9 +378,8 @@ def _locate(body: LatticeFreeBody, f: Rational2):
 
 
 def region_of(body: LatticeFreeBody, f: Rational2) -> RegionId:
-    """The first region of ``region_spec(body)`` that :func:`_matches` ``f``:
-    boundary points go to the smallest-index adjacent region whose split
-    contains ``f`` strictly."""
+    """The first region of the body's table that ``f`` matches: a boundary
+    point goes to the smallest-index region whose split holds it strictly."""
     return RegionId(body.tag, _locate(body, f)[0])
 
 
@@ -468,8 +387,8 @@ def chosen_split(body: LatticeFreeBody, region: RegionId) -> tuple[int, int]:
     """Normal of the single split used in the given region of the body's family."""
     if region.family != body.tag:
         raise ValueError(f"region {region} is a {region.family} region, not one of {body!r}")
-    spec = region_spec(body)
-    split = spec[region.index - 1].split if 1 <= region.index <= len(spec) else None
+    regions = _table(body)[1]
+    split = regions[region.index - 1][1] if 1 <= region.index <= len(regions) else None
     if split is None:
         raise ValueError(f"no split choice for {body!r}, region {region}")
     return split
@@ -527,16 +446,17 @@ def strength_split_closure_approx(body: LatticeFreeBody, f: Rational2, n: int) -
 
     The split rows are built in integers scaled by the common denominator of
     ``f`` and the corner rays, in the body's integer frame, low max-norm
-    first, and go to :func:`_min_cover` without pruning, for the kernel to
-    price in: the LP's value is unique, so ``t_N`` is the same whichever
-    optimal basis pricing ends in.
+    first, and go to :func:`_max_packing` as its pool, with no pruning, for
+    the kernel to price in: the LP's value is unique, so ``t_N`` is the same
+    whichever optimal basis pricing ends in.  The corner rays from an
+    interior ``f`` span the plane, so no split row is zero.
     """
     _check_radius(n)
     d, big_f, big_rays = _frame(body, f, "a split has no vertices, hence no corner rays")[1]
     rows = [_split_row(n1, n2, rem, d, big_rays) for n1, n2, rem in _admissible(n, d, big_f)]
     if not rows:
         raise ValueError(f"no admissible split with max-norm <= {n} for f = {f}")
-    value, _ = _min_cover(rows, len(big_rays), prune=False)
+    value, _ = _max_packing([], len(big_rays), rows)
     return 1 / value
 
 

@@ -134,6 +134,13 @@ def is_strictly_convex(pts: Sequence[Rational2]) -> bool:
     return sum(w and not u for u, w in zip(upper, upper[1:] + upper[:1])) == 1
 
 
+def _edge_count(a: Rational2, b: Rational2) -> int:
+    """``len(_edge_points(a, b))``, with a horizontal edge's columns counted, not listed."""
+    if a.x2 == b.x2:
+        return floor(max(a.x1, b.x1)) - ceil(min(a.x1, b.x1)) + 1 if a.x2.denominator == 1 else 0
+    return len(_edge_points(a, b))
+
+
 def _edge_points(a: Rational2, b: Rational2) -> list[tuple[int, int]]:
     """Integer points of the closed segment ab: the one x on each integer row,
     or every integer column of a horizontal edge."""
@@ -191,10 +198,6 @@ class UnimodularMap:
             self.m21 * p.x1 + self.m22 * p.x2 + self.t2,
         )
 
-    @staticmethod
-    def identity() -> "UnimodularMap":
-        return UnimodularMap(1, 0, 0, 1, 0, 0)
-
 
 # ---------------------------------------------------------------------------
 # bodies
@@ -225,11 +228,6 @@ class LatticeFreeBody:
     def polygon(self) -> list[Rational2]:
         """Vertices as a counter-clockwise boundary cycle."""
         return list(self._cycle)
-
-    def facets(self) -> list[tuple[Rational2, Fraction]]:
-        """Outward facet representation ``normal . x <= offset``."""
-        v, facets = self._facets
-        return [(Rational2(Fraction(n1, v), Fraction(n2, v)), Fraction(c, v * v)) for n1, n2, c in facets]
 
     @cached_property
     def _facets(self) -> tuple[int, tuple[tuple[int, int, int], ...]]:
@@ -478,25 +476,6 @@ def _ring(r: int) -> tuple[tuple[int, int], ...]:
     return tuple(u for u in edge + [(r, u2) for u2 in range(-r, r + 1)] if gcd(*u) == 1)
 
 
-def gauge(body: LatticeFreeBody, f: Rational2, r: Rational2) -> Fraction:
-    """Minkowski functional of ``body - f`` at ``r``.
-
-    Returns the smallest positive scale at which ``r`` fits in the scaled
-    body, or 0 when ``r`` is a recession direction (split bands only).
-    """
-    if r.is_zero():
-        raise ValueError("the gauge is undefined for the zero ray")
-    if not body.contains_interior(f):
-        raise ValueError(f"root vertex {f} is not strictly interior to {body!r}")
-    best = Fraction(0)
-    for normal, beta in body.facets():
-        slack = beta - normal.dot(f)  # > 0 since f is interior
-        val = normal.dot(r) / slack
-        if val > best:
-            best = val
-    return best
-
-
 def corner_rays(body: LatticeFreeBody, f: Rational2) -> tuple[Rational2, ...]:
     """Rays from ``f`` to each vertex, in the documented vertex order."""
     if isinstance(body, SplitBody):
@@ -537,7 +516,7 @@ def classify(obj: Union[SplitBody, Sequence[Rational2]]) -> BodyClass:
 
     Lattice points are found row by row: an integer row strictly between the
     lowest and highest vertex must hold no integer strictly inside, and each
-    edge's lattice points come from walking its integer rows.
+    edge's lattice points are counted on its integer rows.
     """
     if isinstance(obj, SplitBody):
         return BodyClass.SPLIT
@@ -552,7 +531,7 @@ def classify(obj: Union[SplitBody, Sequence[Rational2]]) -> BodyClass:
     if any(_row_meets_interior(pts, y) for y in range(floor(min(ys)) + 1, ceil(max(ys)))):
         return BodyClass.NOT_MAXIMAL_LATTICE_FREE
     edges = zip(pts, pts[1:] + pts[:1])
-    edge_counts = [len(_edge_points(a, b)) - a.is_integral() - b.is_integral() for a, b in edges]
+    edge_counts = [_edge_count(a, b) - a.is_integral() - b.is_integral() for a, b in edges]
     if len(pts) == 3:
         return _classify_triangle(pts, edge_counts)
     if all(c == 1 for c in edge_counts):

@@ -1,11 +1,12 @@
 """Monte Carlo verification of the closed-form probability bounds.
 
 Samples root vertices uniformly in a body (fan triangulation plus the
-standard barycentric fold, no rejection) and tallies the indicator that the
-region-table strength is at most a threshold.  Sample ``i`` is a pure
-function of ``(seed, i)``: each sample consumes exactly one Philox counter
-block (four doubles, three used), so results are bit-identical no matter how
-the index range is chunked across threads.
+standard barycentric fold, no rejection) and tallies the indicator that
+``t_bar`` is at most a threshold, read off the integer region table that
+``cuts.region_of`` matches, each constant an int quotient.  Sample ``i`` is a
+pure function of ``(seed, i)``: each sample consumes exactly one Philox
+counter block (four doubles, three used), so results are bit-identical no
+matter how the index range is chunked across threads.
 
 The kernel works on columns: a chunk of samples becomes the 1-D arrays
 ``x1`` and ``x2``, built by whole-array arithmetic (a branch-free fold, and a
@@ -26,10 +27,12 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 from math import sqrt
+from operator import and_, or_
 from typing import TYPE_CHECKING
 
-from .cuts import _matches, region_spec
+from .cuts import _table
 from .geometry import LatticeFreeBody, SplitBody, _frac
 
 if TYPE_CHECKING:
@@ -108,31 +111,43 @@ def _dot(n, x1, x2):
 
 
 def _t_bar_evaluator(body: LatticeFreeBody):
-    """Vectorized float ``t_bar`` derived from ``region_spec(body)``.
+    """Vectorized float ``t_bar`` read off the body's region table.
 
-    Each point takes the formula of the first region that ``_matches`` it, as
-    in ``region_of``; every constant is ``float()`` of the exact one.
-    A point that float round-off puts in no region gets NaN.
+    Each point takes the formula of the first region that it matches, as in
+    ``region_of``; every constant is the correctly rounded int quotient of
+    the table's.  A point that float round-off puts in no region gets NaN.
     """
     import numpy as np
 
-    spec = region_spec(body)
-    normals = {n for region in spec for piece in region.pieces for n, _, _ in piece}
-    splits = {region.split for region in spec if region.split is not None}
-    # coefficients by region index; the extra last entry is for a point in no region
-    table = [[*r.normal, *r.num, *r.den] for r in spec] + [[0, 0, np.nan, 0, 1, 0]]
-    n1, n2, p0, p1, q0, q1 = (np.array(column, dtype=float) for column in zip(*table))
+    regions = _table(body)[1]
+    normals = {(n1, n2) for pieces, *_ in regions for piece in pieces for n1, n2, *_ in piece}
+    splits = {split for _, split, *_ in regions if split is not None}
+    # coefficients by region index, over the positive scale |b1| or b0; the
+    # extra last entry is for a point in no region
+    table = [(*n, *(c / (abs(b1) or b0) for c in (a0, a1, b0, b1))) for *_, n, (a0, a1, b0, b1) in regions]
+    n1, n2, p0, p1, q0, q1 = (np.array(column, dtype=float) for column in zip(*table, (0, 0, np.nan, 0, 1, 0)))
+
+    def band(u, ln, ld, hn, hd):
+        # one test for a band open on one side: True & mask is ten times mask & mask
+        if not ld:
+            return u <= hn / hd
+        if not hd:
+            return ln / ld <= u
+        return (ln / ld <= u) & (u <= hn / hd)
 
     def evaluate(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
         proj = {n: _dot(n, x1, x2) for n in normals}
         strict = {n: np.floor(proj[n]) != proj[n] for n in splits}
-        # index of the first region that matches, len(spec) where none
+        # index of the first region that matches, len(regions) where none
         # does: later regions are written first, so earlier ones win.  uint8
         # arithmetic, since masked writes cost several times more on random
         # masks; the wraparound of (i - first) cancels in first + (i - first).
-        first = np.full(len(x1), len(spec), dtype=np.uint8)
-        for i in reversed(range(len(spec))):
-            matched = _matches(spec[i], proj.__getitem__, strict.__getitem__, float)
+        first = np.full(len(x1), len(regions), dtype=np.uint8)
+        for i in reversed(range(len(regions))):
+            pieces, split = regions[i][:2]
+            matched = reduce(or_, (reduce(and_, (band(proj[b[:2]], *b[2:]) for b in piece)) for piece in pieces))
+            if split is not None:
+                matched = matched & strict[split]
             first += (np.uint8(i) - first) * matched
         first = first.astype(np.intp)
         # the normals' and slopes' entries are 0 and +-1, so u and the affine

@@ -2,10 +2,13 @@
 
 import os
 from bisect import bisect_right
+from dataclasses import dataclass
 from fractions import Fraction as F
+from functools import reduce
 from itertools import combinations
 from math import ceil, floor
-from typing import Sequence
+from operator import and_, or_
+from typing import Optional, Sequence
 
 import numpy as np
 import pytest
@@ -19,13 +22,14 @@ from cutstrength import (
     Type1Body,
     Type2Body,
     Type3Body,
+    UnimodularMap,
     area,
     corner_rays,
     lattice_width,
     point,
     split_coefficients,
 )
-from cutstrength.cuts import Region, _admissible, _matches, _min_cover, _scaled, _split_row
+from cutstrength.cuts import _admissible, _min_cover, _scaled, _split_row, _table
 from cutstrength.geometry import _frac, primitive_directions, shoelace_area
 
 # CI runs with HYPOTHESIS_PROFILE=ci: the same examples on every run, no deadline
@@ -128,6 +132,101 @@ def t3_oracle(a1, a2, b1):
             f"(candidates {width_candidates})"
         )
     return dict(a1=a1, a2=a2, b1=b1, b2=b2, c1=c1, c2=c2)
+
+
+# Test-only geometry: the Fraction facets and the gauge of a body.
+
+
+def facets(body):
+    """Outward facet representation ``normal . x <= offset``."""
+    v, facets = body._facets
+    return [(Rational2(F(n1, v), F(n2, v)), F(c, v * v)) for n1, n2, c in facets]
+
+
+def gauge(body, f: Rational2, r: Rational2) -> F:
+    """Minkowski functional of ``body - f`` at ``r``.
+
+    Returns the smallest positive scale at which ``r`` fits in the scaled
+    body, or 0 when ``r`` is a recession direction (split bands only).
+    """
+    if r.is_zero():
+        raise ValueError("the gauge is undefined for the zero ray")
+    if not body.contains_interior(f):
+        raise ValueError(f"root vertex {f} is not strictly interior to {body!r}")
+    best = F(0)
+    for normal, beta in facets(body):
+        slack = beta - normal.dot(f)  # > 0 since f is interior
+        val = normal.dot(r) / slack
+        if val > best:
+            best = val
+    return best
+
+
+IDENTITY = UnimodularMap(1, 0, 0, 1, 0, 0)
+
+
+# The Fraction view of the region table, and its generic matcher.
+
+# A band ``(normal, lo, hi)`` is the closed set ``lo <= normal . f <= hi``;
+# ``None`` leaves that side open.
+Band = tuple[tuple[int, int], Optional[F], Optional[F]]
+
+
+@dataclass(frozen=True)
+class Region:
+    """One region of a body's decomposition and its closed-form ``t_bar``,
+    as :func:`region_spec` reads it off the integer table.
+
+    The region is the union of ``pieces``, each an intersection of closed
+    bands.  On it ``t_bar = (num[0] + num[1] u) / (den[0] + den[1] u)`` with
+    ``u = normal . f``.  ``split`` is the normal of the single split used on
+    the region; it is None for type 1, whose strength needs all three facet
+    splits.
+    """
+
+    pieces: tuple[tuple[Band, ...], ...]
+    split: Optional[tuple[int, int]]
+    normal: tuple[int, int]
+    num: tuple[F, F]
+    den: tuple[F, F]
+
+
+def _matches(region, dot, strict, num=lambda c: c):
+    """Whether a point lies in ``region`` (a union of band intersections) and
+    strictly inside its split, given ``dot(normal) = normal . f``, ``num`` to
+    turn a band constant into the point's number type, and ``strict(normal)``:
+    ``normal . f`` is off the integers.  Elementwise on arrays.  A point on a
+    lattice line of the region's split is left to a later region."""
+
+    def band(n, lo, hi):
+        # one test for a band open on one side: on arrays, True & mask is a
+        # slow scalar loop in numpy, about ten times the cost of mask & mask
+        if lo is None:
+            return dot(n) <= num(hi)
+        if hi is None:
+            return num(lo) <= dot(n)
+        return (num(lo) <= dot(n)) & (dot(n) <= num(hi))
+
+    held = reduce(or_, (reduce(and_, (band(*b) for b in piece)) for piece in region.pieces))
+    return held if region.split is None else held & strict(region.split)
+
+
+def region_spec(body) -> list[Region]:
+    """The body's regions in index order, region 1 first: the exact Fraction
+    view of its integer table.  Matching the closed regions in this order
+    sends a boundary point to its smallest-index region (see
+    :func:`_matches` for points on a lattice line)."""
+
+    def side(n, d):
+        return F(n, d) if d else None
+
+    spec = []
+    for pieces, split, normal, (a0, a1, b0, b1) in _table(body)[1]:
+        scale = abs(b1) or b0
+        bands = tuple(tuple(((n1, n2), side(ln, ld), side(hn, hd)) for n1, n2, ln, ld, hn, hd in p) for p in pieces)
+        num, den = (F(a0, scale), F(a1, scale)), (F(b0, scale), F(b1, scale))
+        spec.append(Region(bands, split, normal, num, den))
+    return spec
 
 
 # The clipping oracle: exact polygons of the Fraction region spec.

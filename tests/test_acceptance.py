@@ -25,10 +25,9 @@ from cutstrength import (
     strength_split_closure_approx,
     chosen_split,
 )
-from cutstrength.cuts import region_spec
 from cutstrength.sweeps import sweep_grid
 
-from conftest import random_interior_point, region_area, region_polygons, region_t_bar
+from conftest import random_interior_point, region_area, region_polygons, region_spec, region_t_bar
 
 
 T2_FIXTURE = Type2Body(F(1, 2), F(3, 2))

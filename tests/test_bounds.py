@@ -21,6 +21,7 @@ from cutstrength import (
     point,
     quad_lower,
     special_values,
+    t2_bound,
     t3_lower,
 )
 from cutstrength.bounds import _const
@@ -110,6 +111,16 @@ class TestT2:
         assert special_values(F(2)) == (F(1), F(0))
         with pytest.raises(ValueError):
             special_values(F(1))
+
+    def test_special_values_closed_forms(self):
+        # 1 - bound(2) = 4 (w - 1)^2 / w^2, and bound(3/2) = (3 - 2w)(4w - 3) / w^2
+        # below w = 3/2 and 0 from there on
+        for i in range(1, 101):
+            w = 1 + F(i, 100)
+            upper_z2 = 4 * (w - 1) ** 2 / w**2
+            lower_z32 = (3 - 2 * w) * (4 * w - 3) / w**2 if w < F(3, 2) else F(0)
+            bound = t2_bound(w)
+            assert special_values(w) == (1 - bound(2), bound(F(3, 2))) == (upper_z2, lower_z32)
 
     def test_examples(self):
         assert p_t2_lower(F(2), F(11, 10)) == F(117, 121)

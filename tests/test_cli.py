@@ -35,6 +35,17 @@ SWEEP_GOLDENS = [
     ("t3", "4", "d53c8897af7aae8d4d461cb45f28e10ab38d951dfb7b7c1d9db180fc6fe617fa"),
     ("t2", "4", "37f9b559f9f0a49df455c66d6c623c3be50fd682033e6776268e5b6d92adecae"),
 ]
+# (curve, sha256 of plotdata's CSV at the default step 1/100)
+PLOTDATA_GOLDENS = [
+    ("z2", "170e37087c41480d7c21466dd45fef417cae18f348ea7b171cd10928950a618c"),
+    ("z32", "60189a2781dcb3d12c8572b3bd7e9b874f11ae4031f3ff72f29e56b5a2df4ce6"),
+]
+# (test id, argv, digest)
+GOLDENS = [
+    (f"{f}-{d}" if z == "2" else f"{f}-z{z.replace('/', '_')}-{d}", ("sweep", "--family", f, "--z", z, "--step", "1/10"), d)
+    for f, z, d in SWEEP_GOLDENS
+]
+GOLDENS += [(f"plotdata-{c}-{d}", ("plotdata", "--curve", c), d) for c, d in PLOTDATA_GOLDENS]
 
 
 def invoke(capsys, *argv):
@@ -158,15 +169,12 @@ class TestCommands:
         assert lines[0] == "params,w,z,bound,mc_estimate,mc_stderr,samples,seed"
         assert len(lines) > 2
 
-    # sha256 of the CSV stdout; the z = 2 quad and t3 digests pin the bench's
-    # sweep outputs, and z = 3/2 and 4 pick pieces that z = 2 does not
-    @pytest.mark.parametrize(
-        "family, z, digest",
-        SWEEP_GOLDENS,
-        ids=[f"{f}-{d}" if z == "2" else f"{f}-z{z.replace('/', '_')}-{d}" for f, z, d in SWEEP_GOLDENS],
-    )
-    def test_sweep_golden(self, capsys, family, z, digest):
-        code, out, _ = invoke(capsys, "sweep", "--family", family, "--z", z, "--step", "1/10")
+    # sha256 of the CSV stdout of the sweeps and of both plotdata curves; the
+    # z = 2 quad and t3 digests pin the bench's sweep outputs, and z = 3/2 and
+    # 4 pick pieces that z = 2 does not
+    @pytest.mark.parametrize("argv, digest", [case[1:] for case in GOLDENS], ids=[case[0] for case in GOLDENS])
+    def test_sweep_golden(self, capsys, argv, digest):
+        code, out, _ = invoke(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -25,7 +25,6 @@ from cutstrength import (
     chosen_split,
     corner_rays,
     covering_lp_min,
-    gauge,
     point,
     region_of,
     split_coefficients,
@@ -34,7 +33,6 @@ from cutstrength import (
     strength_split_closure_approx,
 )
 from cutstrength import cuts
-from cutstrength.cuts import region_spec
 from cutstrength.cli import run
 from cutstrength.geometry import over_common_denominator
 
@@ -45,12 +43,14 @@ from conftest import (
     closure_oracle,
     contains,
     covering_lp_oracle,
+    gauge,
     lattice_line_vertex,
     quad_params,
     random_interior_point,
     region_area,
     region_oracle,
     region_polygons,
+    region_spec,
     region_spec_oracle,
     root_vertex,
     single_split_oracle,
@@ -254,7 +254,7 @@ class TestPricing:
         pool = CountingPool(ints, len({tuple(F(c, scale) for c in row) for scale, row in ints}) + 1)
         value, arg = cuts._max_packing([], k, pool)
         assert value == cuts._min_cover(ints, k)[0] == covering_lp_oracle(rows, k)
-        assert (value, arg) == cuts._min_cover(ints, k, prune=False)
+        assert (value, arg) == cuts._max_packing([], k, ints)
         assert value == sum(arg) and all(s >= 0 for s in arg)
         assert all(sum(c * s for c, s in zip(row, arg)) >= 1 for row in rows)
 
@@ -268,11 +268,10 @@ class TestPricing:
             rows = [tuple(map(F, row)) for row in rows]
             ints = integer_rows(rows)
             want = covering_lp_oracle(rows, k)
-            assert cuts._min_cover(ints, k, prune=False)[0] == cuts._min_cover(ints, k)[0] == want
+            assert cuts._max_packing([], k, ints)[0] == cuts._min_cover(ints, k)[0] == want
 
     def test_zero_row_is_uncoverable(self):
         for rows in ([(1, [0, 0])], [(2, [1, 3]), (1, [0, 0])], [(1, [0, 0]), (2, [1, 3])]):
-            assert cuts._min_cover(rows, 2, prune=False) == (inf, None)
             assert cuts._min_cover(rows, 2) == (inf, None)
 
     def test_blands_order_fixes_the_argmin(self):
@@ -282,7 +281,7 @@ class TestPricing:
         assert covering_lp_min([tuple(map(F, row)) for row in rows], 3) == (F(18, 11), (0, F(15, 11), F(3, 11)))
         rows = [(0, 0, 3, 2), (1, F(1, 3), 0, F(4, 3)), (2, F(4, 3), 4, 1), (2, 1, 2, F(2, 3)), (F(2, 3), F(2, 3), F(2, 3), 0)]
         ints = integer_rows([tuple(map(F, row)) for row in rows])
-        assert cuts._min_cover(ints, 4, prune=False) == (F(3, 2), (1, 0, F(1, 2), 0))
+        assert cuts._max_packing([], 4, ints) == (F(3, 2), (1, 0, F(1, 2), 0))
 
     def test_columns_up_front_keep_their_pivots(self):
         # the argmin of the pruned path is fixed by the order in which the
@@ -291,7 +290,7 @@ class TestPricing:
         rows = [(0, 1, 2), (1, F(3, 4), F(1, 2))]
         ints = integer_rows([tuple(map(F, row)) for row in rows])
         assert cuts._min_cover(ints, 3)[1] == (F(3, 4), F(0), F(1, 2))
-        assert cuts._min_cover(ints, 3, prune=False)[0] == F(5, 4)
+        assert cuts._max_packing([], 3, ints)[0] == F(5, 4)
 
 
 class TestRegions:
@@ -729,7 +728,7 @@ class TestTableReuse:
             assert calls == [(f.x1, f.x2)]
             assert (rep.t_bar, rep.t_n) == (single_split_oracle(body, f)[2], closure_oracle(body, f, 3))
 
-    def test_report_needs_no_fraction_view(self, monkeypatch):
+    def test_report_needs_no_fraction_view(self):
         # a query on a fresh body builds its table from the body's integers
         queries = [
             (Type1Body(), point(F(1, 2), F(1, 3))),
@@ -737,13 +736,7 @@ class TestTableReuse:
             (QuadBody(F(2, 5), F(3, 2), F(3, 5), F(-3, 10)), point(F(1, 2), F(1, 3))),
             (Type3Body(F(3), F(3, 10), F(1, 10)), point(F(1, 2), F(1, 3))),
         ]
-
-        def fail(body):
-            raise AssertionError("region_spec called on the query path")
-
-        monkeypatch.setattr(cuts, "region_spec", fail)
         reports = [strength_report(body, f, 3) for body, f in queries]
-        monkeypatch.undo()
         for (body, f), rep in zip(queries, reports):
             index, split, t_bar = single_split_oracle(body, f)
             assert (rep.region.index, rep.chosen_split_normal, rep.t_bar) == (index, split, t_bar)

@@ -19,7 +19,6 @@ from cutstrength import (
     canonicalize,
     classify,
     corner_rays,
-    gauge,
     lattice_width,
     point,
 )
@@ -31,8 +30,11 @@ from cutstrength.geometry import (
 )
 
 from conftest import (
+    IDENTITY,
     any_body,
     ccw,
+    facets,
+    gauge,
     lattice_points_oracle,
     lattice_width_enumerated,
     polygon_area,
@@ -227,7 +229,7 @@ class TestBodyModel:
         # n . across = 1 and n . along = 0, so x = t across + k along has n . x = t
         band = SplitBody(normal, offset)
         n = point(*normal)
-        assert band.facets() == [(n, F(offset + 1)), (-n, F(-offset))]
+        assert facets(band) == [(n, F(offset + 1)), (-n, F(-offset))]
         for k in range(-2, 3):
             for q in range(-8, 13):
                 t = offset + F(q, 4)
@@ -252,6 +254,12 @@ class TestClassify:
         assert classify(t2_body.polygon()) is BodyClass.TYPE2_TRIANGLE
         assert classify(quad_body.polygon()) is BodyClass.QUADRILATERAL
         assert classify(t3_body.polygon()) is BodyClass.TYPE3_TRIANGLE
+
+    def test_long_horizontal_edge_is_counted(self):
+        # the base holds 10^30 + 1 lattice points: they are counted, not
+        # listed, and the slanted edge to the apex holds none but its end
+        verts = [point(0, 0), point(10**30, 0), point(0, F(1, 10**30))]
+        assert classify(verts) is BodyClass.NOT_MAXIMAL_LATTICE_FREE
 
     def test_not_maximal_small_triangle(self):
         verts = [point(0, 0), point(1, 0), point(0, 1)]
@@ -460,7 +468,7 @@ class TestCanonicalize:
         for source in grid_bodies():
             body, umap = canonicalize(source.polygon())
             assert body == source
-            assert umap == UnimodularMap.identity()
+            assert umap == IDENTITY
 
     def test_translation_only(self, t2_body):
         moved = [v + point(3, -2) for v in t2_body.polygon()]
@@ -518,7 +526,7 @@ class TestCanonicalize:
         source = Type2Body(F(1, 2), F(10001, 10000))
         body, umap = canonicalize(source.polygon())
         assert body == source
-        assert umap == UnimodularMap.identity()
+        assert umap == IDENTITY
         # a signed permutation: a shear that fixes the base line would give
         # the equivalent apex (a1 + k a2 - j, a2) a smaller map
         m = UnimodularMap(0, -1, 1, 0, -3, 5)

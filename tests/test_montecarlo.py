@@ -23,7 +23,6 @@ from cutstrength import (
     region_of,
     strength_single_split,
 )
-from cutstrength.cuts import region_spec
 from cutstrength.montecarlo import (
     _CHUNK,
     _fan_triangles,
@@ -35,9 +34,11 @@ from cutstrength.montecarlo import (
 
 from conftest import (
     BOUNDARY_BODIES,
+    any_body,
     box_grid,
     fan_triangles_oracle,
     random_interior_point,
+    region_spec,
     region_t_bar,
     sample_points_oracle,
     t_bar_evaluator_oracle,
@@ -115,7 +116,7 @@ class TestRowWiseOracle:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        body=st.sampled_from(BOUNDARY_BODIES),
+        body=st.one_of(st.sampled_from(BOUNDARY_BODIES), any_body()),
         seed=st.one_of(st.sampled_from([0, 2**128 - 1]), st.integers(0, 2**128 - 1)),
         # chunk starts and mid-chunk offsets
         start=st.one_of(st.sampled_from([0, _CHUNK, _CHUNK // 2 + 7]), st.integers(0, 2**40)),
