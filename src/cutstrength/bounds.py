@@ -159,7 +159,7 @@ def quad_bound(body: QuadBody) -> PiecewiseBound:
     of the body between its split line and the line where its ``t_bar``
     equals z, a trapezoid; its ``tail`` piece takes over once that line has
     passed a vertex.  In each piece ``m = p - q``."""
-    D, A1, A2, B1, B2, e_c, e_d = body._frame[:7]
+    D, A1, A2, B1, B2, e_c, e_d = body._frame
     G, H, J = D - A1, A2 - D, D - B1
     W = A2 - B2 - D  # D (w - 1)
     K = A2 - B2 - B1 + A1  # W times the body's width at x2 = -b2 / (w - 1)

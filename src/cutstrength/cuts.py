@@ -12,14 +12,16 @@ reciprocal of a small covering LP over the corner rays (scaled to gauge 1):
 For every non-split body the region table gives ``t_bar`` in closed form;
 ``strength_single_split`` evaluates both routes and insists they agree.
 
-Both run in the body's integer frame: f is scaled once to ``(X1, X2) / q``,
-tested on the integer facets and matched against the body's integer region
-table, built from the integers the body already has and kept between queries
-on the same body object: the one form of the regions, which the strength
-queries, :func:`chosen_split` and the Monte Carlo evaluator read.  ``t_N``
-hands every split row to the packing kernel as a pool, low max-norm first,
-and the kernel prices in only the rows it needs; the dominance pruning of
-:func:`covering_lp_min` stays for the argmin it returns.
+Both run in the body's integer frame: f is scaled once to ``(X1, X2) / q``
+by the body's interior test on its integer facets, and matched against the
+body's integer region table, kept between queries on the same body object:
+the one form of the regions, which the strength queries,
+:func:`chosen_split` and the Monte Carlo evaluator read.  The table reads
+the body only through its vertices times ``v``, the common denominator of
+the vertices: each band bound is a vertex projected on the band's normal.
+``t_N`` hands every split row to the packing kernel as a pool, low max-norm
+first, and the kernel prices in only the rows it needs; the dominance
+pruning of :func:`covering_lp_min` stays for the argmin it returns.
 """
 
 from __future__ import annotations
@@ -267,17 +269,19 @@ def _high(normal, high, *pieces):
     return pieces, normal, normal, (hn, -hd, hd, -hd)
 
 
-def _pair(normal, low, high, sides=((),)):
+def _pair(v, normal, low, high, sides=((),)):
     """A ``_low`` and a ``_high`` row along ``normal`` on ``0 <= u <= 1``,
     split at the u where the two formulas agree.  Each has one piece per
-    tuple of extra bands in ``sides``.  ``low`` and ``high`` are integer
-    pairs with positive denominators, and ``l < 0 < 1 < h``."""
-    (ln, ld), (hn, hd) = low, high
-    # t = -l / (h - l - 1), over ld hd; the denominator is ld hd (h - 1 - l) > 0
-    tn, td = -ln * hd, (hn - hd) * ld - ln * hd
+    tuple of extra bands in ``sides``.  ``l`` and ``h`` are the vertex rows
+    ``low`` and ``high`` over ``v > 0`` projected on ``normal``, and
+    ``l < 0 < 1 < h``."""
+    n1, n2 = normal
+    ln, hn = n1 * low[0] + n2 * low[1], n1 * high[0] + n2 * high[1]
+    # t = -l / (h - l - 1), over v; the denominator is v (h - 1 - l) > 0
+    tn, td = -ln, hn - v - ln
     return [
-        _low(normal, low, *(((*normal, 0, 1, tn, td), *side) for side in sides)),
-        _high(normal, high, *(((*normal, tn, td, 1, 1), *side) for side in sides)),
+        _low(normal, (ln, v), *(((*normal, 0, 1, tn, td), *side) for side in sides)),
+        _high(normal, (hn, v), *(((*normal, tn, td, 1, 1), *side) for side in sides)),
     ]
 
 
@@ -294,43 +298,36 @@ _last_table: tuple = (None, None)
 
 def _table(body: LatticeFreeBody):
     """``(V, regions)``: the vertices in corner-ray order times ``v``, the
-    facets' common denominator, and the region rows in index order, built
-    from the integers the body already has: the quad and type 3 ``_frame``,
-    type 2's ``(a1, a2)`` over one denominator.  Kept, as one pair read and
-    replaced whole, until a call on another body."""
+    facets' common denominator, and the region rows in index order, each
+    band bound a vertex of ``V`` projected on the band's normal, over ``v``.
+    Kept, as one pair read and replaced whole, until a call on another body."""
     global _last_table
     last, table = _last_table
     if last is body:
         return table
-    if isinstance(body, Type1Body):
-        regions = _TYPE1_TABLE
-    elif isinstance(body, Type2Body):
-        D, (A1, A2) = over_common_denominator((body.a1, body.a2))
-        left, right, a2 = (-A1, A2 - D), (A2 - A1, A2 - D), (A2, D)
-        inner = _pair(_X1, left, right, [((*_X2, 0, 1, 1, 1),)])
-        if A2 <= 2 * D:  # the paper's bounds use the horizontal split on the whole unit square
-            inner = [_high(_X2, a2, *row[0]) for row in inner]
-        sides = [_high(_X2, a2, ((*_X1, *_LO, 0, 1),)), _high(_X2, a2, ((*_X1, 1, 1, *_HI),))]
-        regions = inner + sides + _pair(_X1, left, right, [(_ABOVE,)])
-    elif isinstance(body, QuadBody):
-        D, A1, A2, B1, B2, e_c, e_d, nc1, nc2, nd1, nd2 = body._frame
-        regions = _pair(_X2, (B2, D), (A2, D)) + _pair(_X1, (nc1, e_c), (nd1, e_d), [(_BELOW,), (_ABOVE,)])
-    elif isinstance(body, Type3Body):
-        D, A1, A2, B1, nb2, db2, E, nc1, nc2 = body._frame
-        regions = (
-            _pair(_X2, (nb2, db2), (-nc2, -E))  # E < 0
-            + _pair(_X1, (-nc1, -E), (A1, D), [(_BELOW,)])
-            + _pair(_S, (B1 * db2 + nb2 * D, D * db2), (A1 + A2, D), [(_ABOVE,)])
-        )
-    else:
+    if not isinstance(body, (Type1Body, Type2Body, QuadBody, Type3Body)):
         raise ValueError(f"no region decomposition for {body!r}")
     # v is the common denominator of the coordinates, so the divisions are exact
     v = body._facets[0]
-    vertices = [
-        (p.x1.numerator * (v // p.x1.denominator), p.x2.numerator * (v // p.x2.denominator)) for p in body._vertices
-    ]
-    _last_table = body, (vertices, regions)
-    return vertices, regions
+    V = [(p.x1.numerator * (v // p.x1.denominator), p.x2.numerator * (v // p.x2.denominator)) for p in body._vertices]
+    if isinstance(body, Type1Body):
+        regions = _TYPE1_TABLE
+    elif isinstance(body, Type2Body):
+        left, right, (_, h) = V
+        apex = h, v
+        inner = _pair(v, _X1, left, right, [((*_X2, 0, 1, 1, 1),)])
+        if h <= 2 * v:  # the paper's bounds use the horizontal split on the whole unit square
+            inner = [_high(_X2, apex, *row[0]) for row in inner]
+        sides = [_high(_X2, apex, ((*_X1, *_LO, 0, 1),)), _high(_X2, apex, ((*_X1, 1, 1, *_HI),))]
+        regions = inner + sides + _pair(v, _X1, left, right, [(_ABOVE,)])
+    elif isinstance(body, QuadBody):
+        a, b, c, d = V
+        regions = _pair(v, _X2, b, a) + _pair(v, _X1, c, d, [(_BELOW,), (_ABOVE,)])
+    else:
+        a, b, c = V
+        regions = _pair(v, _X2, b, c) + _pair(v, _X1, c, a, [(_BELOW,)]) + _pair(v, _S, b, a, [(_ABOVE,)])
+    _last_table = body, (V, regions)
+    return V, regions
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +348,10 @@ def _frame(body: LatticeFreeBody, f: Rational2, split_error: str):
         return frame
     if isinstance(body, SplitBody):
         raise ValueError(split_error)
-    q, (x1, x2) = over_common_denominator((f.x1, f.x2))
-    v, facets = body._facets
-    if not all(v * (n1 * x1 + n2 * x2) < c * q for n1, n2, c in facets):
+    if (scaled := body._interior(f)) is None:
         raise ValueError(f"root vertex {f} is not strictly interior to {body!r}")
+    q, x1, x2 = scaled
+    v = body._facets[0]
     d = lcm(v, q)
     s, f1, f2 = d // v, x1 * (d // q), x2 * (d // q)
     frame = (q, x1, x2), (d, (f1, f2), [(a * s - f1, b * s - f2) for a, b in _table(body)[0]])
@@ -454,8 +451,6 @@ def strength_split_closure_approx(body: LatticeFreeBody, f: Rational2, n: int) -
     _check_radius(n)
     d, big_f, big_rays = _frame(body, f, "a split has no vertices, hence no corner rays")[1]
     rows = [_split_row(n1, n2, rem, d, big_rays) for n1, n2, rem in _admissible(n, d, big_f)]
-    if not rows:
-        raise ValueError(f"no admissible split with max-norm <= {n} for f = {f}")
     value, _ = _max_packing([], len(big_rays), rows)
     return 1 / value
 

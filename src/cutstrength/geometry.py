@@ -169,6 +169,16 @@ def _row_meets_interior(pts: list[Rational2], y: int) -> bool:
     return floor(min(xs)) + 1 < max(xs)
 
 
+def _short_rows(pts: list[Rational2]) -> tuple[list[Rational2], bool]:
+    """``(pts, swapped)``: the polygon with its coordinates swapped when its
+    x1 extent is the smaller, so that a walk over its integer rows takes the
+    fewer rows.  The swap maps the lattice onto itself."""
+    xs, ys = [p.x1 for p in pts], [p.x2 for p in pts]
+    if max(xs) - min(xs) < max(ys) - min(ys):
+        return [Rational2(p.x2, p.x1) for p in pts], True
+    return pts, False
+
+
 # ---------------------------------------------------------------------------
 # unimodular maps
 
@@ -243,10 +253,18 @@ class LatticeFreeBody:
             facets.append((n1, n2, n1 * a1 + n2 * a2))
         return v, tuple(facets)
 
-    def contains_interior(self, f: Rational2) -> bool:
+    def _interior(self, f: Rational2):
+        """``(q, X1, X2)``, ``f = (X1, X2) / q`` over its least common
+        denominator, if ``f`` lies strictly inside the body, ``v (n . X) < c q``
+        at each integer facet; else None."""
         v, facets = self._facets
-        d, (x1, x2) = over_common_denominator((f.x1, f.x2))
-        return all(v * (n1 * x1 + n2 * x2) < c * d for n1, n2, c in facets)
+        q, (x1, x2) = over_common_denominator((f.x1, f.x2))
+        if all(v * (n1 * x1 + n2 * x2) < c * q for n1, n2, c in facets):
+            return q, x1, x2
+        return None
+
+    def contains_interior(self, f: Rational2) -> bool:
+        return self._interior(f) is not None
 
 
 @dataclass(repr=False)
@@ -372,9 +390,8 @@ class QuadBody(LatticeFreeBody):
     ``d = ((A2 - A1)(D - B1) - (D - A1) B2, -(D - A1) B2) / e_d`` with
     ``e_d = (A2 - D)(D - B1) - (D - A1) B2``; both are positive once
     ``0 < a1 <= b1 < 1``, ``a2 > 1`` and ``b2 < 0``, and then
-    ``c1 < 0 < c2 <= d2 < 1 < d1``.  The body keeps these integers as
-    ``_frame = (D, A1, A2, B1, B2, e_c, e_d, nc1, nc2, nd1, nd2)``, with
-    ``c = (nc1, nc2) / e_c`` and ``d = (nd1, nd2) / e_d``; it is not a field.
+    ``c1 < 0 < c2 <= d2 < 1 < d1``.  The body keeps ``_frame = (D, A1, A2,
+    B1, B2, e_c, e_d)``; it is not a field.
     """
 
     tag = "quad"
@@ -408,7 +425,7 @@ class QuadBody(LatticeFreeBody):
         c1, c2, d1, d2 = Fraction(nc1, e_c), Fraction(nc2, e_c), Fraction(nd1, e_d), Fraction(nd2, e_d)
         self.a1, self.a2, self.b1, self.b2 = a1, a2, b1, b2
         self.c1, self.c2, self.d1, self.d2 = c1, c2, d1, d2
-        self._frame = (D, A1, A2, B1, B2, e_c, e_d, nc1, nc2, nd1, nd2)
+        self._frame = (D, A1, A2, B1, B2, e_c, e_d)
         a, b, c, d = Rational2(a1, a2), Rational2(b1, b2), Rational2(c1, c2), Rational2(d1, d2)
         self._vertices = (a, b, c, d)
         self._cycle = (c, b, d, a)
@@ -422,23 +439,13 @@ Body = Union[SplitBody, Type1Body, Type2Body, Type3Body, QuadBody]
 
 
 def area(body: LatticeFreeBody) -> Fraction:
-    """Closed-form area of a bounded body; errors on splits.
-
-    Type 2 is a base of length ``a2/(a2-1)`` under the apex height ``a2``.
-    The type 3 and quad forms hold because their edges pass through the
-    boundary lattice points; the shoelace area of the cycle is the test
-    reference."""
+    """Area of a bounded body, the shoelace sum over its counter-clockwise
+    vertex cycle; errors on splits."""
     if isinstance(body, SplitBody):
         raise ValueError("a split is unbounded; its area is not defined")
-    if isinstance(body, Type1Body):
-        return Fraction(2)
-    if isinstance(body, Type2Body):
-        return body.a2**2 / (2 * (body.a2 - 1))
-    if isinstance(body, Type3Body):
-        return (body.a1 + body.a2 - body.b2 - body.c1) / 2
-    if isinstance(body, QuadBody):
-        return (body.a2 - body.b2 + body.d1 - body.c1) / 2
-    raise TypeError(f"unsupported body {body!r}")
+    if not isinstance(body, LatticeFreeBody):
+        raise TypeError(f"unsupported body {body!r}")
+    return shoelace_area(body.polygon())
 
 
 def lattice_width(body: LatticeFreeBody) -> Fraction:
@@ -514,9 +521,10 @@ def _classify_triangle(pts: list[Rational2], edge_counts: list[int]) -> BodyClas
 def classify(obj: Union[SplitBody, Sequence[Rational2]]) -> BodyClass:
     """Classify a band or a convex polygon given by its vertex cycle.
 
-    Lattice points are found row by row: an integer row strictly between the
-    lowest and highest vertex must hold no integer strictly inside, and each
-    edge's lattice points are counted on its integer rows.
+    Lattice points are found row by row, along the shorter axis: an integer
+    row strictly between the lowest and highest vertex must hold no integer
+    strictly inside, and each edge's lattice points are counted on its
+    integer rows.
     """
     if isinstance(obj, SplitBody):
         return BodyClass.SPLIT
@@ -527,6 +535,7 @@ def classify(obj: Union[SplitBody, Sequence[Rational2]]) -> BodyClass:
         raise ValueError("input vertex cycle is not strictly convex")
     if len(pts) > 4:  # a maximal lattice-free polygon has at most four edges
         return BodyClass.NOT_MAXIMAL_LATTICE_FREE
+    pts = _short_rows(pts)[0]
     ys = [p.x2 for p in pts]
     if any(_row_meets_interior(pts, y) for y in range(floor(min(ys)) + 1, ceil(max(ys)))):
         return BodyClass.NOT_MAXIMAL_LATTICE_FREE
@@ -595,15 +604,19 @@ def canonicalize(obj: Union[SplitBody, Sequence[Rational2]]) -> tuple[LatticeFre
         raise ValueError("input polygon is not maximal lattice-free")
     pts = list(obj)
     # the boundary lattice points in cycle order, each edge walked from its
-    # start; an integral vertex ends one walk and starts the next
+    # start along the shorter axis; an integral vertex ends one walk and
+    # starts the next
+    walked, swapped = _short_rows(pts)
     cycle: list[tuple[int, int]] = []
-    for a, b in zip(pts, pts[1:] + pts[:1]):
+    for a, b in zip(walked, walked[1:] + walked[:1]):
         walk = _edge_points(a, b)
         if (a.x2, a.x1) > (b.x2, b.x1):
             walk.reverse()
         cycle += walk[1:] if cycle and walk and walk[0] == cycle[-1] else walk
     if cycle[0] == cycle[-1]:
         cycle.pop()
+    if swapped:
+        cycle = [(y, x) for x, y in cycle]
     levels: dict[tuple[int, int], dict[int, list[tuple[int, int]]]] = {}
     candidates = []
     for i, (x0, y0) in enumerate(cycle):

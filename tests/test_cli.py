@@ -22,6 +22,8 @@ from conftest import any_body, root_vertex
 
 
 T2_DESC = '{"type":"type2","a":["1/2","3/2"]}'
+VERTICES_DESC = '{"vertices":[["0","0"],["2","0"],["0","2"]]}'
+SPLIT_DESC = '{"type":"split","normal":[0,1]}'
 
 # (family, z, sha256 of the sweep's CSV at step 1/10)
 SWEEP_GOLDENS = [
@@ -185,6 +187,17 @@ class TestCommands:
         payload = json.loads(out)
         assert payload and all("bound" in row for row in payload)
 
+    def test_sweep_json_monte_carlo(self, capsys):
+        code, out, _ = invoke(
+            capsys, "sweep", "--family", "t2", "--z", "2", "--step", "1/2", "--mc-samples", "100", "--format", "json"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert [row["params"] for row in payload] == [["2"], ["3/2"]]
+        for row in payload:
+            assert set(row["mc"]) == {"estimate", "std_error", "samples", "seed"}
+            assert (row["mc"]["samples"], row["mc"]["seed"]) == (100, 0)
+
     def test_body_from_file(self, capsys, tmp_path):
         path = tmp_path / "body.json"
         path.write_text(T2_DESC, encoding="utf-8")
@@ -247,6 +260,49 @@ class TestExitCodes:
         assert code == VALIDATION_ERROR
         assert "seed" in err
 
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("width", "--body", VERTICES_DESC), "width needs a typed body descriptor, not a vertex list"),
+            (
+                ("strength", "--body", VERTICES_DESC, "--f", '["1/2","1/2"]'),
+                "strength needs a typed body descriptor, not a vertex list",
+            ),
+            (("bound", "--body", VERTICES_DESC, "--z", "2"), "bound needs a typed bounded body descriptor"),
+            (("bound", "--body", SPLIT_DESC, "--z", "2"), "bound needs a typed bounded body descriptor"),
+            (("montecarlo", "--body", VERTICES_DESC, "--z", "2"), "montecarlo needs a typed bounded body descriptor"),
+            (("montecarlo", "--body", SPLIT_DESC, "--z", "2"), "montecarlo needs a typed bounded body descriptor"),
+            (("strength", "--body", T2_DESC, "--f", '["1/2","1/2"]', "--N", "0"), "need N >= 1, got 0"),
+            (
+                ("sweep", "--family", "quad", "--z", "2", "--range", "b2"),
+                "malformed --range 'b2', expected PARAM=LO:HI",
+            ),
+            (("classify", "--body", "[1, 2]"), "descriptor must be a JSON object, got [1, 2]"),
+            (
+                ("classify", "--body", '{"vertices":[["0","0"],["2","0"]]}'),
+                "'vertices' must list at least three coordinate pairs",
+            ),
+        ],
+        ids=[
+            "width-vertices",
+            "strength-vertices",
+            "bound-vertices",
+            "bound-split",
+            "montecarlo-vertices",
+            "montecarlo-split",
+            "strength-N0",
+            "range-without-equals",
+            "descriptor-array",
+            "two-vertices",
+        ],
+    )
+    def test_validation_error_message(self, capsys, argv, message):
+        # one error line on stderr, nothing on stdout, no traceback
+        code, out, err = invoke(capsys, *argv)
+        assert code == VALIDATION_ERROR
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_montecarlo_threshold_checked_before_sampling(self, capsys, monkeypatch):
         def sample(*args):

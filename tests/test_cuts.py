@@ -32,7 +32,7 @@ from cutstrength import (
     strength_single_split,
     strength_split_closure_approx,
 )
-from cutstrength import cuts
+from cutstrength import cuts, geometry
 from cutstrength.cli import run
 from cutstrength.geometry import over_common_denominator
 
@@ -167,6 +167,10 @@ class TestCoveringLp:
     def test_no_rows(self):
         with pytest.raises(ValueError):
             covering_lp_min([], 2)
+
+    def test_row_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="row length 3 != k = 2"):
+            covering_lp_min([(F(1), F(1)), (F(1), F(1), F(1))], 2)
 
     def test_solution_is_feasible(self):
         rng = random.Random(7)
@@ -378,6 +382,19 @@ class TestChosenSplit:
         with pytest.raises(ValueError, match="is a type2 region"):
             chosen_split(QuadBody(F(1, 4), F(3, 2), F(1, 2), F(-1, 4)), RegionId("type2", 1))
 
+    @pytest.mark.parametrize(
+        "body, region",
+        [
+            (Type1Body(), RegionId("type1", 1)),  # type 1 uses all three facet splits
+            (QuadBody(F(2, 5), F(3, 2), F(3, 5), F(-3, 10)), RegionId("quad", 5)),
+            (QuadBody(F(2, 5), F(3, 2), F(3, 5), F(-3, 10)), RegionId("quad", 0)),
+        ],
+        ids=["type1", "past-the-last", "zero"],
+    )
+    def test_no_split_choice(self, body, region):
+        with pytest.raises(ValueError, match="no split choice"):
+            chosen_split(body, region)
+
 
 @st.composite
 def drawn_body(draw):
@@ -510,6 +527,15 @@ class TestClosureApprox:
         # f with integral x1: no split with normal (1,0) admits it
         normals = admissible_normals(point(1, F(1, 3)), 1)
         assert (1, 0) not in normals
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_property_interior_point_has_a_split_of_radius_one(self, data):
+        # f strictly inside a lattice-free body is not integral, so (1,0) or
+        # (0,1) admits it, and t_N has at least one row for every N >= 1
+        body = data.draw(any_body())
+        f = data.draw(st.one_of(root_vertex(body), lattice_line_vertex(body)))
+        assert set(admissible_normals(f, 1)) & {(1, 0), (0, 1)}
 
     def test_monotone_and_below_t_bar(self):
         rng = random.Random(19)
@@ -717,12 +743,15 @@ class TestTableReuse:
             strength_single_split(quad_body, f)
 
     def test_report_builds_one_frame(self, monkeypatch):
-        # t_bar, type 1's t_1 cross-check and t_N share the frame of f
+        # t_bar, type 1's t_1 cross-check and t_N share the frame of f; f is
+        # scaled by the body's interior test in geometry
         for body in (Type1Body(), QuadBody(F(2, 5), F(3, 2), F(3, 5), F(-3, 10))):
             region_of(body, point(F(1, 2), F(1, 4)))  # builds the region table
             f = point(F(1, 2), F(1, 3))
             calls = []
-            monkeypatch.setattr(cuts, "over_common_denominator", lambda v: calls.append(v) or over_common_denominator(v))
+            record = lambda v: calls.append(v) or over_common_denominator(v)
+            for module in (cuts, geometry):
+                monkeypatch.setattr(module, "over_common_denominator", record)
             rep = strength_report(body, f, 3)
             monkeypatch.undo()
             assert calls == [(f.x1, f.x2)]

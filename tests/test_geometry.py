@@ -237,6 +237,9 @@ class TestBodyModel:
                 assert band.contains_interior(x) == (offset < t < offset + 1)
 
 
+_COORD = st.integers(1, 6).flatmap(lambda q: st.integers(-3 * q, 3 * q).map(lambda p: F(p, q)))
+
+
 class TestClassify:
     def test_split_band(self):
         assert classify(SplitBody((0, 1), 0)) is BodyClass.SPLIT
@@ -260,6 +263,30 @@ class TestClassify:
         # listed, and the slanted edge to the apex holds none but its end
         verts = [point(0, 0), point(10**30, 0), point(0, F(1, 10**30))]
         assert classify(verts) is BodyClass.NOT_MAXIMAL_LATTICE_FREE
+
+    def test_tall_type2(self):
+        # the apex lies 10^9 and 10^30 rows up; the walk goes along x1
+        for a2 in (10**9, 10**30):
+            source = Type2Body(F(1, 2), a2)
+            assert classify(source.polygon()) is BodyClass.TYPE2_TRIANGLE
+            assert canonicalize(source.polygon()) == (source, IDENTITY)
+
+    def test_tall_thin_triangle(self):
+        verts = [point(0, 0), point(F(1, 10**6), 0), point(0, 10**6)]
+        assert classify(verts) is BodyClass.NOT_MAXIMAL_LATTICE_FREE
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            any_body().map(lambda body: body.polygon()),
+            st.lists(st.tuples(_COORD, _COORD), min_size=3, max_size=4).map(lambda cs: [point(*c) for c in cs]),
+        )
+    )
+    def test_property_swapped_coordinates(self, pts):
+        # swapping x1 and x2 maps the lattice onto itself
+        assume(is_strictly_convex(pts))
+        swapped = [point(p.x2, p.x1) for p in pts]
+        assert classify(swapped) is classify(pts)
 
     def test_not_maximal_small_triangle(self):
         verts = [point(0, 0), point(1, 0), point(0, 1)]
@@ -303,9 +330,6 @@ class TestClassify:
         hull = [point(x, x * x) for x in range(-3, 4)]
         steps = {(j - i) % 7 for i, j in zip(order, order[1:] + order[:1])}
         assert is_strictly_convex([hull[i] for i in order]) == (steps in ({1}, {6}))
-
-
-_COORD = st.integers(1, 6).flatmap(lambda q: st.integers(-3 * q, 3 * q).map(lambda p: F(p, q)))
 
 
 class TestLatticePoints:
@@ -356,6 +380,19 @@ class TestLatticeWidth:
             assert 1 < lattice_width(body) <= 2
 
 
+def closed_form_area(body):
+    """The family closed forms: type 2 is a base of length ``a2/(a2-1)``
+    under the apex height ``a2``; the type 3 and quad forms hold because
+    their edges pass through the boundary lattice points."""
+    if isinstance(body, Type1Body):
+        return F(2)
+    if isinstance(body, Type2Body):
+        return body.a2**2 / (2 * (body.a2 - 1))
+    if isinstance(body, Type3Body):
+        return (body.a1 + body.a2 - body.b2 - body.c1) / 2
+    return (body.a2 - body.b2 + body.d1 - body.c1) / 2
+
+
 class TestArea:
     def test_examples(self, t1_body, t2_body, quad_body):
         assert area(t1_body) == 2
@@ -365,7 +402,7 @@ class TestArea:
 
     def test_closed_forms_equal_shoelace(self):
         for body in grid_bodies():
-            assert area(body) == polygon_area(body.polygon())
+            assert area(body) == polygon_area(body.polygon()) == closed_form_area(body)
             if isinstance(body, Type2Body):
                 w = lattice_width(body)
                 if body.a2 <= 2:
@@ -378,7 +415,7 @@ class TestArea:
     @example(Type2Body(F(1, 3), F(5, 2)))
     @example(Type2Body(F(1, 2), F(40)))
     def test_closed_form_equals_shoelace_whole_domain(self, body):
-        assert area(body) == polygon_area(body.polygon())
+        assert area(body) == polygon_area(body.polygon()) == closed_form_area(body)
 
     def test_split_has_no_area(self):
         with pytest.raises(ValueError):
@@ -488,6 +525,23 @@ class TestCanonicalize:
     def test_split_normalized(self):
         body, umap = canonicalize(SplitBody((3, 5), 7))
         assert body == SplitBody((0, 1), 0)
+        # a vertical band: its normal has no x2 part
+        body, umap = canonicalize(SplitBody((1, 0), 2))
+        assert body == SplitBody((0, 1), 0)
+        assert [umap.apply(point(x1, 5)).x2 for x1 in (2, 3)] == [0, 1]
+
+    def test_not_maximal_rejected(self):
+        with pytest.raises(ValueError, match="not maximal lattice-free"):
+            canonicalize([point(0, 0), point(1, 0), point(0, 1)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(any_body())
+    def test_property_swapped_coordinates(self, source):
+        # the boundary lattice points are walked along the shorter axis
+        swapped = [point(p.x2, p.x1) for p in source.polygon()]
+        body, umap = canonicalize(swapped)
+        assert classify(body.polygon()) is classify(source.polygon())
+        assert {umap.apply(v) for v in swapped} == set(body.vertices())
 
     def test_class_invariance(self):
         rng = random.Random(21)
