@@ -7,13 +7,16 @@ breaks plus one closed-form evaluator per interval, selected
 right-continuously), so that breakpoint continuity can be tested piece
 against piece.
 
-On each interval, the area that a region contributes is a quadratic in
-``y = 1 / (z - 1)``.  So every piece is a closed form over integers: it takes
-``z = p / q`` as the pair ``(p, q)`` and returns an unreduced ``(num, den)``
-pair, with ``y = q / (p - q)``.  The quad and type 3 pieces are written over
-the integer frame that their body's constructor keeps, and the parts that
-depend on the body alone are computed once per bound; the breaks and the
-scale are integer pairs too.  A call picks each term's piece by
+Write ``z = p / q`` and ``m = p - q``.  Every type 2, quad and type 3 term is
+built by one term builder, :func:`_term`, from linear forms ``l = a m + b q``
+with integer coefficients.  Its pieces are 0, then the trapezoid of the region
+between its split line and the line where its ``t_bar`` equals z, ``k l1 l2 /
+(den m^2)``, then that trapezoid plus ``s l3 l4 / (den m^2)``: for quad and
+type 3, ``l3 = l4`` and this takes off the corner that the line has passed at
+a vertex; for type 2 it adds the paper's second part ``g2``.  So a term's two
+breaks are the roots ``z = (a - b) / a`` of ``l1`` and ``l3``, and no break is
+written out.  Quad regions 2 and 4 are regions 1 and 3 of the body turned
+half a turn about (1/2, 1/2).  A call picks each term's piece by
 cross-multiplying ``z`` against the breaks, adds the pairs, and reduces once,
 to the ``Fraction`` it returns.
 
@@ -26,12 +29,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MethodType
 from typing import Callable
 
 from .geometry import QuadBody, Rat, Type1Body, Type2Body, Type3Body, _frac, lattice_width
 
 Pair = tuple[int, int]
 Piece = Callable[[int, int], Pair]
+Term = tuple[tuple[Pair, ...], tuple[Piece, ...]]
 
 
 @dataclass(frozen=True)
@@ -50,7 +55,7 @@ class PiecewiseBound:
     ``(num, den)`` pair; the sum is reduced once.
     """
 
-    terms: tuple[tuple[tuple[Pair, ...], tuple[Piece, ...]], ...]
+    terms: tuple[Term, ...]
     scale: Pair = (1, 1)
 
     @property
@@ -66,10 +71,12 @@ class PiecewiseBound:
         for breaks, fns in self.terms:
             i = 0
             for n, d in breaks:
-                if n * q <= p * d:
-                    i += 1
+                if n * q > p * d:
+                    break
+                i += 1
             n, d = fns[i](p, q)
-            num, den = num * d + n * den, den * d
+            if n:
+                num, den = num * d + n * den, den * d
         sn, sd = self.scale
         return Fraction(num * sd, den * sn)
 
@@ -80,6 +87,25 @@ def _const(value: int) -> Piece:
 
 
 _ZERO = _const(0)
+
+
+def _piece(coefficients: tuple, p: int, q: int) -> Pair:
+    """``(k l1 l2 + s l3 l4) / (den m^2)`` at ``z = p / q``, with ``m = p - q``
+    and each ``l = (a, b)`` the linear form ``a m + b q``."""
+    den, k, (a1, b1), (a2, b2), s, (a3, b3), (a4, b4) = coefficients
+    m = p - q
+    return k * (a1 * m + b1 * q) * (a2 * m + b2 * q) + s * (a3 * m + b3 * q) * (a4 * m + b4 * q), den * m * m
+
+
+def _term(den: int, k: int, l1: Pair, l2: Pair, s: int, l3: Pair, l4: Pair) -> Term:
+    """One region's term: 0, then the trapezoid ``k l1 l2 / (den m^2)``, then
+    that plus the corner ``s l3 l4 / (den m^2)`` (see :func:`_piece`).  The
+    breaks are the roots ``z = (a - b) / a`` of ``l1`` and ``l3``, whose
+    ``a`` is positive.  Each piece is :func:`_piece` bound to its
+    coefficients, which is cheaper to make and to call than a ``partial``."""
+    (a1, b1), (a3, b3) = l1, l3
+    mid, tail = MethodType(_piece, (den, k, l1, l2, 0, l3, l4)), MethodType(_piece, (den, k, l1, l2, s, l3, l4))
+    return ((a1 - b1, a1), (a3 - b3, a3)), (_ZERO, mid, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -111,24 +137,16 @@ def _check_width(w: Fraction):
 
 def t2_bound(w: Rat) -> PiecewiseBound:
     """Lower bound on the probability that the type 2 single-split strength is
-    at most z, as a function of the lattice width alone."""
+    at most z, as a function of the lattice width alone.
+
+    With ``w = P / Q``, the middle piece is ``(z - w)(2wz - w - z) / (w^2 (z -
+    1)^2)`` and the last adds ``((w - 1)^2 (z - 1)^2 - 1) / (w^2 (z - 1)^2)``,
+    so the breaks are ``w`` and ``w / (w - 1)``; at ``w = 2`` they coincide
+    and the empty middle piece is never picked."""
     w = _frac(w)
     _check_width(w)
-    # w = P / Q and w / (w - 1) = P / (P - Q); at w = 2 the breaks coincide
-    # and the empty middle piece is never picked
     P, Q = w.numerator, w.denominator
-
-    def g1(p: int, q: int) -> Pair:
-        # (z - w)(2wz - w - z) / (w^2 (z - 1)^2)
-        return (Q * p - P * q) * (2 * P * p - P * q - Q * p), (P * (p - q)) ** 2
-
-    def g1_g2(p: int, q: int) -> Pair:
-        # g1 + g2, g2 = ((w - 1)^2 (z - 1)^2 - 1) / (w^2 (z - 1)^2)
-        m = p - q
-        g2 = ((P - Q) * m) ** 2 - (Q * q) ** 2
-        return (Q * p - P * q) * (2 * P * p - P * q - Q * p) + g2, (P * m) ** 2
-
-    return PiecewiseBound(((((P, Q), (P, P - Q)), (_ZERO, g1, g1_g2)),))
+    return PiecewiseBound((_term(P * P, 1, (Q, Q - P), (2 * P - Q, P - Q), 1, (P - Q, -Q), (P - Q, Q)),))
 
 
 def p_t2_lower(z: Rat, w: Rat) -> Fraction:
@@ -146,6 +164,19 @@ def special_values(w: Rat) -> tuple[Fraction, Fraction]:
 # quadrilateral
 
 
+def _quad_terms(D, A1, A2, B1, B2, e_c, e_d, W, K, V, S, P) -> tuple[Term, Term]:
+    """The terms of regions 1 and 3 of the quad with frame ``(D, A1, A2, B1,
+    B2, e_c, e_d)``; the rest are the shorthands of :func:`quad_bound`."""
+    G, H, J = D - A1, A2 - D, D - B1
+    c, a = (A1 * D, -e_c), (e_c, -B1 * D)  # the corners at vertices c and a
+    return (
+        _term(2 * (D * W) ** 2 * H * e_c, -B2 * e_c, (D, -W), (D * (H * K + W * (H + A1)), W * (H * D - e_c)),
+              B2 * W * W, c, c),
+        _term(2 * D * G * (V * e_c) ** 2, A1 * B1 * D, (e_c * e_d, -V), (e_c * (G * S + H * V), -A1 * P * V),
+              -A1 * H * V * V, a, a),
+    )
+
+
 def quad_bound(body: QuadBody) -> PiecewiseBound:
     """Lower bound on the probability that the quadrilateral single-split
     strength is at most z, in the vertex parameterization, built from the
@@ -155,71 +186,20 @@ def quad_bound(body: QuadBody) -> PiecewiseBound:
     ``H = A2 - D`` and ``J = D - B1``, the frame has ``c = -A1 (B1, B2) / e_c``
     and ``d = (1, 0) + G (J, -B2) / e_d``.  Regions 1 and 2 split along x2 at
     ``-b2 / (w - 1)``, regions 3 and 4 along x1 at ``-c1 / (v - 1)``, with
-    ``w = a2 - b2`` and ``v = d1 - c1``.  A region's ``mid`` piece is the part
-    of the body between its split line and the line where its ``t_bar``
-    equals z, a trapezoid; its ``tail`` piece takes over once that line has
-    passed a vertex.  In each piece ``m = p - q``."""
+    ``w = a2 - b2`` and ``v = d1 - c1``.  Regions 2 and 4 are regions 1 and 3
+    of the body turned half a turn about (1/2, 1/2), whose frame is ``(D, J,
+    D - B2, G, D - A2, e_d, e_c)``; the turn keeps ``W``, ``K``, ``V`` and
+    ``S`` and negates ``P``."""
     D, A1, A2, B1, B2, e_c, e_d = body._frame
     G, H, J = D - A1, A2 - D, D - B1
     W = A2 - B2 - D  # D (w - 1)
     K = A2 - B2 - B1 + A1  # W times the body's width at x2 = -b2 / (w - 1)
     V = G * J * e_c + A1 * B1 * e_d  # e_c e_d (v - 1)
-    # two shorthands of regions 3 and 4
-    P = H * B1 + G * B2
-    S = H * J * e_c - A1 * B2 * e_d
-    DW2 = 2 * D * W * W
-
-    def r1_mid(p: int, q: int) -> Pair:
-        m = p - q
-        num = -B2 * (D * m - W * q) * (D * (H * K + W * (H + A1)) * m + W * (H * J + A1 * B2) * q)
-        return num, D * DW2 * H * m * m
-
-    def r1_tail(p: int, q: int) -> Pair:
-        m = p - q
-        num = D * (A1 * (A1 - B1) * W - e_c * (K + W)) * m * m + W * W * e_c * q * (2 * m + q)
-        return B2 * num, DW2 * e_c * m * m
-
-    def r2_mid(p: int, q: int) -> Pair:
-        m = p - q
-        num = H * (D * m - W * q) * (D * (B2 * K + W * (B2 - J)) * m + W * (H * J + A1 * B2) * q)
-        return num, D * DW2 * B2 * m * m
-
-    def r2_tail(p: int, q: int) -> Pair:
-        m = p - q
-        num = D * (B2 * (A1 - B1) * (K + W) + J * W * (D + 2 * W)) * m * m - W * W * e_d * q * (2 * m + q)
-        return H * num, DW2 * e_d * m * m
-
-    def r3_mid(p: int, q: int) -> Pair:
-        m = p - q
-        num = A1 * B1 * (e_c * e_d * m - V * q) * (e_c * (G * S + H * V) * m - A1 * P * V * q)
-        return num, 2 * G * (V * e_c * m) ** 2
-
-    def r3_tail(p: int, q: int) -> Pair:
-        m = p - q
-        X = D * B2 * (A1 - B1) * ((H * (D + G) * B1 - A1 * B2 * G) * V - A1 * D * B1 * P * e_d) + e_c * V * V
-        return A1 * (e_c * X * m * m - (D * B1 * V * q) ** 2), 2 * B1 * e_c * (D * V * m) ** 2
-
-    def r4_mid(p: int, q: int) -> Pair:
-        m = p - q
-        num = G * J * (e_c * e_d * m - V * q) * (e_d * (B1 * S - B2 * V) * m + J * P * V * q)
-        return num, 2 * B1 * (V * e_d * m) ** 2
-
-    def r4_tail(p: int, q: int) -> Pair:
-        m = p - q
-        X = D * B1 * H * (B1 - A1) * ((H * (D + J) - G * B2) * V - A1 * D * P * e_d) + e_d * V * V
-        return J * (e_d * X * m * m - (D * G * V * q) ** 2), 2 * G * e_d * (D * V * m) ** 2
-
-    w, v = (A2 - B2, D), (e_c * e_d + V, e_c * e_d)
-    return PiecewiseBound(
-        (
-            ((w, (e_c + A1 * D, A1 * D)), (_ZERO, r1_mid, r1_tail)),
-            ((w, (A2 * e_d + D * G * B2, D * H * J)), (_ZERO, r2_mid, r2_tail)),
-            ((v, (e_c + D * B1, e_c)), (_ZERO, r3_mid, r3_tail)),
-            ((v, (e_d + D * G, e_d)), (_ZERO, r4_mid, r4_tail)),
-        ),
-        # the area (w + v) / 2
-        ((A2 - B2) * e_c * e_d + D * (e_c * e_d + V), 2 * D * e_c * e_d),
-    )
+    P, S = H * B1 + G * B2, H * J * e_c - A1 * B2 * e_d
+    r1, r3 = _quad_terms(D, A1, A2, B1, B2, e_c, e_d, W, K, V, S, P)
+    r2, r4 = _quad_terms(D, J, D - B2, G, D - A2, e_d, e_c, W, K, V, S, -P)
+    # over the area (w + v) / 2
+    return PiecewiseBound((r1, r2, r3, r4), ((A2 - B2) * e_c * e_d + D * (e_c * e_d + V), 2 * D * e_c * e_d))
 
 
 def quad_lower(body: QuadBody, z: Rat) -> Fraction:
@@ -241,54 +221,25 @@ def t3_bound(body: Type3Body) -> PiecewiseBound:
     Regions 1 and 2 split along x2, 3 and 4 along x1, and 5 and 6 along the
     diagonal x1 + x2; the low-diagonal region 5 is always empty under the
     enforced width ordering, since it would need a1 + a2 <= 1 + b1, which
-    forces c2 <= 1.  In each piece ``m = p - q``."""
+    forces c2 <= 1."""
     D, A1, A2, B1 = body._frame[:4]
     R, J, L, T = A1 - D, D - B1, D - A2, A1 + A2 - D
-    F = A1 * A2 - T * B1
-    W = A2 * J * (A1 * R + F) - D * F * R  # D F R (w - 1), w = c2 - b2
-
-    def r12_mid(p: int, q: int) -> Pair:
-        # the body between x2 = -b2 y and x2 = 1 - (c2 - 1) y, where its width
-        # is a1 (1 - x2) / (1 - a2) - (b1 / b2) x2
-        m = p - q
-        U = D * F * R - A1 * A2 * J * R + A2 * J * F  # D F R (1 - c2 - b2)
-        num = (D * F * R * m - W * q) * ((2 * A1 * A2 * J - D * F) * R * m - U * q)
-        return num, 2 * D * F * L * A2 * J * (R * m) ** 2
-
-    def r12_tail(p: int, q: int) -> Pair:
-        # less the part below a2 that lies right of the edge ab
-        num, den = r12_mid(p, q)
-        return num - F * A2 * A2 * J * T * (R * (p - q) - J * q) ** 2, den
-
-    def r34_lo(p: int, q: int) -> Pair:
-        m = p - q
-        return A2 * ((D * F * m - A1 * B1 * R * q) ** 2 - (R * F * q) ** 2), 2 * R * (D * F * m) ** 2
-
-    def r34_hi(p: int, q: int) -> Pair:
-        m = p - q
-        num = D * F * F * J * m * m - R * R * (F * F + A1 * A1 * B1 * J) * q * q
-        return A2 * num, 2 * R * (D * F * m) ** 2
-
-    def r6_mid(p: int, q: int) -> Pair:
-        m = p - q
-        return (T * A2 * J * q - D * R * B1 * m) ** 2, 2 * A2 * J * (A2 * J - R * B1) * (D * m) ** 2
-
-    def r6_tail(p: int, q: int) -> Pair:
-        m = p - q
-        return L * (D * (B1 * R * m) ** 2 - A2 * J * F * T * q * q), 2 * A2 * J * F * (D * m) ** 2
-
-    cs = A1 * (A2 * J - B1 * R)  # D F (c1 + c2)
+    F, AJ = A1 * A2 - T * B1, A2 * J
+    W = AJ * (A1 * R + F) - D * F * R  # D F R (w - 1), w = c2 - b2
+    U = D * F * R - A1 * AJ * R + AJ * F  # D F R (1 - c2 - b2)
+    # the corners at vertices a (below a2, right of the edge ab), b and c;
+    # region 6's middle piece is a triangle, so its l1 and l2 are one form
+    a, b, c, diag = (R, -J), (F, -A1 * R), (B1 * R, -F), (D * R * B1, -T * AJ)
     return PiecewiseBound(
         (
-            (((A2 * J * (A1 * R + F), D * F * R), (A1 - B1, R)), (_ZERO, r12_mid, r12_tail)),
-            (((A1 * (F + B1 * R), D * F), (F + A1 * R, F)), (_ZERO, r34_lo, r34_hi)),
-            (
-                ((T * A2 * J + D * R * B1, D * R * B1), ((A1 + A2) * F - cs, D * F - cs)),
-                (_ZERO, r6_mid, r6_tail),
-            ),
+            _term(2 * D * F * L * AJ * R * R, 1, (D * F * R, -W), ((2 * A1 * AJ - D * F) * R, -U),
+                  -F * A2 * AJ * T, a, a),
+            _term(2 * R * (D * F) ** 2, A2, (D * F, -R * (A1 * B1 + F)), (D * F, R * (F - A1 * B1)),
+                  -A2 * B1 * D, b, b),
+            _term(2 * D * D * F * AJ * (AJ - R * B1), F, diag, diag, -T * D * AJ, c, c),
         ),
-        # the area (a1 + a2 - b2 - c1) / 2
-        ((A1 + A2) * R * F + A2 * J * F + A1 * B1 * R * R, 2 * D * R * F),
+        # over the area (a1 + a2 - b2 - c1) / 2
+        ((A1 + A2) * R * F + AJ * F + A1 * B1 * R * R, 2 * D * R * F),
     )
 
 

@@ -333,9 +333,9 @@ class Type3Body(LatticeFreeBody):
     ``E = (A1 - D)(D - A2) B1 - A1 A2 (D - B1)``.  Once ``b1 + b2 < 0``, that
     is ``(A1 - D) B1 < A2 (D - B1)``, ``E < A2 (D - B1)(D - A1 - A2) < 0``, and
     then ``b2 < 0``, ``c1 < 0``, ``c2 > 1`` and ``0 < c1 + c2 < 1``.  The body
-    keeps these integers as ``_frame = (D, A1, A2, B1, nb2, db2, E, nc1,
-    nc2)``, with ``b2 = nb2 / db2`` and ``c = (nc1, nc2) / E``; it is not a
-    field.
+    keeps the integers that ``bounds`` and ``lattice_width`` read as ``_frame
+    = (D, A1, A2, B1, nb2, db2, E, nc2)``, with ``b2 = nb2 / db2`` and ``c2 =
+    nc2 / E``; it is not a field.
     """
 
     tag = "type3"
@@ -368,7 +368,7 @@ class Type3Body(LatticeFreeBody):
         b2, c1, c2 = Fraction(nb2, db2), Fraction(nc1, E), Fraction(nc2, E)
         self.a1, self.a2, self.b1 = a1, a2, b1
         self.b2, self.c1, self.c2 = b2, c1, c2
-        self._frame = (D, A1, A2, B1, nb2, db2, E, nc1, nc2)
+        self._frame = (D, A1, A2, B1, nb2, db2, E, nc2)
         a, b, c = Rational2(a1, a2), Rational2(b1, b2), Rational2(c1, c2)
         self._vertices = (a, b, c)
         # a lies right of the lattice points, b below and c above left, so
@@ -462,7 +462,7 @@ def lattice_width(body: LatticeFreeBody) -> Fraction:
     if isinstance(body, Type2Body):
         return min(body.a2, body.a2 / (body.a2 - 1))
     if isinstance(body, Type3Body):
-        nb2, db2, E, _, nc2 = body._frame[4:]
+        nb2, db2, E, nc2 = body._frame[4:]
         return Fraction(nc2 * db2 - nb2 * E, E * db2)  # c2 - b2
     if isinstance(body, QuadBody):
         return body.a2 - body.b2

@@ -343,3 +343,25 @@ class TestIntegerFrame:
             probe = PiecewiseBound(((breaks, tuple(_const(i) for i in range(len(breaks) + 1))),))
             for z in [b for b in ordered if b > 1] + drawn:
                 assert probe(z) == bisect_right(ordered, z)
+
+
+def _at(piece, z):
+    return F(*piece(z.numerator, z.denominator))
+
+
+class TestTermContinuity:
+    """Every type 2, quad and type 3 term is 0, then a trapezoid that
+    vanishes at its first break, then that trapezoid plus a part that
+    vanishes at its second break: so its pieces meet exactly at both."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(any_body(), quad_or_t3_body()).filter(lambda body: not isinstance(body, Type1Body)))
+    @example(Type2Body(F(1, 5), F(2)))  # w = 2: the type 2 breaks coincide
+    @example(QuadBody(F(1, 2), F(3, 2), F(1, 2), F(-1, 2)))  # a width tie
+    @example(Type3Body(F(4, 3), F(1, 3), F(1, 3)))  # all three width candidates tie
+    def test_pieces_meet_exactly_at_their_breaks(self, body):
+        for breaks, pieces in piecewise_bound_for(body).terms:
+            first, second = _fractions(breaks)
+            assert 1 < first <= second
+            assert _at(pieces[0], first) == _at(pieces[1], first) == 0
+            assert _at(pieces[1], second) == _at(pieces[2], second)

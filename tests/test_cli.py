@@ -205,6 +205,18 @@ class TestCommands:
         assert code == 0
         assert json.loads(out) == {"w": "3/2"}
 
+    def test_sweep_output_file(self, capsys, tmp_path):
+        # the file gets the bytes that stdout gets without --output
+        argv = ("sweep", "--family", "t3", "--z", "2", "--step", "1/10")
+        code, expected, _ = invoke(capsys, *argv)
+        assert code == 0
+        path = tmp_path / "sweep.csv"
+        code, out, err = invoke(capsys, *argv, "--output", str(path))
+        assert (code, out, err) == (0, "", "")
+        assert path.read_bytes() == expected.encode()
+        digest = dict(((f, z), d) for f, z, d in SWEEP_GOLDENS)[("t3", "2")]
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "out.csv"
         code, out, _ = invoke(
