@@ -2,23 +2,24 @@
 a body's cut over a single split stays below a threshold ``z``.
 
 All evaluators are exact: rational in, rational out.  Every family bound is
-represented as a :class:`PiecewiseBound` (one term per region: ordered
-breaks plus one closed-form evaluator per interval, selected
-right-continuously), so that breakpoint continuity can be tested piece
-against piece.
+a :class:`PiecewiseBound`, plain integer data: one term per region, each a
+few integer steps.
 
-Write ``z = p / q`` and ``m = p - q``.  Every type 2, quad and type 3 term is
-built by one term builder, :func:`_term`, from linear forms ``l = a m + b q``
-with integer coefficients.  Its pieces are 0, then the trapezoid of the region
-between its split line and the line where its ``t_bar`` equals z, ``k l1 l2 /
-(den m^2)``, then that trapezoid plus ``s l3 l4 / (den m^2)``: for quad and
-type 3, ``l3 = l4`` and this takes off the corner that the line has passed at
-a vertex; for type 2 it adds the paper's second part ``g2``.  So a term's two
-breaks are the roots ``z = (a - b) / a`` of ``l1`` and ``l3``, and no break is
-written out.  Quad regions 2 and 4 are regions 1 and 3 of the body turned
-half a turn about (1/2, 1/2).  A call picks each term's piece by
-cross-multiplying ``z`` against the breaks, adds the pairs, and reduces once,
-to the ``Fraction`` it returns.
+Write ``z = p / q`` and ``m = p - q``.  A step ``(den, sel, k, l, l')`` adds
+``k l l' / (den m^2)`` once its selector ``sel(m, q) = a m + b q`` is
+non-negative, where each linear form ``(a, b)`` stands for ``a m + b q``
+with integer coefficients.  Every selector has ``a > 0``, so a step switches
+on exactly at ``z >= (a - b) / a``, the root of its selector, and the bound's
+breaks are those roots; no break is stored.  Every type 2, quad and type 3
+term comes from one term builder, :func:`_term`: it is 0, then from the root
+of ``l1`` on the trapezoid of the region between its split line and the line
+where its ``t_bar`` equals z, ``k l1 l2 / (den m^2)``, then from the root of
+``l3`` on that trapezoid plus ``s l3 l4 / (den m^2)``: for quad and type 3,
+``l3 = l4`` and this takes off the corner that the line has passed at a
+vertex; for type 2 it adds the paper's second part ``g2``.  Quad regions 2
+and 4 are regions 1 and 3 of the body turned half a turn about (1/2, 1/2).
+Since ``m^2`` is common to every step, a call divides by it once, in the
+``Fraction`` it returns.
 
 For the type 1 triangle the value is an exact probability, not merely a
 bound; it has a genuine jump at ``z = 2`` because the strength equals 2 on a
@@ -29,30 +30,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MethodType
-from typing import Callable
 
 from .geometry import QuadBody, Rat, Type1Body, Type2Body, Type3Body, _frac, lattice_width
 
 Pair = tuple[int, int]
-Piece = Callable[[int, int], Pair]
-Term = tuple[tuple[Pair, ...], tuple[Piece, ...]]
+Step = tuple[int, Pair, int, Pair, Pair]
+Term = tuple[Step, ...]
+
+
+def check_threshold(z: Rat) -> Fraction:
+    """``z`` as a Fraction, or a ValueError unless ``z > 1``."""
+    z = _frac(z)
+    if z.numerator <= z.denominator:
+        raise ValueError(f"threshold must satisfy z > 1, got {z}")
+    return z
 
 
 @dataclass(frozen=True)
 class PiecewiseBound:
-    """Piecewise closed form in ``z`` on (1, oo), divided by ``scale``.
+    """Piecewise closed form in ``z`` on (1, oo): the sum of the steps of all
+    terms, divided by the positive ``scale``, an unreduced ``(num, den)`` pair
+    with ``den > 0``.
 
-    Each term ``(breaks, fns)`` applies ``fns[i]`` on
-    ``[breaks[i-1], breaks[i])`` (first and last interval open-ended); the
-    value is the sum over the terms.  The breaks of a term are in
-    non-decreasing order; they and the positive ``scale`` are unreduced
-    ``(num, den)`` pairs with ``den > 0``.  A call picks ``fns[i]`` with ``i``
-    the number of breaks ``b <= z``, by cross-multiplying, which is
-    ``bisect_right`` on the ordered breaks: selection is right-continuous, the
-    natural convention for a distribution-style bound.  A piece takes
-    ``z = p / q`` as ``(p, q)`` with ``q > 0`` and returns an unreduced
-    ``(num, den)`` pair; the sum is reduced once.
+    Each term is one region's steps ``(den, (a, b), k, l, l')`` in the order
+    of their roots.  A step adds ``k l l' / (den m^2)`` once ``a m + b q >=
+    0``, which with ``a > 0`` is ``z >= (a - b) / a``: selection is
+    right-continuous, the natural convention for a distribution-style bound.
     """
 
     terms: tuple[Term, ...]
@@ -60,52 +63,28 @@ class PiecewiseBound:
 
     @property
     def breakpoints(self) -> tuple[Fraction, ...]:
-        return tuple(sorted({Fraction(n, d) for breaks, _ in self.terms for n, d in breaks}))
+        return tuple(sorted({Fraction(a - b, a) for term in self.terms for _, (a, b), *_ in term}))
 
     def __call__(self, z: Rat) -> Fraction:
-        z = _frac(z)
-        p, q = z.numerator, z.denominator
-        if p <= q:
-            raise ValueError(f"threshold must satisfy z > 1, got {z}")
+        z = check_threshold(z)
+        q = z.denominator
+        m = z.numerator - q
         num, den = 0, 1
-        for breaks, fns in self.terms:
-            i = 0
-            for n, d in breaks:
-                if n * q > p * d:
-                    break
-                i += 1
-            n, d = fns[i](p, q)
-            if n:
+        for term in self.terms:
+            for d, (a, b), k, (a1, b1), (a2, b2) in term:
+                if a * m + b * q < 0:
+                    break  # so are the selectors of the later roots
+                n = k * (a1 * m + b1 * q) * (a2 * m + b2 * q)
                 num, den = num * d + n * den, den * d
         sn, sd = self.scale
-        return Fraction(num * sd, den * sn)
-
-
-def _const(value: int) -> Piece:
-    pair = (value, 1)
-    return lambda p, q: pair
-
-
-_ZERO = _const(0)
-
-
-def _piece(coefficients: tuple, p: int, q: int) -> Pair:
-    """``(k l1 l2 + s l3 l4) / (den m^2)`` at ``z = p / q``, with ``m = p - q``
-    and each ``l = (a, b)`` the linear form ``a m + b q``."""
-    den, k, (a1, b1), (a2, b2), s, (a3, b3), (a4, b4) = coefficients
-    m = p - q
-    return k * (a1 * m + b1 * q) * (a2 * m + b2 * q) + s * (a3 * m + b3 * q) * (a4 * m + b4 * q), den * m * m
+        return Fraction(num * sd, den * m * m * sn)
 
 
 def _term(den: int, k: int, l1: Pair, l2: Pair, s: int, l3: Pair, l4: Pair) -> Term:
-    """One region's term: 0, then the trapezoid ``k l1 l2 / (den m^2)``, then
-    that plus the corner ``s l3 l4 / (den m^2)`` (see :func:`_piece`).  The
-    breaks are the roots ``z = (a - b) / a`` of ``l1`` and ``l3``, whose
-    ``a`` is positive.  Each piece is :func:`_piece` bound to its
-    coefficients, which is cheaper to make and to call than a ``partial``."""
-    (a1, b1), (a3, b3) = l1, l3
-    mid, tail = MethodType(_piece, (den, k, l1, l2, 0, l3, l4)), MethodType(_piece, (den, k, l1, l2, s, l3, l4))
-    return ((a1 - b1, a1), (a3 - b3, a3)), (_ZERO, mid, tail)
+    """One region's term: the trapezoid ``k l1 l2 / (den m^2)`` from the root
+    of ``l1`` on, plus the corner ``s l3 l4 / (den m^2)`` from the root of
+    ``l3`` on, which is not below the root of ``l1``."""
+    return (den, l1, k, l1, l2), (den, l3, s, l3, l4)
 
 
 # ---------------------------------------------------------------------------
@@ -113,13 +92,10 @@ def _term(den: int, k: int, l1: Pair, l2: Pair, s: int, l3: Pair, l4: Pair) -> T
 
 
 def t1_bound() -> PiecewiseBound:
-    """Exact probability that the type 1 strength is at most z."""
-
-    def middle(p: int, q: int) -> Pair:
-        # 3/4 ((2z - 3) / (z - 1))^2
-        return 3 * (2 * p - 3 * q) ** 2, 4 * (p - q) ** 2
-
-    return PiecewiseBound(((((3, 2), (2, 1)), (_ZERO, middle, _const(1))),))
+    """Exact probability that the type 1 strength is at most z: 0, then
+    ``3/4 ((2z - 3) / (z - 1))^2`` from ``z = 3/2``, then 1 from ``z = 2``."""
+    u, v, m = (2, -1), (1, -1), (1, 0)  # the forms 2m - q (root 3/2), m - q (root 2) and m
+    return PiecewiseBound((((4, u, 3, u, u), (4, v, -3, u, u), (4, v, 4, m, m)),))
 
 
 def p_t1(z: Rat) -> Fraction:
@@ -130,21 +106,17 @@ def p_t1(z: Rat) -> Fraction:
 # type 2
 
 
-def _check_width(w: Fraction):
-    if not 1 < w <= 2:
-        raise ValueError(f"lattice width must satisfy 1 < w <= 2, got {w}")
-
-
 def t2_bound(w: Rat) -> PiecewiseBound:
     """Lower bound on the probability that the type 2 single-split strength is
     at most z, as a function of the lattice width alone.
 
-    With ``w = P / Q``, the middle piece is ``(z - w)(2wz - w - z) / (w^2 (z -
-    1)^2)`` and the last adds ``((w - 1)^2 (z - 1)^2 - 1) / (w^2 (z - 1)^2)``,
-    so the breaks are ``w`` and ``w / (w - 1)``; at ``w = 2`` they coincide
-    and the empty middle piece is never picked."""
+    With ``w = P / Q``, the first step adds ``(z - w)(2wz - w - z) / (w^2 (z -
+    1)^2)`` from ``z = w`` on and the second ``((w - 1)^2 (z - 1)^2 - 1) /
+    (w^2 (z - 1)^2)`` from ``z = w / (w - 1)`` on; at ``w = 2`` both roots
+    are 2."""
     w = _frac(w)
-    _check_width(w)
+    if not 1 < w <= 2:
+        raise ValueError(f"lattice width must satisfy 1 < w <= 2, got {w}")
     P, Q = w.numerator, w.denominator
     return PiecewiseBound((_term(P * P, 1, (Q, Q - P), (2 * P - Q, P - Q), 1, (P - Q, -Q), (P - Q, Q)),))
 
@@ -228,7 +200,7 @@ def t3_bound(body: Type3Body) -> PiecewiseBound:
     W = AJ * (A1 * R + F) - D * F * R  # D F R (w - 1), w = c2 - b2
     U = D * F * R - A1 * AJ * R + AJ * F  # D F R (1 - c2 - b2)
     # the corners at vertices a (below a2, right of the edge ab), b and c;
-    # region 6's middle piece is a triangle, so its l1 and l2 are one form
+    # region 6's trapezoid is a triangle, so its l1 and l2 are one form
     a, b, c, diag = (R, -J), (F, -A1 * R), (B1 * R, -F), (D * R * B1, -T * AJ)
     return PiecewiseBound(
         (

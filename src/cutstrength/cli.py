@@ -11,6 +11,7 @@ import argparse
 import json
 import re
 import sys
+from contextlib import contextmanager
 
 from .bounds import bound_for, special_values
 from .descriptors import format_rational, parse_body, parse_json, parse_pair, parse_rational
@@ -224,6 +225,8 @@ def _run_plotdata(args) -> str:
     step = parse_rational(args.step)
     if step <= 0:
         raise ValueError(f"need step > 0, got {args.step}")
+    if step > 1:
+        raise ValueError(f"grid is empty: step {args.step} leaves no width in (1, 2]")
     lines = ["w,bound"]
     w = 1 + step
     while w <= 2:
@@ -259,17 +262,33 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+@contextmanager
+def exact_digits():
+    """Lift the interpreter's limit on the digits of an int converted to or
+    from a string (Python 3.10.7 on) while in the block, so that exact values
+    travel whole."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def run(argv=None) -> int:
     parser = _parser()
-    try:
-        args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else list(argv)))
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else USAGE_ERROR
-    try:
-        _emit(_RUNNERS[args.command](args), getattr(args, "output", None))
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return VALIDATION_ERROR
+    with exact_digits():
+        try:
+            args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else list(argv)))
+        except SystemExit as exc:
+            return exc.code if exc.code is not None else USAGE_ERROR
+        try:
+            _emit(_RUNNERS[args.command](args), getattr(args, "output", None))
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return VALIDATION_ERROR
     return 0
 
 

@@ -32,8 +32,9 @@ from math import sqrt
 from operator import and_, or_
 from typing import TYPE_CHECKING
 
+from .bounds import check_threshold
 from .cuts import _table
-from .geometry import LatticeFreeBody, SplitBody, _frac
+from .geometry import LatticeFreeBody, SplitBody
 
 if TYPE_CHECKING:
     import numpy as np
@@ -179,10 +180,7 @@ def monte_carlo_lower(
     _check_int("seed", seed)
     if not 0 <= seed < 2**128:
         raise ValueError(f"need 0 <= seed < 2**128, got seed={seed}")
-    z = _frac(z)
-    if z <= 1:
-        raise ValueError(f"threshold must satisfy z > 1, got {z}")
-    z = float(z)
+    z = float(check_threshold(z))
     evaluate = _t_bar_evaluator(body)
     fan = _fan_triangles(body)
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import ceil, floor
 from typing import Optional
 
-from .bounds import p_t2_lower, quad_lower, t3_lower
+from .bounds import check_threshold, p_t2_lower, quad_lower, t3_lower
 from .geometry import QuadBody, Type2Body, Type3Body, _frac, lattice_width
 from .montecarlo import McEstimate, monte_carlo_lower
 
@@ -73,9 +73,7 @@ def sweep_grid(
             raise ValueError(
                 f"unknown range parameter {key!r} for family {family}, expected one of {PARAMS[family]}"
             )
-    z = _frac(z)
-    if z <= 1:
-        raise ValueError(f"threshold must satisfy z > 1, got {z}")
+    z = check_threshold(z)
     step = _frac(step)
     if step <= 0:
         raise ValueError(f"need step > 0, got {step}")

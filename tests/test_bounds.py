@@ -24,7 +24,6 @@ from cutstrength import (
     t2_bound,
     t3_lower,
 )
-from cutstrength.bounds import _const
 
 from conftest import (
     _ratio_of,
@@ -279,15 +278,28 @@ def quad_or_t3_body(draw):
         assume(False)
 
 
-def _fractions(pairs):
-    return [F(n, d) for n, d in pairs]
+def _roots(term):
+    """A term's breaks: the roots ``z = (a - b) / a`` of its steps'
+    selectors, in step order."""
+    return [F(a - b, a) for _, (a, b), *_ in term]
+
+
+def _pieces(term, z):
+    """A term's pieces at ``z``: 0, then the sums of its first 1, 2, ...
+    steps, each step's value taken whatever the sign of its selector."""
+    q = z.denominator
+    m = z.numerator - q
+    out = [F(0)]
+    for den, _, k, (a1, b1), (a2, b2) in term:
+        out.append(out[-1] + F(k * (a1 * m + b1 * q) * (a2 * m + b2 * q), den * m * m))
+    return out
 
 
 class TestIntegerFrame:
-    """Every piece is a closed form over integers, the quad and type 3 ones
-    over the body's integer frame, and a bound picks its pieces by
-    cross-multiplying; the Fraction derivation and the clipping oracle must
-    agree with them at every break, where the choice between pieces is
+    """Every step is a closed form over integers, the quad and type 3 ones
+    over the body's integer frame, and a bound switches its steps on by the
+    signs of linear forms; the Fraction derivation and the clipping oracle
+    must agree with them at every break, where the choice between pieces is
     decided, and at drawn z."""
 
     @settings(max_examples=120, deadline=None)
@@ -300,7 +312,7 @@ class TestIntegerFrame:
     def test_matches_fraction_and_clipping_oracles(self, body, drawn):
         pb = piecewise_bound_for(body)
         breaks, _, scale = pieces_oracle(body)
-        assert [_fractions(term_breaks) for term_breaks, _ in pb.terms] == [list(b) for b in breaks]
+        assert [_roots(term) for term in pb.terms] == [list(b) for b in breaks]
         assert pb.scale[1] > 0
         assert F(*pb.scale) == scale
         for z in [b for b in pb.breakpoints if b > 1] + drawn:
@@ -320,12 +332,22 @@ class TestIntegerFrame:
         # in a piece that few bodies or thresholds pick still shows
         pb = piecewise_bound_for(body)
         _, fns, _ = pieces_oracle(body)
-        assert [len(pieces) for _, pieces in pb.terms] == [len(pieces) for pieces in fns]
+
+        def pieces(term, z):
+            out = _pieces(term, z)
+            if isinstance(body, Type1Body):
+                # the last two type 1 steps share the root 2, where the
+                # middle piece jumps to 1: the sum between them is never
+                # picked, and the oracle has no such piece
+                del out[2]
+            return out
+
+        assert [len(pieces(term, F(2))) for term in pb.terms] == [len(pieces) for pieces in fns]
         for z in [b for b in pb.breakpoints if b > 1] + drawn:
-            for (_, pieces), oracle_pieces in zip(pb.terms, fns):
-                for piece, oracle_piece in zip(pieces, oracle_pieces):
-                    value = oracle_piece(_ratio_of(z))
-                    assert F(*piece(z.numerator, z.denominator)) == F(value.numerator, value.denominator)
+            for term, oracle_pieces in zip(pb.terms, fns):
+                for value, oracle_piece in zip(pieces(term, z), oracle_pieces):
+                    oracle = oracle_piece(_ratio_of(z))
+                    assert value == F(oracle.numerator, oracle.denominator)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -334,19 +356,17 @@ class TestIntegerFrame:
     )
     def test_selection_is_bisect_right(self, body, drawn):
         # the bounds are continuous at most breaks, so their values cannot
-        # tell which piece a break picks; constant pieces 0, 1, ... can
-        for breaks, _ in piecewise_bound_for(body).terms:
-            ordered = _fractions(breaks)
-            # counting the breaks at or below z is bisect_right only on ordered breaks
-            assert all(d > 0 for _, d in breaks)
+        # tell which piece a break picks; steps that each add 1 can
+        for term in piecewise_bound_for(body).terms:
+            ordered = _roots(term)
+            # a selector with a > 0 is non-negative exactly at z >= its root,
+            # and counting the roots at or below z is bisect_right only on
+            # ordered roots
+            assert all(a > 0 for _, (a, _), *_ in term)
             assert ordered == sorted(ordered)
-            probe = PiecewiseBound(((breaks, tuple(_const(i) for i in range(len(breaks) + 1))),))
+            probe = PiecewiseBound((tuple((1, sel, 1, (1, 0), (1, 0)) for _, sel, *_ in term),))
             for z in [b for b in ordered if b > 1] + drawn:
                 assert probe(z) == bisect_right(ordered, z)
-
-
-def _at(piece, z):
-    return F(*piece(z.numerator, z.denominator))
 
 
 class TestTermContinuity:
@@ -360,8 +380,9 @@ class TestTermContinuity:
     @example(QuadBody(F(1, 2), F(3, 2), F(1, 2), F(-1, 2)))  # a width tie
     @example(Type3Body(F(4, 3), F(1, 3), F(1, 3)))  # all three width candidates tie
     def test_pieces_meet_exactly_at_their_breaks(self, body):
-        for breaks, pieces in piecewise_bound_for(body).terms:
-            first, second = _fractions(breaks)
+        for term in piecewise_bound_for(body).terms:
+            first, second = _roots(term)
             assert 1 < first <= second
-            assert _at(pieces[0], first) == _at(pieces[1], first) == 0
-            assert _at(pieces[1], second) == _at(pieces[2], second)
+            at_first, at_second = _pieces(term, first), _pieces(term, second)
+            assert at_first[0] == at_first[1] == 0
+            assert at_second[1] == at_second[2]

@@ -2,13 +2,14 @@ import contextlib
 import hashlib
 import io
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cutstrength.cli import USAGE_ERROR, VALIDATION_ERROR, run
+from cutstrength.cli import USAGE_ERROR, VALIDATION_ERROR, exact_digits, run
 from cutstrength.descriptors import (
     body_to_dict,
     format_rational,
@@ -217,6 +218,30 @@ class TestCommands:
         digest = dict(((f, z), d) for f, z, d in SWEEP_GOLDENS)[("t3", "2")]
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
+    def test_plotdata_single_row(self, capsys):
+        code, out, _ = invoke(capsys, "plotdata", "--curve", "z2", "--step", "1")
+        assert (code, out) == (0, "w,bound\n2,1\n")
+
+    def test_huge_integers(self, capsys):
+        # the apex height has a 2,501-digit denominator, so the bound's has
+        # more digits than the interpreter converts to or from a string by
+        # default; a threshold of 5,000 digits over 5,000 digits reads as 3
+        a2 = F(3 * 10**2500 + 1, 2 * 10**2500)
+        body = Type2Body(F(1, 2), a2)
+        with exact_digits():
+            desc = json.dumps(body_to_dict(body))
+            huge_z = f"{3 * 10**4999}/{10**4999}"
+        digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        limit = digit_limit()
+        for z, value in (("2", F(2)), (huge_z, F(3))):
+            code, out, err = invoke(capsys, "bound", "--body", desc, "--z", z)
+            assert (code, err) == (0, "")
+            assert digit_limit() == limit
+            with exact_digits():
+                bound = parse_rational(json.loads(out)["bound"])
+            assert bound == bound_for(body, value)
+            assert bound.denominator > 10**4300
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "out.csv"
         code, out, _ = invoke(
@@ -376,6 +401,12 @@ class TestExitCodes:
         assert code == VALIDATION_ERROR
         assert out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("step", ["5", "3/2", "101/100"])
+    def test_validation_error_empty_plotdata_grid(self, capsys, step):
+        code, out, err = invoke(capsys, "plotdata", "--curve", "z2", "--step", step)
+        assert (code, out) == (VALIDATION_ERROR, "")
+        assert err == f"error: grid is empty: step {step} leaves no width in (1, 2]\n"
 
     @pytest.mark.parametrize("where", ["--body", "--body @file", "--f"])
     def test_validation_error_deep_json(self, capsys, tmp_path, where):
