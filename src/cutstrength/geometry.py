@@ -221,6 +221,14 @@ class LatticeFreeBody:
     the vertices once: ``_vertices`` in the documented corner-ray order and
     ``_cycle`` counter-clockwise, an orientation that the family's sign
     constraints decide.  Bodies compare equal by their fields.
+
+    The type 3 and quad families also build a body from its integer frame,
+    the parameters as integers over one denominator, with ``_from_frame``:
+    it runs the constructor's checks on the integers and keeps only
+    ``_frame``.  Such a body fills its fields, the derived vertex
+    coordinates, ``_vertices`` and ``_cycle`` (the family's ``_on_read``)
+    the first time one of them is read, with the fill code the constructor
+    runs, so it then equals the constructed body, field for field.
     """
 
     tag: str
@@ -265,6 +273,29 @@ class LatticeFreeBody:
 
     def contains_interior(self, f: Rational2) -> bool:
         return self._interior(f) is not None
+
+
+class _OnRead:
+    """A name that a body made by ``_from_frame`` lacks until it is read:
+    reading it runs the body's ``_fill``, which stores every name of
+    ``_on_read`` on the body, where later reads find them first."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __get__(self, body, owner=None):
+        if body is None:
+            return self
+        body._fill()
+        return body.__dict__[self.name]
+
+
+def _filled_on_read(cls):
+    """Put an ``_OnRead`` on ``cls`` for each of its ``_on_read`` names, once
+    ``dataclass`` has read the class, so that no field takes it as a default."""
+    for name in cls._on_read:
+        setattr(cls, name, _OnRead(name))
+    return cls
 
 
 @dataclass(repr=False)
@@ -320,6 +351,7 @@ class Type2Body(LatticeFreeBody):
         self._vertices = self._cycle = (self.left, self.right, self.apex)
 
 
+@_filled_on_read
 @dataclass(repr=False)
 class Type3Body(LatticeFreeBody):
     """Triangle with boundary lattice points exactly {(0,0), (1,0), (0,1)}.
@@ -342,33 +374,28 @@ class Type3Body(LatticeFreeBody):
     a1: Rat
     a2: Rat
     b1: Rat
+    _on_read = ("a1", "a2", "b1", "b2", "c1", "c2", "_vertices", "_cycle")
 
     def __post_init__(self):
-        a1, a2, b1 = _frac(self.a1), _frac(self.a2), _frac(self.b1)
-        D, (A1, A2, B1) = over_common_denominator((a1, a2, b1))
-        if not A1 > D:
-            raise ValueError(f"need a1 > 1, got a1={a1}")
-        if not (0 < A2 < D):
-            raise ValueError(f"need 0 < a2 < 1, got a2={a2}")
-        if not (0 < B1 < D):
-            raise ValueError(f"need 0 < b1 < 1, got b1={b1}")
-        nb2, db2 = -A2 * (D - B1), D * (A1 - D)  # b2 = nb2 / db2, db2 > 0
-        if not B1 * (A1 - D) + nb2 < 0:
-            raise ValueError(f"need b1 + b2 < 0, got {b1 + Fraction(nb2, db2)}")
-        E = (A1 - D) * (D - A2) * B1 - A1 * A2 * (D - B1)
-        nc1, nc2 = A1 * (A1 - D) * B1, -A1 * A2 * (D - B1)  # c = (nc1, nc2) / E
-        # c2 - b2 <= a1 - c1 times D db2 E < 0, and c2 - b2 <= a1 + a2 - (b1 + b2) times D E
-        if not (D * db2 * (nc1 + nc2) >= (A1 * db2 + D * nb2) * E and D * nc2 >= (A1 + A2 - B1) * E):
-            b2, c1, c2 = Fraction(nb2, db2), Fraction(nc1, E), Fraction(nc2, E)
-            width_candidates = (c2 - b2, a1 - c1, a1 + a2 - (b1 + b2))
-            raise ValueError(
-                "lattice width must be attained by the vertical direction "
-                f"(candidates {width_candidates})"
-            )
-        b2, c1, c2 = Fraction(nb2, db2), Fraction(nc1, E), Fraction(nc2, E)
+        D, (A1, A2, B1) = over_common_denominator((_frac(self.a1), _frac(self.a2), _frac(self.b1)))
+        self._frame = _t3_frame(D, A1, A2, B1)
+        self._fill()
+
+    @classmethod
+    def _from_frame(cls, D: int, A1: int, A2: int, B1: int) -> "Type3Body":
+        """The body ``Type3Body(A1/D, A2/D, B1/D)``, for ``D > 0``, built
+        from the integers; its fields are filled when first read."""
+        g = gcd(D, A1, A2, B1)
+        body = cls.__new__(cls)
+        body._frame = _t3_frame(D // g, A1 // g, A2 // g, B1 // g)
+        return body
+
+    def _fill(self):
+        D, A1, A2, B1, nb2, db2, E, nc2 = self._frame
+        a1, a2, b1 = Fraction(A1, D), Fraction(A2, D), Fraction(B1, D)
+        b2, c1, c2 = Fraction(nb2, db2), Fraction(A1 * (A1 - D) * B1, E), Fraction(nc2, E)
         self.a1, self.a2, self.b1 = a1, a2, b1
         self.b2, self.c1, self.c2 = b2, c1, c2
-        self._frame = (D, A1, A2, B1, nb2, db2, E, nc2)
         a, b, c = Rational2(a1, a2), Rational2(b1, b2), Rational2(c1, c2)
         self._vertices = (a, b, c)
         # a lies right of the lattice points, b below and c above left, so
@@ -376,6 +403,33 @@ class Type3Body(LatticeFreeBody):
         self._cycle = (c, b, a)
 
 
+def _t3_frame(D: int, A1: int, A2: int, B1: int) -> tuple[int, ...]:
+    """The type 3 ``_frame`` of ``(A1, A2, B1) / D`` over their least
+    denominator ``D``, or the constructor's ValueError."""
+    if not A1 > D:
+        raise ValueError(f"need a1 > 1, got a1={Fraction(A1, D)}")
+    if not (0 < A2 < D):
+        raise ValueError(f"need 0 < a2 < 1, got a2={Fraction(A2, D)}")
+    if not (0 < B1 < D):
+        raise ValueError(f"need 0 < b1 < 1, got b1={Fraction(B1, D)}")
+    nb2, db2 = -A2 * (D - B1), D * (A1 - D)  # b2 = nb2 / db2, db2 > 0
+    if not B1 * (A1 - D) + nb2 < 0:
+        raise ValueError(f"need b1 + b2 < 0, got {Fraction(B1, D) + Fraction(nb2, db2)}")
+    E = (A1 - D) * (D - A2) * B1 - A1 * A2 * (D - B1)
+    nc1, nc2 = A1 * (A1 - D) * B1, -A1 * A2 * (D - B1)  # c = (nc1, nc2) / E
+    # c2 - b2 <= a1 - c1 times D db2 E < 0, and c2 - b2 <= a1 + a2 - (b1 + b2) times D E
+    if not (D * db2 * (nc1 + nc2) >= (A1 * db2 + D * nb2) * E and D * nc2 >= (A1 + A2 - B1) * E):
+        a1, a2, b1 = Fraction(A1, D), Fraction(A2, D), Fraction(B1, D)
+        b2, c1, c2 = Fraction(nb2, db2), Fraction(nc1, E), Fraction(nc2, E)
+        width_candidates = (c2 - b2, a1 - c1, a1 + a2 - (b1 + b2))
+        raise ValueError(
+            "lattice width must be attained by the vertical direction "
+            f"(candidates {width_candidates})"
+        )
+    return (D, A1, A2, B1, nb2, db2, E, nc2)
+
+
+@_filled_on_read
 @dataclass(repr=False)
 class QuadBody(LatticeFreeBody):
     """Quadrilateral with one lattice point on each edge.
@@ -399,36 +453,59 @@ class QuadBody(LatticeFreeBody):
     a2: Rat
     b1: Rat
     b2: Rat
+    _on_read = ("a1", "a2", "b1", "b2", "c1", "c2", "d1", "d2", "_vertices", "_cycle")
 
     def __post_init__(self):
-        a1, a2, b1, b2 = _frac(self.a1), _frac(self.a2), _frac(self.b1), _frac(self.b2)
-        D, (A1, A2, B1, B2) = over_common_denominator((a1, a2, b1, b2))
-        if not (0 < A1 <= B1 < D):
-            raise ValueError(f"need 0 < a1 <= b1 < 1, got a1={a1}, b1={b1}")
-        if not A2 > D:
-            raise ValueError(f"need a2 > 1, got a2={a2}")
-        if not B2 < 0:
-            raise ValueError(f"need b2 < 0, got b2={b2}")
-        if not -B2 <= A2 - D:
-            raise ValueError(f"need -b2 <= a2 - 1, got b2={b2}, a2={a2}")
-        e_c = (A2 - D) * B1 - A1 * B2
-        e_d = (A2 - D) * (D - B1) - (D - A1) * B2
-        nc1, nc2 = -A1 * B1, -A1 * B2
-        nd1, nd2 = (A2 - A1) * (D - B1) - (D - A1) * B2, -(D - A1) * B2
-        # a2 - b2 <= d1 - c1 times D e_c e_d > 0
-        if not (A2 - B2) * e_c * e_d <= D * (nd1 * e_c - nc1 * e_d):
-            c1, d1 = Fraction(nc1, e_c), Fraction(nd1, e_d)
-            raise ValueError(
-                f"lattice width must be attained by the vertical direction "
-                f"(a2-b2={a2 - b2} > d1-c1={d1 - c1})"
-            )
-        c1, c2, d1, d2 = Fraction(nc1, e_c), Fraction(nc2, e_c), Fraction(nd1, e_d), Fraction(nd2, e_d)
+        D, (A1, A2, B1, B2) = over_common_denominator(
+            (_frac(self.a1), _frac(self.a2), _frac(self.b1), _frac(self.b2))
+        )
+        self._frame = _quad_frame(D, A1, A2, B1, B2)
+        self._fill()
+
+    @classmethod
+    def _from_frame(cls, D: int, A1: int, A2: int, B1: int, B2: int) -> "QuadBody":
+        """The body ``QuadBody(A1/D, A2/D, B1/D, B2/D)``, for ``D > 0``, built
+        from the integers; its fields are filled when first read."""
+        g = gcd(D, A1, A2, B1, B2)
+        body = cls.__new__(cls)
+        body._frame = _quad_frame(D // g, A1 // g, A2 // g, B1 // g, B2 // g)
+        return body
+
+    def _fill(self):
+        D, A1, A2, B1, B2, e_c, e_d = self._frame
+        a1, a2, b1, b2 = Fraction(A1, D), Fraction(A2, D), Fraction(B1, D), Fraction(B2, D)
+        nd1 = (A2 - A1) * (D - B1) - (D - A1) * B2
+        c1, c2 = Fraction(-A1 * B1, e_c), Fraction(-A1 * B2, e_c)
+        d1, d2 = Fraction(nd1, e_d), Fraction(-(D - A1) * B2, e_d)
         self.a1, self.a2, self.b1, self.b2 = a1, a2, b1, b2
         self.c1, self.c2, self.d1, self.d2 = c1, c2, d1, d2
-        self._frame = (D, A1, A2, B1, B2, e_c, e_d)
         a, b, c, d = Rational2(a1, a2), Rational2(b1, b2), Rational2(c1, c2), Rational2(d1, d2)
         self._vertices = (a, b, c, d)
         self._cycle = (c, b, d, a)
+
+
+def _quad_frame(D: int, A1: int, A2: int, B1: int, B2: int) -> tuple[int, ...]:
+    """The quad ``_frame`` of ``(A1, A2, B1, B2) / D`` over their least
+    denominator ``D``, or the constructor's ValueError."""
+    if not (0 < A1 <= B1 < D):
+        raise ValueError(f"need 0 < a1 <= b1 < 1, got a1={Fraction(A1, D)}, b1={Fraction(B1, D)}")
+    if not A2 > D:
+        raise ValueError(f"need a2 > 1, got a2={Fraction(A2, D)}")
+    if not B2 < 0:
+        raise ValueError(f"need b2 < 0, got b2={Fraction(B2, D)}")
+    if not -B2 <= A2 - D:
+        raise ValueError(f"need -b2 <= a2 - 1, got b2={Fraction(B2, D)}, a2={Fraction(A2, D)}")
+    e_c = (A2 - D) * B1 - A1 * B2
+    e_d = (A2 - D) * (D - B1) - (D - A1) * B2
+    nc1 = -A1 * B1
+    nd1 = (A2 - A1) * (D - B1) - (D - A1) * B2
+    # a2 - b2 <= d1 - c1 times D e_c e_d > 0
+    if not (A2 - B2) * e_c * e_d <= D * (nd1 * e_c - nc1 * e_d):
+        raise ValueError(
+            f"lattice width must be attained by the vertical direction "
+            f"(a2-b2={Fraction(A2 - B2, D)} > d1-c1={Fraction(nd1, e_d) - Fraction(nc1, e_c)})"
+        )
+    return (D, A1, A2, B1, B2, e_c, e_d)
 
 
 Body = Union[SplitBody, Type1Body, Type2Body, Type3Body, QuadBody]
@@ -465,7 +542,8 @@ def lattice_width(body: LatticeFreeBody) -> Fraction:
         nb2, db2, E, nc2 = body._frame[4:]
         return Fraction(nc2 * db2 - nb2 * E, E * db2)  # c2 - b2
     if isinstance(body, QuadBody):
-        return body.a2 - body.b2
+        D, _, A2, _, B2 = body._frame[:5]
+        return Fraction(A2 - B2, D)  # a2 - b2
     raise TypeError(f"unsupported body {body!r}")
 
 

@@ -180,7 +180,11 @@ def monte_carlo_lower(
     _check_int("seed", seed)
     if not 0 <= seed < 2**128:
         raise ValueError(f"need 0 <= seed < 2**128, got seed={seed}")
-    z = float(check_threshold(z))
+    z = check_threshold(z)
+    try:
+        z = float(z)
+    except OverflowError:
+        raise ValueError(f"threshold {z} is beyond the float range of Monte Carlo sampling") from None
     evaluate = _t_bar_evaluator(body)
     fan = _fan_triangles(body)
 

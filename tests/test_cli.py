@@ -352,6 +352,27 @@ class TestExitCodes:
         assert "threshold must satisfy z > 1, got 1" in err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ("montecarlo", "--body", T2_DESC, "--samples", "10"),
+            ("sweep", "--family", "t2", "--step", "1/4", "--mc-samples", "10"),
+        ],
+        ids=["montecarlo", "sweep"],
+    )
+    def test_threshold_beyond_float_range(self, capsys, monkeypatch, argv):
+        # an exact threshold above the largest float has no float to compare
+        # the sampled strengths with
+        def sample(*args):
+            raise AssertionError("sampled before validating --z")
+
+        monkeypatch.setattr(montecarlo, "_sample_points", sample)
+        z = "1" + "0" * 400
+        code, out, err = invoke(capsys, *argv, "--z", z)
+        assert code == VALIDATION_ERROR
+        assert out == ""
+        assert err == f"error: threshold {z} is beyond the float range of Monte Carlo sampling\n"
+
+    @pytest.mark.parametrize(
         "argv, z",
         [
             (("--family", "t2", "--z", "1", "--step", "5"), "1"),

@@ -16,6 +16,7 @@ from cutstrength import (
     Type3Body,
     UnimodularMap,
     area,
+    bound_for,
     canonicalize,
     classify,
     corner_rays,
@@ -26,6 +27,7 @@ from cutstrength.geometry import (
     _edge_points,
     _row_meets_interior,
     is_strictly_convex,
+    over_common_denominator,
     shoelace_area,
 )
 
@@ -178,6 +180,62 @@ class TestConstruction:
     def test_split_normal_must_be_primitive(self):
         with pytest.raises(ValueError):
             SplitBody((2, 4), 0)
+
+
+@st.composite
+def body_frames(draw):
+    """``(cls, D, numerators)``: quad or type 3 parameters over and around the
+    family's domain as integers over ``D``, often a multiple of their least
+    denominator, so that the frame is not reduced."""
+    cls = draw(st.sampled_from((QuadBody, Type3Body)))
+    if draw(st.booleans()):
+        D, nums = over_common_denominator(draw(quad_params() if cls is QuadBody else t3_params()))
+    else:
+        D = draw(st.integers(1, 12))
+        nums = draw(st.lists(st.integers(-2 * D, 4 * D), min_size=len(fields(cls)), max_size=len(fields(cls))))
+    k = draw(st.integers(1, 3))
+    return cls, k * D, [k * n for n in nums]
+
+
+class TestFromFrame:
+    """``_from_frame(D, *numerators)`` against the constructor on the
+    Fractions ``numerator / D``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(body_frames(), st.data())
+    @example((QuadBody, 10, [4, 16, 6, -2]), None)  # every numerator even over D = 10
+    @example((Type3Body, 10, [30, 6, 2]), None)
+    @example((QuadBody, 10, [6, 16, 4, -2]), None)  # a1 > b1
+    @example((QuadBody, 4, [1, 7, 2, -2]), None)  # width not vertical
+    @example((Type3Body, 20, [70, 5, 10]), None)  # b1 + b2 >= 0
+    @example((Type3Body, 10, [11, 3, 5]), None)  # width not vertical
+    def test_same_as_constructor(self, frame, data):
+        cls, D, nums = frame
+        try:
+            built = cls(*(F(n, D) for n in nums))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as caught:
+                cls._from_frame(D, *nums)
+            assert str(caught.value) == str(exc)
+            return
+        # the constructor fills every field; _from_frame keeps only the frame
+        # until a field is read, and the width and the bounds read the frame
+        assert set(cls._on_read) <= set(vars(built))
+        framed = cls._from_frame(D, *nums)
+        assert framed._frame == built._frame
+        assert lattice_width(framed) == lattice_width(built)
+        assert [bound_for(framed, z) for z in (F(3, 2), F(2), F(7, 2))] == [
+            bound_for(built, z) for z in (F(3, 2), F(2), F(7, 2))
+        ]
+        assert set(vars(framed)) == {"_frame"}
+        assert framed == built and repr(framed) == repr(built)
+        for name in cls._on_read + ("_facets",):
+            assert getattr(framed, name) == getattr(built, name)
+        # reading any one field first fills them all alike
+        lazy = cls._from_frame(D, *nums)
+        if data is not None:
+            getattr(lazy, data.draw(st.sampled_from(cls._on_read)))
+        assert repr(lazy) == repr(built) and lazy == built
 
 
 class TestBodyModel:

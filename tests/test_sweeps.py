@@ -1,10 +1,11 @@
 from fractions import Fraction as F
+from math import ceil, floor
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cutstrength import p_t2_lower
+from cutstrength import p_t2_lower, sweeps
 from cutstrength.sweeps import DEFAULT_STEP, sweep_grid
 
 from conftest import sweep_grid_oracle
@@ -40,6 +41,46 @@ def t3_boxes(draw):
         "b1": draw(_span(q, 1, q - 1, 3)),
     }
     return F(1, q), ranges
+
+
+def _between(lo, hi):
+    """Rationals ``k/q`` in ``[lo, hi]`` over a denominator ``q`` of 2 to 12."""
+    return st.integers(2, 12).flatmap(lambda q: st.integers(ceil(lo * q), floor(hi * q)).map(lambda k: F(k, q)))
+
+
+def _off_grid(lo, hi, most):
+    """Ranges ``(l, l + d)`` with ``l`` in ``[lo, hi]`` and ``d`` in ``[0, most]``,
+    each over its own denominator, so neither end need be on the step's grid."""
+    return st.tuples(_between(lo, hi), _between(0, most)).map(lambda ld: (ld[0], ld[0] + ld[1]))
+
+
+# steps p/q with p from 1 to 3 (2/7, 3/10, ...), at most 1/4
+_STEPS = st.integers(5, 16).flatmap(lambda q: st.integers(1, min(3, q // 4)).map(lambda p: F(p, q)))
+
+
+@st.composite
+def off_grid_quad_boxes(draw):
+    """Quad range boxes whose ends lie off the step's grid; b1 may start
+    below a1, b2 may cross 0, and b1 and b2 are sometimes left to their
+    defaults."""
+    step = draw(_STEPS)
+    ranges = {"a1": draw(_off_grid(F(1, 12), F(3, 4), F(1, 2))), "a2": draw(_off_grid(F(13, 12), F(7, 4), F(1, 2)))}
+    if draw(st.booleans()):
+        ranges["b1"] = draw(_off_grid(F(0), F(3, 4), F(1, 2)))
+    if draw(st.booleans()):
+        ranges["b2"] = draw(_off_grid(F(-3, 2), F(0), F(1)))
+    return step, ranges
+
+
+@st.composite
+def off_grid_t3_boxes(draw):
+    step = draw(_STEPS)
+    ranges = {
+        "a1": draw(_off_grid(F(13, 12), F(5, 2), F(1))),
+        "a2": draw(_off_grid(F(1, 12), F(2, 3), F(1, 2))),
+        "b1": draw(_off_grid(F(1, 12), F(1, 2), F(1, 2))),
+    }
+    return step, ranges
 
 
 def _triples(rows):
@@ -79,6 +120,22 @@ class TestAgainstBruteForce:
     @settings(max_examples=20, deadline=None)
     @given(t3_boxes())
     def test_t3_drawn_boxes(self, box):
+        self._check("t3", *box)
+
+    # every lower end off the step's grid, so the grid's denominator is the
+    # lcm of the step's and the ends'
+    @settings(max_examples=30, deadline=None)
+    @given(off_grid_quad_boxes())
+    @example((F(2, 7), {"a1": (F(1, 3), F(3, 4)), "a2": (F(6, 5), F(7, 4)), "b1": (F(1, 4), F(5, 6)), "b2": (F(-4, 5), F(1, 3))}))
+    @example((F(3, 10), {"a1": (F(1, 4), F(2, 3)), "a2": (F(7, 6), F(19, 10))}))
+    def test_quad_off_grid_boxes(self, box):
+        self._check("quad", *box)
+
+    @settings(max_examples=20, deadline=None)
+    @given(off_grid_t3_boxes())
+    @example((F(2, 7), {"a1": (F(4, 3), F(5, 2)), "a2": (F(1, 5), F(3, 4)), "b1": (F(1, 6), F(2, 3))}))
+    @example((F(3, 10), {"a1": (F(5, 4), F(13, 4)), "a2": (F(1, 3), F(5, 6)), "b1": (F(1, 4), F(3, 4))}))
+    def test_t3_off_grid_boxes(self, box):
         self._check("t3", *box)
 
     def _check(self, family, step, ranges):
@@ -211,3 +268,32 @@ class TestSweepValidation:
 
     def test_default_step(self):
         assert DEFAULT_STEP == F(1, 50)
+
+
+class TestTracedNames:
+    """The benchmark's tracer (``bench/tracing.py``) replaces these names of
+    ``sweeps`` with wrapper functions while a traced run lasts."""
+
+    NAMES = ("QuadBody", "Type3Body", "lattice_width", "quad_lower", "t3_lower")
+
+    def test_names_bound(self):
+        for name in self.NAMES:
+            assert callable(getattr(sweeps, name))
+
+    @pytest.mark.parametrize("family", ["quad", "t3"])
+    def test_wrapped_names_give_the_same_rows(self, monkeypatch, family):
+        expected = sweep_grid(family, F(2), step=F(1, 10))
+        calls = {name: 0 for name in self.NAMES}
+        for name in self.NAMES:
+            original = getattr(sweeps, name)
+
+            def wrapper(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(sweeps, name, wrapper)
+        assert sweep_grid(family, F(2), step=F(1, 10)) == expected
+        # the bounds and the type 3 width go through the wrapped names; a
+        # quad's width is read off the grid
+        assert calls[f"{family}_lower"] == len(expected)
+        assert calls["lattice_width"] == (len(expected) if family == "t3" else 0)
