@@ -20,7 +20,7 @@ Type3 = (a, b, c); Quad = (a, b, c, d) with a top, b bottom, c left, d right.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -213,30 +213,62 @@ class UnimodularMap:
 # bodies
 
 
+def _coordinates(i: int) -> tuple[property, property]:
+    """Read-only properties for the two coordinates of vertex ``i``."""
+    return property(lambda body: body._vertices[i].x1), property(lambda body: body._vertices[i].x2)
+
+
 class LatticeFreeBody:
     """Base for all canonical-form bodies.
 
-    Each family is a dataclass whose fields are its parameters.  Its
-    ``__post_init__`` coerces them with ``_frac``, validates them and fixes
-    the vertices once: ``_vertices`` in the documented corner-ray order and
-    ``_cycle`` counter-clockwise, an orientation that the family's sign
-    constraints decide.  Bodies compare equal by their fields.
+    A body's only state is its integer frame ``_frame``: a split's is ``(n1,
+    n2, offset)``, type 1's is ``()``, and a bounded family's is what its
+    ``_check(D, *numerators)`` returns for the parameters ``numerators / D``
+    over their least denominator ``D`` (or it raises the constructor's
+    ValueError): ``D``, the numerators, then the integers the check derives.
+    Frames are canonical, so bodies of one family are equal exactly when
+    their frames are.  The rest is read off the frame: ``_vertices``, in the
+    documented corner-ray order, is built on first read, the parameters and
+    derived coordinates are read-only properties over it, and ``_order``
+    lists the vertices counter-clockwise for ``polygon()``, an orientation
+    that the family's sign constraints decide.
 
-    The type 3 and quad families also build a body from its integer frame,
-    the parameters as integers over one denominator, with ``_from_frame``:
-    it runs the constructor's checks on the integers and keeps only
-    ``_frame``.  Such a body fills its fields, the derived vertex
-    coordinates, ``_vertices`` and ``_cycle`` (the family's ``_on_read``)
-    the first time one of them is read, with the fill code the constructor
-    runs, so it then equals the constructed body, field for field.
+    The constructor coerces the parameters with ``_frac``, runs ``_check``
+    and builds the vertices; ``_from_frame`` builds the same body from the
+    integers and holds only the frame until something else is read.
     """
 
     tag: str
-    _vertices: tuple[Rational2, ...]
-    _cycle: tuple[Rational2, ...]
+    _frame: tuple[int, ...]
+    _params: tuple[str, ...] = ()
+    _order: tuple[int, ...] = (0, 1, 2)
+
+    def _init(self, *params: Rat) -> None:
+        D, numerators = over_common_denominator([_frac(p) for p in params])
+        self._frame = self._check(D, *numerators)
+        self._vertices  # built now, so that a constructed body pays for them here
+
+    @classmethod
+    def _from_frame(cls, *frame: int):
+        """The body with parameters ``numerators / D``, for ``frame = (D,
+        *numerators)`` and ``D > 0``.  (One starred tuple, passed on whole,
+        keeps the call as cheap as a fixed signature.)"""
+        g = gcd(*frame)
+        if g != 1:
+            frame = [n // g for n in frame]
+        body = cls.__new__(cls)
+        body._frame = cls._check(*frame)
+        return body
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._frame == other._frame
+
+    __hash__ = None
 
     def __repr__(self):
-        args = ", ".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
+        args = ", ".join(f"{name}={getattr(self, name)}" for name in self._params)
         return f"{type(self).__name__}({args})"
 
     def vertices(self) -> tuple[Rational2, ...]:
@@ -245,7 +277,7 @@ class LatticeFreeBody:
 
     def polygon(self) -> list[Rational2]:
         """Vertices as a counter-clockwise boundary cycle."""
-        return list(self._cycle)
+        return [self._vertices[i] for i in self._order]
 
     @cached_property
     def _facets(self) -> tuple[int, tuple[tuple[int, int, int], ...]]:
@@ -253,7 +285,7 @@ class LatticeFreeBody:
         after construction): ``(v, ((n1, n2, c), ...))`` with ``v`` the common
         denominator of the vertices, so that facet ``normal . x <= offset``
         is ``(n1, n2) . (v x) <= c`` with ``(n1, n2) = v normal``."""
-        v, ints = over_common_denominator([c for p in self._cycle for c in (p.x1, p.x2)])
+        v, ints = over_common_denominator([c for p in self.polygon() for c in (p.x1, p.x2)])
         pts = list(zip(ints[::2], ints[1::2]))
         facets = []
         for (a1, a2), (b1, b2) in zip(pts, pts[1:] + pts[:1]):
@@ -275,45 +307,25 @@ class LatticeFreeBody:
         return self._interior(f) is not None
 
 
-class _OnRead:
-    """A name that a body made by ``_from_frame`` lacks until it is read:
-    reading it runs the body's ``_fill``, which stores every name of
-    ``_on_read`` on the body, where later reads find them first."""
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __get__(self, body, owner=None):
-        if body is None:
-            return self
-        body._fill()
-        return body.__dict__[self.name]
-
-
-def _filled_on_read(cls):
-    """Put an ``_OnRead`` on ``cls`` for each of its ``_on_read`` names, once
-    ``dataclass`` has read the class, so that no field takes it as a default."""
-    for name in cls._on_read:
-        setattr(cls, name, _OnRead(name))
-    return cls
-
-
-@dataclass(repr=False)
 class SplitBody(LatticeFreeBody):
     """The band ``offset <= normal . x <= offset + 1`` with primitive normal."""
 
     tag = "split"
-    normal: tuple[int, int] = (0, 1)
-    offset: int = 0
+    _params = ("normal", "offset")
+    normal = property(lambda body: body._frame[:2])
+    offset = property(lambda body: body._frame[2])
 
-    def __post_init__(self):
-        n1, n2 = int(self.normal[0]), int(self.normal[1])
+    def __init__(self, normal: tuple[int, int] = (0, 1), offset: int = 0):
+        n1, n2 = int(normal[0]), int(normal[1])
         if (n1, n2) == (0, 0) or gcd(abs(n1), abs(n2)) != 1:
-            raise ValueError(f"split normal must be a primitive integer pair, got {self.normal}")
-        self.normal = (n1, n2)
-        self.offset = int(self.offset)
+            raise ValueError(f"split normal must be a primitive integer pair, got {normal}")
+        self._frame = (n1, n2, int(offset))
+
+    @cached_property
+    def _facets(self):
         # the facets n . x <= offset + 1 and -n . x <= -offset, over v = 1
-        self._facets = (1, ((n1, n2, self.offset + 1), (-n1, -n2, -self.offset)))
+        n1, n2, offset = self._frame
+        return 1, ((n1, n2, offset + 1), (-n1, -n2, -offset))
 
     def vertices(self):
         raise ValueError("a split is unbounded and has no vertices")
@@ -322,37 +334,49 @@ class SplitBody(LatticeFreeBody):
         raise ValueError("a split is unbounded and has no vertex cycle")
 
 
-@dataclass(repr=False)
 class Type1Body(LatticeFreeBody):
     """conv{(0,0), (2,0), (0,2)}: integer vertices, one lattice point per edge."""
 
     tag = "type1"
-    _vertices = _cycle = (point(0, 0), point(2, 0), point(0, 2))
+    _frame = ()
+    _vertices = (point(0, 0), point(2, 0), point(0, 2))
 
 
-@dataclass(repr=False)
 class Type2Body(LatticeFreeBody):
-    """Apex ``(a1, a2)``, base on the x1-axis; ``0 < a1 < 1 < a2``."""
+    """Apex ``(a1, a2)``, base on the x1-axis; ``0 < a1 < 1 < a2``.
+
+    In integers, with ``(a1, a2) = (A1, A2)/D``, the base runs from ``-A1 /
+    (A2 - D)`` to ``(A2 - A1) / (A2 - D)``; ``_frame = (D, A1, A2)``.
+    """
 
     tag = "type2"
-    a1: Rat
-    a2: Rat
+    _params = ("a1", "a2")
+    a1, a2 = _coordinates(2)
+    left = property(lambda body: body._vertices[0])
+    right = property(lambda body: body._vertices[1])
+    apex = property(lambda body: body._vertices[2])
 
-    def __post_init__(self):
-        a1, a2 = _frac(self.a1), _frac(self.a2)
-        if not (0 < a1 < 1):
-            raise ValueError(f"need 0 < a1 < 1, got a1={a1}")
-        if not (a2 > 1):
-            raise ValueError(f"need a2 > 1, got a2={a2}")
-        self.a1, self.a2 = a1, a2
-        self.left = Rational2(-a1 / (a2 - 1), Fraction(0))
-        self.right = Rational2((a2 - a1) / (a2 - 1), Fraction(0))
-        self.apex = Rational2(a1, a2)
-        self._vertices = self._cycle = (self.left, self.right, self.apex)
+    def __init__(self, a1: Rat, a2: Rat):
+        self._init(a1, a2)
+
+    @staticmethod
+    def _check(D: int, A1: int, A2: int) -> tuple[int, ...]:
+        if not 0 < A1 < D:
+            raise ValueError(f"need 0 < a1 < 1, got a1={Fraction(A1, D)}")
+        if not A2 > D:
+            raise ValueError(f"need a2 > 1, got a2={Fraction(A2, D)}")
+        return (D, A1, A2)
+
+    @cached_property
+    def _vertices(self) -> tuple[Rational2, ...]:
+        D, A1, A2 = self._frame
+        return (
+            Rational2(Fraction(-A1, A2 - D), Fraction(0)),
+            Rational2(Fraction(A2 - A1, A2 - D), Fraction(0)),
+            Rational2(Fraction(A1, D), Fraction(A2, D)),
+        )
 
 
-@_filled_on_read
-@dataclass(repr=False)
 class Type3Body(LatticeFreeBody):
     """Triangle with boundary lattice points exactly {(0,0), (1,0), (0,1)}.
 
@@ -364,73 +388,55 @@ class Type3Body(LatticeFreeBody):
     (D (A1 - D))`` and ``c = (A1 (A1 - D) B1, -A1 A2 (D - B1)) / E``, where
     ``E = (A1 - D)(D - A2) B1 - A1 A2 (D - B1)``.  Once ``b1 + b2 < 0``, that
     is ``(A1 - D) B1 < A2 (D - B1)``, ``E < A2 (D - B1)(D - A1 - A2) < 0``, and
-    then ``b2 < 0``, ``c1 < 0``, ``c2 > 1`` and ``0 < c1 + c2 < 1``.  The body
-    keeps the integers that ``bounds`` and ``lattice_width`` read as ``_frame
-    = (D, A1, A2, B1, nb2, db2, E, nc2)``, with ``b2 = nb2 / db2`` and ``c2 =
-    nc2 / E``; it is not a field.
+    then ``b2 < 0``, ``c1 < 0``, ``c2 > 1`` and ``0 < c1 + c2 < 1``.  The
+    frame, which ``bounds`` and ``lattice_width`` read, is ``(D, A1, A2, B1,
+    nb2, db2, E, nc2)``, with ``b2 = nb2 / db2`` and ``c2 = nc2 / E``.
     """
 
     tag = "type3"
-    a1: Rat
-    a2: Rat
-    b1: Rat
-    _on_read = ("a1", "a2", "b1", "b2", "c1", "c2", "_vertices", "_cycle")
+    _params = ("a1", "a2", "b1")
+    # a lies right of the lattice points, b below and c above left, so a, b,
+    # c turns clockwise
+    _order = (2, 1, 0)
+    (a1, a2), (b1, b2), (c1, c2) = map(_coordinates, range(3))
 
-    def __post_init__(self):
-        D, (A1, A2, B1) = over_common_denominator((_frac(self.a1), _frac(self.a2), _frac(self.b1)))
-        self._frame = _t3_frame(D, A1, A2, B1)
-        self._fill()
+    def __init__(self, a1: Rat, a2: Rat, b1: Rat):
+        self._init(a1, a2, b1)
 
-    @classmethod
-    def _from_frame(cls, D: int, A1: int, A2: int, B1: int) -> "Type3Body":
-        """The body ``Type3Body(A1/D, A2/D, B1/D)``, for ``D > 0``, built
-        from the integers; its fields are filled when first read."""
-        g = gcd(D, A1, A2, B1)
-        body = cls.__new__(cls)
-        body._frame = _t3_frame(D // g, A1 // g, A2 // g, B1 // g)
-        return body
+    @staticmethod
+    def _check(D: int, A1: int, A2: int, B1: int) -> tuple[int, ...]:
+        if not A1 > D:
+            raise ValueError(f"need a1 > 1, got a1={Fraction(A1, D)}")
+        if not (0 < A2 < D):
+            raise ValueError(f"need 0 < a2 < 1, got a2={Fraction(A2, D)}")
+        if not (0 < B1 < D):
+            raise ValueError(f"need 0 < b1 < 1, got b1={Fraction(B1, D)}")
+        nb2, db2 = -A2 * (D - B1), D * (A1 - D)  # b2 = nb2 / db2, db2 > 0
+        if not B1 * (A1 - D) + nb2 < 0:
+            raise ValueError(f"need b1 + b2 < 0, got {Fraction(B1 * db2 + nb2 * D, D * db2)}")
+        E = (A1 - D) * (D - A2) * B1 - A1 * A2 * (D - B1)
+        nc1, nc2 = A1 * (A1 - D) * B1, -A1 * A2 * (D - B1)  # c = (nc1, nc2) / E
+        # c2 - b2 <= a1 - c1 times D db2 E < 0, and c2 - b2 <= a1 + a2 - (b1 + b2) times D E
+        if not (D * db2 * (nc1 + nc2) >= (A1 * db2 + D * nb2) * E and D * nc2 >= (A1 + A2 - B1) * E):
+            # c2 - b2, a1 - c1 and a1 + a2 - (b1 + b2), one Fraction each
+            width_candidates = (Fraction(nc2 * db2 - nb2 * E, E * db2), Fraction(A1 * E - nc1 * D, D * E),
+                                Fraction((A1 + A2 - B1) * db2 - nb2 * D, D * db2))
+            raise ValueError(
+                "lattice width must be attained by the vertical direction "
+                f"(candidates {width_candidates})"
+            )
+        return (D, A1, A2, B1, nb2, db2, E, nc2)
 
-    def _fill(self):
+    @cached_property
+    def _vertices(self) -> tuple[Rational2, ...]:
         D, A1, A2, B1, nb2, db2, E, nc2 = self._frame
-        a1, a2, b1 = Fraction(A1, D), Fraction(A2, D), Fraction(B1, D)
-        b2, c1, c2 = Fraction(nb2, db2), Fraction(A1 * (A1 - D) * B1, E), Fraction(nc2, E)
-        self.a1, self.a2, self.b1 = a1, a2, b1
-        self.b2, self.c1, self.c2 = b2, c1, c2
-        a, b, c = Rational2(a1, a2), Rational2(b1, b2), Rational2(c1, c2)
-        self._vertices = (a, b, c)
-        # a lies right of the lattice points, b below and c above left, so
-        # a, b, c turns clockwise
-        self._cycle = (c, b, a)
-
-
-def _t3_frame(D: int, A1: int, A2: int, B1: int) -> tuple[int, ...]:
-    """The type 3 ``_frame`` of ``(A1, A2, B1) / D`` over their least
-    denominator ``D``, or the constructor's ValueError."""
-    if not A1 > D:
-        raise ValueError(f"need a1 > 1, got a1={Fraction(A1, D)}")
-    if not (0 < A2 < D):
-        raise ValueError(f"need 0 < a2 < 1, got a2={Fraction(A2, D)}")
-    if not (0 < B1 < D):
-        raise ValueError(f"need 0 < b1 < 1, got b1={Fraction(B1, D)}")
-    nb2, db2 = -A2 * (D - B1), D * (A1 - D)  # b2 = nb2 / db2, db2 > 0
-    if not B1 * (A1 - D) + nb2 < 0:
-        raise ValueError(f"need b1 + b2 < 0, got {Fraction(B1, D) + Fraction(nb2, db2)}")
-    E = (A1 - D) * (D - A2) * B1 - A1 * A2 * (D - B1)
-    nc1, nc2 = A1 * (A1 - D) * B1, -A1 * A2 * (D - B1)  # c = (nc1, nc2) / E
-    # c2 - b2 <= a1 - c1 times D db2 E < 0, and c2 - b2 <= a1 + a2 - (b1 + b2) times D E
-    if not (D * db2 * (nc1 + nc2) >= (A1 * db2 + D * nb2) * E and D * nc2 >= (A1 + A2 - B1) * E):
-        a1, a2, b1 = Fraction(A1, D), Fraction(A2, D), Fraction(B1, D)
-        b2, c1, c2 = Fraction(nb2, db2), Fraction(nc1, E), Fraction(nc2, E)
-        width_candidates = (c2 - b2, a1 - c1, a1 + a2 - (b1 + b2))
-        raise ValueError(
-            "lattice width must be attained by the vertical direction "
-            f"(candidates {width_candidates})"
+        return (
+            Rational2(Fraction(A1, D), Fraction(A2, D)),
+            Rational2(Fraction(B1, D), Fraction(nb2, db2)),
+            Rational2(Fraction(A1 * (A1 - D) * B1, E), Fraction(nc2, E)),
         )
-    return (D, A1, A2, B1, nb2, db2, E, nc2)
 
 
-@_filled_on_read
-@dataclass(repr=False)
 class QuadBody(LatticeFreeBody):
     """Quadrilateral with one lattice point on each edge.
 
@@ -444,68 +450,50 @@ class QuadBody(LatticeFreeBody):
     ``d = ((A2 - A1)(D - B1) - (D - A1) B2, -(D - A1) B2) / e_d`` with
     ``e_d = (A2 - D)(D - B1) - (D - A1) B2``; both are positive once
     ``0 < a1 <= b1 < 1``, ``a2 > 1`` and ``b2 < 0``, and then
-    ``c1 < 0 < c2 <= d2 < 1 < d1``.  The body keeps ``_frame = (D, A1, A2,
-    B1, B2, e_c, e_d)``; it is not a field.
+    ``c1 < 0 < c2 <= d2 < 1 < d1``.  The frame is ``(D, A1, A2, B1, B2, e_c,
+    e_d)``.
     """
 
     tag = "quad"
-    a1: Rat
-    a2: Rat
-    b1: Rat
-    b2: Rat
-    _on_read = ("a1", "a2", "b1", "b2", "c1", "c2", "d1", "d2", "_vertices", "_cycle")
+    _params = ("a1", "a2", "b1", "b2")
+    _order = (2, 1, 3, 0)
+    (a1, a2), (b1, b2), (c1, c2), (d1, d2) = map(_coordinates, range(4))
 
-    def __post_init__(self):
-        D, (A1, A2, B1, B2) = over_common_denominator(
-            (_frac(self.a1), _frac(self.a2), _frac(self.b1), _frac(self.b2))
-        )
-        self._frame = _quad_frame(D, A1, A2, B1, B2)
-        self._fill()
+    def __init__(self, a1: Rat, a2: Rat, b1: Rat, b2: Rat):
+        self._init(a1, a2, b1, b2)
 
-    @classmethod
-    def _from_frame(cls, D: int, A1: int, A2: int, B1: int, B2: int) -> "QuadBody":
-        """The body ``QuadBody(A1/D, A2/D, B1/D, B2/D)``, for ``D > 0``, built
-        from the integers; its fields are filled when first read."""
-        g = gcd(D, A1, A2, B1, B2)
-        body = cls.__new__(cls)
-        body._frame = _quad_frame(D // g, A1 // g, A2 // g, B1 // g, B2 // g)
-        return body
-
-    def _fill(self):
-        D, A1, A2, B1, B2, e_c, e_d = self._frame
-        a1, a2, b1, b2 = Fraction(A1, D), Fraction(A2, D), Fraction(B1, D), Fraction(B2, D)
+    @staticmethod
+    def _check(D: int, A1: int, A2: int, B1: int, B2: int) -> tuple[int, ...]:
+        if not (0 < A1 <= B1 < D):
+            raise ValueError(f"need 0 < a1 <= b1 < 1, got a1={Fraction(A1, D)}, b1={Fraction(B1, D)}")
+        if not A2 > D:
+            raise ValueError(f"need a2 > 1, got a2={Fraction(A2, D)}")
+        if not B2 < 0:
+            raise ValueError(f"need b2 < 0, got b2={Fraction(B2, D)}")
+        if not -B2 <= A2 - D:
+            raise ValueError(f"need -b2 <= a2 - 1, got b2={Fraction(B2, D)}, a2={Fraction(A2, D)}")
+        e_c = (A2 - D) * B1 - A1 * B2
+        e_d = (A2 - D) * (D - B1) - (D - A1) * B2
+        nc1 = -A1 * B1
         nd1 = (A2 - A1) * (D - B1) - (D - A1) * B2
-        c1, c2 = Fraction(-A1 * B1, e_c), Fraction(-A1 * B2, e_c)
-        d1, d2 = Fraction(nd1, e_d), Fraction(-(D - A1) * B2, e_d)
-        self.a1, self.a2, self.b1, self.b2 = a1, a2, b1, b2
-        self.c1, self.c2, self.d1, self.d2 = c1, c2, d1, d2
-        a, b, c, d = Rational2(a1, a2), Rational2(b1, b2), Rational2(c1, c2), Rational2(d1, d2)
-        self._vertices = (a, b, c, d)
-        self._cycle = (c, b, d, a)
+        # a2 - b2 <= d1 - c1 times D e_c e_d > 0
+        if not (A2 - B2) * e_c * e_d <= D * (nd1 * e_c - nc1 * e_d):
+            raise ValueError(
+                f"lattice width must be attained by the vertical direction "
+                f"(a2-b2={Fraction(A2 - B2, D)} > d1-c1={Fraction(nd1 * e_c - nc1 * e_d, e_d * e_c)})"
+            )
+        return (D, A1, A2, B1, B2, e_c, e_d)
 
-
-def _quad_frame(D: int, A1: int, A2: int, B1: int, B2: int) -> tuple[int, ...]:
-    """The quad ``_frame`` of ``(A1, A2, B1, B2) / D`` over their least
-    denominator ``D``, or the constructor's ValueError."""
-    if not (0 < A1 <= B1 < D):
-        raise ValueError(f"need 0 < a1 <= b1 < 1, got a1={Fraction(A1, D)}, b1={Fraction(B1, D)}")
-    if not A2 > D:
-        raise ValueError(f"need a2 > 1, got a2={Fraction(A2, D)}")
-    if not B2 < 0:
-        raise ValueError(f"need b2 < 0, got b2={Fraction(B2, D)}")
-    if not -B2 <= A2 - D:
-        raise ValueError(f"need -b2 <= a2 - 1, got b2={Fraction(B2, D)}, a2={Fraction(A2, D)}")
-    e_c = (A2 - D) * B1 - A1 * B2
-    e_d = (A2 - D) * (D - B1) - (D - A1) * B2
-    nc1 = -A1 * B1
-    nd1 = (A2 - A1) * (D - B1) - (D - A1) * B2
-    # a2 - b2 <= d1 - c1 times D e_c e_d > 0
-    if not (A2 - B2) * e_c * e_d <= D * (nd1 * e_c - nc1 * e_d):
-        raise ValueError(
-            f"lattice width must be attained by the vertical direction "
-            f"(a2-b2={Fraction(A2 - B2, D)} > d1-c1={Fraction(nd1, e_d) - Fraction(nc1, e_c)})"
+    @cached_property
+    def _vertices(self) -> tuple[Rational2, ...]:
+        D, A1, A2, B1, B2, e_c, e_d = self._frame
+        nd1 = (A2 - A1) * (D - B1) - (D - A1) * B2
+        return (
+            Rational2(Fraction(A1, D), Fraction(A2, D)),
+            Rational2(Fraction(B1, D), Fraction(B2, D)),
+            Rational2(Fraction(-A1 * B1, e_c), Fraction(-A1 * B2, e_c)),
+            Rational2(Fraction(nd1, e_d), Fraction(-(D - A1) * B2, e_d)),
         )
-    return (D, A1, A2, B1, B2, e_c, e_d)
 
 
 Body = Union[SplitBody, Type1Body, Type2Body, Type3Body, QuadBody]
@@ -537,7 +525,8 @@ def lattice_width(body: LatticeFreeBody) -> Fraction:
     if isinstance(body, Type1Body):
         return Fraction(2)
     if isinstance(body, Type2Body):
-        return min(body.a2, body.a2 / (body.a2 - 1))
+        D, _, A2 = body._frame
+        return Fraction(A2, max(D, A2 - D))  # min(a2, a2 / (a2 - 1))
     if isinstance(body, Type3Body):
         nb2, db2, E, nc2 = body._frame[4:]
         return Fraction(nc2 * db2 - nb2 * E, E * db2)  # c2 - b2

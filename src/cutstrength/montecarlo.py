@@ -185,8 +185,11 @@ def monte_carlo_lower(
         z = float(z)
     except OverflowError:
         raise ValueError(f"threshold {z} is beyond the float range of Monte Carlo sampling") from None
-    evaluate = _t_bar_evaluator(body)
-    fan = _fan_triangles(body)
+    try:
+        evaluate = _t_bar_evaluator(body)
+        fan = _fan_triangles(body)
+    except OverflowError:
+        raise ValueError("the body's coordinates are beyond the float range of Monte Carlo sampling") from None
 
     def run(start: int) -> int:
         count = min(_CHUNK, samples - start)

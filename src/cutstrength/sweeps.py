@@ -8,8 +8,9 @@ approach one.
 A grid is walked in integers: every parameter value is a numerator over one
 denominator ``D``, the least common multiple of the step's denominator and
 of each range's lower end's, and the step is the integer ``S = step D``.
-Quad and type 3 bodies are built from those integers by their families'
-``_from_frame``, which fills a body's Fraction fields only if they are read.
+Quad and type 3 bodies are built from those integers by ``_from_frame``,
+which keeps only the body's integer frame; its Fractions are derived only
+if they are read.
 Each row's parameters, and a quad's width ``a2 - b2``, come from a table of
 one Fraction per distinct numerator.
 

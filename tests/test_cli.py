@@ -373,6 +373,27 @@ class TestExitCodes:
         assert err == f"error: threshold {z} is beyond the float range of Monte Carlo sampling\n"
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ("montecarlo", "--body", json.dumps({"type": "type2", "a": ["1/2", "1" + "0" * 400]}), "--samples", "10"),
+            # the one type 3 body a1 = 10^400, a2 = 1/2, b1 = 10^-401
+            ("sweep", "--family", "t3", "--step", "1/2", "--range", f"a1=1{'0' * 400}:1{'0' * 400}",
+             "--range", "a2=1/2:1/2", "--range", f"b1=1/1{'0' * 401}:1/1{'0' * 401}", "--mc-samples", "10"),
+        ],
+        ids=["montecarlo", "sweep"],
+    )
+    def test_body_beyond_float_range(self, capsys, monkeypatch, argv):
+        # a vertex above the largest float has no float to sample near
+        def sample(*args):
+            raise AssertionError("sampled a body beyond the float range")
+
+        monkeypatch.setattr(montecarlo, "_sample_points", sample)
+        code, out, err = invoke(capsys, *argv, "--z", "2")
+        assert code == VALIDATION_ERROR
+        assert out == ""
+        assert err == "error: the body's coordinates are beyond the float range of Monte Carlo sampling\n"
+
+    @pytest.mark.parametrize(
         "argv, z",
         [
             (("--family", "t2", "--z", "1", "--step", "5"), "1"),

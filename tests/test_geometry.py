@@ -1,7 +1,6 @@
 import random
-from dataclasses import fields
 from fractions import Fraction as F
-from math import ceil, floor
+from math import ceil, floor, gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -33,6 +32,7 @@ from cutstrength.geometry import (
 
 from conftest import (
     IDENTITY,
+    _rat,
     any_body,
     ccw,
     facets,
@@ -94,7 +94,7 @@ def assert_same_as_oracle(cls, oracle, params, cycle):
     body = cls(*params)
     assert {name: getattr(body, name) for name in want} == want
     assert all(type(getattr(body, name)) is F for name in want)
-    args = ", ".join(f"{f.name}={want[f.name]}" for f in fields(cls))
+    args = ", ".join(f"{name}={want[name]}" for name in cls._params)
     assert repr(body) == f"{cls.__name__}({args})"
     vertex = {v: point(want[v + "1"], want[v + "2"]) for v in cycle}
     assert body.vertices() == tuple(vertex[v] for v in sorted(cycle))
@@ -184,17 +184,33 @@ class TestConstruction:
 
 @st.composite
 def body_frames(draw):
-    """``(cls, D, numerators)``: quad or type 3 parameters over and around the
-    family's domain as integers over ``D``, often a multiple of their least
-    denominator, so that the frame is not reduced."""
-    cls = draw(st.sampled_from((QuadBody, Type3Body)))
+    """``(cls, D, numerators)``: type 2, quad or type 3 parameters over and
+    around the family's domain as integers over ``D``, often a multiple of
+    their least denominator, so that the frame is not reduced."""
+    cls = draw(st.sampled_from((Type2Body, QuadBody, Type3Body)))
     if draw(st.booleans()):
-        D, nums = over_common_denominator(draw(quad_params() if cls is QuadBody else t3_params()))
+        params = {Type2Body: st.tuples(_rat(F(-1, 4), F(5, 4)), _rat(F(1, 2), 60)), QuadBody: quad_params(),
+                  Type3Body: t3_params()}[cls]
+        D, nums = over_common_denominator(draw(params))
     else:
         D = draw(st.integers(1, 12))
-        nums = draw(st.lists(st.integers(-2 * D, 4 * D), min_size=len(fields(cls)), max_size=len(fields(cls))))
+        arity = len(cls._params)
+        nums = draw(st.lists(st.integers(-2 * D, 4 * D), min_size=arity, max_size=arity))
     k = draw(st.integers(1, 3))
     return cls, k * D, [k * n for n in nums]
+
+
+# the public names each family derives from its frame
+DERIVED = {
+    Type2Body: ("a1", "a2", "left", "right", "apex"),
+    Type3Body: ("a1", "a2", "b1", "b2", "c1", "c2"),
+    QuadBody: ("a1", "a2", "b1", "b2", "c1", "c2", "d1", "d2"),
+}
+
+
+def derived(body):
+    """Those names' values, the vertices in both orders and the facets."""
+    return [getattr(body, name) for name in DERIVED[type(body)]] + [body.vertices(), body.polygon(), body._facets]
 
 
 class TestFromFrame:
@@ -205,10 +221,13 @@ class TestFromFrame:
     @given(body_frames(), st.data())
     @example((QuadBody, 10, [4, 16, 6, -2]), None)  # every numerator even over D = 10
     @example((Type3Body, 10, [30, 6, 2]), None)
+    @example((Type2Body, 6, [3, 9]), None)
     @example((QuadBody, 10, [6, 16, 4, -2]), None)  # a1 > b1
     @example((QuadBody, 4, [1, 7, 2, -2]), None)  # width not vertical
     @example((Type3Body, 20, [70, 5, 10]), None)  # b1 + b2 >= 0
     @example((Type3Body, 10, [11, 3, 5]), None)  # width not vertical
+    @example((Type2Body, 4, [4, 6]), None)  # a1 = 1
+    @example((Type2Body, 4, [2, 4]), None)  # a2 = 1
     def test_same_as_constructor(self, frame, data):
         cls, D, nums = frame
         try:
@@ -218,9 +237,11 @@ class TestFromFrame:
                 cls._from_frame(D, *nums)
             assert str(caught.value) == str(exc)
             return
-        # the constructor fills every field; _from_frame keeps only the frame
-        # until a field is read, and the width and the bounds read the frame
-        assert set(cls._on_read) <= set(vars(built))
+        # the constructor builds the vertices, so that a caller that builds
+        # its bodies before timing them does not time that work; _from_frame
+        # keeps only the frame until something else is read, and the width
+        # and the bounds read the frame
+        assert set(vars(built)) == {"_frame", "_vertices"}
         framed = cls._from_frame(D, *nums)
         assert framed._frame == built._frame
         assert lattice_width(framed) == lattice_width(built)
@@ -229,13 +250,63 @@ class TestFromFrame:
         ]
         assert set(vars(framed)) == {"_frame"}
         assert framed == built and repr(framed) == repr(built)
-        for name in cls._on_read + ("_facets",):
-            assert getattr(framed, name) == getattr(built, name)
-        # reading any one field first fills them all alike
+        assert derived(framed) == derived(built)
+        # reading any one name first derives everything alike
         lazy = cls._from_frame(D, *nums)
         if data is not None:
-            getattr(lazy, data.draw(st.sampled_from(cls._on_read)))
+            getattr(lazy, data.draw(st.sampled_from(DERIVED[cls])))
+            assert set(vars(lazy)) == {"_frame", "_vertices"}
         assert repr(lazy) == repr(built) and lazy == built
+        assert derived(lazy) == derived(built)
+
+
+@st.composite
+def any_body_or_split(draw):
+    if draw(st.booleans()):
+        return draw(any_body())
+    normal = draw(st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(lambda n: gcd(*n) == 1))
+    return SplitBody(normal, draw(st.integers(-5, 5)))
+
+
+def params(body):
+    return tuple(getattr(body, name) for name in body._params)
+
+
+class TestBodyState:
+    """A body is its frame: equality, hashing and assignment go by it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(any_body_or_split(), any_body_or_split(), st.integers(1, 4))
+    def test_equal_exactly_when_parameters_are(self, body, other, k):
+        assert (body == other) == (type(body) is type(other) and params(body) == params(other))
+        assert (body != other) == (not body == other)
+        cls = type(body)
+        same = [cls(*params(body))]
+        if isinstance(body, (Type2Body, Type3Body, QuadBody)):
+            D, nums = over_common_denominator(params(body))
+            same += [cls(*map(str, params(body))), cls._from_frame(k * D, *(k * n for n in nums))]
+        for twin in same:
+            assert twin == body and not twin != body
+            assert params(twin) == params(body) and repr(twin) == repr(body)
+            assert (twin == other) == (body == other)
+
+    @settings(max_examples=100, deadline=None)
+    @given(any_body_or_split())
+    def test_unhashable(self, body):
+        with pytest.raises(TypeError):
+            hash(body)
+
+    @settings(max_examples=100, deadline=None)
+    @given(any_body_or_split(), st.data())
+    def test_parameters_read_only(self, body, data):
+        names = body._params + DERIVED.get(type(body), ())
+        assume(names)
+        name = data.draw(st.sampled_from(names))
+        value = getattr(body, name)
+        with pytest.raises(AttributeError):
+            setattr(body, name, value)
+        assert getattr(body, name) == value
+
 
 
 class TestBodyModel:
