@@ -18,8 +18,8 @@ where its ``t_bar`` equals z, ``k l1 l2 / (den m^2)``, then from the root of
 ``l3 = l4`` and this takes off the corner that the line has passed at a
 vertex; for type 2 it adds the paper's second part ``g2``.  Quad regions 2
 and 4 are regions 1 and 3 of the body turned half a turn about (1/2, 1/2).
-Since ``m^2`` is common to every step, a call divides by it once, in the
-``Fraction`` it returns.
+A call adds each term's steps over the ``den`` they share, and since ``m^2``
+is common to every step, divides by it once, in the ``Fraction`` it returns.
 
 For the type 1 triangle the value is an exact probability, not merely a
 bound; it has a genuine jump at ``z = 2`` because the strength equals 2 on a
@@ -71,11 +71,15 @@ class PiecewiseBound:
         m = z.numerator - q
         num, den = 0, 1
         for term in self.terms:
+            tn, td = 0, 1
             for d, (a, b), k, (a1, b1), (a2, b2) in term:
                 if a * m + b * q < 0:
                     break  # so are the selectors of the later roots
                 n = k * (a1 * m + b1 * q) * (a2 * m + b2 * q)
-                num, den = num * d + n * den, den * d
+                # a term's steps share their den; the general path is for terms built by hand
+                tn, td = (tn + n, td) if d == td else (tn * d + n * td, td * d)
+            if tn:
+                num, den = num * td + tn * den, den * td
         sn, sd = self.scale
         return Fraction(num * sd, den * m * m * sn)
 

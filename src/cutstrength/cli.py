@@ -2,7 +2,8 @@
 
 Subcommands: classify, width, strength, bound, montecarlo, sweep, plotdata.
 Bodies are passed as JSON descriptors (inline or @file), rationals as "p/q"
-strings.  Exit codes: 0 success, 2 usage error, 3 validation error.
+strings.  Exit codes: 0 success, 2 usage error, 3 validation error.  The
+argument parser is built once per process and reused by every :func:`run`.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import json
 import re
 import sys
 from contextlib import contextmanager
+from functools import cache
 
 from .bounds import bound_for, special_values
 from .descriptors import format_rational, parse_body, parse_json, parse_pair, parse_rational
@@ -35,6 +37,7 @@ def _load_body(raw: str):
     return parse_body(raw)
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="cutstrength")
     sub = top.add_subparsers(dest="command", required=True)
@@ -179,12 +182,13 @@ def _run_sweep(args) -> str:
         mc_samples=args.mc_samples,
         seed=args.seed,
     )
+    z, seed = format_rational(rows[0].z), str(args.seed)  # the same on every row
     if args.format == "json":
         payload = [
             {
                 "params": [format_rational(p) for p in r.params],
                 "w": format_rational(r.w),
-                "z": format_rational(r.z),
+                "z": z,
                 "bound": format_rational(r.bound),
                 "mc": None
                 if r.mc is None
@@ -211,10 +215,10 @@ def _run_sweep(args) -> str:
                 (
                     params,
                     format_rational(r.w),
-                    format_rational(r.z),
+                    z,
                     format_rational(r.bound),
                     *mc,
-                    str(args.seed),
+                    seed,
                 )
             )
         )

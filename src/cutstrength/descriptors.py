@@ -36,9 +36,8 @@ def parse_rational(value) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    if type(value) is not Fraction:
-        value = Fraction(value)
-    return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
+    """``p/q``, or the integer alone when q = 1: the bytes of ``str(Fraction)``."""
+    return str(value if type(value) is Fraction else Fraction(value))
 
 
 def parse_pair(value) -> Rational2:

@@ -418,12 +418,10 @@ class Type3Body(LatticeFreeBody):
         nc1, nc2 = A1 * (A1 - D) * B1, -A1 * A2 * (D - B1)  # c = (nc1, nc2) / E
         # c2 - b2 <= a1 - c1 times D db2 E < 0, and c2 - b2 <= a1 + a2 - (b1 + b2) times D E
         if not (D * db2 * (nc1 + nc2) >= (A1 * db2 + D * nb2) * E and D * nc2 >= (A1 + A2 - B1) * E):
-            # c2 - b2, a1 - c1 and a1 + a2 - (b1 + b2), one Fraction each
-            width_candidates = (Fraction(nc2 * db2 - nb2 * E, E * db2), Fraction(A1 * E - nc1 * D, D * E),
-                                Fraction((A1 + A2 - B1) * db2 - nb2 * D, D * db2))
             raise ValueError(
                 "lattice width must be attained by the vertical direction "
-                f"(candidates {width_candidates})"
+                f"(c2-b2={Fraction(nc2 * db2 - nb2 * E, E * db2)}, a1-c1={Fraction(A1 * E - nc1 * D, D * E)}, "
+                f"a1+a2-b1-b2={Fraction((A1 + A2 - B1) * db2 - nb2 * D, D * db2)})"
             )
         return (D, A1, A2, B1, nb2, db2, E, nc2)
 

@@ -12,7 +12,9 @@ Quad and type 3 bodies are built from those integers by ``_from_frame``,
 which keeps only the body's integer frame; its Fractions are derived only
 if they are read.
 Each row's parameters, and a quad's width ``a2 - b2``, come from a table of
-one Fraction per distinct numerator.
+one Fraction per distinct numerator.  Quad rows are kept in one list per
+integer width ``A2 - B2``, joined widest first, which is the stable sort on
+``w`` with no key made per row; t3 and t2 rows are sorted on ``(float(w), w)``.
 
 The benchmark's tracer (``bench/tracing.py``) wraps this module's names
 ``QuadBody``, ``Type3Body``, ``lattice_width``, ``quad_lower`` and
@@ -118,7 +120,7 @@ def sweep_grid(
         if ranges and "b2" in ranges:
             boxes.append(_range(ranges, "b2", None))
         D, S, [(A1_lo, A1_hi), (A2_lo, A2_hi), (B1_lo, B1_hi), *b2_ends] = _grid(step, *boxes)
-        over, quad = _Over(D), geometry.QuadBody._from_frame
+        over, quad, by_width = _Over(D), geometry.QuadBody._from_frame, {}
         for A1 in range(A1_lo, A1_hi + 1, S):
             for B1 in range(max(A1, B1_lo), B1_hi + 1, S):
                 for A2 in range(A2_lo, A2_hi + 1, S):
@@ -140,7 +142,9 @@ def sweep_grid(
                             break
                     for B2, body in reversed(run):
                         params = (over[A1], over[A2], over[B1], over[B2])
-                        rows.append(_row(params, over[A2 - B2], z, quad_lower(body, z), body, mc_samples, seed))
+                        row = _row(params, over[A2 - B2], z, quad_lower(body, z), body, mc_samples, seed)
+                        by_width.setdefault(A2 - B2, []).append(row)
+        rows = [row for W in sorted(by_width, reverse=True) for row in by_width[W]]  # stable, widest first
     else:
         D, S, [(A1_lo, A1_hi), (A2_lo, A2_hi), (B1_lo, B1_hi)] = _grid(
             step,
@@ -165,9 +169,10 @@ def sweep_grid(
                     rows.append(_row(params, lattice_width(body), z, t3_lower(body, z), body, mc_samples, seed))
     if not rows:
         raise ValueError("grid is empty: no valid parameter combinations")
-    # float rounding is monotone, so the exact w only breaks ties of the
-    # floats, and the stable sort keeps the order of a sort on w alone
-    rows.sort(key=lambda r: (float(r.w), r.w), reverse=True)
+    if family != "quad":
+        # float rounding is monotone, so the exact w only breaks ties of the
+        # floats, and the stable sort keeps the order of a sort on w alone
+        rows.sort(key=lambda r: (float(r.w), r.w), reverse=True)
     return rows
 
 

@@ -125,11 +125,10 @@ def t3_oracle(a1, a2, b1):
     c2 = -a1 * a2 * (1 - b1) / den
     # the parameter checks imply these; Type3Body relies on them unchecked
     assert b2 < 0 and c1 < 0 and c2 > 1 and 0 < c1 + c2 < 1, (a1, a2, b1)
-    width_candidates = (c2 - b2, a1 - c1, a1 + a2 - (b1 + b2))
-    if min(width_candidates) != c2 - b2:
+    if min(c2 - b2, a1 - c1, a1 + a2 - (b1 + b2)) != c2 - b2:
         raise ValueError(
             "lattice width must be attained by the vertical direction "
-            f"(candidates {width_candidates})"
+            f"(c2-b2={c2 - b2}, a1-c1={a1 - c1}, a1+a2-b1-b2={a1 + a2 - (b1 + b2)})"
         )
     return dict(a1=a1, a2=a2, b1=b1, b2=b2, c1=c1, c2=c2)
 

@@ -368,6 +368,24 @@ class TestIntegerFrame:
             for z in [b for b in ordered if b > 1] + drawn:
                 assert probe(z) == bisect_right(ordered, z)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(any_body(), quad_or_t3_body()),
+        st.lists(st.integers(1, 6), min_size=3, max_size=3),
+        st.lists(st.fractions(F(11, 10), 20, max_denominator=97), min_size=1, max_size=3),
+    )
+    @example(QuadBody(F(1, 2), F(3, 2), F(1, 2), F(-1, 2)), [1, 2, 3], [F(7, 2)])
+    @example(Type1Body(), [2, 1, 3], [F(7, 4), F(3)])
+    def test_steps_over_their_own_dens(self, body, factors, drawn):
+        # terms are public, so a term built by hand may give its steps
+        # different dens; a step whose den and k are scaled by one factor
+        # adds the same value
+        pb = piecewise_bound_for(body)
+        terms = tuple(tuple((d * f, sel, k * f, l1, l2) for (d, sel, k, l1, l2), f in zip(term, factors))
+                      for term in pb.terms)
+        for z in [b for b in pb.breakpoints if b > 1] + drawn:
+            assert PiecewiseBound(terms, pb.scale)(z) == pb(z)
+
 
 class TestTermContinuity:
     """Every type 2, quad and type 3 term is 0, then a trapezoid that

@@ -6,10 +6,10 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cutstrength.cli import USAGE_ERROR, VALIDATION_ERROR, exact_digits, run
+from cutstrength.cli import USAGE_ERROR, VALIDATION_ERROR, _parser, exact_digits, run
 from cutstrength.descriptors import (
     body_to_dict,
     format_rational,
@@ -25,6 +25,8 @@ from conftest import any_body, root_vertex
 T2_DESC = '{"type":"type2","a":["1/2","3/2"]}'
 VERTICES_DESC = '{"vertices":[["0","0"],["2","0"],["0","2"]]}'
 SPLIT_DESC = '{"type":"split","normal":[0,1]}'
+# a type 3 body whose lattice width is not attained by the vertical direction
+T3_NOT_VERTICAL_DESC = '{"type":"type3","a":["11/10","3/10"],"b1":"1/2"}'
 
 # (family, z, sha256 of the sweep's CSV at step 1/10)
 SWEEP_GOLDENS = [
@@ -74,6 +76,32 @@ class TestDescriptors:
     def test_round_trip(self):
         for v in (F(3, 2), F(-7, 13), F(0), F(10**6)):
             assert parse_rational(format_rational(v)) == v
+
+    # (lead, tail, big) stands for lead * 10**4999 + tail if big, else lead:
+    # an int of either sign, of 5,000 or more digits if big.  Hypothesis
+    # prints its draws, so they stay small and the big ints are made in the
+    # test, under exact_digits
+    _INT = st.tuples(st.integers(), st.integers(0, 10**6), st.booleans())
+
+    @staticmethod
+    def _int(lead, tail, big):
+        return lead * 10**4999 + tail if big else lead
+
+    @settings(max_examples=200, deadline=None)
+    @given(_INT, st.one_of(st.none(), _INT))
+    @example((-1, 1, True), None)
+    @example((-1, 1, True), (1, 3, True))
+    @example((6, 0, False), (-4, 0, False))
+    def test_format_rational_is_numerator_over_denominator(self, num, den):
+        with exact_digits():
+            value = self._int(*num)
+            if den is not None:
+                assume(self._int(*den) != 0)
+                value = F(value, self._int(*den))
+            # the formula format_rational had before it returned str(Fraction)
+            n, d = F(value).as_integer_ratio()
+            assert format_rational(value) == (f"{n}/{d}" if d != 1 else str(n))
+            assert parse_rational(format_rational(value)) == value
 
     def test_parse_pair(self):
         assert parse_pair(["1/2", "3/2"]) == point(F(1, 2), F(3, 2))
@@ -315,6 +343,11 @@ class TestExitCodes:
                 ("sweep", "--family", "quad", "--z", "2", "--range", "b2"),
                 "malformed --range 'b2', expected PARAM=LO:HI",
             ),
+            (
+                ("bound", "--body", T3_NOT_VERTICAL_DESC, "--z", "7/4"),
+                "lattice width must be attained by the vertical direction "
+                "(c2-b2=36/13, a1-c1=99/65, a1+a2-b1-b2=12/5)",
+            ),
             (("classify", "--body", "[1, 2]"), "descriptor must be a JSON object, got [1, 2]"),
             (
                 ("classify", "--body", '{"vertices":[["0","0"],["2","0"]]}'),
@@ -330,6 +363,7 @@ class TestExitCodes:
             "montecarlo-split",
             "strength-N0",
             "range-without-equals",
+            "type3-width-not-vertical",
             "descriptor-array",
             "two-vertices",
         ],
@@ -477,6 +511,31 @@ class TestExitCodes:
         assert code == VALIDATION_ERROR
         assert out == ""
         assert err.startswith("error:")
+
+
+class TestParserReuse:
+    """The parser is built once per process, so no call may leave state in it
+    for the next: each call gives the exit code and bytes it gives first."""
+
+    # the last sweep leaves to their defaults the options the first one sets
+    CALLS = [
+        ("sweep", "--family", "t2", "--z", "2", "--step", "1/4", "--range", "w=5/4:7/4", "--mc-samples", "50",
+         "--seed", "3", "--format", "json"),
+        ("sweep", "--family", "t2", "--z", "2", "--frobnicate"),
+        ("bound", "--body", T3_NOT_VERTICAL_DESC, "--z", "7/4"),
+        ("bound", "--body", T2_DESC, "--z", "7/4"),
+        ("sweep", "--family", "quad", "--z", "3/2", "--step", "1/4"),
+    ]
+
+    def test_each_call_as_if_first(self, capsys):
+        first = []
+        for argv in self.CALLS:
+            _parser.cache_clear()
+            first.append(invoke(capsys, *argv))
+        assert [code for code, _, _ in first] == [0, USAGE_ERROR, VALIDATION_ERROR, 0, 0]
+        _parser.cache_clear()
+        assert [invoke(capsys, *argv) for argv in self.CALLS] == first
+        assert _parser.cache_info().misses == 1
 
 
 class TestWholeDomain:

@@ -270,6 +270,27 @@ class TestSweepValidation:
         assert DEFAULT_STEP == F(1, 50)
 
 
+class TestQuadRowOrder:
+    """Quad rows come in the order of a stable sort on w, widest first, of the
+    rows in the order they are made."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.one_of(quad_boxes(), off_grid_quad_boxes()))
+    @example((F(1, 10), {}))
+    @example((F(1, 8), {"a2": (F(9, 8), F(15, 8)), "b2": (F(-3, 2), F(3, 8))}))
+    def test_stable_sort_of_the_rows_as_made(self, box):
+        step, ranges = box
+        made, make = [], sweeps._row
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sweeps, "_row", lambda *args: made.append(make(*args)) or made[-1])
+            try:
+                rows = sweep_grid("quad", F(2), step=step, ranges=ranges)
+            except ValueError:
+                assert not made
+                return
+        assert rows == sorted(made, key=lambda r: (float(r.w), r.w), reverse=True)
+
+
 class TestTracedNames:
     """The benchmark's tracer (``bench/tracing.py``) replaces these names of
     ``sweeps`` with wrapper functions while a traced run lasts."""
