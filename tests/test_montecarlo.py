@@ -2,6 +2,9 @@ import os
 import random
 import subprocess
 import sys
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 from math import sqrt
 from pathlib import Path
@@ -12,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cutstrength
+from cutstrength import montecarlo
 from cutstrength import (
     QuadBody,
     SplitBody,
@@ -25,6 +29,7 @@ from cutstrength import (
 )
 from cutstrength.montecarlo import (
     _CHUNK,
+    _Workspace,
     _fan_triangles,
     _sample_points,
     _t_bar_evaluator,
@@ -134,6 +139,119 @@ class TestRowWiseOracle:
         assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
+class TestWorkspace:
+    """Chunks run in reused workspaces and give the bits of fresh arrays."""
+
+    @pytest.fixture(autouse=True)
+    def no_idle(self, monkeypatch):
+        # no workspace left idle by another test
+        monkeypatch.setattr(montecarlo, "_idle", [])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        body=st.one_of(st.sampled_from(BOUNDARY_BODIES), any_body()),
+        seed=st.integers(0, 2**128 - 1),
+        start=st.integers(0, 2**40),
+        counts=st.lists(st.one_of(st.sampled_from([1, _CHUNK]), st.integers(1, _CHUNK)), min_size=1, max_size=3),
+    )
+    def test_reused_workspace_is_bit_identical(self, body, seed, start, counts):
+        # one workspace through chunks of any size, ragged tails after full
+        # chunks included: nothing left in it from before shows
+        fan, evaluate = _fan_triangles(body), _t_bar_evaluator(body)
+        ws = _Workspace(_CHUNK)
+        for count in counts:
+            fresh = _sample_points(fan, seed, start, count)
+            x1, x2 = _sample_points(fan, seed, start, count, ws)
+            assert np.array_equal(x1, fresh[0]) and np.array_equal(x2, fresh[1])
+            expected = evaluate(*fresh)
+            got = evaluate(x1, x2, ws)
+            assert np.array_equal(got, expected, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+    def test_sized_to_the_largest_chunk(self, t2_body, threads_env):
+        threads_env(1)
+        monte_carlo_lower(t2_body, 2, 100)
+        assert [ws.size for ws in montecarlo._idle] == [100]
+        monte_carlo_lower(t2_body, 2, _CHUNK + 1)
+        assert [ws.size for ws in montecarlo._idle] == [_CHUNK]
+        big = montecarlo._idle[0]
+        monte_carlo_lower(t2_body, 2, 100)
+        assert montecarlo._idle == [big]
+
+    def test_keeps_one_idle_workspace_per_worker(self, t2_body, threads_env):
+        montecarlo._idle[:] = [_Workspace(100) for _ in range(5)]
+        threads_env(1)
+        monte_carlo_lower(t2_body, 2, 100)
+        assert len(montecarlo._idle) == 1
+
+    @pytest.mark.parametrize("cpus, workers", [(64, 3), (2, 2), (None, 1)])
+    def test_pool_is_bounded(self, quad_body, threads_env, monkeypatch, cpus, workers):
+        # CUTSTRENGTH_THREADS=64 on a 3-chunk call starts no more workers than
+        # chunks or CPUs, and makes and keeps no more workspaces than workers
+        threads_env(1)
+        expected = monte_carlo_lower(quad_body, F(5, 2), 3 * _CHUNK, seed=7)
+        pools, made = [], []
+
+        class Pool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        class Counted(_Workspace):
+            def __init__(self, size):
+                made.append(size)
+                super().__init__(size)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(montecarlo, "_Workspace", Counted)
+        monkeypatch.setattr(montecarlo, "_idle", [])
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        threads_env(64)
+        assert monte_carlo_lower(quad_body, F(5, 2), 3 * _CHUNK, seed=7) == expected
+        assert pools == ([workers] if workers > 1 else [])
+        assert 1 <= len(made) <= workers
+        assert len(montecarlo._idle) <= workers
+
+    def test_warm_call_allocates_under_1_mb(self, quad_body, threads_env):
+        threads_env(1)
+        monte_carlo_lower(quad_body, 2, 5 * 10**5, seed=0)
+        tracemalloc.start()
+        try:
+            monte_carlo_lower(quad_body, 2, 5 * 10**5, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_concurrent_callers(self, quad_body, t3_body, threads_env, threads):
+        # two callers at once, each with more chunks than workers, give what
+        # they give one after the other
+        threads_env(threads)
+        calls = [(quad_body, F(5, 2), 3 * _CHUNK + 123, 11), (t3_body, F(7, 4), 2 * _CHUNK + 5, 12)]
+        expected = [monte_carlo_lower(*call) for call in calls]
+        barrier = threading.Barrier(len(calls))
+        results = {}
+
+        def call(i):
+            barrier.wait(timeout=30)
+            for round in range(3):
+                results[i, round] = monte_carlo_lower(*calls[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=call, args=(i,)) for i in range(len(calls))]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert results == {(i, round): expected[i] for i in range(len(calls)) for round in range(3)}
+
+
 class TestEstimates:
     def test_type1_closed_form(self, t1_body):
         est = monte_carlo_lower(t1_body, F(7, 4), 10**6, seed=0)
@@ -154,6 +272,24 @@ class TestEstimates:
         assert est.std_error == sqrt(p * (1 - p) / est.samples)
         assert est.samples == 50_000
         assert est.seed == 3
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            QuadBody(F(2, 5), F(3, 2), F(3, 5), -F(1, 10**30)),
+            QuadBody(F(1, 10**30), F(3, 2), F(3, 5), F(-3, 10)),
+            Type2Body(F(1, 10**30), F(3, 2)),
+            Type2Body(F(1, 2), 1 + F(1, 10**30)),
+            Type3Body(F(3), F(1, 10**30), F(1, 10**31)),
+        ],
+        ids=["quad-b2", "quad-a1", "type2-a1", "type2-a2", "type3"],
+    )
+    def test_float_collapsing_bodies(self, body):
+        # parameters 10**-30 from a family boundary, where coordinates collapse
+        # or underflow as floats: the estimate still agrees with the exact bound
+        for z in (F(3, 2), F(2), F(3)):
+            est = monte_carlo_lower(body, z, 20_000, seed=0)
+            assert abs(est.estimate - float(bound_for(body, z))) <= max(5 * est.std_error, 1e-9), z
 
 
 class TestEvaluators:
