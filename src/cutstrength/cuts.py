@@ -19,9 +19,12 @@ the one form of the regions, which the strength queries,
 :func:`chosen_split` and the Monte Carlo evaluator read.  The table reads
 the body only through its vertices times ``v``, the common denominator of
 the vertices: each band bound is a vertex projected on the band's normal.
-``t_N`` hands every split row to the packing kernel as a pool, low max-norm
-first, and the kernel prices in only the rows it needs; the dominance
-pruning of :func:`covering_lp_min` stays for the argmin it returns.
+``t_N`` starts the packing kernel with the splits of max-norm 1 and, at
+each optimum, builds and prices only the splits that can still cut: their
+normals lie in a convex set that an integer walk finds column by column,
+so when the optimum's support spans the plane the work does not grow with
+N.  The dominance pruning of :func:`covering_lp_min` stays for the argmin
+it returns.
 """
 
 from __future__ import annotations
@@ -132,8 +135,11 @@ def covering_lp_min(rows: Sequence[Sequence[Fraction]], k: int):
 
     Each row is scaled to integers by the lcm of its denominators and solved
     by :func:`_min_cover`.  Returns ``(value, argmin)``; ``(inf, None)`` when
-    some row is identically zero (uncoverable).
+    some row is identically zero (uncoverable).  ``k`` must be an int from 1
+    to 4.
     """
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        raise ValueError(f"k must be an int from 1 to 4, got {k!r}")
     if k > 4:
         raise ValueError("only up to 4 variables are supported")
     if not rows:
@@ -172,13 +178,16 @@ def _min_cover(rows, k: int):
         scale, ints = by_value[row]
         g = gcd(scale, *ints)
         columns.append((scale // g, [c // g for c in ints]))
-    return _max_packing(columns, k)
+    value, d, slacks = _max_packing(columns, k)
+    return Fraction(value, d), tuple(Fraction(v, d) for v in slacks)
 
 
-def _max_packing(columns, k: int, pool=()):
+def _max_packing(columns, k: int, pool=None):
     """The dual ``max sum_i y_i`` s.t. ``sum_i y_i c_i / w_i <= 1``, ``y >= 0``,
-    over the columns ``(w_i, c_i)`` and the ``pool`` rows priced in, by the
-    simplex method on integers.
+    over the columns ``(w_i, c_i)`` and the rows that ``pool`` prices in, by
+    the simplex method on integers.  Returns ``(value, d, slacks)``, all
+    integers: the optimum is ``value / d`` and the covering solution is
+    ``slacks / d``.
 
     With ``y_i = w_i x_i`` the constraint matrix is the integer ``c_i`` and
     the objective ``sum_i w_i x_i``; a positive column scaling changes no
@@ -186,7 +195,7 @@ def _max_packing(columns, k: int, pool=()):
     The tableau is fraction-free (Edmonds, Bareiss): integers ``T`` stand for
     ``T / d``, where ``d`` is the last pivot (1 at the start), and a pivot on
     ``p`` maps every other row ``t`` to ``(p t - t[col] pivot) // d``, a
-    division that is always exact.
+    division that is always exact; a row with ``t[col] = 0`` is only rescaled.
 
     The all-slack basis is feasible because the right-hand side is 1, and
     Bland's rule (lowest improving column, x columns by arrival before the
@@ -195,45 +204,56 @@ def _max_packing(columns, k: int, pool=()):
     this dual is bounded and the ratio test always finds a pivot.  The
     objective row's slack block is ``d s``, ``s`` the covering solution.
 
-    At an optimum over the current columns, a pool row ``(w, c)`` with
-    ``d s . c < w d`` is a violated covering row: a column of negative
-    reduced cost.  The first one in pool order enters as the last x column,
-    with entries ``t_slack . c`` (the slack block is ``d B^-1``) and the
-    objective entry ``d s . c - w d``, and pivoting resumes.  A column in
-    the LP is never violated at an optimum, so each pool row enters at most
-    once.  Once none is violated the kernel returns ``(value, s)``.
+    At an optimum over the current columns, ``pool(slacks, d)`` gives rows
+    ``(w, c)`` to price, in order; one with ``slacks . c < w d`` is a violated
+    covering row: a column of negative reduced cost.  The first one enters as
+    the last x column, with entries ``t_slack . c`` (the slack block is
+    ``d B^-1``) and the objective entry ``slacks . c - w d``, and pivoting
+    resumes.  A column in the LP is never violated at an optimum, so each
+    row enters at most once.  Once none is violated the kernel returns.
     """
     m = len(columns)
     # constraint j: sum_i c_i[j] x_i + slack_j = 1; columns x, slacks, rhs
-    tab = [[c[j] for _, c in columns] + [int(i == j) for i in range(k)] + [1] for j in range(k)]
+    tab = [[c[j] for _, c in columns] + [0] * (k + 1) for j in range(k)]
+    for j, t in enumerate(tab):
+        t[m + j] = t[-1] = 1
     obj = [-w for w, _ in columns] + [0] * (k + 1)
     basis = [m + j for j in range(k)]
     d = 1
     while True:
-        col = next((c for c, v in enumerate(obj[:-1]) if v < 0), None)
-        if col is None:
+        for col, v in enumerate(obj):  # the value obj[-1] is never negative
+            if v < 0:
+                break
+        else:
             s = obj[m:-1]
-            for w, c in pool:
+            for w, c in pool(s, d) if pool else ():
                 if (price := sum(map(mul, s, c))) < w * d:
                     break
             else:
-                return Fraction(obj[-1], d), tuple(Fraction(v, d) for v in s)
+                return obj[-1], d, s
             for t in tab:
                 t.insert(m, sum(map(mul, t[m:-1], c)))
             obj.insert(m, price - w * d)
             basis = [b + (b >= m) for b in basis]
             col, m = m, m + 1
         # least ratio t[-1] / t[col] over t[col] > 0, compared by
-        # cross-multiplying; ties go to the lowest basic column
+        # cross-multiplying with the best row so far, whose entry is p and
+        # right-hand side rhs; ties go to the lowest basic column
         r = None
         for i, t in enumerate(tab):
-            if t[col] > 0 and (r is None or (t[-1] * tab[r][col], basis[i]) < (tab[r][-1] * t[col], basis[r])):
-                r = i
+            if (a := t[col]) > 0:
+                if r is None or (x := t[-1] * p) < (y := rhs * a) or x == y and basis[i] < basis[r]:
+                    r, p, rhs = i, a, t[-1]
         pivot = tab[r]
-        p = pivot[col]
         for t in (*tab, obj):
-            if t is not pivot:
-                factor = t[col]
+            if t is pivot:
+                continue
+            if not (factor := t[col]):
+                if p != d:
+                    t[:] = [p * a // d for a in t]
+            elif d == 1:  # nothing to divide by, as at the first pivot
+                t[:] = [p * a - factor * b for a, b in zip(t, pivot)]
+            else:
                 t[:] = [(p * a - factor * b) // d for a, b in zip(t, pivot)]
         basis[r] = col
         d = p
@@ -438,21 +458,86 @@ def admissible_normals(f: Rational2, n: int) -> list[tuple[int, int]]:
     return [(n1, n2) for n1, n2, _ in _admissible(n, d, big_f)]
 
 
+def _normals_below(radius: int, rays, weights, bound: int) -> list[tuple[int, int, int]]:
+    """The directions ``u`` of ``primitive_directions(radius)``, in its order,
+    with ``g(u) = sum_j w_j |u . R_j| < bound``, for integer rays ``R_j =
+    (a_j, b_j)``, integer weights ``w_j >= 0`` and ``bound > 0``, each as
+    ``(max-norm, u1, u2)``, which sort in that order.
+
+    ``g(u) < bound`` holds iff ``|u . V| < bound`` for each of the sums ``V =
+    w_1 R_1 +- w_2 R_2 +- ...``, so on each column ``u1 >= 1`` the ``u2`` form
+    one interval, read off these strips by floor division and clipped to
+    ``|u2| <= radius``.  No column with ``u1 mu >= bound`` meets the set,
+    where ``mu`` is the least value of ``h(t) = g(1, t)``: ``h`` is convex and
+    piecewise linear with breakpoints at ``t = -a_j / b_j``, so ``mu`` is its
+    least value there, or ``h(0)`` when no ray of positive weight has ``b_j !=
+    0``.  When the rays of positive weight are parallel the set is a strip,
+    ``mu`` can be 0, and the walk takes every column up to ``radius``.
+    """
+    terms = [(w * a, w * b) for w, (a, b) in zip(weights, rays) if w]
+    # mu = mu_n / mu_d; |b| h(-a / b) is a sum of integers
+    mu_n, mu_d = sum([abs(a) for a, _ in terms]), 1
+    for a, b in terms:
+        if b and (v := sum([abs(a * b2 - a2 * b) for a2, b2 in terms])) * mu_d < mu_n * abs(b):
+            mu_n, mu_d = v, abs(b)
+    strips = terms[:1]
+    for a, b in terms[1:]:
+        strips = [v for x, y in strips for v in ((x + a, y + b), (x - a, y - b))]
+    # -bound < u1 a + u2 b < bound with b > 0; a strip with b = 0 holds where u1 mu < bound
+    strips = [(a, b) if b > 0 else (-a, -b) for a, b in strips if b]
+    # the one direction with u1 = 0 is (0, 1)
+    found = [(1, 0, 1)] if sum([abs(b) for _, b in terms]) < bound else []
+    top = bound * mu_d
+    u1 = 1
+    while u1 <= radius and u1 * mu_n < top:
+        lo, hi = -radius, radius
+        for a, b in strips:
+            c = u1 * a
+            if (x := (-bound - c) // b + 1) > lo:
+                lo = x
+            if (x := (bound - c - 1) // b) < hi:
+                hi = x
+        found += [(u1 if u1 > u2 > -u1 else abs(u2), u1, u2) for u2 in range(lo, hi + 1) if gcd(u1, u2) == 1]
+        u1 += 1
+    found.sort()
+    return found
+
+
 def strength_split_closure_approx(body: LatticeFreeBody, f: Rational2, n: int) -> Fraction:
     """Finite split-closure strength ``t_N``: all splits with max-norm <= n.
 
-    The split rows are built in integers scaled by the common denominator of
-    ``f`` and the corner rays, in the body's integer frame, low max-norm
-    first, and go to :func:`_max_packing` as its pool, with no pruning, for
-    the kernel to price in: the LP's value is unique, so ``t_N`` is the same
-    whichever optimal basis pricing ends in.  The corner rays from an
-    interior ``f`` span the plane, so no split row is zero.
+    The split rows are built in integers scaled by the common denominator
+    ``D`` of ``f`` and the corner rays ``R / D``, in the body's integer frame
+    (``d`` in the code).  The rows of max-norm 1 are the packing kernel's
+    first columns; with n = 1 they are all the rows, and nothing is priced.
+    At each optimum, with covering solution ``S / d`` (``slacks / scale`` in
+    the code, ``d`` the kernel's last pivot), only the splits that can still
+    cut are built and priced: every coefficient of the split with normal
+    ``u`` is at least ``|u . R_j| / D``, so its row is violated only if
+    ``sum_j S_j |u . R_j| < d D``.  :func:`_normals_below` finds those normals
+    in pool order, and the rows of max-norm >= 2 among them are priced (a
+    column is never violated at an optimum).  The rows of the last walk are
+    priced again before the next walk, and only a walk that finds no
+    violated row ends the LP.  Its value is unique, so ``t_N`` is the value
+    over every split of max-norm <= n.  The corner rays from an interior
+    ``f`` span the plane, so no split row is zero.
     """
     _check_radius(n)
     d, big_f, big_rays = _frame(body, f, "a split has no vertices, hence no corner rays")[1]
-    rows = [_split_row(n1, n2, rem, d, big_rays) for n1, n2, rem in _admissible(n, d, big_f)]
-    value, _ = _max_packing([], len(big_rays), rows)
-    return 1 / value
+    last = []
+
+    def cutting(slacks, scale):
+        yield from last
+        last[:] = [
+            _split_row(n1, n2, rem, d, big_rays)
+            for norm, n1, n2 in _normals_below(n, big_rays, slacks, scale * d)
+            if norm > 1 and (rem := (n1 * big_f[0] + n2 * big_f[1]) % d)
+        ]
+        yield from last
+
+    ring1 = [_split_row(n1, n2, rem, d, big_rays) for n1, n2, rem in _admissible(1, d, big_f)]
+    value, scale, _ = _max_packing(ring1, len(big_rays), cutting if n > 1 else None)
+    return Fraction(scale, value)
 
 
 def strength_report(body: LatticeFreeBody, f: Rational2, n: int = 5) -> StrengthReport:

@@ -29,7 +29,7 @@ from cutstrength import (
     point,
     split_coefficients,
 )
-from cutstrength.cuts import _admissible, _min_cover, _scaled, _split_row, _table
+from cutstrength.cuts import _admissible, _check_radius, _frame, _max_packing, _min_cover, _scaled, _split_row, _table
 from cutstrength.geometry import _frac, primitive_directions, shoelace_area
 
 # CI runs with HYPOTHESIS_PROFILE=ci: the same examples on every run, no deadline
@@ -702,6 +702,18 @@ def closure_oracle(body, f, n):
         raise ValueError(f"no admissible split with max-norm <= {n} for f = {f}")
     value, _ = _min_cover(rows, len(big_rays))
     return 1 / value
+
+
+def enumerated_closure(body, f, n):
+    """``strength_split_closure_approx`` as it was before it priced over the
+    splits that can still cut: every split row of max-norm <= n, built in
+    the integer frame, low max-norm first, goes to the packing kernel as one
+    pool, and the kernel starts with no columns."""
+    _check_radius(n)
+    d, big_f, big_rays = _frame(body, f, "a split has no vertices, hence no corner rays")[1]
+    rows = [_split_row(n1, n2, rem, d, big_rays) for n1, n2, rem in _admissible(n, d, big_f)]
+    value, scale, _ = _max_packing([], len(big_rays), lambda s, d: rows)
+    return F(scale, value)
 
 
 def single_split_oracle(body, f):

@@ -147,6 +147,18 @@ class TestCommands:
         assert payload["region"] == "R1"
         assert payload["chosen_split_normal"] is None
 
+    def test_strength_at_large_n(self, capsys):
+        # the quad fixture's optimum spans the plane, so t_N prices the same
+        # few splits at N = 10^6 as at N = 25
+        code, out, _ = invoke(
+            capsys, "strength", "--body", '{"type":"quad","a":["2/5","3/2"],"b":["3/5","-3/10"]}',
+            "--f", '["1/2","1/3"]', "--N", "1000000",
+        )
+        assert code == 0
+        assert out == (
+            '{"region": "R1", "chosen_split_normal": [0, 1], "t_bar": "19/10", "t_n": "13063/11527", "n": 1000000}\n'
+        )
+
     def test_strength_reports_split(self, capsys):
         code, out, _ = invoke(capsys, "strength", "--body", T2_DESC, "--f", '["-1/4","1/4"]')
         payload = json.loads(out)

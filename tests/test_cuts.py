@@ -34,7 +34,7 @@ from cutstrength import (
 )
 from cutstrength import cuts, geometry
 from cutstrength.cli import run
-from cutstrength.geometry import over_common_denominator
+from cutstrength.geometry import over_common_denominator, primitive_directions
 
 from conftest import (
     BOUNDARY_BODIES,
@@ -43,6 +43,7 @@ from conftest import (
     closure_oracle,
     contains,
     covering_lp_oracle,
+    enumerated_closure,
     gauge,
     lattice_line_vertex,
     quad_params,
@@ -168,6 +169,16 @@ class TestCoveringLp:
         with pytest.raises(ValueError):
             covering_lp_min([], 2)
 
+    def test_k_must_be_an_int_from_1_to_4(self):
+        # numpy.int64 is refused too, as it is for the radius n
+        for k in (True, False, 2.0, F(2), "1", None, np.int64(2), 0, -1):
+            for rows in ([(F(1),)], [(F(1), F(2))]):
+                assert outcome(covering_lp_min, rows, k) == (ValueError, f"k must be an int from 1 to 4, got {k!r}")
+        rows = [tuple(F(1) for _ in range(5))]
+        assert outcome(covering_lp_min, rows, 5) == (ValueError, "only up to 4 variables are supported")
+        assert outcome(covering_lp_min, [(F(1), F(2))], 1) == (ValueError, "row length 2 != k = 1")
+        assert covering_lp_min([(F(1), F(2))], 2) == (F(1, 2), (F(0), F(1, 2)))
+
     def test_row_of_the_wrong_length(self):
         with pytest.raises(ValueError, match="row length 3 != k = 2"):
             covering_lp_min([(F(1), F(1)), (F(1), F(1), F(1))], 2)
@@ -224,6 +235,13 @@ def integer_rows(rows):
     return [over_common_denominator(row) for row in rows]
 
 
+def priced(columns, k, rows):
+    """:func:`cuts._max_packing` over ``columns`` with ``rows`` priced in at
+    every optimum, read as ``(value, argmin)`` in Fractions."""
+    value, d, slacks = cuts._max_packing(columns, k, lambda s, scale: rows)
+    return F(value, d), tuple(F(v, d) for v in slacks)
+
+
 class CountingPool:
     """A pool that fails the kernel once it makes more pricing passes than
     ``limit``: each pass but the last brings in a row not in the LP yet."""
@@ -256,9 +274,9 @@ class TestPricing:
         g = data.draw(st.integers(1, 6))  # a row over a non-reduced scale
         ints.append((ints[0][0] * g, [c * g for c in ints[0][1]]))
         pool = CountingPool(ints, len({tuple(F(c, scale) for c in row) for scale, row in ints}) + 1)
-        value, arg = cuts._max_packing([], k, pool)
+        value, arg = priced([], k, pool)
         assert value == cuts._min_cover(ints, k)[0] == covering_lp_oracle(rows, k)
-        assert (value, arg) == cuts._max_packing([], k, ints)
+        assert (value, arg) == priced([], k, ints)
         assert value == sum(arg) and all(s >= 0 for s in arg)
         assert all(sum(c * s for c, s in zip(row, arg)) >= 1 for row in rows)
 
@@ -272,7 +290,7 @@ class TestPricing:
             rows = [tuple(map(F, row)) for row in rows]
             ints = integer_rows(rows)
             want = covering_lp_oracle(rows, k)
-            assert cuts._max_packing([], k, ints)[0] == cuts._min_cover(ints, k)[0] == want
+            assert priced([], k, ints)[0] == cuts._min_cover(ints, k)[0] == want
 
     def test_zero_row_is_uncoverable(self):
         for rows in ([(1, [0, 0])], [(2, [1, 3]), (1, [0, 0])], [(1, [0, 0]), (2, [1, 3])]):
@@ -285,7 +303,7 @@ class TestPricing:
         assert covering_lp_min([tuple(map(F, row)) for row in rows], 3) == (F(18, 11), (0, F(15, 11), F(3, 11)))
         rows = [(0, 0, 3, 2), (1, F(1, 3), 0, F(4, 3)), (2, F(4, 3), 4, 1), (2, 1, 2, F(2, 3)), (F(2, 3), F(2, 3), F(2, 3), 0)]
         ints = integer_rows([tuple(map(F, row)) for row in rows])
-        assert cuts._max_packing([], 4, ints) == (F(3, 2), (1, 0, F(1, 2), 0))
+        assert priced([], 4, ints) == (F(3, 2), (1, 0, F(1, 2), 0))
 
     def test_columns_up_front_keep_their_pivots(self):
         # the argmin of the pruned path is fixed by the order in which the
@@ -294,7 +312,7 @@ class TestPricing:
         rows = [(0, 1, 2), (1, F(3, 4), F(1, 2))]
         ints = integer_rows([tuple(map(F, row)) for row in rows])
         assert cuts._min_cover(ints, 3)[1] == (F(3, 4), F(0), F(1, 2))
-        assert cuts._max_packing([], 3, ints)[0] == F(5, 4)
+        assert priced([], 3, ints)[0] == F(5, 4)
 
 
 class TestRegions:
@@ -599,6 +617,104 @@ class TestClosureApprox:
                 t_n = strength_split_closure_approx(body, f, 3)
                 if t_bar <= z:
                     assert t_n <= z
+
+
+def below_brute_force(radius, rays, weights, bound):
+    return [
+        (max(u1, abs(u2)), u1, u2) for u1, u2 in primitive_directions(radius)
+        if sum(w * abs(u1 * a + u2 * b) for w, (a, b) in zip(weights, rays)) < bound
+    ]
+
+
+class TestNormalsBelow:
+    # the walk of the splits that can still cut, against a scan of every
+    # primitive direction of max-norm <= N
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_property_against_brute_force(self, data):
+        # rays with b = 0, parallel rays and zero weights make strips, where
+        # the least value mu of a column can be 0
+        k = data.draw(st.integers(1, 4))
+        coord = st.integers(-6, 6)
+        rays = data.draw(st.lists(st.tuples(coord, st.one_of(st.just(0), coord)), min_size=k, max_size=k))
+        if data.draw(st.booleans()):
+            a, b = rays[0]
+            rays = [(c * a, c * b) for c in data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))]
+        weights = data.draw(st.lists(st.one_of(st.just(0), st.integers(0, 30)), min_size=k, max_size=k))
+        bound = data.draw(st.integers(1, 300))
+        radius = data.draw(st.integers(1, 8))
+        assert cuts._normals_below(radius, rays, weights, bound) == below_brute_force(radius, rays, weights, bound)
+
+    def test_strips(self):
+        # one ray, parallel rays, horizontal rays and no weight at all
+        cases = [([(2, 3)], [1]), ([(1, 0), (-2, 0)], [1, 1]), ([(0, 1), (0, -3)], [2, 1]),
+                 ([(3, -1), (-6, 2), (1, 5)], [1, 2, 0]), ([(1, 1), (0, 1)], [0, 0])]
+        for rays, weights in cases:
+            for bound in (1, 2, 5, 40):
+                for radius in (1, 3, 8):
+                    want = below_brute_force(radius, rays, weights, bound)
+                    assert cuts._normals_below(radius, rays, weights, bound) == want, (rays, weights, bound)
+        # the strip |u2| < 2 meets every column, and the walk takes each of
+        # them up to N: (0, 1), (1, 0), and (u1, -1), (u1, 1) for each u1
+        strip = cuts._normals_below(1000, [(0, 1)], [1], 2)
+        assert len(strip) == 2002 and strip[-2:] == [(1000, 1000, -1), (1000, 1000, 1)]
+
+    def test_bounded_set_ignores_the_radius(self):
+        rays, weights = [(3, 1), (-1, 2), (-2, -3)], [2, 1, 1]
+        want = cuts._normals_below(30, rays, weights, 60)
+        assert want == below_brute_force(30, rays, weights, 60) and max(want)[0] < 30
+        for radius in (10**6, 10**30):
+            assert cuts._normals_below(radius, rays, weights, 60) == want
+
+
+# closure_pool entries of the benchmark (family, params, f) whose t_N optimum
+# at N = 5 is supported on one corner ray, so that the walk meets a strip
+STRIP_OPTIMA = [
+    (QuadBody, ("1/10", "21/20", "7/10", "-1/20"), ("13/4", "3/4")),
+    (Type3Body, ("39/10", "4/5", "1/10"), ("4/9", "17/18")),
+    (Type2Body, ("3/4", "13/4"), ("6/7", "13/7")),
+    (Type3Body, ("21/10", "3/5", "7/20"), ("1/14", "-1/14")),
+    (Type3Body, ("33/20", "3/20", "1/10"), ("-1/5", "11/10")),
+    (Type2Body, ("19/20", "9/5"), ("1/2", "31/22")),
+]
+
+
+class TestPricingOverCuttingSplits:
+    # t_N priced over the splits that can still cut, against the enumerating
+    # path it replaced (every split of max-norm <= N in one pool)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_property_against_enumerated_pool(self, data):
+        body = data.draw(any_body())
+        f = data.draw(st.one_of(root_vertex(body), lattice_line_vertex(body)))
+        for n in range(1, 26):
+            assert strength_split_closure_approx(body, f, n) == enumerated_closure(body, f, n), n
+
+    def test_optima_on_one_ray(self, monkeypatch):
+        packing = cuts._max_packing
+        optima = []
+        monkeypatch.setattr(cuts, "_max_packing", lambda *args: optima.append(packing(*args)) or optima[-1])
+        for cls, params, f in STRIP_OPTIMA:
+            body, f = cls(*map(F, params)), point(*map(F, f))
+            optima.clear()
+            strength_split_closure_approx(body, f, 5)
+            assert sum(map(bool, optima[-1][2])) == 1, (body, f)
+            for n in range(1, 26):
+                assert strength_split_closure_approx(body, f, n) == enumerated_closure(body, f, n), (body, f, n)
+
+    def test_rows_built_do_not_grow_with_n(self, quad_body, monkeypatch):
+        f = point(F(1, 2), F(1, 3))
+        built = []
+        split_row = cuts._split_row
+        monkeypatch.setattr(cuts, "_split_row", lambda *args: built.append(args[:2]) or split_row(*args))
+        counts = []
+        for n in (25, 1000, 10**30):
+            built.clear()
+            assert strength_split_closure_approx(quad_body, f, n) == F(13063, 11527)
+            counts.append(len(built))
+        assert counts[0] == counts[1] == counts[2], counts
 
 
 class TestStrengthReport:
