@@ -16,9 +16,10 @@ Both run in the body's integer frame: f is scaled once to ``(X1, X2) / q``
 by the body's interior test on its integer facets, and matched against the
 body's integer region table, kept between queries on the same body object:
 the one form of the regions, which the strength queries,
-:func:`chosen_split` and the Monte Carlo evaluator read.  The table reads
-the body only through its vertices times ``v``, the common denominator of
-the vertices: each band bound is a vertex projected on the band's normal.
+:func:`chosen_split` and the Monte Carlo evaluator read.  The table and the
+corner rays read the body only through its integer vertices, ``(v, V)``
+with ``V`` the vertices times ``v``, their common denominator, which the
+body builds once: each band bound is a vertex projected on the band's normal.
 ``t_N`` starts the packing kernel with the splits of max-norm 1 and, at
 each optimum, builds and prices only the splits that can still cut: their
 normals lie in a convex set that an integer walk finds column by column,
@@ -317,19 +318,17 @@ _last_table: tuple = (None, None)
 
 
 def _table(body: LatticeFreeBody):
-    """``(V, regions)``: the vertices in corner-ray order times ``v``, the
-    facets' common denominator, and the region rows in index order, each
-    band bound a vertex of ``V`` projected on the band's normal, over ``v``.
-    Kept, as one pair read and replaced whole, until a call on another body."""
+    """The region rows in index order, each band bound a vertex of the
+    body's integer vertices ``V`` projected on the band's normal, over their
+    common denominator ``v``.  Kept, as one pair with the body read and
+    replaced whole, until a call on another body."""
     global _last_table
-    last, table = _last_table
+    last, regions = _last_table
     if last is body:
-        return table
+        return regions
     if not isinstance(body, (Type1Body, Type2Body, QuadBody, Type3Body)):
         raise ValueError(f"no region decomposition for {body!r}")
-    # v is the common denominator of the coordinates, so the divisions are exact
-    v = body._facets[0]
-    V = [(p.x1.numerator * (v // p.x1.denominator), p.x2.numerator * (v // p.x2.denominator)) for p in body._vertices]
+    v, V = body._integer_vertices
     if isinstance(body, Type1Body):
         regions = _TYPE1_TABLE
     elif isinstance(body, Type2Body):
@@ -346,8 +345,8 @@ def _table(body: LatticeFreeBody):
     else:
         a, b, c = V
         regions = _pair(v, _X2, b, c) + _pair(v, _X1, c, a, [(_BELOW,)]) + _pair(v, _S, b, a, [(_ABOVE,)])
-    _last_table = body, (V, regions)
-    return V, regions
+    _last_table = body, regions
+    return regions
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +370,10 @@ def _frame(body: LatticeFreeBody, f: Rational2, split_error: str):
     if (scaled := body._interior(f)) is None:
         raise ValueError(f"root vertex {f} is not strictly interior to {body!r}")
     q, x1, x2 = scaled
-    v = body._facets[0]
+    v, V = body._integer_vertices
     d = lcm(v, q)
     s, f1, f2 = d // v, x1 * (d // q), x2 * (d // q)
-    frame = (q, x1, x2), (d, (f1, f2), [(a * s - f1, b * s - f2) for a, b in _table(body)[0]])
+    frame = (q, x1, x2), (d, (f1, f2), [(a * s - f1, b * s - f2) for a, b in V])
     _last_frame = body, f, frame
     return frame
 
@@ -384,7 +383,7 @@ def _locate(body: LatticeFreeBody, f: Rational2):
     that ``f`` matches, with ``split . X mod q != 0`` as the strict test."""
     frame = _frame(body, f, "splits have no region decomposition")
     q, x1, x2 = frame[0]
-    for i, entry in enumerate(_table(body)[1], start=1):
+    for i, entry in enumerate(_table(body), start=1):
         pieces, split = entry[:2]
         if (split is None or (split[0] * x1 + split[1] * x2) % q) and any(
             all(ln * q <= (p := n1 * x1 + n2 * x2) * ld and p * hd <= hn * q for n1, n2, ln, ld, hn, hd in piece)
@@ -404,7 +403,7 @@ def chosen_split(body: LatticeFreeBody, region: RegionId) -> tuple[int, int]:
     """Normal of the single split used in the given region of the body's family."""
     if region.family != body.tag:
         raise ValueError(f"region {region} is a {region.family} region, not one of {body!r}")
-    regions = _table(body)[1]
+    regions = _table(body)
     split = regions[region.index - 1][1] if 1 <= region.index <= len(regions) else None
     if split is None:
         raise ValueError(f"no split choice for {body!r}, region {region}")

@@ -108,24 +108,3 @@ def _require(descriptor: dict, key: str):
         raise ValueError(f"descriptor is missing required field {key!r}")
     return descriptor[key]
 
-
-def body_to_dict(body) -> dict:
-    if isinstance(body, Type1Body):
-        return {"type": "type1"}
-    if isinstance(body, Type2Body):
-        return {"type": "type2", "a": [format_rational(body.a1), format_rational(body.a2)]}
-    if isinstance(body, Type3Body):
-        return {
-            "type": "type3",
-            "a": [format_rational(body.a1), format_rational(body.a2)],
-            "b1": format_rational(body.b1),
-        }
-    if isinstance(body, QuadBody):
-        return {
-            "type": "quad",
-            "a": [format_rational(body.a1), format_rational(body.a2)],
-            "b": [format_rational(body.b1), format_rational(body.b2)],
-        }
-    if isinstance(body, SplitBody):
-        return {"type": "split", "normal": list(body.normal), "offset": body.offset}
-    raise ValueError(f"cannot serialize {body!r}")

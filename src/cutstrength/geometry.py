@@ -50,23 +50,8 @@ class Rational2:
     x1: Fraction
     x2: Fraction
 
-    def __add__(self, other: "Rational2") -> "Rational2":
-        return Rational2(self.x1 + other.x1, self.x2 + other.x2)
-
     def __sub__(self, other: "Rational2") -> "Rational2":
         return Rational2(self.x1 - other.x1, self.x2 - other.x2)
-
-    def __mul__(self, scalar: Rat) -> "Rational2":
-        s = _frac(scalar)
-        return Rational2(self.x1 * s, self.x2 * s)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Rational2":
-        return Rational2(-self.x1, -self.x2)
-
-    def dot(self, other: "Rational2") -> Fraction:
-        return self.x1 * other.x1 + self.x2 * other.x2
 
     def cross(self, other: "Rational2") -> Fraction:
         return self.x1 * other.x2 - self.x2 * other.x1
@@ -76,9 +61,6 @@ class Rational2:
 
     def is_integral(self) -> bool:
         return self.x1.denominator == 1 and self.x2.denominator == 1
-
-    def as_tuple(self) -> tuple[Fraction, Fraction]:
-        return (self.x1, self.x2)
 
     def __repr__(self):
         return f"({self.x1}, {self.x2})"
@@ -195,6 +177,9 @@ class UnimodularMap:
     t2: int = 0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"map entry {name} must be an int, got {value!r}")
         if abs(self.det) != 1:
             raise ValueError(f"matrix determinant must be +-1, got {self.det}")
 
@@ -231,7 +216,8 @@ class LatticeFreeBody:
     documented corner-ray order, is built on first read, the parameters and
     derived coordinates are read-only properties over it, and ``_order``
     lists the vertices counter-clockwise for ``polygon()``, an orientation
-    that the family's sign constraints decide.
+    that the family's sign constraints decide.  ``_integer_vertices`` reads
+    the vertices once as integers, for the facets, ``cuts`` and the fan.
 
     The constructor coerces the parameters with ``_frac``, runs ``_check``
     and builds the vertices; ``_from_frame`` builds the same body from the
@@ -280,13 +266,21 @@ class LatticeFreeBody:
         return [self._vertices[i] for i in self._order]
 
     @cached_property
+    def _integer_vertices(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """``(v, V)``: the least common denominator ``v`` of the vertex
+        coordinates, and the vertices times ``v`` as integer pairs in
+        corner-ray order.  The one place a body's vertices become integers;
+        built on first use (a body never changes after construction)."""
+        v, ints = over_common_denominator([c for p in self._vertices for c in (p.x1, p.x2)])
+        return v, tuple(zip(ints[::2], ints[1::2]))
+
+    @cached_property
     def _facets(self) -> tuple[int, tuple[tuple[int, int, int], ...]]:
-        """The facets in integers, built on first use (a body never changes
-        after construction): ``(v, ((n1, n2, c), ...))`` with ``v`` the common
-        denominator of the vertices, so that facet ``normal . x <= offset``
-        is ``(n1, n2) . (v x) <= c`` with ``(n1, n2) = v normal``."""
-        v, ints = over_common_denominator([c for p in self.polygon() for c in (p.x1, p.x2)])
-        pts = list(zip(ints[::2], ints[1::2]))
+        """The facets in integers: ``(v, ((n1, n2, c), ...))``, so that facet
+        ``normal . x <= offset`` is ``(n1, n2) . (v x) <= c`` with ``(n1,
+        n2) = v normal``."""
+        v, V = self._integer_vertices
+        pts = [V[i] for i in self._order]
         facets = []
         for (a1, a2), (b1, b2) in zip(pts, pts[1:] + pts[:1]):
             n1, n2 = b2 - a2, a1 - b1  # outward for a CCW cycle

@@ -98,38 +98,37 @@ _idle_lock = threading.Lock()
 
 
 def _fan_triangles(body: LatticeFreeBody):
-    """Fan triangulation from vertex 0 in floats: the cumulative area weights
-    at which the triangles after the first start, the origin, and the edge
-    columns ``(e1x, e1y, e2x, e2y)`` with one entry per triangle."""
+    """Fan triangulation from the first vertex of the counter-clockwise
+    cycle, in floats: the cumulative area weights at which the triangles
+    after the first start, the origin, and the edge columns ``(e1x, e1y,
+    e2x, e2y)`` with one entry per triangle.  It is worked out on the body's
+    integer vertices ``V`` over ``v``: each float is an int quotient, ``a /
+    total`` or ``c / v``, the correctly rounded double of the exact value."""
     import numpy as np
 
-    poly = body.polygon()
-    v0 = poly[0]
+    v, V = body._integer_vertices
+    (o1, o2), *rest = (V[i] for i in body._order)
     # triangle k spans edges[k] and edges[k + 1]
-    edges = [(p.x1 - v0.x1, p.x2 - v0.x2) for p in poly[1:]]
+    edges = [(x1 - o1, x2 - o2) for x1, x2 in rest]
     areas = [a1 * b2 - a2 * b1 for (a1, a2), (b1, b2) in zip(edges, edges[1:])]
     total = sum(areas)
-    breaks = np.cumsum([float(a / total) for a in areas])[:-1]
-    e1x, e1y = (np.array([float(c) for c in column]) for column in zip(*edges[:-1]))
-    e2x, e2y = (np.array([float(c) for c in column]) for column in zip(*edges[1:]))
-    return breaks, (float(v0.x1), float(v0.x2)), (e1x, e1y, e2x, e2y)
+    breaks = np.cumsum([a / total for a in areas])[:-1]
+    e1x, e1y = (np.array([c / v for c in column]) for column in zip(*edges[:-1]))
+    e2x, e2y = (np.array([c / v for c in column]) for column in zip(*edges[1:]))
+    return breaks, (o1 / v, o2 / v), (e1x, e1y, e2x, e2y)
 
 
-def _sample_points(
-    fan, seed: int, start: int, count: int, ws: _Workspace | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _sample_points(fan, seed: int, start: int, count: int, ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
     """Samples ``start`` to ``start + count - 1`` as the columns ``(x1, x2)``.
 
     Sample ``i`` takes the four doubles of Philox block ``i`` (the last one
     unused): ``u0`` picks the triangle by area, ``(r1, r2)`` folded into the
     triangle give ``x = origin + r1 e1 + r2 e2``.  The columns are the wide
-    rows 0 and 1 of the workspace ``ws``, whose other rows are then free;
-    without one they are fresh arrays.
+    rows 0 and 1 of the workspace ``ws``, which holds at least ``count``
+    samples and whose other rows are then free.
     """
     import numpy as np
 
-    if ws is None:
-        ws = _Workspace(count)
     breaks, (o1, o2), (e1x, e1y, e2x, e2y) = fan
     bg = np.random.Philox(key=seed, counter=[start, 0, 0, 0])
     w, m = ws.wide[:, :count], ws.narrow[:, :count]
@@ -196,12 +195,11 @@ def _t_bar_evaluator(body: LatticeFreeBody):
     the table's.  A point that float round-off puts in no region gets NaN.
     ``evaluate(x1, x2, ws)`` writes to the rows of the workspace ``ws``
     other than wide rows 0 and 1 until it has read ``x1`` and ``x2`` for the
-    last time, which may be those rows, and returns one of its rows; without
-    a workspace it returns a fresh array.
+    last time, which may be those rows, and returns one of its rows.
     """
     import numpy as np
 
-    regions = _table(body)[1]
+    regions = _table(body)
     normals = list({(n1, n2) for pieces, *_ in regions for piece in pieces for n1, n2, *_ in piece})
     splits = list({split for _, split, *_ in regions if split is not None})
     # coefficients by region index, over the positive scale |b1| or b0; the
@@ -218,10 +216,8 @@ def _t_bar_evaluator(body: LatticeFreeBody):
         for pieces, split, *_ in regions
     ]
 
-    def evaluate(x1: np.ndarray, x2: np.ndarray, ws: _Workspace | None = None) -> np.ndarray:
+    def evaluate(x1: np.ndarray, x2: np.ndarray, ws: _Workspace) -> np.ndarray:
         count = len(x1)
-        if ws is None:
-            ws = _Workspace(count)
         w, m = ws.wide[:, :count], ws.narrow[:, :count]
         proj = {n: _dot(n, x1, x2, w[2 + k]) for k, n in enumerate(normals)}
         floor = w[2 + len(normals)]

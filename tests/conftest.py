@@ -30,6 +30,7 @@ from cutstrength import (
     split_coefficients,
 )
 from cutstrength.cuts import _admissible, _check_radius, _frame, _max_packing, _min_cover, _scaled, _split_row, _table
+from cutstrength.descriptors import format_rational
 from cutstrength.geometry import _frac, primitive_directions, shoelace_area
 
 # CI runs with HYPOTHESIS_PROFILE=ci: the same examples on every run, no deadline
@@ -133,7 +134,21 @@ def t3_oracle(a1, a2, b1):
     return dict(a1=a1, a2=a2, b1=b1, b2=b2, c1=c1, c2=c2)
 
 
-# Test-only geometry: the Fraction facets and the gauge of a body.
+# Test-only geometry: vector arithmetic on points, the Fraction facets and
+# the gauge of a body.
+
+
+def dot(p: Rational2, q: Rational2) -> F:
+    return p.x1 * q.x1 + p.x2 * q.x2
+
+
+def plus(p: Rational2, q: Rational2) -> Rational2:
+    return Rational2(p.x1 + q.x1, p.x2 + q.x2)
+
+
+def times(p: Rational2, s) -> Rational2:
+    """``s p`` for an int or Fraction ``s``."""
+    return Rational2(p.x1 * s, p.x2 * s)
 
 
 def facets(body):
@@ -154,14 +169,28 @@ def gauge(body, f: Rational2, r: Rational2) -> F:
         raise ValueError(f"root vertex {f} is not strictly interior to {body!r}")
     best = F(0)
     for normal, beta in facets(body):
-        slack = beta - normal.dot(f)  # > 0 since f is interior
-        val = normal.dot(r) / slack
+        slack = beta - dot(normal, f)  # > 0 since f is interior
+        val = dot(normal, r) / slack
         if val > best:
             best = val
     return best
 
 
 IDENTITY = UnimodularMap(1, 0, 0, 1, 0, 0)
+
+
+def body_descriptor(body) -> dict:
+    """The JSON descriptor that ``parse_body`` reads back as ``body``."""
+    if isinstance(body, Type1Body):
+        return {"type": "type1"}
+    if isinstance(body, SplitBody):
+        return {"type": "split", "normal": list(body.normal), "offset": body.offset}
+    params = [format_rational(getattr(body, name)) for name in body._params]
+    if isinstance(body, Type2Body):
+        return {"type": "type2", "a": params}
+    if isinstance(body, Type3Body):
+        return {"type": "type3", "a": params[:2], "b1": params[2]}
+    return {"type": "quad", "a": params[:2], "b": params[2:]}
 
 
 # The Fraction view of the region table, and its generic matcher.
@@ -220,7 +249,7 @@ def region_spec(body) -> list[Region]:
         return F(n, d) if d else None
 
     spec = []
-    for pieces, split, normal, (a0, a1, b0, b1) in _table(body)[1]:
+    for pieces, split, normal, (a0, a1, b0, b1) in _table(body):
         scale = abs(b1) or b0
         bands = tuple(tuple(((n1, n2), side(ln, ld), side(hn, hd)) for n1, n2, ln, ld, hn, hd in p) for p in pieces)
         num, den = (F(a0, scale), F(a1, scale)), (F(b0, scale), F(b1, scale))
@@ -251,13 +280,13 @@ def clip_halfplane(pts: Sequence[Rational2], normal: Rational2, offset: F) -> li
     n = len(pts)
     for i in range(n):
         cur, nxt = pts[i], pts[(i + 1) % n]
-        dc = offset - normal.dot(cur)
-        dn = offset - normal.dot(nxt)
+        dc = offset - dot(normal, cur)
+        dn = offset - dot(normal, nxt)
         if dc >= 0:
             out.append(cur)
         if (dc > 0 > dn) or (dc < 0 < dn):
             t = dc / (dc - dn)
-            out.append(cur + t * (nxt - cur))
+            out.append(plus(cur, times(nxt - cur, t)))
     # drop exact duplicates produced by vertices lying on the cut line
     dedup: list[Rational2] = []
     for p in out:
@@ -349,7 +378,7 @@ def region_polygons(body):
                 if hi is not None:
                     poly = clip_halfplane(poly, normal, hi)
                 if lo is not None and poly:
-                    poly = clip_halfplane(poly, -normal, -lo)
+                    poly = clip_halfplane(poly, times(normal, -1), -lo)
             polys.append(poly)
         out.append(tuple(polys))
     return out
@@ -387,7 +416,7 @@ def lattice_points_oracle(pts):
 
 
 def directional_width(pts, u):
-    vals = [u.dot(p) for p in pts]
+    vals = [dot(u, p) for p in pts]
     return max(vals) - min(vals)
 
 
@@ -489,7 +518,7 @@ def indicator_area(region, spec, z):
     """
     kind, normal, const = spec
     if kind == "low":
-        return clip_area(region, -normal, const / (z - 1))
+        return clip_area(region, times(normal, -1), const / (z - 1))
     return clip_area(region, normal, (z - const) / (z - 1))
 
 
@@ -627,7 +656,7 @@ def root_vertex(draw, body, max_denominator=60):
 
     One coordinate is drawn first, strictly inside the body's range of it;
     the other strictly inside the chord of the body on that line."""
-    pts = [p.as_tuple() for p in body.polygon()]
+    pts = [(p.x1, p.x2) for p in body.polygon()]
     axis = draw(st.sampled_from((0, 1)))
     q = draw(st.one_of(st.just(1), st.integers(2, max_denominator)))
     ts = [p[axis] for p in pts]
@@ -658,13 +687,13 @@ def lattice_line_vertex(draw, body, max_denominator=60):
     k = draw(st.integers(lo, hi))
     # the chord of the body on the line, between two boundary points
     ends = [
-        a + (b - a) * ((k - va) / (vb - va))
+        plus(a, times(b - a, (k - va) / (vb - va)))
         for (a, va), (b, vb) in zip(zip(pts, values), zip(pts[1:] + pts[:1], values[1:] + values[:1]))
         if va != vb and min(va, vb) <= k <= max(va, vb)
     ]
     a, b = min(ends, key=lambda p: (p.x1, p.x2)), max(ends, key=lambda p: (p.x1, p.x2))
     q = draw(st.integers(2, max_denominator))
-    f = a + (b - a) * F(draw(st.integers(1, q - 1)), q)
+    f = plus(a, times(b - a, F(draw(st.integers(1, q - 1)), q)))
     assert body.contains_interior(f) and n1 * f.x1 + n2 * f.x2 == k
     return f
 
@@ -1065,6 +1094,23 @@ def fan_triangles_oracle(body):
     edge1 = np.array([[float(p.x1 - v0.x1), float(p.x2 - v0.x2)] for _, p, _ in tris])
     edge2 = np.array([[float(q.x1 - v0.x1), float(q.x2 - v0.x2)] for _, _, q in tris])
     return cum, origin, edge1, edge2
+
+
+def fan_fraction_oracle(body):
+    """``_fan_triangles(body)`` worked out on the Fraction vertices: each
+    float is ``float()`` of an exact Fraction."""
+    import numpy as np
+
+    poly = body.polygon()
+    v0 = poly[0]
+    # triangle k spans edges[k] and edges[k + 1]
+    edges = [(p.x1 - v0.x1, p.x2 - v0.x2) for p in poly[1:]]
+    areas = [a1 * b2 - a2 * b1 for (a1, a2), (b1, b2) in zip(edges, edges[1:])]
+    total = sum(areas)
+    breaks = np.cumsum([float(a / total) for a in areas])[:-1]
+    e1x, e1y = (np.array([float(c) for c in column]) for column in zip(*edges[:-1]))
+    e2x, e2y = (np.array([float(c) for c in column]) for column in zip(*edges[1:]))
+    return breaks, (float(v0.x1), float(v0.x2)), (e1x, e1y, e2x, e2y)
 
 
 def sample_points_oracle(body_tri, seed: int, start: int, count: int) -> np.ndarray:

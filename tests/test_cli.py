@@ -11,15 +11,24 @@ from hypothesis import strategies as st
 
 from cutstrength.cli import USAGE_ERROR, VALIDATION_ERROR, _parser, exact_digits, run
 from cutstrength.descriptors import (
-    body_to_dict,
     format_rational,
     parse_body,
     parse_pair,
     parse_rational,
 )
-from cutstrength import QuadBody, SplitBody, Type2Body, bound_for, montecarlo, point, strength_report
+from cutstrength import (
+    QuadBody,
+    SplitBody,
+    Type1Body,
+    Type2Body,
+    Type3Body,
+    bound_for,
+    montecarlo,
+    point,
+    strength_report,
+)
 
-from conftest import any_body, root_vertex
+from conftest import any_body, body_descriptor, root_vertex
 
 
 T2_DESC = '{"type":"type2","a":["1/2","3/2"]}'
@@ -40,6 +49,13 @@ SWEEP_GOLDENS = [
     ("t3", "4", "d53c8897af7aae8d4d461cb45f28e10ab38d951dfb7b7c1d9db180fc6fe617fa"),
     ("t2", "4", "37f9b559f9f0a49df455c66d6c623c3be50fd682033e6776268e5b6d92adecae"),
 ]
+# (family, sha256 of the sweep's JSON at z = 2, step 1/10, with 100 Monte
+# Carlo samples a row from seed 4)
+MC_SWEEP_GOLDENS = [
+    ("t2", "9e9c5ec74139bcf00d38a2e1b786688c907071d2a4c730c29589d9146559113a"),
+    ("quad", "e88c1a1f6dbed425353e8a8893ab638eaa8fcafc648dadf462e21d872a287e57"),
+    ("t3", "8949a629674990196125f3d6bbf700f7562af75f331236a2ea340c397accbe4d"),
+]
 # (curve, sha256 of plotdata's CSV at the default step 1/100)
 PLOTDATA_GOLDENS = [
     ("z2", "170e37087c41480d7c21466dd45fef417cae18f348ea7b171cd10928950a618c"),
@@ -49,6 +65,11 @@ PLOTDATA_GOLDENS = [
 GOLDENS = [
     (f"{f}-{d}" if z == "2" else f"{f}-z{z.replace('/', '_')}-{d}", ("sweep", "--family", f, "--z", z, "--step", "1/10"), d)
     for f, z, d in SWEEP_GOLDENS
+]
+GOLDENS += [
+    (f"mc-{f}-{d}", ("sweep", "--family", f, "--z", "2", "--step", "1/10", "--format", "json", "--mc-samples", "100",
+                     "--seed", "4"), d)
+    for f, d in MC_SWEEP_GOLDENS
 ]
 GOLDENS += [(f"plotdata-{c}-{d}", ("plotdata", "--curve", c), d) for c, d in PLOTDATA_GOLDENS]
 
@@ -110,12 +131,14 @@ class TestDescriptors:
 
     def test_body_round_trip(self):
         bodies = [
+            Type1Body(),
             Type2Body(F(1, 2), F(3, 2)),
+            Type3Body(F(3), F(3, 10), F(1, 10)),
             QuadBody(F(2, 5), F(3, 2), F(3, 5), F(-3, 10)),
             SplitBody((2, 3), -1),
         ]
         for body in bodies:
-            assert parse_body(body_to_dict(body)) == body
+            assert parse_body(body_descriptor(body)) == body
 
     def test_vertices_descriptor(self):
         verts = parse_body('{"vertices":[["0","0"],["2","0"],["0","2"]]}')
@@ -212,9 +235,10 @@ class TestCommands:
         assert lines[0] == "params,w,z,bound,mc_estimate,mc_stderr,samples,seed"
         assert len(lines) > 2
 
-    # sha256 of the CSV stdout of the sweeps and of both plotdata curves; the
-    # z = 2 quad and t3 digests pin the bench's sweep outputs, and z = 3/2 and
-    # 4 pick pieces that z = 2 does not
+    # sha256 of the stdout of the sweeps and of both plotdata curves; the
+    # z = 2 quad and t3 digests pin the bench's sweep outputs, z = 3/2 and 4
+    # pick pieces that z = 2 does not, and the Monte Carlo sweeps sample every
+    # body's fan
     @pytest.mark.parametrize("argv, digest", [case[1:] for case in GOLDENS], ids=[case[0] for case in GOLDENS])
     def test_sweep_golden(self, capsys, argv, digest):
         code, out, _ = invoke(capsys, *argv)
@@ -269,7 +293,7 @@ class TestCommands:
         a2 = F(3 * 10**2500 + 1, 2 * 10**2500)
         body = Type2Body(F(1, 2), a2)
         with exact_digits():
-            desc = json.dumps(body_to_dict(body))
+            desc = json.dumps(body_descriptor(body))
             huge_z = f"{3 * 10**4999}/{10**4999}"
         digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
         limit = digit_limit()
@@ -569,7 +593,7 @@ class TestWholeDomain:
             bound_for(body, z)
         except ValueError:
             pass
-        desc = json.dumps(body_to_dict(body))
+        desc = json.dumps(body_descriptor(body))
         argvs = [
             ["strength", "--body", desc, "--f", json.dumps([str(f.x1), str(f.x2)]), "--N", "3"],
             ["bound", "--body", desc, "--z", str(z)],

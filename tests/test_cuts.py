@@ -5,7 +5,7 @@ import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
-from math import ceil, floor, inf
+from math import ceil, floor, inf, lcm
 from operator import le
 
 import numpy as np
@@ -438,12 +438,16 @@ class TestRegionTable:
     def test_view_matches_fraction_oracle(self, body):
         # the integer table, read as Fractions, is the Fraction derivation;
         # its bands have positive denominators, as the cross-multiplied
-        # tests of region_of need, and its vertices are the body's times v
+        # tests of region_of need.  It reads the body's integer vertices:
+        # v is the lcm of the vertex coordinates' denominators, and each
+        # vertex times v, in corner-ray order
         assert region_spec(body) == region_spec_oracle(body)
-        vertices, regions = cuts._table(body)
-        v = body._facets[0]
-        assert vertices == [(p.x1 * v, p.x2 * v) for p in body.vertices()]
-        for pieces, _, _, (_, _, b0, b1) in regions:
+        v, V = body._integer_vertices
+        coordinates = [c for p in body.vertices() for c in (p.x1, p.x2)]
+        assert v == lcm(*(c.denominator for c in coordinates)) == body._facets[0]
+        assert V == tuple((p.x1 * v, p.x2 * v) for p in body.vertices())
+        assert all(type(c) is int for pair in V for c in pair)
+        for pieces, _, _, (_, _, b0, b1) in cuts._table(body):
             assert (abs(b1) or b0) > 0
             assert all(ld >= 0 and hd >= 0 for piece in pieces for *_, ld, _, hd in piece)
 
@@ -850,11 +854,11 @@ class TestTableReuse:
     def test_cross_check_catches_a_wrong_table(self, quad_body, monkeypatch):
         f = point(F(1, 2), F(1, 3))
         index = region_of(quad_body, f).index
-        vertices, regions = cuts._last_table[1]
+        regions = cuts._last_table[1]
         pieces, split, normal, (a0, a1, b0, b1) = regions[index - 1]
         wrong = list(regions)
         wrong[index - 1] = pieces, split, normal, (a0 + b0, a1 + b1, b0, b1)  # t_bar + 1
-        monkeypatch.setattr(cuts, "_last_table", (quad_body, (vertices, wrong)))
+        monkeypatch.setattr(cuts, "_last_table", (quad_body, wrong))
         with pytest.raises(AssertionError, match="disagrees with the split-coefficient value"):
             strength_single_split(quad_body, f)
 

@@ -35,16 +35,19 @@ from conftest import (
     _rat,
     any_body,
     ccw,
+    dot,
     facets,
     gauge,
     lattice_points_oracle,
     lattice_width_enumerated,
+    plus,
     polygon_area,
     quad_oracle,
     quad_params,
     random_interior_point,
     t3_oracle,
     t3_params,
+    times,
 )
 
 
@@ -63,13 +66,14 @@ def grid_bodies():
 
 class TestRational2:
     def test_arithmetic(self):
+        # the package keeps - and cross; the tests' helpers add, scale and dot
         p = point(F(1, 2), F(3, 4))
         q = point(1, -2)
-        assert p + q == point(F(3, 2), F(-5, 4))
+        assert plus(p, q) == point(F(3, 2), F(-5, 4))
         assert p - q == point(F(-1, 2), F(11, 4))
-        assert p * 2 == point(1, F(3, 2))
-        assert -q == point(-1, 2)
-        assert p.dot(q) == F(1, 2) - F(3, 2)
+        assert times(p, 2) == point(1, F(3, 2))
+        assert times(q, -1) == point(-1, 2)
+        assert dot(p, q) == F(1, 2) - F(3, 2)
         assert p.cross(q) == -1 - F(3, 4)
 
     def test_rejects_floats(self):
@@ -209,8 +213,10 @@ DERIVED = {
 
 
 def derived(body):
-    """Those names' values, the vertices in both orders and the facets."""
-    return [getattr(body, name) for name in DERIVED[type(body)]] + [body.vertices(), body.polygon(), body._facets]
+    """Those names' values, the vertices in both orders, the integer vertices and the facets."""
+    return [getattr(body, name) for name in DERIVED[type(body)]] + [
+        body.vertices(), body.polygon(), body._integer_vertices, body._facets
+    ]
 
 
 class TestFromFrame:
@@ -358,11 +364,11 @@ class TestBodyModel:
         # n . across = 1 and n . along = 0, so x = t across + k along has n . x = t
         band = SplitBody(normal, offset)
         n = point(*normal)
-        assert facets(band) == [(n, F(offset + 1)), (-n, F(-offset))]
+        assert facets(band) == [(n, F(offset + 1)), (times(n, -1), F(-offset))]
         for k in range(-2, 3):
             for q in range(-8, 13):
                 t = offset + F(q, 4)
-                x = point(*across) * t + point(*along) * k
+                x = plus(times(point(*across), t), times(point(*along), k))
                 assert band.contains_interior(x) == (offset < t < offset + 1)
 
 
@@ -478,7 +484,7 @@ class TestLatticePoints:
             on_edge = {q for q in boundary if (b - a).cross(point(*q) - a) == 0}
             assert sorted(_edge_points(a, b)) == sorted(on_edge)
             open_count = len(_edge_points(a, b)) - a.is_integral() - b.is_integral()
-            assert open_count == len(on_edge - {a.as_tuple(), b.as_tuple()})
+            assert open_count == len(on_edge - {(a.x1, a.x2), (b.x1, b.x2)})
         ys = [p.x2 for p in pts]
         rows = range(floor(min(ys)) + 1, ceil(max(ys)))
         assert {y for y in rows if _row_meets_interior(pts, y)} == {y for _, y in interior}
@@ -570,7 +576,7 @@ class TestGauge:
                 continue
             g = gauge(quad_body, f, r)
             for lam in (F(1, 2), F(2), F(7, 3)):
-                assert gauge(quad_body, f, r * lam) == lam * g
+                assert gauge(quad_body, f, times(r, lam)) == lam * g
 
     def test_gauge_one_iff_boundary(self, t3_body):
         rng = random.Random(12)
@@ -580,7 +586,7 @@ class TestGauge:
             if r.is_zero():
                 continue
             g = gauge(t3_body, f, r)
-            boundary = f + r * (1 / g)
+            boundary = plus(f, times(r, 1 / g))
             assert gauge(t3_body, f, boundary - f) == 1
 
     def test_split_recession_direction(self):
@@ -637,7 +643,7 @@ class TestCanonicalize:
             assert umap == IDENTITY
 
     def test_translation_only(self, t2_body):
-        moved = [v + point(3, -2) for v in t2_body.polygon()]
+        moved = [plus(v, point(3, -2)) for v in t2_body.polygon()]
         body, umap = canonicalize(moved)
         assert (body.a1, body.a2) == (t2_body.a1, t2_body.a2)
         assert (umap.t1, umap.t2) == (-3, 2)
@@ -647,9 +653,7 @@ class TestCanonicalize:
         moved = [shear.apply(v) for v in t1_body.polygon()]
         body, umap = canonicalize(moved)
         assert isinstance(body, Type1Body)
-        assert {umap.apply(v).as_tuple() for v in moved} == {
-            v.as_tuple() for v in body.polygon()
-        }
+        assert {umap.apply(v) for v in moved} == set(body.polygon())
 
     def test_split_normalized(self):
         body, umap = canonicalize(SplitBody((3, 5), 7))
@@ -680,9 +684,7 @@ class TestCanonicalize:
             moved = [m.apply(v) for v in source.polygon()]
             body, umap = canonicalize(moved)
             assert classify(body.polygon()) is classify(source.polygon())
-            assert {umap.apply(v).as_tuple() for v in moved} == {
-                v.as_tuple() for v in body.polygon()
-            }
+            assert {umap.apply(v) for v in moved} == set(body.polygon())
 
     def test_large_entry_map(self, t3_body):
         # the map has a matrix entry of 13
@@ -739,6 +741,14 @@ class TestCanonicalize:
     def test_map_invariants(self):
         with pytest.raises(ValueError):
             UnimodularMap(2, 0, 0, 2, 0, 0)
+        # a float entry would put a float into the exact geometry, and a
+        # half-unit translation does not map the lattice onto itself
+        cases = [((1.0, 0, 0, 1), "m11", "1.0"), ((1, 0, 0, 1, F(1, 2), 0), "t1", "Fraction(1, 2)"),
+                 ((1, 0, 0, 1, 0, True), "t2", "True")]
+        for entries, name, shown in cases:
+            with pytest.raises(ValueError) as raised:
+                UnimodularMap(*entries)
+            assert str(raised.value) == f"map entry {name} must be an int, got {shown}"
 
 
 class TestRandomInteriorSampling:

@@ -41,12 +41,15 @@ from conftest import (
     BOUNDARY_BODIES,
     any_body,
     box_grid,
+    fan_fraction_oracle,
     fan_triangles_oracle,
     random_interior_point,
     region_spec,
+    plus,
     region_t_bar,
     sample_points_oracle,
     t_bar_evaluator_oracle,
+    times,
 )
 
 
@@ -109,9 +112,9 @@ class TestDeterminism:
         # sample i depends only on (seed, i): regenerating a mid-stream window
         # chunk-by-chunk reproduces the same points
         fan = _fan_triangles(t2_body)
-        whole = _sample_points(fan, seed=9, start=0, count=256)
+        whole = _sample_points(fan, seed=9, start=0, count=256, ws=_Workspace(256))
         # restart at position 128 (we know one counter block yields one sample)
-        tail = _sample_points(fan, seed=9, start=128, count=128)
+        tail = _sample_points(fan, seed=9, start=128, count=128, ws=_Workspace(128))
         for whole_column, tail_column in zip(whole, tail):
             assert (whole_column[128:] == tail_column).all()
 
@@ -130,13 +133,37 @@ class TestRowWiseOracle:
     )
     def test_points_and_t_bar_bit_identical(self, body, seed, start, count):
         pts = sample_points_oracle(fan_triangles_oracle(body), seed, start, count)
-        x1, x2 = _sample_points(_fan_triangles(body), seed, start, count)
+        ws = _Workspace(count)
+        x1, x2 = _sample_points(_fan_triangles(body), seed, start, count, ws)
         assert np.array_equal(x1, pts[:, 0]) and np.array_equal(x2, pts[:, 1])
         expected = t_bar_evaluator_oracle(body)(pts)
-        got = _t_bar_evaluator(body)(x1, x2)
+        got = _t_bar_evaluator(body)(x1, x2, ws)
         assert np.array_equal(got, expected, equal_nan=True)
         # the signs of zeros and infinities too
         assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.sampled_from(BOUNDARY_BODIES),
+            any_body(),
+            # parameters 10**-30 from a family boundary, rounded far from 1/v
+            st.sampled_from([
+                QuadBody(F(2, 5), F(3, 2), F(3, 5), -F(1, 10**30)),
+                Type2Body(F(1, 2), 1 + F(1, 10**30)),
+                Type3Body(F(3), F(1, 10**30), F(1, 10**31)),
+            ]),
+        )
+    )
+    def test_fan_matches_fraction_oracle(self, body):
+        # the fan built on the integer vertices has the bits of float() of
+        # each exact Fraction
+        breaks, origin, edges = _fan_triangles(body)
+        want_breaks, want_origin, want_edges = fan_fraction_oracle(body)
+        assert origin == want_origin and all(type(c) is float for c in origin)
+        for got, want in zip((breaks, *edges), (want_breaks, *want_edges)):
+            assert got.dtype == want.dtype == np.float64 and np.array_equal(got, want)
 
 
 class TestWorkspace:
@@ -160,10 +187,11 @@ class TestWorkspace:
         fan, evaluate = _fan_triangles(body), _t_bar_evaluator(body)
         ws = _Workspace(_CHUNK)
         for count in counts:
-            fresh = _sample_points(fan, seed, start, count)
+            fresh_ws = _Workspace(count)
+            fresh = _sample_points(fan, seed, start, count, fresh_ws)
             x1, x2 = _sample_points(fan, seed, start, count, ws)
             assert np.array_equal(x1, fresh[0]) and np.array_equal(x2, fresh[1])
-            expected = evaluate(*fresh)
+            expected = evaluate(*fresh, fresh_ws)
             got = evaluate(x1, x2, ws)
             assert np.array_equal(got, expected, equal_nan=True)
             assert np.array_equal(np.signbit(got), np.signbit(expected))
@@ -298,7 +326,7 @@ class TestEvaluators:
     @staticmethod
     def assert_matches_exact(body, points):
         evaluate = _t_bar_evaluator(body)
-        approx = evaluate(*columns(points))
+        approx = evaluate(*columns(points), _Workspace(len(points)))
         for f, value in zip(points, approx):
             exact = strength_single_split(body, f).t_bar
             assert abs(value - float(exact)) < 1e-9, (body, f)
@@ -313,7 +341,7 @@ class TestEvaluators:
         # there, so float round-off may pick either neighbouring region.
         # Crossings with lattice lines are left out: ties there are rejected.
         def on_line(body, through, direction):
-            pts = [through + direction * F(k, 61) for k in range(-183, 184)]
+            pts = [plus(through, times(direction, F(k, 61))) for k in range(-183, 184)]
             return [
                 f for f in pts
                 if body.contains_interior(f) and all(v.denominator > 1 for v in (f.x1, f.x2, f.x1 + f.x2))
@@ -347,7 +375,7 @@ class TestEvaluators:
         for body in self.BODIES:
             spec = region_spec(body)
             pts = [f for f in box_grid(body, 16) if body.contains_interior(f)]
-            values = _t_bar_evaluator(body)(*columns(pts))
+            values = _t_bar_evaluator(body)(*columns(pts), _Workspace(len(pts)))
             for f, value in zip(pts, values):
                 try:
                     exact = region_t_bar(spec[region_of(body, f).index - 1], f)
