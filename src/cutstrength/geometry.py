@@ -77,6 +77,15 @@ def over_common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]
     return d, [v.numerator * (d // v.denominator) for v in values]
 
 
+def _integer_points(*quotients: tuple[int, int]) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """``(v, V)`` for points whose coordinates are the int quotients ``n / d``
+    given as pairs ``(n, d)``, x1 then x2 of each point: the least common
+    denominator ``v`` of the coordinates, and each point times ``v``."""
+    v = lcm(*(d // gcd(n, d) for n, d in quotients))
+    ints = [n * v // d for n, d in quotients]
+    return v, tuple(zip(ints[::2], ints[1::2]))
+
+
 class BodyClass(Enum):
     SPLIT = "Split"
     TYPE1_TRIANGLE = "Type1Triangle"
@@ -212,27 +221,30 @@ class LatticeFreeBody:
     over their least denominator ``D`` (or it raises the constructor's
     ValueError): ``D``, the numerators, then the integers the check derives.
     Frames are canonical, so bodies of one family are equal exactly when
-    their frames are.  The rest is read off the frame: ``_vertices``, in the
-    documented corner-ray order, is built on first read, the parameters and
-    derived coordinates are read-only properties over it, and ``_order``
-    lists the vertices counter-clockwise for ``polygon()``, an orientation
-    that the family's sign constraints decide.  ``_integer_vertices`` reads
-    the vertices once as integers, for the facets, ``cuts`` and the fan.
+    their frames are.  The rest is read off the frame, each part on first
+    read.  A bounded family's ``_integer_vertices``, its one vertex formula,
+    gives ``(v, V)`` in ints: the least common denominator ``v`` of the
+    vertex coordinates and the vertices times ``v``, in the documented
+    corner-ray order; the facets, ``cuts`` and the fan read it.  The
+    Fraction vertices ``_vertices`` are a view of ``(v, V)``, and the
+    parameters and derived coordinates are read-only properties over that
+    view.  ``_order`` lists the vertices counter-clockwise for ``polygon()``,
+    an orientation that the family's sign constraints decide.
 
-    The constructor coerces the parameters with ``_frac``, runs ``_check``
-    and builds the vertices; ``_from_frame`` builds the same body from the
-    integers and holds only the frame until something else is read.
+    The constructor coerces the parameters with ``_frac`` and runs
+    ``_check``, and does no vertex work; ``_from_frame`` builds the same
+    body from the integers.  Either way a new body holds only its frame.
     """
 
     tag: str
     _frame: tuple[int, ...]
+    _integer_vertices: tuple[int, tuple[tuple[int, int], ...]]
     _params: tuple[str, ...] = ()
     _order: tuple[int, ...] = (0, 1, 2)
 
     def _init(self, *params: Rat) -> None:
         D, numerators = over_common_denominator([_frac(p) for p in params])
         self._frame = self._check(D, *numerators)
-        self._vertices  # built now, so that a constructed body pays for them here
 
     @classmethod
     def _from_frame(cls, *frame: int):
@@ -266,13 +278,10 @@ class LatticeFreeBody:
         return [self._vertices[i] for i in self._order]
 
     @cached_property
-    def _integer_vertices(self) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """``(v, V)``: the least common denominator ``v`` of the vertex
-        coordinates, and the vertices times ``v`` as integer pairs in
-        corner-ray order.  The one place a body's vertices become integers;
-        built on first use (a body never changes after construction)."""
-        v, ints = over_common_denominator([c for p in self._vertices for c in (p.x1, p.x2)])
-        return v, tuple(zip(ints[::2], ints[1::2]))
+    def _vertices(self) -> tuple[Rational2, ...]:
+        """The vertices as Fractions, a view of ``_integer_vertices``."""
+        v, V = self._integer_vertices
+        return tuple(Rational2(Fraction(x1, v), Fraction(x2, v)) for x1, x2 in V)
 
     @cached_property
     def _facets(self) -> tuple[int, tuple[tuple[int, int, int], ...]]:
@@ -333,7 +342,7 @@ class Type1Body(LatticeFreeBody):
 
     tag = "type1"
     _frame = ()
-    _vertices = (point(0, 0), point(2, 0), point(0, 2))
+    _integer_vertices = (1, ((0, 0), (2, 0), (0, 2)))
 
 
 class Type2Body(LatticeFreeBody):
@@ -362,13 +371,9 @@ class Type2Body(LatticeFreeBody):
         return (D, A1, A2)
 
     @cached_property
-    def _vertices(self) -> tuple[Rational2, ...]:
+    def _integer_vertices(self) -> tuple[int, tuple[tuple[int, int], ...]]:
         D, A1, A2 = self._frame
-        return (
-            Rational2(Fraction(-A1, A2 - D), Fraction(0)),
-            Rational2(Fraction(A2 - A1, A2 - D), Fraction(0)),
-            Rational2(Fraction(A1, D), Fraction(A2, D)),
-        )
+        return _integer_points((-A1, A2 - D), (0, 1), (A2 - A1, A2 - D), (0, 1), (A1, D), (A2, D))
 
 
 class Type3Body(LatticeFreeBody):
@@ -420,13 +425,9 @@ class Type3Body(LatticeFreeBody):
         return (D, A1, A2, B1, nb2, db2, E, nc2)
 
     @cached_property
-    def _vertices(self) -> tuple[Rational2, ...]:
+    def _integer_vertices(self) -> tuple[int, tuple[tuple[int, int], ...]]:
         D, A1, A2, B1, nb2, db2, E, nc2 = self._frame
-        return (
-            Rational2(Fraction(A1, D), Fraction(A2, D)),
-            Rational2(Fraction(B1, D), Fraction(nb2, db2)),
-            Rational2(Fraction(A1 * (A1 - D) * B1, E), Fraction(nc2, E)),
-        )
+        return _integer_points((A1, D), (A2, D), (B1, D), (nb2, db2), (A1 * (A1 - D) * B1, E), (nc2, E))
 
 
 class QuadBody(LatticeFreeBody):
@@ -477,18 +478,12 @@ class QuadBody(LatticeFreeBody):
         return (D, A1, A2, B1, B2, e_c, e_d)
 
     @cached_property
-    def _vertices(self) -> tuple[Rational2, ...]:
+    def _integer_vertices(self) -> tuple[int, tuple[tuple[int, int], ...]]:
         D, A1, A2, B1, B2, e_c, e_d = self._frame
         nd1 = (A2 - A1) * (D - B1) - (D - A1) * B2
-        return (
-            Rational2(Fraction(A1, D), Fraction(A2, D)),
-            Rational2(Fraction(B1, D), Fraction(B2, D)),
-            Rational2(Fraction(-A1 * B1, e_c), Fraction(-A1 * B2, e_c)),
-            Rational2(Fraction(nd1, e_d), Fraction(-(D - A1) * B2, e_d)),
+        return _integer_points(
+            (A1, D), (A2, D), (B1, D), (B2, D), (-A1 * B1, e_c), (-A1 * B2, e_c), (nd1, e_d), (-(D - A1) * B2, e_d)
         )
-
-
-Body = Union[SplitBody, Type1Body, Type2Body, Type3Body, QuadBody]
 
 
 # ---------------------------------------------------------------------------

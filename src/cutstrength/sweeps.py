@@ -8,9 +8,8 @@ approach one.
 A grid is walked in integers: every parameter value is a numerator over one
 denominator ``D``, the least common multiple of the step's denominator and
 of each range's lower end's, and the step is the integer ``S = step D``.
-Quad and type 3 bodies are built from those integers by ``_from_frame``,
-which keeps only the body's integer frame; its Fractions are derived only
-if they are read.
+Bodies are built from those integers by ``_from_frame``, a type 2 body
+only when Monte Carlo reads it.
 Each row's parameters, and a quad's width ``a2 - b2``, come from a table of
 one Fraction per distinct numerator.  Quad rows are kept in one list per
 integer width ``A2 - B2``, joined widest first, which is the stable sort on
@@ -32,7 +31,7 @@ from typing import Optional
 
 from . import geometry
 from .bounds import check_threshold, p_t2_lower, quad_lower, t3_lower
-from .geometry import QuadBody, Type2Body, Type3Body, _frac, lattice_width  # noqa: F401
+from .geometry import QuadBody, Type3Body, _frac, lattice_width  # noqa: F401
 from .montecarlo import McEstimate, monte_carlo_lower
 
 PARAMS = {"t2": ("w",), "quad": ("a1", "a2", "b1", "b2"), "t3": ("a1", "a2", "b1")}
@@ -110,7 +109,10 @@ def sweep_grid(
             if not D < W <= 2 * D:
                 continue
             w = over[W]
-            rows.append(_row((w,), w, z, p_t2_lower(z, w), _t2_body(w), mc_samples, seed))
+            # apex height w realizes lattice width w for any apex abscissa in
+            # (0,1); the body is read only by Monte Carlo
+            body = geometry.Type2Body._from_frame(2 * D, D, 2 * W) if mc_samples is not None else None
+            rows.append(_row((w,), w, z, p_t2_lower(z, w), body, mc_samples, seed))
     elif family == "quad":
         boxes = [
             _range(ranges, "a1", (step, 1 - step)),
@@ -174,11 +176,6 @@ def sweep_grid(
         # floats, and the stable sort keeps the order of a sort on w alone
         rows.sort(key=lambda r: (float(r.w), r.w), reverse=True)
     return rows
-
-
-def _t2_body(w: Fraction) -> Type2Body:
-    # apex height w realizes lattice width w for any apex abscissa in (0,1)
-    return Type2Body(Fraction(1, 2), w)
 
 
 def _row(params, w, z, bound, body, mc_samples, seed) -> GridRow:

@@ -134,8 +134,8 @@ def t3_oracle(a1, a2, b1):
     return dict(a1=a1, a2=a2, b1=b1, b2=b2, c1=c1, c2=c2)
 
 
-# Test-only geometry: vector arithmetic on points, the Fraction facets and
-# the gauge of a body.
+# Test-only geometry: vector arithmetic on points, the vertices as line
+# intersections, the Fraction facets and the gauge of a body.
 
 
 def dot(p: Rational2, q: Rational2) -> F:
@@ -149,6 +149,31 @@ def plus(p: Rational2, q: Rational2) -> Rational2:
 def times(p: Rational2, s) -> Rational2:
     """``s p`` for an int or Fraction ``s``."""
     return Rational2(p.x1 * s, p.x2 * s)
+
+
+def meet(p: Rational2, q: Rational2, r: Rational2, s: Rational2) -> Rational2:
+    """The point where the line through ``p`` and ``q`` meets the line
+    through ``r`` and ``s``; the lines must not be parallel."""
+    u, w = q - p, s - r
+    return plus(p, times(u, w.cross(r - p) / w.cross(u)))
+
+
+def vertex_oracle(cls, params) -> tuple[Rational2, ...]:
+    """The vertices of ``cls(*params)`` in corner-ray order, in Fractions,
+    each found as the meeting point of two boundary lines through the
+    family's lattice points, not by the family's closed forms."""
+    o, x, y, xy = point(0, 0), point(1, 0), point(0, 1), point(1, 1)
+    if cls is Type1Body:
+        return o, point(2, 0), point(0, 2)
+    if cls is Type2Body:
+        apex = point(*params)
+        return meet(apex, y, o, x), meet(apex, xy, o, x), apex
+    if cls is Type3Body:
+        a = point(*params[:2])
+        b = meet(a, x, point(params[2], 0), point(params[2], 1))
+        return a, b, meet(b, o, a, y)
+    a, b = point(*params[:2]), point(*params[2:])
+    return a, b, meet(a, y, b, o), meet(a, xy, b, x)
 
 
 def facets(body):

@@ -49,27 +49,38 @@ SWEEP_GOLDENS = [
     ("t3", "4", "d53c8897af7aae8d4d461cb45f28e10ab38d951dfb7b7c1d9db180fc6fe617fa"),
     ("t2", "4", "37f9b559f9f0a49df455c66d6c623c3be50fd682033e6776268e5b6d92adecae"),
 ]
-# (family, sha256 of the sweep's JSON at z = 2, step 1/10, with 100 Monte
-# Carlo samples a row from seed 4)
+# (family, z, sha256 of the sweep's JSON at step 1/10, with 100 Monte Carlo
+# samples a row from seed 4)
 MC_SWEEP_GOLDENS = [
-    ("t2", "9e9c5ec74139bcf00d38a2e1b786688c907071d2a4c730c29589d9146559113a"),
-    ("quad", "e88c1a1f6dbed425353e8a8893ab638eaa8fcafc648dadf462e21d872a287e57"),
-    ("t3", "8949a629674990196125f3d6bbf700f7562af75f331236a2ea340c397accbe4d"),
+    ("t2", "2", "9e9c5ec74139bcf00d38a2e1b786688c907071d2a4c730c29589d9146559113a"),
+    ("quad", "2", "e88c1a1f6dbed425353e8a8893ab638eaa8fcafc648dadf462e21d872a287e57"),
+    ("t3", "2", "8949a629674990196125f3d6bbf700f7562af75f331236a2ea340c397accbe4d"),
+    ("t2", "3/2", "d93672069dbe60b203586ce55f10fa0b9bc221461c6fa4a5c7d2b4f6d95ad058"),
+    ("t2", "3", "b87fb74722771c600c8cbd06fe02360b4a9ee32d386f92e40aca039edfed1afa"),
+    ("quad", "3/2", "8d44993b92baa14a772c14dee5652623d8458e62fb0352d0ac3a49a636446876"),
+    ("quad", "3", "2f778b429535b9fa360c5ba92ade1741ed5e762fd71faff7bfdf4541b190f7c8"),
+    ("t3", "3/2", "c44e8752821292241e6460af9cd68dd30d1f9e2e818c60554dec29006a24d210"),
+    ("t3", "3", "17d5d0c718d65c53722b1045322de25ff623f0a0582accda7009eecb028689cc"),
 ]
 # (curve, sha256 of plotdata's CSV at the default step 1/100)
 PLOTDATA_GOLDENS = [
     ("z2", "170e37087c41480d7c21466dd45fef417cae18f348ea7b171cd10928950a618c"),
     ("z32", "60189a2781dcb3d12c8572b3bd7e9b874f11ae4031f3ff72f29e56b5a2df4ce6"),
 ]
+
+
+def _golden_id(prefix, family, z, digest):
+    return f"{prefix}{family}-{digest}" if z == "2" else f"{prefix}{family}-z{z.replace('/', '_')}-{digest}"
+
+
 # (test id, argv, digest)
 GOLDENS = [
-    (f"{f}-{d}" if z == "2" else f"{f}-z{z.replace('/', '_')}-{d}", ("sweep", "--family", f, "--z", z, "--step", "1/10"), d)
-    for f, z, d in SWEEP_GOLDENS
+    (_golden_id("", f, z, d), ("sweep", "--family", f, "--z", z, "--step", "1/10"), d) for f, z, d in SWEEP_GOLDENS
 ]
 GOLDENS += [
-    (f"mc-{f}-{d}", ("sweep", "--family", f, "--z", "2", "--step", "1/10", "--format", "json", "--mc-samples", "100",
-                     "--seed", "4"), d)
-    for f, d in MC_SWEEP_GOLDENS
+    (_golden_id("mc-", f, z, d), ("sweep", "--family", f, "--z", z, "--step", "1/10", "--format", "json",
+                                  "--mc-samples", "100", "--seed", "4"), d)
+    for f, z, d in MC_SWEEP_GOLDENS
 ]
 GOLDENS += [(f"plotdata-{c}-{d}", ("plotdata", "--curve", c), d) for c, d in PLOTDATA_GOLDENS]
 

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -20,7 +20,10 @@ from cutstrength import (
     classify,
     corner_rays,
     lattice_width,
+    monte_carlo_lower,
     point,
+    region_of,
+    strength_report,
 )
 from cutstrength.geometry import (
     _edge_points,
@@ -48,6 +51,7 @@ from conftest import (
     t3_oracle,
     t3_params,
     times,
+    vertex_oracle,
 )
 
 
@@ -243,11 +247,9 @@ class TestFromFrame:
                 cls._from_frame(D, *nums)
             assert str(caught.value) == str(exc)
             return
-        # the constructor builds the vertices, so that a caller that builds
-        # its bodies before timing them does not time that work; _from_frame
-        # keeps only the frame until something else is read, and the width
-        # and the bounds read the frame
-        assert set(vars(built)) == {"_frame", "_vertices"}
+        # both ways a new body holds only its frame, and the width and the
+        # bounds read the frame, so they derive nothing
+        assert set(vars(built)) == {"_frame"}
         framed = cls._from_frame(D, *nums)
         assert framed._frame == built._frame
         assert lattice_width(framed) == lattice_width(built)
@@ -261,9 +263,53 @@ class TestFromFrame:
         lazy = cls._from_frame(D, *nums)
         if data is not None:
             getattr(lazy, data.draw(st.sampled_from(DERIVED[cls])))
-            assert set(vars(lazy)) == {"_frame", "_vertices"}
+            assert set(vars(lazy)) == {"_frame", "_integer_vertices", "_vertices"}
         assert repr(lazy) == repr(built) and lazy == built
         assert derived(lazy) == derived(built)
+
+
+class TestIntegerVertices:
+    """Each family's integer vertex formula, read off the frame, against
+    the vertices found as meeting points of its boundary lines."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(any_body(), body_frames()), st.integers(1, 4))
+    @example(Type1Body(), 1)
+    @example((QuadBody, 2, [1, 3, 1, -1]), 3)  # a1 = b1, -b2 = a2 - 1 and a width tie
+    @example((Type3Body, 3, [4, 1, 1]), 2)  # all three width candidates tie
+    def test_match_line_oracle(self, drawn, k):
+        if isinstance(drawn, tuple):
+            cls, D, nums = drawn
+        else:
+            cls = type(drawn)
+            D, *nums = drawn._frame[: 1 + len(cls._params)] or (1,)
+        params = [F(n, D) for n in nums]
+        try:
+            bodies = [cls(*params)]
+        except ValueError:
+            assume(False)
+        if nums:
+            bodies.append(cls._from_frame(k * D, *(k * n for n in nums)))  # a frame not reduced
+        want = vertex_oracle(cls, params)
+        v = lcm(*(c.denominator for p in want for c in (p.x1, p.x2)))
+        for body in bodies:
+            assert body._integer_vertices == (v, tuple((p.x1 * v, p.x2 * v) for p in want))
+            assert body.vertices() == want
+
+    @pytest.mark.parametrize("query", ["strength_report", "region_of", "monte_carlo_lower"])
+    def test_queries_build_no_vertex_fraction(self, query):
+        # the queries read the integer vertices only, so a fresh body never
+        # holds the Fraction view
+        f = point(F(1, 2), F(1, 3))
+        run = {
+            "strength_report": lambda body: strength_report(body, f, 5),
+            "region_of": lambda body: region_of(body, f),
+            "monte_carlo_lower": lambda body: monte_carlo_lower(body, 2, 100, 0),
+        }[query]
+        for body in (Type1Body(), Type2Body(F(1, 2), F(3, 2)), QuadBody(F(2, 5), F(3, 2), F(3, 5), F(-3, 10)),
+                     Type3Body(3, F(3, 10), F(1, 10))):
+            run(body)
+            assert "_vertices" not in vars(body)
 
 
 @st.composite
