@@ -5,10 +5,10 @@ All evaluators are exact: rational in, rational out.  Every family bound is
 a :class:`PiecewiseBound`, plain integer data: one term per region, each a
 few integer steps.
 
-Write ``z = p / q`` and ``m = p - q``.  A step ``(den, sel, k, l, l')`` adds
-``k l l' / (den m^2)`` once its selector ``sel(m, q) = a m + b q`` is
-non-negative, where each linear form ``(a, b)`` stands for ``a m + b q``
-with integer coefficients.  Every selector has ``a > 0``, so a step switches
+Write ``z = p / q`` and ``m = p - q``.  A term ``(den, steps)`` is one
+``den`` and its steps; a step ``(sel, k, l, l')`` adds ``k l l' / (den m^2)``
+once its selector ``sel(m, q) = a m + b q`` is non-negative, where each
+linear form ``(a, b)`` stands for ``a m + b q`` with integer coefficients.  Every selector has ``a > 0``, so a step switches
 on exactly at ``z >= (a - b) / a``, the root of its selector, and the bound's
 breaks are those roots; no break is stored.  Every type 2, quad and type 3
 term comes from one term builder, :func:`_term`: it is 0, then from the root
@@ -18,8 +18,9 @@ where its ``t_bar`` equals z, ``k l1 l2 / (den m^2)``, then from the root of
 ``l3 = l4`` and this takes off the corner that the line has passed at a
 vertex; for type 2 it adds the paper's second part ``g2``.  Quad regions 2
 and 4 are regions 1 and 3 of the body turned half a turn about (1/2, 1/2).
-A call adds each term's steps over the ``den`` they share, and since ``m^2``
-is common to every step, divides by it once, in the ``Fraction`` it returns.
+A call adds each term's switched-on steps as integers over the term's
+``den``, and since ``m^2`` is common to every step, divides by it once, in the
+``Fraction`` it returns.
 
 For the type 1 triangle the value is an exact probability, not merely a
 bound; it has a genuine jump at ``z = 2`` because the strength equals 2 on a
@@ -34,8 +35,8 @@ from fractions import Fraction
 from .geometry import QuadBody, Rat, Type1Body, Type2Body, Type3Body, _frac, lattice_width
 
 Pair = tuple[int, int]
-Step = tuple[int, Pair, int, Pair, Pair]
-Term = tuple[Step, ...]
+Step = tuple[Pair, int, Pair, Pair]
+Term = tuple[int, tuple[Step, ...]]
 
 
 def check_threshold(z: Rat) -> Fraction:
@@ -52,10 +53,11 @@ class PiecewiseBound:
     terms, divided by the positive ``scale``, an unreduced ``(num, den)`` pair
     with ``den > 0``.
 
-    Each term is one region's steps ``(den, (a, b), k, l, l')`` in the order
-    of their roots.  A step adds ``k l l' / (den m^2)`` once ``a m + b q >=
-    0``, which with ``a > 0`` is ``z >= (a - b) / a``: selection is
-    right-continuous, the natural convention for a distribution-style bound.
+    Each term is one region's ``(den, steps)``, its steps ``((a, b), k, l,
+    l')`` in the order of their roots.  A step adds ``k l l' / (den m^2)``
+    once ``a m + b q >= 0``, which with ``a > 0`` is ``z >= (a - b) / a``:
+    selection is right-continuous, the natural convention for a
+    distribution-style bound.
     """
 
     terms: tuple[Term, ...]
@@ -63,23 +65,21 @@ class PiecewiseBound:
 
     @property
     def breakpoints(self) -> tuple[Fraction, ...]:
-        return tuple(sorted({Fraction(a - b, a) for term in self.terms for _, (a, b), *_ in term}))
+        return tuple(sorted({Fraction(a - b, a) for _, steps in self.terms for (a, b), *_ in steps}))
 
     def __call__(self, z: Rat) -> Fraction:
         z = check_threshold(z)
         q = z.denominator
         m = z.numerator - q
         num, den = 0, 1
-        for term in self.terms:
-            tn, td = 0, 1
-            for d, (a, b), k, (a1, b1), (a2, b2) in term:
+        for d, steps in self.terms:
+            tn = 0
+            for (a, b), k, (a1, b1), (a2, b2) in steps:
                 if a * m + b * q < 0:
                     break  # so are the selectors of the later roots
-                n = k * (a1 * m + b1 * q) * (a2 * m + b2 * q)
-                # a term's steps share their den; the general path is for terms built by hand
-                tn, td = (tn + n, td) if d == td else (tn * d + n * td, td * d)
+                tn += k * (a1 * m + b1 * q) * (a2 * m + b2 * q)
             if tn:
-                num, den = num * td + tn * den, den * td
+                num, den = num * d + tn * den, den * d
         sn, sd = self.scale
         return Fraction(num * sd, den * m * m * sn)
 
@@ -88,7 +88,7 @@ def _term(den: int, k: int, l1: Pair, l2: Pair, s: int, l3: Pair, l4: Pair) -> T
     """One region's term: the trapezoid ``k l1 l2 / (den m^2)`` from the root
     of ``l1`` on, plus the corner ``s l3 l4 / (den m^2)`` from the root of
     ``l3`` on, which is not below the root of ``l1``."""
-    return (den, l1, k, l1, l2), (den, l3, s, l3, l4)
+    return den, ((l1, k, l1, l2), (l3, s, l3, l4))
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +99,7 @@ def t1_bound() -> PiecewiseBound:
     """Exact probability that the type 1 strength is at most z: 0, then
     ``3/4 ((2z - 3) / (z - 1))^2`` from ``z = 3/2``, then 1 from ``z = 2``."""
     u, v, m = (2, -1), (1, -1), (1, 0)  # the forms 2m - q (root 3/2), m - q (root 2) and m
-    return PiecewiseBound((((4, u, 3, u, u), (4, v, -3, u, u), (4, v, 4, m, m)),))
+    return PiecewiseBound(((4, ((u, 3, u, u), (v, -3, u, u), (v, 4, m, m))),))
 
 
 def p_t1(z: Rat) -> Fraction:

@@ -44,7 +44,6 @@ from .geometry import (
     Type1Body,
     Type2Body,
     Type3Body,
-    corner_rays,  # unused here, but callers look it up as cuts.corner_rays
     over_common_denominator,
     primitive_directions,
 )
@@ -376,6 +375,13 @@ def _frame(body: LatticeFreeBody, f: Rational2, split_error: str):
     frame = (q, x1, x2), (d, (f1, f2), [(a * s - f1, b * s - f2) for a, b in V])
     _last_frame = body, f, frame
     return frame
+
+
+def corner_rays(body: LatticeFreeBody, f: Rational2) -> tuple[Rational2, ...]:
+    """Rays from ``f`` to each vertex, in the documented vertex order: the
+    Fraction view of the integer rays of :func:`_frame`."""
+    d, _, big_rays = _frame(body, f, "a split has no vertices, hence no corner rays")[1]
+    return tuple(Rational2(Fraction(a, d), Fraction(b, d)) for a, b in big_rays)
 
 
 def _locate(body: LatticeFreeBody, f: Rational2):

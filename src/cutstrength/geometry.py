@@ -13,7 +13,7 @@ kept in canonical parameterizations:
 * ``QuadBody``       -- vertices ``a, b, c, d`` with one lattice point in the
   relative interior of each edge
 
-Vertex order conventions (used by :func:`corner_rays`):
+Vertex order conventions (used by ``cuts.corner_rays``):
 Type1 = ((0,0), (2,0), (0,2)); Type2 = (left base, right base, apex);
 Type3 = (a, b, c); Quad = (a, b, c, d) with a top, b bottom, c left, d right.
 """
@@ -535,15 +535,6 @@ def _ring(r: int) -> tuple[tuple[int, int], ...]:
     """The primitive directions of max-norm exactly ``r``, in ``(u1, u2)`` order."""
     edge = [(u1, u2) for u1 in range(r) for u2 in (-r, r) if u1 > 0 or u2 > 0]
     return tuple(u for u in edge + [(r, u2) for u2 in range(-r, r + 1)] if gcd(*u) == 1)
-
-
-def corner_rays(body: LatticeFreeBody, f: Rational2) -> tuple[Rational2, ...]:
-    """Rays from ``f`` to each vertex, in the documented vertex order."""
-    if isinstance(body, SplitBody):
-        raise ValueError("a split has no vertices, hence no corner rays")
-    if not body.contains_interior(f):
-        raise ValueError(f"root vertex {f} is not strictly interior to {body!r}")
-    return tuple(v - f for v in body.vertices())
 
 
 # ---------------------------------------------------------------------------

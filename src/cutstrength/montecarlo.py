@@ -9,8 +9,8 @@ counter block (four doubles, three used), so results are bit-identical no
 matter how the index range is chunked across threads.
 
 The kernel works on columns: a chunk of samples becomes the 1-D arrays
-``x1`` and ``x2``, built by whole-array arithmetic (a branch-free fold, and a
-triangle pick that is one comparison per break of the fan), and the
+``x1`` and ``x2``, built by whole-array arithmetic (a branch-free fold, and,
+for a quadrilateral, a triangle pick that is one comparison), and the
 evaluator reads those columns directly.  Every step computes the same
 doubles as the per-point formulas, so points, ``t_bar`` values and hit
 counts are bit for bit those of a row-wise kernel (an ``(n, 2)`` array,
@@ -23,15 +23,15 @@ call: each ufunc, ``take`` and ``Generator.random`` writes through ``out=``
 in the operation order of fresh arrays, so each double keeps its bits, and a
 chunk allocates no array and faults no page in.  A buffer is reused once
 what it held is dead: the chunk's uniforms give way to ``x1``, ``x2`` and
-scratch, and the sampler's rows to the evaluator's.  A workspace is sized
-to the call's largest chunk, ``min(samples, 2^16)``, and holds seven 8-byte
-rows and eight 1-byte rows of it: 4 MB at full chunks.  A chunk takes
-one from a lock-protected free list (making one, or a larger one for a call
-with larger chunks, when none fits) and gives it back when done, so there
-are never more workspaces than chunks running at once, and calls from
-several threads at once stay safe.  A call runs its chunks on
-``min(thread_count(), chunks, os.cpu_count())`` workers, and the list keeps
-that many workspaces idle afterwards: 4 MB per worker of the last call.
+scratch, and the sampler's rows to the evaluator's.  Every workspace holds
+one full chunk of 2^16 samples, seven 8-byte rows and eight 1-byte rows, 4 MB
+of address space of which a chunk touches only the pages it writes, so any
+workspace serves any chunk.  A chunk takes one from a lock-protected stack
+(making one when it is empty) and gives it back when done, so there are
+never more workspaces than chunks running at once, and calls from several
+threads at once stay safe.  A call runs its chunks on ``min(thread_count(),
+chunks, os.cpu_count())`` workers, and the stack keeps that many workspaces
+idle afterwards.
 
 numpy is imported inside the functions that use it, so that importing the
 package and the exact commands do not pay for it.
@@ -74,22 +74,22 @@ def thread_count() -> int:
 
 
 class _Workspace:
-    """Buffers for chunks of up to ``size`` samples, one chunk at a time:
-    ``wide``, seven rows of 8-byte items (float64, or intp through a view),
-    and ``narrow``, eight rows of bools (or uint8 through a view).  Wide rows
-    0-3 are contiguous, so that they can first hold a chunk's uniforms, four
-    to a sample.  The sampler takes all seven wide rows; the evaluator takes
-    two wide rows and one per normal, and five narrow rows and one per split,
-    which fit because the region tables' normals and splits are among
-    (1, 0), (0, 1) and (1, 1).  A page is touched only when a row is written.
+    """Buffers for one chunk of up to ``_CHUNK`` samples at a time, so any
+    workspace serves any chunk: ``wide``, seven rows of 8-byte items
+    (float64, or intp through a view), and ``narrow``, eight rows of bools
+    (or uint8 through a view).  Wide rows 0-3 are contiguous, so that they
+    can first hold a chunk's uniforms, four to a sample.  The sampler takes
+    all seven wide rows; the evaluator takes two wide rows and one per
+    normal, and five narrow rows and one per split, which fit because the
+    region tables' normals and splits are among (1, 0), (0, 1) and (1, 1).
+    A page is touched only when a row is written.
     """
 
-    def __init__(self, size: int):
+    def __init__(self):
         import numpy as np
 
-        self.size = size
-        self.wide = np.empty((7, size))
-        self.narrow = np.empty((8, size), dtype=bool)
+        self.wide = np.empty((7, _CHUNK))
+        self.narrow = np.empty((8, _CHUNK), dtype=bool)
 
 
 # the idle workspaces, each taken by one chunk at a time
@@ -99,11 +99,12 @@ _idle_lock = threading.Lock()
 
 def _fan_triangles(body: LatticeFreeBody):
     """Fan triangulation from the first vertex of the counter-clockwise
-    cycle, in floats: the cumulative area weights at which the triangles
-    after the first start, the origin, and the edge columns ``(e1x, e1y,
-    e2x, e2y)`` with one entry per triangle.  It is worked out on the body's
-    integer vertices ``V`` over ``v``: each float is an int quotient, ``a /
-    total`` or ``c / v``, the correctly rounded double of the exact value."""
+    cycle, in floats: the breaks (for a quadrilateral, the area weight at
+    which its second triangle starts; none for a triangle), the origin, and
+    the edge columns ``(e1x, e1y, e2x, e2y)`` with one entry per triangle.
+    It is worked out on the body's integer vertices ``V`` over ``v``: each
+    float is an int quotient, ``a / total`` or ``c / v``, the correctly
+    rounded double of the exact value."""
     import numpy as np
 
     v, V = body._integer_vertices
@@ -124,22 +125,18 @@ def _sample_points(fan, seed: int, start: int, count: int, ws: _Workspace) -> tu
     Sample ``i`` takes the four doubles of Philox block ``i`` (the last one
     unused): ``u0`` picks the triangle by area, ``(r1, r2)`` folded into the
     triangle give ``x = origin + r1 e1 + r2 e2``.  The columns are the wide
-    rows 0 and 1 of the workspace ``ws``, which holds at least ``count``
-    samples and whose other rows are then free.
+    rows 0 and 1 of the workspace ``ws``, whose other rows are then free.
     """
     import numpy as np
 
     breaks, (o1, o2), (e1x, e1y, e2x, e2y) = fan
     bg = np.random.Philox(key=seed, counter=[start, 0, 0, 0])
-    w, m = ws.wide[:, :count], ws.narrow[:, :count]
+    w = ws.wide[:, :count]
     u = np.random.Generator(bg).random(out=ws.wide[:4].reshape(-1)[: 4 * count]).reshape(count, 4)
-    # the triangle is the number of breaks at or below u0, an intp array (the
-    # fast index type of take); a single triangle's edges need no gather
-    tri = None
-    if len(breaks):
-        tri = np.greater_equal(u[:, 0], breaks[0], out=w[6].view(np.intp))
-        for b in breaks[1:]:
-            tri += np.greater_equal(u[:, 0], b, out=m[0])
+    # the triangle is 1 where u0 is at or above the fan's one break, else 0,
+    # an intp array (the fast index type of take); a single triangle's edges
+    # need no gather
+    tri = np.greater_equal(u[:, 0], breaks[0], out=w[6].view(np.intp)) if len(breaks) else None
     # the fold r -> 1 - r where r1 + r2 > 1, without a branch per sample:
     # |flip - r| is |-r| = r or |1 - r| = 1 - r (r < 1), the same doubles;
     # flip is the float 0.0 or 1.0, and r2 takes its row once r1 is made
@@ -172,19 +169,15 @@ def _take(column, index, out):
 
 
 def _dot(n, x1, x2, out):
-    """``n . x`` without the terms of zero entries and the factors 1, written
-    to ``out`` when it takes arithmetic (and to a fresh array too when both
-    factors differ from 1, which no region table has).  For finite ``x`` it
-    differs from ``n[0] x1 + n[1] x2`` at most in the sign of a zero, which
-    no comparison and no ``floor`` test sees."""
+    """``n . x`` for a normal ``n`` among (1, 0), (0, 1) and (1, 1), the only
+    ones in the region tables: ``x1``, ``x2``, or their sum written to
+    ``out``.  For finite ``x`` it differs from ``n[0] x1 + n[1] x2`` at most
+    in the sign of a zero, which no comparison and no ``floor`` test sees."""
     import numpy as np
 
-    (c, x), *rest = [(c, x) for c, x in zip(n, (x1, x2)) if c != 0]
-    first = x if c == 1 else np.multiply(x, c, out=out)
-    if not rest:
-        return first
-    ((d, y),) = rest
-    return np.add(first, y if d == 1 else d * y, out=out)
+    if n == (1, 1):
+        return np.add(x1, x2, out=out)
+    return x1 if n == (1, 0) else x2
 
 
 def _t_bar_evaluator(body: LatticeFreeBody):
@@ -294,20 +287,15 @@ def monte_carlo_lower(
         raise ValueError("the body's coordinates are beyond the float range of Monte Carlo sampling") from None
 
     starts = range(0, samples, _CHUNK)
-    size = min(samples, _CHUNK)
-    workers = min(thread_count(), len(starts))
-    if workers > 1:
-        workers = min(workers, os.cpu_count() or 1)
+    workers = min(thread_count(), len(starts), os.cpu_count() or 1)
 
     def run(start: int) -> int:
         count = min(_CHUNK, samples - start)
         with _idle_lock:
-            ws = _idle.pop() if _idle else None
-        if ws is None or ws.size < size:
-            ws = _Workspace(size)
+            ws = _idle.pop() if _idle else _Workspace()
         t_bar = evaluate(*_sample_points(fan, seed, start, count, ws), ws)
         hits = int(np.count_nonzero(np.less_equal(t_bar, z, out=ws.narrow[0, :count])))
-        # the most recently used, which fit this call, stay idle
+        # the most recently used stay idle
         with _idle_lock:
             _idle.append(ws)
             del _idle[:-workers]

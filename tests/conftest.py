@@ -24,7 +24,6 @@ from cutstrength import (
     Type3Body,
     UnimodularMap,
     area,
-    corner_rays,
     lattice_width,
     point,
     split_coefficients,
@@ -745,12 +744,22 @@ def region_oracle(body, f):
     raise ValueError(f"no region of {body!r} has a split containing f = {f} strictly")
 
 
+def corner_rays_oracle(body, f):
+    """``corner_rays`` in Fractions: the rays ``v - f`` to the vertices, in
+    the documented vertex order, with its errors and messages."""
+    if isinstance(body, SplitBody):
+        raise ValueError("a split has no vertices, hence no corner rays")
+    if not body.contains_interior(f):
+        raise ValueError(f"root vertex {f} is not strictly interior to {body!r}")
+    return tuple(v - f for v in body.vertices())
+
+
 def closure_oracle(body, f, n):
     """``strength_split_closure_approx`` with the split rows scaled from the
-    Fraction corner rays of ``corner_rays``."""
+    Fraction corner rays of :func:`corner_rays_oracle`."""
     if n < 1:
         raise ValueError("need n >= 1")
-    d, big_f, big_rays = _scaled(f, corner_rays(body, f))
+    d, big_f, big_rays = _scaled(f, corner_rays_oracle(body, f))
     rows = [_split_row(n1, n2, rem, d, big_rays) for n1, n2, rem in _admissible(n, d, big_f)]
     if not rows:
         raise ValueError(f"no admissible split with max-norm <= {n} for f = {f}")
@@ -779,7 +788,7 @@ def single_split_oracle(body, f):
     if region.split is None:
         t_check = closure_oracle(body, f, 1)
     else:
-        t_check = max(split_coefficients(region.split, f, corner_rays(body, f)).coefficients)
+        t_check = max(split_coefficients(region.split, f, corner_rays_oracle(body, f)).coefficients)
     t_bar = region_t_bar(region, f)
     assert t_bar == t_check, (body, f, index)
     return index, region.split, t_bar

@@ -281,7 +281,7 @@ def quad_or_t3_body(draw):
 def _roots(term):
     """A term's breaks: the roots ``z = (a - b) / a`` of its steps'
     selectors, in step order."""
-    return [F(a - b, a) for _, (a, b), *_ in term]
+    return [F(a - b, a) for (a, b), *_ in term[1]]
 
 
 def _pieces(term, z):
@@ -290,7 +290,8 @@ def _pieces(term, z):
     q = z.denominator
     m = z.numerator - q
     out = [F(0)]
-    for den, _, k, (a1, b1), (a2, b2) in term:
+    den, steps = term
+    for _, k, (a1, b1), (a2, b2) in steps:
         out.append(out[-1] + F(k * (a1 * m + b1 * q) * (a2 * m + b2 * q), den * m * m))
     return out
 
@@ -362,27 +363,27 @@ class TestIntegerFrame:
             # a selector with a > 0 is non-negative exactly at z >= its root,
             # and counting the roots at or below z is bisect_right only on
             # ordered roots
-            assert all(a > 0 for _, (a, _), *_ in term)
+            assert all(a > 0 for (a, _), *_ in term[1])
             assert ordered == sorted(ordered)
-            probe = PiecewiseBound((tuple((1, sel, 1, (1, 0), (1, 0)) for _, sel, *_ in term),))
+            probe = PiecewiseBound(((1, tuple((sel, 1, (1, 0), (1, 0)) for sel, *_ in term[1])),))
             for z in [b for b in ordered if b > 1] + drawn:
                 assert probe(z) == bisect_right(ordered, z)
 
     @settings(max_examples=100, deadline=None)
     @given(
         st.one_of(any_body(), quad_or_t3_body()),
-        st.lists(st.integers(1, 6), min_size=3, max_size=3),
+        st.lists(st.integers(1, 6), min_size=4, max_size=4),
         st.lists(st.fractions(F(11, 10), 20, max_denominator=97), min_size=1, max_size=3),
     )
-    @example(QuadBody(F(1, 2), F(3, 2), F(1, 2), F(-1, 2)), [1, 2, 3], [F(7, 2)])
-    @example(Type1Body(), [2, 1, 3], [F(7, 4), F(3)])
+    @example(QuadBody(F(1, 2), F(3, 2), F(1, 2), F(-1, 2)), [1, 2, 3, 4], [F(7, 2)])
+    @example(Type1Body(), [2, 1, 3, 1], [F(7, 4), F(3)])
     def test_steps_over_their_own_dens(self, body, factors, drawn):
-        # terms are public, so a term built by hand may give its steps
-        # different dens; a step whose den and k are scaled by one factor
-        # adds the same value
+        # terms are public, so each term built by hand may have its own den;
+        # a term whose den and every step's k are scaled by one factor adds
+        # the same value
         pb = piecewise_bound_for(body)
-        terms = tuple(tuple((d * f, sel, k * f, l1, l2) for (d, sel, k, l1, l2), f in zip(term, factors))
-                      for term in pb.terms)
+        terms = tuple((d * f, tuple((sel, k * f, l1, l2) for sel, k, l1, l2 in steps))
+                      for (d, steps), f in zip(pb.terms, factors))
         for z in [b for b in pb.breakpoints if b > 1] + drawn:
             assert PiecewiseBound(terms, pb.scale)(z) == pb(z)
 

@@ -594,7 +594,8 @@ class TestWholeDomain:
         # except clause needs no other arithmetic error
         body = data.draw(any_body())
         f = data.draw(root_vertex(body))
-        z = data.draw(st.fractions(1, 12, max_denominator=60).filter(lambda z: z > 1))
+        # z = 1 is a validation error of bound and montecarlo
+        z = data.draw(st.fractions(1, 12, max_denominator=60))
         for n in (1, 2, 3):
             try:
                 strength_report(body, f, n)
@@ -605,13 +606,24 @@ class TestWholeDomain:
         except ValueError:
             pass
         desc = json.dumps(body_descriptor(body))
+        samples, seed = data.draw(st.integers(1, 200)), data.draw(st.integers(0, 2**64))
         argvs = [
             ["strength", "--body", desc, "--f", json.dumps([str(f.x1), str(f.x2)]), "--N", "3"],
             ["bound", "--body", desc, "--z", str(z)],
+            ["montecarlo", "--body", desc, "--z", str(z), "--samples", str(samples), "--seed", str(seed)],
         ]
         for argv in argvs:
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                assert run(argv) in (0, VALIDATION_ERROR)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(argv)
+            stdout, stderr = out.getvalue(), err.getvalue()
+            # a result is one JSON line; an error is one stderr line and no output
+            if code == 0:
+                assert stdout.endswith("\n") and stdout.count("\n") == 1
+                json.loads(stdout)
+            else:
+                assert code == VALIDATION_ERROR and stdout == ""
+                assert stderr.startswith("error: ") and stderr.endswith("\n") and stderr.count("\n") == 1
 
 
 FIXTURE_DESC = {

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 from math import ceil, floor, gcd, lcm
 
@@ -38,6 +39,7 @@ from conftest import (
     _rat,
     any_body,
     ccw,
+    corner_rays_oracle,
     dot,
     facets,
     gauge,
@@ -48,6 +50,7 @@ from conftest import (
     quad_oracle,
     quad_params,
     random_interior_point,
+    root_vertex,
     t3_oracle,
     t3_params,
     times,
@@ -296,7 +299,7 @@ class TestIntegerVertices:
             assert body._integer_vertices == (v, tuple((p.x1 * v, p.x2 * v) for p in want))
             assert body.vertices() == want
 
-    @pytest.mark.parametrize("query", ["strength_report", "region_of", "monte_carlo_lower"])
+    @pytest.mark.parametrize("query", ["strength_report", "region_of", "monte_carlo_lower", "corner_rays"])
     def test_queries_build_no_vertex_fraction(self, query):
         # the queries read the integer vertices only, so a fresh body never
         # holds the Fraction view
@@ -305,6 +308,7 @@ class TestIntegerVertices:
             "strength_report": lambda body: strength_report(body, f, 5),
             "region_of": lambda body: region_of(body, f),
             "monte_carlo_lower": lambda body: monte_carlo_lower(body, 2, 100, 0),
+            "corner_rays": lambda body: corner_rays(body, f),
         }[query]
         for body in (Type1Body(), Type2Body(F(1, 2), F(3, 2)), QuadBody(F(2, 5), F(3, 2), F(3, 5), F(-3, 10)),
                      Type3Body(3, F(3, 10), F(1, 10))):
@@ -668,6 +672,26 @@ class TestCornerRays:
     def test_split_has_no_corners(self):
         with pytest.raises(ValueError):
             corner_rays(SplitBody((0, 1), 0), point(F(1, 2), F(1, 2)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_fraction_oracle(self, data):
+        # the Fraction view of the integer frame's rays against v - f over
+        # the Fraction vertices
+        body = data.draw(any_body())
+        f = data.draw(root_vertex(body))
+        assert corner_rays(body, f) == corner_rays_oracle(body, f)
+
+    @pytest.mark.parametrize("body, f", [
+        (SplitBody((0, 1), 0), point(F(1, 2), F(1, 2))),
+        (Type2Body(F(1, 2), F(3, 2)), point(10, 10)),
+        (Type1Body(), point(0, 0)),  # a vertex is not interior
+    ])
+    def test_errors_match_oracle(self, body, f):
+        with pytest.raises(ValueError) as want:
+            corner_rays_oracle(body, f)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            corner_rays(body, f)
 
 
 _ELEMENTARY = {"upper": lambda k: (1, k, 0, 1), "lower": lambda k: (1, 0, k, 1), "swap": lambda k: (0, 1, 1, 0)}

@@ -27,6 +27,7 @@ from cutstrength import (
     region_of,
     strength_single_split,
 )
+from cutstrength.cuts import _table
 from cutstrength.montecarlo import (
     _CHUNK,
     _Workspace,
@@ -112,9 +113,9 @@ class TestDeterminism:
         # sample i depends only on (seed, i): regenerating a mid-stream window
         # chunk-by-chunk reproduces the same points
         fan = _fan_triangles(t2_body)
-        whole = _sample_points(fan, seed=9, start=0, count=256, ws=_Workspace(256))
+        whole = _sample_points(fan, seed=9, start=0, count=256, ws=_Workspace())
         # restart at position 128 (we know one counter block yields one sample)
-        tail = _sample_points(fan, seed=9, start=128, count=128, ws=_Workspace(128))
+        tail = _sample_points(fan, seed=9, start=128, count=128, ws=_Workspace())
         for whole_column, tail_column in zip(whole, tail):
             assert (whole_column[128:] == tail_column).all()
 
@@ -133,7 +134,7 @@ class TestRowWiseOracle:
     )
     def test_points_and_t_bar_bit_identical(self, body, seed, start, count):
         pts = sample_points_oracle(fan_triangles_oracle(body), seed, start, count)
-        ws = _Workspace(count)
+        ws = _Workspace()
         x1, x2 = _sample_points(_fan_triangles(body), seed, start, count, ws)
         assert np.array_equal(x1, pts[:, 0]) and np.array_equal(x2, pts[:, 1])
         expected = t_bar_evaluator_oracle(body)(pts)
@@ -165,6 +166,18 @@ class TestRowWiseOracle:
         for got, want in zip((breaks, *edges), (want_breaks, *want_edges)):
             assert got.dtype == want.dtype == np.float64 and np.array_equal(got, want)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(st.sampled_from(BOUNDARY_BODIES), any_body()))
+    def test_tables_and_fans_fit_the_kernel(self, body):
+        # _dot adds at most x1 and x2, the workspace's rows fit one per normal
+        # and split of these three, and the sampler picks between at most
+        # two triangles
+        unit = {(1, 0), (0, 1), (1, 1)}
+        for pieces, split, *_ in _table(body):
+            assert {(n1, n2) for piece in pieces for n1, n2, *_ in piece} <= unit
+            assert split is None or split in unit
+        assert len(_fan_triangles(body)[0]) <= 1
+
 
 class TestWorkspace:
     """Chunks run in reused workspaces and give the bits of fresh arrays."""
@@ -185,9 +198,9 @@ class TestWorkspace:
         # one workspace through chunks of any size, ragged tails after full
         # chunks included: nothing left in it from before shows
         fan, evaluate = _fan_triangles(body), _t_bar_evaluator(body)
-        ws = _Workspace(_CHUNK)
+        ws = _Workspace()
         for count in counts:
-            fresh_ws = _Workspace(count)
+            fresh_ws = _Workspace()
             fresh = _sample_points(fan, seed, start, count, fresh_ws)
             x1, x2 = _sample_points(fan, seed, start, count, ws)
             assert np.array_equal(x1, fresh[0]) and np.array_equal(x2, fresh[1])
@@ -196,18 +209,28 @@ class TestWorkspace:
             assert np.array_equal(got, expected, equal_nan=True)
             assert np.array_equal(np.signbit(got), np.signbit(expected))
 
-    def test_sized_to_the_largest_chunk(self, t2_body, threads_env):
+    def test_sized_to_the_largest_chunk(self, t2_body, threads_env, monkeypatch):
+        # every workspace holds a full chunk: the one that a 100-sample call
+        # leaves idle serves both chunks of a later (_CHUNK + 1)-sample call,
+        # and no second workspace is made
         threads_env(1)
+        expected = monte_carlo_lower(t2_body, 2, _CHUNK + 1)
+        montecarlo._idle.clear()
         monte_carlo_lower(t2_body, 2, 100)
-        assert [ws.size for ws in montecarlo._idle] == [100]
-        monte_carlo_lower(t2_body, 2, _CHUNK + 1)
-        assert [ws.size for ws in montecarlo._idle] == [_CHUNK]
-        big = montecarlo._idle[0]
-        monte_carlo_lower(t2_body, 2, 100)
-        assert montecarlo._idle == [big]
+        (small,) = montecarlo._idle
+        made = []
+
+        class Counted(_Workspace):
+            def __init__(self):
+                made.append(self)
+                super().__init__()
+
+        monkeypatch.setattr(montecarlo, "_Workspace", Counted)
+        assert monte_carlo_lower(t2_body, 2, _CHUNK + 1) == expected
+        assert made == [] and montecarlo._idle == [small]
 
     def test_keeps_one_idle_workspace_per_worker(self, t2_body, threads_env):
-        montecarlo._idle[:] = [_Workspace(100) for _ in range(5)]
+        montecarlo._idle[:] = [_Workspace() for _ in range(5)]
         threads_env(1)
         monte_carlo_lower(t2_body, 2, 100)
         assert len(montecarlo._idle) == 1
@@ -226,9 +249,9 @@ class TestWorkspace:
                 super().__init__(max_workers)
 
         class Counted(_Workspace):
-            def __init__(self, size):
-                made.append(size)
-                super().__init__(size)
+            def __init__(self):
+                made.append(self)
+                super().__init__()
 
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Pool)
         monkeypatch.setattr(montecarlo, "_Workspace", Counted)
@@ -326,7 +349,7 @@ class TestEvaluators:
     @staticmethod
     def assert_matches_exact(body, points):
         evaluate = _t_bar_evaluator(body)
-        approx = evaluate(*columns(points), _Workspace(len(points)))
+        approx = evaluate(*columns(points), _Workspace())
         for f, value in zip(points, approx):
             exact = strength_single_split(body, f).t_bar
             assert abs(value - float(exact)) < 1e-9, (body, f)
@@ -375,7 +398,7 @@ class TestEvaluators:
         for body in self.BODIES:
             spec = region_spec(body)
             pts = [f for f in box_grid(body, 16) if body.contains_interior(f)]
-            values = _t_bar_evaluator(body)(*columns(pts), _Workspace(len(pts)))
+            values = _t_bar_evaluator(body)(*columns(pts), _Workspace())
             for f, value in zip(pts, values):
                 try:
                     exact = region_t_bar(spec[region_of(body, f).index - 1], f)
