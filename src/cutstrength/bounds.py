@@ -8,19 +8,26 @@ few integer steps.
 Write ``z = p / q`` and ``m = p - q``.  A term ``(den, steps)`` is one
 ``den`` and its steps; a step ``(sel, k, l, l')`` adds ``k l l' / (den m^2)``
 once its selector ``sel(m, q) = a m + b q`` is non-negative, where each
-linear form ``(a, b)`` stands for ``a m + b q`` with integer coefficients.  Every selector has ``a > 0``, so a step switches
-on exactly at ``z >= (a - b) / a``, the root of its selector, and the bound's
-breaks are those roots; no break is stored.  Every type 2, quad and type 3
-term comes from one term builder, :func:`_term`: it is 0, then from the root
-of ``l1`` on the trapezoid of the region between its split line and the line
-where its ``t_bar`` equals z, ``k l1 l2 / (den m^2)``, then from the root of
-``l3`` on that trapezoid plus ``s l3 l4 / (den m^2)``: for quad and type 3,
-``l3 = l4`` and this takes off the corner that the line has passed at a
-vertex; for type 2 it adds the paper's second part ``g2``.  Quad regions 2
-and 4 are regions 1 and 3 of the body turned half a turn about (1/2, 1/2).
-A call adds each term's switched-on steps as integers over the term's
-``den``, and since ``m^2`` is common to every step, divides by it once, in the
-``Fraction`` it returns.
+linear form ``(a, b)`` stands for ``a m + b q`` with integer coefficients.
+Every selector has ``a > 0``, so a step switches on exactly at ``z >= (a -
+b) / a``, the root of its selector, and the bound's breaks are those roots;
+no break is stored.  Each type 2, quad and type 3 term is 0, then from the
+root of ``l1`` on the trapezoid of the region between its split line and
+the line where its ``t_bar`` equals z, ``k l1 l2 / (den m^2)``, then from
+the root of ``l3`` on that trapezoid plus ``s l3 l4 / (den m^2)``: for quad
+and type 3, ``l3 = l4`` and this takes off the corner that the line has
+passed at a vertex; for type 2 it adds the paper's second part ``g2``.
+Quad regions 2 and 4 are regions 1 and 3 of the body turned half a turn
+about (1/2, 1/2).
+
+A quad or type 3 bound is built selector first: the builder works out only
+each term's first selector, from which the term is 0 below its root, and
+the integers the term is made of; :meth:`PiecewiseBound.__call__` makes a
+term's coefficients the first time a call switches it on, and keeps them.
+A sweep evaluates each bound once, and at z = 2 about half of its terms are
+never switched on.  A call adds each term's switched-on steps as integers
+over the term's ``den``, and since ``m^2`` is common to every step, divides
+by it once, in the ``Fraction`` it returns.
 
 For the type 1 triangle the value is an exact probability, not merely a
 bound; it has a genuine jump at ``z = 2`` because the strength equals 2 on a
@@ -29,14 +36,19 @@ region of positive area.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Optional
 
 from .geometry import QuadBody, Rat, Type1Body, Type2Body, Type3Body, _frac, lattice_width
 
 Pair = tuple[int, int]
 Step = tuple[Pair, int, Pair, Pair]
 Term = tuple[int, tuple[Step, ...]]
+# (sel, make, data): terms whose first step has the selector sel, either
+# make(sel, *data) or, once made (make None), data itself
+Part = tuple[Pair, Optional[Callable[..., tuple[Term, ...]]], tuple]
+
+_ON = (1, 0)  # the form m, positive at every z > 1
 
 
 def check_threshold(z: Rat) -> Fraction:
@@ -47,7 +59,6 @@ def check_threshold(z: Rat) -> Fraction:
     return z
 
 
-@dataclass(frozen=True)
 class PiecewiseBound:
     """Piecewise closed form in ``z`` on (1, oo): the sum of the steps of all
     terms, divided by the positive ``scale``, an unreduced ``(num, den)`` pair
@@ -57,38 +68,65 @@ class PiecewiseBound:
     l')`` in the order of their roots.  A step adds ``k l l' / (den m^2)``
     once ``a m + b q >= 0``, which with ``a > 0`` is ``z >= (a - b) / a``:
     selection is right-continuous, the natural convention for a
-    distribution-style bound.
+    distribution-style bound.  The terms are held in parts, each a group of
+    terms that share a first selector, made on the first call that switches
+    that selector on (see the module docstring).
     """
 
-    terms: tuple[Term, ...]
-    scale: Pair = (1, 1)
+    __slots__ = ("scale", "_parts")
+
+    def __init__(self, terms: tuple[Term, ...], scale: Pair = (1, 1)):
+        self.scale = scale
+        self._parts = [(_ON, None, tuple(terms))]
+
+    @classmethod
+    def _of_parts(cls, parts: list[Part], scale: Pair) -> "PiecewiseBound":
+        bound = cls.__new__(cls)
+        bound.scale, bound._parts = scale, parts
+        return bound
+
+    @property
+    def terms(self) -> tuple[Term, ...]:
+        return tuple(term for sel, make, data in self._parts for term in (data if make is None else make(sel, *data)))
 
     @property
     def breakpoints(self) -> tuple[Fraction, ...]:
         return tuple(sorted({Fraction(a - b, a) for _, steps in self.terms for (a, b), *_ in steps}))
 
+    def __eq__(self, other):
+        if type(other) is not PiecewiseBound:
+            return NotImplemented
+        return (self.terms, self.scale) == (other.terms, other.scale)
+
+    def __hash__(self):
+        return hash((self.terms, self.scale))
+
+    def __repr__(self):
+        return f"PiecewiseBound(terms={self.terms!r}, scale={self.scale!r})"
+
     def __call__(self, z: Rat) -> Fraction:
-        z = check_threshold(z)
+        if type(z) is not Fraction or z.numerator <= z.denominator:
+            z = check_threshold(z)
         q = z.denominator
         m = z.numerator - q
         num, den = 0, 1
-        for d, steps in self.terms:
-            tn = 0
-            for (a, b), k, (a1, b1), (a2, b2) in steps:
-                if a * m + b * q < 0:
-                    break  # so are the selectors of the later roots
-                tn += k * (a1 * m + b1 * q) * (a2 * m + b2 * q)
-            if tn:
-                num, den = num * d + tn * den, den * d
+        parts = self._parts
+        for i, (sel, make, data) in enumerate(parts):
+            if sel[0] * m + sel[1] * q < 0:
+                continue  # every step of these terms is off
+            if make is not None:
+                data = make(sel, *data)
+                parts[i] = (sel, None, data)
+            for d, steps in data:
+                tn = 0
+                for (a, b), k, (a1, b1), (a2, b2) in steps:
+                    if a * m + b * q < 0:
+                        break  # so are the selectors of the later roots
+                    tn += k * (a1 * m + b1 * q) * (a2 * m + b2 * q)
+                if tn:
+                    num, den = num * d + tn * den, den * d
         sn, sd = self.scale
         return Fraction(num * sd, den * m * m * sn)
-
-
-def _term(den: int, k: int, l1: Pair, l2: Pair, s: int, l3: Pair, l4: Pair) -> Term:
-    """One region's term: the trapezoid ``k l1 l2 / (den m^2)`` from the root
-    of ``l1`` on, plus the corner ``s l3 l4 / (den m^2)`` from the root of
-    ``l3`` on, which is not below the root of ``l1``."""
-    return den, ((l1, k, l1, l2), (l3, s, l3, l4))
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +160,8 @@ def t2_bound(w: Rat) -> PiecewiseBound:
     if not 1 < w <= 2:
         raise ValueError(f"lattice width must satisfy 1 < w <= 2, got {w}")
     P, Q = w.numerator, w.denominator
-    return PiecewiseBound((_term(P * P, 1, (Q, Q - P), (2 * P - Q, P - Q), 1, (P - Q, -Q), (P - Q, Q)),))
+    u, v = (Q, Q - P), (P - Q, -Q)  # the roots w and w / (w - 1)
+    return PiecewiseBound(((P * P, ((u, 1, u, (2 * P - Q, P - Q)), (v, 1, v, (P - Q, Q)))),))
 
 
 def p_t2_lower(z: Rat, w: Rat) -> Fraction:
@@ -140,19 +179,6 @@ def special_values(w: Rat) -> tuple[Fraction, Fraction]:
 # quadrilateral
 
 
-def _quad_terms(D, A1, A2, B1, B2, e_c, e_d, W, K, V, S, P) -> tuple[Term, Term]:
-    """The terms of regions 1 and 3 of the quad with frame ``(D, A1, A2, B1,
-    B2, e_c, e_d)``; the rest are the shorthands of :func:`quad_bound`."""
-    G, H, J = D - A1, A2 - D, D - B1
-    c, a = (A1 * D, -e_c), (e_c, -B1 * D)  # the corners at vertices c and a
-    return (
-        _term(2 * (D * W) ** 2 * H * e_c, -B2 * e_c, (D, -W), (D * (H * K + W * (H + A1)), W * (H * D - e_c)),
-              B2 * W * W, c, c),
-        _term(2 * D * G * (V * e_c) ** 2, A1 * B1 * D, (e_c * e_d, -V), (e_c * (G * S + H * V), -A1 * P * V),
-              -A1 * H * V * V, a, a),
-    )
-
-
 def quad_bound(body: QuadBody) -> PiecewiseBound:
     """Lower bound on the probability that the quadrilateral single-split
     strength is at most z, in the vertex parameterization, built from the
@@ -162,20 +188,45 @@ def quad_bound(body: QuadBody) -> PiecewiseBound:
     ``H = A2 - D`` and ``J = D - B1``, the frame has ``c = -A1 (B1, B2) / e_c``
     and ``d = (1, 0) + G (J, -B2) / e_d``.  Regions 1 and 2 split along x2 at
     ``-b2 / (w - 1)``, regions 3 and 4 along x1 at ``-c1 / (v - 1)``, with
-    ``w = a2 - b2`` and ``v = d1 - c1``.  Regions 2 and 4 are regions 1 and 3
-    of the body turned half a turn about (1/2, 1/2), whose frame is ``(D, J,
-    D - B2, G, D - A2, e_d, e_c)``; the turn keeps ``W``, ``K``, ``V`` and
-    ``S`` and negates ``P``."""
-    D, A1, A2, B1, B2, e_c, e_d = body._frame
-    G, H, J = D - A1, A2 - D, D - B1
+    ``w = a2 - b2`` and ``v = d1 - c1``, so regions 1 and 2 switch on at
+    ``z = w`` and regions 3 and 4 at ``z = v``.  Regions 2 and 4 are regions
+    1 and 3 of the body turned half a turn about (1/2, 1/2), whose frame is
+    ``(D, J, D - B2, G, D - A2, e_d, e_c)``; the turn keeps ``W``, ``V`` and
+    the shorthands ``K`` and ``S`` of the terms, and negates ``P``."""
+    D, A1, A2, B1, B2, e_c, e_d = frame = body._frame
     W = A2 - B2 - D  # D (w - 1)
+    V = (D - A1) * (D - B1) * e_c + A1 * B1 * e_d  # e_c e_d (v - 1)
+    E = e_c * e_d
+    return PiecewiseBound._of_parts(
+        [((D, -W), _quad_x2_terms, (frame, W)), ((E, -V), _quad_x1_terms, (frame, V))],
+        ((A2 - B2) * E + D * (E + V), 2 * D * E),  # over the area (w + v) / 2
+    )
+
+
+def _quad_x2_terms(sel, frame, W) -> tuple[Term, Term]:
+    """The terms of quad regions 1 and 2, split along x2."""
+    D, A1, A2, B1, B2, e_c, e_d = frame
+    H, J = A2 - D, D - B1
     K = A2 - B2 - B1 + A1  # W times the body's width at x2 = -b2 / (w - 1)
-    V = G * J * e_c + A1 * B1 * e_d  # e_c e_d (v - 1)
-    P, S = H * B1 + G * B2, H * J * e_c - A1 * B2 * e_d
-    r1, r3 = _quad_terms(D, A1, A2, B1, B2, e_c, e_d, W, K, V, S, P)
-    r2, r4 = _quad_terms(D, J, D - B2, G, D - A2, e_d, e_c, W, K, V, S, -P)
-    # over the area (w + v) / 2
-    return PiecewiseBound((r1, r2, r3, r4), ((A2 - B2) * e_c * e_d + D * (e_c * e_d + V), 2 * D * e_c * e_d))
+    den, s = 2 * (D * W) ** 2, W * W
+    c, d = (A1 * D, -e_c), (J * D, -e_d)  # the corners at c, and at d (the turned body's c)
+    return (
+        (den * H * e_c, ((sel, -B2 * e_c, sel, (D * (H * K + W * (H + A1)), W * (H * D - e_c))), (c, B2 * s, c, c))),
+        (-den * B2 * e_d, ((sel, H * e_d, sel, (D * (J * W - B2 * (K + W)), -W * (B2 * D + e_d))), (d, -H * s, d, d))),
+    )
+
+
+def _quad_x1_terms(sel, frame, V) -> tuple[Term, Term]:
+    """The terms of quad regions 3 and 4, split along x1."""
+    D, A1, A2, B1, B2, e_c, e_d = frame
+    G, H, J = D - A1, A2 - D, D - B1
+    S, P = H * J * e_c - A1 * B2 * e_d, H * B1 + G * B2
+    den, s = 2 * D * V * V, V * V
+    a, b = (e_c, -B1 * D), (e_d, -G * D)  # the corners at a, and at b (the turned body's a)
+    return (
+        (den * G * e_c * e_c, ((sel, A1 * B1 * D, sel, (e_c * (G * S + H * V), -A1 * P * V)), (a, -A1 * H * s, a, a))),
+        (den * B1 * e_d * e_d, ((sel, J * G * D, sel, (e_d * (B1 * S - B2 * V), J * P * V)), (b, J * B2 * s, b, b))),
+    )
 
 
 def quad_lower(body: QuadBody, z: Rat) -> Fraction:
@@ -199,24 +250,40 @@ def t3_bound(body: Type3Body) -> PiecewiseBound:
     enforced width ordering, since it would need a1 + a2 <= 1 + b1, which
     forces c2 <= 1."""
     D, A1, A2, B1 = body._frame[:4]
-    R, J, L, T = A1 - D, D - B1, D - A2, A1 + A2 - D
-    F, AJ = A1 * A2 - T * B1, A2 * J
+    R, T = A1 - D, A1 + A2 - D
+    F, AJ = A1 * A2 - T * B1, A2 * (D - B1)
     W = AJ * (A1 * R + F) - D * F * R  # D F R (w - 1), w = c2 - b2
-    U = D * F * R - A1 * AJ * R + AJ * F  # D F R (1 - c2 - b2)
-    # the corners at vertices a (below a2, right of the edge ab), b and c;
-    # region 6's trapezoid is a triangle, so its l1 and l2 are one form
-    a, b, c, diag = (R, -J), (F, -A1 * R), (B1 * R, -F), (D * R * B1, -T * AJ)
-    return PiecewiseBound(
-        (
-            _term(2 * D * F * L * AJ * R * R, 1, (D * F * R, -W), ((2 * A1 * AJ - D * F) * R, -U),
-                  -F * A2 * AJ * T, a, a),
-            _term(2 * R * (D * F) ** 2, A2, (D * F, -R * (A1 * B1 + F)), (D * F, R * (F - A1 * B1)),
-                  -A2 * B1 * D, b, b),
-            _term(2 * D * D * F * AJ * (AJ - R * B1), F, diag, diag, -T * D * AJ, c, c),
-        ),
+    ints = (D, A1, A2, B1, R, T, F, AJ, W)
+    return PiecewiseBound._of_parts(
+        [
+            ((D * F * R, -W), _t3_x2_term, ints),
+            ((D * F, -R * (A1 * B1 + F)), _t3_x1_term, ints),
+            ((D * R * B1, -T * AJ), _t3_diagonal_term, ints),
+        ],
         # over the area (a1 + a2 - b2 - c1) / 2
         ((A1 + A2) * R * F + AJ * F + A1 * B1 * R * R, 2 * D * R * F),
     )
+
+
+def _t3_x2_term(sel, D, A1, A2, B1, R, T, F, AJ, W) -> tuple[Term]:
+    """The term of type 3 regions 1 and 2, whose corner is at vertex a."""
+    U = D * F * R - A1 * AJ * R + AJ * F  # D F R (1 - c2 - b2)
+    a = (R, B1 - D)
+    return ((2 * D * F * (D - A2) * AJ * R * R, ((sel, 1, sel, ((2 * A1 * AJ - D * F) * R, -U)),
+                                                 (a, -F * A2 * AJ * T, a, a))),)
+
+
+def _t3_x1_term(sel, D, A1, A2, B1, R, T, F, AJ, W) -> tuple[Term]:
+    """The term of type 3 regions 3 and 4, whose corner is at vertex b."""
+    b = (F, -A1 * R)
+    return ((2 * R * (D * F) ** 2, ((sel, A2, sel, (D * F, R * (F - A1 * B1))), (b, -A2 * B1 * D, b, b))),)
+
+
+def _t3_diagonal_term(sel, D, A1, A2, B1, R, T, F, AJ, W) -> tuple[Term]:
+    """The term of type 3 region 6, a triangle (so its l1 and l2 are one
+    form), whose corner is at vertex c."""
+    c = (B1 * R, -F)
+    return ((2 * D * D * F * AJ * (AJ - R * B1), ((sel, F, sel, sel), (c, -T * D * AJ, c, c))),)
 
 
 def t3_lower(body: Type3Body, z: Rat) -> Fraction:

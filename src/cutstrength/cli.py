@@ -4,6 +4,8 @@ Subcommands: classify, width, strength, bound, montecarlo, sweep, plotdata.
 Bodies are passed as JSON descriptors (inline or @file), rationals as "p/q"
 strings.  Exit codes: 0 success, 2 usage error, 3 validation error.  The
 argument parser is built once per process and reused by every :func:`run`.
+``sweep`` formats each grid value once per sweep, from a table that lives
+for that one sweep, and each row's bound (and type 3 width) on its row.
 """
 
 from __future__ import annotations
@@ -182,12 +184,26 @@ def _run_sweep(args) -> str:
         mc_samples=args.mc_samples,
         seed=args.seed,
     )
+    # a sweep's rows share one Fraction per grid value, so each is formatted
+    # once, found by its id: the rows hold every value while the table lives,
+    # so no id is reused meanwhile.  A bound, and a type 3 width, which is
+    # not a grid value, are formatted on their row
+    texts = {}
+
+    def text(value):
+        found = texts.get(id(value))
+        if found is None:
+            found = texts[id(value)] = format_rational(value)
+        return found
+
+    width = format_rational if args.family == "t3" else text
+
     z, seed = format_rational(rows[0].z), str(args.seed)  # the same on every row
     if args.format == "json":
         payload = [
             {
-                "params": [format_rational(p) for p in r.params],
-                "w": format_rational(r.w),
+                "params": [text(p) for p in r.params],
+                "w": width(r.w),
                 "z": z,
                 "bound": format_rational(r.bound),
                 "mc": None
@@ -204,24 +220,9 @@ def _run_sweep(args) -> str:
         return json.dumps(payload) + "\n"
     lines = ["params,w,z,bound,mc_estimate,mc_stderr,samples,seed"]
     for r in rows:
-        params = ";".join(format_rational(p) for p in r.params)
-        mc = (
-            (repr(r.mc.estimate), repr(r.mc.std_error), str(r.mc.samples))
-            if r.mc
-            else ("", "", "")
-        )
-        lines.append(
-            ",".join(
-                (
-                    params,
-                    format_rational(r.w),
-                    z,
-                    format_rational(r.bound),
-                    *mc,
-                    seed,
-                )
-            )
-        )
+        mc = (repr(r.mc.estimate), repr(r.mc.std_error), str(r.mc.samples)) if r.mc else ("", "", "")
+        params = ";".join([text(p) for p in r.params])
+        lines.append(",".join((params, width(r.w), z, format_rational(r.bound), *mc, seed)))
     return "\n".join(lines) + "\n"
 
 

@@ -26,9 +26,11 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
 from math import ceil, floor, gcd, lcm
-from typing import Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 Rat = Union[int, Fraction, str]
+# a family's ``_check``: the frame, or the function that writes why it is rejected
+Checked = Union[tuple[int, ...], Callable[[], str]]
 
 
 def _frac(value: Rat) -> Fraction:
@@ -218,8 +220,8 @@ class LatticeFreeBody:
     A body's only state is its integer frame ``_frame``: a split's is ``(n1,
     n2, offset)``, type 1's is ``()``, and a bounded family's is what its
     ``_check(D, *numerators)`` returns for the parameters ``numerators / D``
-    over their least denominator ``D`` (or it raises the constructor's
-    ValueError): ``D``, the numerators, then the integers the check derives.
+    over their least denominator ``D`` (or the function that writes why it
+    rejects them): ``D``, the numerators, then the integers the check derives.
     Frames are canonical, so bodies of one family are equal exactly when
     their frames are.  The rest is read off the frame, each part on first
     read.  A bounded family's ``_integer_vertices``, its one vertex formula,
@@ -234,6 +236,10 @@ class LatticeFreeBody:
     The constructor coerces the parameters with ``_frac`` and runs
     ``_check``, and does no vertex work; ``_from_frame`` builds the same
     body from the integers.  Either way a new body holds only its frame.
+    Both raise a rejection's message as a ValueError;
+    ``_from_frame_or_reason`` returns it unwritten, so that a caller that
+    drops rejections (a sweep) pays for the checks alone, not for an
+    exception and the Fractions of a message.
     """
 
     tag: str
@@ -244,18 +250,34 @@ class LatticeFreeBody:
 
     def _init(self, *params: Rat) -> None:
         D, numerators = over_common_denominator([_frac(p) for p in params])
-        self._frame = self._check(D, *numerators)
+        frame = self._check(D, *numerators)
+        if callable(frame):
+            raise ValueError(frame())
+        self._frame = frame
 
     @classmethod
     def _from_frame(cls, *frame: int):
         """The body with parameters ``numerators / D``, for ``frame = (D,
-        *numerators)`` and ``D > 0``.  (One starred tuple, passed on whole,
-        keeps the call as cheap as a fixed signature.)"""
+        *numerators)`` and ``D > 0``, or the constructor's ValueError."""
+        body = cls._from_frame_or_reason(*frame)
+        if callable(body):
+            raise ValueError(body())
+        return body
+
+    @classmethod
+    def _from_frame_or_reason(cls, *frame: int):
+        """The body of :meth:`_from_frame`, or, where the constructor
+        rejects the parameters, the function that writes its message.  (One
+        starred tuple, passed on whole, keeps the call as cheap as a fixed
+        signature.)"""
         g = gcd(*frame)
         if g != 1:
             frame = [n // g for n in frame]
+        checked = cls._check(*frame)
+        if callable(checked):
+            return checked
         body = cls.__new__(cls)
-        body._frame = cls._check(*frame)
+        body._frame = checked
         return body
 
     def __eq__(self, other):
@@ -363,11 +385,11 @@ class Type2Body(LatticeFreeBody):
         self._init(a1, a2)
 
     @staticmethod
-    def _check(D: int, A1: int, A2: int) -> tuple[int, ...]:
+    def _check(D: int, A1: int, A2: int) -> Checked:
         if not 0 < A1 < D:
-            raise ValueError(f"need 0 < a1 < 1, got a1={Fraction(A1, D)}")
+            return lambda: f"need 0 < a1 < 1, got a1={Fraction(A1, D)}"
         if not A2 > D:
-            raise ValueError(f"need a2 > 1, got a2={Fraction(A2, D)}")
+            return lambda: f"need a2 > 1, got a2={Fraction(A2, D)}"
         return (D, A1, A2)
 
     @cached_property
@@ -403,21 +425,21 @@ class Type3Body(LatticeFreeBody):
         self._init(a1, a2, b1)
 
     @staticmethod
-    def _check(D: int, A1: int, A2: int, B1: int) -> tuple[int, ...]:
+    def _check(D: int, A1: int, A2: int, B1: int) -> Checked:
         if not A1 > D:
-            raise ValueError(f"need a1 > 1, got a1={Fraction(A1, D)}")
+            return lambda: f"need a1 > 1, got a1={Fraction(A1, D)}"
         if not (0 < A2 < D):
-            raise ValueError(f"need 0 < a2 < 1, got a2={Fraction(A2, D)}")
+            return lambda: f"need 0 < a2 < 1, got a2={Fraction(A2, D)}"
         if not (0 < B1 < D):
-            raise ValueError(f"need 0 < b1 < 1, got b1={Fraction(B1, D)}")
+            return lambda: f"need 0 < b1 < 1, got b1={Fraction(B1, D)}"
         nb2, db2 = -A2 * (D - B1), D * (A1 - D)  # b2 = nb2 / db2, db2 > 0
         if not B1 * (A1 - D) + nb2 < 0:
-            raise ValueError(f"need b1 + b2 < 0, got {Fraction(B1 * db2 + nb2 * D, D * db2)}")
+            return lambda: f"need b1 + b2 < 0, got {Fraction(B1 * db2 + nb2 * D, D * db2)}"
         E = (A1 - D) * (D - A2) * B1 - A1 * A2 * (D - B1)
         nc1, nc2 = A1 * (A1 - D) * B1, -A1 * A2 * (D - B1)  # c = (nc1, nc2) / E
         # c2 - b2 <= a1 - c1 times D db2 E < 0, and c2 - b2 <= a1 + a2 - (b1 + b2) times D E
         if not (D * db2 * (nc1 + nc2) >= (A1 * db2 + D * nb2) * E and D * nc2 >= (A1 + A2 - B1) * E):
-            raise ValueError(
+            return lambda: (
                 "lattice width must be attained by the vertical direction "
                 f"(c2-b2={Fraction(nc2 * db2 - nb2 * E, E * db2)}, a1-c1={Fraction(A1 * E - nc1 * D, D * E)}, "
                 f"a1+a2-b1-b2={Fraction((A1 + A2 - B1) * db2 - nb2 * D, D * db2)})"
@@ -456,22 +478,22 @@ class QuadBody(LatticeFreeBody):
         self._init(a1, a2, b1, b2)
 
     @staticmethod
-    def _check(D: int, A1: int, A2: int, B1: int, B2: int) -> tuple[int, ...]:
+    def _check(D: int, A1: int, A2: int, B1: int, B2: int) -> Checked:
         if not (0 < A1 <= B1 < D):
-            raise ValueError(f"need 0 < a1 <= b1 < 1, got a1={Fraction(A1, D)}, b1={Fraction(B1, D)}")
+            return lambda: f"need 0 < a1 <= b1 < 1, got a1={Fraction(A1, D)}, b1={Fraction(B1, D)}"
         if not A2 > D:
-            raise ValueError(f"need a2 > 1, got a2={Fraction(A2, D)}")
+            return lambda: f"need a2 > 1, got a2={Fraction(A2, D)}"
         if not B2 < 0:
-            raise ValueError(f"need b2 < 0, got b2={Fraction(B2, D)}")
+            return lambda: f"need b2 < 0, got b2={Fraction(B2, D)}"
         if not -B2 <= A2 - D:
-            raise ValueError(f"need -b2 <= a2 - 1, got b2={Fraction(B2, D)}, a2={Fraction(A2, D)}")
+            return lambda: f"need -b2 <= a2 - 1, got b2={Fraction(B2, D)}, a2={Fraction(A2, D)}"
         e_c = (A2 - D) * B1 - A1 * B2
         e_d = (A2 - D) * (D - B1) - (D - A1) * B2
         nc1 = -A1 * B1
         nd1 = (A2 - A1) * (D - B1) - (D - A1) * B2
         # a2 - b2 <= d1 - c1 times D e_c e_d > 0
         if not (A2 - B2) * e_c * e_d <= D * (nd1 * e_c - nc1 * e_d):
-            raise ValueError(
+            return lambda: (
                 f"lattice width must be attained by the vertical direction "
                 f"(a2-b2={Fraction(A2 - B2, D)} > d1-c1={Fraction(nd1 * e_c - nc1 * e_d, e_d * e_c)})"
             )

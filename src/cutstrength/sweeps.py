@@ -8,12 +8,18 @@ approach one.
 A grid is walked in integers: every parameter value is a numerator over one
 denominator ``D``, the least common multiple of the step's denominator and
 of each range's lower end's, and the step is the integer ``S = step D``.
-Bodies are built from those integers by ``_from_frame``, a type 2 body
-only when Monte Carlo reads it.
-Each row's parameters, and a quad's width ``a2 - b2``, come from a table of
-one Fraction per distinct numerator.  Quad rows are kept in one list per
-integer width ``A2 - B2``, joined widest first, which is the stable sort on
-``w`` with no key made per row; t3 and t2 rows are sorted on ``(float(w), w)``.
+Each range is first cut, on its grid, to the values where the family's
+bounds on that one parameter hold (type 2: 1 < w <= 2; quad: 0 < a1 < 1,
+b1 < 1, a2 > 1; type 3: a1 > 1, 0 < a2 < 1, 0 < b1 < 1), so that a wide
+range costs no more than the part of it where a body can exist.  Bodies are
+built from the integers by ``_from_frame_or_reason``, so that a rejected
+tuple costs its checks and no exception; a type 2 body is built only when
+Monte Carlo reads it.  Each row's parameters, and a quad's width ``a2 -
+b2``, come from a table of one Fraction per distinct numerator, so the rows
+of a sweep share one object per grid value.  Quad rows are kept in one list
+per integer width ``A2 - B2``, joined widest first, which is the stable sort
+on ``w`` with no key made per row; t3 and t2 rows are sorted on ``(float(w),
+w)``.
 
 The benchmark's tracer (``bench/tracing.py``) wraps this module's names
 ``QuadBody``, ``Type3Body``, ``lattice_width``, ``quad_lower`` and
@@ -70,6 +76,16 @@ def _grid(step: Fraction, *boxes):
     return D, step.numerator * (D // step.denominator), ends
 
 
+def _clip(ends, S, least=None, most=None):
+    """The walk ``range(L, H + 1, S)`` of ``ends = (L, H)`` kept to the
+    numerators from ``least`` to ``most``: the first grid value at or above
+    ``least``, and the largest end at most ``most``."""
+    L, H = ends
+    if least is not None and L < least:
+        L += S * -((L - least) // S)
+    return L, H if most is None else min(H, most)
+
+
 def _range(ranges, key, default):
     if ranges and key in ranges:
         lo, hi = ranges[key]
@@ -103,11 +119,10 @@ def sweep_grid(
         raise ValueError(f"need step > 0, got {step}")
     rows = []
     if family == "t2":
-        D, S, [(W_lo, W_hi)] = _grid(step, _range(ranges, "w", (1 + step, 2)))
+        D, S, [w_ends] = _grid(step, _range(ranges, "w", (1 + step, 2)))
+        W_lo, W_hi = _clip(w_ends, S, D + 1, 2 * D)  # t2_bound's 1 < w <= 2
         over = _Over(D)
         for W in range(W_lo, W_hi + 1, S):
-            if not D < W <= 2 * D:
-                continue
             w = over[W]
             # apex height w realizes lattice width w for any apex abscissa in
             # (0,1); the body is read only by Monte Carlo
@@ -121,8 +136,12 @@ def sweep_grid(
         ]
         if ranges and "b2" in ranges:
             boxes.append(_range(ranges, "b2", None))
-        D, S, [(A1_lo, A1_hi), (A2_lo, A2_hi), (B1_lo, B1_hi), *b2_ends] = _grid(step, *boxes)
-        over, quad, by_width = _Over(D), geometry.QuadBody._from_frame, {}
+        D, S, [a1_ends, a2_ends, b1_ends, *b2_ends] = _grid(step, *boxes)
+        # QuadBody's 0 < a1 <= b1 < 1 and a2 > 1 (b1 starts at a1 or above,
+        # and each column's walk of b2 starts below 0)
+        (A1_lo, A1_hi), (A2_lo, A2_hi) = _clip(a1_ends, S, 1, D - 1), _clip(a2_ends, S, D + 1)
+        B1_lo, B1_hi = _clip(b1_ends, S, most=D - 1)
+        over, quad, by_width = _Over(D), geometry.QuadBody._from_frame_or_reason, {}
         for A1 in range(A1_lo, A1_hi + 1, S):
             for B1 in range(max(A1, B1_lo), B1_hi + 1, S):
                 for A2 in range(A2_lo, A2_hi + 1, S):
@@ -138,34 +157,34 @@ def sweep_grid(
                     top = B2_lo + S * min((B2_hi - B2_lo) // S, -(B2_lo // S) - 1)
                     run = []
                     for B2 in range(top, B2_lo - 1, -S):
-                        try:
-                            run.append((B2, quad(D, A1, A2, B1, B2)))
-                        except ValueError:
+                        body = quad(D, A1, A2, B1, B2)
+                        if callable(body):  # the rejection's message, unwritten
                             break
+                        run.append((B2, body))
                     for B2, body in reversed(run):
                         params = (over[A1], over[A2], over[B1], over[B2])
                         row = _row(params, over[A2 - B2], z, quad_lower(body, z), body, mc_samples, seed)
                         by_width.setdefault(A2 - B2, []).append(row)
         rows = [row for W in sorted(by_width, reverse=True) for row in by_width[W]]  # stable, widest first
     else:
-        D, S, [(A1_lo, A1_hi), (A2_lo, A2_hi), (B1_lo, B1_hi)] = _grid(
+        D, S, [a1_ends, a2_ends, b1_ends] = _grid(
             step,
             _range(ranges, "a1", (1 + step, 4)),
             _range(ranges, "a2", (step, 1 - step)),
             _range(ranges, "b1", (step, 1 - step)),
         )
-        over, t3 = _Over(D), geometry.Type3Body._from_frame
+        # Type3Body's a1 > 1, 0 < a2 < 1 and 0 < b1 < 1
+        (A1_lo, A1_hi), (A2_lo, A2_hi) = _clip(a1_ends, S, D + 1), _clip(a2_ends, S, 1, D - 1)
+        B1_lo, B1_hi = _clip(b1_ends, S, 1, D - 1)
+        over, t3 = _Over(D), geometry.Type3Body._from_frame_or_reason
         for A1 in range(A1_lo, A1_hi + 1, S):
             for A2 in range(A2_lo, A2_hi + 1, S):
-                if A1 <= D or A2 <= 0:
-                    continue  # Type3Body rejects every b1
                 for B1 in range(B1_lo, B1_hi + 1, S):
                     # Type3Body's b1 + b2 < 0 is b1 < a2 / (a1 + a2 - 1), and b1 ascends
                     if B1 * (A1 + A2 - D) >= A2 * D:
                         break
-                    try:
-                        body = t3(D, A1, A2, B1)
-                    except ValueError:
+                    body = t3(D, A1, A2, B1)
+                    if callable(body):  # the rejection's message, unwritten
                         continue
                     params = (over[A1], over[A2], over[B1])
                     rows.append(_row(params, lattice_width(body), z, t3_lower(body, z), body, mc_samples, seed))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from cutstrength import bounds
 from cutstrength import (
     PiecewiseBound,
     QuadBody,
@@ -405,3 +406,35 @@ class TestTermContinuity:
             at_first, at_second = _pieces(term, first), _pieces(term, second)
             assert at_first[0] == at_first[1] == 0
             assert at_second[1] == at_second[2]
+
+
+class TestSelectorFirst:
+    """A quad or type 3 bound makes a term's coefficients only on the first
+    call that switches the term's first selector on, and keeps them."""
+
+    # each maker of a family and the index of the first term it makes
+    MAKERS = {
+        QuadBody: (("_quad_x2_terms", 0), ("_quad_x1_terms", 2)),
+        Type3Body: (("_t3_x2_term", 0), ("_t3_x1_term", 1), ("_t3_diagonal_term", 2)),
+    }
+
+    @settings(max_examples=100, deadline=None)
+    @given(quad_or_t3_body(), st.lists(st.fractions(F(11, 10), 20, max_denominator=97), min_size=1, max_size=4))
+    @example(QuadBody(F(2, 5), F(3, 2), F(3, 5), F(-3, 10)), [F(2)])  # regions 3 and 4 stay off
+    @example(Type3Body(F(4, 3), F(1, 3), F(1, 3)), [F(2), F(3, 2)])
+    def test_made_once_on_first_switch(self, body, drawn):
+        made = []
+        with pytest.MonkeyPatch.context() as mp:
+            for name, _ in self.MAKERS[type(body)]:
+                make = getattr(bounds, name)
+                mp.setattr(bounds, name, lambda *args, _make=make, _name=name: made.append(_name) or _make(*args))
+            pb = piecewise_bound_for(body)
+        assert made == []
+        values = [pb(z) for z in drawn]
+        fresh = piecewise_bound_for(body)
+        on = [name for name, i in self.MAKERS[type(body)] if _roots(fresh.terms[i])[0] <= max(drawn)]
+        assert sorted(made) == sorted(on)
+        # a second pass makes nothing more, and a made bound reads as a fresh one
+        assert [pb(z) for z in drawn] == values == [piecewise_bound_for(body)(z) for z in drawn]
+        assert sorted(made) == sorted(on)
+        assert (pb.terms, pb.scale) == (fresh.terms, fresh.scale)

@@ -271,6 +271,65 @@ class TestFromFrame:
         assert derived(lazy) == derived(built)
 
 
+def _message(make, *args):
+    """The message of the ValueError that ``make(*args)`` raises, or None."""
+    try:
+        make(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestRejectionPath:
+    """``_from_frame_or_reason``, the sweep's way to build a body, rejects
+    exactly what the constructor rejects, and hands back the constructor's
+    message unwritten."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(body_frames())
+    @example((QuadBody, 10, [4, 16, 6, -2]))  # every numerator even over D = 10
+    @example((QuadBody, 4, [1, 7, 2, -2]))  # width not vertical
+    @example((Type3Body, 10, [11, 3, 5]))  # width not vertical
+    @example((Type2Body, 4, [2, 4]))  # a2 = 1
+    def test_rejects_what_the_constructor_rejects(self, frame):
+        cls, D, nums = frame
+        params = [F(n, D) for n in nums]
+        got = cls._from_frame_or_reason(D, *nums)
+        want = _message(cls, *params)
+        if want is None:
+            assert type(got) is cls and got == cls(*params) and set(vars(got)) == {"_frame"}
+            return
+        assert callable(got) and got() == want == _message(cls._from_frame, D, *nums)
+        # the constructor's message, byte for byte, as the Fraction oracles write it
+        oracle = {QuadBody: quad_oracle, Type3Body: t3_oracle}.get(cls)
+        if oracle is not None:
+            assert want == _message(oracle, *params)
+
+    @pytest.mark.parametrize(
+        "cls, D, nums, message",
+        [
+            (QuadBody, 10, [6, 16, 4, -2], "need 0 < a1 <= b1 < 1, got a1=3/5, b1=2/5"),
+            (QuadBody, 10, [4, 8, 6, -2], "need a2 > 1, got a2=4/5"),
+            (QuadBody, 10, [4, 16, 6, 2], "need b2 < 0, got b2=1/5"),
+            (QuadBody, 10, [4, 16, 6, -8], "need -b2 <= a2 - 1, got b2=-4/5, a2=8/5"),
+            (QuadBody, 4, [1, 7, 2, -2],
+             "lattice width must be attained by the vertical direction (a2-b2=9/4 > d1-c1=7/4)"),
+            (Type3Body, 10, [5, 6, 2], "need a1 > 1, got a1=1/2"),
+            (Type3Body, 10, [30, 12, 2], "need 0 < a2 < 1, got a2=6/5"),
+            (Type3Body, 10, [30, 6, 0], "need 0 < b1 < 1, got b1=0"),
+            (Type3Body, 20, [70, 5, 10], "need b1 + b2 < 0, got 9/20"),
+            (Type3Body, 10, [11, 3, 5], "lattice width must be attained by the vertical direction "
+             "(c2-b2=36/13, a1-c1=99/65, a1+a2-b1-b2=12/5)"),
+            (Type2Body, 4, [4, 6], "need 0 < a1 < 1, got a1=1"),
+            (Type2Body, 4, [2, 4], "need a2 > 1, got a2=1"),
+        ],
+    )
+    def test_messages_keep_their_bytes(self, cls, D, nums, message):
+        # one case per check of each family
+        assert cls._from_frame_or_reason(D, *nums)() == message
+        assert _message(cls, *(F(n, D) for n in nums)) == _message(cls._from_frame, D, *nums) == message
+
+
 class TestIntegerVertices:
     """Each family's integer vertex formula, read off the frame, against
     the vertices found as meeting points of its boundary lines."""

@@ -1,11 +1,16 @@
+import io
+import json
+from contextlib import redirect_stdout
 from fractions import Fraction as F
 from math import ceil, floor
+from time import perf_counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cutstrength import p_t2_lower, sweeps
+from cutstrength import cli, p_t2_lower, sweeps
+from cutstrength.descriptors import format_rational
 from cutstrength.sweeps import DEFAULT_STEP, sweep_grid
 
 from conftest import sweep_grid_oracle
@@ -81,6 +86,16 @@ def off_grid_t3_boxes(draw):
         "b1": draw(_off_grid(F(1, 12), F(1, 2), F(1, 2))),
     }
     return step, ranges
+
+
+@st.composite
+def t2_boxes(draw):
+    """Width ranges at step 1/q, which reach w = 2 and below w = 1 at times,
+    or off the step's grid."""
+    if draw(st.booleans()):
+        q = draw(st.integers(2, 12))
+        return F(1, q), {"w": draw(_span(q, q // 2, 2 * q, q))}
+    return draw(_STEPS), {"w": draw(_off_grid(F(1, 2), F(2), F(1)))}
 
 
 def _triples(rows):
@@ -318,3 +333,85 @@ class TestTracedNames:
         # quad's width is read off the grid
         assert calls[f"{family}_lower"] == len(expected)
         assert calls["lattice_width"] == (len(expected) if family == "t3" else 0)
+
+
+class TestWideRanges:
+    """Each range is cut, on its grid, to where the family's bounds on that
+    one parameter hold before it is walked, so a range far past them answers
+    about as fast as its cut, with the same rows.  (Walked whole, each of
+    these ranges takes seconds; ``w=0:10**12`` would take days.)"""
+
+    @pytest.mark.parametrize(
+        "family, wide, cut",
+        [
+            ("t2", {"w": (0, 10**7)}, {"w": (F(11, 10), 2)}),
+            ("quad", {"a1": (-1000, F(1, 2))}, {"a1": (F(1, 10), F(1, 2))}),
+            ("quad", {"b1": (0, 1000)}, {"b1": (0, F(9, 10))}),
+            ("quad", {"a2": (-2000, F(3, 2)), "b2": (-2000, 2000)}, {"a2": (F(11, 10), F(3, 2)), "b2": (-1, 0)}),
+            ("t3", {"a2": (-300_000, F(1, 2))}, {"a2": (F(1, 10), F(1, 2))}),
+            ("t3", {"b1": (-1000, 1000)}, {"b1": (F(1, 10), F(9, 10))}),
+        ],
+    )
+    def test_same_rows_as_the_cut_range(self, family, wide, cut):
+        start = perf_counter()
+        rows = sweep_grid(family, F(2), step=F(1, 10), ranges=wide)
+        assert perf_counter() - start < 1
+        assert rows == sweep_grid(family, F(2), step=F(1, 10), ranges=cut)
+
+
+def _sweep_text(rows, fmt):
+    """The CLI's sweep output for rows without Monte Carlo, with
+    ``format_rational`` called on every value of every row."""
+    if fmt == "json":
+        payload = [
+            {
+                "params": [format_rational(p) for p in r.params],
+                "w": format_rational(r.w),
+                "z": format_rational(r.z),
+                "bound": format_rational(r.bound),
+                "mc": None,
+            }
+            for r in rows
+        ]
+        return json.dumps(payload) + "\n"
+    lines = ["params,w,z,bound,mc_estimate,mc_stderr,samples,seed"]
+    for r in rows:
+        params = ";".join(format_rational(p) for p in r.params)
+        lines.append(",".join([params, format_rational(r.w), format_rational(r.z), format_rational(r.bound), "", "", "",
+                               "0"]))
+    return "\n".join(lines) + "\n"
+
+
+_SWEEPS = st.one_of(
+    st.tuples(st.just("quad"), st.one_of(quad_boxes(), off_grid_quad_boxes())),
+    st.tuples(st.just("t3"), st.one_of(t3_boxes(), off_grid_t3_boxes())),
+    st.tuples(st.just("t2"), t2_boxes()),
+)
+
+
+class TestSweepText:
+    """``sweep``'s CSV and JSON against formatting every value of every row
+    afresh, over two sweeps in one process, so that a text kept from one
+    sweep would show in the next."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(_SWEEPS, min_size=2, max_size=2), st.fractions(F(11, 10), 5, max_denominator=20))
+    @example([("quad", (F(1, 10), {"b2": (F(-1), F(1, 10))})), ("t3", (F(1, 4), {}))], F(2))
+    @example([("t2", (F(1, 4), {"w": (F(1, 2), F(2))})), ("t2", (F(1, 3), {"w": (F(1), F(2))}))], F(3, 2))
+    def test_every_value_formatted_as_format_rational(self, drawn, z):
+        for family, (step, ranges) in drawn:
+            argv = ["sweep", "--family", family, "--z", str(z), "--step", str(step)]
+            for key, (lo, hi) in ranges.items():
+                argv += ["--range", f"{key}={lo}:{hi}"]
+            try:
+                rows = sweep_grid(family, z, step=step, ranges=ranges)
+            except ValueError:
+                rows = None
+            for fmt in ("csv", "json"):
+                out = io.StringIO()
+                with redirect_stdout(out):
+                    code = cli.run([*argv, "--format", fmt])
+                if rows is None:
+                    assert (code, out.getvalue()) == (cli.VALIDATION_ERROR, "")
+                else:
+                    assert (code, out.getvalue()) == (0, _sweep_text(rows, fmt))
