@@ -25,7 +25,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
-from math import ceil, floor, gcd, lcm
+from math import floor, gcd, lcm
 from typing import Callable, Iterator, Sequence, Union
 
 Rat = Union[int, Fraction, str]
@@ -127,49 +127,67 @@ def is_strictly_convex(pts: Sequence[Rational2]) -> bool:
     return sum(w and not u for u, w in zip(upper, upper[1:] + upper[:1])) == 1
 
 
-def _edge_count(a: Rational2, b: Rational2) -> int:
-    """``len(_edge_points(a, b))``, with a horizontal edge's columns counted, not listed."""
-    if a.x2 == b.x2:
-        return floor(max(a.x1, b.x1)) - ceil(min(a.x1, b.x1)) + 1 if a.x2.denominator == 1 else 0
-    return len(_edge_points(a, b))
+def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """``(g, x, y)`` with ``g = gcd(a, b) >= 0`` and ``x a + y b = g``, by
+    Euclid's steps in a loop, so a long run of them cannot overflow the stack."""
+    x, y, x_next, y_next = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b, x, y, x_next, y_next = b, a - q * b, x_next, y_next, x - q * x_next, y - q * y_next
+    return (a, x, y) if a >= 0 else (-a, -x, -y)
 
 
-def _edge_points(a: Rational2, b: Rational2) -> list[tuple[int, int]]:
-    """Integer points of the closed segment ab: the one x on each integer row,
-    or every integer column of a horizontal edge."""
-    if a.x2 == b.x2:
-        if a.x2.denominator != 1:
-            return []
-        return [(x, int(a.x2)) for x in range(ceil(min(a.x1, b.x1)), floor(max(a.x1, b.x1)) + 1)]
-    slope = (b.x1 - a.x1) / (b.x2 - a.x2)
-    found = []
-    for y in range(ceil(min(a.x2, b.x2)), floor(max(a.x2, b.x2)) + 1):
-        x = a.x1 + (y - a.x2) * slope
-        if x.denominator == 1:
-            found.append((int(x), y))
-    return found
+def _edge_lattice(v: int, a: tuple[int, int], b: tuple[int, int]) -> tuple[range, int, int]:
+    """``(steps, e1, e2)``: the lattice points of the edge from ``a / v`` to
+    ``b / v``, ``b`` left out, are ``(a + s e) / v`` for ``s`` in ``steps``,
+    with ``e = (b - a) / g`` primitive.  Where ``e1 a2 - e2 a1 = 0 mod v``
+    and ``x e1 + y e2 = 1``, they are the ``s`` in ``[0, g)`` with ``s = -(x
+    a1 + y a2) mod v``; otherwise the edge's line misses the lattice."""
+    g, x, y = _ext_gcd(b[0] - a[0], b[1] - a[1])
+    e1, e2 = (b[0] - a[0]) // g, (b[1] - a[1]) // g
+    start = g if (e1 * a[1] - e2 * a[0]) % v else -(x * a[0] + y * a[1]) % v
+    return range(start, g, v), e1, e2
 
 
-def _row_meets_interior(pts: list[Rational2], y: int) -> bool:
-    """Whether the integer row ``y``, strictly between the lowest and highest
-    vertex of a convex polygon, holds an integer point of its interior.  Such
-    a row crosses the boundary at its two ends and no edge lies on it."""
-    xs = [
-        a.x1 + (y - a.x2) * (b.x1 - a.x1) / (b.x2 - a.x2)
-        for a, b in zip(pts, pts[1:] + pts[:1])
-        if min(a.x2, b.x2) <= y <= max(a.x2, b.x2)
-    ]
-    return floor(min(xs)) + 1 < max(xs)
+def _width_basis(P: Sequence[tuple[int, int]]) -> tuple[int, tuple[int, int], tuple[int, int]]:
+    """``(w, a, b)``: a lattice basis of directions whose ``a`` attains the
+    lattice width ``w`` of the convex polygon ``P``, by the generalized Gauss
+    reduction (Kaib and Schnorr 1996): ``b`` becomes ``b - mu a`` at the best
+    integer ``mu`` while that is narrower than ``a``.  The width of ``b - mu
+    a`` is convex and piecewise linear in ``mu``, with breaks at ``b.e / a.e``
+    over the edges ``e``, so the best ``mu`` is a break's floor or ceiling."""
+
+    def width(u):
+        values = [u[0] * x + u[1] * y for x, y in P]
+        return max(values) - min(values)
+
+    edges = [(q[0] - p[0], q[1] - p[1]) for p, q in zip(P, P[1:] + P[:1])]
+    (w, a), (_, b) = sorted((width(u), u) for u in [(1, 0), (0, 1)])
+    while True:
+        breaks = [(b[0] * e1 + b[1] * e2, a[0] * e1 + a[1] * e2) for e1, e2 in edges]
+        near = [(b[0] - mu * a[0], b[1] - mu * a[1]) for n, d in breaks if d for mu in (n // d, n // d + 1)]
+        w_c, c = min((width(u), u) for u in near)
+        if w_c >= w:
+            return w, a, c
+        (w, a), b = (w_c, c), a
 
 
-def _short_rows(pts: list[Rational2]) -> tuple[list[Rational2], bool]:
-    """``(pts, swapped)``: the polygon with its coordinates swapped when its
-    x1 extent is the smaller, so that a walk over its integer rows takes the
-    fewer rows.  The swap maps the lattice onto itself."""
-    xs, ys = [p.x1 for p in pts], [p.x2 for p in pts]
-    if max(xs) - min(xs) < max(ys) - min(ys):
-        return [Rational2(p.x2, p.x1) for p in pts], True
-    return pts, False
+def _holds_interior_point(v: int, P: Sequence[tuple[int, int]]) -> bool:
+    """Whether the convex polygon ``P / v`` holds a lattice point strictly
+    inside.  A lattice-free convex body in the plane has lattice width at most
+    ``1 + 2/sqrt(3)`` (Hurkens 1990), so a wider polygon holds one; else at
+    most three lines ``a.x = k`` cross it, and in the lattice coordinates
+    ``(a.x, b.x)`` each holds one exactly when its open chord holds an integer."""
+    w, a, b = _width_basis(P)
+    if w > v and 3 * (w - v) ** 2 > 4 * v * v:
+        return True
+    Q = [(a[0] * x + a[1] * y, b[0] * x + b[1] * y) for x, y in P]
+    for k in range(min(Q)[0] // v + 1, -(-max(Q)[0] // v)):
+        ends = [Fraction(p2 * (q1 - k * v) - q2 * (p1 - k * v), (q1 - p1) * v)
+                for (p1, p2), (q1, q2) in zip(Q, Q[1:] + Q[:1]) if min(p1, q1) <= k * v <= max(p1, q1)]
+        if floor(min(ends)) + 1 < max(ends):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -588,11 +606,9 @@ def _classify_triangle(pts: list[Rational2], edge_counts: list[int]) -> BodyClas
 def classify(obj: Union[SplitBody, Sequence[Rational2]]) -> BodyClass:
     """Classify a band or a convex polygon given by its vertex cycle.
 
-    Lattice points are found row by row, along the shorter axis: an integer
-    row strictly between the lowest and highest vertex must hold no integer
-    strictly inside, and each edge's lattice points are counted on its
-    integer rows.
-    """
+    The polygon is read once in integers over one denominator: it must hold
+    no lattice point strictly inside, and each edge's lattice points are
+    counted in closed form, so the work does not grow with the coordinates."""
     if isinstance(obj, SplitBody):
         return BodyClass.SPLIT
     pts = list(obj)
@@ -602,12 +618,12 @@ def classify(obj: Union[SplitBody, Sequence[Rational2]]) -> BodyClass:
         raise ValueError("input vertex cycle is not strictly convex")
     if len(pts) > 4:  # a maximal lattice-free polygon has at most four edges
         return BodyClass.NOT_MAXIMAL_LATTICE_FREE
-    pts = _short_rows(pts)[0]
-    ys = [p.x2 for p in pts]
-    if any(_row_meets_interior(pts, y) for y in range(floor(min(ys)) + 1, ceil(max(ys)))):
+    v, P = _integer_points(*((c.numerator, c.denominator) for p in pts for c in (p.x1, p.x2)))
+    if _holds_interior_point(v, P):
         return BodyClass.NOT_MAXIMAL_LATTICE_FREE
-    edges = zip(pts, pts[1:] + pts[:1])
-    edge_counts = [_edge_count(a, b) - a.is_integral() - b.is_integral() for a, b in edges]
+    steps = [_edge_lattice(v, a, b)[0] for a, b in zip(P, P[1:] + P[:1])]
+    # each open edge's lattice points, counted up to 2: all that the families tell apart
+    edge_counts = [len(s[:3]) - (0 in s) for s in steps]
     if len(pts) == 3:
         return _classify_triangle(pts, edge_counts)
     if all(c == 1 for c in edge_counts):
@@ -648,8 +664,10 @@ def canonicalize(obj: Union[SplitBody, Sequence[Rational2]]) -> tuple[LatticeFre
     (1,0) are neighbours in the cycle of a canonical body's boundary lattice
     points, and a unimodular map keeps that cycle, so q1 is a cycle neighbour
     of q0; the q2 come from indexing the cycle by ``det(q1 - q0, q)``, once
-    per direction.  The candidates are thus linear in the boundary lattice
-    points.  Of the maps that match, the one with the least
+    per direction.  The cycle is read edge by edge in input order, each
+    edge's lattice points in closed form over the vertices' one denominator,
+    so the candidates are linear in the boundary lattice points, whatever the
+    coordinates.  Of the maps that match, the one with the least
     ``(max |m|, sum |m|, m != I, m)`` is returned, so a canonical input gets
     the identity.  Applying the returned map to the input reproduces the
     canonical body's vertices exactly.
@@ -658,11 +676,7 @@ def canonicalize(obj: Union[SplitBody, Sequence[Rational2]]) -> tuple[LatticeFre
         n1, n2 = obj.normal
         # second row = normal, so the band maps onto {offset <= x2' <= offset+1};
         # extended euclid supplies a first row completing a unimodular matrix
-        if n2 == 0:
-            row1 = (0, 1)
-        else:
-            g, u, v = _ext_gcd(n2, -n1)
-            row1 = (u, v)
+        row1 = (0, 1) if n2 == 0 else _ext_gcd(n2, -n1)[1:]
         m = UnimodularMap(row1[0], row1[1], n1, n2, 0, -obj.offset)
         return SplitBody((0, 1), 0), m
 
@@ -670,20 +684,11 @@ def canonicalize(obj: Union[SplitBody, Sequence[Rational2]]) -> tuple[LatticeFre
     if cls is BodyClass.NOT_MAXIMAL_LATTICE_FREE:
         raise ValueError("input polygon is not maximal lattice-free")
     pts = list(obj)
-    # the boundary lattice points in cycle order, each edge walked from its
-    # start along the shorter axis; an integral vertex ends one walk and
-    # starts the next
-    walked, swapped = _short_rows(pts)
+    v, P = _integer_points(*((c.numerator, c.denominator) for p in pts for c in (p.x1, p.x2)))
     cycle: list[tuple[int, int]] = []
-    for a, b in zip(walked, walked[1:] + walked[:1]):
-        walk = _edge_points(a, b)
-        if (a.x2, a.x1) > (b.x2, b.x1):
-            walk.reverse()
-        cycle += walk[1:] if cycle and walk and walk[0] == cycle[-1] else walk
-    if cycle[0] == cycle[-1]:
-        cycle.pop()
-    if swapped:
-        cycle = [(y, x) for x, y in cycle]
+    for a, b in zip(P, P[1:] + P[:1]):
+        steps, e1, e2 = _edge_lattice(v, a, b)
+        cycle += [((a[0] + s * e1) // v, (a[1] + s * e2) // v) for s in steps]
     levels: dict[tuple[int, int], dict[int, list[tuple[int, int]]]] = {}
     candidates = []
     for i, (x0, y0) in enumerate(cycle):
@@ -710,10 +715,3 @@ def canonicalize(obj: Union[SplitBody, Sequence[Rational2]]) -> tuple[LatticeFre
             return body, umap
     raise ValueError("no lattice-preserving map carries the input onto a canonical body")
 
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    if b == 0:
-        s = 1 if a >= 0 else -1
-        return abs(a), s, 0
-    g, x, y = _ext_gcd(b, a % b)
-    return g, y, x - (a // b) * y

@@ -10,7 +10,7 @@ denominator ``D``, the least common multiple of the step's denominator and
 of each range's lower end's, and the step is the integer ``S = step D``.
 Each range is first cut, on its grid, to the values where the family's
 bounds on that one parameter hold (type 2: 1 < w <= 2; quad: 0 < a1 < 1,
-b1 < 1, a2 > 1; type 3: a1 > 1, 0 < a2 < 1, 0 < b1 < 1), so that a wide
+b1 < 1, 1 < a2 < 1 + 2/sqrt(3); type 3: a1 > 1, 0 < a2 < 1, 0 < b1 < 1), so that a wide
 range costs no more than the part of it where a body can exist.  Bodies are
 built from the integers by ``_from_frame_or_reason``, so that a rejected
 tuple costs its checks and no exception; a type 2 body is built only when
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from typing import Optional
 
 from . import geometry
@@ -138,8 +138,11 @@ def sweep_grid(
             boxes.append(_range(ranges, "b2", None))
         D, S, [a1_ends, a2_ends, b1_ends, *b2_ends] = _grid(step, *boxes)
         # QuadBody's 0 < a1 <= b1 < 1 and a2 > 1 (b1 starts at a1 or above,
-        # and each column's walk of b2 starts below 0)
-        (A1_lo, A1_hi), (A2_lo, A2_hi) = _clip(a1_ends, S, 1, D - 1), _clip(a2_ends, S, D + 1)
+        # and each column's walk of b2 starts below 0).  An accepted quad's
+        # width a2 - b2 is its lattice width, at most 1 + 2/sqrt(3) (Hurkens
+        # 1990), and b2 < 0, so a2 < 1 + 2/sqrt(3): 3 (A2 - D)^2 < 4 D^2
+        A1_lo, A1_hi = _clip(a1_ends, S, 1, D - 1)
+        A2_lo, A2_hi = _clip(a2_ends, S, D + 1, D + isqrt((4 * D * D - 1) // 3))
         B1_lo, B1_hi = _clip(b1_ends, S, most=D - 1)
         over, quad, by_width = _Over(D), geometry.QuadBody._from_frame_or_reason, {}
         for A1 in range(A1_lo, A1_hi + 1, S):

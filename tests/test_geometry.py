@@ -1,7 +1,8 @@
 import random
 import re
 from fractions import Fraction as F
-from math import ceil, floor, gcd, lcm
+from math import floor, gcd, lcm
+from time import perf_counter
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -27,10 +28,12 @@ from cutstrength import (
     strength_report,
 )
 from cutstrength.geometry import (
-    _edge_points,
-    _row_meets_interior,
+    _edge_lattice,
+    _holds_interior_point,
+    _width_basis,
     is_strictly_convex,
     over_common_denominator,
+    primitive_directions,
     shoelace_area,
 )
 
@@ -40,6 +43,7 @@ from conftest import (
     any_body,
     ccw,
     corner_rays_oracle,
+    directional_width,
     dot,
     facets,
     gauge,
@@ -503,13 +507,13 @@ class TestClassify:
         assert classify(t3_body.polygon()) is BodyClass.TYPE3_TRIANGLE
 
     def test_long_horizontal_edge_is_counted(self):
-        # the base holds 10^30 + 1 lattice points: they are counted, not
-        # listed, and the slanted edge to the apex holds none but its end
+        # the base holds 10^30 + 1 lattice points, which are not listed, and
+        # the slanted edge to the apex holds none but its end
         verts = [point(0, 0), point(10**30, 0), point(0, F(1, 10**30))]
         assert classify(verts) is BodyClass.NOT_MAXIMAL_LATTICE_FREE
 
     def test_tall_type2(self):
-        # the apex lies 10^9 and 10^30 rows up; the walk goes along x1
+        # the apex lies 10^9 and 10^30 rows up, and the width direction is x2
         for a2 in (10**9, 10**30):
             source = Type2Body(F(1, 2), a2)
             assert classify(source.polygon()) is BodyClass.TYPE2_TRIANGLE
@@ -527,7 +531,8 @@ class TestClassify:
         )
     )
     def test_property_swapped_coordinates(self, pts):
-        # swapping x1 and x2 maps the lattice onto itself
+        # swapping x1 and x2 maps the lattice onto itself, so it keeps the
+        # class, though it swaps the reduction's starting basis
         assume(is_strictly_convex(pts))
         swapped = [point(p.x2, p.x1) for p in pts]
         assert classify(swapped) is classify(pts)
@@ -576,6 +581,12 @@ class TestClassify:
         assert is_strictly_convex([hull[i] for i in order]) == (steps in ({1}, {6}))
 
 
+def integer_cycle(pts):
+    """``(v, P)``: the vertices over their least common denominator ``v``, times ``v``."""
+    v, flat = over_common_denominator([c for p in pts for c in (p.x1, p.x2)])
+    return v, list(zip(flat[::2], flat[1::2]))
+
+
 class TestLatticePoints:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(_COORD, _COORD), min_size=3, max_size=4))
@@ -587,16 +598,41 @@ class TestLatticePoints:
         pts = [point(*c) for c in coords]
         assume(is_strictly_convex(pts))
         boundary, interior = lattice_points_oracle(ccw(pts))
-        edges = list(zip(pts, pts[1:] + pts[:1]))
-        assert {q for a, b in edges for q in _edge_points(a, b)} == boundary
-        for a, b in edges:
+        v, P = integer_cycle(pts)
+        listed = set()
+        for (A, B), (a, b) in zip(zip(P, P[1:] + P[:1]), zip(pts, pts[1:] + pts[:1])):
+            steps, e1, e2 = _edge_lattice(v, A, B)
+            walk = [(F(A[0] + s * e1, v), F(A[1] + s * e2, v)) for s in steps]
+            listed.update(walk)
+            # the edge's lattice points from a on, in order, b left out
             on_edge = {q for q in boundary if (b - a).cross(point(*q) - a) == 0}
-            assert sorted(_edge_points(a, b)) == sorted(on_edge)
-            open_count = len(_edge_points(a, b)) - a.is_integral() - b.is_integral()
+            assert walk == sorted(on_edge - {(b.x1, b.x2)}, key=lambda q: dot(point(*q) - a, b - a))
+            open_count = len(steps) - (0 in steps)
             assert open_count == len(on_edge - {(a.x1, a.x2), (b.x1, b.x2)})
-        ys = [p.x2 for p in pts]
-        rows = range(floor(min(ys)) + 1, ceil(max(ys)))
-        assert {y for y in rows if _row_meets_interior(pts, y)} == {y for _, y in interior}
+        assert listed == boundary
+        assert _holds_interior_point(v, P) == bool(interior)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_COORD, _COORD), min_size=3, max_size=4))
+    @example([(0, 0), (2, 0), (0, 2)])
+    @example([(0, 0), (F(1, 3), F(1, 3)), (F(1, 2), F(1, 3))])
+    def test_width_basis_attains_the_lattice_width(self, coords):
+        pts = [point(*c) for c in coords]
+        assume(is_strictly_convex(pts))
+        v, P = integer_cycle(pts)
+        w, a, b = _width_basis(P)
+        assert abs(a[0] * b[1] - a[1] * b[0]) == 1
+        assert F(w, v) == directional_width(pts, point(*a))
+        # a direction u no wider than the axes has |u.e|, |u.f| <= W for the
+        # edges e, f at the first vertex, which bounds |u1| and |u2|: the
+        # brute force over that radius sees every candidate
+        W = min(directional_width(pts, point(1, 0)), directional_width(pts, point(0, 1)))
+        e, f = pts[1] - pts[0], pts[-1] - pts[0]
+        det = abs(e.cross(f))
+        radius = floor(W * max(abs(e.x2) + abs(f.x2), abs(e.x1) + abs(f.x1)) / det)
+        assume(radius <= 60)
+        brute = min(directional_width(pts, point(*u)) for u in primitive_directions(max(radius, 1)))
+        assert F(w, v) == brute
 
 
 class TestLatticeWidth:
@@ -792,6 +828,22 @@ class TestCanonicalize:
         assert body == SplitBody((0, 1), 0)
         assert [umap.apply(point(x1, 5)).x2 for x1 in (2, 3)] == [0, 1]
 
+    def test_split_with_a_long_euclid_run(self):
+        # consecutive Fibonacci numbers take the most steps of Euclid's
+        # algorithm for their size: 1,500 steps, past a recursion's depth
+        fib = [0, 1]
+        while len(fib) < 1503:
+            fib.append(fib[-1] + fib[-2])
+        n1, n2 = fib[1501], fib[1502]
+        body, umap = canonicalize(SplitBody((n1, n2), 0))
+        assert body == SplitBody((0, 1), 0)
+        # x = k (-n2, n1) + t (c1, c2) with n . c = 1 has n . x = t, so the
+        # band's two lines and the points between go onto x2 = t
+        c1 = pow(n1, -1, n2)
+        c2 = (1 - n1 * c1) // n2
+        for k, t in [(0, 0), (1, 1), (-3, 1), (7, F(1, 3)), (-5, F(1, 2))]:
+            assert umap.apply(point(-k * n2 + t * c1, k * n1 + t * c2)).x2 == t
+
     def test_not_maximal_rejected(self):
         with pytest.raises(ValueError, match="not maximal lattice-free"):
             canonicalize([point(0, 0), point(1, 0), point(0, 1)])
@@ -799,7 +851,8 @@ class TestCanonicalize:
     @settings(max_examples=60, deadline=None)
     @given(any_body())
     def test_property_swapped_coordinates(self, source):
-        # the boundary lattice points are walked along the shorter axis
+        # the swapped cycle runs clockwise, and its edges' lattice points
+        # come from the same closed form
         swapped = [point(p.x2, p.x1) for p in source.polygon()]
         body, umap = canonicalize(swapped)
         assert classify(body.polygon()) is classify(source.polygon())
@@ -866,6 +919,51 @@ class TestCanonicalize:
         assert classify(body.polygon()) is classify(source.polygon())
         assert {umap.apply(v) for v in moved} == set(body.vertices())
         assert area(body) == area(source)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(range(13)),
+        st.integers(-10**12, 10**12),
+        st.integers(-10**12, 10**12),
+        st.booleans(),
+        st.integers(-10**12, 10**12),
+        st.integers(-10**12, 10**12),
+    )
+    @example(1, 10**12, 10**12 - 1, False, 0, 0)
+    def test_property_huge_maps(self, index, p, q, flip, t1, t2):
+        # a primitive row (p, q) completed to determinant 1, with |r| <= |p|
+        # and |s| < |q|; the work must not grow with the entries
+        assume(gcd(p, q) == 1)
+        s = pow(p, -1, abs(q)) if q else p
+        r = (p * s - 1) // q if q else 0
+        m = UnimodularMap(*((r, s, p, q) if flip else (p, q, r, s)), t1, t2)
+        source = grid_bodies()[index]
+        moved = [m.apply(v) for v in source.polygon()]
+        assert classify(moved) is classify(source.polygon())
+        body, umap = canonicalize(moved)
+        assert classify(body.polygon()) is classify(source.polygon())
+        assert {umap.apply(v) for v in moved} == set(body.vertices())
+        assert area(body) == area(source)
+
+    @pytest.mark.parametrize(
+        "m, source",
+        [
+            (UnimodularMap(10**5 + 1, 10**5, 10**5, 10**5 - 1), Type2Body(F(1, 2), F(3, 2))),
+            (UnimodularMap(10**19 + 1, 10**19, 10**19, 10**19 - 1), Type2Body(F(1, 2), F(3, 2))),
+            (UnimodularMap(1, 1, 0, 1), Type2Body(F(1, 2), 10**5)),
+        ],
+    )
+    def test_work_does_not_grow_with_the_map(self, m, source):
+        # a walk over the image's integer rows took about 10 s for the first
+        # and the last, and would not end for the second; the bound is
+        # generous, as the answers take about a millisecond
+        moved = [m.apply(v) for v in source.polygon()]
+        start = perf_counter()
+        assert classify(moved) is BodyClass.TYPE2_TRIANGLE
+        body, umap = canonicalize(moved)
+        assert perf_counter() - start < 1
+        assert body == source
+        assert {umap.apply(v) for v in moved} == set(body.vertices())
 
     def test_map_invariants(self):
         with pytest.raises(ValueError):

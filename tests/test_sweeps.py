@@ -2,14 +2,14 @@ import io
 import json
 from contextlib import redirect_stdout
 from fractions import Fraction as F
-from math import ceil, floor
+from math import ceil, floor, isqrt
 from time import perf_counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cutstrength import cli, p_t2_lower, sweeps
+from cutstrength import cli, geometry, p_t2_lower, sweeps
 from cutstrength.descriptors import format_rational
 from cutstrength.sweeps import DEFAULT_STEP, sweep_grid
 
@@ -348,6 +348,7 @@ class TestWideRanges:
             ("quad", {"a1": (-1000, F(1, 2))}, {"a1": (F(1, 10), F(1, 2))}),
             ("quad", {"b1": (0, 1000)}, {"b1": (0, F(9, 10))}),
             ("quad", {"a2": (-2000, F(3, 2)), "b2": (-2000, 2000)}, {"a2": (F(11, 10), F(3, 2)), "b2": (-1, 0)}),
+            ("quad", {"a2": (F(11, 10), 10**6)}, {"a2": (F(11, 10), 2)}),
             ("t3", {"a2": (-300_000, F(1, 2))}, {"a2": (F(1, 10), F(1, 2))}),
             ("t3", {"b1": (-1000, 1000)}, {"b1": (F(1, 10), F(9, 10))}),
         ],
@@ -357,6 +358,25 @@ class TestWideRanges:
         rows = sweep_grid(family, F(2), step=F(1, 10), ranges=wide)
         assert perf_counter() - start < 1
         assert rows == sweep_grid(family, F(2), step=F(1, 10), ranges=cut)
+
+    @pytest.mark.parametrize("D", [10, 12, 20])
+    def test_no_quad_past_the_a2_cut(self, D):
+        # an accepted quad's width a2 - b2 is its lattice width, at most
+        # 1 + 2/sqrt(3) (Hurkens), and b2 < 0, so the sweep walks a2 only
+        # while 3 (A2 - D)^2 < 4 D^2; every quad on the grid past that up to
+        # a2 = 3 is rejected, whatever a1 <= b1 and -b2 <= a2 - 1
+        cut = D + isqrt((4 * D * D - 1) // 3)
+        assert 3 * (cut - D) ** 2 < 4 * D * D <= 3 * (cut + 1 - D) ** 2
+        quad = geometry.QuadBody._from_frame_or_reason
+        for A2 in range(cut + 1, 3 * D + 1):
+            for A1 in range(1, D):
+                for B1 in range(A1, D):
+                    assert all(callable(quad(D, A1, A2, B1, B2)) for B2 in range(D - A2, 0))
+        # and a range that starts past the cut is empty at once, however far it runs
+        start = perf_counter()
+        with pytest.raises(ValueError, match="grid is empty"):
+            sweep_grid("quad", F(2), step=F(1, D), ranges={"a2": (F(cut + 1, D), 10**9)})
+        assert perf_counter() - start < 1
 
 
 def _sweep_text(rows, fmt):
