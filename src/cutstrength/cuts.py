@@ -120,7 +120,7 @@ def split_coefficients(normal: Sequence[int], f: Rational2, rays: Sequence[Ratio
     offset, rem = divmod(n1 * big_f[0] + n2 * big_f[1], d)
     if rem == 0:
         raise ValueError(f"normal . f = {offset} is integral: f is not interior to the split")
-    if any(r.is_zero() for r in rays):
+    if (0, 0) in big_rays:
         raise ValueError("rays must be nonzero")
     scale, row = _split_row(n1, n2, rem, d, big_rays)
     return SplitCut((n1, n2), offset, tuple(Fraction(c, scale) for c in row))

@@ -1,8 +1,9 @@
 """Exact-rational planar geometry of maximal lattice-free bodies.
 
-Everything in this module runs on ``fractions.Fraction``, or on integers
-over a common denominator; there is no floating point anywhere.  Bodies are
-kept in canonical parameterizations:
+Everything in this module runs on integers over a common denominator, or on
+``fractions.Fraction``; there is no floating point anywhere.  A vertex cycle
+is read into integers once, by ``_read_polygon``, and checked there.  Bodies
+are kept in canonical parameterizations:
 
 * ``SplitBody``      -- the band ``offset <= normal . x <= offset + 1``
 * ``Type1Body``      -- conv{(0,0), (2,0), (0,2)}
@@ -52,18 +53,6 @@ class Rational2:
     x1: Fraction
     x2: Fraction
 
-    def __sub__(self, other: "Rational2") -> "Rational2":
-        return Rational2(self.x1 - other.x1, self.x2 - other.x2)
-
-    def cross(self, other: "Rational2") -> Fraction:
-        return self.x1 * other.x2 - self.x2 * other.x1
-
-    def is_zero(self) -> bool:
-        return self.x1 == 0 and self.x2 == 0
-
-    def is_integral(self) -> bool:
-        return self.x1.denominator == 1 and self.x2.denominator == 1
-
     def __repr__(self):
         return f"({self.x1}, {self.x2})"
 
@@ -101,30 +90,29 @@ class BodyClass(Enum):
 # polygon primitives
 
 
-def shoelace_area(pts: Sequence[Rational2]) -> Fraction:
-    """Signed area; positive iff the cycle runs counter-clockwise."""
-    total = Fraction(0)
-    n = len(pts)
-    for i in range(n):
-        total += pts[i].cross(pts[(i + 1) % n])
-    return total / 2
+def _doubled_area(P: Sequence[tuple[int, int]]) -> int:
+    """Twice the signed area of the integer cycle ``P``, the shoelace sum;
+    positive iff the cycle runs counter-clockwise."""
+    return sum(a[0] * b[1] - a[1] * b[0] for a, b in zip(P, P[1:] + P[:1]))
 
 
-def is_strictly_convex(pts: Sequence[Rational2]) -> bool:
-    """True iff the cyclic vertex list bounds a non-degenerate convex polygon:
-    every turn goes the same way, and the edges wind around exactly once."""
-    n = len(pts)
-    if n < 3:
-        return False
-    edges = [b - a for a, b in zip(pts, pts[1:] + pts[:1])]
-    turns = [u.cross(w) for u, w in zip(edges, edges[1:] + edges[:1])]
-    if not (all(t > 0 for t in turns) or all(t < 0 for t in turns)):
-        return False
+def _read_polygon(pts: Sequence[Rational2]) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """``(v, P)``: the vertex cycle ``pts`` times the least common denominator
+    ``v`` of its coordinates, once it is checked to bound a strictly convex
+    polygon of positive area (every turn goes the same way, winding once)."""
+    v, P = _integer_points(*((c.numerator, c.denominator) for p in pts for c in (p.x1, p.x2)))
+    if len(P) < 3 or _doubled_area(P) == 0:
+        raise ValueError("degenerate input: need a polygon with positive area")
+    edges = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(P, P[1:] + P[:1])]
+    turns = [u1 * w2 - u2 * w1 for (u1, u2), (w1, w2) in zip(edges, edges[1:] + edges[:1])]
     # every turn is less than a half turn, so the edge direction passes angle
     # 0 once per winding, as one step between the upper half-plane (angles in
     # [0, pi)) and the lower one; count the steps from lower to upper
-    upper = [e.x2 > 0 or (e.x2 == 0 and e.x1 > 0) for e in edges]
-    return sum(w and not u for u, w in zip(upper, upper[1:] + upper[:1])) == 1
+    upper = [e2 > 0 or (e2 == 0 and e1 > 0) for e1, e2 in edges]
+    winding = sum(w and not u for u, w in zip(upper, upper[1:] + upper[:1]))
+    if not (all(t > 0 for t in turns) or all(t < 0 for t in turns)) or winding != 1:
+        raise ValueError("input vertex cycle is not strictly convex")
+    return v, P
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -531,13 +519,14 @@ class QuadBody(LatticeFreeBody):
 
 
 def area(body: LatticeFreeBody) -> Fraction:
-    """Area of a bounded body, the shoelace sum over its counter-clockwise
-    vertex cycle; errors on splits."""
+    """Area of a bounded body, the integer shoelace sum over its
+    counter-clockwise vertex cycle ``V / v``, over ``2 v^2``; errors on splits."""
     if isinstance(body, SplitBody):
         raise ValueError("a split is unbounded; its area is not defined")
     if not isinstance(body, LatticeFreeBody):
         raise TypeError(f"unsupported body {body!r}")
-    return shoelace_area(body.polygon())
+    v, V = body._integer_vertices
+    return Fraction(_doubled_area([V[i] for i in body._order]), 2 * v * v)
 
 
 def lattice_width(body: LatticeFreeBody) -> Fraction:
@@ -581,10 +570,10 @@ def _ring(r: int) -> tuple[tuple[int, int], ...]:
 # classification
 
 
-def _classify_triangle(pts: list[Rational2], edge_counts: list[int]) -> BodyClass:
+def _classify_triangle(v: int, P: Sequence[tuple[int, int]], edge_counts: list[int]) -> BodyClass:
     if any(c == 0 for c in edge_counts):
         return BodyClass.NOT_MAXIMAL_LATTICE_FREE
-    integral = [p.is_integral() for p in pts]
+    integral = [x % v == 0 and y % v == 0 for x, y in P]
     if all(integral):
         if all(c == 1 for c in edge_counts):
             return BodyClass.TYPE1_TRIANGLE
@@ -606,26 +595,24 @@ def _classify_triangle(pts: list[Rational2], edge_counts: list[int]) -> BodyClas
 def classify(obj: Union[SplitBody, Sequence[Rational2]]) -> BodyClass:
     """Classify a band or a convex polygon given by its vertex cycle.
 
-    The polygon is read once in integers over one denominator: it must hold
-    no lattice point strictly inside, and each edge's lattice points are
-    counted in closed form, so the work does not grow with the coordinates."""
+    The polygon is read once in integers over one denominator, where every
+    check runs: each edge's lattice points are counted in closed form, so
+    the work does not grow with the coordinates."""
     if isinstance(obj, SplitBody):
         return BodyClass.SPLIT
-    pts = list(obj)
-    if len(pts) < 3 or shoelace_area(pts) == 0:
-        raise ValueError("degenerate input: need a polygon with positive area")
-    if not is_strictly_convex(pts):
-        raise ValueError("input vertex cycle is not strictly convex")
-    if len(pts) > 4:  # a maximal lattice-free polygon has at most four edges
-        return BodyClass.NOT_MAXIMAL_LATTICE_FREE
-    v, P = _integer_points(*((c.numerator, c.denominator) for p in pts for c in (p.x1, p.x2)))
-    if _holds_interior_point(v, P):
+    return _classify(*_read_polygon(obj))
+
+
+def _classify(v: int, P: Sequence[tuple[int, int]]) -> BodyClass:
+    """The class of the strictly convex polygon ``P / v``."""
+    # a maximal lattice-free polygon has at most four edges
+    if len(P) > 4 or _holds_interior_point(v, P):
         return BodyClass.NOT_MAXIMAL_LATTICE_FREE
     steps = [_edge_lattice(v, a, b)[0] for a, b in zip(P, P[1:] + P[:1])]
     # each open edge's lattice points, counted up to 2: all that the families tell apart
     edge_counts = [len(s[:3]) - (0 in s) for s in steps]
-    if len(pts) == 3:
-        return _classify_triangle(pts, edge_counts)
+    if len(P) == 3:
+        return _classify_triangle(v, P, edge_counts)
     if all(c == 1 for c in edge_counts):
         return BodyClass.QUADRILATERAL
     return BodyClass.NOT_MAXIMAL_LATTICE_FREE
@@ -635,23 +622,22 @@ def classify(obj: Union[SplitBody, Sequence[Rational2]]) -> BodyClass:
 # canonicalization
 
 
-def _match_canonical(cls: BodyClass, vertices: frozenset[Rational2]):
-    """Return the canonical body of family ``cls`` with exactly these vertices, if any."""
-    top = max(vertices, key=lambda p: p.x2)
-    try:
-        if cls is BodyClass.TYPE1_TRIANGLE:
-            body = Type1Body()
-        elif cls is BodyClass.TYPE2_TRIANGLE:
-            body = Type2Body(top.x1, top.x2)
-        elif cls is BodyClass.TYPE3_TRIANGLE:
-            a = max(vertices, key=lambda p: p.x1)
-            body = Type3Body(a.x1, a.x2, min(vertices, key=lambda p: p.x2).x1)
-        else:
-            bottom = min(vertices, key=lambda p: p.x2)
-            body = QuadBody(top.x1, top.x2, bottom.x1, bottom.x2)
-    except ValueError:
+def _match_canonical(cls: BodyClass, v: int, vertices: frozenset[tuple[int, int]]):
+    """The canonical body of family ``cls`` with vertices exactly ``vertices / v``, if any."""
+    top = max(vertices, key=lambda p: p[1])
+    if cls is BodyClass.TYPE1_TRIANGLE:
+        body = Type1Body()
+    elif cls is BodyClass.TYPE2_TRIANGLE:
+        body = Type2Body._from_frame_or_reason(v, *top)
+    elif cls is BodyClass.TYPE3_TRIANGLE:
+        a = max(vertices, key=lambda p: p[0])
+        body = Type3Body._from_frame_or_reason(v, *a, min(vertices, key=lambda p: p[1])[0])
+    else:
+        body = QuadBody._from_frame_or_reason(v, *top, *min(vertices, key=lambda p: p[1]))
+    if callable(body):  # the family rejects these parameters
         return None
-    return body if frozenset(body.vertices()) == vertices else None
+    w, V = body._integer_vertices
+    return body if w == v and frozenset(V) == vertices else None
 
 
 def canonicalize(obj: Union[SplitBody, Sequence[Rational2]]) -> tuple[LatticeFreeBody, UnimodularMap]:
@@ -680,11 +666,10 @@ def canonicalize(obj: Union[SplitBody, Sequence[Rational2]]) -> tuple[LatticeFre
         m = UnimodularMap(row1[0], row1[1], n1, n2, 0, -obj.offset)
         return SplitBody((0, 1), 0), m
 
-    cls = classify(obj)
+    v, P = _read_polygon(obj)
+    cls = _classify(v, P)
     if cls is BodyClass.NOT_MAXIMAL_LATTICE_FREE:
         raise ValueError("input polygon is not maximal lattice-free")
-    pts = list(obj)
-    v, P = _integer_points(*((c.numerator, c.denominator) for p in pts for c in (p.x1, p.x2)))
     cycle: list[tuple[int, int]] = []
     for a, b in zip(P, P[1:] + P[:1]):
         steps, e1, e2 = _edge_lattice(v, a, b)
@@ -709,9 +694,11 @@ def canonicalize(obj: Union[SplitBody, Sequence[Rational2]]) -> tuple[LatticeFre
                     key = (max(map(abs, m)), sum(map(abs, m)), m != (1, 0, 0, 1), m)
                     candidates.append((key, (x0, y0)))
     for (*_, m), (x0, y0) in sorted(candidates):
-        umap = UnimodularMap(*m, -(m[0] * x0 + m[1] * y0), -(m[2] * x0 + m[3] * y0))
-        body = _match_canonical(cls, frozenset(umap.apply(p) for p in pts))
+        t1, t2 = -(m[0] * x0 + m[1] * y0), -(m[2] * x0 + m[3] * y0)
+        # the map carries P / v to (m P + v t) / v, over the same denominator v
+        image = frozenset((m[0] * x + m[1] * y + v * t1, m[2] * x + m[3] * y + v * t2) for x, y in P)
+        body = _match_canonical(cls, v, image)
         if body is not None:
-            return body, umap
+            return body, UnimodularMap(*m, t1, t2)
     raise ValueError("no lattice-preserving map carries the input onto a canonical body")
 

@@ -8,13 +8,13 @@ approach one.
 A grid is walked in integers: every parameter value is a numerator over one
 denominator ``D``, the least common multiple of the step's denominator and
 of each range's lower end's, and the step is the integer ``S = step D``.
-Each range is first cut, on its grid, to the values where the family's
-bounds on that one parameter hold (type 2: 1 < w <= 2; quad: 0 < a1 < 1,
-b1 < 1, 1 < a2 < 1 + 2/sqrt(3); type 3: a1 > 1, 0 < a2 < 1, 0 < b1 < 1), so that a wide
-range costs no more than the part of it where a body can exist.  Bodies are
-built from the integers by ``_from_frame_or_reason``, so that a rejected
-tuple costs its checks and no exception; a type 2 body is built only when
-Monte Carlo reads it.  Each row's parameters, and a quad's width ``a2 -
+Each range is first cut, on its grid, to the values where a body can exist
+(type 2: 1 < w <= 2; quad: 0 < a1 < 1, b1 < 1, 1 < a2 < 1 + 2/sqrt(3); type
+3: 0 < a2 < 1, 0 < b1 < 1, then 1 < a1 < 1 + a2_hi (1 - b1_lo) / b1_lo over
+the cut a2 and b1 ranges), so that a wide range costs no more than its cut.
+Bodies are built from the integers by ``_from_frame_or_reason``, so that a
+rejected tuple costs its checks and no exception; a type 2 body is built
+only when Monte Carlo reads it.  Each row's parameters, and a quad's width ``a2 -
 b2``, come from a table of one Fraction per distinct numerator, so the rows
 of a sweep share one object per grid value.  Quad rows are kept in one list
 per integer width ``A2 - B2``, joined widest first, which is the stable sort
@@ -176,9 +176,11 @@ def sweep_grid(
             _range(ranges, "a2", (step, 1 - step)),
             _range(ranges, "b1", (step, 1 - step)),
         )
-        # Type3Body's a1 > 1, 0 < a2 < 1 and 0 < b1 < 1
-        (A1_lo, A1_hi), (A2_lo, A2_hi) = _clip(a1_ends, S, D + 1), _clip(a2_ends, S, 1, D - 1)
+        # Type3Body's 0 < a2 < 1, 0 < b1 < 1 and a1 > 1; and its b1 + b2 < 0,
+        # B1 (A1 - D) < A2 (D - B1) <= A2_hi (D - B1_lo), cuts a1 from above
+        A2_lo, A2_hi = _clip(a2_ends, S, 1, D - 1)
         B1_lo, B1_hi = _clip(b1_ends, S, 1, D - 1)
+        A1_lo, A1_hi = _clip(a1_ends, S, D + 1, D + (A2_hi * (D - B1_lo) - 1) // B1_lo)
         over, t3 = _Over(D), geometry.Type3Body._from_frame_or_reason
         for A1 in range(A1_lo, A1_hi + 1, S):
             for A2 in range(A2_lo, A2_hi + 1, S):

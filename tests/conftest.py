@@ -30,7 +30,7 @@ from cutstrength import (
 )
 from cutstrength.cuts import _admissible, _check_radius, _frame, _max_packing, _min_cover, _scaled, _split_row, _table
 from cutstrength.descriptors import format_rational
-from cutstrength.geometry import _frac, primitive_directions, shoelace_area
+from cutstrength.geometry import _frac, primitive_directions
 
 # CI runs with HYPOTHESIS_PROFILE=ci: the same examples on every run, no deadline
 settings.register_profile("ci", derandomize=True, deadline=None)
@@ -133,8 +133,9 @@ def t3_oracle(a1, a2, b1):
     return dict(a1=a1, a2=a2, b1=b1, b2=b2, c1=c1, c2=c2)
 
 
-# Test-only geometry: vector arithmetic on points, the vertices as line
-# intersections, the Fraction facets and the gauge of a body.
+# Test-only geometry: vector arithmetic on points, the Fraction polygon
+# checks, the vertices as line intersections, the Fraction facets and the
+# gauge of a body.
 
 
 def dot(p: Rational2, q: Rational2) -> F:
@@ -150,11 +151,39 @@ def times(p: Rational2, s) -> Rational2:
     return Rational2(p.x1 * s, p.x2 * s)
 
 
+def minus(p: Rational2, q: Rational2) -> Rational2:
+    return Rational2(p.x1 - q.x1, p.x2 - q.x2)
+
+
+def cross(p: Rational2, q: Rational2) -> F:
+    return p.x1 * q.x2 - p.x2 * q.x1
+
+
+def shoelace_area(pts: Sequence[Rational2]) -> F:
+    """Signed area in Fractions; positive iff the cycle runs counter-clockwise."""
+    return sum((cross(p, q) for p, q in zip(pts, [*pts[1:], *pts[:1]])), F(0)) / 2
+
+
+def is_strictly_convex(pts: Sequence[Rational2]) -> bool:
+    """True iff the cyclic vertex list bounds a non-degenerate convex polygon,
+    in Fractions: every turn goes the same way, and the edges wind around
+    exactly once, crossing angle 0 from the lower half-plane to the upper
+    (angles in [0, pi)) once."""
+    if len(pts) < 3:
+        return False
+    edges = [minus(b, a) for a, b in zip(pts, [*pts[1:], *pts[:1]])]
+    turns = [cross(u, w) for u, w in zip(edges, edges[1:] + edges[:1])]
+    if not (all(t > 0 for t in turns) or all(t < 0 for t in turns)):
+        return False
+    upper = [e.x2 > 0 or (e.x2 == 0 and e.x1 > 0) for e in edges]
+    return sum(w and not u for u, w in zip(upper, upper[1:] + upper[:1])) == 1
+
+
 def meet(p: Rational2, q: Rational2, r: Rational2, s: Rational2) -> Rational2:
     """The point where the line through ``p`` and ``q`` meets the line
     through ``r`` and ``s``; the lines must not be parallel."""
-    u, w = q - p, s - r
-    return plus(p, times(u, w.cross(r - p) / w.cross(u)))
+    u, w = minus(q, p), minus(s, r)
+    return plus(p, times(u, cross(w, minus(r, p)) / cross(w, u)))
 
 
 def vertex_oracle(cls, params) -> tuple[Rational2, ...]:
@@ -187,7 +216,7 @@ def gauge(body, f: Rational2, r: Rational2) -> F:
     Returns the smallest positive scale at which ``r`` fits in the scaled
     body, or 0 when ``r`` is a recession direction (split bands only).
     """
-    if r.is_zero():
+    if r == point(0, 0):
         raise ValueError("the gauge is undefined for the zero ray")
     if not body.contains_interior(f):
         raise ValueError(f"root vertex {f} is not strictly interior to {body!r}")
@@ -289,7 +318,7 @@ def contains(pts: Sequence[Rational2], p: Rational2, strict: bool = False) -> bo
     n = len(pts)
     for i in range(n):
         a, b = pts[i], pts[(i + 1) % n]
-        cr = (b - a).cross(p - a)
+        cr = cross(minus(b, a), minus(p, a))
         if cr < 0 or (strict and cr == 0):
             return False
     return True
@@ -310,7 +339,7 @@ def clip_halfplane(pts: Sequence[Rational2], normal: Rational2, offset: F) -> li
             out.append(cur)
         if (dc > 0 > dn) or (dc < 0 < dn):
             t = dc / (dc - dn)
-            out.append(plus(cur, times(nxt - cur, t)))
+            out.append(plus(cur, times(minus(nxt, cur), t)))
     # drop exact duplicates produced by vertices lying on the cut line
     dedup: list[Rational2] = []
     for p in out:
@@ -711,13 +740,13 @@ def lattice_line_vertex(draw, body, max_denominator=60):
     k = draw(st.integers(lo, hi))
     # the chord of the body on the line, between two boundary points
     ends = [
-        plus(a, times(b - a, (k - va) / (vb - va)))
+        plus(a, times(minus(b, a), (k - va) / (vb - va)))
         for (a, va), (b, vb) in zip(zip(pts, values), zip(pts[1:] + pts[:1], values[1:] + values[:1]))
         if va != vb and min(va, vb) <= k <= max(va, vb)
     ]
     a, b = min(ends, key=lambda p: (p.x1, p.x2)), max(ends, key=lambda p: (p.x1, p.x2))
     q = draw(st.integers(2, max_denominator))
-    f = plus(a, times(b - a, F(draw(st.integers(1, q - 1)), q)))
+    f = plus(a, times(minus(b, a), F(draw(st.integers(1, q - 1)), q)))
     assert body.contains_interior(f) and n1 * f.x1 + n2 * f.x2 == k
     return f
 
@@ -751,7 +780,7 @@ def corner_rays_oracle(body, f):
         raise ValueError("a split has no vertices, hence no corner rays")
     if not body.contains_interior(f):
         raise ValueError(f"root vertex {f} is not strictly interior to {body!r}")
-    return tuple(v - f for v in body.vertices())
+    return tuple(minus(v, f) for v in body.vertices())
 
 
 def closure_oracle(body, f, n):

@@ -117,7 +117,7 @@ class TestSplitCoefficients:
             if nf.denominator == 1:
                 continue
             rays = [point(F(rng.randint(-9, 9), 4), F(rng.randint(-9, 9), 4)) for _ in range(4)]
-            rays = [r for r in rays if not r.is_zero()]
+            rays = [r for r in rays if r != point(0, 0)]
             if not rays:
                 continue
             cut = split_coefficients((n1, n2), f, rays)

@@ -31,10 +31,8 @@ from cutstrength.geometry import (
     _edge_lattice,
     _holds_interior_point,
     _width_basis,
-    is_strictly_convex,
     over_common_denominator,
     primitive_directions,
-    shoelace_area,
 )
 
 from conftest import (
@@ -43,18 +41,22 @@ from conftest import (
     any_body,
     ccw,
     corner_rays_oracle,
+    cross,
     directional_width,
     dot,
     facets,
     gauge,
+    is_strictly_convex,
     lattice_points_oracle,
     lattice_width_enumerated,
+    minus,
     plus,
     polygon_area,
     quad_oracle,
     quad_params,
     random_interior_point,
     root_vertex,
+    shoelace_area,
     t3_oracle,
     t3_params,
     times,
@@ -77,23 +79,20 @@ def grid_bodies():
 
 class TestRational2:
     def test_arithmetic(self):
-        # the package keeps - and cross; the tests' helpers add, scale and dot
+        # the package keeps no arithmetic on points; the tests' helpers add,
+        # subtract, scale, dot and cross
         p = point(F(1, 2), F(3, 4))
         q = point(1, -2)
         assert plus(p, q) == point(F(3, 2), F(-5, 4))
-        assert p - q == point(F(-1, 2), F(11, 4))
+        assert minus(p, q) == point(F(-1, 2), F(11, 4))
         assert times(p, 2) == point(1, F(3, 2))
         assert times(q, -1) == point(-1, 2)
         assert dot(p, q) == F(1, 2) - F(3, 2)
-        assert p.cross(q) == -1 - F(3, 4)
+        assert cross(p, q) == -1 - F(3, 4)
 
     def test_rejects_floats(self):
         with pytest.raises((TypeError, ValueError)):
             point(0.5, 1)
-
-    def test_integrality(self):
-        assert point(3, -2).is_integral()
-        assert not point(F(1, 2), 0).is_integral()
 
 
 def assert_same_as_oracle(cls, oracle, params, cycle):
@@ -486,6 +485,30 @@ class TestBodyModel:
 
 
 _COORD = st.integers(1, 6).flatmap(lambda q: st.integers(-3 * q, 3 * q).map(lambda p: F(p, q)))
+_SMALL = st.sampled_from([F(-1), F(0), F(1, 2), F(1), F(2)])
+
+
+@st.composite
+def vertex_lists(draw):
+    """3 to 6 points: any points from a pool small enough that repeats and
+    collinear triples are common, or a list with a repeated point or an edge's
+    midpoint put in, or points in convex position on ``x2 = x1^2``, taken in
+    order; each from any start, either way round."""
+    kind = draw(st.sampled_from(["any", "repeat", "midpoint", "convex"]))
+    if kind == "convex":
+        pts = [point(x, x * x) for x in sorted(draw(st.sets(st.integers(-4, 4), min_size=3, max_size=6)))]
+    else:
+        size = (3, 6) if kind == "any" else (2, 5)
+        pts = draw(st.lists(st.builds(point, _SMALL, _SMALL), min_size=size[0], max_size=size[1]))
+        i = draw(st.integers(0, len(pts) - 1))
+        a, b = pts[i], pts[(i + 1) % len(pts)]
+        if kind == "repeat":
+            pts.insert(i, a)
+        elif kind == "midpoint":
+            pts.insert(i + 1, point((a.x1 + b.x1) / 2, (a.x2 + b.x2) / 2))
+    k = draw(st.integers(0, len(pts) - 1))
+    pts = pts[k:] + pts[:k]
+    return pts[::-1] if draw(st.booleans()) else pts
 
 
 class TestClassify:
@@ -562,6 +585,29 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify([point(0, 0), point(1, 1), point(2, 2)])
 
+    @settings(max_examples=300, deadline=None)
+    @given(vertex_lists())
+    @example([point(0, 0), point(1, 0), point(1, 0), point(0, 1)])
+    @example([point(0, 0), point(1, 0), point(2, 0), point(0, 1)])
+    @example([point(0, 1), point(2, 0), point(0, 0)])
+    def test_checks_match_the_fraction_oracles(self, pts):
+        # the integer reading rejects a cycle with the degenerate message
+        # exactly when its Fraction shoelace area is 0, and with one of the
+        # two messages exactly when it is not strictly convex; canonicalize
+        # reads the cycle the same way
+        degenerate = "degenerate input: need a polygon with positive area"
+        try:
+            classify(pts)
+            message = None
+        except ValueError as error:
+            message = str(error)
+        assert (message == degenerate) == (shoelace_area(pts) == 0)
+        assert (message is None) == is_strictly_convex(pts)
+        assert message in (None, degenerate, "input vertex cycle is not strictly convex")
+        if message is not None:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                canonicalize(pts)
+
     def test_nonconvex_rejected(self):
         verts = [point(0, 0), point(2, 0), point(1, F(1, 4)), point(0, 2)]
         with pytest.raises(ValueError):
@@ -575,10 +621,19 @@ class TestClassify:
     def test_strictly_convex_only_in_cyclic_order(self, order):
         # seven points in convex position: strictly convex in their cyclic
         # order, either way round and from any start, and in no other order;
-        # the star orders turn the same way at every vertex but wind 2 or 3 times
+        # the star orders turn the same way at every vertex but wind 2 or 3
+        # times, so only the winding count rejects them
         hull = [point(x, x * x) for x in range(-3, 4)]
         steps = {(j - i) % 7 for i, j in zip(order, order[1:] + order[:1])}
-        assert is_strictly_convex([hull[i] for i in order]) == (steps in ({1}, {6}))
+        pts = [hull[i] for i in order]
+        assert is_strictly_convex(pts) == (steps in ({1}, {6}))
+        if steps in ({1}, {6}):
+            assert classify(pts) is BodyClass.NOT_MAXIMAL_LATTICE_FREE  # seven edges
+        else:
+            # a few orders wind so that their signed area cancels to 0
+            message = "degenerate input" if shoelace_area(pts) == 0 else "not strictly convex"
+            with pytest.raises(ValueError, match=message):
+                classify(pts)
 
 
 def integer_cycle(pts):
@@ -605,8 +660,8 @@ class TestLatticePoints:
             walk = [(F(A[0] + s * e1, v), F(A[1] + s * e2, v)) for s in steps]
             listed.update(walk)
             # the edge's lattice points from a on, in order, b left out
-            on_edge = {q for q in boundary if (b - a).cross(point(*q) - a) == 0}
-            assert walk == sorted(on_edge - {(b.x1, b.x2)}, key=lambda q: dot(point(*q) - a, b - a))
+            on_edge = {q for q in boundary if cross(minus(b, a), minus(point(*q), a)) == 0}
+            assert walk == sorted(on_edge - {(b.x1, b.x2)}, key=lambda q: dot(minus(point(*q), a), minus(b, a)))
             open_count = len(steps) - (0 in steps)
             assert open_count == len(on_edge - {(a.x1, a.x2), (b.x1, b.x2)})
         assert listed == boundary
@@ -627,8 +682,8 @@ class TestLatticePoints:
         # edges e, f at the first vertex, which bounds |u1| and |u2|: the
         # brute force over that radius sees every candidate
         W = min(directional_width(pts, point(1, 0)), directional_width(pts, point(0, 1)))
-        e, f = pts[1] - pts[0], pts[-1] - pts[0]
-        det = abs(e.cross(f))
+        e, f = minus(pts[1], pts[0]), minus(pts[-1], pts[0])
+        det = abs(cross(e, f))
         radius = floor(W * max(abs(e.x2) + abs(f.x2), abs(e.x1) + abs(f.x1)) / det)
         assume(radius <= 60)
         brute = min(directional_width(pts, point(*u)) for u in primitive_directions(max(radius, 1)))
@@ -710,14 +765,14 @@ class TestGauge:
     def test_boundary_ray_is_one(self, t2_body):
         f = point(F(1, 4), F(1, 2))
         for v in t2_body.vertices():
-            assert gauge(t2_body, f, v - f) == 1
+            assert gauge(t2_body, f, minus(v, f)) == 1
 
     def test_homogeneity(self, quad_body):
         rng = random.Random(11)
         f = point(F(1, 2), F(1, 4))
         for _ in range(20):
             r = point(F(rng.randint(-8, 8), 3), F(rng.randint(-8, 8), 5))
-            if r.is_zero():
+            if r == point(0, 0):
                 continue
             g = gauge(quad_body, f, r)
             for lam in (F(1, 2), F(2), F(7, 3)):
@@ -728,11 +783,11 @@ class TestGauge:
         f = point(F(1, 2), F(1, 2))
         for _ in range(20):
             r = point(F(rng.randint(-8, 8), 7), F(rng.randint(-8, 8), 7))
-            if r.is_zero():
+            if r == point(0, 0):
                 continue
             g = gauge(t3_body, f, r)
             boundary = plus(f, times(r, 1 / g))
-            assert gauge(t3_body, f, boundary - f) == 1
+            assert gauge(t3_body, f, minus(boundary, f)) == 1
 
     def test_split_recession_direction(self):
         band = SplitBody((0, 1), 0)

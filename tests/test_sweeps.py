@@ -336,10 +336,10 @@ class TestTracedNames:
 
 
 class TestWideRanges:
-    """Each range is cut, on its grid, to where the family's bounds on that
-    one parameter hold before it is walked, so a range far past them answers
-    about as fast as its cut, with the same rows.  (Walked whole, each of
-    these ranges takes seconds; ``w=0:10**12`` would take days.)"""
+    """Each range is cut, on its grid, to where a body can exist before it is
+    walked, so a range far past that answers about as fast as its cut, with
+    the same rows.  (Walked whole, each of these ranges takes seconds;
+    ``w=0:10**12`` would take days.)"""
 
     @pytest.mark.parametrize(
         "family, wide, cut",
@@ -351,6 +351,7 @@ class TestWideRanges:
             ("t3", {"a2": (-300_000, F(1, 2))}, {"a2": (F(1, 10), F(1, 2))}),
             ("t3", {"b1": (-1000, 1000)}, {"b1": (F(1, 10), F(9, 10))}),
             ("quad", {"a2": (F(11, 10), 10**6)}, {"a2": (F(11, 10), 2)}),
+            ("t3", {"a1": (F(11, 10), 10**6)}, {"a1": (F(11, 10), 10)}),
         ],
     )
     def test_same_rows_as_the_cut_range(self, family, wide, cut):
@@ -376,6 +377,24 @@ class TestWideRanges:
         start = perf_counter()
         with pytest.raises(ValueError, match="grid is empty"):
             sweep_grid("quad", F(2), step=F(1, D), ranges={"a2": (F(cut + 1, D), 10**9)})
+        assert perf_counter() - start < 1
+
+    @pytest.mark.parametrize("D", [7, 10, 12])
+    def test_no_t3_past_the_a1_cut(self, D):
+        # Type3Body's b1 + b2 < 0 is B1 (A1 - D) < A2 (D - B1), so on the
+        # grid a2, b1 in [1/D, 1 - 1/D] the sweep walks A1 only up to the cut:
+        # the last A1 that passes at the largest A2 and the least B1; every
+        # type 3 on the grid past it is rejected, whatever a2 and b1
+        a2_hi, b1_lo = D - 1, 1
+        cut = D + (a2_hi * (D - b1_lo) - 1) // b1_lo
+        assert b1_lo * (cut - D) < a2_hi * (D - b1_lo) <= b1_lo * (cut + 1 - D)
+        t3 = geometry.Type3Body._from_frame_or_reason
+        for A1 in range(cut + 1, cut + 2 * D + 1):
+            assert all(callable(t3(D, A1, A2, B1)) for A2 in range(1, D) for B1 in range(1, D))
+        # and a range that starts past the cut is empty at once, however far it runs
+        start = perf_counter()
+        with pytest.raises(ValueError, match="grid is empty"):
+            sweep_grid("t3", F(2), step=F(1, D), ranges={"a1": (F(cut + 1, D), 10**9)})
         assert perf_counter() - start < 1
 
 
