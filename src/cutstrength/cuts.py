@@ -30,8 +30,9 @@ it returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, inf, lcm
 from operator import le, mul
 from typing import Optional, Sequence
@@ -68,6 +69,12 @@ class RegionId:
 
     def __str__(self):
         return f"R{self.index}"
+
+
+@cache
+def _region_id(family: str, index: int) -> RegionId:
+    """The one shared ``RegionId(family, index)``; one per row of a family's table."""
+    return RegionId(family, index)
 
 
 @dataclass(frozen=True)
@@ -386,23 +393,28 @@ def corner_rays(body: LatticeFreeBody, f: Rational2) -> tuple[Rational2, ...]:
 
 def _locate(body: LatticeFreeBody, f: Rational2):
     """``(index, entry, _frame(...))`` of the first row of :func:`_table`
-    that ``f`` matches, with ``split . X mod q != 0`` as the strict test."""
+    that ``f`` matches, with ``split . X mod q != 0`` as the strict test.  A
+    piece is dropped at its first band that fails."""
     frame = _frame(body, f, "splits have no region decomposition")
     q, x1, x2 = frame[0]
     for i, entry in enumerate(_table(body), start=1):
         pieces, split = entry[:2]
-        if (split is None or (split[0] * x1 + split[1] * x2) % q) and any(
-            all(ln * q <= (p := n1 * x1 + n2 * x2) * ld and p * hd <= hn * q for n1, n2, ln, ld, hn, hd in piece)
-            for piece in pieces
-        ):
-            return i, entry, frame
+        if split is not None and not (split[0] * x1 + split[1] * x2) % q:
+            continue
+        for piece in pieces:
+            for n1, n2, ln, ld, hn, hd in piece:
+                p = n1 * x1 + n2 * x2
+                if ln * q > p * ld or p * hd > hn * q:
+                    break
+            else:
+                return i, entry, frame
     raise ValueError(f"no region of {body!r} has a split containing f = {f} strictly")
 
 
 def region_of(body: LatticeFreeBody, f: Rational2) -> RegionId:
     """The first region of the body's table that ``f`` matches: a boundary
     point goes to the smallest-index region whose split holds it strictly."""
-    return RegionId(body.tag, _locate(body, f)[0])
+    return _region_id(body.tag, _locate(body, f)[0])
 
 
 def chosen_split(body: LatticeFreeBody, region: RegionId) -> tuple[int, int]:
@@ -428,9 +440,14 @@ def strength_single_split(body: LatticeFreeBody, f: Rational2) -> StrengthReport
     region uses the split of the paper's bounds, which is not always the best
     single split at ``f``.
 
+    A query is one integer pass over the region table, then the split's one
+    row; the report's region is the one shared ``RegionId`` of its family
+    and index, which :func:`region_of` also returns.
+
     For the type 1 triangle the full split closure is generated by the three
     facet normals, so the exact closure strength is reported instead and no
-    single split is singled out.
+    single split is singled out.  Its cross-check, the N = 1 covering LP,
+    takes most of a type 1 query.
     """
     index, (_, split, (n1, n2), (a0, a1, b0, b1)), ((q, x1, x2), (d, big_f, big_rays)) = _locate(body, f)
     t_table = Fraction(a0 * q + a1 * (p := n1 * x1 + n2 * x2), b0 * q + b1 * p)
@@ -440,12 +457,12 @@ def strength_single_split(body: LatticeFreeBody, f: Rational2) -> StrengthReport
         scale, row = _split_row(*split, (split[0] * big_f[0] + split[1] * big_f[1]) % d, d, big_rays)
         top = max(row)  # t_check = top / scale, built only on a mismatch
         t_check = t_table if t_table.numerator * scale == top * t_table.denominator else Fraction(top, scale)
-    if t_table != t_check:
+    if t_check is not t_table and t_check != t_table:  # no Fraction compare once the integers agree
         raise AssertionError(
             f"strength table value {t_table} disagrees with the split-coefficient value {t_check} "
             f"for {body!r}, f={f}, region R{index}"
         )
-    return StrengthReport(region=RegionId(body.tag, index), chosen_split_normal=split, t_bar=t_table)
+    return StrengthReport(_region_id(body.tag, index), split, t_table)
 
 
 def _check_radius(n) -> None:
@@ -548,4 +565,6 @@ def strength_split_closure_approx(body: LatticeFreeBody, f: Rational2, n: int) -
 def strength_report(body: LatticeFreeBody, f: Rational2, n: int = 5) -> StrengthReport:
     """Full report: region, chosen split, single-split t_bar, and t_N.  Both
     strengths use the one integer frame of ``f`` that :func:`_frame` keeps."""
-    return replace(strength_single_split(body, f), t_n=strength_split_closure_approx(body, f, n), n=n)
+    single = strength_single_split(body, f)
+    t_n = strength_split_closure_approx(body, f, n)
+    return StrengthReport(single.region, single.chosen_split_normal, single.t_bar, t_n, n)

@@ -329,10 +329,13 @@ class LatticeFreeBody:
         denominator, if ``f`` lies strictly inside the body, ``v (n . X) < c q``
         at each integer facet; else None."""
         v, facets = self._facets
-        q, (x1, x2) = over_common_denominator((f.x1, f.x2))
-        if all(v * (n1 * x1 + n2 * x2) < c * q for n1, n2, c in facets):
-            return q, x1, x2
-        return None
+        (p1, q1), (p2, q2) = f.x1.as_integer_ratio(), f.x2.as_integer_ratio()
+        q = lcm(q1, q2)
+        x1, x2 = p1 * (q // q1), p2 * (q // q2)
+        for n1, n2, c in facets:
+            if v * (n1 * x1 + n2 * x2) >= c * q:
+                return None
+        return q, x1, x2
 
     def contains_interior(self, f: Rational2) -> bool:
         return self._interior(f) is not None

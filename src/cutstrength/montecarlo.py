@@ -33,15 +33,16 @@ threads at once stay safe.  A call runs its chunks on ``min(thread_count(),
 chunks, os.cpu_count())`` workers, and the stack keeps that many workspaces
 idle afterwards.
 
-numpy is imported inside the functions that use it, so that importing the
-package and the exact commands do not pay for it.
+numpy is imported inside the functions that use it, and
+``concurrent.futures`` (which loads ``logging``) inside the multi-worker
+branch, so that importing the package and the exact commands do not pay for
+them.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import sqrt
 from typing import TYPE_CHECKING
@@ -304,6 +305,8 @@ def monte_carlo_lower(
     if workers == 1:
         hits = sum(run(s) for s in starts)
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             hits = sum(pool.map(run, starts))
     p = hits / samples

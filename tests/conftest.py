@@ -210,6 +210,17 @@ def facets(body):
     return [(Rational2(F(n1, v), F(n2, v)), F(c, v * v)) for n1, n2, c in facets]
 
 
+def interior_oracle(body, f: Rational2) -> bool:
+    """Whether ``f`` lies strictly inside the body, in Fractions: strictly
+    left of every edge of the counter-clockwise ``body.polygon()``, or
+    ``offset < n . f < offset + 1`` for a split band."""
+    if isinstance(body, SplitBody):
+        t = body.normal[0] * f.x1 + body.normal[1] * f.x2
+        return body.offset < t < body.offset + 1
+    pts = body.polygon()
+    return all(cross(minus(b, a), minus(f, a)) > 0 for a, b in zip(pts, pts[1:] + pts[:1]))
+
+
 def gauge(body, f: Rational2, r: Rational2) -> F:
     """Minkowski functional of ``body - f`` at ``r``.
 
@@ -218,7 +229,7 @@ def gauge(body, f: Rational2, r: Rational2) -> F:
     """
     if r == point(0, 0):
         raise ValueError("the gauge is undefined for the zero ray")
-    if not body.contains_interior(f):
+    if not interior_oracle(body, f):
         raise ValueError(f"root vertex {f} is not strictly interior to {body!r}")
     best = F(0)
     for normal, beta in facets(body):
@@ -764,7 +775,7 @@ def region_oracle(body, f):
     messages of ``region_of``."""
     if isinstance(body, SplitBody):
         raise ValueError("splits have no region decomposition")
-    if not body.contains_interior(f):
+    if not interior_oracle(body, f):
         raise ValueError(f"root vertex {f} is not strictly interior to {body!r}")
     proj = {n: n[0] * f.x1 + n[1] * f.x2 for n in ((1, 0), (0, 1), (1, 1))}
     for i, region in enumerate(region_spec_oracle(body), start=1):
@@ -778,7 +789,7 @@ def corner_rays_oracle(body, f):
     the documented vertex order, with its errors and messages."""
     if isinstance(body, SplitBody):
         raise ValueError("a split has no vertices, hence no corner rays")
-    if not body.contains_interior(f):
+    if not interior_oracle(body, f):
         raise ValueError(f"root vertex {f} is not strictly interior to {body!r}")
     return tuple(minus(v, f) for v in body.vertices())
 

@@ -34,7 +34,7 @@ from cutstrength import (
 )
 from cutstrength import cuts, geometry
 from cutstrength.cli import run
-from cutstrength.geometry import over_common_denominator, primitive_directions
+from cutstrength.geometry import LatticeFreeBody, over_common_denominator, primitive_directions
 
 from conftest import (
     BOUNDARY_BODIES,
@@ -324,6 +324,13 @@ class TestRegions:
     def test_boundary_smallest_index(self, t2_body):
         # x1 = a1 separates regions 1 and 2; the tie goes to region 1
         assert region_of(t2_body, point(F(1, 2), F(1, 2))) == RegionId("type2", 1)
+
+    def test_region_ids_are_shared(self, t2_body):
+        # one RegionId per family and index, from both queries
+        f, g = point(F(1, 4), F(1, 2)), point(F(1, 5), F(1, 3))
+        assert region_of(t2_body, f) is region_of(Type2Body(F(1, 2), F(3, 2)), g)
+        assert region_of(t2_body, f) is strength_single_split(t2_body, f).region
+        assert strength_report(t2_body, f, 2).region is region_of(t2_body, f)
 
     def test_exterior_rejected(self, t2_body):
         with pytest.raises(ValueError):
@@ -864,17 +871,20 @@ class TestTableReuse:
 
     def test_report_builds_one_frame(self, monkeypatch):
         # t_bar, type 1's t_1 cross-check and t_N share the frame of f; f is
-        # scaled by the body's interior test in geometry
+        # scaled once, by the body's interior test in geometry, and nothing
+        # scales it over a common denominator again
         for body in (Type1Body(), QuadBody(F(2, 5), F(3, 2), F(3, 5), F(-3, 10))):
             region_of(body, point(F(1, 2), F(1, 4)))  # builds the region table
             f = point(F(1, 2), F(1, 3))
-            calls = []
+            scaled, calls = [], []
+            interior = LatticeFreeBody._interior
+            monkeypatch.setattr(LatticeFreeBody, "_interior", lambda b, g: scaled.append(g) or interior(b, g))
             record = lambda v: calls.append(v) or over_common_denominator(v)
             for module in (cuts, geometry):
                 monkeypatch.setattr(module, "over_common_denominator", record)
             rep = strength_report(body, f, 3)
             monkeypatch.undo()
-            assert calls == [(f.x1, f.x2)]
+            assert scaled == [f] and calls == []
             assert (rep.t_bar, rep.t_n) == (single_split_oracle(body, f)[2], closure_oracle(body, f, 3))
 
     def test_report_needs_no_fraction_view(self):

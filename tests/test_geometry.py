@@ -46,6 +46,7 @@ from conftest import (
     dot,
     facets,
     gauge,
+    interior_oracle,
     is_strictly_convex,
     lattice_points_oracle,
     lattice_width_enumerated,
@@ -482,6 +483,64 @@ class TestBodyModel:
                 t = offset + F(q, 4)
                 x = plus(times(point(*across), t), times(point(*along), k))
                 assert band.contains_interior(x) == (offset < t < offset + 1)
+
+
+@st.composite
+def near_boundary(draw, body):
+    """A vertex of ``body`` or a point on one of its edges, as it is or moved
+    by ``1/q`` to either side, along an axis or the edge's outward normal."""
+    pts = body.polygon()
+    i = draw(st.integers(0, len(pts) - 1))
+    a, b = pts[i], pts[(i + 1) % len(pts)]
+    m = draw(st.integers(1, 12))
+    f = plus(a, times(minus(b, a), F(draw(st.integers(0, m)), m)))
+    n1, n2 = b.x2 - a.x2, a.x1 - b.x1
+    step = draw(st.sampled_from([point(1, 0), point(0, 1), times(point(n1, n2), 1 / max(abs(n1), abs(n2)))]))
+    return plus(f, times(step, F(draw(st.sampled_from((-1, 0, 1))), draw(st.integers(1, 10**4)))))
+
+
+@st.composite
+def band_point(draw):
+    """A split band and a point on, next to or between its two lattice
+    lines: ``n . x = t`` for ``t`` within 1 of a line, 1/q apart."""
+    n1, n2 = draw(st.sampled_from(list(primitive_directions(4))))
+    if draw(st.booleans()):
+        n1, n2 = -n1, -n2
+    offset = draw(st.integers(-3, 3))
+    # n . across = 1 and n . along = 0, so x = t across + s along has n . x = t
+    across = next(point(w1, w2) for w1 in range(-4, 5) for w2 in range(-4, 5) if n1 * w1 + n2 * w2 == 1)
+    q = draw(st.integers(1, 10**4))
+    t = offset + draw(st.sampled_from((0, 1))) + F(draw(st.integers(-q, q)), q)
+    s = F(draw(st.integers(-20, 20)), draw(st.integers(1, 20)))
+    return SplitBody((n1, n2), offset), plus(times(across, t), times(point(-n2, n1), s))
+
+
+class TestContainsInterior:
+    # the interior test against its Fraction oracle, on the boundary and
+    # 1/q to either side of it
+    @staticmethod
+    def check(body, f):
+        scaled = body._interior(f)
+        assert body.contains_interior(f) == (scaled is not None) == interior_oracle(body, f)
+        if scaled is not None:
+            q, x1, x2 = scaled
+            assert q == lcm(f.x1.denominator, f.x2.denominator) and (F(x1, q), F(x2, q)) == (f.x1, f.x2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(any_body().flatmap(lambda body: near_boundary(body).map(lambda f: (body, f))))
+    @example((Type1Body(), point(1, 1)))  # on the facet x1 + x2 <= 2
+    @example((Type1Body(), point(F(1, 2), F(1, 2))))
+    @example((QuadBody(F(2, 5), F(3, 2), F(3, 5), F(-3, 10)), point(F(2, 5), F(3, 2))))  # a vertex
+    def test_property_bodies(self, case):
+        self.check(*case)
+
+    @settings(max_examples=200, deadline=None)
+    @given(band_point())
+    @example((SplitBody((0, 1), 0), point(F(1, 3), 0)))  # on a lattice line
+    @example((SplitBody((0, 1), 0), point(F(1, 3), 1)))
+    @example((SplitBody((2, 3), -1), point(F(-1, 2), F(1, 6))))  # n . x = -1/2
+    def test_property_split_bands(self, case):
+        self.check(*case)
 
 
 _COORD = st.integers(1, 6).flatmap(lambda q: st.integers(-3 * q, 3 * q).map(lambda p: F(p, q)))

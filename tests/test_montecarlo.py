@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import random
 import subprocess
@@ -253,7 +254,8 @@ class TestWorkspace:
                 made.append(self)
                 super().__init__()
 
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Pool)
+        # monte_carlo_lower imports the pool from concurrent.futures when it needs one
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
         monkeypatch.setattr(montecarlo, "_Workspace", Counted)
         monkeypatch.setattr(montecarlo, "_idle", [])
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
@@ -490,8 +492,10 @@ class TestLazyNumpy:
         ],
     )
     def test_not_imported(self, code):
+        # nor the thread pool of the multi-worker branch, which loads logging
         src = str(Path(cutstrength.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        check = f"{code}; import sys; print('numpy' in sys.modules)"
+        names = ("numpy", "concurrent.futures", "logging")
+        check = f"{code}; import sys; print([name in sys.modules for name in {names!r}])"
         out = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.splitlines()[-1] == "False"
+        assert out.stdout.splitlines()[-1] == "[False, False, False]"
