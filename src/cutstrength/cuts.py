@@ -21,11 +21,11 @@ corner rays read the body only through its integer vertices, ``(v, V)``
 with ``V`` the vertices times ``v``, their common denominator, which the
 body builds once: each band bound is a vertex projected on the band's normal.
 ``t_N`` starts the packing kernel with the splits of max-norm 1 and, at
-each optimum, builds and prices only the splits that can still cut: their
-normals lie in a convex set that an integer walk finds column by column,
-so when the optimum's support spans the plane the work does not grow with
-N.  The dominance pruning of :func:`covering_lp_min` stays for the argmin
-it returns.
+each optimum, walks the normals of the splits that can still cut, a convex
+set, column by column, building each row only when the kernel prices it
+and keeping none between optima, so its memory does not grow with N, nor
+its work unless the final optimum lies on one corner ray.  The dominance
+pruning of :func:`covering_lp_min` stays for the argmin it returns.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, inf, lcm
 from operator import le, mul
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .geometry import (
     LatticeFreeBody,
@@ -480,11 +480,12 @@ def admissible_normals(f: Rational2, n: int) -> list[tuple[int, int]]:
     return [(n1, n2) for n1, n2, _ in _admissible(n, d, big_f)]
 
 
-def _normals_below(radius: int, rays, weights, bound: int) -> list[tuple[int, int, int]]:
-    """The directions ``u`` of ``primitive_directions(radius)``, in its order,
-    with ``g(u) = sum_j w_j |u . R_j| < bound``, for integer rays ``R_j =
-    (a_j, b_j)``, integer weights ``w_j >= 0`` and ``bound > 0``, each as
-    ``(max-norm, u1, u2)``, which sort in that order.
+def _normals_below(radius: int, rays, weights, bound: int) -> Iterator[tuple[int, int]]:
+    """The directions ``u`` of ``primitive_directions(radius)`` with ``g(u) =
+    sum_j w_j |u . R_j| < bound``, for integer rays ``R_j = (a_j, b_j)``,
+    integer weights ``w_j >= 0`` and ``bound > 0``, yielded as the walk
+    reaches them: ``(0, 1)``, then column by column, ``u1`` then ``u2``
+    ascending.
 
     ``g(u) < bound`` holds iff ``|u . V| < bound`` for each of the sums ``V =
     w_1 R_1 +- w_2 R_2 +- ...``, so on each column ``u1 >= 1`` the ``u2`` form
@@ -508,7 +509,8 @@ def _normals_below(radius: int, rays, weights, bound: int) -> list[tuple[int, in
     # -bound < u1 a + u2 b < bound with b > 0; a strip with b = 0 holds where u1 mu < bound
     strips = [(a, b) if b > 0 else (-a, -b) for a, b in strips if b]
     # the one direction with u1 = 0 is (0, 1)
-    found = [(1, 0, 1)] if sum([abs(b) for _, b in terms]) < bound else []
+    if sum([abs(b) for _, b in terms]) < bound:
+        yield 0, 1
     top = bound * mu_d
     u1 = 1
     while u1 <= radius and u1 * mu_n < top:
@@ -519,10 +521,10 @@ def _normals_below(radius: int, rays, weights, bound: int) -> list[tuple[int, in
                 lo = x
             if (x := (bound - c - 1) // b) < hi:
                 hi = x
-        found += [(u1 if u1 > u2 > -u1 else abs(u2), u1, u2) for u2 in range(lo, hi + 1) if gcd(u1, u2) == 1]
+        for u2 in range(lo, hi + 1):
+            if gcd(u1, u2) == 1:
+                yield u1, u2
         u1 += 1
-    found.sort()
-    return found
 
 
 def strength_split_closure_approx(body: LatticeFreeBody, f: Rational2, n: int) -> Fraction:
@@ -536,26 +538,22 @@ def strength_split_closure_approx(body: LatticeFreeBody, f: Rational2, n: int) -
     the code, ``d`` the kernel's last pivot), only the splits that can still
     cut are built and priced: every coefficient of the split with normal
     ``u`` is at least ``|u . R_j| / D``, so its row is violated only if
-    ``sum_j S_j |u . R_j| < d D``.  :func:`_normals_below` finds those normals
-    in pool order, and the rows of max-norm >= 2 among them are priced (a
-    column is never violated at an optimum).  The rows of the last walk are
-    priced again before the next walk, and only a walk that finds no
-    violated row ends the LP.  Its value is unique, so ``t_N`` is the value
-    over every split of max-norm <= n.  The corner rays from an interior
-    ``f`` span the plane, so no split row is zero.
+    ``sum_j S_j |u . R_j| < d D``.  :func:`_normals_below` walks those
+    normals, and a row of max-norm >= 2 is built only when the kernel prices
+    it (a column is never violated at an optimum); the walk stops at the
+    first violated row, and the next optimum walks again from its start.
+    Only a walk run to its end with no violated row ends the LP.  Its value
+    is unique, so ``t_N`` is the value over every split of max-norm <= n.
+    The corner rays from an interior ``f`` span the plane, so no split row
+    is zero.
     """
     _check_radius(n)
     d, big_f, big_rays = _frame(body, f, "a split has no vertices, hence no corner rays")[1]
-    last = []
 
     def cutting(slacks, scale):
-        yield from last
-        last[:] = [
-            _split_row(n1, n2, rem, d, big_rays)
-            for norm, n1, n2 in _normals_below(n, big_rays, slacks, scale * d)
-            if norm > 1 and (rem := (n1 * big_f[0] + n2 * big_f[1]) % d)
-        ]
-        yield from last
+        for n1, n2 in _normals_below(n, big_rays, slacks, scale * d):
+            if (n1 > 1 or abs(n2) > 1) and (rem := (n1 * big_f[0] + n2 * big_f[1]) % d):
+                yield _split_row(n1, n2, rem, d, big_rays)
 
     ring1 = [_split_row(n1, n2, rem, d, big_rays) for n1, n2, rem in _admissible(1, d, big_f)]
     value, scale, _ = _max_packing(ring1, len(big_rays), cutting if n > 1 else None)

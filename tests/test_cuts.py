@@ -641,6 +641,14 @@ class TestNormalsBelow:
     # the walk of the splits that can still cut, against a scan of every
     # primitive direction of max-norm <= N
 
+    @staticmethod
+    def walked(radius, rays, weights, bound):
+        """The walk's directions, checked to come column by column (``u1``
+        ascending, then ``u2`` ascending), sorted into the oracle's pool order."""
+        walk = list(cuts._normals_below(radius, rays, weights, bound))
+        assert walk == sorted(walk), walk
+        return sorted((max(u1, abs(u2)), u1, u2) for u1, u2 in walk)
+
     @settings(max_examples=400, deadline=None)
     @given(st.data())
     def test_property_against_brute_force(self, data):
@@ -655,7 +663,7 @@ class TestNormalsBelow:
         weights = data.draw(st.lists(st.one_of(st.just(0), st.integers(0, 30)), min_size=k, max_size=k))
         bound = data.draw(st.integers(1, 300))
         radius = data.draw(st.integers(1, 8))
-        assert cuts._normals_below(radius, rays, weights, bound) == below_brute_force(radius, rays, weights, bound)
+        assert self.walked(radius, rays, weights, bound) == below_brute_force(radius, rays, weights, bound)
 
     def test_strips(self):
         # one ray, parallel rays, horizontal rays and no weight at all
@@ -665,18 +673,18 @@ class TestNormalsBelow:
             for bound in (1, 2, 5, 40):
                 for radius in (1, 3, 8):
                     want = below_brute_force(radius, rays, weights, bound)
-                    assert cuts._normals_below(radius, rays, weights, bound) == want, (rays, weights, bound)
+                    assert self.walked(radius, rays, weights, bound) == want, (rays, weights, bound)
         # the strip |u2| < 2 meets every column, and the walk takes each of
         # them up to N: (0, 1), (1, 0), and (u1, -1), (u1, 1) for each u1
-        strip = cuts._normals_below(1000, [(0, 1)], [1], 2)
+        strip = self.walked(1000, [(0, 1)], [1], 2)
         assert len(strip) == 2002 and strip[-2:] == [(1000, 1000, -1), (1000, 1000, 1)]
 
     def test_bounded_set_ignores_the_radius(self):
         rays, weights = [(3, 1), (-1, 2), (-2, -3)], [2, 1, 1]
-        want = cuts._normals_below(30, rays, weights, 60)
+        want = self.walked(30, rays, weights, 60)
         assert want == below_brute_force(30, rays, weights, 60) and max(want)[0] < 30
         for radius in (10**6, 10**30):
-            assert cuts._normals_below(radius, rays, weights, 60) == want
+            assert self.walked(radius, rays, weights, 60) == want
 
 
 # closure_pool entries of the benchmark (family, params, f) whose t_N optimum
@@ -716,16 +724,23 @@ class TestPricingOverCuttingSplits:
                 assert strength_split_closure_approx(body, f, n) == enumerated_closure(body, f, n), (body, f, n)
 
     def test_rows_built_do_not_grow_with_n(self, quad_body, monkeypatch):
-        f = point(F(1, 2), F(1, 3))
+        # the quad fixture's optimum spans the plane; entry 1416 of the
+        # closure pool and the STRIP_OPTIMA meet an optimum on one corner ray,
+        # whose walk is a strip that reaches every column up to N
+        cases = [(quad_body, point(F(1, 2), F(1, 3)), (25, 1000, 10**30), F(13063, 11527)),
+                 (Type3Body(F(41, 20), F(4, 5), F(1, 10)), point(F(-1, 22), F(1)), (1000, 10**30), F(5395, 412))]
+        for cls, params, f in STRIP_OPTIMA:
+            cases.append((cls(*map(F, params)), point(*map(F, f)), (1000, 10**30), None))
         built = []
         split_row = cuts._split_row
         monkeypatch.setattr(cuts, "_split_row", lambda *args: built.append(args[:2]) or split_row(*args))
-        counts = []
-        for n in (25, 1000, 10**30):
-            built.clear()
-            assert strength_split_closure_approx(quad_body, f, n) == F(13063, 11527)
-            counts.append(len(built))
-        assert counts[0] == counts[1] == counts[2], counts
+        for body, f, radii, want in cases:
+            values, counts = set(), set()
+            for n in radii:
+                built.clear()
+                values.add(strength_split_closure_approx(body, f, n))
+                counts.add(len(built))
+            assert len(values) == len(counts) == 1 and want in (None, *values), (body, f, values, counts)
 
 
 class TestStrengthReport:
