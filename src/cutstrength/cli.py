@@ -2,10 +2,12 @@
 
 Subcommands: classify, width, strength, bound, montecarlo, sweep, plotdata.
 Bodies are passed as JSON descriptors (inline or @file), rationals as "p/q"
-strings.  Exit codes: 0 success, 2 usage error, 3 validation error.  The
-argument parser is built once per process and reused by every :func:`run`.
-``sweep`` formats each grid value once per sweep, from a table that lives
-for that one sweep, and each row's bound (and type 3 width) on its row.
+strings, which the library reads as it reads any rational (``geometry._frac``):
+``--z``, ``--step`` and ``--range`` go to it as text.  Exit codes: 0 success,
+2 usage error, 3 validation error.  The argument parser is built once per
+process and reused by every :func:`run`.  ``sweep`` formats each grid value
+once per sweep, from a table that lives for that one sweep, and each row's
+bound (and type 3 width) on its row.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from contextlib import contextmanager
 from functools import cache
 
 from .bounds import bound_for, special_values
-from .descriptors import format_rational, parse_body, parse_json, parse_pair, parse_rational
+from .descriptors import format_rational, parse_body, parse_json, parse_pair
 from .cuts import strength_report
-from .geometry import SplitBody, classify, lattice_width
+from .geometry import SplitBody, _frac, classify, lattice_width
 from .montecarlo import monte_carlo_lower
 from .sweeps import DEFAULT_STEP, FAMILIES, sweep_grid
 
@@ -68,7 +70,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="parameter grid sweep (CSV)")
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--z", required=True)
-    p.add_argument("--step", default=None, help=f"grid step (default {DEFAULT_STEP})")
+    p.add_argument("--step", default=DEFAULT_STEP, help=f"grid step (default {DEFAULT_STEP})")
     p.add_argument(
         "--range",
         action="append",
@@ -138,48 +140,34 @@ def _run_bound(args) -> str:
     body = _load_body(args.body)
     if isinstance(body, list) or isinstance(body, SplitBody):
         raise ValueError("bound needs a typed bounded body descriptor")
-    z = parse_rational(args.z)
-    return json.dumps({"z": args.z, "bound": format_rational(bound_for(body, z))}) + "\n"
+    return json.dumps({"z": args.z, "bound": format_rational(bound_for(body, args.z))}) + "\n"
 
 
 def _run_montecarlo(args) -> str:
     body = _load_body(args.body)
     if isinstance(body, list) or isinstance(body, SplitBody):
         raise ValueError("montecarlo needs a typed bounded body descriptor")
-    z = parse_rational(args.z)
-    est = monte_carlo_lower(body, z, args.samples, args.seed)
-    return (
-        json.dumps(
-            {
-                "z": args.z,
-                "bound": format_rational(bound_for(body, z)),
-                "estimate": est.estimate,
-                "std_error": est.std_error,
-                "samples": est.samples,
-                "seed": est.seed,
-            }
-        )
-        + "\n"
-    )
+    est = monte_carlo_lower(body, args.z, args.samples, args.seed)
+    payload = {"z": args.z, "bound": format_rational(bound_for(body, args.z)), "estimate": est.estimate,
+               "std_error": est.std_error, "samples": est.samples, "seed": est.seed}
+    return json.dumps(payload) + "\n"
 
 
 def _parse_ranges(items):
     out = {}
     for item in items:
-        try:
-            name, span = item.split("=", 1)
-            lo, hi = span.split(":", 1)
-        except ValueError as exc:
-            raise ValueError(f"malformed --range {item!r}, expected PARAM=LO:HI") from exc
-        out[name] = (parse_rational(lo), parse_rational(hi))
+        name, equals, span = item.partition("=")
+        if not equals or ":" not in span:
+            raise ValueError(f"malformed --range {item!r}, expected PARAM=LO:HI")
+        out[name] = tuple(span.split(":", 1))
     return out or None
 
 
 def _run_sweep(args) -> str:
     rows = sweep_grid(
         args.family,
-        parse_rational(args.z),
-        step=parse_rational(args.step) if args.step else DEFAULT_STEP,
+        args.z,
+        step=args.step,
         ranges=_parse_ranges(args.range),
         mc_samples=args.mc_samples,
         seed=args.seed,
@@ -227,7 +215,7 @@ def _run_sweep(args) -> str:
 
 
 def _run_plotdata(args) -> str:
-    step = parse_rational(args.step)
+    step = _frac(args.step)
     if step <= 0:
         raise ValueError(f"need step > 0, got {args.step}")
     if step > 1:

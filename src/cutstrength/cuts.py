@@ -45,6 +45,9 @@ from .geometry import (
     Type1Body,
     Type2Body,
     Type3Body,
+    _frac,
+    _is_int,
+    _primitive,
     over_common_denominator,
     primitive_directions,
 )
@@ -86,13 +89,6 @@ class StrengthReport:
     n: Optional[int] = None
 
 
-def _primitive(normal: Sequence[int]) -> tuple[int, int]:
-    n1, n2 = int(normal[0]), int(normal[1])
-    if (n1, n2) == (0, 0) or gcd(abs(n1), abs(n2)) != 1:
-        raise ValueError(f"normal must be a primitive integer pair, got {normal}")
-    return n1, n2
-
-
 def _scaled(f: Rational2, rays: Sequence[Rational2]):
     """The common denominator ``D`` of ``f`` and the rays, with ``D f`` and
     each ``D r`` as integer pairs."""
@@ -122,7 +118,7 @@ def _split_row(n1: int, n2: int, rem: int, d: int, big_rays) -> tuple[int, list[
 
 def split_coefficients(normal: Sequence[int], f: Rational2, rays: Sequence[Rational2]) -> SplitCut:
     """Coefficients of the split ``{floor(n.f) <= n.x <= ceil(n.f)}`` at each ray."""
-    n1, n2 = _primitive(normal)
+    n1, n2 = _primitive(normal, "normal")
     d, big_f, big_rays = _scaled(f, rays)
     offset, rem = divmod(n1 * big_f[0] + n2 * big_f[1], d)
     if rem == 0:
@@ -140,18 +136,19 @@ def split_coefficients(normal: Sequence[int], f: Rational2, rays: Sequence[Ratio
 def covering_lp_min(rows: Sequence[Sequence[Fraction]], k: int):
     """Minimize ``sum(s)`` subject to ``row . s >= 1`` for every row, ``s >= 0``.
 
-    Each row is scaled to integers by the lcm of its denominators and solved
-    by :func:`_min_cover`.  Returns ``(value, argmin)``; ``(inf, None)`` when
-    some row is identically zero (uncoverable).  ``k`` must be an int from 1
-    to 4.
+    The entries are read as every rational from outside is (Fractions, ints
+    or "p/q" strings; no floats), then each row is scaled to integers by the
+    lcm of its denominators and solved by :func:`_min_cover`.  Returns
+    ``(value, argmin)``; ``(inf, None)`` when some row is identically zero
+    (uncoverable).  ``k`` must be an int from 1 to 4.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+    if not _is_int(k) or k < 1:
         raise ValueError(f"k must be an int from 1 to 4, got {k!r}")
     if k > 4:
         raise ValueError("only up to 4 variables are supported")
     if not rows:
         raise ValueError("need at least one row")
-    mat = [tuple(Fraction(c) for c in row) for row in rows]
+    mat = [tuple(map(_frac, row)) for row in rows]
     for row in mat:
         if len(row) != k:
             raise ValueError(f"row length {len(row)} != k = {k}")
@@ -466,7 +463,7 @@ def strength_single_split(body: LatticeFreeBody, f: Rational2) -> StrengthReport
 
 
 def _check_radius(n) -> None:
-    if not isinstance(n, int) or isinstance(n, bool):
+    if not _is_int(n):
         raise ValueError(f"n must be an int >= 1, got {n!r}")
     if n < 1:
         raise ValueError("need n >= 1")

@@ -1,7 +1,9 @@
 """JSON body descriptors and "p/q" rational serialization.
 
-Rationals travel as strings ("3/2", "-27/200") or plain integers; floats are
-rejected so exactness survives the trip through the command line.
+A descriptor is checked for its JSON shape only: an object, the required
+keys, and coordinate pairs that are 2-lists.  The values go as they are to
+the constructors, which read rationals as "p/q" strings or integers, never
+floats (``geometry._frac``), and a split's normal and offset as integers.
 """
 
 from __future__ import annotations
@@ -20,30 +22,21 @@ from .geometry import (
 )
 
 
-def parse_rational(value) -> Fraction:
-    if isinstance(value, bool):
-        raise ValueError(f"expected a rational, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        if "." in value or "e" in value or "E" in value:
-            raise ValueError(f"decimal notation is not accepted, use p/q: {value!r}")
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"malformed rational {value!r}") from exc
-    raise ValueError(f"expected 'p/q' string or integer, got {value!r}")
-
-
 def format_rational(value: Fraction) -> str:
     """``p/q``, or the integer alone when q = 1: the bytes of ``str(Fraction)``."""
     return str(value if type(value) is Fraction else Fraction(value))
 
 
-def parse_pair(value) -> Rational2:
+def _pair(value):
+    """``value``, or a ValueError unless it is a list or tuple of two."""
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ValueError(f"expected a coordinate pair, got {value!r}")
-    return point(parse_rational(value[0]), parse_rational(value[1]))
+    return value
+
+
+def parse_pair(value) -> Rational2:
+    """The point of a coordinate pair of rationals."""
+    return point(*_pair(value))
 
 
 def parse_json(text: str, what: str):
@@ -76,31 +69,17 @@ def parse_body(descriptor):
     if kind == "type1":
         return Type1Body()
     if kind == "type2":
-        a = parse_pair(_require(descriptor, "a"))
-        return Type2Body(a.x1, a.x2)
+        return Type2Body(*_pair(_require(descriptor, "a")))
     if kind == "type3":
-        a = parse_pair(_require(descriptor, "a"))
-        return Type3Body(a.x1, a.x2, parse_rational(_require(descriptor, "b1")))
+        return Type3Body(*_pair(_require(descriptor, "a")), _require(descriptor, "b1"))
     if kind == "quad":
-        a = parse_pair(_require(descriptor, "a"))
-        b = parse_pair(_require(descriptor, "b"))
-        return QuadBody(a.x1, a.x2, b.x1, b.x2)
+        return QuadBody(*_pair(_require(descriptor, "a")), *_pair(_require(descriptor, "b")))
     if kind == "split":
-        normal = _require(descriptor, "normal")
-        if not isinstance(normal, list) or len(normal) != 2 or not all(map(_is_int, normal)):
-            raise ValueError(f"split normal must be an integer pair, got {normal!r}")
-        offset = descriptor.get("offset", 0)
-        if not _is_int(offset):
-            raise ValueError(f"split offset must be an integer, got {offset!r}")
-        return SplitBody(tuple(normal), offset)
+        normal = _require(descriptor, "normal")  # a list goes as a tuple, as a rejection shows it
+        return SplitBody(tuple(normal) if isinstance(normal, list) else normal, descriptor.get("offset", 0))
     raise ValueError(
         f"unknown body type {kind!r}; expected type1, type2, type3, quad, split, or a vertices list"
     )
-
-
-def _is_int(value) -> bool:
-    """Whether a JSON value is an integer; ``true`` and ``false`` are not."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _require(descriptor: dict, key: str):

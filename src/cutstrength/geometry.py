@@ -21,6 +21,7 @@ Type3 = (a, b, c); Quad = (a, b, c, d) with a top, b bottom, c left, d right.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -34,13 +35,48 @@ Rat = Union[int, Fraction, str]
 Checked = Union[tuple[int, ...], Callable[[], str]]
 
 
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
+
+
+def _is_int(value) -> bool:
+    """Whether ``value`` is an int; ``True`` and ``False`` are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_int(name: str, value) -> None:
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def _frac(value: Rat) -> Fraction:
-    """Coerce ints / "p/q" strings to Fraction without touching floats."""
+    """The one reader of a rational from outside, the same on every Python: a
+    Fraction, an int that is not a bool, or a ``_RATIONAL`` string (ASCII
+    digits, blanks only around it) with a nonzero denominator; else ValueError."""
     if type(value) is Fraction:
         return value
-    if isinstance(value, float):
-        raise TypeError("floating point input is not allowed in exact geometry")
-    return Fraction(value)
+    if _is_int(value) or isinstance(value, Fraction):
+        return Fraction(value)
+    if isinstance(value, str):
+        match = _RATIONAL.fullmatch(value)
+        den = int(match[2] or 1) if match else 0
+        if den:
+            return Fraction(int(match[1]), den)
+        if "." in value or "e" in value or "E" in value:
+            raise ValueError(f"decimal notation is not accepted, use p/q: {value!r}")
+        raise ValueError(f"malformed rational {value!r}")
+    if isinstance(value, bool):
+        raise ValueError(f"expected a rational, got {value!r}")
+    raise ValueError(f"expected 'p/q' string or integer, got {value!r}")
+
+
+def _primitive(normal, what: str) -> tuple[int, int]:
+    """``normal`` as a primitive pair of ints, or a ValueError naming it ``what``."""
+    pair = list(normal) if isinstance(normal, (list, tuple)) else normal
+    if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair))):
+        raise ValueError(f"{what} must be an integer pair, got {pair!r}")
+    if gcd(*pair) != 1:
+        raise ValueError(f"{what} must be a primitive integer pair, got {normal}")
+    return tuple(pair)
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,7 +84,7 @@ class Rational2:
     """Exact rational 2-vector; the coordinate type for all geometry.
 
     The constructor takes its coordinates as they are: build points from
-    outside input with :func:`point`, which coerces and rejects floats."""
+    outside input with :func:`point`, which reads them with ``_frac``."""
 
     x1: Fraction
     x2: Fraction
@@ -195,8 +231,7 @@ class UnimodularMap:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"map entry {name} must be an int, got {value!r}")
+            _check_int(f"map entry {name}", value)
         if abs(self.det) != 1:
             raise ValueError(f"matrix determinant must be +-1, got {self.det}")
 
@@ -239,7 +274,7 @@ class LatticeFreeBody:
     view.  ``_order`` lists the vertices counter-clockwise for ``polygon()``,
     an orientation that the family's sign constraints decide.
 
-    The constructor coerces the parameters with ``_frac`` and runs
+    The constructor reads the parameters with ``_frac`` and runs
     ``_check``, and does no vertex work; ``_from_frame`` builds the same
     body from the integers.  Either way a new body holds only its frame.
     Both raise a rejection's message as a ValueError;
@@ -342,7 +377,7 @@ class LatticeFreeBody:
 
 
 class SplitBody(LatticeFreeBody):
-    """The band ``offset <= normal . x <= offset + 1`` with primitive normal."""
+    """The band ``offset <= normal . x <= offset + 1``; a primitive int normal, an int offset."""
 
     tag = "split"
     _params = ("normal", "offset")
@@ -350,10 +385,10 @@ class SplitBody(LatticeFreeBody):
     offset = property(lambda body: body._frame[2])
 
     def __init__(self, normal: tuple[int, int] = (0, 1), offset: int = 0):
-        n1, n2 = int(normal[0]), int(normal[1])
-        if (n1, n2) == (0, 0) or gcd(abs(n1), abs(n2)) != 1:
-            raise ValueError(f"split normal must be a primitive integer pair, got {normal}")
-        self._frame = (n1, n2, int(offset))
+        n1, n2 = _primitive(normal, "split normal")
+        if not _is_int(offset):
+            raise ValueError(f"split offset must be an integer, got {offset!r}")
+        self._frame = (n1, n2, offset)
 
     @cached_property
     def _facets(self):

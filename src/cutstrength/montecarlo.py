@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING
 
 from .bounds import check_threshold
 from .cuts import _table
-from .geometry import LatticeFreeBody, SplitBody
+from .geometry import LatticeFreeBody, SplitBody, _check_int
 
 if TYPE_CHECKING:
     import numpy as np
@@ -254,11 +254,6 @@ def _t_bar_evaluator(body: LatticeFreeBody):
             return np.divide(num, den, out=num)
 
     return evaluate
-
-
-def _check_int(name: str, value) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 def monte_carlo_lower(

@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import sys
+import tempfile
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -14,8 +16,9 @@ from cutstrength.descriptors import (
     format_rational,
     parse_body,
     parse_pair,
-    parse_rational,
 )
+from cutstrength.geometry import _frac as parse_rational
+from cutstrength.sweeps import FAMILIES, PARAMS
 from cutstrength import (
     QuadBody,
     SplitBody,
@@ -23,8 +26,10 @@ from cutstrength import (
     Type2Body,
     Type3Body,
     bound_for,
+    covering_lp_min,
     montecarlo,
     point,
+    split_coefficients,
     strength_report,
 )
 
@@ -91,14 +96,108 @@ def invoke(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def outcome(call, *args):
+    """``("ok", result)`` of ``call(*args)``, or ``("error", message)`` of its ValueError."""
+    try:
+        return "ok", call(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+# one table of rationals from outside, each with its value or None where it
+# is rejected, which every entry point reads alike on every Python:
+# Fraction's own grammar takes "_" from 3.11 on, blanks around "/" from 3.12
+# on, and non-ASCII digits on all
+RATIONAL_TABLE = [
+    ("7/4", F(7, 4)), ("-27/200", F(-27, 200)), ("+3/2", F(3, 2)), (" 7/4 ", F(7, 4)), ("007/4", F(7, 4)),
+    ("1" + "0" * 399 + "/3", F(10**399, 3)), ("4", F(4)), (4, F(4)), (F(3, 2), F(3, 2)),
+    ("7 / 4", None), ("1_4/8", None), ("\u0667/4", None), ("1.5", None), ("1e3", None), ("1/0", None),
+    ("/4", None), ("7/", None), ("", None), (True, None), (1.5, None), (None, None), (Decimal("0.5"), None),
+]
+
+# the commands that read a rational from argv, with {} for the value
+RATIONAL_ARGVS = [
+    ("bound", "--body", T2_DESC, "--z", "{}"),
+    ("sweep", "--family", "t2", "--z", "2", "--step", "{}", "--range", "w=3/2:2"),
+    ("sweep", "--family", "t2", "--z", "2", "--step", "1/5", "--range", "w={}:2"),
+    ("sweep", "--family", "t2", "--z", "2", "--step", "1/5", "--range", "w=1/2:{}"),
+    ("plotdata", "--curve", "z2", "--step", "{}"),
+]
+
+
 class TestDescriptors:
-    def test_parse_rational(self):
+    def test_parse_rational(self, capsys):
         assert parse_rational("3/2") == F(3, 2)
         assert parse_rational("-27/200") == F(-27, 200)
         assert parse_rational(4) == F(4)
         for bad in ("1.5", "x", 1.5, True, None):
             with pytest.raises(ValueError):
                 parse_rational(bad)
+        # every entry point gives each value of the table the one reader's verdict
+        for value, want in RATIONAL_TABLE:
+            reading = outcome(parse_rational, value)
+            assert (reading == ("ok", want)) if want is not None else (reading[0] == "error"), value
+
+            def read(call, *args):
+                """What ``call(*args)`` gives with ``want`` in the value's place."""
+                return outcome(call, *args) if want is not None else reading
+
+            # the library: a point, each body in each parameter, a descriptor, a covering row
+            assert outcome(point, value, 0) == read(point, want, 0), value
+            for cls, params in ((Type2Body, ["1/2", "3/2"]), (Type3Body, ["3", "3/10", "1/10"]),
+                                (QuadBody, ["2/5", "3/2", "3/5", "-3/10"])):
+                for i in range(len(params)):
+                    drawn, canonical = (params[:i] + [v] + params[i + 1:] for v in (value, want))
+                    assert outcome(cls, *drawn) == read(cls, *canonical), (cls, i, value)
+            assert outcome(parse_body, {"type": "type2", "a": ["1/2", value]}) == read(Type2Body, "1/2", want)
+            assert outcome(parse_body, {"type": "type3", "a": ["3", "3/10"], "b1": value}) == read(
+                Type3Body, "3", "3/10", want)
+            assert outcome(covering_lp_min, [(value, 1)], 2) == read(covering_lp_min, [(want, 1)], 2)
+            if not isinstance(value, str):
+                continue
+            # the command line: a rejection is exit 3 with the reader's one
+            # error line; an accepted value exits as its canonical text does
+            for argv in RATIONAL_ARGVS:
+                code, out, err = invoke(capsys, *(a.replace("{}", value) for a in argv))
+                if want is None:
+                    assert (code, out, err) == (VALIDATION_ERROR, "", f"error: {reading[1]}\n"), argv
+                else:
+                    canonical = invoke(capsys, *(a.replace("{}", format_rational(want)) for a in argv))
+                    assert code == canonical[0], (argv, value)
+                    assert argv[0] != "sweep" or out == canonical[1], (argv, value)
+
+    def test_split_ints_by_the_one_rule(self, capsys):
+        # a split's normal and offset, and split_coefficients' normal, take
+        # ints and nothing else, where int() used to truncate (1.9 -> 1)
+        f, rays = point(F(1, 2), F(1, 3)), [point(1, 0), point(0, 1)]
+        for value in (2, -3, 10**400, True, 1.9, F(3, 2), F(2), "1", None, Decimal(2)):
+            is_int = type(value) is int
+            normal = outcome(SplitBody, (value, 1))
+            assert (normal[0] == "ok") == is_int, value
+            if not is_int:
+                assert normal == ("error", f"split normal must be an integer pair, got {[value, 1]!r}")
+                assert outcome(split_coefficients, (value, 1), f, rays) == (
+                    "error", f"normal must be an integer pair, got {[value, 1]!r}")
+                assert outcome(SplitBody, (1, 0), value) == (
+                    "error", f"split offset must be an integer, got {value!r}")
+            assert outcome(parse_body, {"type": "split", "normal": [value, 1]}) == normal
+            assert (outcome(SplitBody, (1, 0), value)[0] == "ok") == is_int
+        # rejections the parent already made keep their bytes
+        assert outcome(SplitBody, [2, 4]) == ("error", "split normal must be a primitive integer pair, got [2, 4]")
+        assert outcome(parse_body, {"type": "split", "normal": [2, 4]}) == (
+            "error", "split normal must be a primitive integer pair, got (2, 4)")
+        assert outcome(split_coefficients, (0, 2), f, rays) == (
+            "error", "normal must be a primitive integer pair, got (0, 2)")
+        for desc, message in (
+            ('{"type":"split","normal":[1.5,0]}', "split normal must be an integer pair, got [1.5, 0]"),
+            ('{"type":"split","normal":["1",0]}', "split normal must be an integer pair, got ['1', 0]"),
+            ('{"type":"split","normal":[1,2,3]}', "split normal must be an integer pair, got [1, 2, 3]"),
+            ('{"type":"split","normal":[1,0],"offset":"1"}', "split offset must be an integer, got '1'"),
+            ('{"type":"split","normal":[2,4]}', "split normal must be a primitive integer pair, got (2, 4)"),
+        ):
+            assert invoke(capsys, "classify", "--body", desc) == (VALIDATION_ERROR, "", f"error: {message}\n")
+        # a covering row's entries are read as rationals: no binary value of a double
+        assert outcome(covering_lp_min, [(0.1, 1)], 2) == ("error", "expected 'p/q' string or integer, got 0.1")
 
     def test_format_rational(self):
         assert format_rational(F(3, 2)) == "3/2"
@@ -624,6 +723,132 @@ class TestWholeDomain:
             else:
                 assert code == VALIDATION_ERROR and stdout == ""
                 assert stderr.startswith("error: ") and stderr.endswith("\n") and stderr.count("\n") == 1
+
+
+# text for a rational argument: the table's strings, 400-digit integers,
+# rationals just inside and just outside the families' bounds (0, 1, 2, and
+# 1 + 2/sqrt(3), about 2.1547, the quad's a2 cut), and short junk
+_EDGES = (F(0), F(1), F(2), F(21547, 10000))
+_RATIONAL_TEXT = st.one_of(
+    st.sampled_from([value for value, _ in RATIONAL_TABLE if isinstance(value, str)]),
+    st.builds(lambda e, s, n: format_rational(e + s * F(1, n)), st.sampled_from(_EDGES), st.sampled_from((-1, 0, 1)),
+              st.integers(1, 100)),
+    st.builds(lambda s, k: str(s * (10**399 + k)), st.sampled_from((1, -1)), st.integers(0, 9)),
+    st.text(max_size=6),
+)
+# a grid step: at least 1/5 where it is a positive rational, so that a sweep
+# or a plot stays small
+_STEP_TEXT = st.one_of(
+    st.sampled_from([v for v, want in RATIONAL_TABLE if isinstance(v, str) and (want is None or want >= F(1, 5))]),
+    st.fractions(F(1, 5), 3, max_denominator=20).map(format_rational),
+    st.fractions(-2, 0, max_denominator=20).map(format_rational),
+    st.text(max_size=6),
+)
+_JSON_NUMBER = st.one_of(
+    _RATIONAL_TEXT, st.integers(-3, 3), st.integers(-10**400, 10**400), st.floats(), st.booleans(), st.none()
+)
+_JSON_PAIR = st.one_of(st.lists(_JSON_NUMBER, min_size=2, max_size=2), st.lists(_JSON_NUMBER, max_size=3), _JSON_NUMBER)
+_MALFORMED_JSON = st.one_of(
+    st.sampled_from(['{', '{"type":', '[[', '{"vertices":[["0","0"]', "nul", "", "[" * 100_000]), st.text(max_size=10)
+)
+
+
+@st.composite
+def _body_text(draw):
+    """A --body value: a valid descriptor or vertex list, a drawn object of
+    any family with any values and keys left out, or malformed JSON."""
+    kind = draw(st.sampled_from(("valid", "valid", "vertices", "drawn", "malformed")))
+    if kind == "malformed":
+        return draw(_MALFORMED_JSON)
+    if kind == "valid":
+        return json.dumps(body_descriptor(draw(any_body())))
+    if kind == "vertices":
+        cycle = [[format_rational(p.x1), format_rational(p.x2)] for p in draw(any_body()).polygon()]
+        return json.dumps({"vertices": draw(st.permutations(cycle)) + draw(st.lists(_JSON_PAIR, max_size=2))})
+    desc = {
+        "type": draw(st.sampled_from(("type1", "type2", "type3", "quad", "split", "type4", None))),
+        "a": draw(_JSON_PAIR), "b": draw(_JSON_PAIR), "b1": draw(_JSON_NUMBER), "normal": draw(_JSON_PAIR),
+        "offset": draw(_JSON_NUMBER), "vertices": draw(st.lists(_JSON_PAIR, max_size=5)),
+    }
+    keep = draw(st.sets(st.sampled_from(sorted(desc))))
+    return json.dumps({key: value for key, value in desc.items() if key in keep})
+
+
+def _flag(draw, name, values, optional=True):
+    """``[name, value]``, or nothing when the flag is optional and left out."""
+    if optional and draw(st.booleans()):
+        return []
+    return [name, draw(values)]
+
+
+@st.composite
+def _argv(draw, tmp):
+    """An argv of any of the seven commands, values drawn from the grammar;
+    ``--body @path`` and ``--output`` name files in ``tmp``, a missing one,
+    a file in a missing folder, or ``tmp`` itself."""
+    command = draw(st.sampled_from(("classify", "width", "strength", "bound", "montecarlo", "sweep", "plotdata")))
+    body = _flag(draw, "--body", _body_text(), optional=False)
+    if draw(st.booleans()):  # the descriptor from a file, or from a file that is not there
+        with open(f"{tmp}/body.json", "w", encoding="utf-8") as fh:
+            fh.write(body[1])
+        body[1] = draw(st.sampled_from((f"@{tmp}/body.json", f"@{tmp}/missing.json")))
+    z = _flag(draw, "--z", st.one_of(_RATIONAL_TEXT, st.fractions(1, 4, max_denominator=20).map(format_rational)),
+              optional=False)
+    output = _flag(draw, "--output", st.sampled_from((f"{tmp}/out.txt", f"{tmp}/missing/out.txt", tmp)))
+    if command in ("classify", "width"):
+        return [command, *body]
+    if command == "strength":
+        if draw(st.booleans()):  # a valid body and a root vertex inside it
+            valid = draw(any_body())
+            body[1] = json.dumps(body_descriptor(valid))
+            inside = draw(root_vertex(valid))
+            f = json.dumps([format_rational(inside.x1), format_rational(inside.x2)])
+        else:
+            f = json.dumps(draw(_JSON_PAIR)) if draw(st.booleans()) else draw(_MALFORMED_JSON)
+        n = st.one_of(st.integers(-1, 20).map(str), st.sampled_from(("x", "1.5", "", "1_0")))
+        return [command, *body, "--f", f, *_flag(draw, "--N", n)]
+    if command == "bound":
+        return [command, *body, *z]
+    if command == "montecarlo":
+        samples = _flag(draw, "--samples", st.integers(-1, 1000).map(str))
+        return [command, *body, *z, *samples, *_flag(draw, "--seed", st.integers(-1, 2**130).map(str))]
+    if command == "plotdata":
+        return [command, "--curve", draw(st.sampled_from(("z2", "z32", "z3"))), *_flag(draw, "--step", _STEP_TEXT),
+                *output]
+    # half the sweeps draw only well-formed values, so that some make rows
+    if draw(st.booleans()):
+        family, formats = draw(st.sampled_from(FAMILIES)), ("csv", "json")
+        z = ["--z", format_rational(draw(st.fractions(1, 4, max_denominator=10)))]
+        step = format_rational(draw(st.fractions(F(1, 5), 1, max_denominator=10)))
+        params, sep = st.sampled_from(PARAMS[family]), st.just(":")
+        bounds = st.fractions(-1, 3, max_denominator=10).map(format_rational)
+    else:
+        family, formats = draw(st.sampled_from((*FAMILIES, "t4"))), ("csv", "json", "xml")
+        step = draw(_STEP_TEXT)  # the default step, 1/50, makes a quad grid of 648,001 rows
+        params, sep = st.sampled_from((*PARAMS.get(family, ()), "c")), st.sampled_from((":", "", ";"))
+        bounds = _RATIONAL_TEXT
+    ranges = draw(st.lists(st.builds(lambda p, lo, s, hi: f"{p}={lo}{s}{hi}", params, bounds, sep, bounds), max_size=3))
+    return ["sweep", "--family", family, *z, "--step", step, *(arg for item in ranges for arg in ("--range", item)),
+            *_flag(draw, "--mc-samples", st.integers(-1, 100).map(str)),
+            *_flag(draw, "--format", st.sampled_from(formats)), *output]
+
+
+class TestArgvGrammar:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_exit_codes(self, data):
+        # any argv of the seven commands exits 0, 2 or 3; a validation error
+        # is one error line and no output, never a traceback
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = data.draw(_argv(tmp))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(argv)
+        assert code in (0, USAGE_ERROR, VALIDATION_ERROR)
+        if code == VALIDATION_ERROR:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            assert err.getvalue().endswith("\n")
 
 
 FIXTURE_DESC = {
