@@ -22,7 +22,7 @@ from functools import cache
 from .bounds import bound_for, special_values
 from .descriptors import format_rational, parse_body, parse_json, parse_pair
 from .cuts import strength_report
-from .geometry import SplitBody, _frac, classify, lattice_width
+from .geometry import SplitBody, _frac, _read_int, classify, lattice_width
 from .montecarlo import monte_carlo_lower
 from .sweeps import DEFAULT_STEP, FAMILIES, sweep_grid
 
@@ -32,6 +32,15 @@ VALIDATION_ERROR = 3
 
 def _body_arg(parser):
     parser.add_argument("--body", required=True, help="JSON body descriptor, inline or @path to a file")
+
+
+def _int_arg(text: str) -> int:
+    """An int option read as every int from outside is (``geometry._read_int``);
+    argparse's usage error, worded as for ``type=int``, otherwise."""
+    try:
+        return _read_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _load_body(raw: str):
@@ -55,7 +64,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("strength", help="cut strength at a root vertex")
     _body_arg(p)
     p.add_argument("--f", required=True, help='root vertex, e.g. \'["1/4","1/2"]\'')
-    p.add_argument("--N", type=int, default=5, help="split enumeration radius (default 5)")
+    p.add_argument("--N", type=_int_arg, default=5, help="split enumeration radius (default 5)")
 
     p = sub.add_parser("bound", help="closed-form probability lower bound")
     _body_arg(p)
@@ -64,8 +73,8 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("montecarlo", help="Monte Carlo check of the bound")
     _body_arg(p)
     p.add_argument("--z", required=True)
-    p.add_argument("--samples", type=int, default=10**6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_int_arg, default=10**6)
+    p.add_argument("--seed", type=_int_arg, default=0)
 
     p = sub.add_parser("sweep", help="parameter grid sweep (CSV)")
     p.add_argument("--family", required=True, choices=FAMILIES)
@@ -78,8 +87,8 @@ def _parser() -> argparse.ArgumentParser:
         metavar="PARAM=LO:HI",
         help="override a parameter range, repeatable",
     )
-    p.add_argument("--mc-samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--mc-samples", type=_int_arg, default=None)
+    p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", default=None, help="write to a file instead of stdout")
 

@@ -9,8 +9,8 @@ reciprocal of a small covering LP over the corner rays (scaled to gauge 1):
   approximation ``t_N`` (an upper bound on the true closure strength, and
   nonincreasing in N).
 
-For every non-split body the region table gives ``t_bar`` in closed form;
-``strength_single_split`` evaluates both routes and insists they agree.
+For every non-split body the region table gives ``t_bar`` in closed form,
+and ``strength_single_split`` returns it.
 
 Both run in the body's integer frame: f is scaled once to ``(X1, X2) / q``
 by the body's interior test on its integer facets, and matched against the
@@ -431,35 +431,22 @@ def chosen_split(body: LatticeFreeBody, region: RegionId) -> tuple[int, int]:
 
 def strength_single_split(body: LatticeFreeBody, f: Rational2) -> StrengthReport:
     """Single-split strength ``t_bar`` at ``f`` for the split of ``f``'s
-    region: region-table closed form, cross-checked exactly against the
-    split's largest coefficient at the corner rays, which is the reciprocal
-    of the one-row covering LP ``min{sum(s) : c . s >= 1, s >= 0}``.  Each
-    region uses the split of the paper's bounds, which is not always the best
-    single split at ``f``.
+    region: the region table's closed form, which equals the split's largest
+    coefficient at the corner rays, the reciprocal of the one-row covering LP
+    ``min{sum(s) : c . s >= 1, s >= 0}``.  Each region uses the split of the
+    paper's bounds, which is not always the best single split at ``f``.
 
-    A query is one integer pass over the region table, then the split's one
-    row; the report's region is the one shared ``RegionId`` of its family
-    and index, which :func:`region_of` also returns.
+    A query is one integer pass over the region table; the report's region
+    is the one shared ``RegionId`` of its family and index, which
+    :func:`region_of` also returns.
 
     For the type 1 triangle the full split closure is generated by the three
     facet normals, so the exact closure strength is reported instead and no
-    single split is singled out.  Its cross-check, the N = 1 covering LP,
-    takes most of a type 1 query.
+    single split is singled out.
     """
-    index, (_, split, (n1, n2), (a0, a1, b0, b1)), ((q, x1, x2), (d, big_f, big_rays)) = _locate(body, f)
-    t_table = Fraction(a0 * q + a1 * (p := n1 * x1 + n2 * x2), b0 * q + b1 * p)
-    if split is None:
-        t_check = strength_split_closure_approx(body, f, 1)
-    else:
-        scale, row = _split_row(*split, (split[0] * big_f[0] + split[1] * big_f[1]) % d, d, big_rays)
-        top = max(row)  # t_check = top / scale, built only on a mismatch
-        t_check = t_table if t_table.numerator * scale == top * t_table.denominator else Fraction(top, scale)
-    if t_check is not t_table and t_check != t_table:  # no Fraction compare once the integers agree
-        raise AssertionError(
-            f"strength table value {t_table} disagrees with the split-coefficient value {t_check} "
-            f"for {body!r}, f={f}, region R{index}"
-        )
-    return StrengthReport(_region_id(body.tag, index), split, t_table)
+    index, (_, split, (n1, n2), (a0, a1, b0, b1)), ((q, x1, x2), _) = _locate(body, f)
+    p = n1 * x1 + n2 * x2
+    return StrengthReport(_region_id(body.tag, index), split, Fraction(a0 * q + a1 * p, b0 * q + b1 * p))
 
 
 def _check_radius(n) -> None:

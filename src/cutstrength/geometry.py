@@ -22,6 +22,7 @@ Type3 = (a, b, c); Quad = (a, b, c, d) with a top, b bottom, c left, d right.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -58,15 +59,36 @@ def _frac(value: Rat) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         match = _RATIONAL.fullmatch(value)
-        den = int(match[2] or 1) if match else 0
+        den = _digits(match[2] or "1") if match else 0
         if den:
-            return Fraction(int(match[1]), den)
+            return Fraction(_digits(match[1]), den)
         if "." in value or "e" in value or "E" in value:
             raise ValueError(f"decimal notation is not accepted, use p/q: {value!r}")
         raise ValueError(f"malformed rational {value!r}")
     if isinstance(value, bool):
         raise ValueError(f"expected a rational, got {value!r}")
     raise ValueError(f"expected 'p/q' string or integer, got {value!r}")
+
+
+def _read_int(text: str) -> int:
+    """An int from outside text: the integer part of ``_RATIONAL`` alone, a
+    sign and ASCII digits with blanks only around them; else ValueError."""
+    match = _RATIONAL.fullmatch(text)
+    if match is None or match[2] is not None:
+        raise ValueError(f"malformed integer {text!r}")
+    return _digits(match[1])
+
+
+def _digits(text: str) -> int:
+    """``int`` of a sign and ASCII digits, with the reader's own ValueError
+    where the interpreter's limit on the digits of an int read from a string
+    applies (Python 3.10.7 on)."""
+    try:
+        return int(text)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"an integer of {len(text.lstrip('+-'))} digits is over the interpreter's limit of "
+                         f"{limit} digits for reading an int from text (sys.set_int_max_str_digits)") from None
 
 
 def _primitive(normal, what: str) -> tuple[int, int]:

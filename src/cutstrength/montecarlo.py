@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING
 
 from .bounds import check_threshold
 from .cuts import _table
-from .geometry import LatticeFreeBody, SplitBody, _check_int
+from .geometry import LatticeFreeBody, SplitBody, _check_int, _read_int
 
 if TYPE_CHECKING:
     import numpy as np
@@ -68,9 +68,13 @@ class McEstimate:
 def thread_count() -> int:
     env = os.environ.get("CUTSTRENGTH_THREADS")
     if env is not None:
-        if not env.strip().isdecimal() or int(env) < 1:
+        try:
+            n = _read_int(env)
+        except ValueError:
+            n = 0
+        if n < 1:
             raise ValueError(f"CUTSTRENGTH_THREADS must be an integer >= 1, got {env!r}")
-        return int(env)
+        return n
     return min(os.cpu_count() or 1, 4)
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 from functools import reduce
 from itertools import combinations
 from math import ceil, floor
-from operator import and_, or_
+from operator import and_, le, or_
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,7 +26,6 @@ from cutstrength import (
     area,
     lattice_width,
     point,
-    split_coefficients,
 )
 from cutstrength.cuts import _admissible, _check_radius, _frame, _max_packing, _min_cover, _scaled, _split_row, _table
 from cutstrength.descriptors import format_rational
@@ -65,6 +64,16 @@ BOUNDARY_BODIES = [
     Type2Body(F(1, 5), F(2)),  # w = 2
     QuadBody(F(2, 5), F(3, 2), F(3, 5), F(-3, 10)),
     QuadBody(F(1, 3), F(3, 2), F(1, 3), F(-1, 4)),  # a1 = b1
+    Type3Body(F(3), F(3, 10), F(1, 10)),
+]
+
+
+# the bodies of the benchmark's body_profile workload
+PROFILE_BODIES = [
+    Type1Body(),
+    Type2Body(F(1, 2), F(3, 2)),
+    Type2Body(F(1, 3), F(5, 2)),
+    QuadBody(F(2, 5), F(3, 2), F(3, 5), F(-3, 10)),
     Type3Body(F(3), F(3, 10), F(1, 10)),
 ]
 
@@ -255,6 +264,11 @@ def body_descriptor(body) -> dict:
     if isinstance(body, Type3Body):
         return {"type": "type3", "a": params[:2], "b1": params[2]}
     return {"type": "quad", "a": params[:2], "b": params[2:]}
+
+
+def interior_grid(body, q):
+    """Every point of the 1/q grid strictly inside the body."""
+    return [f for f in box_grid(body, q) if body.contains_interior(f)]
 
 
 # The Fraction view of the region table, and its generic matcher.
@@ -563,12 +577,13 @@ def covering_lp_oracle(rows, k):
                 sol = _solve_square([[rows[i][j] for j in vsub] for i in rsub], [F(1)] * m)
                 if sol is None or any(v < 0 for v in sol):
                     continue
+                if best is not None and sum(sol) >= best:
+                    continue
                 s = [F(0)] * k
                 for j, v in zip(vsub, sol):
                     s[j] = v
                 if all(sum(c * x for c, x in zip(row, s)) >= 1 for row in rows):
-                    if best is None or sum(s) < best:
-                        best = sum(s)
+                    best = sum(sol)
     return best
 
 
@@ -819,19 +834,39 @@ def enumerated_closure(body, f, n):
     return F(scale, value)
 
 
+def split_row_oracle(normal, f, rays):
+    """The coefficients at ``rays`` of the split ``l <= normal . x <= l + 1``,
+    ``l = floor(u)``, ``u = normal . f`` off the integers, in Fractions: the
+    band's gauge, ``(normal . r) / (l + 1 - u)`` where ``normal . r > 0``, else
+    ``(normal . r) / (l - u)``."""
+    u = normal[0] * f.x1 + normal[1] * f.x2
+    lo = floor(u)
+    return tuple((nr := normal[0] * r.x1 + normal[1] * r.x2) / (lo + 1 - u if nr > 0 else lo - u) for r in rays)
+
+
+def t_bar_oracle(body, f, split):
+    """``t_bar`` at ``f`` for ``split`` from the Fraction corner rays of
+    :func:`corner_rays_oracle`: the split's largest coefficient, which is
+    the reciprocal of its one-row covering LP.  For type 1 (``split`` None)
+    it is the N = 1 split closure: one over :func:`covering_lp_oracle` on
+    the rows of the max-norm-1 splits that contain ``f`` strictly, less the
+    rows that dominate another (they are implied, since ``s >= 0``)."""
+    rays = corner_rays_oracle(body, f)
+    if split is not None:
+        return max(split_row_oracle(split, f, rays))
+    normals = [n for n in ((1, 0), (0, 1), (1, 1), (1, -1)) if (n[0] * f.x1 + n[1] * f.x2).denominator != 1]
+    rows = [split_row_oracle(n, f, rays) for n in normals]
+    minimal = [r for r in rows if not any(o != r and all(map(le, o, r)) for o in rows)]
+    return 1 / covering_lp_oracle(minimal, len(rays))
+
+
 def single_split_oracle(body, f):
     """``(index, split, t_bar)`` of ``strength_single_split`` in Fractions:
-    the region from :func:`region_oracle`, ``t_bar`` from its closed form,
-    which must equal the split's largest Fraction coefficient at the corner
-    rays (type 1: :func:`closure_oracle` at N = 1)."""
+    the region and its split from :func:`region_oracle`, ``t_bar`` from
+    :func:`t_bar_oracle`.  Neither reads the region table or the integer
+    frame, so comparing with it checks the table's closed form."""
     index, region = region_oracle(body, f)
-    if region.split is None:
-        t_check = closure_oracle(body, f, 1)
-    else:
-        t_check = max(split_coefficients(region.split, f, corner_rays_oracle(body, f)).coefficients)
-    t_bar = region_t_bar(region, f)
-    assert t_bar == t_check, (body, f, index)
-    return index, region.split, t_bar
+    return index, region.split, t_bar_oracle(body, f, region.split)
 
 
 # The Fraction derivation of the bound pieces: the paper's closed forms,

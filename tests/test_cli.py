@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import io
@@ -6,11 +7,13 @@ import sys
 import tempfile
 from decimal import Decimal
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import cutstrength
 from cutstrength.cli import USAGE_ERROR, VALIDATION_ERROR, _parser, exact_digits, run
 from cutstrength.descriptors import (
     format_rational,
@@ -18,6 +21,7 @@ from cutstrength.descriptors import (
     parse_pair,
 )
 from cutstrength.geometry import _frac as parse_rational
+from cutstrength.geometry import _read_int
 from cutstrength.sweeps import FAMILIES, PARAMS
 from cutstrength import (
     QuadBody,
@@ -27,6 +31,7 @@ from cutstrength import (
     Type3Body,
     bound_for,
     covering_lp_min,
+    lattice_width,
     montecarlo,
     point,
     split_coefficients,
@@ -124,6 +129,24 @@ RATIONAL_ARGVS = [
     ("plotdata", "--curve", "z2", "--step", "{}"),
 ]
 
+# one table of int option texts, each with its value or None where it is
+# rejected: the integer part of the rational grammar, where int() also
+# takes "_" and non-ASCII digits
+INT_TABLE = [
+    ("7", 7), ("-2", -2), ("+3", 3), (" 4 ", 4), ("007", 7), ("\u0667", None), ("\u0662", None), ("\uff17", None),
+    ("1_0", None), ("1/2", None), ("7.0", None), ("1.5", None), ("1e3", None), ("0x10", None), ("x", None),
+    ("- 3", None), ("", None), (" ", None),
+]
+
+# the int options, with {} for the value
+INT_ARGVS = [
+    ("strength", "--body", T2_DESC, "--f", '["1/4","1/2"]', "--N", "{}"),
+    ("montecarlo", "--body", T2_DESC, "--z", "7/4", "--samples", "{}"),
+    ("montecarlo", "--body", T2_DESC, "--z", "7/4", "--samples", "5", "--seed", "{}"),
+    ("sweep", "--family", "t2", "--z", "2", "--step", "1/5", "--mc-samples", "{}"),
+    ("sweep", "--family", "t2", "--z", "2", "--step", "1/5", "--mc-samples", "5", "--seed", "{}"),
+]
+
 
 class TestDescriptors:
     def test_parse_rational(self, capsys):
@@ -165,6 +188,42 @@ class TestDescriptors:
                     canonical = invoke(capsys, *(a.replace("{}", format_rational(want)) for a in argv))
                     assert code == canonical[0], (argv, value)
                     assert argv[0] != "sweep" or out == canonical[1], (argv, value)
+
+    def test_int_options(self, capsys):
+        # an int option is read as the integer part of the rational grammar;
+        # other text is argparse's usage error, as for type=int, and an
+        # accepted text runs as its canonical digits do
+        for text, want in INT_TABLE:
+            reading = ("ok", want) if want is not None else ("error", f"malformed integer {text!r}")
+            assert outcome(_read_int, text) == reading
+            for argv in INT_ARGVS:
+                code, out, err = invoke(capsys, *(a.replace("{}", text) for a in argv))
+                if want is None:
+                    assert code == USAGE_ERROR and out == "", (argv, text)
+                    assert err.endswith(f"invalid int value: {text!r}\n"), (argv, text)
+                else:
+                    assert (code, out, err) == invoke(capsys, *(a.replace("{}", str(want)) for a in argv)), (argv, text)
+
+    def test_more_digits_than_the_interpreter_reads(self, capsys):
+        # the library meets the interpreter's limit on the digits of an int
+        # read from text, and the reader says so in its own ValueError; the
+        # command line lifts the limit and reads the value whole
+        limit = sys.get_int_max_str_digits()
+        big = "1" + "0" * limit
+        message = (f"an integer of {limit + 1} digits is over the interpreter's limit of {limit} digits "
+                   "for reading an int from text (sys.set_int_max_str_digits)")
+        for value in (big, f"-{big}/3", f"1/{big}"):
+            assert outcome(parse_rational, value) == ("error", message), value[:8]
+        assert outcome(_read_int, big) == ("error", message)
+        assert outcome(Type2Body, "1/2", big) == ("error", message)
+        assert outcome(point, big, 0) == ("error", message)
+        with exact_digits():
+            assert parse_rational(f"-{big}/3") == F(-(10**limit), 3)
+            body = Type2Body("1/2", big)
+            width = format_rational(lattice_width(body))
+        assert body.a2 == 10**limit
+        code, out, err = invoke(capsys, "width", "--body", json.dumps({"type": "type2", "a": ["1/2", big]}))
+        assert (code, out, err) == (0, f'{{"w": "{width}"}}\n', "")
 
     def test_split_ints_by_the_one_rule(self, capsys):
         # a split's normal and offset, and split_coefficients' normal, take
@@ -685,6 +744,19 @@ class TestParserReuse:
 
 
 class TestWholeDomain:
+    def test_no_library_assertion(self):
+        # no query path ends in an AssertionError: the package holds no
+        # assert statement and raises no AssertionError
+        found = []
+        for path in sorted(Path(cutstrength.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                exc = getattr(node, "exc", None) if isinstance(node, ast.Raise) else None
+                if isinstance(exc, ast.Call):
+                    exc = exc.func
+                if isinstance(node, ast.Assert) or isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                    found.append(f"{path.name}:{node.lineno}")
+        assert found == []
+
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_only_validation_errors(self, data):
@@ -774,6 +846,12 @@ def _body_text(draw):
     return json.dumps({key: value for key, value in desc.items() if key in keep})
 
 
+def _int_text(lo, hi):
+    """Text for an int option: the ints from lo to hi, and the table's texts,
+    none of which reads as more than 7."""
+    return st.one_of(st.integers(lo, hi).map(str), st.sampled_from([text for text, _ in INT_TABLE]))
+
+
 def _flag(draw, name, values, optional=True):
     """``[name, value]``, or nothing when the flag is optional and left out."""
     if optional and draw(st.booleans()):
@@ -805,13 +883,12 @@ def _argv(draw, tmp):
             f = json.dumps([format_rational(inside.x1), format_rational(inside.x2)])
         else:
             f = json.dumps(draw(_JSON_PAIR)) if draw(st.booleans()) else draw(_MALFORMED_JSON)
-        n = st.one_of(st.integers(-1, 20).map(str), st.sampled_from(("x", "1.5", "", "1_0")))
-        return [command, *body, "--f", f, *_flag(draw, "--N", n)]
+        return [command, *body, "--f", f, *_flag(draw, "--N", _int_text(-1, 20))]
     if command == "bound":
         return [command, *body, *z]
     if command == "montecarlo":
-        samples = _flag(draw, "--samples", st.integers(-1, 1000).map(str))
-        return [command, *body, *z, *samples, *_flag(draw, "--seed", st.integers(-1, 2**130).map(str))]
+        samples = _flag(draw, "--samples", _int_text(-1, 1000))
+        return [command, *body, *z, *samples, *_flag(draw, "--seed", _int_text(-1, 2**130))]
     if command == "plotdata":
         return [command, "--curve", draw(st.sampled_from(("z2", "z32", "z3"))), *_flag(draw, "--step", _STEP_TEXT),
                 *output]
@@ -829,7 +906,7 @@ def _argv(draw, tmp):
         bounds = _RATIONAL_TEXT
     ranges = draw(st.lists(st.builds(lambda p, lo, s, hi: f"{p}={lo}{s}{hi}", params, bounds, sep, bounds), max_size=3))
     return ["sweep", "--family", family, *z, "--step", step, *(arg for item in ranges for arg in ("--range", item)),
-            *_flag(draw, "--mc-samples", st.integers(-1, 100).map(str)),
+            *_flag(draw, "--mc-samples", _int_text(-1, 100)), *_flag(draw, "--seed", _int_text(-1, 2**130)),
             *_flag(draw, "--format", st.sampled_from(formats)), *output]
 
 

@@ -38,6 +38,7 @@ from cutstrength.geometry import LatticeFreeBody, over_common_denominator, primi
 
 from conftest import (
     BOUNDARY_BODIES,
+    PROFILE_BODIES,
     any_body,
     box_grid,
     closure_oracle,
@@ -45,6 +46,7 @@ from conftest import (
     covering_lp_oracle,
     enumerated_closure,
     gauge,
+    interior_grid,
     lattice_line_vertex,
     quad_params,
     random_interior_point,
@@ -500,7 +502,7 @@ class TestSingleSplitStrength:
             (Type3Body(F(3), F(3, 10), F(1, 10)), point(F(1, 2), 0), 4, (1, 0), F(5)),
         ]
         for body, f, index, normal, t_bar in cases:
-            rep = strength_single_split(body, f)  # internal exact cross-check
+            rep = strength_single_split(body, f)
             assert (rep.region.index, rep.chosen_split_normal, rep.t_bar) == (index, normal, t_bar)
             rays = corner_rays(body, f)
             value, _ = covering_lp_min([split_coefficients(normal, f, rays).coefficients], len(rays))
@@ -515,7 +517,7 @@ class TestSingleSplitStrength:
     @given(st.data())
     def test_property_table_against_one_row_lp(self, data):
         # the one-row covering LP stays the reference for the closed form and
-        # for the largest-coefficient check inside strength_single_split
+        # for the largest-coefficient oracle of TestAgainstOracles
         body = data.draw(any_body())
         f = data.draw(root_vertex(body))
         rep = strength_single_split(body, f)
@@ -534,9 +536,7 @@ class TestSingleSplitStrength:
         rng = random.Random(17)
         for body in grid_bodies():
             for _ in range(10):
-                f = random_interior_point(body, rng)
-                rep = strength_single_split(body, f)  # internal exact cross-check
-                assert rep.t_bar >= 1
+                assert_single_split_is_oracle(body, random_interior_point(body, rng))
 
 
 class TestClosureApprox:
@@ -570,6 +570,7 @@ class TestClosureApprox:
         rng = random.Random(19)
         for body in grid_bodies()[:6]:
             f = random_interior_point(body, rng)
+            assert_single_split_is_oracle(body, f)
             rep = strength_single_split(body, f)
             values = [strength_split_closure_approx(body, f, n) for n in range(1, 5)]
             for lo, hi in zip(values[1:], values[:-1]):
@@ -624,6 +625,7 @@ class TestClosureApprox:
         for body in grid_bodies()[:6]:
             for _ in range(5):
                 f = random_interior_point(body, rng)
+                assert_single_split_is_oracle(body, f)
                 t_bar = strength_single_split(body, f).t_bar
                 t_n = strength_split_closure_approx(body, f, 3)
                 if t_bar <= z:
@@ -787,14 +789,44 @@ def single_split(body, f):
     return rep.region.index, rep.chosen_split_normal, rep.t_bar
 
 
+def assert_single_split_is_oracle(body, f):
+    """``strength_single_split`` gives the region, split and ``t_bar`` of
+    :func:`single_split_oracle`, or raises the same exception type with the
+    same text: the one check of the region table's closed form."""
+    assert outcome(single_split, body, f) == outcome(single_split_oracle, body, f), (body, f)
+
+
 def assert_same_as_oracles(body, f, closure=(1, 3)):
     """The integer-frame queries give the Fraction oracles' values, or raise
     the same exception type with the same text."""
-    assert outcome(single_split, body, f) == outcome(single_split_oracle, body, f), (body, f)
+    assert_single_split_is_oracle(body, f)
     assert outcome(lambda: region_of(body, f).index) == outcome(lambda: region_oracle(body, f)[0]), (body, f)
     for n in closure:
         got = outcome(strength_split_closure_approx, body, f, n)
         assert got == outcome(closure_oracle, body, f, n), (body, f, n)
+
+
+class TestAgainstOracles:
+    # t_bar is the region table's closed form and nothing else; these tests
+    # hold it against oracles that read neither the table nor the integer
+    # frame: the split's largest coefficient at the Fraction corner rays, and
+    # for type 1 the brute-force N = 1 covering value
+
+    def test_profile_grid(self):
+        # every interior point of the 1/32 grid of the benchmark's
+        # body_profile bodies
+        count = 0
+        for body in PROFILE_BODIES:
+            for f in interior_grid(body, 32):
+                assert_single_split_is_oracle(body, f)
+                count += 1
+        assert count == 10_499
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_property_any_body(self, data):
+        body = data.draw(any_body())
+        assert_single_split_is_oracle(body, data.draw(st.one_of(root_vertex(body), lattice_line_vertex(body))))
 
 
 class TestIntegerFrame:
@@ -873,21 +905,26 @@ class TestTableReuse:
             sys.setswitchinterval(interval)
         assert threaded == serial
 
-    def test_cross_check_catches_a_wrong_table(self, quad_body, monkeypatch):
+    def test_cross_check_catches_a_wrong_table(self, monkeypatch):
+        # one coefficient changed in a copy of the kept table: the query
+        # answers from the table alone, and the oracle comparison fails
         f = point(F(1, 2), F(1, 3))
-        index = region_of(quad_body, f).index
-        regions = cuts._last_table[1]
-        pieces, split, normal, (a0, a1, b0, b1) = regions[index - 1]
-        wrong = list(regions)
-        wrong[index - 1] = pieces, split, normal, (a0 + b0, a1 + b1, b0, b1)  # t_bar + 1
-        monkeypatch.setattr(cuts, "_last_table", (quad_body, wrong))
-        with pytest.raises(AssertionError, match="disagrees with the split-coefficient value"):
-            strength_single_split(quad_body, f)
+        for body in PROFILE_BODIES:
+            assert_single_split_is_oracle(body, f)
+            index, _, t_bar = single_split(body, f)
+            wrong = list(cuts._last_table[1])
+            pieces, split, normal, (a0, a1, b0, b1) = wrong[index - 1]
+            wrong[index - 1] = pieces, split, normal, (a0 + 1, a1, b0, b1)
+            monkeypatch.setattr(cuts, "_last_table", (body, wrong))
+            assert single_split(body, f)[2] != t_bar
+            with pytest.raises(AssertionError):
+                assert_single_split_is_oracle(body, f)
+            monkeypatch.undo()
 
     def test_report_builds_one_frame(self, monkeypatch):
-        # t_bar, type 1's t_1 cross-check and t_N share the frame of f; f is
-        # scaled once, by the body's interior test in geometry, and nothing
-        # scales it over a common denominator again
+        # t_bar and t_N share the frame of f; f is scaled once, by the
+        # body's interior test in geometry, and nothing scales it over a
+        # common denominator again
         for body in (Type1Body(), QuadBody(F(2, 5), F(3, 2), F(3, 5), F(-3, 10))):
             region_of(body, point(F(1, 2), F(1, 4)))  # builds the region table
             f = point(F(1, 2), F(1, 3))

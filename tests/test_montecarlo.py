@@ -50,6 +50,7 @@ from conftest import (
     plus,
     region_t_bar,
     sample_points_oracle,
+    single_split_oracle,
     t_bar_evaluator_oracle,
     times,
 )
@@ -73,13 +74,16 @@ def threads_env(monkeypatch):
 
 class TestThreadCount:
     def test_env_override(self, threads_env):
-        threads_env(7)
-        assert thread_count() == 7
+        for value, want in ((7, 7), ("+3", 3), (" 2 ", 2), ("007", 7)):
+            threads_env(value)
+            assert thread_count() == want
 
     def test_invalid_env(self, threads_env):
-        for value in (0, -2, "abc", "2.5", ""):
+        # read as the integer part of the rational grammar: no "_", no
+        # non-ASCII digits, and no more digits than the interpreter reads
+        for value in (0, -2, "abc", "2.5", "", " ", "\u0662", "\uff12", "1_0", "1/2", "0x2", "1" * 5000):
             threads_env(value)
-            with pytest.raises(ValueError, match="CUTSTRENGTH_THREADS"):
+            with pytest.raises(ValueError, match="^CUTSTRENGTH_THREADS must be an integer >= 1, got "):
                 thread_count()
 
     def test_default_positive(self, threads_env):
@@ -353,7 +357,9 @@ class TestEvaluators:
         evaluate = _t_bar_evaluator(body)
         approx = evaluate(*columns(points), _Workspace())
         for f, value in zip(points, approx):
-            exact = strength_single_split(body, f).t_bar
+            rep = strength_single_split(body, f)
+            exact = rep.t_bar
+            assert (rep.region.index, rep.chosen_split_normal, exact) == single_split_oracle(body, f), (body, f)
             assert abs(value - float(exact)) < 1e-9, (body, f)
 
     def test_vectorized_strength_matches_exact(self):
