@@ -16,10 +16,13 @@ Both run in the body's integer frame: f is scaled once to ``(X1, X2) / q``
 by the body's interior test on its integer facets, and matched against the
 body's integer region table, kept between queries on the same body object:
 the one form of the regions, which the strength queries,
-:func:`chosen_split` and the Monte Carlo evaluator read.  The table and the
-corner rays read the body only through its integer vertices, ``(v, V)``
-with ``V`` the vertices times ``v``, their common denominator, which the
-body builds once: each band bound is a vertex projected on the band's normal.
+:func:`chosen_split` and the Monte Carlo evaluator read.  A ``t_bar`` query
+reads only ``(q, X1, X2)``; the corner rays ``V / v - f`` over ``lcm(v,
+q)`` are built from it for ``t_N`` and :func:`corner_rays` alone.  The table
+and the corner rays read the body only through its integer vertices, ``(v,
+V)`` with ``V`` the vertices times ``v``, their common denominator, which
+the body builds once: each band bound is a vertex projected on the band's
+normal.
 ``t_N`` starts the packing kernel with the splits of max-norm 1 and, at
 each optimum, walks the normals of the splits that can still cut, a convex
 set, column by column, building each row only when the kernel prices it
@@ -89,6 +92,25 @@ class StrengthReport:
     n: Optional[int] = None
 
 
+def _check_type(name: str, value, cls: type) -> None:
+    """A TypeError naming the argument unless ``value`` is a ``cls``: called
+    where an attribute read of the arguments has failed."""
+    if not isinstance(value, cls):
+        raise TypeError(f"{name} must be a {cls.__name__}, got {value!r}")
+
+
+def _check_point(name: str, f) -> None:
+    """An error naming the argument unless ``f`` is a ``Rational2`` of ints
+    and Fractions; a float coordinate gets the rational reader's ValueError,
+    as from :func:`point`, rather than be read as its binary value."""
+    _check_type(name, f, Rational2)
+    for c in (f.x1, f.x2):
+        if isinstance(c, float):
+            _frac(c)
+        if not (_is_int(c) or isinstance(c, Fraction)):
+            raise TypeError(f"{name} must have int or Fraction coordinates (build it with point), got {f!r}")
+
+
 def _scaled(f: Rational2, rays: Sequence[Rational2]):
     """The common denominator ``D`` of ``f`` and the rays, with ``D f`` and
     each ``D r`` as integer pairs."""
@@ -119,7 +141,13 @@ def _split_row(n1: int, n2: int, rem: int, d: int, big_rays) -> tuple[int, list[
 def split_coefficients(normal: Sequence[int], f: Rational2, rays: Sequence[Rational2]) -> SplitCut:
     """Coefficients of the split ``{floor(n.f) <= n.x <= ceil(n.f)}`` at each ray."""
     n1, n2 = _primitive(normal, "normal")
-    d, big_f, big_rays = _scaled(f, rays)
+    try:
+        d, big_f, big_rays = _scaled(f, rays)
+    except AttributeError:
+        _check_point("f", f)
+        for i, r in enumerate(rays):
+            _check_point(f"rays[{i}]", r)
+        raise
     offset, rem = divmod(n1 * big_f[0] + n2 * big_f[1], d)
     if rem == 0:
         raise ValueError(f"normal . f = {offset} is integral: f is not interior to the split")
@@ -355,45 +383,58 @@ def _table(body: LatticeFreeBody):
 # ---------------------------------------------------------------------------
 # the integer frame
 
-_last_frame: tuple = (None, None, None)
+_last_point: tuple = (None, None, None)
 
 
-def _frame(body: LatticeFreeBody, f: Rational2, split_error: str):
-    """``(q, X1, X2), (d, D f, [D r])``: ``f = (X1, X2) / q`` found strictly
-    inside the body (``v (n . X) < c q`` at each integer facet), then ``f`` and
-    the corner rays ``V / v - f`` over ``d = lcm(v, q)``, as :func:`_scaled`.
-    Kept, as one tuple read and replaced whole, for the next call on the same
-    body and point objects, so a report locates f once."""
-    global _last_frame
-    last_body, last_f, frame = _last_frame
+def _point(body: LatticeFreeBody, f: Rational2, split_error: str):
+    """``(q, X1, X2)``: ``f = (X1, X2) / q`` found strictly inside the body by
+    its interior test (``v (n . X) < c q`` at each integer facet).  Kept, as
+    one tuple read and replaced whole, for the next call on the same body and
+    point objects, so a report scales f once."""
+    global _last_point
+    last_body, last_f, scaled = _last_point
     if last_body is body and last_f is f:
-        return frame
+        return scaled
     if isinstance(body, SplitBody):
         raise ValueError(split_error)
-    if (scaled := body._interior(f)) is None:
+    try:
+        scaled = body._interior(f)
+    except (AttributeError, TypeError):
+        _check_type("body", body, LatticeFreeBody)
+        _check_point("f", f)
+        raise
+    if type(f.x1) is not Fraction or type(f.x2) is not Fraction:
+        _check_point("f", f)
+    if scaled is None:
         raise ValueError(f"root vertex {f} is not strictly interior to {body!r}")
-    q, x1, x2 = scaled
+    _last_point = body, f, scaled
+    return scaled
+
+
+def _rays(body: LatticeFreeBody, f: Rational2):
+    """``(d, D f, [D r])``: ``f`` of :func:`_point` and the corner rays ``V / v
+    - f`` over ``d = lcm(v, q)``, as :func:`_scaled`."""
+    q, x1, x2 = _point(body, f, "a split has no vertices, hence no corner rays")
     v, V = body._integer_vertices
     d = lcm(v, q)
     s, f1, f2 = d // v, x1 * (d // q), x2 * (d // q)
-    frame = (q, x1, x2), (d, (f1, f2), [(a * s - f1, b * s - f2) for a, b in V])
-    _last_frame = body, f, frame
-    return frame
+    return d, (f1, f2), [(a * s - f1, b * s - f2) for a, b in V]
 
 
 def corner_rays(body: LatticeFreeBody, f: Rational2) -> tuple[Rational2, ...]:
     """Rays from ``f`` to each vertex, in the documented vertex order: the
-    Fraction view of the integer rays of :func:`_frame`."""
-    d, _, big_rays = _frame(body, f, "a split has no vertices, hence no corner rays")[1]
+    Fraction view of the integer rays of :func:`_rays`."""
+    d, _, big_rays = _rays(body, f)
     return tuple(Rational2(Fraction(a, d), Fraction(b, d)) for a, b in big_rays)
 
 
 def _locate(body: LatticeFreeBody, f: Rational2):
-    """``(index, entry, _frame(...))`` of the first row of :func:`_table`
-    that ``f`` matches, with ``split . X mod q != 0`` as the strict test.  A
-    piece is dropped at its first band that fails."""
-    frame = _frame(body, f, "splits have no region decomposition")
-    q, x1, x2 = frame[0]
+    """``(index, entry, (q, X1, X2))``: the first row of :func:`_table` that
+    ``f`` matches, with ``split . X mod q != 0`` as the strict test, and the
+    point of :func:`_point`, the only part of the frame a ``t_bar`` query
+    reads.  A piece is dropped at its first band that fails."""
+    scaled = _point(body, f, "splits have no region decomposition")
+    q, x1, x2 = scaled
     for i, entry in enumerate(_table(body), start=1):
         pieces, split = entry[:2]
         if split is not None and not (split[0] * x1 + split[1] * x2) % q:
@@ -404,19 +445,26 @@ def _locate(body: LatticeFreeBody, f: Rational2):
                 if ln * q > p * ld or p * hd > hn * q:
                     break
             else:
-                return i, entry, frame
+                return i, entry, scaled
     raise ValueError(f"no region of {body!r} has a split containing f = {f} strictly")
 
 
 def region_of(body: LatticeFreeBody, f: Rational2) -> RegionId:
     """The first region of the body's table that ``f`` matches: a boundary
     point goes to the smallest-index region whose split holds it strictly."""
-    return _region_id(body.tag, _locate(body, f)[0])
+    index = _locate(body, f)[0]  # first: it checks the arguments
+    return _region_id(body.tag, index)
 
 
 def chosen_split(body: LatticeFreeBody, region: RegionId) -> tuple[int, int]:
     """Normal of the single split used in the given region of the body's family."""
-    if region.family != body.tag:
+    try:
+        family, tag = region.family, body.tag
+    except AttributeError:
+        _check_type("region", region, RegionId)
+        _check_type("body", body, LatticeFreeBody)
+        raise
+    if family != tag:
         raise ValueError(f"region {region} is a {region.family} region, not one of {body!r}")
     regions = _table(body)
     split = regions[region.index - 1][1] if 1 <= region.index <= len(regions) else None
@@ -444,7 +492,7 @@ def strength_single_split(body: LatticeFreeBody, f: Rational2) -> StrengthReport
     facet normals, so the exact closure strength is reported instead and no
     single split is singled out.
     """
-    index, (_, split, (n1, n2), (a0, a1, b0, b1)), ((q, x1, x2), _) = _locate(body, f)
+    index, (_, split, (n1, n2), (a0, a1, b0, b1)), (q, x1, x2) = _locate(body, f)
     p = n1 * x1 + n2 * x2
     return StrengthReport(_region_id(body.tag, index), split, Fraction(a0 * q + a1 * p, b0 * q + b1 * p))
 
@@ -460,7 +508,11 @@ def admissible_normals(f: Rational2, n: int) -> list[tuple[int, int]]:
     """Primitive normals with max-norm <= n whose split contains ``f`` strictly,
     deduplicated over +-, in max-norm order."""
     _check_radius(n)
-    d, big_f, _ = _scaled(f, ())
+    try:
+        d, big_f, _ = _scaled(f, ())
+    except AttributeError:
+        _check_point("f", f)
+        raise
     return [(n1, n2) for n1, n2, _ in _admissible(n, d, big_f)]
 
 
@@ -532,7 +584,7 @@ def strength_split_closure_approx(body: LatticeFreeBody, f: Rational2, n: int) -
     is zero.
     """
     _check_radius(n)
-    d, big_f, big_rays = _frame(body, f, "a split has no vertices, hence no corner rays")[1]
+    d, big_f, big_rays = _rays(body, f)
 
     def cutting(slacks, scale):
         for n1, n2 in _normals_below(n, big_rays, slacks, scale * d):
@@ -546,7 +598,9 @@ def strength_split_closure_approx(body: LatticeFreeBody, f: Rational2, n: int) -
 
 def strength_report(body: LatticeFreeBody, f: Rational2, n: int = 5) -> StrengthReport:
     """Full report: region, chosen split, single-split t_bar, and t_N.  Both
-    strengths use the one integer frame of ``f`` that :func:`_frame` keeps."""
+    strengths read the one ``(q, X1, X2)`` of ``f`` that :func:`_point`
+    keeps, so f is scaled once; ``t_bar`` reads nothing else, and ``t_N``
+    builds the corner rays from it."""
     single = strength_single_split(body, f)
     t_n = strength_split_closure_approx(body, f, n)
     return StrengthReport(single.region, single.chosen_split_normal, single.t_bar, t_n, n)

@@ -27,7 +27,7 @@ from cutstrength import (
     lattice_width,
     point,
 )
-from cutstrength.cuts import _admissible, _check_radius, _frame, _max_packing, _min_cover, _scaled, _split_row, _table
+from cutstrength.cuts import _admissible, _check_radius, _max_packing, _min_cover, _rays, _scaled, _split_row, _table
 from cutstrength.descriptors import format_rational
 from cutstrength.geometry import _frac, primitive_directions
 
@@ -828,7 +828,7 @@ def enumerated_closure(body, f, n):
     the integer frame, low max-norm first, goes to the packing kernel as one
     pool, and the kernel starts with no columns."""
     _check_radius(n)
-    d, big_f, big_rays = _frame(body, f, "a split has no vertices, hence no corner rays")[1]
+    d, big_f, big_rays = _rays(body, f)
     rows = [_split_row(n1, n2, rem, d, big_rays) for n1, n2, rem in _admissible(n, d, big_f)]
     value, scale, _ = _max_packing([], len(big_rays), lambda s, d: rows)
     return F(scale, value)

@@ -867,6 +867,108 @@ class TestIntegerFrame:
             got = outcome(strength_split_closure_approx, t2_body, f, n)
             assert got == (ValueError, "need n >= 1") == outcome(closure_oracle, t2_body, f, n)
 
+    @pytest.mark.parametrize("call, split_error", [
+        (region_of, "splits have no region decomposition"),
+        (strength_single_split, "splits have no region decomposition"),
+        (lambda body, f: strength_report(body, f, 2), "splits have no region decomposition"),
+        (lambda body, f: strength_split_closure_approx(body, f, 2), "a split has no vertices, hence no corner rays"),
+        (corner_rays, "a split has no vertices, hence no corner rays"),
+    ], ids=["region_of", "strength_single_split", "strength_report", "strength_split_closure_approx", "corner_rays"])
+    def test_error_messages(self, call, split_error):
+        # the exact error of each query that locates f: a split body, an
+        # exterior f and a boundary f (on the base, and a vertex), also
+        # right after a query of another point of the same body
+        body = Type2Body(F(1, 2), F(3, 2))
+        f = point(F(1, 2), F(1, 2))
+        assert outcome(call, SplitBody((0, 1), 0), f) == (ValueError, split_error)
+        for g in (point(5, 5), point(0, 0), point(F(1, 2), F(3, 2))):
+            region_of(body, f)
+            want = (ValueError, f"root vertex {g} is not strictly interior to {body!r}")
+            assert outcome(call, body, g) == want
+            assert outcome(call, body, g) == want
+
+    def test_t_bar_builds_no_corner_rays(self, monkeypatch):
+        # a t_bar query reads only f's (q, X1, X2); the corner rays are for
+        # t_N and corner_rays alone
+        def rays(body, f):
+            raise AssertionError("a t_bar query built the corner rays")
+
+        monkeypatch.setattr(cuts, "_rays", rays)
+        for body in PROFILE_BODIES:
+            points = interior_grid(body, 8)
+            assert points
+            for f in points:
+                assert region_of(body, f) is strength_single_split(body, f).region
+                assert single_split(body, f) == single_split_oracle(body, f), (body, f)
+            with pytest.raises(AssertionError, match="built the corner rays"):
+                strength_split_closure_approx(body, points[0], 1)
+
+
+BODY, INSIDE = Type2Body(F(1, 2), F(3, 2)), point(F(1, 2), F(1, 3))
+
+# (function, arguments, error type, start of the message or None for the
+# interpreter's own TypeError); at least one row per public function of cuts
+WRONG_ARGUMENTS = [
+    (split_coefficients, ((0, 1), "x", []), TypeError, "f must be a Rational2, got 'x'"),
+    (split_coefficients, ((0, 1), (F(1, 2), F(1, 3)), []), TypeError, "f must be a Rational2"),
+    (split_coefficients, ((0, 1), INSIDE, [point(1, 0), (1, 0)]), TypeError, "rays[1] must be a Rational2"),
+    (split_coefficients, ((0, 1), INSIDE, None), TypeError, None),
+    (split_coefficients, ("x", INSIDE, []), ValueError, "normal must be an integer pair"),
+    (covering_lp_min, (5, 1), TypeError, None),
+    (covering_lp_min, ([None], 1), TypeError, None),
+    (covering_lp_min, ([[F(1)]], "1"), ValueError, "k must be an int"),
+    (region_of, (None, INSIDE), TypeError, "body must be a LatticeFreeBody, got None"),
+    (region_of, (Type2Body, INSIDE), TypeError, "body must be a LatticeFreeBody"),
+    (region_of, (BODY, (F(1, 2), F(1, 3))), TypeError, "f must be a Rational2"),
+    (region_of, (BODY, geometry.Rational2("1/2", "1/3")), TypeError, "f must have int or Fraction coordinates"),
+    (chosen_split, (BODY, "R1"), TypeError, "region must be a RegionId, got 'R1'"),
+    (chosen_split, (None, RegionId("type2", 1)), TypeError, "body must be a LatticeFreeBody, got None"),
+    (strength_single_split, (BODY, (F(1, 2), F(1, 2))), TypeError, "f must be a Rational2"),
+    (strength_single_split, ("type2", INSIDE), TypeError, "body must be a LatticeFreeBody"),
+    (admissible_normals, ((F(1, 2), F(1, 3)), 2), TypeError, "f must be a Rational2"),
+    (admissible_normals, (INSIDE, "2"), ValueError, "n must be an int"),
+    (strength_split_closure_approx, (None, INSIDE, 2), TypeError, "body must be a LatticeFreeBody"),
+    (strength_split_closure_approx, (BODY, None, 2), TypeError, "f must be a Rational2, got None"),
+    (strength_report, (BODY, [F(1, 2), F(1, 3)], 2), TypeError, "f must be a Rational2"),
+    (strength_report, (BODY, INSIDE, "2"), ValueError, "n must be an int"),
+    (corner_rays, (object(), INSIDE), TypeError, "body must be a LatticeFreeBody"),
+    (corner_rays, (BODY, 0), TypeError, "f must be a Rational2, got 0"),
+]
+
+
+class TestArgumentTypes:
+    @pytest.mark.parametrize("call, args, error, message", WRONG_ARGUMENTS)
+    def test_wrong_type_names_the_argument(self, call, args, error, message):
+        got = outcome(call, *args)
+        assert got[0] is error and (message is None or got[1].startswith(message)), got
+
+    def test_every_public_function_is_covered(self):
+        public = {name for name in vars(cuts) if not name.startswith("_") and callable(getattr(cuts, name))
+                  and getattr(getattr(cuts, name), "__module__", None) == "cutstrength.cuts"}
+        classes = {"SplitCut", "RegionId", "StrengthReport"}
+        assert {call.__name__ for call, *_ in WRONG_ARGUMENTS} == public - classes
+
+    def test_float_coordinates_are_not_read_as_binary(self):
+        # a float coordinate gets the error that point() gives it, on every
+        # query that reads f; ints and Fractions are read as before
+        want = (ValueError, "expected 'p/q' string or integer, got 0.5")
+        assert outcome(point, 0.5, 0.25) == want
+        queries = [
+            region_of,
+            strength_single_split,
+            corner_rays,
+            lambda body, f: strength_report(body, f, 2),
+            lambda body, f: strength_split_closure_approx(body, f, 2),
+            lambda body, f: admissible_normals(f, 2),
+            lambda body, f: split_coefficients((0, 1), f, []),
+        ]
+        for f in (geometry.Rational2(0.5, 0.25), geometry.Rational2(F(1, 4), 0.5)):
+            for call in queries:
+                assert outcome(call, BODY, f) == want, call
+        assert outcome(split_coefficients, (0, 1), INSIDE, [geometry.Rational2(1, 0.5)]) == want
+        mixed = geometry.Rational2(F(1, 2), 1)
+        assert strength_report(BODY, mixed, 2) == strength_report(BODY, point(F(1, 2), 1), 2)
+
 
 class TestTableReuse:
     # the region table of the last body queried is reused for the next query
