@@ -12,17 +12,17 @@ reciprocal of a small covering LP over the corner rays (scaled to gauge 1):
 For every non-split body the region table gives ``t_bar`` in closed form,
 and ``strength_single_split`` returns it.
 
-Both run in the body's integer frame: f is scaled once to ``(X1, X2) / q``
-by the body's interior test on its integer facets, and matched against the
-body's integer region table, kept between queries on the same body object:
-the one form of the regions, which the strength queries,
-:func:`chosen_split` and the Monte Carlo evaluator read.  A ``t_bar`` query
-reads only ``(q, X1, X2)``; the corner rays ``V / v - f`` over ``lcm(v,
-q)`` are built from it for ``t_N`` and :func:`corner_rays` alone.  The table
-and the corner rays read the body only through its integer vertices, ``(v,
-V)`` with ``V`` the vertices times ``v``, their common denominator, which
-the body builds once: each band bound is a vertex projected on the band's
-normal.
+Both run in the body's integer frame: each strength reads f once, as ``(X1,
+X2) / q``, by the body's interior test on its integer facets, which checks
+it, and matches it against the body's integer region table, kept between
+queries on the same body object: the one form of the regions, which the
+strength queries, :func:`chosen_split` and the Monte Carlo evaluator read.
+A ``t_bar`` query reads only ``(q, X1, X2)``; the corner rays ``V / v - f``
+over ``lcm(v, q)`` are built from it for ``t_N`` and :func:`corner_rays`
+alone.  The table and the corner rays read the body only through its
+integer vertices, ``(v, V)`` with ``V`` the vertices times ``v``, their
+common denominator, which the body builds once: each band bound is a
+vertex projected on the band's normal.
 ``t_N`` starts the packing kernel with the splits of max-norm 1 and, at
 each optimum, walks the normals of the splits that can still cut, a convex
 set, column by column, building each row only when the kernel prices it
@@ -48,8 +48,12 @@ from .geometry import (
     Type1Body,
     Type2Body,
     Type3Body,
+    _check_point,
+    _check_points,
+    _check_type,
     _frac,
     _is_int,
+    _listed,
     _primitive,
     over_common_denominator,
     primitive_directions,
@@ -92,25 +96,6 @@ class StrengthReport:
     n: Optional[int] = None
 
 
-def _check_type(name: str, value, cls: type) -> None:
-    """A TypeError naming the argument unless ``value`` is a ``cls``: called
-    where an attribute read of the arguments has failed."""
-    if not isinstance(value, cls):
-        raise TypeError(f"{name} must be a {cls.__name__}, got {value!r}")
-
-
-def _check_point(name: str, f) -> None:
-    """An error naming the argument unless ``f`` is a ``Rational2`` of ints
-    and Fractions; a float coordinate gets the rational reader's ValueError,
-    as from :func:`point`, rather than be read as its binary value."""
-    _check_type(name, f, Rational2)
-    for c in (f.x1, f.x2):
-        if isinstance(c, float):
-            _frac(c)
-        if not (_is_int(c) or isinstance(c, Fraction)):
-            raise TypeError(f"{name} must have int or Fraction coordinates (build it with point), got {f!r}")
-
-
 def _scaled(f: Rational2, rays: Sequence[Rational2]):
     """The common denominator ``D`` of ``f`` and the rays, with ``D f`` and
     each ``D r`` as integer pairs."""
@@ -141,13 +126,7 @@ def _split_row(n1: int, n2: int, rem: int, d: int, big_rays) -> tuple[int, list[
 def split_coefficients(normal: Sequence[int], f: Rational2, rays: Sequence[Rational2]) -> SplitCut:
     """Coefficients of the split ``{floor(n.f) <= n.x <= ceil(n.f)}`` at each ray."""
     n1, n2 = _primitive(normal, "normal")
-    try:
-        d, big_f, big_rays = _scaled(f, rays)
-    except AttributeError:
-        _check_point("f", f)
-        for i, r in enumerate(rays):
-            _check_point(f"rays[{i}]", r)
-        raise
+    d, big_f, big_rays = _scaled(_check_point("f", f), _check_points("rays", rays))
     offset, rem = divmod(n1 * big_f[0] + n2 * big_f[1], d)
     if rem == 0:
         raise ValueError(f"normal . f = {offset} is integral: f is not interior to the split")
@@ -174,9 +153,10 @@ def covering_lp_min(rows: Sequence[Sequence[Fraction]], k: int):
         raise ValueError(f"k must be an int from 1 to 4, got {k!r}")
     if k > 4:
         raise ValueError("only up to 4 variables are supported")
+    rows = _listed("rows", rows)
     if not rows:
         raise ValueError("need at least one row")
-    mat = [tuple(map(_frac, row)) for row in rows]
+    mat = [tuple(map(_frac, _listed(f"rows[{i}]", row))) for i, row in enumerate(rows)]
     for row in mat:
         if len(row) != k:
             raise ValueError(f"row length {len(row)} != k = {k}")
@@ -345,7 +325,8 @@ _TYPE1_TABLE = [
 ]
 
 
-_last_table: tuple = (None, None)
+_NO_BODY = object()  # no argument is this object, so the first call builds a table
+_last_table: tuple = (_NO_BODY, None)
 
 
 def _table(body: LatticeFreeBody):
@@ -383,31 +364,18 @@ def _table(body: LatticeFreeBody):
 # ---------------------------------------------------------------------------
 # the integer frame
 
-_last_point: tuple = (None, None, None)
-
-
 def _point(body: LatticeFreeBody, f: Rational2, split_error: str):
-    """``(q, X1, X2)``: ``f = (X1, X2) / q`` found strictly inside the body by
-    its interior test (``v (n . X) < c q`` at each integer facet).  Kept, as
-    one tuple read and replaced whole, for the next call on the same body and
-    point objects, so a report scales f once."""
-    global _last_point
-    last_body, last_f, scaled = _last_point
-    if last_body is body and last_f is f:
-        return scaled
+    """``(q, X1, X2)``: ``f = (X1, X2) / q``, checked and found strictly inside
+    the body by its interior test; the body is checked where that cannot run."""
     if isinstance(body, SplitBody):
         raise ValueError(split_error)
     try:
         scaled = body._interior(f)
     except (AttributeError, TypeError):
         _check_type("body", body, LatticeFreeBody)
-        _check_point("f", f)
         raise
-    if type(f.x1) is not Fraction or type(f.x2) is not Fraction:
-        _check_point("f", f)
     if scaled is None:
         raise ValueError(f"root vertex {f} is not strictly interior to {body!r}")
-    _last_point = body, f, scaled
     return scaled
 
 
@@ -458,13 +426,9 @@ def region_of(body: LatticeFreeBody, f: Rational2) -> RegionId:
 
 def chosen_split(body: LatticeFreeBody, region: RegionId) -> tuple[int, int]:
     """Normal of the single split used in the given region of the body's family."""
-    try:
-        family, tag = region.family, body.tag
-    except AttributeError:
-        _check_type("region", region, RegionId)
-        _check_type("body", body, LatticeFreeBody)
-        raise
-    if family != tag:
+    _check_type("region", region, RegionId)
+    _check_type("body", body, LatticeFreeBody)
+    if region.family != body.tag:
         raise ValueError(f"region {region} is a {region.family} region, not one of {body!r}")
     regions = _table(body)
     split = regions[region.index - 1][1] if 1 <= region.index <= len(regions) else None
@@ -508,11 +472,7 @@ def admissible_normals(f: Rational2, n: int) -> list[tuple[int, int]]:
     """Primitive normals with max-norm <= n whose split contains ``f`` strictly,
     deduplicated over +-, in max-norm order."""
     _check_radius(n)
-    try:
-        d, big_f, _ = _scaled(f, ())
-    except AttributeError:
-        _check_point("f", f)
-        raise
+    d, big_f, _ = _scaled(_check_point("f", f), ())
     return [(n1, n2) for n1, n2, _ in _admissible(n, d, big_f)]
 
 
@@ -597,10 +557,9 @@ def strength_split_closure_approx(body: LatticeFreeBody, f: Rational2, n: int) -
 
 
 def strength_report(body: LatticeFreeBody, f: Rational2, n: int = 5) -> StrengthReport:
-    """Full report: region, chosen split, single-split t_bar, and t_N.  Both
-    strengths read the one ``(q, X1, X2)`` of ``f`` that :func:`_point`
-    keeps, so f is scaled once; ``t_bar`` reads nothing else, and ``t_N``
-    builds the corner rays from it."""
+    """Full report: region, chosen split, single-split t_bar, and t_N.  Each
+    strength reads ``f`` once, as ``(q, X1, X2)`` from :func:`_point`;
+    ``t_bar`` reads nothing else, and ``t_N`` builds the corner rays from it."""
     single = strength_single_split(body, f)
     t_n = strength_split_closure_approx(body, f, n)
     return StrengthReport(single.region, single.chosen_split_normal, single.t_bar, t_n, n)

@@ -120,6 +120,39 @@ def point(x1: Rat, x2: Rat) -> Rational2:
     return Rational2(_frac(x1), _frac(x2))
 
 
+def _check_type(name: str, value, cls: type) -> None:
+    """A TypeError naming the argument unless ``value`` is a ``cls``."""
+    if not isinstance(value, cls):
+        raise TypeError(f"{name} must be a {cls.__name__}, got {value!r}")
+
+
+def _check_point(name: str, f) -> Rational2:
+    """``f``, checked: the one check of a caller's point.  A TypeError names
+    the argument unless ``f`` is a ``Rational2`` of ints and Fractions, but a
+    float coordinate gets the ValueError of :func:`point`, not its binary value."""
+    _check_type(name, f, Rational2)
+    for c in (f.x1, f.x2):
+        if isinstance(c, float):
+            _frac(c)
+        if not (_is_int(c) or isinstance(c, Fraction)):
+            raise TypeError(f"{name} must have int or Fraction coordinates (build it with point), got {f!r}")
+    return f
+
+
+def _listed(name: str, values) -> list:
+    """The iterable ``values`` as a list, or a TypeError naming the argument."""
+    try:
+        items = iter(values)
+    except TypeError:
+        raise TypeError(f"{name} must be iterable, got {values!r}") from None
+    return list(items)
+
+
+def _check_points(name: str, pts) -> list[Rational2]:
+    """The vertex cycle or rays ``pts`` as a list, each checked as ``name[i]``."""
+    return [_check_point(f"{name}[{i}]", p) for i, p in enumerate(_listed(name, pts))]
+
+
 def over_common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     """The least common denominator ``d`` of the values, and each value times ``d``."""
     d = lcm(*(v.denominator for v in values))
@@ -158,6 +191,7 @@ def _read_polygon(pts: Sequence[Rational2]) -> tuple[int, tuple[tuple[int, int],
     """``(v, P)``: the vertex cycle ``pts`` times the least common denominator
     ``v`` of its coordinates, once it is checked to bound a strictly convex
     polygon of positive area (every turn goes the same way, winding once)."""
+    pts = _check_points("obj", pts)
     v, P = _integer_points(*((c.numerator, c.denominator) for p in pts for c in (p.x1, p.x2)))
     if len(P) < 3 or _doubled_area(P) == 0:
         raise ValueError("degenerate input: need a polygon with positive area")
@@ -385,6 +419,8 @@ class LatticeFreeBody:
         """``(q, X1, X2)``, ``f = (X1, X2) / q`` over its least common
         denominator, if ``f`` lies strictly inside the body, ``v (n . X) < c q``
         at each integer facet; else None."""
+        if not (type(f) is Rational2 and type(f.x1) is Fraction and type(f.x2) is Fraction):
+            _check_point("f", f)
         v, facets = self._facets
         (p1, q1), (p2, q2) = f.x1.as_integer_ratio(), f.x2.as_integer_ratio()
         q = lcm(q1, q2)

@@ -30,6 +30,7 @@ and the bodies are reached as ``geometry.QuadBody`` and
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
@@ -87,10 +88,8 @@ def _clip(ends, S, least=None, most=None):
 
 
 def _range(ranges, key, default):
-    if ranges and key in ranges:
-        lo, hi = ranges[key]
-        return _frac(lo), _frac(hi)
-    return default
+    """The checked ``(lo, hi)`` pair of ``ranges[key]`` read as Fractions, or ``default``."""
+    return tuple(map(_frac, ranges[key])) if ranges and key in ranges else default
 
 
 def sweep_grid(
@@ -108,11 +107,15 @@ def sweep_grid(
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
-    for key in ranges or ():
+    if ranges is not None and not isinstance(ranges, Mapping):
+        raise TypeError(f"ranges must be a mapping of parameter names to (lo, hi) pairs, got {ranges!r}")
+    for key, pair in (ranges or {}).items():
         if key not in PARAMS[family]:
             raise ValueError(
                 f"unknown range parameter {key!r} for family {family}, expected one of {PARAMS[family]}"
             )
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
+            raise ValueError(f"range {key!r} must be a (lo, hi) pair, got {pair!r}")
     z = check_threshold(z)
     step = _frac(step)
     if step <= 0:

@@ -757,6 +757,27 @@ class TestWholeDomain:
                     found.append(f"{path.name}:{node.lineno}")
         assert found == []
 
+    def test_no_unused_import(self):
+        # every name a module imports is used in it; the re-exports of
+        # __init__, __future__ and imports marked "noqa: F401" are exempt
+        unused = []
+        for path in sorted(Path(cutstrength.__file__).parent.glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            text = path.read_text(encoding="utf-8")
+            lines, tree = text.splitlines(), ast.parse(text)
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            for node in ast.walk(tree):
+                if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+                    continue
+                if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                    continue
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+        assert unused == []
+
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_only_validation_errors(self, data):

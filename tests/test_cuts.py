@@ -1,5 +1,7 @@
 import gc
+import os
 import random
+import subprocess
 from dataclasses import replace
 import sys
 import weakref
@@ -7,6 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 from math import ceil, floor, inf, lcm
 from operator import le
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from cutstrength import (
     chosen_split,
     corner_rays,
     covering_lp_min,
+    monte_carlo_lower,
     point,
     region_of,
     split_coefficients,
@@ -906,16 +910,16 @@ class TestIntegerFrame:
 
 BODY, INSIDE = Type2Body(F(1, 2), F(3, 2)), point(F(1, 2), F(1, 3))
 
-# (function, arguments, error type, start of the message or None for the
-# interpreter's own TypeError); at least one row per public function of cuts
+# (function, arguments, error type, start of the message); at least one row
+# per public function of cuts
 WRONG_ARGUMENTS = [
     (split_coefficients, ((0, 1), "x", []), TypeError, "f must be a Rational2, got 'x'"),
     (split_coefficients, ((0, 1), (F(1, 2), F(1, 3)), []), TypeError, "f must be a Rational2"),
     (split_coefficients, ((0, 1), INSIDE, [point(1, 0), (1, 0)]), TypeError, "rays[1] must be a Rational2"),
-    (split_coefficients, ((0, 1), INSIDE, None), TypeError, None),
+    (split_coefficients, ((0, 1), INSIDE, None), TypeError, "rays must be iterable, got None"),
     (split_coefficients, ("x", INSIDE, []), ValueError, "normal must be an integer pair"),
-    (covering_lp_min, (5, 1), TypeError, None),
-    (covering_lp_min, ([None], 1), TypeError, None),
+    (covering_lp_min, (5, 1), TypeError, "rows must be iterable, got 5"),
+    (covering_lp_min, ([None], 1), TypeError, "rows[0] must be iterable, got None"),
     (covering_lp_min, ([[F(1)]], "1"), ValueError, "k must be an int"),
     (region_of, (None, INSIDE), TypeError, "body must be a LatticeFreeBody, got None"),
     (region_of, (Type2Body, INSIDE), TypeError, "body must be a LatticeFreeBody"),
@@ -933,6 +937,8 @@ WRONG_ARGUMENTS = [
     (strength_report, (BODY, INSIDE, "2"), ValueError, "n must be an int"),
     (corner_rays, (object(), INSIDE), TypeError, "body must be a LatticeFreeBody"),
     (corner_rays, (BODY, 0), TypeError, "f must be a Rational2, got 0"),
+    (covering_lp_min, ([1], 1), TypeError, "rows[0] must be iterable, got 1"),
+    (chosen_split, (Type2Body, RegionId("type2", 1)), TypeError, "body must be a LatticeFreeBody"),
 ]
 
 
@@ -940,7 +946,7 @@ class TestArgumentTypes:
     @pytest.mark.parametrize("call, args, error, message", WRONG_ARGUMENTS)
     def test_wrong_type_names_the_argument(self, call, args, error, message):
         got = outcome(call, *args)
-        assert got[0] is error and (message is None or got[1].startswith(message)), got
+        assert got[0] is error and got[1].startswith(message), got
 
     def test_every_public_function_is_covered(self):
         public = {name for name in vars(cuts) if not name.startswith("_") and callable(getattr(cuts, name))
@@ -968,6 +974,67 @@ class TestArgumentTypes:
         assert outcome(split_coefficients, (0, 1), INSIDE, [geometry.Rational2(1, 0.5)]) == want
         mixed = geometry.Rational2(F(1, 2), 1)
         assert strength_report(BODY, mixed, 2) == strength_report(BODY, point(F(1, 2), 1), 2)
+
+
+BOOL_POINT = geometry.Rational2(True, F(1, 3))
+TYPE1 = [point(0, 0), point(2, 0), point(0, 2)]
+
+# (call, arguments, error type, message): a caller's point that the package
+# once read as something else, or that leaked an interpreter error; each now
+# gets the one point check in geometry.  split_coefficients with rays None
+# is a row of WRONG_ARGUMENTS, and region_of(None, None) in a new process is
+# test_fresh_process
+POINT_DEFECTS = [
+    (BODY.contains_interior, (geometry.Rational2(0.5, 0.25),), ValueError,
+     "expected 'p/q' string or integer, got 0.5"),
+    (BODY.contains_interior, ((F(1, 2), F(1, 3)),), TypeError, "f must be a Rational2, got (Fraction(1, 2)"),
+    (BODY.contains_interior, (BOOL_POINT,), TypeError, "f must have int or Fraction coordinates"),
+    (admissible_normals, (BOOL_POINT, 2), TypeError, "f must have int or Fraction coordinates"),
+    (split_coefficients, ((0, 1), BOOL_POINT, []), TypeError, "f must have int or Fraction coordinates"),
+    (split_coefficients, ((0, 1), INSIDE, [geometry.Rational2(1, False)]), TypeError,
+     "rays[0] must have int or Fraction coordinates"),
+    (geometry.classify, ([geometry.Rational2(0, False), *TYPE1[1:]],), TypeError,
+     "obj[0] must have int or Fraction coordinates"),
+    (geometry.classify, ([*TYPE1[:2], (0, 2)],), TypeError, "obj[2] must be a Rational2, got (0, 2)"),
+    (geometry.canonicalize, ([*TYPE1[:2], (0, 2)],), TypeError, "obj[2] must be a Rational2, got (0, 2)"),
+    (geometry.classify, (None,), TypeError, "obj must be iterable, got None"),
+]
+
+
+class TestPointCheck:
+    @pytest.mark.parametrize("call, args, error, message", POINT_DEFECTS)
+    def test_defect_gets_the_package_error(self, call, args, error, message):
+        got = outcome(call, *args)
+        assert got[0] is error and got[1].startswith(message), got
+
+    def test_checkers_live_in_geometry(self):
+        assert not hasattr(cuts, "_last_point")
+        assert cuts._check_point is geometry._check_point and cuts._check_type is geometry._check_type
+
+    def test_every_iterable_is_still_read(self):
+        rays = [point(1, 0), point(F(-1, 2), 1)]
+        want = split_coefficients((0, 1), INSIDE, rays)
+        for form in (tuple, iter, lambda pts: (p for p in pts)):
+            assert split_coefficients((0, 1), INSIDE, form(rays)) == want
+            assert geometry.classify(form(TYPE1)) is geometry.BodyClass.TYPE1_TRIANGLE
+            assert geometry.canonicalize(form(TYPE1))[0] == Type1Body()
+
+    def test_fresh_process(self):
+        # no kept state stands for an argument: a first call in a new
+        # process raises what the same call raises after other queries
+        code = (
+            "from cutstrength import monte_carlo_lower, region_of\n"
+            "for call, args in ((region_of, (None, None)), (monte_carlo_lower, (None, 2, 10))):\n"
+            "    try:\n        call(*args)\n    except Exception as exc:\n        print(type(exc).__name__, exc)\n"
+        )
+        src = str(Path(cuts.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        fresh = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        region_of(BODY, INSIDE)
+        after = [outcome(region_of, None, None), outcome(monte_carlo_lower, None, 2, 10)]
+        assert fresh.stdout.splitlines() == [f"{error.__name__} {message}" for error, message in after]
+        assert after == [(TypeError, "body must be a LatticeFreeBody, got None"),
+                         (ValueError, "no region decomposition for None")]
 
 
 class TestTableReuse:
@@ -1024,9 +1091,8 @@ class TestTableReuse:
             monkeypatch.undo()
 
     def test_report_builds_one_frame(self, monkeypatch):
-        # t_bar and t_N share the frame of f; f is scaled once, by the
-        # body's interior test in geometry, and nothing scales it over a
-        # common denominator again
+        # each strength reads f once, by the body's interior test in
+        # geometry, and nothing scales it over a common denominator again
         for body in (Type1Body(), QuadBody(F(2, 5), F(3, 2), F(3, 5), F(-3, 10))):
             region_of(body, point(F(1, 2), F(1, 4)))  # builds the region table
             f = point(F(1, 2), F(1, 3))
@@ -1038,7 +1104,7 @@ class TestTableReuse:
                 monkeypatch.setattr(module, "over_common_denominator", record)
             rep = strength_report(body, f, 3)
             monkeypatch.undo()
-            assert scaled == [f] and calls == []
+            assert scaled == [f, f] and calls == []
             assert (rep.t_bar, rep.t_n) == (single_split_oracle(body, f)[2], closure_oracle(body, f, 3))
 
     def test_report_needs_no_fraction_view(self):
@@ -1054,6 +1120,15 @@ class TestTableReuse:
             index, split, t_bar = single_split_oracle(body, f)
             assert (rep.region.index, rep.chosen_split_normal, rep.t_bar) == (index, split, t_bar)
             assert rep.t_n == closure_oracle(body, f, 3)
+
+    def test_first_table_is_built(self, monkeypatch):
+        # the kept table starts on a sentinel that no argument can be, so
+        # the first call checks its body even when that body is None
+        monkeypatch.setattr(cuts, "_last_table", (cuts._NO_BODY, None))
+        assert outcome(monte_carlo_lower, None, 2, 10) == (ValueError, "no region decomposition for None")
+        assert cuts._last_table == (cuts._NO_BODY, None)
+        region_of(BODY, INSIDE)
+        assert cuts._last_table[0] is BODY
 
     def test_keeps_one_body(self):
         body = Type2Body(F(1, 3), F(5, 2))

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 from contextlib import redirect_stdout
 from fractions import Fraction as F
 from math import ceil, floor, isqrt
@@ -267,6 +268,19 @@ class TestSweepValidation:
     def test_unknown_range_parameter(self, family, key):
         with pytest.raises(ValueError, match=f"'{key}'.*{family}"):
             sweep_grid(family, F(2), ranges={key: (F(1, 2), F(1, 2))})
+
+    @pytest.mark.parametrize(
+        "ranges, error, message",
+        [
+            ({"a1": "x"}, ValueError, "range 'a1' must be a (lo, hi) pair, got 'x'"),
+            ({"a1": ("1/2",)}, ValueError, "range 'a1' must be a (lo, hi) pair, got ('1/2',)"),
+            ({"a1": None}, ValueError, "range 'a1' must be a (lo, hi) pair, got None"),
+            (["a1"], TypeError, "ranges must be a mapping of parameter names to (lo, hi) pairs, got ['a1']"),
+        ],
+    )
+    def test_malformed_ranges(self, ranges, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            sweep_grid("quad", F(2), ranges=ranges)
 
     def test_zero_mc_samples_rejected(self):
         with pytest.raises(ValueError, match="samples"):
