@@ -39,7 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .geometry import QuadBody, Rat, Type1Body, Type2Body, Type3Body, _frac, lattice_width
+from .geometry import LatticeFreeBody, QuadBody, Rat, Type1Body, Type2Body, Type3Body, _check_type, _frac, lattice_width
 
 Pair = tuple[int, int]
 Step = tuple[Pair, int, Pair, Pair]
@@ -304,4 +304,5 @@ def piecewise_bound_for(body) -> PiecewiseBound:
         return quad_bound(body)
     if isinstance(body, Type3Body):
         return t3_bound(body)
+    _check_type("body", body, LatticeFreeBody)
     raise ValueError(f"no probability bound for {body!r}")

@@ -9,20 +9,17 @@ reciprocal of a small covering LP over the corner rays (scaled to gauge 1):
   approximation ``t_N`` (an upper bound on the true closure strength, and
   nonincreasing in N).
 
-For every non-split body the region table gives ``t_bar`` in closed form,
-and ``strength_single_split`` returns it.
-
+For every non-split body the region table gives ``t_bar`` in closed form.
 Both run in the body's integer frame: each strength reads f once, as ``(X1,
 X2) / q``, by the body's interior test on its integer facets, which checks
-it, and matches it against the body's integer region table, kept between
-queries on the same body object: the one form of the regions, which the
-strength queries, :func:`chosen_split` and the Monte Carlo evaluator read.
-A ``t_bar`` query reads only ``(q, X1, X2)``; the corner rays ``V / v - f``
-over ``lcm(v, q)`` are built from it for ``t_N`` and :func:`corner_rays`
-alone.  The table and the corner rays read the body only through its
-integer vertices, ``(v, V)`` with ``V`` the vertices times ``v``, their
-common denominator, which the body builds once: each band bound is a
-vertex projected on the band's normal.
+it.  ``strength_single_split`` matches that point against the body's region
+table, kept between queries on the same body object (the one form of the
+regions; :func:`chosen_split` and the Monte Carlo evaluator read it too), and
+builds one ``Fraction`` and one :class:`StrengthReport`, a ``NamedTuple``;
+the corner rays ``V / v - f`` over ``lcm(v, q)`` are built for ``t_N`` and
+:func:`corner_rays` alone.  The table and the rays read the body only through
+its integer vertices ``(v, V)``, ``V`` the vertices times their common
+denominator ``v``: each band bound is a vertex projected on the band's normal.
 ``t_N`` starts the packing kernel with the splits of max-norm 1 and, at
 each optimum, walks the normals of the splits that can still cut, a convex
 set, column by column, building each row only when the kernel prices it
@@ -35,10 +32,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import partial
 from math import gcd, inf, lcm
 from operator import le, mul
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .geometry import (
     LatticeFreeBody,
@@ -81,19 +78,22 @@ class RegionId:
         return f"R{self.index}"
 
 
-@cache
-def _region_id(family: str, index: int) -> RegionId:
-    """The one shared ``RegionId(family, index)``; one per row of a family's table."""
-    return RegionId(family, index)
+# _REGION_IDS[body.tag][i]: the one shared RegionId of row i + 1 of the family's region table
+_REGION_IDS = {tag: tuple(RegionId(tag, k) for k in range(1, rows + 1))
+               for tag, rows in (("type1", 4), ("type2", 6), ("quad", 4), ("type3", 6))}
 
 
-@dataclass(frozen=True)
-class StrengthReport:
+class StrengthReport(NamedTuple):
+    """A strength query's answer as a tuple; ``t_n`` and ``n`` only in a full report."""
+
     region: RegionId
     chosen_split_normal: Optional[tuple[int, int]]
     t_bar: Fraction
     t_n: Optional[Fraction] = None
     n: Optional[int] = None
+
+
+_t_bar_report = partial(tuple.__new__, StrengthReport)  # the same tuple, without __new__'s Python call
 
 
 def _scaled(f: Rational2, rays: Sequence[Rational2]):
@@ -339,6 +339,7 @@ def _table(body: LatticeFreeBody):
     if last is body:
         return regions
     if not isinstance(body, (Type1Body, Type2Body, QuadBody, Type3Body)):
+        _check_type("body", body, LatticeFreeBody)
         raise ValueError(f"no region decomposition for {body!r}")
     v, V = body._integer_vertices
     if isinstance(body, Type1Body):
@@ -397,14 +398,16 @@ def corner_rays(body: LatticeFreeBody, f: Rational2) -> tuple[Rational2, ...]:
 
 
 def _locate(body: LatticeFreeBody, f: Rational2):
-    """``(index, entry, (q, X1, X2))``: the first row of :func:`_table` that
-    ``f`` matches, with ``split . X mod q != 0`` as the strict test, and the
-    point of :func:`_point`, the only part of the frame a ``t_bar`` query
-    reads.  A piece is dropped at its first band that fails."""
+    """``(i, entry, (q, X1, X2))``: the first row of :func:`_table` that ``f``
+    matches, ``i`` counted from 0, with ``split . X mod q != 0`` as the strict
+    test, and the point of :func:`_point`, the only part of the frame a
+    ``t_bar`` query reads.  A piece is dropped at its first band that fails."""
     scaled = _point(body, f, "splits have no region decomposition")
     q, x1, x2 = scaled
-    for i, entry in enumerate(_table(body), start=1):
-        pieces, split = entry[:2]
+    i = -1
+    for entry in _table(body):
+        i += 1
+        pieces, split, _, _ = entry
         if split is not None and not (split[0] * x1 + split[1] * x2) % q:
             continue
         for piece in pieces:
@@ -420,8 +423,8 @@ def _locate(body: LatticeFreeBody, f: Rational2):
 def region_of(body: LatticeFreeBody, f: Rational2) -> RegionId:
     """The first region of the body's table that ``f`` matches: a boundary
     point goes to the smallest-index region whose split holds it strictly."""
-    index = _locate(body, f)[0]  # first: it checks the arguments
-    return _region_id(body.tag, index)
+    i = _locate(body, f)[0]  # first: it checks the arguments
+    return _REGION_IDS[body.tag][i]
 
 
 def chosen_split(body: LatticeFreeBody, region: RegionId) -> tuple[int, int]:
@@ -449,16 +452,16 @@ def strength_single_split(body: LatticeFreeBody, f: Rational2) -> StrengthReport
     paper's bounds, which is not always the best single split at ``f``.
 
     A query is one integer pass over the region table; the report's region
-    is the one shared ``RegionId`` of its family and index, which
-    :func:`region_of` also returns.
+    is the one shared ``RegionId`` of its family and index, made at import,
+    which :func:`region_of` also returns.
 
     For the type 1 triangle the full split closure is generated by the three
     facet normals, so the exact closure strength is reported instead and no
     single split is singled out.
     """
-    index, (_, split, (n1, n2), (a0, a1, b0, b1)), (q, x1, x2) = _locate(body, f)
+    i, (_, split, (n1, n2), (a0, a1, b0, b1)), (q, x1, x2) = _locate(body, f)
     p = n1 * x1 + n2 * x2
-    return StrengthReport(_region_id(body.tag, index), split, Fraction(a0 * q + a1 * p, b0 * q + b1 * p))
+    return _t_bar_report((_REGION_IDS[body.tag][i], split, Fraction(a0 * q + a1 * p, b0 * q + b1 * p), None, None))
 
 
 def _check_radius(n) -> None:
@@ -560,6 +563,4 @@ def strength_report(body: LatticeFreeBody, f: Rational2, n: int = 5) -> Strength
     """Full report: region, chosen split, single-split t_bar, and t_N.  Each
     strength reads ``f`` once, as ``(q, X1, X2)`` from :func:`_point`;
     ``t_bar`` reads nothing else, and ``t_N`` builds the corner rays from it."""
-    single = strength_single_split(body, f)
-    t_n = strength_split_closure_approx(body, f, n)
-    return StrengthReport(single.region, single.chosen_split_normal, single.t_bar, t_n, n)
+    return strength_single_split(body, f)._replace(t_n=strength_split_closure_approx(body, f, n), n=n)

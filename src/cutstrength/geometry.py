@@ -296,6 +296,7 @@ class UnimodularMap:
         return self.m11 * self.m22 - self.m12 * self.m21
 
     def apply(self, p: Rational2) -> Rational2:
+        _check_point("p", p)
         return Rational2(
             self.m11 * p.x1 + self.m12 * p.x2 + self.t1,
             self.m21 * p.x1 + self.m22 * p.x2 + self.t2,
@@ -619,8 +620,7 @@ def area(body: LatticeFreeBody) -> Fraction:
     counter-clockwise vertex cycle ``V / v``, over ``2 v^2``; errors on splits."""
     if isinstance(body, SplitBody):
         raise ValueError("a split is unbounded; its area is not defined")
-    if not isinstance(body, LatticeFreeBody):
-        raise TypeError(f"unsupported body {body!r}")
+    _check_type("body", body, LatticeFreeBody)
     v, V = body._integer_vertices
     return Fraction(_doubled_area([V[i] for i in body._order]), 2 * v * v)
 
@@ -645,6 +645,7 @@ def lattice_width(body: LatticeFreeBody) -> Fraction:
     if isinstance(body, QuadBody):
         D, _, A2, _, B2 = body._frame[:5]
         return Fraction(A2 - B2, D)  # a2 - b2
+    _check_type("body", body, LatticeFreeBody)
     raise TypeError(f"unsupported body {body!r}")
 
 

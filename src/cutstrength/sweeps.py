@@ -16,10 +16,10 @@ Bodies are built from the integers by ``_from_frame_or_reason``, so that a
 rejected tuple costs its checks and no exception; a type 2 body is built
 only when Monte Carlo reads it.  Each row's parameters, and a quad's width ``a2 -
 b2``, come from a table of one Fraction per distinct numerator, so the rows
-of a sweep share one object per grid value.  Quad rows are kept in one list
-per integer width ``A2 - B2``, joined widest first, which is the stable sort
-on ``w`` with no key made per row; t3 and t2 rows are sorted on ``(float(w),
-w)``.
+(each a ``NamedTuple`` :class:`GridRow`) share one object per grid value.
+Quad rows are kept in one list per integer width ``A2 - B2``, joined widest
+first, the stable sort on ``w`` with no key made per row; t3 and t2 rows are
+sorted on ``(float(w), w)``.
 
 The benchmark's tracer (``bench/tracing.py``) wraps this module's names
 ``QuadBody``, ``Type3Body``, ``lattice_width``, ``quad_lower`` and
@@ -31,10 +31,9 @@ and the bodies are reached as ``geometry.QuadBody`` and
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import geometry
 from .bounds import check_threshold, p_t2_lower, quad_lower, t3_lower
@@ -47,8 +46,7 @@ FAMILIES = tuple(PARAMS)
 DEFAULT_STEP = Fraction(1, 50)
 
 
-@dataclass(frozen=True)
-class GridRow:
+class GridRow(NamedTuple):
     params: tuple[Fraction, ...]
     w: Fraction
     z: Fraction
@@ -206,5 +204,4 @@ def sweep_grid(
 
 
 def _row(params, w, z, bound, body, mc_samples, seed) -> GridRow:
-    mc = monte_carlo_lower(body, z, mc_samples, seed) if mc_samples is not None else None
-    return GridRow(tuple(params), w, z, bound, mc)
+    return GridRow(params, w, z, bound, None if mc_samples is None else monte_carlo_lower(body, z, mc_samples, seed))

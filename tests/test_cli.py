@@ -758,10 +758,12 @@ class TestWholeDomain:
         assert found == []
 
     def test_no_unused_import(self):
-        # every name a module imports is used in it; the re-exports of
-        # __init__, __future__ and imports marked "noqa: F401" are exempt
+        # every name a module of the package or of the tests imports is used
+        # in it; the re-exports of __init__, __future__ and imports marked
+        # "noqa: F401" are exempt
         unused = []
-        for path in sorted(Path(cutstrength.__file__).parent.glob("*.py")):
+        modules = [*Path(cutstrength.__file__).parent.glob("*.py"), *Path(__file__).parent.glob("*.py")]
+        for path in sorted(modules):
             if path.name == "__init__.py":
                 continue
             text = path.read_text(encoding="utf-8")

@@ -2,7 +2,6 @@ import gc
 import os
 import random
 import subprocess
-from dataclasses import replace
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -20,15 +19,19 @@ from cutstrength import (
     QuadBody,
     RegionId,
     SplitBody,
+    StrengthReport,
     Type1Body,
     Type2Body,
     Type3Body,
     admissible_normals,
     area,
+    bound_for,
     chosen_split,
     corner_rays,
     covering_lp_min,
+    lattice_width,
     monte_carlo_lower,
+    piecewise_bound_for,
     point,
     region_of,
     split_coefficients,
@@ -337,6 +340,22 @@ class TestRegions:
         assert region_of(t2_body, f) is region_of(Type2Body(F(1, 2), F(3, 2)), g)
         assert region_of(t2_body, f) is strength_single_split(t2_body, f).region
         assert strength_report(t2_body, f, 2).region is region_of(t2_body, f)
+
+    @pytest.mark.parametrize("body", [*PROFILE_BODIES, Type2Body(F(1, 5), F(2))], ids=repr)
+    def test_every_row_has_its_precomputed_id(self, body, monkeypatch):
+        # a copy of the kept table in which only row i matches, for each i:
+        # both queries answer the one RegionId made at import for that row
+        ids, rows = cuts._REGION_IDS[body.tag], cuts._table(body)
+        assert ids == tuple(RegionId(body.tag, k) for k in range(1, len(rows) + 1))
+        f = interior_grid(body, 8)[0]
+        anywhere = (((1, 0, -1, 0, 1, 0),),)  # one piece of one open band
+        for i, (_, _, normal, coefficients) in enumerate(rows):
+            table = [((), *row[1:]) for row in rows]
+            table[i] = anywhere, None, normal, coefficients
+            monkeypatch.setattr(cuts, "_last_table", (body, table))
+            assert region_of(body, f) is ids[i] is strength_single_split(body, f).region
+            assert region_of(body, f) == RegionId(body.tag, i + 1)
+            monkeypatch.undo()
 
     def test_exterior_rejected(self, t2_body):
         with pytest.raises(ValueError):
@@ -750,6 +769,23 @@ class TestPricingOverCuttingSplits:
 
 
 class TestStrengthReport:
+    def test_record_fields(self):
+        assert StrengthReport._fields == ("region", "chosen_split_normal", "t_bar", "t_n", "n")
+        assert StrengthReport._field_defaults == {"t_n": None, "n": None}
+
+    def test_record_is_an_immutable_tuple(self, t2_body):
+        f = point(F(1, 4), F(1, 2))
+        single, full = strength_single_split(t2_body, f), strength_report(t2_body, f, 2)
+        assert type(single) is type(full) is StrengthReport
+        region, split, t_bar, t_n, n = full
+        assert single == (region, split, t_bar, None, None) == StrengthReport(region, split, t_bar)
+        assert full == (region, split, t_bar, t_n, 2) and t_n is not None
+        for name in StrengthReport._fields:
+            with pytest.raises(AttributeError):
+                setattr(single, name, None)
+        assert {single: 1}[StrengthReport(region, split, t_bar)] == 1 and hash(full) == hash(tuple(full))
+        assert single._replace(t_n=t_n, n=2) == full and single.t_n is None
+
     def test_report_bundles_both_values(self, t2_body):
         rep = strength_report(t2_body, point(F(1, 4), F(1, 2)), 2)
         assert rep.t_bar == F(2)
@@ -775,7 +811,7 @@ class TestStrengthReport:
         n = data.draw(st.one_of(st.integers(-1, 7), st.sampled_from((F(5, 2), 2.5, True, False, None))))
 
         def composed():
-            return replace(strength_single_split(body, f), t_n=strength_split_closure_approx(body, f, n), n=n)
+            return strength_single_split(body, f)._replace(t_n=strength_split_closure_approx(body, f, n), n=n)
 
         assert outcome(strength_report, body, f, n) == outcome(composed)
 
@@ -976,6 +1012,30 @@ class TestArgumentTypes:
         assert strength_report(BODY, mixed, 2) == strength_report(BODY, point(F(1, 2), 1), 2)
 
 
+# (function, arguments, its error for a split in place of the body, or None
+# where a split is valid): one row per public function outside cuts that
+# takes a body; the first argument, not a body, gets the one TypeError of cuts
+NOT_BODIES = [
+    (bound_for, (None, 2), (ValueError, "no probability bound for SplitBody")),
+    (piecewise_bound_for, ("type2",), (ValueError, "no probability bound for SplitBody")),
+    (monte_carlo_lower, (Type2Body, 2, 10), (ValueError, "splits have no bounded area to sample")),
+    (area, (object(),), (ValueError, "a split is unbounded; its area is not defined")),
+    (lattice_width, (None,), None),
+]
+
+
+class TestBodyType:
+    @pytest.mark.parametrize("call, args, split_error", NOT_BODIES,
+                             ids=[call.__name__ for call, *_ in NOT_BODIES])
+    def test_non_body_is_a_type_error(self, call, args, split_error):
+        assert outcome(call, *args) == (TypeError, f"body must be a LatticeFreeBody, got {args[0]!r}")
+        got = outcome(call, SplitBody((0, 1), 0), *args[1:])
+        if split_error is None:
+            assert got == 1
+        else:
+            assert got[0] is split_error[0] and got[1].startswith(split_error[1]), got
+
+
 BOOL_POINT = geometry.Rational2(True, F(1, 3))
 TYPE1 = [point(0, 0), point(2, 0), point(0, 2)]
 
@@ -998,6 +1058,9 @@ POINT_DEFECTS = [
     (geometry.classify, ([*TYPE1[:2], (0, 2)],), TypeError, "obj[2] must be a Rational2, got (0, 2)"),
     (geometry.canonicalize, ([*TYPE1[:2], (0, 2)],), TypeError, "obj[2] must be a Rational2, got (0, 2)"),
     (geometry.classify, (None,), TypeError, "obj must be iterable, got None"),
+    (geometry.UnimodularMap(1, 0, 0, 1).apply, ((1, 2),), TypeError, "p must be a Rational2, got (1, 2)"),
+    (geometry.UnimodularMap(1, 0, 0, 1).apply, (geometry.Rational2(0.5, 1),), ValueError,
+     "expected 'p/q' string or integer, got 0.5"),
 ]
 
 
@@ -1033,8 +1096,7 @@ class TestPointCheck:
         region_of(BODY, INSIDE)
         after = [outcome(region_of, None, None), outcome(monte_carlo_lower, None, 2, 10)]
         assert fresh.stdout.splitlines() == [f"{error.__name__} {message}" for error, message in after]
-        assert after == [(TypeError, "body must be a LatticeFreeBody, got None"),
-                         (ValueError, "no region decomposition for None")]
+        assert after == [(TypeError, "body must be a LatticeFreeBody, got None")] * 2
 
 
 class TestTableReuse:
@@ -1125,7 +1187,7 @@ class TestTableReuse:
         # the kept table starts on a sentinel that no argument can be, so
         # the first call checks its body even when that body is None
         monkeypatch.setattr(cuts, "_last_table", (cuts._NO_BODY, None))
-        assert outcome(monte_carlo_lower, None, 2, 10) == (ValueError, "no region decomposition for None")
+        assert outcome(monte_carlo_lower, None, 2, 10) == (TypeError, "body must be a LatticeFreeBody, got None")
         assert cuts._last_table == (cuts._NO_BODY, None)
         region_of(BODY, INSIDE)
         assert cuts._last_table[0] is BODY

@@ -816,7 +816,7 @@ class TestArea:
             area(SplitBody((0, 1), 0))
 
     def test_unknown_body(self):
-        with pytest.raises(TypeError, match="unsupported body"):
+        with pytest.raises(TypeError, match="body must be a LatticeFreeBody, got <object"):
             area(object())
 
 

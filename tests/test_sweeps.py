@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from cutstrength import cli, geometry, p_t2_lower, sweeps
 from cutstrength.descriptors import format_rational
-from cutstrength.sweeps import DEFAULT_STEP, sweep_grid
+from cutstrength.sweeps import DEFAULT_STEP, GridRow, sweep_grid
 
 from conftest import sweep_grid_oracle
 
@@ -297,6 +297,23 @@ class TestSweepValidation:
 
     def test_default_step(self):
         assert DEFAULT_STEP == F(1, 50)
+
+
+class TestGridRow:
+    def test_record_fields(self):
+        assert GridRow._fields == ("params", "w", "z", "bound", "mc")
+        assert GridRow._field_defaults == {"mc": None}
+
+    def test_record_is_an_immutable_tuple(self):
+        row, sampled = sweep_grid("t2", F(2), step=F(1, 4))[0], sweep_grid("t2", F(2), step=F(1, 4), mc_samples=10)[0]
+        assert type(row) is type(sampled) is GridRow
+        params, w, z, bound, mc = row
+        assert row == (params, w, z, bound, None) == GridRow(params, w, z, bound) and mc is None
+        for name in GridRow._fields:
+            with pytest.raises(AttributeError):
+                setattr(row, name, None)
+        assert {row: 1}[GridRow(params, w, z, bound)] == 1 and hash(sampled) == hash(tuple(sampled))
+        assert row._replace(mc=sampled.mc) == sampled and sampled.mc is not None
 
 
 class TestQuadRowOrder:
