@@ -39,7 +39,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .geometry import LatticeFreeBody, QuadBody, Rat, Type1Body, Type2Body, Type3Body, _check_type, _frac, lattice_width
+from .geometry import (
+    LatticeFreeBody, QuadBody, Rat, Type1Body, Type2Body, Type3Body, _check_type, _frac, _listed, lattice_width
+)
 
 Pair = tuple[int, int]
 Step = tuple[Pair, int, Pair, Pair]
@@ -77,7 +79,7 @@ class PiecewiseBound:
 
     def __init__(self, terms: tuple[Term, ...], scale: Pair = (1, 1)):
         self.scale = scale
-        self._parts = [(_ON, None, tuple(terms))]
+        self._parts = [(_ON, None, tuple(_listed("terms", terms)))]
 
     @classmethod
     def _of_parts(cls, parts: list[Part], scale: Pair) -> "PiecewiseBound":
@@ -140,10 +142,6 @@ def t1_bound() -> PiecewiseBound:
     return PiecewiseBound(((4, ((u, 3, u, u), (v, -3, u, u), (v, 4, m, m))),))
 
 
-def p_t1(z: Rat) -> Fraction:
-    return t1_bound()(z)
-
-
 # ---------------------------------------------------------------------------
 # type 2
 
@@ -164,17 +162,6 @@ def t2_bound(w: Rat) -> PiecewiseBound:
     return PiecewiseBound(((P * P, ((u, 1, u, (2 * P - Q, P - Q)), (v, 1, v, (P - Q, Q)))),))
 
 
-def p_t2_lower(z: Rat, w: Rat) -> Fraction:
-    return t2_bound(w)(z)
-
-
-def special_values(w: Rat) -> tuple[Fraction, Fraction]:
-    """(upper bound on 1 - P(2), lower bound on P(3/2)) for a type 2 body of
-    lattice width ``w``, read off :func:`t2_bound`."""
-    bound = t2_bound(w)
-    return 1 - bound(2), bound(Fraction(3, 2))
-
-
 # ---------------------------------------------------------------------------
 # quadrilateral
 
@@ -193,6 +180,8 @@ def quad_bound(body: QuadBody) -> PiecewiseBound:
     1 and 3 of the body turned half a turn about (1/2, 1/2), whose frame is
     ``(D, J, D - B2, G, D - A2, e_d, e_c)``; the turn keeps ``W``, ``V`` and
     the shorthands ``K`` and ``S`` of the terms, and negates ``P``."""
+    if type(body) is not QuadBody:
+        _check_type("body", body, QuadBody)
     D, A1, A2, B1, B2, e_c, e_d = frame = body._frame
     W = A2 - B2 - D  # D (w - 1)
     V = (D - A1) * (D - B1) * e_c + A1 * B1 * e_d  # e_c e_d (v - 1)
@@ -249,6 +238,8 @@ def t3_bound(body: Type3Body) -> PiecewiseBound:
     diagonal x1 + x2; the low-diagonal region 5 is always empty under the
     enforced width ordering, since it would need a1 + a2 <= 1 + b1, which
     forces c2 <= 1."""
+    if type(body) is not Type3Body:
+        _check_type("body", body, Type3Body)
     D, A1, A2, B1 = body._frame[:4]
     R, T = A1 - D, A1 + A2 - D
     F, AJ = A1 * A2 - T * B1, A2 * (D - B1)

@@ -17,9 +17,10 @@ import json
 import re
 import sys
 from contextlib import contextmanager
+from fractions import Fraction
 from functools import cache
 
-from .bounds import bound_for, special_values
+from .bounds import bound_for
 from .descriptors import format_rational, parse_body, parse_json, parse_pair
 from .cuts import strength_report
 from .geometry import SplitBody, _frac, _read_int, classify, lattice_width
@@ -229,13 +230,11 @@ def _run_plotdata(args) -> str:
         raise ValueError(f"need step > 0, got {args.step}")
     if step > 1:
         raise ValueError(f"grid is empty: step {args.step} leaves no width in (1, 2]")
-    lines = ["w,bound"]
-    w = 1 + step
-    while w <= 2:
-        upper_z2, lower_z32 = special_values(w)
-        value = upper_z2 if args.curve == "z2" else lower_z32
-        lines.append(f"{format_rational(w)},{format_rational(value)}")
-        w += step
+    # the type 2 sweep's rows, narrowest first: an upper bound on 1 - P(2),
+    # or a lower bound on P(3/2)
+    z2 = args.curve == "z2"
+    rows = reversed(sweep_grid("t2", 2 if z2 else Fraction(3, 2), step))
+    lines = ["w,bound", *(f"{format_rational(r.w)},{format_rational(1 - r.bound if z2 else r.bound)}" for r in rows)]
     return "\n".join(lines) + "\n"
 
 

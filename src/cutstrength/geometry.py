@@ -332,12 +332,13 @@ class LatticeFreeBody:
     an orientation that the family's sign constraints decide.
 
     The constructor reads the parameters with ``_frac`` and runs
-    ``_check``, and does no vertex work; ``_from_frame`` builds the same
-    body from the integers.  Either way a new body holds only its frame.
-    Both raise a rejection's message as a ValueError;
+    ``_check``, and does no vertex work; ``_from_frame_or_reason`` builds
+    the same body from the integers.  Either way a new body holds only its
+    frame.  The constructor raises a rejection's message as a ValueError;
     ``_from_frame_or_reason`` returns it unwritten, so that a caller that
     drops rejections (a sweep) pays for the checks alone, not for an
-    exception and the Fractions of a message.
+    exception and the Fractions of a message.  The base class itself is
+    no body, and constructing it is a TypeError.
     """
 
     tag: str
@@ -345,6 +346,11 @@ class LatticeFreeBody:
     _integer_vertices: tuple[int, tuple[tuple[int, int], ...]]
     _params: tuple[str, ...] = ()
     _order: tuple[int, ...] = (0, 1, 2)
+
+    def __init__(self):
+        if type(self) is LatticeFreeBody:
+            raise TypeError("LatticeFreeBody is the base of the body families; "
+                            "build a SplitBody, Type1Body, Type2Body, Type3Body or QuadBody")
 
     def _init(self, *params: Rat) -> None:
         D, numerators = over_common_denominator([_frac(p) for p in params])
@@ -354,20 +360,11 @@ class LatticeFreeBody:
         self._frame = frame
 
     @classmethod
-    def _from_frame(cls, *frame: int):
-        """The body with parameters ``numerators / D``, for ``frame = (D,
-        *numerators)`` and ``D > 0``, or the constructor's ValueError."""
-        body = cls._from_frame_or_reason(*frame)
-        if callable(body):
-            raise ValueError(body())
-        return body
-
-    @classmethod
     def _from_frame_or_reason(cls, *frame: int):
-        """The body of :meth:`_from_frame`, or, where the constructor
-        rejects the parameters, the function that writes its message.  (One
-        starred tuple, passed on whole, keeps the call as cheap as a fixed
-        signature.)"""
+        """The body with parameters ``numerators / D``, for ``frame = (D,
+        *numerators)`` and ``D > 0``, or, where the constructor rejects them,
+        the function that writes its message.  (One starred tuple, passed on
+        whole, keeps the call as cheap as a fixed signature.)"""
         g = gcd(*frame)
         if g != 1:
             frame = [n // g for n in frame]

@@ -12,11 +12,12 @@ Each range is first cut, on its grid, to the values where a body can exist
 (type 2: 1 < w <= 2; quad: 0 < a1 < 1, b1 < 1, 1 < a2 < 1 + 2/sqrt(3); type
 3: 0 < a2 < 1, 0 < b1 < 1, then 1 < a1 < 1 + a2_hi (1 - b1_lo) / b1_lo over
 the cut a2 and b1 ranges), so that a wide range costs no more than its cut.
-Bodies are built from the integers by ``_from_frame_or_reason``, so that a
-rejected tuple costs its checks and no exception; a type 2 body is built
-only when Monte Carlo reads it.  Each row's parameters, and a quad's width ``a2 -
-b2``, come from a table of one Fraction per distinct numerator, so the rows
-(each a ``NamedTuple`` :class:`GridRow`) share one object per grid value.
+Quad and type 3 bodies are built from the integers by
+``_from_frame_or_reason``, so that a rejected tuple costs its checks and no
+exception; a type 2 body is built by its constructor, and only when Monte
+Carlo reads it.  Each row's parameters, and a quad's width ``a2 - b2``, come
+from a table of one Fraction per distinct numerator, so the rows (each a
+``NamedTuple`` :class:`GridRow`) share one object per grid value.
 Quad rows are kept in one list per integer width ``A2 - B2``, joined widest
 first, the stable sort on ``w`` with no key made per row; t3 and t2 rows are
 sorted on ``(float(w), w)``.
@@ -26,6 +27,8 @@ The benchmark's tracer (``bench/tracing.py``) wraps this module's names
 ``t3_lower``, so the bounds and the type 3 width are called through them,
 and the bodies are reached as ``geometry.QuadBody`` and
 ``geometry.Type3Body``, which stay classes while those names are wrapped.
+It also wraps ``bounds.t2_bound``, which the type 2 walk calls through the
+module.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from fractions import Fraction
 from math import isqrt, lcm
 from typing import NamedTuple, Optional
 
-from . import geometry
-from .bounds import check_threshold, p_t2_lower, quad_lower, t3_lower
+from . import bounds, geometry
+from .bounds import check_threshold, quad_lower, t3_lower
 from .geometry import QuadBody, Type3Body, _frac, lattice_width  # noqa: F401
 from .montecarlo import McEstimate, monte_carlo_lower
 
@@ -127,8 +130,8 @@ def sweep_grid(
             w = over[W]
             # apex height w realizes lattice width w for any apex abscissa in
             # (0,1); the body is read only by Monte Carlo
-            body = geometry.Type2Body._from_frame(2 * D, D, 2 * W) if mc_samples is not None else None
-            rows.append(_row((w,), w, z, p_t2_lower(z, w), body, mc_samples, seed))
+            body = geometry.Type2Body(Fraction(1, 2), w) if mc_samples is not None else None
+            rows.append(_row((w,), w, z, bounds.t2_bound(w)(z), body, mc_samples, seed))
     elif family == "quad":
         boxes = [
             _range(ranges, "a1", (step, 1 - step)),

@@ -56,6 +56,23 @@ def t3_body():
     return Type3Body(F(3), F(3, 10), F(1, 10))
 
 
+def outcome(call, *args):
+    """The call's result, or its exception's type and text."""
+    try:
+        return call(*args)
+    except Exception as exc:  # compared, never swallowed: the caller asserts on it
+        return type(exc), str(exc)
+
+
+def from_frame(cls, *frame):
+    """The body that ``cls._from_frame_or_reason(*frame)`` builds, or its
+    rejection's message raised as the constructor raises it, a ValueError."""
+    body = cls._from_frame_or_reason(*frame)
+    if callable(body):
+        raise ValueError(body())
+    return body
+
+
 # bodies whose region boundaries and lattice lines the 1/16 grid hits
 BOUNDARY_BODIES = [
     Type1Body(),
@@ -1151,8 +1168,8 @@ def bound_oracle(body, z):
 def t2_region_integrals(a, z) -> tuple[F, F, F]:
     """Aggregated region integrals (R1+R2, R3+R4, R5+R6) for a type 2 body.
 
-    Their sum divided by the body area equals :func:`p_t2_lower` at the body's
-    lattice width, exactly.
+    Their sum divided by the body area equals ``t2_bound(w)(z)`` at the body's
+    lattice width ``w``, exactly.
     """
     if isinstance(a, Type2Body):
         body = a

@@ -14,16 +14,15 @@ from cutstrength import (
     covering_lp_min,
     lattice_width,
     monte_carlo_lower,
-    p_t1,
-    p_t2_lower,
     piecewise_bound_for,
     quad_lower,
     region_of,
-    special_values,
     split_coefficients,
     strength_single_split,
     strength_split_closure_approx,
     chosen_split,
+    t1_bound,
+    t2_bound,
 )
 from cutstrength.sweeps import sweep_grid
 
@@ -42,7 +41,7 @@ def report(number: int, name: str, ok: bool):
 
 def test_criterion_1_type1_probability():
     start = time.monotonic()
-    ok = p_t1(F(3, 2)) == 0 and p_t1(F(7, 4)) == F(1, 3) and p_t1(F(2)) == 1
+    ok = t1_bound()(F(3, 2)) == 0 and t1_bound()(F(7, 4)) == F(1, 3) and t1_bound()(F(2)) == 1
     est = monte_carlo_lower(Type1Body(), F(7, 4), 10**6, seed=0)
     ok = ok and abs(est.estimate - 1 / 3) <= 3 * est.std_error
     ok = ok and (time.monotonic() - start) < 10
@@ -50,7 +49,8 @@ def test_criterion_1_type1_probability():
 
 
 def test_criterion_2_special_values():
-    upper, lower = special_values(F(11, 10))
+    bound = t2_bound(F(11, 10))
+    upper, lower = 1 - bound(2), bound(F(3, 2))
     ok = (upper, lower) == (F(4, 121), F(112, 121))
     ok = ok and upper < F(34, 1000) and lower > F(925, 1000)
     report(2, "flat type 2 special values at w = 11/10", ok)
@@ -60,7 +60,7 @@ def test_criterion_3_z2_identity():
     ok = True
     for i in range(1, 100):
         w = 1 + F(i, 100)
-        ok = ok and 1 - p_t2_lower(F(2), w) == 4 * (w - 1) ** 2 / w**2
+        ok = ok and 1 - t2_bound(w)(F(2)) == 4 * (w - 1) ** 2 / w**2
     report(3, "exact identity 1 - bound(2, w) = 4(w-1)^2/w^2", ok)
 
 
@@ -78,7 +78,7 @@ def test_criterion_4_quad_degenerates_to_t2():
                 w = body.a2 - body.b2
                 for z_i in range(1, 11):
                     z = 1 + F(z_i, 4)
-                    ok = ok and quad_lower(body, z) == p_t2_lower(z, w)
+                    ok = ok and quad_lower(body, z) == t2_bound(w)(z)
                     pairs += 1
     ok = ok and pairs >= 500
     report(4, f"quadrilateral with equal top abscissas matches type 2 ({pairs} pairs)", ok)
@@ -163,7 +163,7 @@ def test_criterion_8_structural_invariants():
         ok = ok and sum(region_area(p) for p in region_polygons(body)) == area(body)
     for i in range(1, 100):
         w = 1 + F(i, 100)
-        ok = ok and p_t2_lower(10**6, w) > 1 - F(1, 10**4)
+        ok = ok and t2_bound(w)(10**6) > 1 - F(1, 10**4)
     report(8, "continuity, monotonicity, range, region partition, limit", ok)
 
 

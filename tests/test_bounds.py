@@ -16,12 +16,10 @@ from cutstrength import (
     area,
     bound_for,
     lattice_width,
-    p_t1,
-    p_t2_lower,
     piecewise_bound_for,
     point,
     quad_lower,
-    special_values,
+    t1_bound,
     t2_bound,
     t3_lower,
 )
@@ -84,33 +82,33 @@ def oracle_lower(body, z):
 
 class TestT1:
     def test_piece_values(self):
-        assert p_t1(F(3, 2)) == 0
-        assert p_t1(F(2)) == 1
-        assert p_t1(F(7, 4)) == F(1, 3)
+        assert t1_bound()(F(3, 2)) == 0
+        assert t1_bound()(F(2)) == 1
+        assert t1_bound()(F(7, 4)) == F(1, 3)
 
     def test_middle_formula(self):
         for z in (F(8, 5), F(9, 5), F(19, 10)):
-            assert p_t1(z) == F(3, 4) * ((2 * z - 3) / (z - 1)) ** 2
+            assert t1_bound()(z) == F(3, 4) * ((2 * z - 3) / (z - 1)) ** 2
 
     def test_continuous_at_lower_breakpoint_only(self):
         eps = F(1, 10**9)
-        assert p_t1(F(3, 2) + eps) - p_t1(F(3, 2)) < F(1, 1000)
+        assert t1_bound()(F(3, 2) + eps) - t1_bound()(F(3, 2)) < F(1, 1000)
         # the probability genuinely jumps to 1 at z = 2 (a positive-area
         # region attains the top strength exactly)
-        assert p_t1(F(2) - eps) < 1 == p_t1(F(2))
+        assert t1_bound()(F(2) - eps) < 1 == t1_bound()(F(2))
 
     def test_rejects_z_at_most_one(self):
         with pytest.raises(ValueError):
-            p_t1(F(1))
+            t1_bound()(F(1))
 
 
 class TestT2:
     def test_special_values_examples(self):
-        assert special_values(F(11, 10)) == (F(4, 121), F(112, 121))
-        assert special_values(F(3, 2)) == (F(4, 9), F(0))
-        assert special_values(F(2)) == (F(1), F(0))
+        # (upper bound on 1 - P(2), lower bound on P(3/2)) at width w
+        for w, values in [(F(11, 10), (F(4, 121), F(112, 121))), (F(3, 2), (F(4, 9), F(0))), (F(2), (F(1), F(0)))]:
+            assert (1 - t2_bound(w)(2), t2_bound(w)(F(3, 2))) == values
         with pytest.raises(ValueError):
-            special_values(F(1))
+            t2_bound(F(1))
 
     def test_special_values_closed_forms(self):
         # 1 - bound(2) = 4 (w - 1)^2 / w^2, and bound(3/2) = (3 - 2w)(4w - 3) / w^2
@@ -120,17 +118,17 @@ class TestT2:
             upper_z2 = 4 * (w - 1) ** 2 / w**2
             lower_z32 = (3 - 2 * w) * (4 * w - 3) / w**2 if w < F(3, 2) else F(0)
             bound = t2_bound(w)
-            assert special_values(w) == (1 - bound(2), bound(F(3, 2))) == (upper_z2, lower_z32)
+            assert (1 - bound(2), bound(F(3, 2))) == (upper_z2, lower_z32)
 
     def test_examples(self):
-        assert p_t2_lower(F(2), F(11, 10)) == F(117, 121)
-        assert p_t2_lower(F(3, 2), F(11, 10)) == F(112, 121)
-        assert p_t2_lower(F(7, 4), F(3, 2)) == F(32, 81)
+        assert t2_bound(F(11, 10))(F(2)) == F(117, 121)
+        assert t2_bound(F(11, 10))(F(3, 2)) == F(112, 121)
+        assert t2_bound(F(3, 2))(F(7, 4)) == F(32, 81)
 
     def test_z2_identity(self):
         for i in range(1, 100):
             w = 1 + F(i, 100)
-            assert 1 - p_t2_lower(F(2), w) == 4 * (w - 1) ** 2 / w**2
+            assert 1 - t2_bound(w)(F(2)) == 4 * (w - 1) ** 2 / w**2
 
     def test_region_integral_examples(self):
         a = point(F(1, 2), F(3, 2))
@@ -143,25 +141,25 @@ class TestT2:
             w = lattice_width(body)
             for z in z_grid(body, 24):
                 parts = t2_region_integrals(point(a1, a2), z)
-                assert sum(parts) / area(body) == p_t2_lower(z, w)
+                assert sum(parts) / area(body) == t2_bound(w)(z)
 
     def test_matches_clipping_oracle(self):
         for a1, a2 in T2_PARAMS:
             body = Type2Body(a1, a2)
             w = lattice_width(body)
             for z in z_grid(body):
-                assert p_t2_lower(z, w) == oracle_lower(body, z)
+                assert t2_bound(w)(z) == oracle_lower(body, z)
 
     def test_normalization_limit(self):
         for i in range(1, 100):
             w = 1 + F(i, 100)
-            assert p_t2_lower(10**6, w) > 1 - F(1, 10**4)
+            assert t2_bound(w)(10**6) > 1 - F(1, 10**4)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            p_t2_lower(F(2), F(5, 2))
+            t2_bound(F(5, 2))(F(2))
         with pytest.raises(ValueError):
-            p_t2_lower(F(1, 2), F(3, 2))
+            t2_bound(F(3, 2))(F(1, 2))
 
 
 class TestQuad:
@@ -181,7 +179,7 @@ class TestQuad:
             w = body.a2 - body.b2
             for _ in range(20):
                 z = 1 + F(rng.randint(2, 400), 100)
-                assert quad_lower(body, z) == p_t2_lower(z, w)
+                assert quad_lower(body, z) == t2_bound(w)(z)
 
     def test_matches_clipping_oracle(self):
         for params in QUAD_PARAMS:

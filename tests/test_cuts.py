@@ -55,6 +55,7 @@ from conftest import (
     gauge,
     interior_grid,
     lattice_line_vertex,
+    outcome,
     quad_params,
     random_interior_point,
     region_area,
@@ -814,14 +815,6 @@ class TestStrengthReport:
             return strength_single_split(body, f)._replace(t_n=strength_split_closure_approx(body, f, n), n=n)
 
         assert outcome(strength_report, body, f, n) == outcome(composed)
-
-
-def outcome(call, *args):
-    """The call's result, or its exception's type and text."""
-    try:
-        return call(*args)
-    except Exception as exc:  # compared, never swallowed: the caller asserts on it
-        return type(exc), str(exc)
 
 
 def single_split(body, f):

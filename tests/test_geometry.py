@@ -45,6 +45,7 @@ from conftest import (
     directional_width,
     dot,
     facets,
+    from_frame,
     gauge,
     interior_oracle,
     is_strictly_convex,
@@ -231,8 +232,8 @@ def derived(body):
 
 
 class TestFromFrame:
-    """``_from_frame(D, *numerators)`` against the constructor on the
-    Fractions ``numerator / D``."""
+    """``_from_frame_or_reason(D, *numerators)`` against the constructor on
+    the Fractions ``numerator / D``."""
 
     @settings(max_examples=400, deadline=None)
     @given(body_frames(), st.data())
@@ -251,13 +252,13 @@ class TestFromFrame:
             built = cls(*(F(n, D) for n in nums))
         except ValueError as exc:
             with pytest.raises(ValueError) as caught:
-                cls._from_frame(D, *nums)
+                from_frame(cls, D, *nums)
             assert str(caught.value) == str(exc)
             return
         # both ways a new body holds only its frame, and the width and the
         # bounds read the frame, so they derive nothing
         assert set(vars(built)) == {"_frame"}
-        framed = cls._from_frame(D, *nums)
+        framed = from_frame(cls, D, *nums)
         assert framed._frame == built._frame
         assert lattice_width(framed) == lattice_width(built)
         assert [bound_for(framed, z) for z in (F(3, 2), F(2), F(7, 2))] == [
@@ -267,7 +268,7 @@ class TestFromFrame:
         assert framed == built and repr(framed) == repr(built)
         assert derived(framed) == derived(built)
         # reading any one name first derives everything alike
-        lazy = cls._from_frame(D, *nums)
+        lazy = from_frame(cls, D, *nums)
         if data is not None:
             getattr(lazy, data.draw(st.sampled_from(DERIVED[cls])))
             assert set(vars(lazy)) == {"_frame", "_integer_vertices", "_vertices"}
@@ -303,7 +304,7 @@ class TestRejectionPath:
         if want is None:
             assert type(got) is cls and got == cls(*params) and set(vars(got)) == {"_frame"}
             return
-        assert callable(got) and got() == want == _message(cls._from_frame, D, *nums)
+        assert callable(got) and got() == want == _message(from_frame, cls, D, *nums)
         # the constructor's message, byte for byte, as the Fraction oracles write it
         oracle = {QuadBody: quad_oracle, Type3Body: t3_oracle}.get(cls)
         if oracle is not None:
@@ -331,7 +332,7 @@ class TestRejectionPath:
     def test_messages_keep_their_bytes(self, cls, D, nums, message):
         # one case per check of each family
         assert cls._from_frame_or_reason(D, *nums)() == message
-        assert _message(cls, *(F(n, D) for n in nums)) == _message(cls._from_frame, D, *nums) == message
+        assert _message(cls, *(F(n, D) for n in nums)) == _message(from_frame, cls, D, *nums) == message
 
 
 class TestIntegerVertices:
@@ -355,7 +356,7 @@ class TestIntegerVertices:
         except ValueError:
             assume(False)
         if nums:
-            bodies.append(cls._from_frame(k * D, *(k * n for n in nums)))  # a frame not reduced
+            bodies.append(from_frame(cls, k * D, *(k * n for n in nums)))  # a frame not reduced
         want = vertex_oracle(cls, params)
         v = lcm(*(c.denominator for p in want for c in (p.x1, p.x2)))
         for body in bodies:
@@ -403,7 +404,7 @@ class TestBodyState:
         same = [cls(*params(body))]
         if isinstance(body, (Type2Body, Type3Body, QuadBody)):
             D, nums = over_common_denominator(params(body))
-            same += [cls(*map(str, params(body))), cls._from_frame(k * D, *(k * n for n in nums))]
+            same += [cls(*map(str, params(body))), from_frame(cls, k * D, *(k * n for n in nums))]
         for twin in same:
             assert twin == body and not twin != body
             assert params(twin) == params(body) and repr(twin) == repr(body)

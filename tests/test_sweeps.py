@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cutstrength import cli, geometry, p_t2_lower, sweeps
+from cutstrength import cli, geometry, sweeps, t2_bound
 from cutstrength.descriptors import format_rational
 from cutstrength.sweeps import DEFAULT_STEP, GridRow, sweep_grid
 
@@ -170,7 +170,7 @@ class TestT2Sweep:
         for row in rows:
             (w,) = row.params
             assert row.w == w
-            assert row.bound == p_t2_lower(F(2), w)
+            assert row.bound == t2_bound(w)(F(2))
 
     def test_sorted_widest_first(self):
         rows = sweep_grid("t2", F(2))
