@@ -18,25 +18,17 @@ masked writes, ``searchsorted``), which the tests keep as an oracle.  A
 chunk is a short run of whole-array operations with no masked writes, so
 the chunks of two threads overlap.
 
-Every chunk runs in a workspace, preallocated buffers that outlive the
-call: each ufunc, ``take`` and ``Generator.random`` writes through ``out=``
-in the operation order of fresh arrays, so each double keeps its bits, and a
-chunk allocates no array and faults no page in.  A buffer is reused once
-what it held is dead: the chunk's uniforms give way to ``x1``, ``x2`` and
-scratch, and the sampler's rows to the evaluator's.  Every workspace holds
-one full chunk of 2^16 samples, seven 8-byte rows and eight 1-byte rows, 4 MB
-of address space of which a chunk touches only the pages it writes, so any
-workspace serves any chunk.  A chunk takes one from a lock-protected stack
-(making one when it is empty) and gives it back when done, so there are
-never more workspaces than chunks running at once, and calls from several
-threads at once stay safe.  A call runs its chunks on ``min(thread_count(),
-chunks, os.cpu_count())`` workers, and the stack keeps that many workspaces
-idle afterwards.
-
-numpy is imported inside the functions that use it, and
-``concurrent.futures`` (which loads ``logging``) inside the multi-worker
-branch, so that importing the package and the exact commands do not pay for
-them.
+Every chunk runs in a workspace, 2 MiB of preallocated buffers that outlive
+the call: each ufunc, ``take`` and ``Generator.random`` writes through
+``out=`` in the operation order of fresh arrays, so each double keeps its
+bits, and a chunk allocates no array.  A buffer is reused once what it held
+is dead.  A call runs ``min(thread_count(), chunks, os.cpu_count())``
+workers, worker 0 on the calling thread and the others on threads of their
+own.  Worker k takes a workspace from a lock-protected stack (or makes one),
+runs chunks k, k + workers, ... in it and gives it back.  The stack keeps
+up to ``os.cpu_count()`` idle, as many as one call can take.  numpy is
+imported inside the functions that use it, so that importing the package and
+the exact commands do not pay for it.
 """
 
 from __future__ import annotations
@@ -54,7 +46,7 @@ from .geometry import LatticeFreeBody, SplitBody, _check_int, _read_int
 if TYPE_CHECKING:
     import numpy as np
 
-_CHUNK = 1 << 16  # fixed so chunk boundaries never depend on thread count
+_CHUNK = 1 << 15  # fixed so chunk boundaries never depend on thread count
 
 
 @dataclass(frozen=True)
@@ -79,15 +71,14 @@ def thread_count() -> int:
 
 
 class _Workspace:
-    """Buffers for one chunk of up to ``_CHUNK`` samples at a time, so any
-    workspace serves any chunk: ``wide``, seven rows of 8-byte items
-    (float64, or intp through a view), and ``narrow``, eight rows of bools
-    (or uint8 through a view).  Wide rows 0-3 are contiguous, so that they
-    can first hold a chunk's uniforms, four to a sample.  The sampler takes
-    all seven wide rows; the evaluator takes two wide rows and one per
-    normal, and five narrow rows and one per split, which fit because the
-    region tables' normals and splits are among (1, 0), (0, 1) and (1, 1).
-    A page is touched only when a row is written.
+    """Buffers for one chunk of up to ``_CHUNK`` samples at a time: ``wide``,
+    seven rows of 8-byte items (float64, or intp through a view), and
+    ``narrow``, eight rows of bools (or uint8 through a view).  Wide rows 0-3
+    are contiguous, so that they can first hold a chunk's uniforms, four to a
+    sample.  The sampler takes all seven wide rows; the evaluator takes two
+    wide rows and one per normal, and five narrow rows and one per split,
+    which fit because the region tables' normals and splits are among
+    (1, 0), (0, 1) and (1, 1).
     """
 
     def __init__(self):
@@ -97,7 +88,7 @@ class _Workspace:
         self.narrow = np.empty((8, _CHUNK), dtype=bool)
 
 
-# the idle workspaces, each taken by one chunk at a time
+# the idle workspaces, each taken by one worker at a time
 _idle: list[_Workspace] = []
 _idle_lock = threading.Lock()
 
@@ -272,6 +263,8 @@ def monte_carlo_lower(
     _check_int("samples", samples)
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
+    if samples > 2**64:
+        raise ValueError(f"need samples <= 2**64, got {samples}")
     _check_int("seed", seed)
     if not 0 <= seed < 2**128:
         raise ValueError(f"need 0 <= seed < 2**128, got seed={seed}")
@@ -286,27 +279,34 @@ def monte_carlo_lower(
     except OverflowError:
         raise ValueError("the body's coordinates are beyond the float range of Monte Carlo sampling") from None
 
-    starts = range(0, samples, _CHUNK)
-    workers = min(thread_count(), len(starts), os.cpu_count() or 1)
+    workers = min(thread_count(), -(-samples // _CHUNK), os.cpu_count() or 1)
+    hits, errors = [0] * workers, []
 
-    def run(start: int) -> int:
-        count = min(_CHUNK, samples - start)
+    def run(k: int) -> None:
         with _idle_lock:
             ws = _idle.pop() if _idle else _Workspace()
-        t_bar = evaluate(*_sample_points(fan, seed, start, count, ws), ws)
-        hits = int(np.count_nonzero(np.less_equal(t_bar, z, out=ws.narrow[0, :count])))
-        # the most recently used stay idle
-        with _idle_lock:
-            _idle.append(ws)
-            del _idle[:-workers]
-        return hits
+        try:
+            for start in range(k * _CHUNK, samples, workers * _CHUNK):
+                count = min(_CHUNK, samples - start)
+                t_bar = evaluate(*_sample_points(fan, seed, start, count, ws), ws)
+                hits[k] += int(np.count_nonzero(np.less_equal(t_bar, z, out=ws.narrow[0, :count])))
+        except Exception as exc:
+            errors.append(exc)
+        finally:
+            with _idle_lock:
+                _idle.append(ws)
+                del _idle[: -(os.cpu_count() or 1)]
 
-    if workers == 1:
-        hits = sum(run(s) for s in starts)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hits = sum(pool.map(run, starts))
-    p = hits / samples
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, workers)]
+    try:
+        for t in threads:
+            t.start()
+        run(0)
+    finally:
+        for t in threads:
+            if t.ident is not None:  # started
+                t.join()
+    if errors:
+        raise errors[0]
+    p = sum(hits) / samples
     return McEstimate(p, sqrt(p * (1.0 - p) / samples), samples, seed)

@@ -558,6 +558,14 @@ class TestExitCodes:
                 ("classify", "--body", '{"vertices":[["0","0"],["2","0"]]}'),
                 "'vertices' must list at least three coordinate pairs",
             ),
+            (
+                ("montecarlo", "--body", T2_DESC, "--z", "2", "--samples", "1" + "0" * 30),
+                f"need samples <= 2**64, got 1{'0' * 30}",
+            ),
+            (
+                ("sweep", "--family", "t2", "--z", "2", "--step", "1/4", "--mc-samples", "1" + "0" * 30),
+                f"need samples <= 2**64, got 1{'0' * 30}",
+            ),
         ],
         ids=[
             "width-vertices",
@@ -571,6 +579,8 @@ class TestExitCodes:
             "type3-width-not-vertical",
             "descriptor-array",
             "two-vertices",
+            "montecarlo-huge-samples",
+            "sweep-huge-mc-samples",
         ],
     )
     def test_validation_error_message(self, capsys, argv, message):

@@ -26,6 +26,7 @@ from cutstrength import (
     point,
     region_of,
     strength_report,
+    strength_single_split,
 )
 from cutstrength.geometry import (
     _edge_lattice,
@@ -39,6 +40,7 @@ from conftest import (
     IDENTITY,
     _rat,
     any_body,
+    box_grid,
     ccw,
     corner_rays_oracle,
     cross,
@@ -1079,6 +1081,30 @@ class TestCanonicalize:
         assert perf_counter() - start < 1
         assert body == source
         assert {umap.apply(v) for v in moved} == set(body.vertices())
+
+    def test_representative_not_normal_form(self):
+        # a shear that fixes x2 = 1 carries Type2Body(1/2, 5/4) exactly onto
+        # Type2Body(3/4, 5/4), and canonicalize returns each as itself: with
+        # a2 < 2 two apexes with 0 < x1 < 1 are lattice-equivalent, so the
+        # canonical body is a representative, not a normal form.  The bound
+        # and t_5 agree between the two, but t_bar does not
+        left, right = Type2Body(F(1, 2), F(5, 4)), Type2Body(F(3, 4), F(5, 4))
+        shear = UnimodularMap(1, 1, 0, 1, -1, 0)
+        assert {shear.apply(v) for v in left.vertices()} == set(right.vertices())
+        for body in (left, right):
+            assert canonicalize(body.polygon()) == (body, IDENTITY)
+        for z in (F(3, 2), 2, F(5, 2), 4):
+            assert bound_for(left, z) == bound_for(right, z)
+        inside = [f for f in box_grid(left, 32) if left.contains_interior(f)]
+        differ = [f for f in inside if strength_single_split(left, f).t_bar
+                  != strength_single_split(right, shear.apply(f)).t_bar]
+        assert (len(inside), len(differ), sum(f.x2 == 1 for f in differ)) == (3081, 135, 31)
+        for f in differ:
+            assert strength_report(left, f, 5).t_n == strength_report(right, shear.apply(f), 5).t_n
+        f = point(F(1, 32), 1)
+        assert shear.apply(f) == f
+        reports = [strength_single_split(body, f) for body in (left, right)]
+        assert [(r.region.index, r.chosen_split_normal, r.t_bar) for r in reports] == [(5, (1, 0), 65), (5, (1, 0), 97)]
 
     def test_map_invariants(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,9 @@
-import concurrent.futures
 import os
 import random
 import subprocess
 import sys
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 from math import sqrt
 from pathlib import Path
@@ -214,15 +212,9 @@ class TestWorkspace:
             assert np.array_equal(got, expected, equal_nan=True)
             assert np.array_equal(np.signbit(got), np.signbit(expected))
 
-    def test_sized_to_the_largest_chunk(self, t2_body, threads_env, monkeypatch):
-        # every workspace holds a full chunk: the one that a 100-sample call
-        # leaves idle serves both chunks of a later (_CHUNK + 1)-sample call,
-        # and no second workspace is made
-        threads_env(1)
-        expected = monte_carlo_lower(t2_body, 2, _CHUNK + 1)
-        montecarlo._idle.clear()
-        monte_carlo_lower(t2_body, 2, 100)
-        (small,) = montecarlo._idle
+    @pytest.fixture
+    def made(self, monkeypatch):
+        # every workspace made from here on
         made = []
 
         class Counted(_Workspace):
@@ -231,43 +223,112 @@ class TestWorkspace:
                 super().__init__()
 
         monkeypatch.setattr(montecarlo, "_Workspace", Counted)
+        return made
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        # every thread started from here on
+        started = []
+
+        class Thread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Thread)
+        return started
+
+    def test_sized_to_the_largest_chunk(self, t2_body, threads_env, made):
+        # every workspace holds a full chunk: the one that a 100-sample call
+        # leaves idle serves both chunks of a later (_CHUNK + 1)-sample call,
+        # and no second workspace is made
+        threads_env(1)
+        expected = monte_carlo_lower(t2_body, 2, _CHUNK + 1)
+        montecarlo._idle.clear()
+        monte_carlo_lower(t2_body, 2, 100)
+        (small,) = montecarlo._idle
+        made.clear()
         assert monte_carlo_lower(t2_body, 2, _CHUNK + 1) == expected
         assert made == [] and montecarlo._idle == [small]
 
-    def test_keeps_one_idle_workspace_per_worker(self, t2_body, threads_env):
-        montecarlo._idle[:] = [_Workspace() for _ in range(5)]
+    def test_keeps_one_idle_workspace_per_worker(self, t2_body, threads_env, monkeypatch):
+        # the stack keeps up to os.cpu_count() idle workspaces, as many as one
+        # call can take, whatever the workers of the call that returns one:
+        # the one it used and the two above it
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        idle = [_Workspace() for _ in range(5)]
+        montecarlo._idle[:] = idle
         threads_env(1)
         monte_carlo_lower(t2_body, 2, 100)
-        assert len(montecarlo._idle) == 1
+        assert montecarlo._idle == idle[2:]
 
     @pytest.mark.parametrize("cpus, workers", [(64, 3), (2, 2), (None, 1)])
-    def test_pool_is_bounded(self, quad_body, threads_env, monkeypatch, cpus, workers):
-        # CUTSTRENGTH_THREADS=64 on a 3-chunk call starts no more workers than
-        # chunks or CPUs, and makes and keeps no more workspaces than workers
+    def test_pool_is_bounded(self, quad_body, threads_env, monkeypatch, made, started, cpus, workers):
+        # CUTSTRENGTH_THREADS=64 on a 3-chunk call runs no more workers than
+        # chunks or CPUs: worker 0 on the calling thread and one started
+        # thread for each other worker; no more workspaces are made than
+        # workers, and every one made is left idle
         threads_env(1)
         expected = monte_carlo_lower(quad_body, F(5, 2), 3 * _CHUNK, seed=7)
-        pools, made = [], []
-
-        class Pool(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers)
-
-        class Counted(_Workspace):
-            def __init__(self):
-                made.append(self)
-                super().__init__()
-
-        # monte_carlo_lower imports the pool from concurrent.futures when it needs one
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
-        monkeypatch.setattr(montecarlo, "_Workspace", Counted)
-        monkeypatch.setattr(montecarlo, "_idle", [])
+        montecarlo._idle.clear()
+        made.clear()
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         threads_env(64)
         assert monte_carlo_lower(quad_body, F(5, 2), 3 * _CHUNK, seed=7) == expected
-        assert pools == ([workers] if workers > 1 else [])
+        assert len(started) == workers - 1
+        assert not any(t.is_alive() for t in started)
         assert 1 <= len(made) <= workers
-        assert len(montecarlo._idle) <= workers
+        assert sorted(map(id, montecarlo._idle)) == sorted(map(id, made))
+
+    def test_no_workspace_remade_across_thread_counts(self, quad_body, threads_env, monkeypatch, made):
+        # a 1-thread call between two 2-thread calls trims no workspace, so
+        # the second 2-thread call makes none
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        sample = montecarlo._sample_points
+        both = threading.Barrier(2)
+
+        def overlapping(*args):
+            # both workers hold their workspaces at once, so the first call makes two
+            both.wait(timeout=30)
+            return sample(*args)
+
+        monkeypatch.setattr(montecarlo, "_sample_points", overlapping)
+        threads_env(2)
+        monte_carlo_lower(quad_body, F(5, 2), 2 * _CHUNK)
+        monkeypatch.setattr(montecarlo, "_sample_points", sample)
+        assert len(montecarlo._idle) == 2
+        threads_env(1)
+        monte_carlo_lower(quad_body, F(5, 2), 2 * _CHUNK)
+        assert len(montecarlo._idle) == 2
+        made.clear()
+        threads_env(2)
+        monte_carlo_lower(quad_body, F(5, 2), 2 * _CHUNK)
+        assert made == [] and len(montecarlo._idle) == 2
+
+    @pytest.mark.parametrize("failing", [2, 3], ids=["calling-thread", "started-thread"])
+    def test_failed_chunk(self, quad_body, threads_env, monkeypatch, made, started, failing):
+        # a chunk that raises, on worker 0 (the calling thread) or worker 1
+        # (a started thread): the call raises that exception once every
+        # worker has ended, and every workspace taken is back on the stack
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        sample = montecarlo._sample_points
+
+        class Failed(Exception):
+            pass
+
+        def failing_chunk(fan, seed, start, count, ws):
+            if start == failing * _CHUNK:
+                raise Failed(start)
+            return sample(fan, seed, start, count, ws)
+
+        monkeypatch.setattr(montecarlo, "_sample_points", failing_chunk)
+        threads_env(2)
+        with pytest.raises(Failed) as raised:
+            monte_carlo_lower(quad_body, F(5, 2), 8 * _CHUNK)
+        assert raised.value.args == (failing * _CHUNK,)
+        assert len(started) == 1 and not started[0].is_alive()
+        assert 1 <= len(made) <= 2
+        assert sorted(map(id, montecarlo._idle)) == sorted(map(id, made))
 
     def test_warm_call_allocates_under_1_mb(self, quad_body, threads_env):
         threads_env(1)
@@ -442,6 +503,30 @@ class TestValidation:
         with pytest.raises(ValueError):
             monte_carlo_lower(t2_body, F(2), 0)
 
+    @pytest.mark.parametrize("samples", [2**64 + 1, 10**30])
+    def test_samples_at_most_2_64(self, t2_body, samples):
+        # every chunk start is below 2**64, Philox's first counter word
+        with pytest.raises(ValueError) as raised:
+            monte_carlo_lower(t2_body, F(2), samples)
+        assert str(raised.value) == f"need samples <= 2**64, got {samples}"
+
+    def test_largest_call_starts_its_chunks(self, t2_body, threads_env, monkeypatch):
+        # 2**64 samples pass the checks and sample from chunk 0; the last
+        # chunk's start is a valid counter
+        starts = []
+
+        def sample(fan, seed, start, count, ws):
+            starts.append((start, count))
+            raise RuntimeError("stop")
+
+        monkeypatch.setattr(montecarlo, "_sample_points", sample)
+        threads_env(1)
+        with pytest.raises(RuntimeError, match="stop"):
+            monte_carlo_lower(t2_body, F(2), 2**64)
+        assert starts == [(0, _CHUNK)]
+        x1, _ = _sample_points(_fan_triangles(t2_body), 0, 2**64 - _CHUNK, _CHUNK, _Workspace())
+        assert len(x1) == _CHUNK
+
     def test_seed_range(self, t2_body):
         for seed in (-1, 2**128):
             with pytest.raises(ValueError, match="seed"):
@@ -505,3 +590,23 @@ class TestLazyNumpy:
         check = f"{code}; import sys; print([name in sys.modules for name in {names!r}])"
         out = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.splitlines()[-1] == "[False, False, False]"
+
+    def test_two_thread_call_loads_no_thread_pool(self):
+        # the workers are plain threads: a fresh interpreter that runs a
+        # 2-thread call starts one thread and never imports concurrent.futures
+        src = str(Path(cutstrength.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+               "CUTSTRENGTH_THREADS": "2"}
+        check = (
+            "import os, sys, threading\n"
+            "os.cpu_count = lambda: 2\n"
+            "started = []\n"
+            "start = threading.Thread.start\n"
+            "threading.Thread.start = lambda self: (started.append(self), start(self))[1]\n"
+            "from cutstrength import Type2Body, monte_carlo_lower\n"
+            "from cutstrength.montecarlo import _CHUNK\n"
+            "monte_carlo_lower(Type2Body('1/2', '3/2'), 2, 2 * _CHUNK)\n"
+            "print(len(started), 'concurrent.futures' in sys.modules)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.splitlines()[-1] == "1 False"
