@@ -22,12 +22,15 @@ about (1/2, 1/2).
 
 A quad or type 3 bound is built selector first: the builder works out only
 each term's first selector, from which the term is 0 below its root, and
-the integers the term is made of; :meth:`PiecewiseBound.__call__` makes a
-term's coefficients the first time a call switches it on, and keeps them.
-A sweep evaluates each bound once, and at z = 2 about half of its terms are
-never switched on.  A call adds each term's switched-on steps as integers
-over the term's ``den``, and since ``m^2`` is common to every step, divides
-by it once, in the ``Fraction`` it returns.
+the integers the term is made of.  Each region's maker computes its
+integers once, and gives either the term's steps or, given a call's
+``(m, q)``, the term's value there: the sum of its switched-on steps' ``k l
+l'``, added up straight from those integers.  :meth:`PiecewiseBound.__call__`
+runs the makers whose first selector is on and keeps nothing, so a sweep,
+which evaluates each bound once, builds no step tuple; ``terms`` makes the
+steps on each read.  A call adds each term's value as an integer over the
+term's ``den``, and since ``m^2`` is common to every step, divides by it
+once, in the ``Fraction`` it returns.
 
 For the type 1 triangle the value is an exact probability, not merely a
 bound; it has a genuine jump at ``z = 2`` because the strength equals 2 on a
@@ -37,7 +40,7 @@ region of positive area.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
 from .geometry import (
     LatticeFreeBody, QuadBody, Rat, Type1Body, Type2Body, Type3Body, _check_type, _frac, _listed, lattice_width
@@ -46,9 +49,9 @@ from .geometry import (
 Pair = tuple[int, int]
 Step = tuple[Pair, int, Pair, Pair]
 Term = tuple[int, tuple[Step, ...]]
-# (sel, make, data): terms whose first step has the selector sel, either
-# make(sel, *data) or, once made (make None), data itself
-Part = tuple[Pair, Optional[Callable[..., tuple[Term, ...]]], tuple]
+# (sel, make, data): the terms make(sel, *data), whose first steps have the
+# selector sel, or their (den, value) pairs at (m, q), make(sel, *data, m, q)
+Part = tuple[Pair, Callable, tuple]
 
 _ON = (1, 0)  # the form m, positive at every z > 1
 
@@ -71,25 +74,26 @@ class PiecewiseBound:
     once ``a m + b q >= 0``, which with ``a > 0`` is ``z >= (a - b) / a``:
     selection is right-continuous, the natural convention for a
     distribution-style bound.  The terms are held in parts, each a group of
-    terms that share a first selector, made on the first call that switches
-    that selector on (see the module docstring).
+    terms that share a first selector and the maker that gives their steps,
+    or their values at a call's z; a call runs only the makers of the parts
+    whose selector is on, and stores nothing (see the module docstring).
     """
 
     __slots__ = ("scale", "_parts")
 
     def __init__(self, terms: tuple[Term, ...], scale: Pair = (1, 1)):
         self.scale = scale
-        self._parts = [(_ON, None, tuple(_listed("terms", terms)))]
+        self._parts = ((_ON, _stepped, (tuple(_listed("terms", terms)),)),)
 
     @classmethod
-    def _of_parts(cls, parts: list[Part], scale: Pair) -> "PiecewiseBound":
+    def _of_parts(cls, parts: tuple[Part, ...], scale: Pair) -> "PiecewiseBound":
         bound = cls.__new__(cls)
         bound.scale, bound._parts = scale, parts
         return bound
 
     @property
     def terms(self) -> tuple[Term, ...]:
-        return tuple(term for sel, make, data in self._parts for term in (data if make is None else make(sel, *data)))
+        return tuple(term for sel, make, data in self._parts for term in make(sel, *data))
 
     @property
     def breakpoints(self) -> tuple[Fraction, ...]:
@@ -107,28 +111,37 @@ class PiecewiseBound:
         return f"PiecewiseBound(terms={self.terms!r}, scale={self.scale!r})"
 
     def __call__(self, z: Rat) -> Fraction:
-        if type(z) is not Fraction or z.numerator <= z.denominator:
+        if type(z) is not Fraction:
             z = check_threshold(z)
-        q = z.denominator
-        m = z.numerator - q
+        p, q = z.as_integer_ratio()
+        if p <= q:
+            check_threshold(z)  # raises
+        m = p - q
         num, den = 0, 1
-        parts = self._parts
-        for i, (sel, make, data) in enumerate(parts):
+        for sel, make, data in self._parts:
             if sel[0] * m + sel[1] * q < 0:
                 continue  # every step of these terms is off
-            if make is not None:
-                data = make(sel, *data)
-                parts[i] = (sel, None, data)
-            for d, steps in data:
-                tn = 0
-                for (a, b), k, (a1, b1), (a2, b2) in steps:
-                    if a * m + b * q < 0:
-                        break  # so are the selectors of the later roots
-                    tn += k * (a1 * m + b1 * q) * (a2 * m + b2 * q)
+            for d, tn in make(sel, *data, m, q):
                 if tn:
                     num, den = num * d + tn * den, den * d
         sn, sd = self.scale
         return Fraction(num * sd, den * m * m * sn)
+
+
+def _stepped(sel, terms, m=None, q=None):
+    """The maker of hand-built terms: ``terms`` themselves, or at ``(m, q)``
+    each term's ``den`` and the sum of its switched-on steps."""
+    if m is None:
+        return terms
+    values = []
+    for d, steps in terms:
+        tn = 0
+        for (a, b), k, (a1, b1), (a2, b2) in steps:
+            if a * m + b * q < 0:
+                break  # so are the selectors of the later roots
+            tn += k * (a1 * m + b1 * q) * (a2 * m + b2 * q)
+        values.append((d, tn))
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -187,35 +200,61 @@ def quad_bound(body: QuadBody) -> PiecewiseBound:
     V = (D - A1) * (D - B1) * e_c + A1 * B1 * e_d  # e_c e_d (v - 1)
     E = e_c * e_d
     return PiecewiseBound._of_parts(
-        [((D, -W), _quad_x2_terms, (frame, W)), ((E, -V), _quad_x1_terms, (frame, V))],
+        (((D, -W), _quad_x2_terms, (frame, W)), ((E, -V), _quad_x1_terms, (frame, V))),
         ((A2 - B2) * E + D * (E + V), 2 * D * E),  # over the area (w + v) / 2
     )
 
 
-def _quad_x2_terms(sel, frame, W) -> tuple[Term, Term]:
-    """The terms of quad regions 1 and 2, split along x2."""
+def _quad_x2_terms(sel, frame, W, m=None, q=None):
+    """The terms of quad regions 1 and 2, split along x2, or their values at
+    ``(m, q)``."""
     D, A1, A2, B1, B2, e_c, e_d = frame
     H, J = A2 - D, D - B1
     K = A2 - B2 - B1 + A1  # W times the body's width at x2 = -b2 / (w - 1)
     den, s = 2 * (D * W) ** 2, W * W
-    c, d = (A1 * D, -e_c), (J * D, -e_d)  # the corners at c, and at d (the turned body's c)
-    return (
-        (den * H * e_c, ((sel, -B2 * e_c, sel, (D * (H * K + W * (H + A1)), W * (H * D - e_c))), (c, B2 * s, c, c))),
-        (-den * B2 * e_d, ((sel, H * e_d, sel, (D * (J * W - B2 * (K + W)), -W * (B2 * D + e_d))), (d, -H * s, d, d))),
-    )
+    k1, l1, L1 = -B2 * e_c, D * (H * K + W * (H + A1)), W * (H * D - e_c)
+    k2, l2, L2 = H * e_d, D * (J * W - B2 * (K + W)), -W * (B2 * D + e_d)
+    mc, md = A1 * D, J * D  # the corners (mc, -e_c) at c, and (md, -e_d) at d (the turned body's c)
+    if m is None:
+        c, d = (mc, -e_c), (md, -e_d)
+        return (
+            (den * H * e_c, ((sel, k1, sel, (l1, L1)), (c, B2 * s, c, c))),
+            (-den * B2 * e_d, ((sel, k2, sel, (l2, L2)), (d, -H * s, d, d))),
+        )
+    x = sel[0] * m + sel[1] * q
+    v1, v2 = k1 * x * (l1 * m + L1 * q), k2 * x * (l2 * m + L2 * q)
+    c, d = mc * m - e_c * q, md * m - e_d * q
+    if c >= 0:
+        v1 += B2 * s * c * c
+    if d >= 0:
+        v2 -= H * s * d * d
+    return (den * H * e_c, v1), (-den * B2 * e_d, v2)
 
 
-def _quad_x1_terms(sel, frame, V) -> tuple[Term, Term]:
-    """The terms of quad regions 3 and 4, split along x1."""
+def _quad_x1_terms(sel, frame, V, m=None, q=None):
+    """The terms of quad regions 3 and 4, split along x1, or their values at
+    ``(m, q)``."""
     D, A1, A2, B1, B2, e_c, e_d = frame
     G, H, J = D - A1, A2 - D, D - B1
     S, P = H * J * e_c - A1 * B2 * e_d, H * B1 + G * B2
     den, s = 2 * D * V * V, V * V
-    a, b = (e_c, -B1 * D), (e_d, -G * D)  # the corners at a, and at b (the turned body's a)
-    return (
-        (den * G * e_c * e_c, ((sel, A1 * B1 * D, sel, (e_c * (G * S + H * V), -A1 * P * V)), (a, -A1 * H * s, a, a))),
-        (den * B1 * e_d * e_d, ((sel, J * G * D, sel, (e_d * (B1 * S - B2 * V), J * P * V)), (b, J * B2 * s, b, b))),
-    )
+    k1, l1, L1 = A1 * B1 * D, e_c * (G * S + H * V), -A1 * P * V
+    k2, l2, L2 = J * G * D, e_d * (B1 * S - B2 * V), J * P * V
+    qa, qb = -B1 * D, -G * D  # the corners (e_c, qa) at a, and (e_d, qb) at b (the turned body's a)
+    if m is None:
+        a, b = (e_c, qa), (e_d, qb)
+        return (
+            (den * G * e_c * e_c, ((sel, k1, sel, (l1, L1)), (a, -A1 * H * s, a, a))),
+            (den * B1 * e_d * e_d, ((sel, k2, sel, (l2, L2)), (b, J * B2 * s, b, b))),
+        )
+    x = sel[0] * m + sel[1] * q
+    v1, v2 = k1 * x * (l1 * m + L1 * q), k2 * x * (l2 * m + L2 * q)
+    a, b = e_c * m + qa * q, e_d * m + qb * q
+    if a >= 0:
+        v1 -= A1 * H * s * a * a
+    if b >= 0:
+        v2 += J * B2 * s * b * b
+    return (den * G * e_c * e_c, v1), (den * B1 * e_d * e_d, v2)
 
 
 def quad_lower(body: QuadBody, z: Rat) -> Fraction:
@@ -246,35 +285,58 @@ def t3_bound(body: Type3Body) -> PiecewiseBound:
     W = AJ * (A1 * R + F) - D * F * R  # D F R (w - 1), w = c2 - b2
     ints = (D, A1, A2, B1, R, T, F, AJ, W)
     return PiecewiseBound._of_parts(
-        [
+        (
             ((D * F * R, -W), _t3_x2_term, ints),
             ((D * F, -R * (A1 * B1 + F)), _t3_x1_term, ints),
             ((D * R * B1, -T * AJ), _t3_diagonal_term, ints),
-        ],
+        ),
         # over the area (a1 + a2 - b2 - c1) / 2
         ((A1 + A2) * R * F + AJ * F + A1 * B1 * R * R, 2 * D * R * F),
     )
 
 
-def _t3_x2_term(sel, D, A1, A2, B1, R, T, F, AJ, W) -> tuple[Term]:
-    """The term of type 3 regions 1 and 2, whose corner is at vertex a."""
+def _t3_x2_term(sel, D, A1, A2, B1, R, T, F, AJ, W, m=None, q=None):
+    """The term of type 3 regions 1 and 2, whose corner is at vertex a, or
+    its value at ``(m, q)``."""
     U = D * F * R - A1 * AJ * R + AJ * F  # D F R (1 - c2 - b2)
-    a = (R, B1 - D)
-    return ((2 * D * F * (D - A2) * AJ * R * R, ((sel, 1, sel, ((2 * A1 * AJ - D * F) * R, -U)),
-                                                 (a, -F * A2 * AJ * T, a, a))),)
+    den, l1, k2 = 2 * D * F * (D - A2) * AJ * R * R, (2 * A1 * AJ - D * F) * R, -F * A2 * AJ * T
+    if m is None:
+        a = (R, B1 - D)
+        return ((den, ((sel, 1, sel, (l1, -U)), (a, k2, a, a))),)
+    value = (sel[0] * m + sel[1] * q) * (l1 * m - U * q)
+    a = R * m + (B1 - D) * q
+    if a >= 0:
+        value += k2 * a * a
+    return ((den, value),)
 
 
-def _t3_x1_term(sel, D, A1, A2, B1, R, T, F, AJ, W) -> tuple[Term]:
-    """The term of type 3 regions 3 and 4, whose corner is at vertex b."""
-    b = (F, -A1 * R)
-    return ((2 * R * (D * F) ** 2, ((sel, A2, sel, (D * F, R * (F - A1 * B1))), (b, -A2 * B1 * D, b, b))),)
+def _t3_x1_term(sel, D, A1, A2, B1, R, T, F, AJ, W, m=None, q=None):
+    """The term of type 3 regions 3 and 4, whose corner is at vertex b, or
+    its value at ``(m, q)``."""
+    den, L1, qb = 2 * R * (D * F) ** 2, R * (F - A1 * B1), -A1 * R
+    if m is None:
+        b = (F, qb)
+        return ((den, ((sel, A2, sel, (D * F, L1)), (b, -A2 * B1 * D, b, b))),)
+    value = A2 * (sel[0] * m + sel[1] * q) * (D * F * m + L1 * q)
+    b = F * m + qb * q
+    if b >= 0:
+        value -= A2 * B1 * D * b * b
+    return ((den, value),)
 
 
-def _t3_diagonal_term(sel, D, A1, A2, B1, R, T, F, AJ, W) -> tuple[Term]:
+def _t3_diagonal_term(sel, D, A1, A2, B1, R, T, F, AJ, W, m=None, q=None):
     """The term of type 3 region 6, a triangle (so its l1 and l2 are one
-    form), whose corner is at vertex c."""
-    c = (B1 * R, -F)
-    return ((2 * D * D * F * AJ * (AJ - R * B1), ((sel, F, sel, sel), (c, -T * D * AJ, c, c))),)
+    form), whose corner is at vertex c, or its value at ``(m, q)``."""
+    den, mc = 2 * D * D * F * AJ * (AJ - R * B1), B1 * R
+    if m is None:
+        c = (mc, -F)
+        return ((den, ((sel, F, sel, sel), (c, -T * D * AJ, c, c))),)
+    x = sel[0] * m + sel[1] * q
+    value = F * x * x
+    c = mc * m - F * q
+    if c >= 0:
+        value -= T * D * AJ * c * c
+    return ((den, value),)
 
 
 def t3_lower(body: Type3Body, z: Rat) -> Fraction:

@@ -185,13 +185,13 @@ def _run_sweep(args) -> str:
     # a sweep's rows share one Fraction per grid value, so each is formatted
     # once, found by its id: the rows hold every value while the table lives,
     # so no id is reused meanwhile.  A bound, and a type 3 width, which is
-    # not a grid value, are formatted on their row
+    # not a grid value, are formatted on their row.  A value is looked up
+    # first, and only a miss makes a call to format it
     texts = {}
+    get = texts.get
 
     def text(value):
-        found = texts.get(id(value))
-        if found is None:
-            found = texts[id(value)] = format_rational(value)
+        found = texts[id(value)] = format_rational(value)
         return found
 
     width = format_rational if args.family == "t3" else text
@@ -200,8 +200,8 @@ def _run_sweep(args) -> str:
     if args.format == "json":
         payload = [
             {
-                "params": [text(p) for p in r.params],
-                "w": width(r.w),
+                "params": [get(id(p)) or text(p) for p in r.params],
+                "w": get(id(r.w)) or width(r.w),
                 "z": z,
                 "bound": format_rational(r.bound),
                 "mc": None
@@ -219,8 +219,8 @@ def _run_sweep(args) -> str:
     lines = ["params,w,z,bound,mc_estimate,mc_stderr,samples,seed"]
     for r in rows:
         mc = (repr(r.mc.estimate), repr(r.mc.std_error), str(r.mc.samples)) if r.mc else ("", "", "")
-        params = ";".join([text(p) for p in r.params])
-        lines.append(",".join((params, width(r.w), z, format_rational(r.bound), *mc, seed)))
+        params = ";".join([get(id(p)) or text(p) for p in r.params])
+        lines.append(",".join((params, get(id(r.w)) or width(r.w), z, format_rational(r.bound), *mc, seed)))
     return "\n".join(lines) + "\n"
 
 

@@ -16,8 +16,9 @@ Quad and type 3 bodies are built from the integers by
 ``_from_frame_or_reason``, so that a rejected tuple costs its checks and no
 exception; a type 2 body is built by its constructor, and only when Monte
 Carlo reads it.  Each row's parameters, and a quad's width ``a2 - b2``, come
-from a table of one Fraction per distinct numerator, so the rows (each a
-``NamedTuple`` :class:`GridRow`) share one object per grid value.
+from a table of one Fraction per distinct numerator, so the rows share one
+object per grid value.  Every row, a ``NamedTuple`` :class:`GridRow`, is
+built by ``_row``, straight from its fields by ``tuple.__new__``.
 Quad rows are kept in one list per integer width ``A2 - B2``, joined widest
 first, the stable sort on ``w`` with no key made per row; t3 and t2 rows are
 sorted on ``(float(w), w)``.
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import partial
 from math import isqrt, lcm
 from typing import NamedTuple, Optional
 
@@ -55,6 +57,9 @@ class GridRow(NamedTuple):
     z: Fraction
     bound: Fraction
     mc: Optional[McEstimate] = None
+
+
+_grid_row = partial(tuple.__new__, GridRow)  # the same tuple, without __new__'s Python call
 
 
 class _Over(dict):
@@ -207,4 +212,5 @@ def sweep_grid(
 
 
 def _row(params, w, z, bound, body, mc_samples, seed) -> GridRow:
-    return GridRow(params, w, z, bound, None if mc_samples is None else monte_carlo_lower(body, z, mc_samples, seed))
+    mc = None if mc_samples is None else monte_carlo_lower(body, z, mc_samples, seed)
+    return _grid_row((params, w, z, bound, mc))

@@ -407,8 +407,9 @@ class TestTermContinuity:
 
 
 class TestSelectorFirst:
-    """A quad or type 3 bound makes a term's coefficients only on the first
-    call that switches the term's first selector on, and keeps them."""
+    """A quad or type 3 bound runs no maker when it is built; each call runs
+    exactly the makers whose first selector is on at its z, and stores
+    nothing."""
 
     # each maker of a family and the index of the first term it makes
     MAKERS = {
@@ -420,7 +421,7 @@ class TestSelectorFirst:
     @given(quad_or_t3_body(), st.lists(st.fractions(F(11, 10), 20, max_denominator=97), min_size=1, max_size=4))
     @example(QuadBody(F(2, 5), F(3, 2), F(3, 5), F(-3, 10)), [F(2)])  # regions 3 and 4 stay off
     @example(Type3Body(F(4, 3), F(1, 3), F(1, 3)), [F(2), F(3, 2)])
-    def test_made_once_on_first_switch(self, body, drawn):
+    def test_makers_run_on_each_switched_on_call(self, body, drawn):
         made = []
         with pytest.MonkeyPatch.context() as mp:
             for name, _ in self.MAKERS[type(body)]:
@@ -428,11 +429,32 @@ class TestSelectorFirst:
                 mp.setattr(bounds, name, lambda *args, _make=make, _name=name: made.append(_name) or _make(*args))
             pb = piecewise_bound_for(body)
         assert made == []
-        values = [pb(z) for z in drawn]
+        parts = list(pb._parts)
         fresh = piecewise_bound_for(body)
-        on = [name for name, i in self.MAKERS[type(body)] if _roots(fresh.terms[i])[0] <= max(drawn)]
-        assert sorted(made) == sorted(on)
-        # a second pass makes nothing more, and a made bound reads as a fresh one
-        assert [pb(z) for z in drawn] == values == [piecewise_bound_for(body)(z) for z in drawn]
-        assert sorted(made) == sorted(on)
+        for z in drawn + drawn:  # a second pass runs them again: nothing was kept
+            made.clear()
+            assert pb(z) == fresh(z)
+            assert sorted(made) == sorted(name for name, i in self.MAKERS[type(body)] if _roots(fresh.terms[i])[0] <= z)
+            assert list(pb._parts) == parts
         assert (pb.terms, pb.scale) == (fresh.terms, fresh.scale)
+
+
+class TestMakerForms:
+    """Each quad and type 3 maker gives a term's steps, or its value at a
+    call's z added up straight from the maker's integers; a bound rebuilt by
+    hand from the steps, which the generic step loop evaluates, must agree
+    with the bound at every break, where a step switches on, past the last
+    break, where every step is on, and at drawn z."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(quad_or_t3_body(), st.lists(st.fractions(F(11, 10), 20, max_denominator=97), min_size=1, max_size=4))
+    @example(QuadBody(F(1, 2), F(3, 2), F(1, 2), F(-1, 2)), [F(2)])  # a width tie
+    @example(QuadBody(F(2, 5), F(3, 2), F(3, 5), F(-3, 10)), [F(3)])
+    @example(Type3Body(F(4, 3), F(1, 3), F(1, 3)), [F(2)])  # all three width candidates tie
+    @example(Type3Body(F(2), F(3, 4), F(1, 4)), [F(3)])
+    def test_values_match_steps(self, body, drawn):
+        pb = piecewise_bound_for(body)
+        by_hand = PiecewiseBound(pb.terms, pb.scale)
+        breaks = [b for b in pb.breakpoints if b > 1]
+        for z in breaks + [max(breaks) + 1] + drawn:
+            assert by_hand(z) == pb(z)
