@@ -21,15 +21,15 @@ Quad regions 2 and 4 are regions 1 and 3 of the body turned half a turn
 about (1/2, 1/2).
 
 A quad or type 3 bound is built selector first: the builder works out only
-each term's first selector, from which the term is 0 below its root, and
-the integers the term is made of.  Each region's maker computes its
-integers once, and gives either the term's steps or, given a call's
-``(m, q)``, the term's value there: the sum of its switched-on steps' ``k l
-l'``, added up straight from those integers.  :meth:`PiecewiseBound.__call__`
-runs the makers whose first selector is on and keeps nothing, so a sweep,
-which evaluates each bound once, builds no step tuple; ``terms`` makes the
-steps on each read.  A call adds each term's value as an integer over the
-term's ``den``, and since ``m^2`` is common to every step, divides by it
+each region's first selector ``l1``, below whose root the term is 0, and the
+integers the term is made of.  Each region's maker computes its integers
+once and writes its term once, as the flat two-step tuple ``(den, k, l2,
+l3, s)``, each form spread into its two coefficients (its ``l4`` is
+``l3``).  :meth:`PiecewiseBound.__call__` runs the makers whose ``l1`` is
+on, adds each such term's ``k l1 l2``, plus ``s l3^2`` once ``l3 >= 0``, as
+an integer over its ``den``, and keeps nothing, so a sweep, which evaluates
+each bound once, builds no step; ``terms`` spells the tuples out as steps
+on each read.  Since ``m^2`` is common to every step, a call divides by it
 once, in the ``Fraction`` it returns.
 
 For the type 1 triangle the value is an exact probability, not merely a
@@ -43,17 +43,16 @@ from fractions import Fraction
 from typing import Callable
 
 from .geometry import (
-    LatticeFreeBody, QuadBody, Rat, Type1Body, Type2Body, Type3Body, _check_type, _frac, _listed, lattice_width
+    LatticeFreeBody, QuadBody, Rat, Type1Body, Type2Body, Type3Body, _check_type, _frac, _is_int, _listed,
+    lattice_width
 )
 
 Pair = tuple[int, int]
 Step = tuple[Pair, int, Pair, Pair]
 Term = tuple[int, tuple[Step, ...]]
-# (sel, make, data): the terms make(sel, *data), whose first steps have the
-# selector sel, or their (den, value) pairs at (m, q), make(sel, *data, m, q)
+# (l1, make, data): the terms make(l1, *data), each a two-step tuple
+# (den, k, *l2, *l3, s) whose steps are (l1, k, l1, l2) and (l3, s, l3, l3)
 Part = tuple[Pair, Callable, tuple]
-
-_ON = (1, 0)  # the form m, positive at every z > 1
 
 
 def check_threshold(z: Rat) -> Fraction:
@@ -64,36 +63,52 @@ def check_threshold(z: Rat) -> Fraction:
     return z
 
 
+def _int_pair(value) -> bool:
+    return type(value) is tuple and len(value) == 2 and all(map(_is_int, value))
+
+
 class PiecewiseBound:
     """Piecewise closed form in ``z`` on (1, oo): the sum of the steps of all
-    terms, divided by the positive ``scale``, an unreduced ``(num, den)`` pair
-    with ``den > 0``.
+    terms, divided by the positive ``scale``, an unreduced pair ``(num, den)``
+    of positive ints.
 
     Each term is one region's ``(den, steps)``, its steps ``((a, b), k, l,
     l')`` in the order of their roots.  A step adds ``k l l' / (den m^2)``
     once ``a m + b q >= 0``, which with ``a > 0`` is ``z >= (a - b) / a``:
     selection is right-continuous, the natural convention for a
-    distribution-style bound.  The terms are held in parts, each a group of
-    terms that share a first selector and the maker that gives their steps,
-    or their values at a call's z; a call runs only the makers of the parts
-    whose selector is on, and stores nothing (see the module docstring).
+    distribution-style bound.  Terms built by hand are checked and held as
+    steps; a family bound holds parts, each a first selector and the maker
+    of its regions' two-step tuples, and a call runs only the makers whose
+    selector is on and stores nothing (see the module docstring).
     """
 
-    __slots__ = ("scale", "_parts")
+    __slots__ = ("scale", "_steps", "_parts")
 
     def __init__(self, terms: tuple[Term, ...], scale: Pair = (1, 1)):
-        self.scale = scale
-        self._parts = ((_ON, _stepped, (tuple(_listed("terms", terms)),)),)
+        terms = tuple(_listed("terms", terms))
+        if not (_int_pair(scale) and min(scale) > 0):
+            raise ValueError(f"scale must be a pair of positive ints, got {scale!r}")
+        for den, steps in terms:
+            if not (_is_int(den) and den):
+                raise ValueError(f"a term's den must be a nonzero int, got {den!r}")
+            for sel, *_ in steps:
+                if not (_int_pair(sel) and sel[0] > 0):
+                    raise ValueError(f"a step's selector must be an int pair (a, b) with a > 0, got {sel!r}")
+        self.scale, self._steps, self._parts = scale, terms, ()
 
     @classmethod
     def _of_parts(cls, parts: tuple[Part, ...], scale: Pair) -> "PiecewiseBound":
         bound = cls.__new__(cls)
-        bound.scale, bound._parts = scale, parts
+        bound.scale, bound._steps, bound._parts = scale, (), parts
         return bound
 
     @property
     def terms(self) -> tuple[Term, ...]:
-        return tuple(term for sel, make, data in self._parts for term in make(sel, *data))
+        return self._steps + tuple(
+            (d, ((sel, k, sel, (a2, b2)), ((a3, b3), s, (a3, b3), (a3, b3))))
+            for sel, make, data in self._parts
+            for d, k, a2, b2, a3, b3, s in make(sel, *data)
+        )
 
     @property
     def breakpoints(self) -> tuple[Fraction, ...]:
@@ -118,30 +133,26 @@ class PiecewiseBound:
             check_threshold(z)  # raises
         m = p - q
         num, den = 0, 1
+        for d, steps in self._steps:
+            tn = 0
+            for (a, b), k, (a1, b1), (a2, b2) in steps:
+                if a * m + b * q < 0:
+                    break  # so are the selectors of the later roots
+                tn += k * (a1 * m + b1 * q) * (a2 * m + b2 * q)
+            if tn:
+                num, den = num * d + tn * den, den * d
         for sel, make, data in self._parts:
-            if sel[0] * m + sel[1] * q < 0:
-                continue  # every step of these terms is off
-            for d, tn in make(sel, *data, m, q):
-                if tn:
-                    num, den = num * d + tn * den, den * d
+            x = sel[0] * m + sel[1] * q
+            if x < 0:
+                continue  # and so is each l3, whose root is no lower: the terms are 0
+            for d, k, a2, b2, a3, b3, s in make(sel, *data):
+                tn = k * x * (a2 * m + b2 * q)
+                l3 = a3 * m + b3 * q
+                if l3 >= 0:
+                    tn += s * l3 * l3
+                num, den = num * d + tn * den, den * d
         sn, sd = self.scale
         return Fraction(num * sd, den * m * m * sn)
-
-
-def _stepped(sel, terms, m=None, q=None):
-    """The maker of hand-built terms: ``terms`` themselves, or at ``(m, q)``
-    each term's ``den`` and the sum of its switched-on steps."""
-    if m is None:
-        return terms
-    values = []
-    for d, steps in terms:
-        tn = 0
-        for (a, b), k, (a1, b1), (a2, b2) in steps:
-            if a * m + b * q < 0:
-                break  # so are the selectors of the later roots
-            tn += k * (a1 * m + b1 * q) * (a2 * m + b2 * q)
-        values.append((d, tn))
-    return values
 
 
 # ---------------------------------------------------------------------------
@@ -205,56 +216,30 @@ def quad_bound(body: QuadBody) -> PiecewiseBound:
     )
 
 
-def _quad_x2_terms(sel, frame, W, m=None, q=None):
-    """The terms of quad regions 1 and 2, split along x2, or their values at
-    ``(m, q)``."""
+def _quad_x2_terms(sel, frame, W):
+    """The terms of quad regions 1 and 2, split along x2."""
     D, A1, A2, B1, B2, e_c, e_d = frame
     H, J = A2 - D, D - B1
     K = A2 - B2 - B1 + A1  # W times the body's width at x2 = -b2 / (w - 1)
     den, s = 2 * (D * W) ** 2, W * W
-    k1, l1, L1 = -B2 * e_c, D * (H * K + W * (H + A1)), W * (H * D - e_c)
-    k2, l2, L2 = H * e_d, D * (J * W - B2 * (K + W)), -W * (B2 * D + e_d)
     mc, md = A1 * D, J * D  # the corners (mc, -e_c) at c, and (md, -e_d) at d (the turned body's c)
-    if m is None:
-        c, d = (mc, -e_c), (md, -e_d)
-        return (
-            (den * H * e_c, ((sel, k1, sel, (l1, L1)), (c, B2 * s, c, c))),
-            (-den * B2 * e_d, ((sel, k2, sel, (l2, L2)), (d, -H * s, d, d))),
-        )
-    x = sel[0] * m + sel[1] * q
-    v1, v2 = k1 * x * (l1 * m + L1 * q), k2 * x * (l2 * m + L2 * q)
-    c, d = mc * m - e_c * q, md * m - e_d * q
-    if c >= 0:
-        v1 += B2 * s * c * c
-    if d >= 0:
-        v2 -= H * s * d * d
-    return (den * H * e_c, v1), (-den * B2 * e_d, v2)
+    return (
+        (den * H * e_c, -B2 * e_c, D * (H * K + W * (H + A1)), W * (H * D - e_c), mc, -e_c, B2 * s),
+        (-den * B2 * e_d, H * e_d, D * (J * W - B2 * (K + W)), -W * (B2 * D + e_d), md, -e_d, -H * s),
+    )
 
 
-def _quad_x1_terms(sel, frame, V, m=None, q=None):
-    """The terms of quad regions 3 and 4, split along x1, or their values at
-    ``(m, q)``."""
+def _quad_x1_terms(sel, frame, V):
+    """The terms of quad regions 3 and 4, split along x1."""
     D, A1, A2, B1, B2, e_c, e_d = frame
     G, H, J = D - A1, A2 - D, D - B1
     S, P = H * J * e_c - A1 * B2 * e_d, H * B1 + G * B2
     den, s = 2 * D * V * V, V * V
-    k1, l1, L1 = A1 * B1 * D, e_c * (G * S + H * V), -A1 * P * V
-    k2, l2, L2 = J * G * D, e_d * (B1 * S - B2 * V), J * P * V
     qa, qb = -B1 * D, -G * D  # the corners (e_c, qa) at a, and (e_d, qb) at b (the turned body's a)
-    if m is None:
-        a, b = (e_c, qa), (e_d, qb)
-        return (
-            (den * G * e_c * e_c, ((sel, k1, sel, (l1, L1)), (a, -A1 * H * s, a, a))),
-            (den * B1 * e_d * e_d, ((sel, k2, sel, (l2, L2)), (b, J * B2 * s, b, b))),
-        )
-    x = sel[0] * m + sel[1] * q
-    v1, v2 = k1 * x * (l1 * m + L1 * q), k2 * x * (l2 * m + L2 * q)
-    a, b = e_c * m + qa * q, e_d * m + qb * q
-    if a >= 0:
-        v1 -= A1 * H * s * a * a
-    if b >= 0:
-        v2 += J * B2 * s * b * b
-    return (den * G * e_c * e_c, v1), (den * B1 * e_d * e_d, v2)
+    return (
+        (den * G * e_c * e_c, A1 * B1 * D, e_c * (G * S + H * V), -A1 * P * V, e_c, qa, -A1 * H * s),
+        (den * B1 * e_d * e_d, J * G * D, e_d * (B1 * S - B2 * V), J * P * V, e_d, qb, J * B2 * s),
+    )
 
 
 def quad_lower(body: QuadBody, z: Rat) -> Fraction:
@@ -283,7 +268,7 @@ def t3_bound(body: Type3Body) -> PiecewiseBound:
     R, T = A1 - D, A1 + A2 - D
     F, AJ = A1 * A2 - T * B1, A2 * (D - B1)
     W = AJ * (A1 * R + F) - D * F * R  # D F R (w - 1), w = c2 - b2
-    ints = (D, A1, A2, B1, R, T, F, AJ, W)
+    ints = (D, A1, A2, B1, R, T, F, AJ)
     return PiecewiseBound._of_parts(
         (
             ((D * F * R, -W), _t3_x2_term, ints),
@@ -295,48 +280,22 @@ def t3_bound(body: Type3Body) -> PiecewiseBound:
     )
 
 
-def _t3_x2_term(sel, D, A1, A2, B1, R, T, F, AJ, W, m=None, q=None):
-    """The term of type 3 regions 1 and 2, whose corner is at vertex a, or
-    its value at ``(m, q)``."""
-    U = D * F * R - A1 * AJ * R + AJ * F  # D F R (1 - c2 - b2)
-    den, l1, k2 = 2 * D * F * (D - A2) * AJ * R * R, (2 * A1 * AJ - D * F) * R, -F * A2 * AJ * T
-    if m is None:
-        a = (R, B1 - D)
-        return ((den, ((sel, 1, sel, (l1, -U)), (a, k2, a, a))),)
-    value = (sel[0] * m + sel[1] * q) * (l1 * m - U * q)
-    a = R * m + (B1 - D) * q
-    if a >= 0:
-        value += k2 * a * a
-    return ((den, value),)
+def _t3_x2_term(sel, D, A1, A2, B1, R, T, F, AJ):
+    """The term of type 3 regions 1 and 2, whose corner is at vertex a."""
+    U, qa = D * F * R - A1 * AJ * R + AJ * F, B1 - D  # D F R (1 - c2 - b2), and a = (R, qa)
+    return ((2 * D * F * (D - A2) * AJ * R * R, 1, (2 * A1 * AJ - D * F) * R, -U, R, qa, -F * A2 * AJ * T),)
 
 
-def _t3_x1_term(sel, D, A1, A2, B1, R, T, F, AJ, W, m=None, q=None):
-    """The term of type 3 regions 3 and 4, whose corner is at vertex b, or
-    its value at ``(m, q)``."""
-    den, L1, qb = 2 * R * (D * F) ** 2, R * (F - A1 * B1), -A1 * R
-    if m is None:
-        b = (F, qb)
-        return ((den, ((sel, A2, sel, (D * F, L1)), (b, -A2 * B1 * D, b, b))),)
-    value = A2 * (sel[0] * m + sel[1] * q) * (D * F * m + L1 * q)
-    b = F * m + qb * q
-    if b >= 0:
-        value -= A2 * B1 * D * b * b
-    return ((den, value),)
+def _t3_x1_term(sel, D, A1, A2, B1, R, T, F, AJ):
+    """The term of type 3 regions 3 and 4, whose corner is at vertex b."""
+    qb = -A1 * R  # b = (F, qb)
+    return ((2 * R * (D * F) ** 2, A2, D * F, R * (F - A1 * B1), F, qb, -A2 * B1 * D),)
 
 
-def _t3_diagonal_term(sel, D, A1, A2, B1, R, T, F, AJ, W, m=None, q=None):
-    """The term of type 3 region 6, a triangle (so its l1 and l2 are one
-    form), whose corner is at vertex c, or its value at ``(m, q)``."""
-    den, mc = 2 * D * D * F * AJ * (AJ - R * B1), B1 * R
-    if m is None:
-        c = (mc, -F)
-        return ((den, ((sel, F, sel, sel), (c, -T * D * AJ, c, c))),)
-    x = sel[0] * m + sel[1] * q
-    value = F * x * x
-    c = mc * m - F * q
-    if c >= 0:
-        value -= T * D * AJ * c * c
-    return ((den, value),)
+def _t3_diagonal_term(sel, D, A1, A2, B1, R, T, F, AJ):
+    """The term of type 3 region 6, a triangle (its l2 is its l1) with its corner at vertex c."""
+    mc = B1 * R  # c = (mc, -F)
+    return ((2 * D * D * F * AJ * (AJ - R * B1), F, *sel, mc, -F, -T * D * AJ),)
 
 
 def t3_lower(body: Type3Body, z: Rat) -> Fraction:

@@ -169,6 +169,8 @@ def _parse_ranges(items):
         name, equals, span = item.partition("=")
         if not equals or ":" not in span:
             raise ValueError(f"malformed --range {item!r}, expected PARAM=LO:HI")
+        if name in out:
+            raise ValueError(f"--range {name!r} given more than once")
         out[name] = tuple(span.split(":", 1))
     return out or None
 

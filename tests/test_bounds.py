@@ -1,3 +1,4 @@
+import hashlib
 import random
 from bisect import bisect_right
 from fractions import Fraction as F
@@ -18,9 +19,12 @@ from cutstrength import (
     lattice_width,
     piecewise_bound_for,
     point,
+    quad_bound,
     quad_lower,
+    sweep_grid,
     t1_bound,
     t2_bound,
+    t3_bound,
     t3_lower,
 )
 
@@ -408,8 +412,9 @@ class TestTermContinuity:
 
 class TestSelectorFirst:
     """A quad or type 3 bound runs no maker when it is built; each call runs
-    exactly the makers whose first selector is on at its z, and stores
-    nothing."""
+    exactly the makers whose first selector is on at its z, stores nothing,
+    and gives the value that the generic step loop gives on the bound's terms
+    rebuilt by hand."""
 
     # each maker of a family and the index of the first term it makes
     MAKERS = {
@@ -430,7 +435,7 @@ class TestSelectorFirst:
             pb = piecewise_bound_for(body)
         assert made == []
         parts = list(pb._parts)
-        fresh = piecewise_bound_for(body)
+        fresh = PiecewiseBound(piecewise_bound_for(body).terms, pb.scale)
         for z in drawn + drawn:  # a second pass runs them again: nothing was kept
             made.clear()
             assert pb(z) == fresh(z)
@@ -440,11 +445,12 @@ class TestSelectorFirst:
 
 
 class TestMakerForms:
-    """Each quad and type 3 maker gives a term's steps, or its value at a
-    call's z added up straight from the maker's integers; a bound rebuilt by
-    hand from the steps, which the generic step loop evaluates, must agree
-    with the bound at every break, where a step switches on, past the last
-    break, where every step is on, and at drawn z."""
+    """Each quad and type 3 maker writes its region's term once, as a
+    two-step tuple that the bound's two-step evaluator adds up; a bound
+    rebuilt by hand from the steps that ``terms`` spells out, which the
+    generic step loop evaluates, must agree with it at every break, where a
+    step switches on, past the last break, where every step is on, and at
+    drawn z."""
 
     @settings(max_examples=150, deadline=None)
     @given(quad_or_t3_body(), st.lists(st.fractions(F(11, 10), 20, max_denominator=97), min_size=1, max_size=4))
@@ -458,3 +464,23 @@ class TestMakerForms:
         breaks = [b for b in pb.breakpoints if b > 1]
         for z in breaks + [max(breaks) + 1] + drawn:
             assert by_hand(z) == pb(z)
+
+
+class TestPublicData:
+    """The public data of 2,682 bounds, byte for byte: each bound's terms,
+    breaks and scale, and its values at three thresholds, for every quad and
+    type 3 body of the step-1/12 sweeps, the type 2 widths k/12 for k = 13 to
+    24, and type 1."""
+
+    DIGEST = "0396586f86bd8aef838096226e99e9975aaf5760072ef1a1fd45508d5f6d4bf4"
+
+    def test_digest(self):
+        step = F(1, 12)
+        pbs = [quad_bound(QuadBody(*row.params)) for row in sweep_grid("quad", 2, step=step)]
+        pbs += [t3_bound(Type3Body(*row.params)) for row in sweep_grid("t3", 2, step=step)]
+        pbs += [t2_bound(F(k, 12)) for k in range(13, 25)] + [t1_bound()]
+        assert len(pbs) == 2682
+        digest = hashlib.sha256()
+        for pb in pbs:
+            digest.update(repr((pb.terms, pb.breakpoints, pb.scale, pb(3), pb(F(7, 3)), pb(20))).encode())
+        assert digest.hexdigest() == self.DIGEST

@@ -549,6 +549,11 @@ class TestExitCodes:
                 "malformed --range 'b2', expected PARAM=LO:HI",
             ),
             (
+                ("sweep", "--family", "quad", "--z", "2", "--step", "1/5",
+                 "--range", "a1=1/2:1/2", "--range", "a1=1/5:1/5"),
+                "--range 'a1' given more than once",
+            ),
+            (
                 ("bound", "--body", T3_NOT_VERTICAL_DESC, "--z", "7/4"),
                 "lattice width must be attained by the vertical direction "
                 "(c2-b2=36/13, a1-c1=99/65, a1+a2-b1-b2=12/5)",
@@ -576,6 +581,7 @@ class TestExitCodes:
             "montecarlo-split",
             "strength-N0",
             "range-without-equals",
+            "range-repeated",
             "type3-width-not-vertical",
             "descriptor-array",
             "two-vertices",

@@ -42,6 +42,8 @@ T2 = Type2Body(F(1, 2), F(3, 2))
 QUAD = QuadBody(F(2, 5), F(3, 2), F(3, 5), F(-3, 10))
 T3 = Type3Body(F(11, 5), F(1, 2), F(1, 4))
 NOT_A_NUMBER = "expected 'p/q' string or integer, got"
+NOT_A_SCALE = "scale must be a pair of positive ints, got"
+TERMS = ((1, (((1, 0), 1, (1, 0), (1, 0)),)),)  # one step that adds 1 from z = 1 on
 
 
 def threads_from(text):
@@ -54,8 +56,10 @@ def threads_from(text):
 # (public name, call, arguments, error type, start of the message): at least
 # one row per public function and class of geometry, bounds, montecarlo and
 # sweeps.  A number is read by geometry._frac, whose ValueError quotes it.
-# A PiecewiseBound's terms must be iterable; the contents of hand-built
-# terms, and the scale, stay unchecked, so such a bound can fail when called
+# A PiecewiseBound's terms must be iterable, its scale a pair of positive
+# ints, each term's den a nonzero int and each step's selector an int pair
+# (a, b) with a > 0; the other step forms stay unchecked, so such a bound can
+# still fail when called
 WRONG_ARGUMENTS = [
     ("BodyClass", BodyClass, ("x",), ValueError, "'x' is not a valid BodyClass"),
     ("LatticeFreeBody", LatticeFreeBody, (), TypeError,
@@ -108,6 +112,14 @@ WRONG_ARGUMENTS = [
     ("sweep_grid", sweep_grid, ("t2", 2, F(1, 10), {"w": (None, 2)}), ValueError, f"{NOT_A_NUMBER} None"),
     ("sweep_grid", sweep_grid, ("t2", 2, F(1, 10), None, "10"), ValueError, "samples must be an int, got '10'"),
     ("sweep_grid", sweep_grid, ("t2", 2, F(1, 10), None, 10, "x"), ValueError, "seed must be an int, got 'x'"),
+    # later rows go at the end: each case id holds its row's index
+    ("PiecewiseBound", PiecewiseBound, (TERMS, (0, 1)), ValueError, f"{NOT_A_SCALE} (0, 1)"),
+    ("PiecewiseBound", PiecewiseBound, (TERMS, (1, 0)), ValueError, f"{NOT_A_SCALE} (1, 0)"),
+    ("PiecewiseBound", PiecewiseBound, (TERMS, None), ValueError, f"{NOT_A_SCALE} None"),
+    ("PiecewiseBound", PiecewiseBound, (((1, (((0, 1), 1, (1, 0), (1, 0)),)),),), ValueError,
+     "a step's selector must be an int pair (a, b) with a > 0, got (0, 1)"),
+    ("PiecewiseBound", PiecewiseBound, (((0, (((1, 0), 1, (1, 0), (1, 0)),)),),), ValueError,
+     "a term's den must be a nonzero int, got 0"),
 ]
 
 # records, which hold what their maker (point, monte_carlo_lower, sweep_grid)
