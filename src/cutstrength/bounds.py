@@ -88,12 +88,23 @@ class PiecewiseBound:
         terms = tuple(_listed("terms", terms))
         if not (_int_pair(scale) and min(scale) > 0):
             raise ValueError(f"scale must be a pair of positive ints, got {scale!r}")
-        for den, steps in terms:
+        for term in terms:
+            if not (type(term) is tuple and len(term) == 2 and type(term[1]) is tuple):
+                raise ValueError(f"a term must be a pair (den, steps) with a tuple of steps, got {term!r}")
+            den, steps = term
             if not (_is_int(den) and den):
                 raise ValueError(f"a term's den must be a nonzero int, got {den!r}")
-            for sel, *_ in steps:
+            for step in steps:
+                if not (type(step) is tuple and len(step) == 4):
+                    raise ValueError(f"a step must be a tuple (sel, k, l, l'), got {step!r}")
+                sel, k, *forms = step
                 if not (_int_pair(sel) and sel[0] > 0):
                     raise ValueError(f"a step's selector must be an int pair (a, b) with a > 0, got {sel!r}")
+                if not _is_int(k):
+                    raise ValueError(f"a step's k must be an int, got {k!r}")
+                for form in forms:
+                    if not _int_pair(form):
+                        raise ValueError(f"a step's forms l and l' must be int pairs, got {form!r}")
         self.scale, self._steps, self._parts = scale, terms, ()
 
     @classmethod

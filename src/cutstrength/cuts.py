@@ -274,11 +274,12 @@ def _max_packing(columns, k: int, pool=None):
 # ---------------------------------------------------------------------------
 # regions
 
-# The region table.  A row ``(pieces, split, normal, (a0, a1, b0, b1))`` is a
+# The region table.  A row ``(pieces, split, normal, (a0, a1, b0))`` is a
 # union of pieces, each an intersection of closed bands, with ``t_bar = (a0 +
-# a1 u) / (b0 + b1 u)`` on it, ``u = normal . f``, scaled so that ``abs(b1) or
-# b0`` is positive, and the normal of its single split (None for type 1, whose
-# strength needs all three facet splits).  A band ``(n1, n2, ln, ld, hn, hd)``
+# a1 u) / (b0 + a1 u)`` on it, ``u = normal . f``: numerator and denominator
+# share the slope ``a1``, scaled so that ``abs(a1) or b0`` is positive.  It
+# also holds the normal of its single split (None for type 1, whose strength
+# needs all three facet splits).  A band ``(n1, n2, ln, ld, hn, hd)``
 # is ``ln / ld <= n . f <= hn / hd`` with ``ld, hd > 0``, or an open side
 # ``-1/0`` or ``1/0``, which every point passes cross-multiplied.  A point goes
 # to the first row that holds it, strictly inside the split: a boundary point
@@ -292,13 +293,13 @@ _BELOW, _ABOVE = (*_X2, *_LO, 0, 1), (*_X2, 1, 1, *_HI)
 def _low(normal, low, *pieces):
     """``t_bar = (u - l) / u`` with ``l = ln / ld``, split along ``normal``."""
     ln, ld = low
-    return pieces, normal, normal, (-ln, ld, 0, ld)
+    return pieces, normal, normal, (-ln, ld, 0)
 
 
 def _high(normal, high, *pieces):
     """``t_bar = (h - u) / (1 - u)`` with ``h = hn / hd``, split along ``normal``."""
     hn, hd = high
-    return pieces, normal, normal, (hn, -hd, hd, -hd)
+    return pieces, normal, normal, (hn, -hd, hd)
 
 
 def _pair(v, normal, low, high, sides=((),)):
@@ -318,10 +319,10 @@ def _pair(v, normal, low, high, sides=((),)):
 
 
 _TYPE1_TABLE = [
-    ((((*_S, 1, 1, *_HI), (*_X1, *_LO, 1, 1), (*_X2, *_LO, 1, 1)),), None, _S, (2, 0, 1, 0)),
-    ((((*_S, *_LO, 1, 1),),), None, _S, (3, -1, 2, -1)),
-    ((((*_X2, 1, 1, *_HI),),), None, _X2, (1, 1, 0, 1)),
-    ((((*_X1, 1, 1, *_HI),),), None, _X1, (1, 1, 0, 1)),
+    ((((*_S, 1, 1, *_HI), (*_X1, *_LO, 1, 1), (*_X2, *_LO, 1, 1)),), None, _S, (2, 0, 1)),
+    ((((*_S, *_LO, 1, 1),),), None, _S, (3, -1, 2)),
+    ((((*_X2, 1, 1, *_HI),),), None, _X2, (1, 1, 0)),
+    ((((*_X1, 1, 1, *_HI),),), None, _X1, (1, 1, 0)),
 ]
 
 
@@ -459,9 +460,9 @@ def strength_single_split(body: LatticeFreeBody, f: Rational2) -> StrengthReport
     facet normals, so the exact closure strength is reported instead and no
     single split is singled out.
     """
-    i, (_, split, (n1, n2), (a0, a1, b0, b1)), (q, x1, x2) = _locate(body, f)
-    p = n1 * x1 + n2 * x2
-    return _t_bar_report((_REGION_IDS[body.tag][i], split, Fraction(a0 * q + a1 * p, b0 * q + b1 * p), None, None))
+    i, (_, split, (n1, n2), (a0, a1, b0)), (q, x1, x2) = _locate(body, f)
+    s = a1 * (n1 * x1 + n2 * x2)
+    return _t_bar_report((_REGION_IDS[body.tag][i], split, Fraction(a0 * q + s, b0 * q + s), None, None))
 
 
 def _check_radius(n) -> None:

@@ -16,7 +16,10 @@ doubles as the per-point formulas, so points, ``t_bar`` values and hit
 counts are bit for bit those of a row-wise kernel (an ``(n, 2)`` array,
 masked writes, ``searchsorted``), which the tests keep as an oracle.  A
 chunk is a short run of whole-array operations with no masked writes, so
-the chunks of two threads overlap.
+the chunks of two threads overlap.  The evaluator gathers four numbers per
+point, since each row's numerator and denominator share one slope, and a
+split whose rows band its own ``u`` inside [0, 1] is tested strictly at
+those band ends, with no ``floor`` pass.
 
 Every chunk runs in a workspace, 2 MiB of preallocated buffers that outlive
 the call: each ufunc, ``take`` and ``Generator.random`` writes through
@@ -76,9 +79,9 @@ class _Workspace:
     ``narrow``, eight rows of bools (or uint8 through a view).  Wide rows 0-3
     are contiguous, so that they can first hold a chunk's uniforms, four to a
     sample.  The sampler takes all seven wide rows; the evaluator takes two
-    wide rows and one per normal, and five narrow rows and one per split,
-    which fit because the region tables' normals and splits are among
-    (1, 0), (0, 1) and (1, 1).
+    wide rows and one per normal, and five narrow rows and one per split
+    that keeps the floor test, which fit because the region tables' normals
+    and splits are among (1, 0), (0, 1) and (1, 1).
     """
 
     def __init__(self):
@@ -190,20 +193,31 @@ def _t_bar_evaluator(body: LatticeFreeBody):
 
     regions = _table(body)
     normals = list({(n1, n2) for pieces, *_ in regions for piece in pieces for n1, n2, *_ in piece})
-    splits = list({split for _, split, *_ in regions if split is not None})
-    # coefficients by region index, over the positive scale |b1| or b0; the
-    # extra last entry is for a point in no region
-    table = [(*n, *(c / (abs(b1) or b0) for c in (a0, a1, b0, b1))) for *_, n, (a0, a1, b0, b1) in regions]
-    n1, n2, p0, p1, q0, q1 = (np.array(column, dtype=float) for column in zip(*table, (0, 0, np.nan, 0, 1, 0)))
+    # coefficients by region index, over the positive scale |a1| or b0: the
+    # slopes a1 n of x1 and x2, then a0 and b0; the extra last entry is for a
+    # point in no region
+    table = []
+    for *_, (n1, n2), (a0, a1, b0) in regions:
+        scale = abs(a1) or b0
+        table.append((a1 * n1 / scale, a1 * n2 / scale, a0 / scale, b0 / scale))
+    s1, s2, p0, q0 = (np.array(column, dtype=float) for column in zip(*table, (0, 0, np.nan, 1)))
 
     # each region's pieces as one-sided checks (normal, compare, bound): a
     # band is ln / ld <= u <= hn / hd, written u >= ln / ld, with no check on
-    # an open side
-    sides = (np.greater_equal, 2, 3), (np.less_equal, 4, 5)
-    checks = [
-        ([[(b[:2], compare, b[num] / b[den]) for b in piece for compare, num, den in sides if b[den]] for piece in pieces], split)
-        for pieces, split, *_ in regions
-    ]
+    # an open side.  A split row whose every piece bands the split's own u
+    # inside [0, 1] needs no floor test: there u is off the integers iff it
+    # is neither 0 nor 1, so each end at 0 or 1 of its bands on the split's
+    # normal compares strictly instead, and the row keeps no split
+    sides = (np.greater_equal, np.greater, 2, 3, 0.0), (np.less_equal, np.less, 4, 5, 1.0)
+    checks = []
+    for pieces, split, *_ in regions:
+        inside = all(any(b[:2] == split and b[3] and b[5] and 0 <= b[2] / b[3] and b[4] / b[5] <= 1 for b in piece)
+                     for piece in pieces)
+        folded = split if inside else None
+        bands = [[(b[:2], strict if b[:2] == folded and b[num] / b[den] == end else compare, b[num] / b[den])
+                  for b in piece for compare, strict, num, den, end in sides if b[den]] for piece in pieces]
+        checks.append((bands, None if inside else split))
+    splits = list({split for _, split in checks if split is not None})
 
     def evaluate(x1: np.ndarray, x2: np.ndarray, ws: _Workspace) -> np.ndarray:
         count = len(x1)
@@ -237,14 +251,15 @@ def _t_bar_evaluator(body: LatticeFreeBody):
         index = w[2].view(np.intp)
         np.copyto(index, first)
 
-        # the normals' and slopes' entries are 0 and +-1, so u and the affine
-        # parts round exactly as the closed forms written out would
+        # t_bar = (s + p0) / (s + q0) with s = s1 x1 + s2 x2.  The slopes are
+        # 0 and +-1 and rounding is symmetric, so s is the row's a1 u over its
+        # scale, up to the sign of a zero where the slope is -1 or 0; there
+        # p0 and q0 are nonzero, so the sums have the closed forms' bits
         a, b = w[3], w[4]
-        u = np.add(np.multiply(_take(n1, index, a), x1, out=a), np.multiply(_take(n2, index, b), x2, out=b), out=a)
+        s = np.add(np.multiply(_take(s1, index, a), x1, out=a), np.multiply(_take(s2, index, b), x2, out=b), out=a)
         # x1 and x2 are dead: wide rows 0 and 1 are free
-        scratch, den = w[0], w[1]
-        num = np.add(np.multiply(_take(p1, index, b), u, out=b), _take(p0, index, scratch), out=b)
-        den = np.add(np.multiply(_take(q1, index, den), u, out=den), _take(q0, index, scratch), out=den)
+        num = np.add(s, _take(p0, index, b), out=b)
+        den = np.add(s, _take(q0, index, w[0]), out=w[0])
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.divide(num, den, out=num)
 

@@ -344,10 +344,10 @@ def region_spec(body) -> list[Region]:
         return F(n, d) if d else None
 
     spec = []
-    for pieces, split, normal, (a0, a1, b0, b1) in _table(body):
-        scale = abs(b1) or b0
+    for pieces, split, normal, (a0, a1, b0) in _table(body):
+        scale = abs(a1) or b0
         bands = tuple(tuple(((n1, n2), side(ln, ld), side(hn, hd)) for n1, n2, ln, ld, hn, hd in p) for p in pieces)
-        num, den = (F(a0, scale), F(a1, scale)), (F(b0, scale), F(b1, scale))
+        num, den = (F(a0, scale), F(a1, scale)), (F(b0, scale), F(a1, scale))
         spec.append(Region(bands, split, normal, num, den))
     return spec
 

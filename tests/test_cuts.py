@@ -480,9 +480,20 @@ class TestRegionTable:
         assert v == lcm(*(c.denominator for c in coordinates)) == body._facets[0]
         assert V == tuple((p.x1 * v, p.x2 * v) for p in body.vertices())
         assert all(type(c) is int for pair in V for c in pair)
-        for pieces, _, _, (_, _, b0, b1) in cuts._table(body):
-            assert (abs(b1) or b0) > 0
+        for pieces, _, _, (_, a1, b0) in cuts._table(body):
+            assert (abs(a1) or b0) > 0
             assert all(ld >= 0 and hd >= 0 for piece in pieces for *_, ld, _, hd in piece)
+
+    @settings(max_examples=100, deadline=None)
+    @given(drawn_body())
+    @example(Type1Body())
+    def test_one_slope_per_region(self, body):
+        # the table stores one slope a1 per row, t_bar = (a0 + a1 u) / (b0 +
+        # a1 u), and the Monte Carlo evaluator gathers it once: the Fraction
+        # derivation, which is written without the table, has equal
+        # numerator and denominator slopes in every region
+        for region in region_spec_oracle(body):
+            assert region.num[1] == region.den[1], (body, region)
 
     def test_split_has_no_table(self):
         with pytest.raises(ValueError, match="no region decomposition"):
@@ -1137,8 +1148,8 @@ class TestTableReuse:
             assert_single_split_is_oracle(body, f)
             index, _, t_bar = single_split(body, f)
             wrong = list(cuts._last_table[1])
-            pieces, split, normal, (a0, a1, b0, b1) = wrong[index - 1]
-            wrong[index - 1] = pieces, split, normal, (a0 + 1, a1, b0, b1)
+            pieces, split, normal, (a0, a1, b0) = wrong[index - 1]
+            wrong[index - 1] = pieces, split, normal, (a0 + 1, a1, b0)
             monkeypatch.setattr(cuts, "_last_table", (body, wrong))
             assert single_split(body, f)[2] != t_bar
             with pytest.raises(AssertionError):

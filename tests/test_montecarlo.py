@@ -5,7 +5,7 @@ import sys
 import threading
 import tracemalloc
 from fractions import Fraction as F
-from math import sqrt
+from math import ceil, floor, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +45,7 @@ from conftest import (
     fan_triangles_oracle,
     random_interior_point,
     region_spec,
+    region_spec_oracle,
     plus,
     region_t_bar,
     sample_points_oracle,
@@ -52,6 +53,28 @@ from conftest import (
     t_bar_evaluator_oracle,
     times,
 )
+
+
+def grid_and_band_ends(body, q=16):
+    """Float points ``(n, 2)``: the 1/q grid over the body's bounding box,
+    which meets every lattice line, and one grid line moved onto each band
+    end ``e`` of ``region_spec_oracle(body)``: ``n . x`` is ``float(e)``
+    exactly for the normals (1, 0) and (0, 1), and up to the rounding of
+    ``e - x1`` for (1, 1)."""
+    box = body.polygon()
+    xs, ys = (np.arange(floor(min(c) * q), ceil(max(c) * q) + 1) / q
+              for c in ([v.x1 for v in box], [v.x2 for v in box]))
+    lines = [np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)]
+    ends = {(n, float(e)) for region in region_spec_oracle(body) for piece in region.pieces
+            for n, *sides in piece for e in sides if e is not None}
+    for n, e in sorted(ends):
+        if n == (1, 0):
+            lines.append(np.column_stack([np.full(len(ys), e), ys]))
+        elif n == (0, 1):
+            lines.append(np.column_stack([xs, np.full(len(xs), e)]))
+        else:
+            lines.append(np.column_stack([xs, e - xs]))
+    return np.concatenate(lines)
 
 
 def columns(points):
@@ -176,10 +199,37 @@ class TestRowWiseOracle:
         # and split of these three, and the sampler picks between at most
         # two triangles
         unit = {(1, 0), (0, 1), (1, 1)}
-        for pieces, split, *_ in _table(body):
+        for pieces, split, _, (a0, a1, b0) in _table(body):
             assert {(n1, n2) for piece in pieces for n1, n2, *_ in piece} <= unit
             assert split is None or split in unit
+            # where the slope is -1 or 0, the evaluator's sum differs from
+            # the closed form's only in the sign of a zero, which nonzero
+            # constants absorb
+            assert a1 > 0 or a0 and b0
         assert len(_fan_triangles(body)[0]) <= 1
+
+    @staticmethod
+    def assert_grid_bit_identical(body):
+        pts = grid_and_band_ends(body)
+        expected = t_bar_evaluator_oracle(body)(pts)
+        evaluate, ws = _t_bar_evaluator(body), _Workspace()
+        for start in range(0, len(pts), _CHUNK):
+            x1, x2 = (np.ascontiguousarray(pts[start : start + _CHUNK, k]) for k in (0, 1))
+            got, want = evaluate(x1, x2, ws), expected[start : start + _CHUNK]
+            assert np.array_equal(got, want, equal_nan=True), body
+            assert np.array_equal(np.signbit(got), np.signbit(want)), body
+
+    @pytest.mark.parametrize("body", BOUNDARY_BODIES, ids=repr)
+    def test_lattice_lines_and_band_ends_bit_identical(self, body):
+        # random samples almost never land on a lattice line or a band end,
+        # where the strict tests and the first match decide: a dyadic grid
+        # and the lines through each band end do
+        self.assert_grid_bit_identical(body)
+
+    @settings(max_examples=40, deadline=None)
+    @given(any_body())
+    def test_lattice_lines_and_band_ends_of_drawn_bodies(self, body):
+        self.assert_grid_bit_identical(body)
 
 
 class TestWorkspace:

@@ -57,9 +57,10 @@ def threads_from(text):
 # one row per public function and class of geometry, bounds, montecarlo and
 # sweeps.  A number is read by geometry._frac, whose ValueError quotes it.
 # A PiecewiseBound's terms must be iterable, its scale a pair of positive
-# ints, each term's den a nonzero int and each step's selector an int pair
-# (a, b) with a > 0; the other step forms stay unchecked, so such a bound can
-# still fail when called
+# ints, each term a pair (den, steps) with a nonzero int den and a tuple of
+# steps, and each step a tuple (sel, k, l, l') of an int pair (a, b) with
+# a > 0, an int and two int pairs, so a bound that is built is one that can
+# be called
 WRONG_ARGUMENTS = [
     ("BodyClass", BodyClass, ("x",), ValueError, "'x' is not a valid BodyClass"),
     ("LatticeFreeBody", LatticeFreeBody, (), TypeError,
@@ -120,6 +121,16 @@ WRONG_ARGUMENTS = [
      "a step's selector must be an int pair (a, b) with a > 0, got (0, 1)"),
     ("PiecewiseBound", PiecewiseBound, (((0, (((1, 0), 1, (1, 0), (1, 0)),)),),), ValueError,
      "a term's den must be a nonzero int, got 0"),
+    ("PiecewiseBound", PiecewiseBound, ([(1,)],), ValueError,
+     "a term must be a pair (den, steps) with a tuple of steps, got (1,)"),
+    ("PiecewiseBound", PiecewiseBound, (((1, [((1, 0), 1, (1, 0), (1, 0))]),),), ValueError,
+     "a term must be a pair (den, steps) with a tuple of steps, got (1, ["),
+    ("PiecewiseBound", PiecewiseBound, (((1, (((1, 0), 1, (1, 0)),)),),), ValueError,
+     "a step must be a tuple (sel, k, l, l'), got ((1, 0), 1, (1, 0))"),
+    ("PiecewiseBound", PiecewiseBound, (((1, (((1, 0), 1.5, (1, 0), (1, 0)),)),),), ValueError,
+     "a step's k must be an int, got 1.5"),
+    ("PiecewiseBound", PiecewiseBound, (((1, (((1, 0), 1, (1, 0), (1, F(1, 2))),)),),), ValueError,
+     "a step's forms l and l' must be int pairs, got (1, Fraction(1, 2))"),
 ]
 
 # records, which hold what their maker (point, monte_carlo_lower, sweep_grid)
