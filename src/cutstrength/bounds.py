@@ -30,7 +30,7 @@ on, adds each such term's ``k l1 l2``, plus ``s l3^2`` once ``l3 >= 0``, as
 an integer over its ``den``, and keeps nothing, so a sweep, which evaluates
 each bound once, builds no step; ``terms`` spells the tuples out as steps
 on each read.  Since ``m^2`` is common to every step, a call divides by it
-once, in the ``Fraction`` it returns.
+once, in the ``Fraction`` it returns, made by ``geometry._ratio``.
 
 For the type 1 triangle the value is an exact probability, not merely a
 bound; it has a genuine jump at ``z = 2`` because the strength equals 2 on a
@@ -44,7 +44,7 @@ from typing import Callable
 
 from .geometry import (
     LatticeFreeBody, QuadBody, Rat, Type1Body, Type2Body, Type3Body, _check_type, _frac, _is_int, _listed,
-    lattice_width
+    _ratio, lattice_width
 )
 
 Pair = tuple[int, int]
@@ -77,9 +77,11 @@ class PiecewiseBound:
     once ``a m + b q >= 0``, which with ``a > 0`` is ``z >= (a - b) / a``:
     selection is right-continuous, the natural convention for a
     distribution-style bound.  Terms built by hand are checked and held as
-    steps; a family bound holds parts, each a first selector and the maker
-    of its regions' two-step tuples, and a call runs only the makers whose
-    selector is on and stores nothing (see the module docstring).
+    steps.  A family bound is built by ``_unchecked`` from its builder's own
+    known-good data: type 1 and type 2 hold steps, and quad and type 3 hold
+    parts, each a first selector and the maker of its regions' two-step
+    tuples, and a call runs only the makers whose selector is on and stores
+    nothing (see the module docstring).
     """
 
     __slots__ = ("scale", "_steps", "_parts")
@@ -108,9 +110,11 @@ class PiecewiseBound:
         self.scale, self._steps, self._parts = scale, terms, ()
 
     @classmethod
-    def _of_parts(cls, parts: tuple[Part, ...], scale: Pair) -> "PiecewiseBound":
+    def _unchecked(cls, steps: tuple[Term, ...], parts: tuple[Part, ...], scale: Pair) -> "PiecewiseBound":
+        """A family bound of ``steps`` and ``parts``, held as given, without
+        the shape check of ``__init__``."""
         bound = cls.__new__(cls)
-        bound.scale, bound._steps, bound._parts = scale, (), parts
+        bound.scale, bound._steps, bound._parts = scale, steps, parts
         return bound
 
     @property
@@ -123,7 +127,7 @@ class PiecewiseBound:
 
     @property
     def breakpoints(self) -> tuple[Fraction, ...]:
-        return tuple(sorted({Fraction(a - b, a) for _, steps in self.terms for (a, b), *_ in steps}))
+        return tuple(sorted({_ratio(a - b, a) for _, steps in self.terms for (a, b), *_ in steps}))
 
     def __eq__(self, other):
         if type(other) is not PiecewiseBound:
@@ -163,7 +167,7 @@ class PiecewiseBound:
                     tn += s * l3 * l3
                 num, den = num * d + tn * den, den * d
         sn, sd = self.scale
-        return Fraction(num * sd, den * m * m * sn)
+        return _ratio(num * sd, den * m * m * sn)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +178,7 @@ def t1_bound() -> PiecewiseBound:
     """Exact probability that the type 1 strength is at most z: 0, then
     ``3/4 ((2z - 3) / (z - 1))^2`` from ``z = 3/2``, then 1 from ``z = 2``."""
     u, v, m = (2, -1), (1, -1), (1, 0)  # the forms 2m - q (root 3/2), m - q (root 2) and m
-    return PiecewiseBound(((4, ((u, 3, u, u), (v, -3, u, u), (v, 4, m, m))),))
+    return PiecewiseBound._unchecked(((4, ((u, 3, u, u), (v, -3, u, u), (v, 4, m, m))),), (), (1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +198,7 @@ def t2_bound(w: Rat) -> PiecewiseBound:
         raise ValueError(f"lattice width must satisfy 1 < w <= 2, got {w}")
     P, Q = w.numerator, w.denominator
     u, v = (Q, Q - P), (P - Q, -Q)  # the roots w and w / (w - 1)
-    return PiecewiseBound(((P * P, ((u, 1, u, (2 * P - Q, P - Q)), (v, 1, v, (P - Q, Q)))),))
+    return PiecewiseBound._unchecked(((P * P, ((u, 1, u, (2 * P - Q, P - Q)), (v, 1, v, (P - Q, Q)))),), (), (1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +225,8 @@ def quad_bound(body: QuadBody) -> PiecewiseBound:
     W = A2 - B2 - D  # D (w - 1)
     V = (D - A1) * (D - B1) * e_c + A1 * B1 * e_d  # e_c e_d (v - 1)
     E = e_c * e_d
-    return PiecewiseBound._of_parts(
+    return PiecewiseBound._unchecked(
+        (),
         (((D, -W), _quad_x2_terms, (frame, W)), ((E, -V), _quad_x1_terms, (frame, V))),
         ((A2 - B2) * E + D * (E + V), 2 * D * E),  # over the area (w + v) / 2
     )
@@ -280,7 +285,8 @@ def t3_bound(body: Type3Body) -> PiecewiseBound:
     F, AJ = A1 * A2 - T * B1, A2 * (D - B1)
     W = AJ * (A1 * R + F) - D * F * R  # D F R (w - 1), w = c2 - b2
     ints = (D, A1, A2, B1, R, T, F, AJ)
-    return PiecewiseBound._of_parts(
+    return PiecewiseBound._unchecked(
+        (),
         (
             ((D * F * R, -W), _t3_x2_term, ints),
             ((D * F, -R * (A1 * B1 + F)), _t3_x1_term, ints),

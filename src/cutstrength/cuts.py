@@ -15,7 +15,8 @@ X2) / q``, by the body's interior test on its integer facets, which checks
 it.  ``strength_single_split`` matches that point against the body's region
 table, kept between queries on the same body object (the one form of the
 regions; :func:`chosen_split` and the Monte Carlo evaluator read it too), and
-builds one ``Fraction`` and one :class:`StrengthReport`, a ``NamedTuple``;
+builds one ``Fraction``, by ``geometry._ratio`` as every result here is, and
+one :class:`StrengthReport`, a ``NamedTuple``;
 the corner rays ``V / v - f`` over ``lcm(v, q)`` are built for ``t_N`` and
 :func:`corner_rays` alone.  The table and the rays read the body only through
 its integer vertices ``(v, V)``, ``V`` the vertices times their common
@@ -52,6 +53,7 @@ from .geometry import (
     _is_int,
     _listed,
     _primitive,
+    _ratio,
     over_common_denominator,
     primitive_directions,
 )
@@ -133,7 +135,7 @@ def split_coefficients(normal: Sequence[int], f: Rational2, rays: Sequence[Ratio
     if (0, 0) in big_rays:
         raise ValueError("rays must be nonzero")
     scale, row = _split_row(n1, n2, rem, d, big_rays)
-    return SplitCut((n1, n2), offset, tuple(Fraction(c, scale) for c in row))
+    return SplitCut((n1, n2), offset, tuple(_ratio(c, scale) for c in row))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +193,7 @@ def _min_cover(rows, k: int):
         g = gcd(scale, *ints)
         columns.append((scale // g, [c // g for c in ints]))
     value, d, slacks = _max_packing(columns, k)
-    return Fraction(value, d), tuple(Fraction(v, d) for v in slacks)
+    return _ratio(value, d), tuple(_ratio(v, d) for v in slacks)
 
 
 def _max_packing(columns, k: int, pool=None):
@@ -395,7 +397,7 @@ def corner_rays(body: LatticeFreeBody, f: Rational2) -> tuple[Rational2, ...]:
     """Rays from ``f`` to each vertex, in the documented vertex order: the
     Fraction view of the integer rays of :func:`_rays`."""
     d, _, big_rays = _rays(body, f)
-    return tuple(Rational2(Fraction(a, d), Fraction(b, d)) for a, b in big_rays)
+    return tuple(Rational2(_ratio(a, d), _ratio(b, d)) for a, b in big_rays)
 
 
 def _locate(body: LatticeFreeBody, f: Rational2):
@@ -462,7 +464,7 @@ def strength_single_split(body: LatticeFreeBody, f: Rational2) -> StrengthReport
     """
     i, (_, split, (n1, n2), (a0, a1, b0)), (q, x1, x2) = _locate(body, f)
     s = a1 * (n1 * x1 + n2 * x2)
-    return _t_bar_report((_REGION_IDS[body.tag][i], split, Fraction(a0 * q + s, b0 * q + s), None, None))
+    return _t_bar_report((_REGION_IDS[body.tag][i], split, _ratio(a0 * q + s, b0 * q + s), None, None))
 
 
 def _check_radius(n) -> None:
@@ -557,7 +559,7 @@ def strength_split_closure_approx(body: LatticeFreeBody, f: Rational2, n: int) -
 
     ring1 = [_split_row(n1, n2, rem, d, big_rays) for n1, n2, rem in _admissible(1, d, big_f)]
     value, scale, _ = _max_packing(ring1, len(big_rays), cutting if n > 1 else None)
-    return Fraction(scale, value)
+    return _ratio(scale, value)
 
 
 def strength_report(body: LatticeFreeBody, f: Rational2, n: int = 5) -> StrengthReport:

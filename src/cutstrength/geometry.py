@@ -2,8 +2,12 @@
 
 Everything in this module runs on integers over a common denominator, or on
 ``fractions.Fraction``; there is no floating point anywhere.  A vertex cycle
-is read into integers once, by ``_read_polygon``, and checked there.  Bodies
-are kept in canonical parameterizations:
+is read into integers once, by ``_read_polygon``, and checked there.  A
+rational from outside enters through one reader, ``_frac``; an exact result
+the package works out as a quotient of two ints leaves through one maker,
+``_ratio``, which builds what ``Fraction(n, d)`` would without running
+``Fraction``'s Python-level constructor, which would take about a fifth
+of a ``t_bar`` query.  Bodies are kept in canonical parameterizations:
 
 * ``SplitBody``      -- the band ``offset <= normal . x <= offset + 1``
 * ``Type1Body``      -- conv{(0,0), (2,0), (0,2)}
@@ -26,7 +30,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import chain
 from math import floor, gcd, lcm
 from typing import Callable, Iterator, Sequence, Union
@@ -68,6 +72,26 @@ def _frac(value: Rat) -> Fraction:
     if isinstance(value, bool):
         raise ValueError(f"expected a rational, got {value!r}")
     raise ValueError(f"expected 'p/q' string or integer, got {value!r}")
+
+
+_bare_fraction = partial(object.__new__, Fraction)  # a Fraction whose slots are not yet set
+
+
+def _ratio(n: int, d: int) -> Fraction:
+    """``Fraction(n, d)`` for ints ``n`` and ``d``, with the same value, type
+    and ``ZeroDivisionError``: the one maker of an exact result from its
+    ints.  ``Fraction.__new__`` is Python code that dispatches on its
+    arguments' types before it reduces them; this reduces by ``gcd``, puts
+    the sign on the numerator and fills the two slots that ``Fraction``
+    declares (``_numerator``, ``_denominator``) of a bare instance."""
+    g = gcd(n, d)
+    if d < 0:
+        g = -g
+    elif not d:
+        raise ZeroDivisionError(f"Fraction({n}, 0)")
+    value = _bare_fraction()
+    value._numerator, value._denominator = n // g, d // g
+    return value
 
 
 def _read_int(text: str) -> int:
@@ -398,7 +422,7 @@ class LatticeFreeBody:
     def _vertices(self) -> tuple[Rational2, ...]:
         """The vertices as Fractions, a view of ``_integer_vertices``."""
         v, V = self._integer_vertices
-        return tuple(Rational2(Fraction(x1, v), Fraction(x2, v)) for x1, x2 in V)
+        return tuple(Rational2(_ratio(x1, v), _ratio(x2, v)) for x1, x2 in V)
 
     @cached_property
     def _facets(self) -> tuple[int, tuple[tuple[int, int, int], ...]]:
@@ -619,7 +643,7 @@ def area(body: LatticeFreeBody) -> Fraction:
         raise ValueError("a split is unbounded; its area is not defined")
     _check_type("body", body, LatticeFreeBody)
     v, V = body._integer_vertices
-    return Fraction(_doubled_area([V[i] for i in body._order]), 2 * v * v)
+    return _ratio(_doubled_area([V[i] for i in body._order]), 2 * v * v)
 
 
 def lattice_width(body: LatticeFreeBody) -> Fraction:
@@ -635,13 +659,13 @@ def lattice_width(body: LatticeFreeBody) -> Fraction:
         return Fraction(2)
     if isinstance(body, Type2Body):
         D, _, A2 = body._frame
-        return Fraction(A2, max(D, A2 - D))  # min(a2, a2 / (a2 - 1))
+        return _ratio(A2, max(D, A2 - D))  # min(a2, a2 / (a2 - 1))
     if isinstance(body, Type3Body):
         nb2, db2, E, nc2 = body._frame[4:]
-        return Fraction(nc2 * db2 - nb2 * E, E * db2)  # c2 - b2
+        return _ratio(nc2 * db2 - nb2 * E, E * db2)  # c2 - b2
     if isinstance(body, QuadBody):
         D, _, A2, _, B2 = body._frame[:5]
-        return Fraction(A2 - B2, D)  # a2 - b2
+        return _ratio(A2 - B2, D)  # a2 - b2
     _check_type("body", body, LatticeFreeBody)
     raise TypeError(f"unsupported body {body!r}")
 

@@ -42,7 +42,7 @@ from typing import NamedTuple, Optional
 
 from . import bounds, geometry
 from .bounds import check_threshold, quad_lower, t3_lower
-from .geometry import QuadBody, Type3Body, _frac, lattice_width  # noqa: F401
+from .geometry import QuadBody, Type3Body, _frac, _ratio, lattice_width  # noqa: F401
 from .montecarlo import McEstimate, monte_carlo_lower
 
 PARAMS = {"t2": ("w",), "quad": ("a1", "a2", "b1", "b2"), "t3": ("a1", "a2", "b1")}
@@ -63,14 +63,14 @@ _grid_row = partial(tuple.__new__, GridRow)  # the same tuple, without __new__'s
 
 
 class _Over(dict):
-    """``Fraction(n, D)`` for each integer numerator ``n``, made once per ``n``."""
+    """``Fraction(n, D)`` for each integer numerator ``n``, made once per ``n`` by ``_ratio``."""
 
     def __init__(self, D: int):
         super().__init__()
         self.D = D
 
     def __missing__(self, n: int) -> Fraction:
-        value = self[n] = Fraction(n, self.D)
+        value = self[n] = _ratio(n, self.D)
         return value
 
 

@@ -29,6 +29,7 @@ from cutstrength import (
 )
 
 from conftest import (
+    BOUNDARY_BODIES,
     _ratio_of,
     any_body,
     bound_oracle,
@@ -484,3 +485,26 @@ class TestPublicData:
         for pb in pbs:
             digest.update(repr((pb.terms, pb.breakpoints, pb.scale, pb(3), pb(F(7, 3)), pb(20))).encode())
         assert digest.hexdigest() == self.DIGEST
+
+
+class TestFamilyBuild:
+    """Every family bound is built from its builder's own data by the
+    unchecked constructor; the shape check of ``PiecewiseBound.__init__`` is
+    for terms built by hand, and a bound rebuilt that way is the same."""
+
+    @staticmethod
+    def family_bounds():
+        return [t1_bound()] + [t2_bound(w) for w in (F(5, 4), F(3, 2), F(2))] + [
+            piecewise_bound_for(body) for body in BOUNDARY_BODIES
+        ]
+
+    def test_built_without_the_check(self, monkeypatch):
+        def checked(*args, **kwargs):
+            raise AssertionError("a family bound went through PiecewiseBound.__init__")
+
+        monkeypatch.setattr(PiecewiseBound, "__init__", checked)
+        built = self.family_bounds()
+        monkeypatch.undo()
+        assert len(built) == 4 + len(BOUNDARY_BODIES)
+        for pb in built:
+            assert pb == PiecewiseBound(pb.terms, pb.scale)
