@@ -7,12 +7,19 @@ strings, which the library reads as it reads any rational (``geometry._frac``):
 2 usage error, 3 validation error.  The argument parser is built once per
 process and reused by every :func:`run`.  ``sweep`` formats each grid value
 once per sweep, from a table that lives for that one sweep, and each row's
-bound (and type 3 width) on its row.
+bound (and type 3 width) on its row, with the cyclic garbage collector off.
+
+A command imports a module that only it runs when it runs: ``strength``
+loads ``cuts``, ``montecarlo`` loads ``montecarlo`` (and numpy), and
+``classify`` loads ``lattice``, so that ``width``, ``bound`` and ``sweep``
+start without them.  ``sweep_grid`` and ``format_rational`` stay names of
+this module, which the benchmark's tracer wraps.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import re
 import sys
@@ -22,9 +29,7 @@ from functools import cache
 
 from .bounds import bound_for
 from .descriptors import format_rational, parse_body, parse_json, parse_pair
-from .cuts import strength_report
-from .geometry import SplitBody, _frac, _read_int, classify, lattice_width
-from .montecarlo import monte_carlo_lower
+from .geometry import SplitBody, _frac, _read_int, lattice_width
 from .sweeps import DEFAULT_STEP, FAMILIES, sweep_grid
 
 USAGE_ERROR = 2
@@ -109,6 +114,8 @@ def _emit(text: str, output):
 
 
 def _run_classify(args) -> str:
+    from .lattice import classify
+
     body = _load_body(args.body)
     if not isinstance(body, (list, SplitBody)):
         body = body.polygon()
@@ -123,6 +130,8 @@ def _run_width(args) -> str:
 
 
 def _run_strength(args) -> str:
+    from .cuts import strength_report
+
     body = _load_body(args.body)
     if isinstance(body, list):
         raise ValueError("strength needs a typed body descriptor, not a vertex list")
@@ -154,6 +163,8 @@ def _run_bound(args) -> str:
 
 
 def _run_montecarlo(args) -> str:
+    from .montecarlo import monte_carlo_lower
+
     body = _load_body(args.body)
     if isinstance(body, list) or isinstance(body, SplitBody):
         raise ValueError("montecarlo needs a typed bounded body descriptor")
@@ -175,6 +186,22 @@ def _parse_ranges(items):
     return out or None
 
 
+@contextmanager
+def _collector_off():
+    """Keep the cyclic garbage collector off while in the block, and give
+    the caller back its state after."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+# the rows keep every Fraction, body and row that the walk makes, so a pass
+# of the cyclic collector over them would free nothing
+@_collector_off()
 def _run_sweep(args) -> str:
     rows = sweep_grid(
         args.family,

@@ -30,8 +30,9 @@ workers, worker 0 on the calling thread and the others on threads of their
 own.  Worker k takes a workspace from a lock-protected stack (or makes one),
 runs chunks k, k + workers, ... in it and gives it back.  The stack keeps
 up to ``os.cpu_count()`` idle, as many as one call can take.  numpy is
-imported inside the functions that use it, so that importing the package and
-the exact commands do not pay for it.
+imported inside the functions that use it, and this module is imported by
+the ``montecarlo`` command and by a sweep with Monte Carlo rows when they
+run, so that importing the package and the exact commands pay for neither.
 """
 
 from __future__ import annotations

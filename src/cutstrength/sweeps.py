@@ -38,12 +38,14 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import partial
 from math import isqrt, lcm
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from . import bounds, geometry
 from .bounds import check_threshold, quad_lower, t3_lower
 from .geometry import QuadBody, Type3Body, _frac, _ratio, lattice_width  # noqa: F401
-from .montecarlo import McEstimate, monte_carlo_lower
+
+if TYPE_CHECKING:
+    from .montecarlo import McEstimate
 
 PARAMS = {"t2": ("w",), "quad": ("a1", "a2", "b1", "b2"), "t3": ("a1", "a2", "b1")}
 FAMILIES = tuple(PARAMS)
@@ -212,5 +214,8 @@ def sweep_grid(
 
 
 def _row(params, w, z, bound, body, mc_samples, seed) -> GridRow:
-    mc = None if mc_samples is None else monte_carlo_lower(body, z, mc_samples, seed)
-    return _grid_row((params, w, z, bound, mc))
+    if mc_samples is None:
+        return _grid_row((params, w, z, bound, None))
+    from .montecarlo import monte_carlo_lower  # loaded by a sweep that asks for Monte Carlo, and only then
+
+    return _grid_row((params, w, z, bound, monte_carlo_lower(body, z, mc_samples, seed)))

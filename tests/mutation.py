@@ -48,6 +48,8 @@ _BAND_ENDS = "tests/test_montecarlo.py::TestRowWiseOracle::test_lattice_lines_an
 _BAND_ENDS_DRAWN = "tests/test_montecarlo.py::TestRowWiseOracle::test_lattice_lines_and_band_ends_of_drawn_bodies"
 _RATIO = "tests/test_ratio.py::TestRatio"
 _OFF_NEW = "tests/test_ratio.py::TestOffFractionNew"
+_STARTUP = "tests/test_startup.py::TestStartup"
+_COLLECTOR = "tests/test_cli.py::TestSweepCollector"
 
 # the evaluator's folding of split rows, whose third mutant keeps the 0-ends
 # of the first folded row non-strict
@@ -132,6 +134,30 @@ MUTANTS = [
         "PiecewiseBound(((4, ((u, 3, u, u), (v, -3, u, u), (v, 4, m, m))),))",
         ("tests/test_bounds.py::TestFamilyBuild",),
     ),
+    # an eager import that undoes a command's lean start
+    Mutant(
+        "cli-imports-cuts", "cli.py",
+        "from .geometry import SplitBody, _frac, _read_int, lattice_width\n",
+        "from .cuts import strength_report  # noqa: F401\nfrom .geometry import SplitBody, _frac, _read_int, lattice_width\n",
+        (_STARTUP,),
+    ),
+    Mutant(
+        "sweeps-imports-montecarlo", "sweeps.py",
+        "if TYPE_CHECKING:\n    from .montecarlo import McEstimate\n",
+        "from .montecarlo import McEstimate\n",
+        (_STARTUP,),
+    ),
+    # a name of the lazy namespace read from its module on every read
+    Mutant(
+        "namespace-uncached", "__init__.py",
+        "value = globals()[name] = getattr(",
+        "value = getattr(",
+        ("tests/test_surface.py::TestLazyNamespace",),
+    ),
+    # a sweep that leaves the collector on, or leaves it off after
+    Mutant("sweep-collects", "cli.py", "@_collector_off()\n", "", (_COLLECTOR,)),
+    Mutant("collector-left-off", "cli.py", "        if enabled:\n            gc.enable()\n", "        pass\n",
+           (_COLLECTOR,)),
 ]
 
 EQUIVALENT = [

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -14,6 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cutstrength
+from cutstrength import cli
 from cutstrength.cli import USAGE_ERROR, VALIDATION_ERROR, _parser, exact_digits, run
 from cutstrength.descriptors import (
     format_rational,
@@ -22,7 +24,7 @@ from cutstrength.descriptors import (
 )
 from cutstrength.geometry import _frac as parse_rational
 from cutstrength.geometry import _read_int
-from cutstrength.sweeps import FAMILIES, PARAMS
+from cutstrength.sweeps import FAMILIES, PARAMS, sweep_grid
 from cutstrength import (
     QuadBody,
     SplitBody,
@@ -757,6 +759,31 @@ class TestParserReuse:
         _parser.cache_clear()
         assert [invoke(capsys, *argv) for argv in self.CALLS] == first
         assert _parser.cache_info().misses == 1
+
+
+class TestSweepCollector:
+    """A sweep runs with the cyclic garbage collector off, and gives the
+    caller back its state, whether the sweep ends in rows or in an error."""
+
+    def test_off_in_the_walk_and_restored(self, capsys, monkeypatch):
+        seen = []
+
+        def walk(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return sweep_grid(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "sweep_grid", walk)
+        try:
+            for enabled in (True, False):
+                (gc.enable if enabled else gc.disable)()
+                assert invoke(capsys, "sweep", "--family", "t3", "--z", "2", "--step", "1/4")[0] == 0
+                assert gc.isenabled() is enabled
+                empty = invoke(capsys, "sweep", "--family", "t2", "--z", "2", "--step", "2")
+                assert empty == (VALIDATION_ERROR, "", "error: grid is empty: no valid parameter combinations\n")
+                assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        assert seen == [False] * 4
 
 
 class TestWholeDomain:

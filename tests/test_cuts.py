@@ -39,7 +39,7 @@ from cutstrength import (
     strength_single_split,
     strength_split_closure_approx,
 )
-from cutstrength import cuts, geometry
+from cutstrength import cuts, geometry, lattice
 from cutstrength.cli import run
 from cutstrength.geometry import LatticeFreeBody, over_common_denominator, primitive_directions
 
@@ -1057,13 +1057,13 @@ POINT_DEFECTS = [
     (split_coefficients, ((0, 1), BOOL_POINT, []), TypeError, "f must have int or Fraction coordinates"),
     (split_coefficients, ((0, 1), INSIDE, [geometry.Rational2(1, False)]), TypeError,
      "rays[0] must have int or Fraction coordinates"),
-    (geometry.classify, ([geometry.Rational2(0, False), *TYPE1[1:]],), TypeError,
+    (lattice.classify, ([geometry.Rational2(0, False), *TYPE1[1:]],), TypeError,
      "obj[0] must have int or Fraction coordinates"),
-    (geometry.classify, ([*TYPE1[:2], (0, 2)],), TypeError, "obj[2] must be a Rational2, got (0, 2)"),
-    (geometry.canonicalize, ([*TYPE1[:2], (0, 2)],), TypeError, "obj[2] must be a Rational2, got (0, 2)"),
-    (geometry.classify, (None,), TypeError, "obj must be iterable, got None"),
-    (geometry.UnimodularMap(1, 0, 0, 1).apply, ((1, 2),), TypeError, "p must be a Rational2, got (1, 2)"),
-    (geometry.UnimodularMap(1, 0, 0, 1).apply, (geometry.Rational2(0.5, 1),), ValueError,
+    (lattice.classify, ([*TYPE1[:2], (0, 2)],), TypeError, "obj[2] must be a Rational2, got (0, 2)"),
+    (lattice.canonicalize, ([*TYPE1[:2], (0, 2)],), TypeError, "obj[2] must be a Rational2, got (0, 2)"),
+    (lattice.classify, (None,), TypeError, "obj must be iterable, got None"),
+    (lattice.UnimodularMap(1, 0, 0, 1).apply, ((1, 2),), TypeError, "p must be a Rational2, got (1, 2)"),
+    (lattice.UnimodularMap(1, 0, 0, 1).apply, (geometry.Rational2(0.5, 1),), ValueError,
      "expected 'p/q' string or integer, got 0.5"),
 ]
 
@@ -1083,8 +1083,8 @@ class TestPointCheck:
         want = split_coefficients((0, 1), INSIDE, rays)
         for form in (tuple, iter, lambda pts: (p for p in pts)):
             assert split_coefficients((0, 1), INSIDE, form(rays)) == want
-            assert geometry.classify(form(TYPE1)) is geometry.BodyClass.TYPE1_TRIANGLE
-            assert geometry.canonicalize(form(TYPE1))[0] == Type1Body()
+            assert lattice.classify(form(TYPE1)) is lattice.BodyClass.TYPE1_TRIANGLE
+            assert lattice.canonicalize(form(TYPE1))[0] == Type1Body()
 
     def test_fresh_process(self):
         # no kept state stands for an argument: a first call in a new

@@ -28,13 +28,8 @@ from cutstrength import (
     strength_report,
     strength_single_split,
 )
-from cutstrength.geometry import (
-    _edge_lattice,
-    _holds_interior_point,
-    _width_basis,
-    over_common_denominator,
-    primitive_directions,
-)
+from cutstrength.geometry import over_common_denominator, primitive_directions
+from cutstrength.lattice import _edge_lattice, _holds_interior_point, _width_basis
 
 from conftest import (
     IDENTITY,

@@ -1,7 +1,12 @@
 """The package's surface: what its public names outside ``cuts`` raise on an
-argument of the wrong type, and that no private name is left unused."""
+argument of the wrong type, that no private name is left unused, and that
+the lazy namespace gives each public name as its module defines it."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
@@ -206,3 +211,64 @@ class TestNoDeadPrivateCode:
         code = code.replace(anchor, unread + anchor) + "\n\ndef _recursive(n):\n    return _recursive(n - 1)\n"
         (tmp_path / "geometry.py").write_text(code, encoding="utf-8")
         assert dead_private_names(tmp_path) == ["geometry.py: _wrapper", "geometry.py: _recursive"]
+
+
+def fresh(code: str):
+    """The JSON that ``code`` prints last, run in a fresh interpreter."""
+    src = str(SOURCE.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+# the public names that are neither classes nor functions, and their modules
+CONSTANTS = {"DEFAULT_STEP": "cutstrength.sweeps", "FAMILIES": "cutstrength.sweeps"}
+
+
+class TestLazyNamespace:
+    def test_each_name_is_its_modules_object(self):
+        for name in cutstrength.__all__:
+            value = getattr(cutstrength, name)
+            home = CONSTANTS.get(name) or value.__module__
+            assert value is getattr(sys.modules[home], name), name
+
+    def test_a_name_is_kept_after_its_first_read(self):
+        # in a fresh interpreter no name is bound before it is read, and
+        # each is bound to its module's object after
+        got = fresh(
+            "import sys, json, cutstrength\n"
+            "names = cutstrength.__all__\n"
+            "before = [name for name in names if name in vars(cutstrength)]\n"
+            "values = {name: getattr(cutstrength, name) for name in names}\n"
+            "kept = [name for name in names if vars(cutstrength).get(name) is values[name]]\n"
+            "print(json.dumps([before, kept == names, sorted(cutstrength.__all__) == names]))\n"
+        )
+        assert got == [[], True, True]
+
+    def test_star_import_binds_all(self):
+        namespace = {}
+        exec("from cutstrength import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(cutstrength.__all__)
+        assert all(namespace[name] is getattr(cutstrength, name) for name in cutstrength.__all__)
+
+    def test_dir_lists_every_name_before_it_is_read(self):
+        assert set(cutstrength.__all__) <= set(dir(cutstrength))
+        assert fresh("import json, cutstrength\n"
+                     "print(json.dumps(set(cutstrength.__all__) <= set(dir(cutstrength))))") is True
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError) as raised:
+            cutstrength.x  # noqa: B018
+        assert str(raised.value) == "module 'cutstrength' has no attribute 'x'"
+        assert not hasattr(cutstrength, "x")
+        with pytest.raises(ImportError, match="cannot import name 'x' from 'cutstrength'"):
+            exec("from cutstrength import x", {})
+
+    def test_submodules_still_import(self):
+        got = fresh(
+            "import json\n"
+            "from cutstrength import cuts, lattice\n"
+            "import cutstrength\n"
+            "print(json.dumps([cuts.__name__, lattice.__name__, cutstrength.bounds.__name__]))\n"
+        )
+        assert got == ["cutstrength.cuts", "cutstrength.lattice", "cutstrength.bounds"]
