@@ -46,6 +46,7 @@ from .geometry import (
     Type1Body,
     Type2Body,
     Type3Body,
+    _check_int,
     _check_point,
     _check_points,
     _check_type,
@@ -281,15 +282,15 @@ def _max_packing(columns, k: int, pool=None):
 # a1 u) / (b0 + a1 u)`` on it, ``u = normal . f``: numerator and denominator
 # share the slope ``a1``, scaled so that ``abs(a1) or b0`` is positive.  It
 # also holds the normal of its single split (None for type 1, whose strength
-# needs all three facet splits).  A band ``(n1, n2, ln, ld, hn, hd)``
-# is ``ln / ld <= n . f <= hn / hd`` with ``ld, hd > 0``, or an open side
-# ``-1/0`` or ``1/0``, which every point passes cross-multiplied.  A point goes
-# to the first row that holds it, strictly inside the split: a boundary point
-# to its smallest-index region, a point on a lattice line of its split to a
-# later one.
+# needs all three facet splits), whose own ``n . f`` each piece bands inside
+# [0, 1].  A band ``(n1, n2, ln, ld, hn, hd)`` is ``ln / ld <= n . f <= hn /
+# hd`` with ``ld, hd > 0``, or an open side ``-1/0`` or ``1/0``, which every
+# point passes cross-multiplied.  A point goes to the first row that holds it,
+# strictly inside the split: a boundary point to its smallest-index region, a
+# point on a lattice line of its split to a later one.
 _X1, _X2, _S = (1, 0), (0, 1), (1, 1)
 _LO, _HI = (-1, 0), (1, 0)
-_BELOW, _ABOVE = (*_X2, *_LO, 0, 1), (*_X2, 1, 1, *_HI)
+_BELOW, _ABOVE, _UNIT = (*_X2, *_LO, 0, 1), (*_X2, 1, 1, *_HI), (*_X2, 0, 1, 1, 1)
 
 
 def _low(normal, low, *pieces):
@@ -350,10 +351,10 @@ def _table(body: LatticeFreeBody):
     elif isinstance(body, Type2Body):
         left, right, (_, h) = V
         apex = h, v
-        inner = _pair(v, _X1, left, right, [((*_X2, 0, 1, 1, 1),)])
+        inner = _pair(v, _X1, left, right, [(_UNIT,)])
         if h <= 2 * v:  # the paper's bounds use the horizontal split on the whole unit square
             inner = [_high(_X2, apex, *row[0]) for row in inner]
-        sides = [_high(_X2, apex, ((*_X1, *_LO, 0, 1),)), _high(_X2, apex, ((*_X1, 1, 1, *_HI),))]
+        sides = [_high(_X2, apex, ((*_X1, *_LO, 0, 1), _UNIT)), _high(_X2, apex, ((*_X1, 1, 1, *_HI), _UNIT))]
         regions = inner + sides + _pair(v, _X1, left, right, [(_ABOVE,)])
     elif isinstance(body, QuadBody):
         a, b, c, d = V
@@ -436,6 +437,7 @@ def chosen_split(body: LatticeFreeBody, region: RegionId) -> tuple[int, int]:
     _check_type("body", body, LatticeFreeBody)
     if region.family != body.tag:
         raise ValueError(f"region {region} is a {region.family} region, not one of {body!r}")
+    _check_int("region index", region.index)
     regions = _table(body)
     split = regions[region.index - 1][1] if 1 <= region.index <= len(regions) else None
     if split is None:

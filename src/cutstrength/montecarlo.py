@@ -17,11 +17,11 @@ counts are bit for bit those of a row-wise kernel (an ``(n, 2)`` array,
 masked writes, ``searchsorted``), which the tests keep as an oracle.  A
 chunk is a short run of whole-array operations with no masked writes, so
 the chunks of two threads overlap.  The evaluator gathers four numbers per
-point, since each row's numerator and denominator share one slope, and a
-split whose rows band its own ``u`` inside [0, 1] is tested strictly at
-those band ends, with no ``floor`` pass.
+point, since each row's numerator and denominator share one slope, and
+tests a split strictly at the ends at 0 and 1 of the band inside [0, 1]
+that every piece of its rows has on the split's own ``u``.
 
-Every chunk runs in a workspace, 2 MiB of preallocated buffers that outlive
+Every chunk runs in a workspace, 1.9 MiB of preallocated buffers that outlive
 the call: each ufunc, ``take`` and ``Generator.random`` writes through
 ``out=`` in the operation order of fresh arrays, so each double keeps its
 bits, and a chunk allocates no array.  A buffer is reused once what it held
@@ -77,19 +77,18 @@ def thread_count() -> int:
 class _Workspace:
     """Buffers for one chunk of up to ``_CHUNK`` samples at a time: ``wide``,
     seven rows of 8-byte items (float64, or intp through a view), and
-    ``narrow``, eight rows of bools (or uint8 through a view).  Wide rows 0-3
+    ``narrow``, five rows of bools (or uint8 through a view).  Wide rows 0-3
     are contiguous, so that they can first hold a chunk's uniforms, four to a
     sample.  The sampler takes all seven wide rows; the evaluator takes two
-    wide rows and one per normal, and five narrow rows and one per split
-    that keeps the floor test, which fit because the region tables' normals
-    and splits are among (1, 0), (0, 1) and (1, 1).
+    wide rows and one per normal, which fit because the region tables'
+    normals are among (1, 0), (0, 1) and (1, 1), and the five narrow rows.
     """
 
     def __init__(self):
         import numpy as np
 
         self.wide = np.empty((7, _CHUNK))
-        self.narrow = np.empty((8, _CHUNK), dtype=bool)
+        self.narrow = np.empty((5, _CHUNK), dtype=bool)
 
 
 # the idle workspaces, each taken by one worker at a time
@@ -172,7 +171,7 @@ def _dot(n, x1, x2, out):
     """``n . x`` for a normal ``n`` among (1, 0), (0, 1) and (1, 1), the only
     ones in the region tables: ``x1``, ``x2``, or their sum written to
     ``out``.  For finite ``x`` it differs from ``n[0] x1 + n[1] x2`` at most
-    in the sign of a zero, which no comparison and no ``floor`` test sees."""
+    in the sign of a zero, which no comparison sees."""
     import numpy as np
 
     if n == (1, 1):
@@ -184,8 +183,9 @@ def _t_bar_evaluator(body: LatticeFreeBody):
     """Vectorized float ``t_bar`` read off the body's region table.
 
     Each point takes the formula of the first region that it matches, as in
-    ``region_of``; every constant is the correctly rounded int quotient of
-    the table's.  A point that float round-off puts in no region gets NaN.
+    ``region_of``, with a split's strict test read off its band ends; every
+    constant is the correctly rounded int quotient of the table's.  A point
+    that float round-off puts in no region gets NaN.
     ``evaluate(x1, x2, ws)`` writes to the rows of the workspace ``ws``
     other than wide rows 0 and 1 until it has read ``x1`` and ``x2`` for the
     last time, which may be those rows, and returns one of its rows.
@@ -205,29 +205,19 @@ def _t_bar_evaluator(body: LatticeFreeBody):
 
     # each region's pieces as one-sided checks (normal, compare, bound): a
     # band is ln / ld <= u <= hn / hd, written u >= ln / ld, with no check on
-    # an open side.  A split row whose every piece bands the split's own u
-    # inside [0, 1] needs no floor test: there u is off the integers iff it
-    # is neither 0 nor 1, so each end at 0 or 1 of its bands on the split's
-    # normal compares strictly instead, and the row keeps no split
-    sides = (np.greater_equal, np.greater, 2, 3, 0.0), (np.less_equal, np.less, 4, 5, 1.0)
-    checks = []
-    for pieces, split, *_ in regions:
-        inside = all(any(b[:2] == split and b[3] and b[5] and 0 <= b[2] / b[3] and b[4] / b[5] <= 1 for b in piece)
-                     for piece in pieces)
-        folded = split if inside else None
-        bands = [[(b[:2], strict if b[:2] == folded and b[num] / b[den] == end else compare, b[num] / b[den])
-                  for b in piece for compare, strict, num, den, end in sides if b[den]] for piece in pieces]
-        checks.append((bands, None if inside else split))
-    splits = list({split for _, split in checks if split is not None})
+    # an open side.  A split row's pieces band its u inside [0, 1], so an end
+    # at 0 or 1 on the split compares strictly: u is off the integers there
+    sides = (np.greater_equal, np.greater, 2, 3), (np.less_equal, np.less, 4, 5)
+    checks = [[[(b[:2], strict if b[:2] == split and b[num] / b[den] in (0.0, 1.0) else compare, b[num] / b[den])
+                for b in piece for compare, strict, num, den in sides if b[den]] for piece in pieces]
+              for pieces, split, *_ in regions]
 
     def evaluate(x1: np.ndarray, x2: np.ndarray, ws: _Workspace) -> np.ndarray:
         count = len(x1)
         w, m = ws.wide[:, :count], ws.narrow[:, :count]
         proj = {n: _dot(n, x1, x2, w[2 + k]) for k, n in enumerate(normals)}
-        floor = w[2 + len(normals)]
-        strict = {n: np.not_equal(np.floor(proj[n], out=floor), proj[n], out=m[k]) for k, n in enumerate(splits)}
-        first, step = (m[len(splits) + k].view(np.uint8) for k in (0, 1))
-        matched, piece_mask, check_mask = (m[len(splits) + k] for k in (2, 3, 4))
+        first, step = m[:2].view(np.uint8)
+        matched, piece_mask, check_mask = m[2:]
 
         def all_of(piece, out):
             (n, compare, bound), *rest = piece
@@ -242,12 +232,10 @@ def _t_bar_evaluator(body: LatticeFreeBody):
         # masks; the wraparound of (i - first) cancels in first + (i - first).
         first.fill(len(regions))
         for i in reversed(range(len(regions))):
-            (head, *rest), split = checks[i]
+            head, *rest = checks[i]
             all_of(head, matched)
             for piece in rest:
                 matched |= all_of(piece, piece_mask)
-            if split is not None:
-                matched &= strict[split]
             first += np.multiply(np.subtract(np.uint8(i), first, out=step), matched, out=step)
         index = w[2].view(np.intp)
         np.copyto(index, first)

@@ -439,15 +439,17 @@ _TYPE1_SPEC = [
 def region_spec_oracle(body):
     """``region_spec(body)`` derived in Fractions from the body's Fraction
     vertices and parameters, region by region."""
-    below, above = ((_X2, None, 0),), ((_X2, 1, None),)
+    below, above, unit = ((_X2, None, 0),), ((_X2, 1, None),), (_X2, 0, 1)
     if isinstance(body, Type1Body):
         return _TYPE1_SPEC
     if isinstance(body, Type2Body):
         left, right = body.left.x1, body.right.x1
-        inner = _pair(_X1, left, right, [((_X2, 0, 1),)])
+        inner = _pair(_X1, left, right, [(unit,)])
         if body.a2 <= 2:  # the paper's bounds use the horizontal split on the whole unit square
             inner = [_high(_X2, body.a2, *region.pieces) for region in inner]
-        sides = [_high(_X2, body.a2, ((_X1, None, 0),)), _high(_X2, body.a2, ((_X1, 1, None),))]
+        # the side regions' points have 0 < x2 < 1, banded so that every split
+        # region bands its split's own u inside [0, 1]
+        sides = [_high(_X2, body.a2, ((_X1, None, 0), unit)), _high(_X2, body.a2, ((_X1, 1, None), unit))]
         return inner + sides + _pair(_X1, left, right, [above])
     if isinstance(body, QuadBody):
         return _pair(_X2, body.b2, body.a2) + _pair(_X1, body.c1, body.d1, [below, above])

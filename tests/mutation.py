@@ -51,14 +51,12 @@ _OFF_NEW = "tests/test_ratio.py::TestOffFractionNew"
 _STARTUP = "tests/test_startup.py::TestStartup"
 _COLLECTOR = "tests/test_cli.py::TestSweepCollector"
 
-# the evaluator's folding of split rows, whose third mutant keeps the 0-ends
-# of the first folded row non-strict
-_FOLD = """\
-    checks = []
-    for pieces, split, *_ in regions:
-        inside = all(any(b[:2] == split and b[3] and b[5] and 0 <= b[2] / b[3] and b[4] / b[5] <= 1 for b in piece)
-                     for piece in pieces)
-        folded = split if inside else None
+# the evaluator's band checks, whose third mutant keeps the 0-ends of the
+# first split row non-strict
+_CHECKS = """\
+    checks = [[[(b[:2], strict if b[:2] == split and b[num] / b[den] in (0.0, 1.0) else compare, b[num] / b[den])
+                for b in piece for compare, strict, num, den in sides if b[den]] for piece in pieces]
+              for pieces, split, *_ in regions]
 """
 
 MUTANTS = [
@@ -78,27 +76,35 @@ MUTANTS = [
         "return ((4 * R * (D * F) ** 2, 2 * A2, D * F, R * (F - A1 * B1), F, qb, -2 * A2 * B1 * D),)",
         ("tests/test_bounds.py::TestPublicData::test_digest",),
     ),
-    # the band ends of a folded split row, compared non-strictly
+    # the band ends of a split row, compared non-strictly
     Mutant(
         "band-ends-at-0-non-strict", "montecarlo.py",
-        "(np.greater_equal, np.greater, 2, 3, 0.0)",
-        "(np.greater_equal, np.greater_equal, 2, 3, 0.0)",
+        "(np.greater_equal, np.greater, 2, 3)",
+        "(np.greater_equal, np.greater_equal, 2, 3)",
         (_BAND_ENDS, _BAND_ENDS_DRAWN),
     ),
     Mutant(
         "band-ends-at-1-non-strict", "montecarlo.py",
-        "(np.less_equal, np.less, 4, 5, 1.0)",
-        "(np.less_equal, np.less_equal, 4, 5, 1.0)",
+        "(np.less_equal, np.less, 4, 5)",
+        "(np.less_equal, np.less_equal, 4, 5)",
         (_BAND_ENDS, _BAND_ENDS_DRAWN),
     ),
     Mutant(
-        "first-folded-row-0-ends-non-strict", "montecarlo.py",
-        _FOLD + "        bands = [[(b[:2], strict if b[:2] == folded and b[num] / b[den] == end else compare",
-        _FOLD.replace("checks = []", "checks, first_fold = [], True")
-        + "        keep, first_fold = first_fold and inside, first_fold and not inside\n"
-        + "        bands = [[(b[:2], strict if b[:2] == folded and b[num] / b[den] == end"
-        + " and not (keep and end == 0.0) else compare",
+        "first-split-row-0-ends-non-strict", "montecarlo.py",
+        _CHECKS,
+        "    first = next((i for i, row in enumerate(regions) if row[1]), None)\n"
+        + _CHECKS.replace("in (0.0, 1.0) else", "in (0.0, 1.0) and not (i == first and b[num] == 0) else")
+        .replace("for pieces, split, *_ in regions]", "for i, (pieces, split, *_) in enumerate(regions)]"),
         (_BAND_ENDS, _BAND_ENDS_DRAWN),
+    ),
+    # type 2's side rows without the band 0 <= x2 <= 1 that every other
+    # split row has on its split
+    Mutant(
+        "type2-sides-without-unit-band", "cuts.py",
+        "((*_X1, *_LO, 0, 1), _UNIT)), _high(_X2, apex, ((*_X1, 1, 1, *_HI), _UNIT))",
+        "((*_X1, *_LO, 0, 1),)), _high(_X2, apex, ((*_X1, 1, 1, *_HI),))",
+        ("tests/test_montecarlo.py::TestRowWiseOracle::test_tables_and_fans_fit_the_kernel",
+         "tests/test_cuts.py::TestRegionTable::test_view_matches_fraction_oracle"),
     ),
     # the one maker of exact results, each of its three steps left out
     Mutant(

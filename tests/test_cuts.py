@@ -979,6 +979,8 @@ WRONG_ARGUMENTS = [
     (corner_rays, (BODY, 0), TypeError, "f must be a Rational2, got 0"),
     (covering_lp_min, ([1], 1), TypeError, "rows[0] must be iterable, got 1"),
     (chosen_split, (Type2Body, RegionId("type2", 1)), TypeError, "body must be a LatticeFreeBody"),
+    (chosen_split, (BODY, RegionId("type2", "1")), ValueError, "region index must be an int, got '1'"),
+    (chosen_split, (BODY, RegionId("type2", True)), ValueError, "region index must be an int, got True"),
 ]
 
 

@@ -196,12 +196,16 @@ class TestRowWiseOracle:
     @given(st.one_of(st.sampled_from(BOUNDARY_BODIES), any_body()))
     def test_tables_and_fans_fit_the_kernel(self, body):
         # _dot adds at most x1 and x2, the workspace's rows fit one per normal
-        # and split of these three, and the sampler picks between at most
-        # two triangles
+        # of these three, and the sampler picks between at most two
+        # triangles.  Every piece of a split row bands the split's own u
+        # inside [0, 1], so the evaluator tests strictness at those band ends
         unit = {(1, 0), (0, 1), (1, 1)}
         for pieces, split, _, (a0, a1, b0) in _table(body):
             assert {(n1, n2) for piece in pieces for n1, n2, *_ in piece} <= unit
             assert split is None or split in unit
+            for piece in pieces:
+                assert split is None or any((n1, n2) == split and ld and hd and 0 <= F(ln, ld) and F(hn, hd) <= 1
+                                            for n1, n2, ln, ld, hn, hd in piece), (body, piece)
             # where the slope is -1 or 0, the evaluator's sum differs from
             # the closed form's only in the sign of a zero, which nonzero
             # constants absorb
