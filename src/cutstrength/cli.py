@@ -12,15 +12,16 @@ bound (and type 3 width) on its row, with the cyclic garbage collector off.
 A command imports a module that only it runs when it runs: ``strength``
 loads ``cuts``, ``montecarlo`` loads ``montecarlo`` (and numpy), and
 ``classify`` loads ``lattice``, so that ``width``, ``bound`` and ``sweep``
-start without them.  ``sweep_grid`` and ``format_rational`` stay names of
-this module, which the benchmark's tracer wraps.
+start without them; and ``json`` is imported by the commands that read or
+write JSON, so that a CSV ``sweep`` starts without it.  ``sweep_grid`` and
+``format_rational`` stay names of this module, which the benchmark's tracer
+wraps.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import json
 import re
 import sys
 from contextlib import contextmanager
@@ -105,6 +106,14 @@ def _parser() -> argparse.ArgumentParser:
     return top
 
 
+def _json_line(payload) -> str:
+    """``payload`` as one line of JSON.  json is imported here, as the
+    commands that write it run, since a CSV sweep never does."""
+    import json
+
+    return json.dumps(payload) + "\n"
+
+
 def _emit(text: str, output):
     if output:
         with open(output, "w", encoding="utf-8") as fh:
@@ -119,14 +128,14 @@ def _run_classify(args) -> str:
     body = _load_body(args.body)
     if not isinstance(body, (list, SplitBody)):
         body = body.polygon()
-    return json.dumps({"class": classify(body).value}) + "\n"
+    return _json_line({"class": classify(body).value})
 
 
 def _run_width(args) -> str:
     body = _load_body(args.body)
     if isinstance(body, list):
         raise ValueError("width needs a typed body descriptor, not a vertex list")
-    return json.dumps({"w": format_rational(lattice_width(body))}) + "\n"
+    return _json_line({"w": format_rational(lattice_width(body))})
 
 
 def _run_strength(args) -> str:
@@ -139,19 +148,14 @@ def _run_strength(args) -> str:
     if args.N < 1:
         raise ValueError(f"need N >= 1, got {args.N}")
     rep = strength_report(body, f, args.N)
-    return (
-        json.dumps(
-            {
-                "region": str(rep.region),
-                "chosen_split_normal": list(rep.chosen_split_normal)
-                if rep.chosen_split_normal
-                else None,
-                "t_bar": format_rational(rep.t_bar),
-                "t_n": format_rational(rep.t_n),
-                "n": rep.n,
-            }
-        )
-        + "\n"
+    return _json_line(
+        {
+            "region": str(rep.region),
+            "chosen_split_normal": list(rep.chosen_split_normal) if rep.chosen_split_normal else None,
+            "t_bar": format_rational(rep.t_bar),
+            "t_n": format_rational(rep.t_n),
+            "n": rep.n,
+        }
     )
 
 
@@ -159,7 +163,7 @@ def _run_bound(args) -> str:
     body = _load_body(args.body)
     if isinstance(body, list) or isinstance(body, SplitBody):
         raise ValueError("bound needs a typed bounded body descriptor")
-    return json.dumps({"z": args.z, "bound": format_rational(bound_for(body, args.z))}) + "\n"
+    return _json_line({"z": args.z, "bound": format_rational(bound_for(body, args.z))})
 
 
 def _run_montecarlo(args) -> str:
@@ -171,7 +175,7 @@ def _run_montecarlo(args) -> str:
     est = monte_carlo_lower(body, args.z, args.samples, args.seed)
     payload = {"z": args.z, "bound": format_rational(bound_for(body, args.z)), "estimate": est.estimate,
                "std_error": est.std_error, "samples": est.samples, "seed": est.seed}
-    return json.dumps(payload) + "\n"
+    return _json_line(payload)
 
 
 def _parse_ranges(items):
@@ -244,7 +248,7 @@ def _run_sweep(args) -> str:
             }
             for r in rows
         ]
-        return json.dumps(payload) + "\n"
+        return _json_line(payload)
     lines = ["params,w,z,bound,mc_estimate,mc_stderr,samples,seed"]
     for r in rows:
         mc = (repr(r.mc.estimate), repr(r.mc.std_error), str(r.mc.samples)) if r.mc else ("", "", "")

@@ -12,15 +12,17 @@ reciprocal of a small covering LP over the corner rays (scaled to gauge 1):
 For every non-split body the region table gives ``t_bar`` in closed form.
 Both run in the body's integer frame: each strength reads f once, as ``(X1,
 X2) / q``, by the body's interior test on its integer facets, which checks
-it.  ``strength_single_split`` matches that point against the body's region
-table, kept between queries on the same body object (the one form of the
-regions; :func:`chosen_split` and the Monte Carlo evaluator read it too), and
-builds one ``Fraction``, by ``geometry._ratio`` as every result here is, and
-one :class:`StrengthReport`, a ``NamedTuple``;
-the corner rays ``V / v - f`` over ``lcm(v, q)`` are built for ``t_N`` and
-:func:`corner_rays` alone.  The table and the rays read the body only through
-its integer vertices ``(v, V)``, ``V`` the vertices times their common
-denominator ``v``: each band bound is a vertex projected on the band's normal.
+it.  ``strength_single_split``, the one locator, which :func:`region_of`
+runs, matches that point against the body's region table, kept between
+queries on the same body object (the one form of the regions;
+:func:`chosen_split` and the Monte Carlo evaluator read it too), and builds
+one ``Fraction``, by ``geometry._ratio`` as every result here is, and one
+:class:`StrengthReport`, a ``NamedTuple``; the corner rays ``V / v - f``
+over ``lcm(v, q)`` are built for ``t_N`` and :func:`corner_rays` alone.  The
+table and the rays read the body only through its integer vertices ``(v,
+V)``, ``V`` the vertices times their common denominator ``v``, which
+``geometry`` keeps for the body read last: each band bound is a vertex
+projected on the band's normal.
 ``t_N`` starts the packing kernel with the splits of max-norm 1 and, at
 each optimum, walks the normals of the splits that can still cut, a convex
 set, column by column, building each row only when the kernel prices it
@@ -46,6 +48,7 @@ from .geometry import (
     Type1Body,
     Type2Body,
     Type3Body,
+    _NO_BODY,
     _check_int,
     _check_point,
     _check_points,
@@ -96,7 +99,7 @@ class StrengthReport(NamedTuple):
     n: Optional[int] = None
 
 
-_t_bar_report = partial(tuple.__new__, StrengthReport)  # the same tuple, without __new__'s Python call
+_report = partial(tuple.__new__, StrengthReport)  # the same tuple, without __new__'s Python call
 
 
 def _scaled(f: Rational2, rays: Sequence[Rational2]):
@@ -329,8 +332,7 @@ _TYPE1_TABLE = [
 ]
 
 
-_NO_BODY = object()  # no argument is this object, so the first call builds a table
-_last_table: tuple = (_NO_BODY, None)
+_last_table: tuple = (_NO_BODY, None)  # no argument is _NO_BODY, so the first call builds a table
 
 
 def _table(body: LatticeFreeBody):
@@ -369,11 +371,14 @@ def _table(body: LatticeFreeBody):
 # ---------------------------------------------------------------------------
 # the integer frame
 
-def _point(body: LatticeFreeBody, f: Rational2, split_error: str):
-    """``(q, X1, X2)``: ``f = (X1, X2) / q``, checked and found strictly inside
-    the body by its interior test; the body is checked where that cannot run."""
+
+def _rays(body: LatticeFreeBody, f: Rational2):
+    """``(d, D f, [D r])``: ``f = (X1, X2) / q``, checked and found strictly
+    inside the body by its interior test (the body is checked where that
+    cannot run), and the corner rays ``V / v - f`` over ``d = lcm(v, q)``, as
+    :func:`_scaled`."""
     if isinstance(body, SplitBody):
-        raise ValueError(split_error)
+        raise ValueError("a split has no vertices, hence no corner rays")
     try:
         scaled = body._interior(f)
     except (AttributeError, TypeError):
@@ -381,13 +386,7 @@ def _point(body: LatticeFreeBody, f: Rational2, split_error: str):
         raise
     if scaled is None:
         raise ValueError(f"root vertex {f} is not strictly interior to {body!r}")
-    return scaled
-
-
-def _rays(body: LatticeFreeBody, f: Rational2):
-    """``(d, D f, [D r])``: ``f`` of :func:`_point` and the corner rays ``V / v
-    - f`` over ``d = lcm(v, q)``, as :func:`_scaled`."""
-    q, x1, x2 = _point(body, f, "a split has no vertices, hence no corner rays")
+    q, x1, x2 = scaled
     v, V = body._integer_vertices
     d = lcm(v, q)
     s, f1, f2 = d // v, x1 * (d // q), x2 * (d // q)
@@ -401,34 +400,11 @@ def corner_rays(body: LatticeFreeBody, f: Rational2) -> tuple[Rational2, ...]:
     return tuple(Rational2(_ratio(a, d), _ratio(b, d)) for a, b in big_rays)
 
 
-def _locate(body: LatticeFreeBody, f: Rational2):
-    """``(i, entry, (q, X1, X2))``: the first row of :func:`_table` that ``f``
-    matches, ``i`` counted from 0, with ``split . X mod q != 0`` as the strict
-    test, and the point of :func:`_point`, the only part of the frame a
-    ``t_bar`` query reads.  A piece is dropped at its first band that fails."""
-    scaled = _point(body, f, "splits have no region decomposition")
-    q, x1, x2 = scaled
-    i = -1
-    for entry in _table(body):
-        i += 1
-        pieces, split, _, _ = entry
-        if split is not None and not (split[0] * x1 + split[1] * x2) % q:
-            continue
-        for piece in pieces:
-            for n1, n2, ln, ld, hn, hd in piece:
-                p = n1 * x1 + n2 * x2
-                if ln * q > p * ld or p * hd > hn * q:
-                    break
-            else:
-                return i, entry, scaled
-    raise ValueError(f"no region of {body!r} has a split containing f = {f} strictly")
-
-
 def region_of(body: LatticeFreeBody, f: Rational2) -> RegionId:
     """The first region of the body's table that ``f`` matches: a boundary
-    point goes to the smallest-index region whose split holds it strictly."""
-    i = _locate(body, f)[0]  # first: it checks the arguments
-    return _REGION_IDS[body.tag][i]
+    point goes to the smallest-index region whose split holds it strictly.
+    It is the region of :func:`strength_single_split`, the one locator."""
+    return strength_single_split(body, f).region
 
 
 def chosen_split(body: LatticeFreeBody, region: RegionId) -> tuple[int, int]:
@@ -456,17 +432,42 @@ def strength_single_split(body: LatticeFreeBody, f: Rational2) -> StrengthReport
     ``min{sum(s) : c . s >= 1, s >= 0}``.  Each region uses the split of the
     paper's bounds, which is not always the best single split at ``f``.
 
-    A query is one integer pass over the region table; the report's region
-    is the one shared ``RegionId`` of its family and index, made at import,
-    which :func:`region_of` also returns.
+    This is the one locator, which :func:`region_of` also runs.  A query
+    reads the kept table, or builds it, which checks the body, reads ``f =
+    (X1, X2) / q`` by the body's interior test, which checks ``f``, and
+    makes one integer pass over the table: ``f`` goes to the first row it
+    matches, with ``split . X mod q != 0`` as the strict test, and a piece
+    is dropped at its first band that fails.  The report's region is the
+    one shared ``RegionId`` of its family and index, made at import.
 
     For the type 1 triangle the full split closure is generated by the three
     facet normals, so the exact closure strength is reported instead and no
     single split is singled out.
     """
-    i, (_, split, (n1, n2), (a0, a1, b0)), (q, x1, x2) = _locate(body, f)
-    s = a1 * (n1 * x1 + n2 * x2)
-    return _t_bar_report((_REGION_IDS[body.tag][i], split, _ratio(a0 * q + s, b0 * q + s), None, None))
+    last, regions = _last_table
+    if last is not body:
+        if isinstance(body, SplitBody):
+            raise ValueError("splits have no region decomposition")
+        regions = _table(body)
+    scaled = body._interior(f)
+    if scaled is None:
+        raise ValueError(f"root vertex {f} is not strictly interior to {body!r}")
+    q, x1, x2 = scaled
+    i = -1
+    for pieces, split, normal, coefficients in regions:
+        i += 1
+        if split is not None and not (split[0] * x1 + split[1] * x2) % q:
+            continue
+        for piece in pieces:
+            for n1, n2, ln, ld, hn, hd in piece:
+                p = n1 * x1 + n2 * x2
+                if ln * q > p * ld or p * hd > hn * q:
+                    break
+            else:
+                (n1, n2), (a0, a1, b0) = normal, coefficients
+                s = a1 * (n1 * x1 + n2 * x2)
+                return _report((_REGION_IDS[body.tag][i], split, _ratio(a0 * q + s, b0 * q + s), None, None))
+    raise ValueError(f"no region of {body!r} has a split containing f = {f} strictly")
 
 
 def _check_radius(n) -> None:
@@ -565,7 +566,9 @@ def strength_split_closure_approx(body: LatticeFreeBody, f: Rational2, n: int) -
 
 
 def strength_report(body: LatticeFreeBody, f: Rational2, n: int = 5) -> StrengthReport:
-    """Full report: region, chosen split, single-split t_bar, and t_N.  Each
-    strength reads ``f`` once, as ``(q, X1, X2)`` from :func:`_point`;
-    ``t_bar`` reads nothing else, and ``t_N`` builds the corner rays from it."""
-    return strength_single_split(body, f)._replace(t_n=strength_split_closure_approx(body, f, n), n=n)
+    """Full report: region, chosen split, single-split t_bar, and t_N, one
+    tuple made from the t_bar report and ``t_N``.  Each strength reads ``f``
+    once, as ``(q, X1, X2)`` from the body's interior test; ``t_bar`` reads
+    nothing else, and ``t_N`` builds the corner rays from it."""
+    region, split, t_bar, _, _ = strength_single_split(body, f)
+    return _report((region, split, t_bar, strength_split_closure_approx(body, f, n), n))

@@ -8,7 +8,6 @@ floats (``geometry._frac``), and a split's normal and offset as integers.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 from .geometry import (
@@ -41,7 +40,10 @@ def parse_pair(value) -> Rational2:
 
 def parse_json(text: str, what: str):
     """Decode JSON text; malformed or too deeply nested input raises a
-    ValueError that names ``what``."""
+    ValueError that names ``what``.  json is imported here, when a command
+    reads JSON, so that a CSV sweep never loads it."""
+    import json
+
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -31,7 +31,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from itertools import chain
 from math import gcd, lcm
 from typing import Callable, Iterator, Sequence, Union
@@ -207,43 +207,75 @@ def _doubled_area(P: Sequence[tuple[int, int]]) -> int:
 # bodies
 
 
+def _coordinate(body: LatticeFreeBody, i: int, j: int) -> Fraction:
+    """Coordinate ``j`` of vertex ``i``, a quotient of the integer vertices."""
+    v, V = body._integer_vertices
+    return _ratio(V[i][j], v)
+
+
 def _coordinates(i: int) -> tuple[property, property]:
     """Read-only properties for the two coordinates of vertex ``i``."""
-    return property(lambda body: body._vertices[i].x1), property(lambda body: body._vertices[i].x2)
+    return property(lambda body: _coordinate(body, i, 0)), property(lambda body: _coordinate(body, i, 1))
+
+
+def _parameters(count: int) -> tuple[property, ...]:
+    """Read-only properties for the parameters ``numerators / D`` of the
+    frame ``(D, *numerators, ...)``, the first ``count`` numerators."""
+    return tuple(property(lambda body, k=k: _ratio(body._frame[k], body._frame[0])) for k in range(1, count + 1))
+
+
+_NO_BODY = object()  # no argument is this object, so the first read derives (here and in cuts)
+# the body read last, with its integer vertices (v, V) and its integer facets
+# (v, ((n1, n2, c), ...)), replaced whole at a read of another body
+_last_read: tuple = (_NO_BODY, None, None)
+
+
+def _read(body: LatticeFreeBody) -> tuple:
+    """``(body, (v, V), (v, facets))``: the record of the body read last,
+    derived from ``body``'s frame first unless it is that body."""
+    global _last_read
+    record = _last_read
+    if record[0] is not body:
+        record = _last_read = (body, *body._derive())
+    return record
 
 
 class LatticeFreeBody:
     """Base for all canonical-form bodies.
 
-    A body's only state is its integer frame ``_frame``: a split's is ``(n1,
-    n2, offset)``, type 1's is ``()``, and a bounded family's is what its
-    ``_check(D, *numerators)`` returns for the parameters ``numerators / D``
-    over their least denominator ``D`` (or the function that writes why it
-    rejects them): ``D``, the numerators, then the integers the check derives.
-    Frames are canonical, so bodies of one family are equal exactly when
-    their frames are.  The rest is read off the frame, each part on first
-    read.  A bounded family's ``_integer_vertices``, its one vertex formula,
-    gives ``(v, V)`` in ints: the least common denominator ``v`` of the
-    vertex coordinates and the vertices times ``v``, in the documented
-    corner-ray order; the facets, ``cuts`` and the fan read it.  The
-    Fraction vertices ``_vertices`` are a view of ``(v, V)``, and the
-    parameters and derived coordinates are read-only properties over that
-    view.  ``_order`` lists the vertices counter-clockwise for ``polygon()``,
-    an orientation that the family's sign constraints decide.
+    A body's only state is its integer frame ``_frame``, its one slot: a
+    split's is ``(n1, n2, offset)``, type 1's is ``()``, and a bounded
+    family's is what its ``_check(D, *numerators)`` returns for the
+    parameters ``numerators / D`` over their least denominator ``D`` (or the
+    function that writes why it rejects them): ``D``, the numerators, then
+    the integers the check derives.  Frames are canonical, so bodies of one
+    family are equal exactly when their frames are.  The parameters, and so
+    ``repr``, are read off the frame.  The rest is derived from it when read:
+    a bounded family's ``_vertex_formula`` gives ``(v, V)`` in ints, the
+    least common denominator ``v`` of the vertex coordinates and the
+    vertices times ``v``, in the documented corner-ray order, and
+    ``_derive`` adds the integer facets.  A body keeps none of it: the
+    module keeps the integer vertices and facets of the body read last, one
+    record that :func:`_read` replaces whole, as ``cuts`` keeps the region
+    table; ``_integer_vertices`` and the interior test read it.  The Fraction
+    vertices are built from ``(v, V)`` when asked, and the derived
+    coordinates are read-only properties over it.  A caller that alternates
+    bodies derives their integers again at each switch.  ``_order`` lists
+    the vertices counter-clockwise for ``polygon()``, an orientation that
+    the family's sign constraints decide.
 
     The constructor reads the parameters with ``_frac`` and runs
     ``_check``, and does no vertex work; ``_from_frame_or_reason`` builds
-    the same body from the integers.  Either way a new body holds only its
-    frame.  The constructor raises a rejection's message as a ValueError;
-    ``_from_frame_or_reason`` returns it unwritten, so that a caller that
-    drops rejections (a sweep) pays for the checks alone, not for an
-    exception and the Fractions of a message.  The base class itself is
-    no body, and constructing it is a TypeError.
+    the same body from the integers.  The constructor raises a rejection's
+    message as a ValueError; ``_from_frame_or_reason`` returns it unwritten,
+    so that a caller that drops rejections (a sweep) pays for the checks
+    alone, not for an exception and the Fractions of a message.  The base
+    class itself is no body, and constructing it is a TypeError.
     """
 
+    __slots__ = ("_frame", "__weakref__")
     tag: str
     _frame: tuple[int, ...]
-    _integer_vertices: tuple[int, tuple[tuple[int, int], ...]]
     _params: tuple[str, ...] = ()
     _order: tuple[int, ...] = (0, 1, 2)
 
@@ -287,46 +319,57 @@ class LatticeFreeBody:
         return f"{type(self).__name__}({args})"
 
     def vertices(self) -> tuple[Rational2, ...]:
-        """Vertices in the documented corner-ray order."""
-        return self._vertices
-
-    def polygon(self) -> list[Rational2]:
-        """Vertices as a counter-clockwise boundary cycle."""
-        return [self._vertices[i] for i in self._order]
-
-    @cached_property
-    def _vertices(self) -> tuple[Rational2, ...]:
-        """The vertices as Fractions, a view of ``_integer_vertices``."""
+        """Vertices in the documented corner-ray order, built from ``(v, V)``."""
         v, V = self._integer_vertices
         return tuple(Rational2(_ratio(x1, v), _ratio(x2, v)) for x1, x2 in V)
 
-    @cached_property
-    def _facets(self) -> tuple[int, tuple[tuple[int, int, int], ...]]:
-        """The facets in integers: ``(v, ((n1, n2, c), ...))``, so that facet
-        ``normal . x <= offset`` is ``(n1, n2) . (v x) <= c`` with ``(n1,
-        n2) = v normal``."""
-        v, V = self._integer_vertices
+    def polygon(self) -> list[Rational2]:
+        """Vertices as a counter-clockwise boundary cycle."""
+        vertices = self.vertices()
+        return [vertices[i] for i in self._order]
+
+    @property
+    def _integer_vertices(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """``(v, V)``, read from the record of the body read last."""
+        return _read(self)[1]
+
+    def _derive(self) -> tuple:
+        """``((v, V), (v, facets))`` of a bounded body, from its vertex
+        formula: the facets in integers over the counter-clockwise cycle,
+        ``(n1, n2, c)`` for facet ``normal . x <= offset`` when ``(n1, n2) .
+        (v x) <= c`` with ``(n1, n2) = v normal``."""
+        v, V = self._vertex_formula()
         pts = [V[i] for i in self._order]
         facets = []
         for (a1, a2), (b1, b2) in zip(pts, pts[1:] + pts[:1]):
             n1, n2 = b2 - a2, a1 - b1  # outward for a CCW cycle
             facets.append((n1, n2, n1 * a1 + n2 * a2))
-        return v, tuple(facets)
+        return (v, V), (v, tuple(facets))
 
     def _interior(self, f: Rational2):
         """``(q, X1, X2)``, ``f = (X1, X2) / q`` over its least common
         denominator, if ``f`` lies strictly inside the body, ``v (n . X) < c q``
-        at each integer facet; else None."""
-        if not (type(f) is Rational2 and type(f.x1) is Fraction and type(f.x2) is Fraction):
+        at each integer facet; else None.  A point of two Fractions is read
+        off their slots, and two equal denominators are already the least
+        common one."""
+        if type(f) is Rational2 and type(x1 := f.x1) is Fraction and type(x2 := f.x2) is Fraction:
+            p1, q1, p2, q2 = x1._numerator, x1._denominator, x2._numerator, x2._denominator
+        else:
             _check_point("f", f)
-        v, facets = self._facets
-        (p1, q1), (p2, q2) = f.x1.as_integer_ratio(), f.x2.as_integer_ratio()
-        q = lcm(q1, q2)
-        x1, x2 = p1 * (q // q1), p2 * (q // q2)
+            (p1, q1), (p2, q2) = f.x1.as_integer_ratio(), f.x2.as_integer_ratio()
+        if q1 == q2:
+            q = q1
+        else:
+            q = lcm(q1, q2)
+            p1, p2 = p1 * (q // q1), p2 * (q // q2)
+        record = _last_read
+        if record[0] is not self:
+            record = _read(self)
+        v, facets = record[2]
         for n1, n2, c in facets:
-            if v * (n1 * x1 + n2 * x2) >= c * q:
+            if v * (n1 * p1 + n2 * p2) >= c * q:
                 return None
-        return q, x1, x2
+        return q, p1, p2
 
     def contains_interior(self, f: Rational2) -> bool:
         return self._interior(f) is not None
@@ -335,6 +378,7 @@ class LatticeFreeBody:
 class SplitBody(LatticeFreeBody):
     """The band ``offset <= normal . x <= offset + 1``; a primitive int normal, an int offset."""
 
+    __slots__ = ()
     tag = "split"
     _params = ("normal", "offset")
     normal = property(lambda body: body._frame[:2])
@@ -346,11 +390,10 @@ class SplitBody(LatticeFreeBody):
             raise ValueError(f"split offset must be an integer, got {offset!r}")
         self._frame = (n1, n2, offset)
 
-    @cached_property
-    def _facets(self):
-        # the facets n . x <= offset + 1 and -n . x <= -offset, over v = 1
+    def _derive(self):
+        # no vertices, and the facets n . x <= offset + 1 and -n . x <= -offset, over v = 1
         n1, n2, offset = self._frame
-        return 1, ((n1, n2, offset + 1), (-n1, -n2, -offset))
+        return None, (1, ((n1, n2, offset + 1), (-n1, -n2, -offset)))
 
     def vertices(self):
         raise ValueError("a split is unbounded and has no vertices")
@@ -362,9 +405,14 @@ class SplitBody(LatticeFreeBody):
 class Type1Body(LatticeFreeBody):
     """conv{(0,0), (2,0), (0,2)}: integer vertices, one lattice point per edge."""
 
+    __slots__ = ()
     tag = "type1"
-    _frame = ()
-    _integer_vertices = (1, ((0, 0), (2, 0), (0, 2)))
+
+    def __init__(self):
+        self._frame = ()
+
+    def _vertex_formula(self):
+        return 1, ((0, 0), (2, 0), (0, 2))
 
 
 class Type2Body(LatticeFreeBody):
@@ -374,12 +422,11 @@ class Type2Body(LatticeFreeBody):
     (A2 - D)`` to ``(A2 - A1) / (A2 - D)``; ``_frame = (D, A1, A2)``.
     """
 
+    __slots__ = ()
     tag = "type2"
     _params = ("a1", "a2")
-    a1, a2 = _coordinates(2)
-    left = property(lambda body: body._vertices[0])
-    right = property(lambda body: body._vertices[1])
-    apex = property(lambda body: body._vertices[2])
+    a1, a2 = _parameters(2)
+    left, right, apex = (property(lambda body, i=i: body.vertices()[i]) for i in range(3))
 
     def __init__(self, a1: Rat, a2: Rat):
         self._init(a1, a2)
@@ -392,8 +439,7 @@ class Type2Body(LatticeFreeBody):
             return lambda: f"need a2 > 1, got a2={Fraction(A2, D)}"
         return (D, A1, A2)
 
-    @cached_property
-    def _integer_vertices(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+    def _vertex_formula(self) -> tuple[int, tuple[tuple[int, int], ...]]:
         D, A1, A2 = self._frame
         return _integer_points((-A1, A2 - D), (0, 1), (A2 - A1, A2 - D), (0, 1), (A1, D), (A2, D))
 
@@ -414,12 +460,15 @@ class Type3Body(LatticeFreeBody):
     nb2, db2, E, nc2)``, with ``b2 = nb2 / db2`` and ``c2 = nc2 / E``.
     """
 
+    __slots__ = ()
     tag = "type3"
     _params = ("a1", "a2", "b1")
     # a lies right of the lattice points, b below and c above left, so a, b,
     # c turns clockwise
     _order = (2, 1, 0)
-    (a1, a2), (b1, b2), (c1, c2) = map(_coordinates, range(3))
+    a1, a2, b1 = _parameters(3)
+    b2 = _coordinates(1)[1]
+    c1, c2 = _coordinates(2)
 
     def __init__(self, a1: Rat, a2: Rat, b1: Rat):
         self._init(a1, a2, b1)
@@ -446,8 +495,7 @@ class Type3Body(LatticeFreeBody):
             )
         return (D, A1, A2, B1, nb2, db2, E, nc2)
 
-    @cached_property
-    def _integer_vertices(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+    def _vertex_formula(self) -> tuple[int, tuple[tuple[int, int], ...]]:
         D, A1, A2, B1, nb2, db2, E, nc2 = self._frame
         return _integer_points((A1, D), (A2, D), (B1, D), (nb2, db2), (A1 * (A1 - D) * B1, E), (nc2, E))
 
@@ -469,10 +517,12 @@ class QuadBody(LatticeFreeBody):
     e_d)``.
     """
 
+    __slots__ = ()
     tag = "quad"
     _params = ("a1", "a2", "b1", "b2")
     _order = (2, 1, 3, 0)
-    (a1, a2), (b1, b2), (c1, c2), (d1, d2) = map(_coordinates, range(4))
+    a1, a2, b1, b2 = _parameters(4)
+    (c1, c2), (d1, d2) = map(_coordinates, (2, 3))
 
     def __init__(self, a1: Rat, a2: Rat, b1: Rat, b2: Rat):
         self._init(a1, a2, b1, b2)
@@ -499,8 +549,7 @@ class QuadBody(LatticeFreeBody):
             )
         return (D, A1, A2, B1, B2, e_c, e_d)
 
-    @cached_property
-    def _integer_vertices(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+    def _vertex_formula(self) -> tuple[int, tuple[tuple[int, int], ...]]:
         D, A1, A2, B1, B2, e_c, e_d = self._frame
         nd1 = (A2 - A1) * (D - B1) - (D - A1) * B2
         return _integer_points(

@@ -29,7 +29,7 @@ from cutstrength import (
 )
 from cutstrength.cuts import _admissible, _check_radius, _max_packing, _min_cover, _rays, _scaled, _split_row, _table
 from cutstrength.descriptors import format_rational
-from cutstrength.geometry import _frac, primitive_directions
+from cutstrength.geometry import _frac, _read, primitive_directions
 
 # CI runs with HYPOTHESIS_PROFILE=ci: the same examples on every run, no deadline
 settings.register_profile("ci", derandomize=True, deadline=None)
@@ -232,7 +232,7 @@ def vertex_oracle(cls, params) -> tuple[Rational2, ...]:
 
 def facets(body):
     """Outward facet representation ``normal . x <= offset``."""
-    v, facets = body._facets
+    v, facets = _read(body)[2]
     return [(Rational2(F(n1, v), F(n2, v)), F(c, v * v)) for n1, n2, c in facets]
 
 

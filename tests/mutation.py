@@ -50,6 +50,9 @@ _RATIO = "tests/test_ratio.py::TestRatio"
 _OFF_NEW = "tests/test_ratio.py::TestOffFractionNew"
 _STARTUP = "tests/test_startup.py::TestStartup"
 _COLLECTOR = "tests/test_cli.py::TestSweepCollector"
+_FIRST_ROW = "tests/test_cuts.py::TestRegions::test_first_containing_polygon"
+_PROFILE = "tests/test_cuts.py::TestAgainstOracles::test_profile_grid"
+_INTERIOR = "tests/test_geometry.py::TestContainsInterior::test_property_bodies"
 
 # the evaluator's band checks, whose third mutant keeps the 0-ends of the
 # first split row non-strict
@@ -106,6 +109,40 @@ MUTANTS = [
         ("tests/test_montecarlo.py::TestRowWiseOracle::test_tables_and_fans_fit_the_kernel",
          "tests/test_cuts.py::TestRegionTable::test_view_matches_fraction_oracle"),
     ),
+    # the locator's tests of a point, each loosened or left out: a band's
+    # low or high end passed at equality, the split's strict test, the
+    # facet test passed on the facet, and the shortcut for two equal
+    # denominators taken for any two
+    Mutant(
+        "band-low-end-non-strict", "cuts.py",
+        "if ln * q > p * ld or p * hd > hn * q:",
+        "if ln * q >= p * ld or p * hd > hn * q:",
+        (_FIRST_ROW, _PROFILE),
+    ),
+    Mutant(
+        "band-high-end-non-strict", "cuts.py",
+        "if ln * q > p * ld or p * hd > hn * q:",
+        "if ln * q > p * ld or p * hd >= hn * q:",
+        (_FIRST_ROW, _PROFILE),
+    ),
+    Mutant(
+        "split-not-strict", "cuts.py",
+        "        if split is not None and not (split[0] * x1 + split[1] * x2) % q:\n            continue\n",
+        "",
+        (_FIRST_ROW, "tests/test_cuts.py::TestSingleSplitStrength::test_tie_on_chosen_split_line"),
+    ),
+    Mutant(
+        "facet-test-strict", "geometry.py",
+        "if v * (n1 * p1 + n2 * p2) >= c * q:",
+        "if v * (n1 * p1 + n2 * p2) > c * q:",
+        (_INTERIOR, "tests/test_cuts.py::TestIntegerFrame::test_errors"),
+    ),
+    Mutant(
+        "unequal-denominators-as-equal", "geometry.py",
+        "        if q1 == q2:\n",
+        "        if True:\n",
+        (_INTERIOR, "tests/test_cuts.py::TestSingleSplitStrength::test_type2_central"),
+    ),
     # the one maker of exact results, each of its three steps left out
     Mutant(
         "ratio-no-sign-fix", "geometry.py",
@@ -145,6 +182,12 @@ MUTANTS = [
         "cli-imports-cuts", "cli.py",
         "from .geometry import SplitBody, _frac, _read_int, lattice_width\n",
         "from .cuts import strength_report  # noqa: F401\nfrom .geometry import SplitBody, _frac, _read_int, lattice_width\n",
+        (_STARTUP,),
+    ),
+    Mutant(
+        "cli-imports-json", "cli.py",
+        "import gc\nimport re\n",
+        "import gc\nimport json  # noqa: F401\nimport re\n",
         (_STARTUP,),
     ),
     Mutant(

@@ -477,7 +477,7 @@ class TestRegionTable:
         assert region_spec(body) == region_spec_oracle(body)
         v, V = body._integer_vertices
         coordinates = [c for p in body.vertices() for c in (p.x1, p.x2)]
-        assert v == lcm(*(c.denominator for c in coordinates)) == body._facets[0]
+        assert v == lcm(*(c.denominator for c in coordinates)) == geometry._read(body)[2][0]
         assert V == tuple((p.x1 * v, p.x2 * v) for p in body.vertices())
         assert all(type(c) is int for pair in V for c in pair)
         for pieces, _, _, (_, a1, b0) in cuts._table(body):

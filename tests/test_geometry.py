@@ -1,7 +1,14 @@
+import copy
+import gc
+import json
+import pickle
 import random
 import re
+import tracemalloc
+import weakref
 from fractions import Fraction as F
 from math import floor, gcd, lcm
+from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -28,7 +35,8 @@ from cutstrength import (
     strength_report,
     strength_single_split,
 )
-from cutstrength.geometry import over_common_denominator, primitive_directions
+from cutstrength import geometry
+from cutstrength.geometry import LatticeFreeBody, _read, over_common_denominator, primitive_directions
 from cutstrength.lattice import _edge_lattice, _holds_interior_point, _width_basis
 
 from conftest import (
@@ -223,9 +231,7 @@ DERIVED = {
 
 def derived(body):
     """Those names' values, the vertices in both orders, the integer vertices and the facets."""
-    return [getattr(body, name) for name in DERIVED[type(body)]] + [
-        body.vertices(), body.polygon(), body._integer_vertices, body._facets
-    ]
+    return [getattr(body, name) for name in DERIVED[type(body)]] + [body.vertices(), body.polygon(), *_read(body)[1:]]
 
 
 class TestFromFrame:
@@ -252,23 +258,25 @@ class TestFromFrame:
                 from_frame(cls, D, *nums)
             assert str(caught.value) == str(exc)
             return
-        # both ways a new body holds only its frame, and the width and the
-        # bounds read the frame, so they derive nothing
-        assert set(vars(built)) == {"_frame"}
+        # both ways a new body holds only its frame, in its one slot, and
+        # the width, the bounds and repr read the frame, so they derive nothing
+        assert not hasattr(built, "__dict__")
         framed = from_frame(cls, D, *nums)
         assert framed._frame == built._frame
         assert lattice_width(framed) == lattice_width(built)
         assert [bound_for(framed, z) for z in (F(3, 2), F(2), F(7, 2))] == [
             bound_for(built, z) for z in (F(3, 2), F(2), F(7, 2))
         ]
-        assert set(vars(framed)) == {"_frame"}
         assert framed == built and repr(framed) == repr(built)
+        assert not hasattr(framed, "__dict__")
+        assert geometry._last_read[0] is not framed and geometry._last_read[0] is not built
         assert derived(framed) == derived(built)
-        # reading any one name first derives everything alike
+        # reading any one name first derives everything alike, and the body
+        # keeps none of it
         lazy = from_frame(cls, D, *nums)
         if data is not None:
             getattr(lazy, data.draw(st.sampled_from(DERIVED[cls])))
-            assert set(vars(lazy)) == {"_frame", "_integer_vertices", "_vertices"}
+            assert not hasattr(lazy, "__dict__")
         assert repr(lazy) == repr(built) and lazy == built
         assert derived(lazy) == derived(built)
 
@@ -299,7 +307,7 @@ class TestRejectionPath:
         got = cls._from_frame_or_reason(D, *nums)
         want = _message(cls, *params)
         if want is None:
-            assert type(got) is cls and got == cls(*params) and set(vars(got)) == {"_frame"}
+            assert type(got) is cls and got == cls(*params) and not hasattr(got, "__dict__")
             return
         assert callable(got) and got() == want == _message(from_frame, cls, D, *nums)
         # the constructor's message, byte for byte, as the Fraction oracles write it
@@ -361,9 +369,14 @@ class TestIntegerVertices:
             assert body.vertices() == want
 
     @pytest.mark.parametrize("query", ["strength_report", "region_of", "monte_carlo_lower", "corner_rays"])
-    def test_queries_build_no_vertex_fraction(self, query):
-        # the queries read the integer vertices only, so a fresh body never
-        # holds the Fraction view
+    def test_queries_build_no_vertex_fraction(self, query, monkeypatch):
+        # the queries read the integer vertices only: none builds a Fraction
+        # vertex or coordinate, and a body keeps nothing after one
+        def built(*args):
+            raise AssertionError("a query built a Fraction vertex")
+
+        monkeypatch.setattr(LatticeFreeBody, "vertices", built)
+        monkeypatch.setattr(geometry, "_coordinate", built)
         f = point(F(1, 2), F(1, 3))
         run = {
             "strength_report": lambda body: strength_report(body, f, 5),
@@ -374,7 +387,88 @@ class TestIntegerVertices:
         for body in (Type1Body(), Type2Body(F(1, 2), F(3, 2)), QuadBody(F(2, 5), F(3, 2), F(3, 5), F(-3, 10)),
                      Type3Body(3, F(3, 10), F(1, 10))):
             run(body)
-            assert "_vertices" not in vars(body)
+            assert not hasattr(body, "__dict__")
+
+
+# every family once, a split among them
+EVERY_FAMILY = [
+    SplitBody((2, -3), 4),
+    Type1Body(),
+    Type2Body(F(1, 3), F(5, 2)),
+    QuadBody(F(2, 5), F(3, 2), F(3, 5), F(-3, 10)),
+    Type3Body(3, F(3, 10), F(1, 10)),
+]
+
+# the benchmark's closure pool: (family, params, f, outcome) per entry
+POOL = json.loads((Path(__file__).resolve().parents[1] / "bench" / "reference.json").read_text())["closure_pool"]
+POOL_FAMILIES = {"type1": Type1Body, "type2": Type2Body, "quad": QuadBody, "t3": Type3Body}
+
+
+class TestFrameOnly:
+    """A body's one slot is its frame: it has no ``__dict__``, takes no new
+    attribute and keeps nothing that a query derives, and it pickles, copies
+    and is weakly referenced like any object."""
+
+    @pytest.mark.parametrize("body", EVERY_FAMILY, ids=lambda body: body.tag)
+    def test_no_new_attribute(self, body):
+        with pytest.raises(TypeError):
+            vars(body)
+        with pytest.raises(AttributeError):
+            body.cache = None
+        assert not hasattr(body, "__dict__") and type(body).__slots__ == ()
+
+    @pytest.mark.parametrize("body", EVERY_FAMILY, ids=lambda body: body.tag)
+    def test_round_trips(self, body):
+        f = point(F(9, 4), 0) if isinstance(body, SplitBody) else random_interior_point(body, random.Random(5))
+        copies = [pickle.loads(pickle.dumps(body, protocol)) for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+        copies += [copy.copy(body), copy.deepcopy(body)]
+        assert weakref.ref(body)() is body
+        for other in copies:
+            assert type(other) is type(body) and other == body and repr(other) == repr(body)
+            assert not hasattr(other, "__dict__")
+            assert other.contains_interior(f) and body.contains_interior(f)
+            if not isinstance(body, SplitBody):
+                assert strength_single_split(other, f) == strength_single_split(body, f)
+                assert other.vertices() == body.vertices()
+
+    @pytest.mark.parametrize("query", ["strength_report", "region_of", "contains_interior", "corner_rays",
+                                       "monte_carlo_lower"])
+    def test_queried_body_keeps_its_built_bytes(self, query):
+        # over 300 bodies of the closure pool, the bytes that a body frees
+        # when dropped after a query are within 64 B of those it frees when
+        # dropped as built; what a query keeps elsewhere (the records of the
+        # last body, caches of numpy) is no body's
+        run = {
+            "strength_report": lambda body, f: strength_report(body, f, 5),
+            "region_of": region_of,
+            "contains_interior": lambda body, f: body.contains_interior(f),
+            "corner_rays": corner_rays,
+            "monte_carlo_lower": lambda body, f: monte_carlo_lower(body, 2, 100, 0),
+        }[query]
+        entries = [(POOL_FAMILIES[family], params, point(*map(F, f))) for family, params, f, _ in POOL[:300]]
+        other = (Type1Body(), point(F(1, 2), F(1, 2)))
+
+        def freed(call):
+            """Bytes per body that the pool's bodies free when dropped, after
+            ``call`` has run on each."""
+            bodies = [(cls(*map(F, params)), f) for cls, params, f in entries]
+            for body, f in bodies:
+                call(body, f)
+            run(*other)  # the kept records now hold another body
+            gc.collect()  # a full collection also empties the free lists
+            held = tracemalloc.get_traced_memory()[0]
+            del bodies, body
+            gc.collect()
+            return (held - tracemalloc.get_traced_memory()[0]) / len(entries)
+
+        run(*other)  # the caches that live for the process (rings, workspaces) fill first
+        gc.collect()  # and no tuple or float made before tracing is left to reuse
+        tracemalloc.start()
+        try:
+            built, queried = freed(lambda body, f: None), freed(run)
+        finally:
+            tracemalloc.stop()
+        assert abs(queried - built) <= 64, (built, queried)
 
 
 @st.composite

@@ -1,9 +1,9 @@
 """The start-up contract: which of the package's modules a fresh interpreter
-has loaded, and whether numpy is among them, after it imports the package or
-the CLI, or runs one command.  A command loads only the modules that it
-runs, so an eager import that a later change adds fails here."""
+has loaded, and whether numpy and json are among them, after it imports the
+package or the CLI, or runs one command.  A command loads only the modules
+that it runs, so an eager import that a later change adds fails here."""
 
-import json
+import ast
 import os
 import subprocess
 import sys
@@ -20,19 +20,19 @@ CLI = ["bounds", "cli", "descriptors", "geometry", "sweeps"]
 MONTE_CARLO = sorted([*CLI, "cuts", "montecarlo"])
 
 
-def loaded(code: str) -> tuple[list[str], bool]:
+def loaded(code: str) -> tuple[list[str], bool, bool]:
     """The ``cutstrength`` submodules loaded once ``code`` has run in a
-    fresh interpreter, and whether numpy is loaded."""
+    fresh interpreter, and whether numpy and json are loaded."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
     check = (
         f"{code}\n"
-        "import json, sys\n"
+        "import sys\n"
         "names = sorted(name.partition('.')[2] for name in sys.modules if name.startswith('cutstrength.'))\n"
-        "print(json.dumps([names, 'numpy' in sys.modules]))\n"
+        "print(repr([names, 'numpy' in sys.modules, 'json' in sys.modules]))\n"
     )
     out = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True, check=True)
-    names, numpy = json.loads(out.stdout.splitlines()[-1])
-    return names, numpy
+    names, numpy, json = ast.literal_eval(out.stdout.splitlines()[-1])
+    return names, numpy, json
 
 
 def command(*argv: str) -> str:
@@ -45,22 +45,25 @@ def command(*argv: str) -> str:
     )
 
 
+# (code, modules, numpy, json): a command that reads a body or writes a
+# line of JSON loads json, and neither the CLI nor a CSV sweep does
 CASES = [
-    ("import cutstrength", [], False),
-    ("import cutstrength.cli", CLI, False),
-    (command("width", "--body", T2), CLI, False),
-    (command("bound", "--body", T2, "--z", "7/4"), CLI, False),
-    (command("sweep", "--family", "t3", "--z", "2", "--step", "1/10"), CLI, False),
-    (command("strength", "--body", T2, "--f", '["-1/4","1/4"]', "--N", "2"), sorted([*CLI, "cuts"]), False),
-    (command("classify", "--body", T2), sorted([*CLI, "lattice"]), False),
-    (command("montecarlo", "--body", T2, "--z", "2", "--samples", "1000"), MONTE_CARLO, True),
-    (command("sweep", "--family", "t2", "--z", "2", "--step", "1/2", "--mc-samples", "10"), MONTE_CARLO, True),
+    ("import cutstrength", [], False, False),
+    ("import cutstrength.cli", CLI, False, False),
+    (command("width", "--body", T2), CLI, False, True),
+    (command("bound", "--body", T2, "--z", "7/4"), CLI, False, True),
+    (command("sweep", "--family", "t3", "--z", "2", "--step", "1/10"), CLI, False, False),
+    (command("strength", "--body", T2, "--f", '["-1/4","1/4"]', "--N", "2"), sorted([*CLI, "cuts"]), False, True),
+    (command("classify", "--body", T2), sorted([*CLI, "lattice"]), False, True),
+    (command("montecarlo", "--body", T2, "--z", "2", "--samples", "1000"), MONTE_CARLO, True, True),
+    (command("sweep", "--family", "t2", "--z", "2", "--step", "1/2", "--mc-samples", "10"), MONTE_CARLO, True, False),
+    (command("sweep", "--family", "t3", "--z", "2", "--step", "1/10", "--format", "json"), CLI, False, True),
 ]
 
 
 class TestStartup:
-    @pytest.mark.parametrize("code, modules, numpy", CASES,
+    @pytest.mark.parametrize("code, modules, numpy, json", CASES,
                              ids=["package", "cli", "width", "bound", "sweep", "strength", "classify", "montecarlo",
-                                  "sweep-mc"])
-    def test_modules_loaded(self, code, modules, numpy):
-        assert loaded(code) == (modules, numpy)
+                                  "sweep-mc", "sweep-json"])
+    def test_modules_loaded(self, code, modules, numpy, json):
+        assert loaded(code) == (modules, numpy, json)
