@@ -23,12 +23,12 @@ table and the rays read the body only through its integer vertices ``(v,
 V)``, ``V`` the vertices times their common denominator ``v``, which
 ``geometry`` keeps for the body read last: each band bound is a vertex
 projected on the band's normal.
-``t_N`` starts the packing kernel with the splits of max-norm 1 and, at
-each optimum, walks the normals of the splits that can still cut, a convex
-set, column by column, building each row only when the kernel prices it
-and keeping none between optima, so its memory does not grow with N, nor
-its work unless the final optimum lies on one corner ray.  The dominance
-pruning of :func:`covering_lp_min` stays for the argmin it returns.
+``t_N`` runs the packing kernel, a condensed integer tableau, from the
+splits of max-norm 1; at each optimum one loop walks the normals of the
+splits that can still cut, a convex set, and builds and prices rows up to
+the first violated one, the kernel's one new row.  No row is kept, so memory
+does not grow with N, nor work unless the final optimum lies on one corner
+ray.  :func:`covering_lp_min` prunes dominated rows for its argmin.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from .geometry import (
     _listed,
     _primitive,
     _ratio,
+    _ring,
     over_common_denominator,
     primitive_directions,
 )
@@ -100,6 +101,7 @@ class StrengthReport(NamedTuple):
 
 
 _report = partial(tuple.__new__, StrengthReport)  # the same tuple, without __new__'s Python call
+_SLACK = 1 << 62  # the packing kernel's slack j is the variable _SLACK + j, after every x
 
 
 def _scaled(f: Rational2, rays: Sequence[Rational2]):
@@ -107,15 +109,6 @@ def _scaled(f: Rational2, rays: Sequence[Rational2]):
     each ``D r`` as integer pairs."""
     d, ints = over_common_denominator((f.x1, f.x2, *(c for r in rays for c in (r.x1, r.x2))))
     return d, (ints[0], ints[1]), list(zip(ints[2::2], ints[3::2]))
-
-
-def _admissible(radius: int, d: int, big_f: tuple[int, int]):
-    """``(n1, n2, rem)`` for each primitive normal of max-norm <= radius whose
-    split contains ``f = big_f / d`` strictly, ``rem = (n . big_f) mod d``."""
-    for n1, n2 in primitive_directions(radius):
-        rem = (n1 * big_f[0] + n2 * big_f[1]) % d
-        if rem:
-            yield n1, n2, rem
 
 
 def _split_row(n1: int, n2: int, rem: int, d: int, big_rays) -> tuple[int, list[int]]:
@@ -204,76 +197,78 @@ def _max_packing(columns, k: int, pool=None):
     """The dual ``max sum_i y_i`` s.t. ``sum_i y_i c_i / w_i <= 1``, ``y >= 0``,
     over the columns ``(w_i, c_i)`` and the rows that ``pool`` prices in, by
     the simplex method on integers.  Returns ``(value, d, slacks)``, all
-    integers: the optimum is ``value / d`` and the covering solution is
-    ``slacks / d``.
+    integers: the optimum is ``value / d``, the covering solution ``slacks / d``.
 
-    With ``y_i = w_i x_i`` the constraint matrix is the integer ``c_i`` and
-    the objective ``sum_i w_i x_i``; a positive column scaling changes no
+    With ``y_i = w_i x_i`` the constraint matrix is the integer ``c_i`` and the
+    objective ``sum_i w_i x_i``; a positive column scaling changes no
     reduced-cost sign and no ratio order, so the pivots are the unscaled LP's.
-    The tableau is fraction-free (Edmonds, Bareiss): integers ``T`` stand for
-    ``T / d``, where ``d`` is the last pivot (1 at the start), and a pivot on
-    ``p`` maps every other row ``t`` to ``(p t - t[col] pivot) // d``, a
-    division that is always exact; a row with ``t[col] = 0`` is only rescaled.
+    The tableau is condensed, as in lrs (Avis 2000): a row per basic variable
+    and the objective, a column per non-basic variable after the right-hand
+    side, integers ``T`` for ``T / d``, ``d`` the last pivot (1 at first).
+    The pivot on ``a = T[r][s]`` is Edmonds and Bareiss': ``T[i][j]`` becomes
+    ``(T[i][j] a - T[i][s] T[r][j]) // d``, an exact division, and row ``r``
+    stays; the rest of column ``s``, the leaving variable's, is negated,
+    ``T[r][s] = d`` and ``d = a``.
 
-    The all-slack basis is feasible because the right-hand side is 1, and
-    Bland's rule (lowest improving column, x columns by arrival before the
-    slacks; ties in the ratio test to the lowest basic column) keeps
-    degenerate pivots from cycling.  Every column has a positive entry, so
-    this dual is bounded and the ratio test always finds a pivot.  The
-    objective row's slack block is ``d s``, ``s`` the covering solution.
+    From the all-slack basis, feasible as the right-hand side is 1, Bland's
+    rule (lowest improving variable, x by arrival before the slacks; ratio ties
+    to the lowest basic variable) keeps degenerate pivots from cycling.  Every
+    column has a positive entry, so the dual is bounded and the ratio test
+    always finds a pivot.  A non-basic slack ``j`` has the objective entry
+    ``d s_j``, ``s`` the covering solution; ``s_j = 0`` for a basic one.
 
-    At an optimum over the current columns, ``pool(slacks, d)`` gives rows
-    ``(w, c)`` to price, in order; one with ``slacks . c < w d`` is a violated
-    covering row: a column of negative reduced cost.  The first one enters as
-    the last x column, with entries ``t_slack . c`` (the slack block is
-    ``d B^-1``) and the objective entry ``slacks . c - w d``, and pivoting
-    resumes.  A column in the LP is never violated at an optimum, so each
-    row enters at most once.  Once none is violated the kernel returns.
+    At an optimum, ``pool(slacks, d)`` gives rows ``(w, c)`` to price, in
+    order; one with ``slacks . c < w d``, a violated covering row, is a column
+    of negative reduced cost.  The first enters as the next x: in each row, its
+    slack block (``d B^-1``: the non-basic slack columns, ``d`` at a basic
+    slack's own) times ``c``; in the objective, ``slacks . c - w d``.  A column
+    of the LP is never violated at an optimum, so a row enters once at most.
     """
     m = len(columns)
-    # constraint j: sum_i c_i[j] x_i + slack_j = 1; columns x, slacks, rhs
-    tab = [[c[j] for _, c in columns] + [0] * (k + 1) for j in range(k)]
-    for j, t in enumerate(tab):
-        t[m + j] = t[-1] = 1
-    obj = [-w for w, _ in columns] + [0] * (k + 1)
-    basis = [m + j for j in range(k)]
+    # constraint j: sum_i c_i[j] x_i + slack_j = 1, its row [rhs, x_0, ..., x_m-1]
+    tab = [[1, *row] for row in zip(*[c for _, c in columns])] if columns else [[1] for _ in range(k)]
+    obj = [0, *[-w for w, _ in columns]]
+    basis = [_SLACK + j for j in range(k)]
+    nonbasic = [-1, *range(m)]  # each column's variable; -1 over the rhs
     d = 1
     while True:
-        for col, v in enumerate(obj):  # the value obj[-1] is never negative
-            if v < 0:
-                break
-        else:
-            s = obj[m:-1]
+        col = 0
+        for j, v in enumerate(obj):  # the value obj[0] is never negative
+            if v < 0 and (not col or nonbasic[j] < nonbasic[col]):
+                col = j
+        if not col:
+            s, at = [0] * k, [(j, b - _SLACK) for j, b in enumerate(nonbasic) if b >= _SLACK]
+            for j, i in at:
+                s[i] = obj[j]
             for w, c in pool(s, d) if pool else ():
                 if (price := sum(map(mul, s, c))) < w * d:
                     break
             else:
-                return obj[-1], d, s
-            for t in tab:
-                t.insert(m, sum(map(mul, t[m:-1], c)))
-            obj.insert(m, price - w * d)
-            basis = [b + (b >= m) for b in basis]
-            col, m = m, m + 1
-        # least ratio t[-1] / t[col] over t[col] > 0, compared by
-        # cross-multiplying with the best row so far, whose entry is p and
-        # right-hand side rhs; ties go to the lowest basic column
+                return obj[0], d, s
+            for t, b in zip(tab, basis):
+                x = d * c[b - _SLACK] if b >= _SLACK else 0
+                for j, i in at:
+                    x += t[j] * c[i]
+                t.append(x)
+            obj.append(price - w * d)
+            nonbasic.append(m)
+            col, m = m + 1, m + 1
+        # least ratio t[0] / t[col] over t[col] > 0, cross-multiplied; ties to the lowest basic variable
         r = None
         for i, t in enumerate(tab):
             if (a := t[col]) > 0:
-                if r is None or (x := t[-1] * p) < (y := rhs * a) or x == y and basis[i] < basis[r]:
-                    r, p, rhs = i, a, t[-1]
+                if r is None or (x := t[0] * p) < (y := rhs * a) or x == y and basis[i] < basis[r]:
+                    r, p, rhs = i, a, t[0]
         pivot = tab[r]
+        pivot[col] = p + d  # (p f - f (p + d)) // d = -f: the rest of the column comes out negated
         for t in (*tab, obj):
             if t is pivot:
                 continue
-            if not (factor := t[col]):
-                if p != d:
-                    t[:] = [p * a // d for a in t]
-            elif d == 1:  # nothing to divide by, as at the first pivot
-                t[:] = [p * a - factor * b for a, b in zip(t, pivot)]
-            else:
-                t[:] = [(p * a - factor * b) // d for a, b in zip(t, pivot)]
-        basis[r] = col
+            if (factor := t[col]) or p != d:  # in place: no list is made
+                for j, b in enumerate(pivot):
+                    t[j] = (p * t[j] - factor * b) // d
+        pivot[col] = d
+        basis[r], nonbasic[col] = nonbasic[col], basis[r]
         d = p
 
 
@@ -318,10 +313,11 @@ def _pair(v, normal, low, high, sides=((),)):
     ln, hn = n1 * low[0] + n2 * low[1], n1 * high[0] + n2 * high[1]
     # t = -l / (h - l - 1), over v; the denominator is v (h - 1 - l) > 0
     tn, td = -ln, hn - v - ln
-    return [
-        _low(normal, (ln, v), *(((*normal, 0, 1, tn, td), *side) for side in sides)),
-        _high(normal, (hn, v), *(((*normal, tn, td, 1, 1), *side) for side in sides)),
-    ]
+    lows, highs = [], []
+    for side in sides:
+        lows.append(((n1, n2, 0, 1, tn, td), *side))
+        highs.append(((n1, n2, tn, td, 1, 1), *side))
+    return [_low(normal, (ln, v), *lows), _high(normal, (hn, v), *highs)]
 
 
 _TYPE1_TABLE = [
@@ -481,16 +477,15 @@ def admissible_normals(f: Rational2, n: int) -> list[tuple[int, int]]:
     """Primitive normals with max-norm <= n whose split contains ``f`` strictly,
     deduplicated over +-, in max-norm order."""
     _check_radius(n)
-    d, big_f, _ = _scaled(_check_point("f", f), ())
-    return [(n1, n2) for n1, n2, _ in _admissible(n, d, big_f)]
+    d, (f1, f2), _ = _scaled(_check_point("f", f), ())
+    return [(n1, n2) for n1, n2 in primitive_directions(n) if (n1 * f1 + n2 * f2) % d]
 
 
-def _normals_below(radius: int, rays, weights, bound: int) -> Iterator[tuple[int, int]]:
+def _normals_below(radius: int, rays, weights, bound: int) -> Iterator[tuple[int, int, int]]:
     """The directions ``u`` of ``primitive_directions(radius)`` with ``g(u) =
     sum_j w_j |u . R_j| < bound``, for integer rays ``R_j = (a_j, b_j)``,
-    integer weights ``w_j >= 0`` and ``bound > 0``, yielded as the walk
-    reaches them: ``(0, 1)``, then column by column, ``u1`` then ``u2``
-    ascending.
+    integer weights ``w_j >= 0`` and ``bound > 0``, by columns ``(u1, lo,
+    hi)``, ``u1`` ascending: the primitive ``(u1, u2)``, ``lo <= u2 <= hi``.
 
     ``g(u) < bound`` holds iff ``|u . V| < bound`` for each of the sums ``V =
     w_1 R_1 +- w_2 R_2 +- ...``, so on each column ``u1 >= 1`` the ``u2`` form
@@ -502,20 +497,25 @@ def _normals_below(radius: int, rays, weights, bound: int) -> Iterator[tuple[int
     0``.  When the rays of positive weight are parallel the set is a strip,
     ``mu`` can be 0, and the walk takes every column up to ``radius``.
     """
-    terms = [(w * a, w * b) for w, (a, b) in zip(weights, rays) if w]
-    # mu = mu_n / mu_d; |b| h(-a / b) is a sum of integers
-    mu_n, mu_d = sum([abs(a) for a, _ in terms]), 1
-    for a, b in terms:
-        if b and (v := sum([abs(a * b2 - a2 * b) for a2, b2 in terms])) * mu_d < mu_n * abs(b):
-            mu_n, mu_d = v, abs(b)
+    terms, mu_n, mu_d, g01 = [], 0, 1, 0  # mu = mu_n / mu_d, h(0) at first; g01 = g(0, 1)
+    for w, (a, b) in zip(weights, rays):
+        if w:
+            terms.append((w * a, w * b))
+            mu_n, g01 = mu_n + abs(w * a), g01 + abs(w * b)
+    for a, b in terms:  # |b| h(-a / b) is a sum of integers
+        if b:
+            v = 0
+            for a2, b2 in terms:
+                v += abs(a * b2 - a2 * b)
+            if v * mu_d < mu_n * abs(b):
+                mu_n, mu_d = v, abs(b)
     strips = terms[:1]
     for a, b in terms[1:]:
         strips = [v for x, y in strips for v in ((x + a, y + b), (x - a, y - b))]
     # -bound < u1 a + u2 b < bound with b > 0; a strip with b = 0 holds where u1 mu < bound
     strips = [(a, b) if b > 0 else (-a, -b) for a, b in strips if b]
-    # the one direction with u1 = 0 is (0, 1)
-    if sum([abs(b) for _, b in terms]) < bound:
-        yield 0, 1
+    if g01 < bound:  # the one direction with u1 = 0
+        yield 0, 1, 1
     top = bound * mu_d
     u1 = 1
     while u1 <= radius and u1 * mu_n < top:
@@ -526,9 +526,8 @@ def _normals_below(radius: int, rays, weights, bound: int) -> Iterator[tuple[int
                 lo = x
             if (x := (bound - c - 1) // b) < hi:
                 hi = x
-        for u2 in range(lo, hi + 1):
-            if gcd(u1, u2) == 1:
-                yield u1, u2
+        if lo <= hi:
+            yield u1, lo, hi
         u1 += 1
 
 
@@ -540,27 +539,28 @@ def strength_split_closure_approx(body: LatticeFreeBody, f: Rational2, n: int) -
     (``d`` in the code).  The rows of max-norm 1 are the packing kernel's
     first columns; with n = 1 they are all the rows, and nothing is priced.
     At each optimum, with covering solution ``S / d`` (``slacks / scale`` in
-    the code, ``d`` the kernel's last pivot), only the splits that can still
-    cut are built and priced: every coefficient of the split with normal
-    ``u`` is at least ``|u . R_j| / D``, so its row is violated only if
-    ``sum_j S_j |u . R_j| < d D``.  :func:`_normals_below` walks those
-    normals, and a row of max-norm >= 2 is built only when the kernel prices
-    it (a column is never violated at an optimum); the walk stops at the
-    first violated row, and the next optimum walks again from its start.
-    Only a walk run to its end with no violated row ends the LP.  Its value
-    is unique, so ``t_N`` is the value over every split of max-norm <= n.
-    The corner rays from an interior ``f`` span the plane, so no split row
-    is zero.
+    the code, ``d`` the kernel's last pivot), a split row of normal ``u``,
+    each coefficient at least ``|u . R_j| / D``, is violated only if ``sum_j
+    S_j |u . R_j| < d D``.  One loop walks those normals by the columns of
+    :func:`_normals_below`, and builds and prices their rows of max-norm >= 2
+    up to the first violated one, the kernel's one-row pool; the next optimum
+    walks again, and an empty pool ends the LP.  Its value is unique, so
+    ``t_N`` is the value over every split of max-norm <= n.  The corner rays
+    from an interior ``f`` span the plane, so no split row is zero.
     """
     _check_radius(n)
-    d, big_f, big_rays = _rays(body, f)
+    d, (f1, f2), big_rays = _rays(body, f)
 
     def cutting(slacks, scale):
-        for n1, n2 in _normals_below(n, big_rays, slacks, scale * d):
-            if (n1 > 1 or abs(n2) > 1) and (rem := (n1 * big_f[0] + n2 * big_f[1]) % d):
-                yield _split_row(n1, n2, rem, d, big_rays)
+        for n1, lo, hi in _normals_below(n, big_rays, slacks, scale * d):
+            for n2 in range(lo, hi + 1):
+                if (n1 > 1 or abs(n2) > 1) and gcd(n1, n2) == 1 and (rem := (n1 * f1 + n2 * f2) % d):
+                    w, c = row = _split_row(n1, n2, rem, d, big_rays)
+                    if sum(map(mul, slacks, c)) < w * scale:
+                        return (row,)
+        return ()
 
-    ring1 = [_split_row(n1, n2, rem, d, big_rays) for n1, n2, rem in _admissible(1, d, big_f)]
+    ring1 = [_split_row(n1, n2, rem, d, big_rays) for n1, n2 in _ring(1) if (rem := (n1 * f1 + n2 * f2) % d)]
     value, scale, _ = _max_packing(ring1, len(big_rays), cutting if n > 1 else None)
     return _ratio(scale, value)
 

@@ -1,13 +1,16 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+import json
 import os
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction as F
 from functools import reduce
 from itertools import combinations
 from math import ceil, floor
-from operator import and_, le, or_
+from operator import and_, le, mul, or_
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,7 +30,7 @@ from cutstrength import (
     lattice_width,
     point,
 )
-from cutstrength.cuts import _admissible, _check_radius, _max_packing, _min_cover, _rays, _scaled, _split_row, _table
+from cutstrength.cuts import _check_radius, _max_packing, _min_cover, _rays, _scaled, _split_row, _table
 from cutstrength.descriptors import format_rational
 from cutstrength.geometry import _frac, _read, primitive_directions
 
@@ -93,6 +96,28 @@ PROFILE_BODIES = [
     QuadBody(F(2, 5), F(3, 2), F(3, 5), F(-3, 10)),
     Type3Body(F(3), F(3, 10), F(1, 10)),
 ]
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+# the benchmark's closure pool: (family, params, f, outcome) per entry
+CLOSURE_POOL = json.loads((BENCH / "reference.json").read_text())["closure_pool"]
+POOL_FAMILIES = {"type1": Type1Body, "type2": Type2Body, "quad": QuadBody, "t3": Type3Body}
+
+
+def pool_query(entry):
+    """The body and root vertex of a closure-pool entry."""
+    family, params, f, _ = entry
+    return POOL_FAMILIES[family](*map(F, params)), point(*map(F, f))
+
+
+def closure_corpus(seed):
+    """Pool indices of the benchmark's closure corpus for ``seed``, pass
+    after pass, as ``bench/workloads.py`` draws them."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        from workloads import closure_corpus as corpus
+    finally:
+        sys.path.remove(str(BENCH))
+    return [i for queries in corpus(CLOSURE_POOL, seed) for i in queries]
 
 
 def box_grid(body, q):
@@ -606,6 +631,57 @@ def covering_lp_oracle(rows, k):
     return best
 
 
+def max_packing_oracle(columns, k: int, pool=None):
+    """``cuts._max_packing`` on the full tableau, the reference for its
+    condensed one: rows ``[x columns, slacks, rhs]`` and a
+    fraction-free pivot (Edmonds, Bareiss) that rewrites every other row,
+    ``(p t - t[col] pivot) // d``, and the same Bland order (x columns by
+    arrival, then the slacks; ratio ties to the lowest basic column).  A row
+    priced in from ``pool`` enters as the last x column, with entries
+    ``t_slack . c``.  Returns the same integers ``(value, d, slacks)``."""
+    m = len(columns)
+    tab = [[c[j] for _, c in columns] + [0] * (k + 1) for j in range(k)]
+    for j, t in enumerate(tab):
+        t[m + j] = t[-1] = 1
+    obj = [-w for w, _ in columns] + [0] * (k + 1)
+    basis = [m + j for j in range(k)]
+    d = 1
+    while True:
+        for col, v in enumerate(obj):
+            if v < 0:
+                break
+        else:
+            s = obj[m:-1]
+            for w, c in pool(s, d) if pool else ():
+                if (price := sum(map(mul, s, c))) < w * d:
+                    break
+            else:
+                return obj[-1], d, s
+            for t in tab:
+                t.insert(m, sum(map(mul, t[m:-1], c)))
+            obj.insert(m, price - w * d)
+            basis = [b + (b >= m) for b in basis]
+            col, m = m, m + 1
+        r = None
+        for i, t in enumerate(tab):
+            if (a := t[col]) > 0:
+                if r is None or (x := t[-1] * p) < (y := rhs * a) or x == y and basis[i] < basis[r]:
+                    r, p, rhs = i, a, t[-1]
+        pivot = tab[r]
+        for t in (*tab, obj):
+            if t is pivot:
+                continue
+            if not (factor := t[col]):
+                if p != d:
+                    t[:] = [p * a // d for a in t]
+            elif d == 1:
+                t[:] = [p * a - factor * b for a, b in zip(t, pivot)]
+            else:
+                t[:] = [(p * a - factor * b) // d for a, b in zip(t, pivot)]
+        basis[r] = col
+        d = p
+
+
 def indicator_area(region, spec, z):
     """Exact area of {f in region : strength formula <= z}.
 
@@ -828,13 +904,21 @@ def corner_rays_oracle(body, f):
     return tuple(minus(v, f) for v in body.vertices())
 
 
+def admissible_rems(radius: int, d: int, big_f):
+    """``(n1, n2, rem)`` for each primitive normal of max-norm <= radius whose
+    split contains ``f = big_f / d`` strictly, ``rem = (n . big_f) mod d``."""
+    for n1, n2 in primitive_directions(radius):
+        if rem := (n1 * big_f[0] + n2 * big_f[1]) % d:
+            yield n1, n2, rem
+
+
 def closure_oracle(body, f, n):
     """``strength_split_closure_approx`` with the split rows scaled from the
     Fraction corner rays of :func:`corner_rays_oracle`."""
     if n < 1:
         raise ValueError("need n >= 1")
     d, big_f, big_rays = _scaled(f, corner_rays_oracle(body, f))
-    rows = [_split_row(n1, n2, rem, d, big_rays) for n1, n2, rem in _admissible(n, d, big_f)]
+    rows = [_split_row(n1, n2, rem, d, big_rays) for n1, n2, rem in admissible_rems(n, d, big_f)]
     if not rows:
         raise ValueError(f"no admissible split with max-norm <= {n} for f = {f}")
     value, _ = _min_cover(rows, len(big_rays))
@@ -848,7 +932,7 @@ def enumerated_closure(body, f, n):
     pool, and the kernel starts with no columns."""
     _check_radius(n)
     d, big_f, big_rays = _rays(body, f)
-    rows = [_split_row(n1, n2, rem, d, big_rays) for n1, n2, rem in _admissible(n, d, big_f)]
+    rows = [_split_row(n1, n2, rem, d, big_rays) for n1, n2, rem in admissible_rems(n, d, big_f)]
     value, scale, _ = _max_packing([], len(big_rays), lambda s, d: rows)
     return F(scale, value)
 

@@ -11,8 +11,10 @@ snippet, which must occur exactly once in its file, is replaced, and its
 tests run with ``-x`` against the copy, which ``PYTHONPATH`` puts first.  A
 mutant whose tests all pass has survived, and fails the run; so does a
 snippet that no longer occurs exactly once, so the table cannot go stale
-without notice.  ``EQUIVALENT`` lists mutants that no test can kill, each
-with the reason; their snippets are checked, but they are not run.
+without notice.  A mutant whose tests do not end within ``TIMEOUT_S``
+seconds is killed too: a simplex that keeps pivoting on one column never
+returns.  ``EQUIVALENT`` lists mutants that no test can kill, each with the
+reason; their snippets are checked, but they are not run.
 
 Standard library only; pytest does not collect this file, whose name does
 not start with ``test_``.  Hypothesis runs under the ``ci`` profile of
@@ -33,6 +35,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
+TIMEOUT_S = 60  # each mutant's tests take a few seconds on the unmutated tree
 
 
 class Mutant(NamedTuple):
@@ -53,6 +56,9 @@ _COLLECTOR = "tests/test_cli.py::TestSweepCollector"
 _FIRST_ROW = "tests/test_cuts.py::TestRegions::test_first_containing_polygon"
 _PROFILE = "tests/test_cuts.py::TestAgainstOracles::test_profile_grid"
 _INTERIOR = "tests/test_geometry.py::TestContainsInterior::test_property_bodies"
+_PIVOTS = "tests/test_cuts.py::TestPivotOracle::test_property_drawn_lps"
+_WALK = "tests/test_cuts.py::TestNormalsBelow::test_strips"
+_WALK_DRAWN = "tests/test_cuts.py::TestNormalsBelow::test_property_against_brute_force"
 
 # the evaluator's band checks, whose third mutant keeps the 0-ends of the
 # first split row non-strict
@@ -203,6 +209,49 @@ MUTANTS = [
         "value = getattr(",
         ("tests/test_surface.py::TestLazyNamespace",),
     ),
+    # the packing kernel's integer pivot on the condensed tableau: the
+    # leaving variable's column not negated (the entering column keeps a
+    # negative reduced cost, so the kernel pivots on it for ever), ratio
+    # ties sent to the highest basic variable, and a priced row's column
+    # without the d c_j of the row whose basic variable is slack j
+    Mutant(
+        "pivot-column-not-negated", "cuts.py",
+        "pivot[col] = p + d  #",
+        "pivot[col] = p - d  #",
+        (_PIVOTS,),
+    ),
+    Mutant(
+        "ratio-ties-to-highest", "cuts.py",
+        "x == y and basis[i] < basis[r]",
+        "x == y and basis[i] > basis[r]",
+        ("tests/test_cuts.py::TestPricing::test_blands_order_fixes_the_argmin", _PIVOTS),
+    ),
+    Mutant(
+        "entering-column-without-basic-slack", "cuts.py",
+        "x = d * c[b - _SLACK] if b >= _SLACK else 0",
+        "x = 0",
+        (_PIVOTS, "tests/test_cuts.py::TestPricing::test_property_same_value_as_pruning_and_oracle"),
+    ),
+    # the walk of the splits that can still cut: a column's u2 interval one
+    # wider at either end, and the mu stop passed at equality
+    Mutant(
+        "walk-lo-one-low", "cuts.py",
+        "(x := (-bound - c) // b + 1) > lo",
+        "(x := (-bound - c) // b) > lo",
+        (_WALK, _WALK_DRAWN),
+    ),
+    Mutant(
+        "walk-hi-one-high", "cuts.py",
+        "(x := (bound - c - 1) // b) < hi",
+        "(x := (bound - c) // b) < hi",
+        (_WALK, _WALK_DRAWN),
+    ),
+    Mutant(
+        "mu-stop-non-strict", "cuts.py",
+        "u1 * mu_n < top",
+        "u1 * mu_n <= top",
+        (_WALK, _WALK_DRAWN),
+    ),
     # a sweep that leaves the collector on, or leaves it off after
     Mutant("sweep-collects", "cli.py", "@_collector_off()\n", "", (_COLLECTOR,)),
     Mutant("collector-left-off", "cli.py", "        if enabled:\n            gc.enable()\n", "        pass\n",
@@ -228,9 +277,9 @@ def _env(src: Path) -> dict:
     return dict(os.environ, PYTHONPATH=path, HYPOTHESIS_PROFILE="ci")
 
 
-def _pytest(src: Path, tests, *options: str) -> subprocess.CompletedProcess:
+def _pytest(src: Path, tests, *options: str, timeout=None) -> subprocess.CompletedProcess:
     command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *options, *tests]
-    return subprocess.run(command, cwd=ROOT, env=_env(src), capture_output=True, text=True)
+    return subprocess.run(command, cwd=ROOT, env=_env(src), capture_output=True, text=True, timeout=timeout)
 
 
 def _imports_from(src: Path) -> bool:
@@ -272,11 +321,16 @@ def main() -> int:
                 failures.append(m.name)
                 print(f"NOT RUN  {m.name}: cutstrength does not import from the mutated copy")
                 continue
-            result = _pytest(src, m.tests, "-x")
+            try:
+                result = _pytest(src, m.tests, "-x", timeout=TIMEOUT_S)
+            except subprocess.TimeoutExpired:
+                result = None
         seconds = time.perf_counter() - began
         # exit 1: some test failed; any other code is not a kill (0: all
         # passed, 2: interrupted or a collection error, 4: a node id not found)
-        if result.returncode == 1:
+        if result is None:
+            print(f"killed   {m.name} ({seconds:.1f} s): its tests did not end within {TIMEOUT_S} s")
+        elif result.returncode == 1:
             print(f"killed   {m.name} ({seconds:.1f} s)")
         else:
             print(f"NOT KILLED {m.name} ({seconds:.1f} s), pytest exit {result.returncode}")

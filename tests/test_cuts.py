@@ -6,7 +6,7 @@ import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
-from math import ceil, floor, inf, lcm
+from math import ceil, floor, gcd, inf, lcm
 from operator import le
 from pathlib import Path
 
@@ -45,9 +45,11 @@ from cutstrength.geometry import LatticeFreeBody, over_common_denominator, primi
 
 from conftest import (
     BOUNDARY_BODIES,
+    CLOSURE_POOL,
     PROFILE_BODIES,
     any_body,
     box_grid,
+    closure_corpus,
     closure_oracle,
     contains,
     covering_lp_oracle,
@@ -55,7 +57,9 @@ from conftest import (
     gauge,
     interior_grid,
     lattice_line_vertex,
+    max_packing_oracle,
     outcome,
+    pool_query,
     quad_params,
     random_interior_point,
     region_area,
@@ -680,9 +684,11 @@ class TestNormalsBelow:
 
     @staticmethod
     def walked(radius, rays, weights, bound):
-        """The walk's directions, checked to come column by column (``u1``
-        ascending, then ``u2`` ascending), sorted into the oracle's pool order."""
-        walk = list(cuts._normals_below(radius, rays, weights, bound))
+        """The walk's directions, its columns ``(u1, lo, hi)`` flattened and
+        checked to come column by column (``u1`` ascending, then ``u2``
+        ascending), sorted into the oracle's pool order."""
+        walk = [(u1, u2) for u1, lo, hi in cuts._normals_below(radius, rays, weights, bound)
+                for u2 in range(lo, hi + 1) if gcd(u1, u2) == 1]
         assert walk == sorted(walk), walk
         return sorted((max(u1, abs(u2)), u1, u2) for u1, u2 in walk)
 
@@ -703,11 +709,15 @@ class TestNormalsBelow:
         assert self.walked(radius, rays, weights, bound) == below_brute_force(radius, rays, weights, bound)
 
     def test_strips(self):
-        # one ray, parallel rays, horizontal rays and no weight at all
+        # one ray, parallel rays, horizontal rays and no weight at all; the
+        # rays (1, 1) and (1, -1) leave out their strip (2, 0), whose b is 0.
+        # At bounds that are multiples of mu (3 for the horizontal rays, 2
+        # for the last pair) every direction on the column u1 = bound / mu
+        # has g >= bound
         cases = [([(2, 3)], [1]), ([(1, 0), (-2, 0)], [1, 1]), ([(0, 1), (0, -3)], [2, 1]),
-                 ([(3, -1), (-6, 2), (1, 5)], [1, 2, 0]), ([(1, 1), (0, 1)], [0, 0])]
+                 ([(3, -1), (-6, 2), (1, 5)], [1, 2, 0]), ([(1, 1), (0, 1)], [0, 0]), ([(1, 1), (1, -1)], [1, 1])]
         for rays, weights in cases:
-            for bound in (1, 2, 5, 40):
+            for bound in (1, 2, 3, 4, 5, 6, 40):
                 for radius in (1, 3, 8):
                     want = below_brute_force(radius, rays, weights, bound)
                     assert self.walked(radius, rays, weights, bound) == want, (rays, weights, bound)
@@ -778,6 +788,61 @@ class TestPricingOverCuttingSplits:
                 values.add(strength_split_closure_approx(body, f, n))
                 counts.add(len(built))
             assert len(values) == len(counts) == 1 and want in (None, *values), (body, f, values, counts)
+
+    def test_walks_and_rows_of_the_seed_1_corpus(self, monkeypatch):
+        # the first 200 queries of the benchmark's seed-1 closure corpus at
+        # N = 5: each optimum walks once, and a row is built for each
+        # normal the walk reaches up to the first violated row, and for
+        # each admissible normal of max-norm 1
+        counts = {"walks": 0, "rows": 0}
+        walk, split_row = cuts._normals_below, cuts._split_row
+
+        def counted(key, call):
+            def wrapper(*args):
+                counts[key] += 1
+                return call(*args)
+            return wrapper
+
+        monkeypatch.setattr(cuts, "_normals_below", counted("walks", walk))
+        monkeypatch.setattr(cuts, "_split_row", counted("rows", split_row))
+        for i in closure_corpus(1)[:200]:
+            strength_split_closure_approx(*pool_query(CLOSURE_POOL[i]), 5)
+        assert counts == {"walks": 344, "rows": 1798}
+
+
+class TestPivotOracle:
+    # the packing kernel on the condensed tableau against the full tableau
+    # it replaced (conftest.max_packing_oracle): the same pivots, so the
+    # same integers (value, d, slacks)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_property_drawn_lps(self, data):
+        # entries 0 to 3 and repeated rows make ties in the ratio test, on
+        # the first pivot (right-hand sides all 1) and on degenerate ones
+        k = data.draw(st.integers(1, 4))
+        row = st.tuples(st.integers(1, 6), st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any))
+        columns = data.draw(st.lists(row, max_size=5))
+        rows = data.draw(st.lists(row, max_size=6))
+        rows += data.draw(st.lists(st.sampled_from(rows), max_size=2)) if rows else []
+        pool = (lambda s, d: rows) if data.draw(st.booleans()) else None
+        assert cuts._max_packing(columns, k, pool) == max_packing_oracle(columns, k, pool)
+
+    @pytest.mark.parametrize("n", [1, 5, 12])
+    def test_t_n_lps_of_the_closure_pool(self, monkeypatch, n):
+        # t_N's own LPs, priced from its walk, on the first 300 entries of
+        # the benchmark's closure pool
+        kernel, solved = cuts._max_packing, []
+
+        def both(columns, k, pool=None):
+            solved.append(kernel(columns, k, pool))
+            assert solved[-1] == max_packing_oracle(columns, k, pool)
+            return solved[-1]
+
+        monkeypatch.setattr(cuts, "_max_packing", both)
+        for entry in CLOSURE_POOL[:300]:
+            strength_split_closure_approx(*pool_query(entry), n)
+        assert len(solved) == 300
 
 
 class TestStrengthReport:

@@ -1,6 +1,5 @@
 import copy
 import gc
-import json
 import pickle
 import random
 import re
@@ -8,7 +7,6 @@ import tracemalloc
 import weakref
 from fractions import Fraction as F
 from math import floor, gcd, lcm
-from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -40,7 +38,9 @@ from cutstrength.geometry import LatticeFreeBody, _read, over_common_denominator
 from cutstrength.lattice import _edge_lattice, _holds_interior_point, _width_basis
 
 from conftest import (
+    CLOSURE_POOL,
     IDENTITY,
+    POOL_FAMILIES,
     _rat,
     any_body,
     box_grid,
@@ -399,11 +399,6 @@ EVERY_FAMILY = [
     Type3Body(3, F(3, 10), F(1, 10)),
 ]
 
-# the benchmark's closure pool: (family, params, f, outcome) per entry
-POOL = json.loads((Path(__file__).resolve().parents[1] / "bench" / "reference.json").read_text())["closure_pool"]
-POOL_FAMILIES = {"type1": Type1Body, "type2": Type2Body, "quad": QuadBody, "t3": Type3Body}
-
-
 class TestFrameOnly:
     """A body's one slot is its frame: it has no ``__dict__``, takes no new
     attribute and keeps nothing that a query derives, and it pickles, copies
@@ -445,7 +440,7 @@ class TestFrameOnly:
             "corner_rays": corner_rays,
             "monte_carlo_lower": lambda body, f: monte_carlo_lower(body, 2, 100, 0),
         }[query]
-        entries = [(POOL_FAMILIES[family], params, point(*map(F, f))) for family, params, f, _ in POOL[:300]]
+        entries = [(POOL_FAMILIES[family], params, point(*map(F, f))) for family, params, f, _ in CLOSURE_POOL[:300]]
         other = (Type1Body(), point(F(1, 2), F(1, 2)))
 
         def freed(call):
